@@ -136,6 +136,14 @@ fn render(out: &mut String, s: &ServerStats) {
         s.metrics.shed_aborts
     );
 
+    let _ = writeln!(
+        out,
+        "batching shard_msgs={} ops={} ops/msg={:.2}",
+        s.metrics.shard_msgs,
+        s.metrics.batched_ops,
+        s.metrics.batched_ops as f64 / s.metrics.shard_msgs.max(1) as f64
+    );
+
     let _ = writeln!(out, "shards   ({}):", s.shards.len());
     for (i, sh) in s.shards.iter().enumerate() {
         let state = if sh.down {

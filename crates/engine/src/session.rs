@@ -51,7 +51,6 @@
 //! snapshot record.
 
 use crate::cc::{CcConflict, CcDecision, ConcurrencyControl};
-use crate::dense::SlotMap;
 use crate::metrics::Metrics;
 use crate::mvstore::MvStore;
 use crate::storage::Storage;
@@ -63,42 +62,64 @@ use ccopt_model::state::GlobalState;
 use ccopt_model::syntax::StepKind;
 use ccopt_model::value::Value;
 use ccopt_trace::{ConflictRule, EventKind, Histogram, Tracer, Verdict};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
-/// Dense per-transaction write buffer: a [`SlotMap`] over variables plus a
-/// touched-list for cheap iteration and clearing (the deferred-write path
-/// of OCC, MVTO and SI).
+/// Write sets up to this size are looked up by scanning
+/// [`WriteBuf::writes`] (a few cache lines); larger ones through
+/// [`WriteBuf::index`].
+const WRITE_SCAN_MAX: usize = 16;
+
+/// Per-transaction write buffer (the deferred-write path of OCC, MVTO and
+/// SI), sized by the write set and never by the variable universe. It
+/// keeps first-write order: the order a commit installs and logs in.
 #[derive(Clone, Debug, Default)]
 struct WriteBuf {
-    slots: SlotMap<Value>,
-    touched: Vec<VarId>,
+    /// `(variable, newest buffered value)`, one entry per variable, in
+    /// first-write order.
+    writes: Vec<(VarId, Value)>,
+    /// Variable to position in `writes`; filled only while the write set
+    /// is larger than [`WRITE_SCAN_MAX`], so that a batch writing
+    /// `MAX_BATCH_OPS` distinct variables stays linear.
+    index: HashMap<VarId, usize>,
 }
 
 impl WriteBuf {
-    fn with_capacity(num_vars: usize) -> Self {
-        WriteBuf {
-            slots: SlotMap::with_capacity(num_vars),
-            touched: Vec::new(),
+    #[inline]
+    fn position(&self, var: VarId) -> Option<usize> {
+        if self.writes.len() <= WRITE_SCAN_MAX {
+            self.writes.iter().position(|&(v, _)| v == var)
+        } else {
+            self.index.get(&var).copied()
         }
     }
 
     #[inline]
     fn get(&self, var: VarId) -> Option<Value> {
-        self.slots.get_copied(var.index())
+        self.position(var).map(|at| self.writes[at].1)
     }
 
     #[inline]
     fn insert(&mut self, var: VarId, value: Value) {
-        if self.slots.insert(var.index(), value).is_none() {
-            self.touched.push(var);
+        if let Some(at) = self.position(var) {
+            self.writes[at].1 = value;
+            return;
+        }
+        let at = self.writes.len();
+        self.writes.push((var, value));
+        if at == WRITE_SCAN_MAX {
+            // Outgrew the scan: index everything buffered so far.
+            let entries = self.writes.iter().enumerate();
+            self.index.extend(entries.map(|(i, &(v, _))| (v, i)));
+        } else if at > WRITE_SCAN_MAX {
+            self.index.insert(var, at);
         }
     }
 
     fn clear(&mut self) {
-        for v in self.touched.drain(..) {
-            self.slots.remove(v.index());
-        }
+        self.writes.clear();
+        self.index.clear();
     }
 }
 
@@ -154,12 +175,12 @@ struct Slot {
 }
 
 impl Slot {
-    fn new(num_vars: usize) -> Self {
+    fn new() -> Self {
         Slot {
             epoch: 0,
             status: Status::Free,
             undo: Vec::new(),
-            wbuf: WriteBuf::with_capacity(num_vars),
+            wbuf: WriteBuf::default(),
             attempts: 0,
             waits: 0,
             gsn: 0,
@@ -719,7 +740,7 @@ impl SessionDb {
             Some(s) => s,
             None => {
                 let s = self.slots.len() as u32;
-                self.slots.push(Slot::new(self.num_vars));
+                self.slots.push(Slot::new());
                 s
             }
         };
@@ -728,7 +749,7 @@ impl SessionDb {
             self.slots[ti].status == Status::Free,
             "free-list slot in use"
         );
-        debug_assert!(self.slots[ti].undo.is_empty() && self.slots[ti].wbuf.touched.is_empty());
+        debug_assert!(self.slots[ti].undo.is_empty() && self.slots[ti].wbuf.writes.is_empty());
         let gsn = self.next_gsn;
         self.next_gsn += 1;
         let sl = &mut self.slots[ti];
@@ -894,9 +915,8 @@ impl SessionDb {
         match decision {
             CcDecision::Proceed => {
                 // Write phase for deferred-write CCs: apply buffered values
-                // in touched order, draining the buffer in place (`cts` is
-                // meaningless, and unused, on the single-version path).
-                let mut touched = std::mem::take(&mut self.slots[ti].wbuf.touched);
+                // in first-write order (`cts` is meaningless, and unused, on
+                // the single-version path).
                 let cts = self.cc.commit_view(t);
                 let gsn = self.slots[ti].gsn;
                 if let Some(wal) = &mut self.wal {
@@ -904,31 +924,14 @@ impl SessionDb {
                     // reusable scratch buffer as the write phase runs.
                     wal.start_commit(gsn, cts);
                 }
-                for &var in &touched {
-                    let value = self.slots[ti]
-                        .wbuf
-                        .slots
-                        .remove(var.index())
-                        .expect("touched slots are filled");
+                for at in 0..self.slots[ti].wbuf.writes.len() {
+                    let (var, value) = self.slots[ti].wbuf.writes[at];
                     if let Some(wal) = &mut self.wal {
                         wal.push_write(var, value);
                     }
-                    match &mut self.store {
-                        Store::Single(storage) => {
-                            storage.set(var, value);
-                        }
-                        Store::Multi(mv) => {
-                            mv.install(var, cts, value);
-                            self.metrics.versions_installed += 1;
-                            // The gauge samples per-chain peaks exactly:
-                            // chains only ever grow at this install.
-                            self.metrics.max_chain_len =
-                                self.metrics.max_chain_len.max(mv.chain_len(var));
-                        }
-                    }
+                    self.install_write(var, value, cts);
                 }
-                touched.clear();
-                self.slots[ti].wbuf.touched = touched;
+                self.slots[ti].wbuf.clear();
                 if let Some(wal) = &mut self.wal {
                     // Immediate-write mechanisms carry no write buffer:
                     // their committed after-images are the current stored
@@ -963,17 +966,7 @@ impl SessionDb {
                     let tick = self.tick;
                     self.tracer.emit(tick, EventKind::Commit { txn: gsn });
                 }
-                // A snapshot retired: sweep the version store, but only
-                // when the watermark actually advanced — with the same
-                // watermark nothing new is reclaimable (fresh installs all
-                // sit above it), so the scan would be wasted work.
-                if let Store::Multi(mv) = &mut self.store {
-                    let watermark = self.cc.gc_watermark().min(self.gc_floor);
-                    if watermark > self.gc_watermark {
-                        self.metrics.versions_reclaimed += mv.gc(watermark);
-                        self.gc_watermark = watermark;
-                    }
-                }
+                self.sweep_versions();
                 self.drain_deferred();
                 Ok(Op::Done(()))
             }
@@ -1054,12 +1047,7 @@ impl SessionDb {
             // decision must never outlive a lost vote.
             wal.start_prepare(gsn, gtid, cts, coord);
             let slot = &self.slots[ti];
-            for &var in &slot.wbuf.touched {
-                let value = slot
-                    .wbuf
-                    .slots
-                    .get_copied(var.index())
-                    .expect("touched slots are filled");
+            for &(var, value) in &slot.wbuf.writes {
                 wal.push_write(var, value);
             }
             if let Store::Single(storage) = &self.store {
@@ -1130,27 +1118,11 @@ impl SessionDb {
         }
         if commit {
             let cts = self.slots[ti].cts;
-            let mut touched = std::mem::take(&mut self.slots[ti].wbuf.touched);
-            for &var in &touched {
-                let value = self.slots[ti]
-                    .wbuf
-                    .slots
-                    .remove(var.index())
-                    .expect("touched slots are filled");
-                match &mut self.store {
-                    Store::Single(storage) => {
-                        storage.set(var, value);
-                    }
-                    Store::Multi(mv) => {
-                        mv.install(var, cts, value);
-                        self.metrics.versions_installed += 1;
-                        self.metrics.max_chain_len =
-                            self.metrics.max_chain_len.max(mv.chain_len(var));
-                    }
-                }
+            for at in 0..self.slots[ti].wbuf.writes.len() {
+                let (var, value) = self.slots[ti].wbuf.writes[at];
+                self.install_write(var, value, cts);
             }
-            touched.clear();
-            self.slots[ti].wbuf.touched = touched;
+            self.slots[ti].wbuf.clear();
             if let Some(wal) = &mut self.wal {
                 if let Err(e) = wal.resolve_txn(gtid, true, force_sync) {
                     panic!("write-ahead log failed at resolve: {e}");
@@ -1171,13 +1143,7 @@ impl SessionDb {
                 let tick = self.tick;
                 self.tracer.emit(tick, EventKind::Commit { txn: gsn });
             }
-            if let Store::Multi(mv) = &mut self.store {
-                let watermark = self.cc.gc_watermark().min(self.gc_floor);
-                if watermark > self.gc_watermark {
-                    self.metrics.versions_reclaimed += mv.gc(watermark);
-                    self.gc_watermark = watermark;
-                }
-            }
+            self.sweep_versions();
             self.drain_deferred();
         } else {
             // The coordinator aborted the global transaction (some other
@@ -1578,6 +1544,37 @@ impl SessionDb {
             Status::Prepared => Err(SessionError::Prepared),
             Status::Committed => Err(SessionError::AlreadyCommitted),
             Status::Free => unreachable!("stale handles were rejected"),
+        }
+    }
+
+    /// The write phase of one buffered write: store it, on the
+    /// multi-version store as a version at `cts`.
+    fn install_write(&mut self, var: VarId, value: Value, cts: u64) {
+        match &mut self.store {
+            Store::Single(storage) => {
+                storage.set(var, value);
+            }
+            Store::Multi(mv) => {
+                mv.install(var, cts, value);
+                self.metrics.versions_installed += 1;
+                // The gauge samples per-chain peaks exactly: chains only
+                // ever grow at this install.
+                self.metrics.max_chain_len = self.metrics.max_chain_len.max(mv.chain_len(var));
+            }
+        }
+    }
+
+    /// A commit retired a snapshot: reclaim the versions no remaining
+    /// snapshot can read, but only when the watermark actually advanced —
+    /// with the same watermark nothing new is reclaimable (fresh installs
+    /// all sit above it).
+    fn sweep_versions(&mut self) {
+        if let Store::Multi(mv) = &mut self.store {
+            let watermark = self.cc.gc_watermark().min(self.gc_floor);
+            if watermark > self.gc_watermark {
+                self.metrics.versions_reclaimed += mv.gc(watermark);
+                self.gc_watermark = watermark;
+            }
         }
     }
 

@@ -20,7 +20,7 @@ use ccopt_engine::Metrics;
 use ccopt_trace::ConflictRule;
 
 /// Version byte leading every encoded [`ServerStats`].
-const STATS_VERSION: u8 = 1;
+const STATS_VERSION: u8 = 2;
 
 /// Most sample points ever encoded into one Stats response, keeping the
 /// frame comfortably under [`MAX_FRAME`](crate::MAX_FRAME) (a point is
@@ -179,7 +179,7 @@ fn take_bool(c: &mut Cursor<'_>) -> Option<bool> {
 /// The engine metric fields in wire order (everything but the rule
 /// array). Encoder and decoder iterate this single list, so the two
 /// cannot drift.
-fn metric_fields(m: &mut Metrics) -> [&mut usize; 15] {
+fn metric_fields(m: &mut Metrics) -> [&mut usize; 17] {
     [
         &mut m.steps_executed,
         &mut m.waits,
@@ -196,6 +196,8 @@ fn metric_fields(m: &mut Metrics) -> [&mut usize; 15] {
         &mut m.shard_restarts,
         &mut m.io_retries,
         &mut m.shed_aborts,
+        &mut m.shard_msgs,
+        &mut m.batched_ops,
     ]
 }
 
@@ -458,6 +460,16 @@ pub fn render_prometheus(s: &ServerStats) -> String {
             m.shard_restarts as u64,
         ),
         (
+            "ccopt_shard_msgs_total",
+            "Coordinator-to-shard messages on the operation path (2PC excluded).",
+            m.shard_msgs as u64,
+        ),
+        (
+            "ccopt_batched_ops_total",
+            "Data operations those shard messages carried.",
+            m.batched_ops as u64,
+        ),
+        (
             "ccopt_subscriber_dropped_total",
             "Trace events dropped across all live subscriptions.",
             s.sub_dropped,
@@ -638,6 +650,8 @@ mod tests {
             aborts: 7,
             commits: 31,
             shed_aborts: 2,
+            shard_msgs: 12,
+            batched_ops: 96,
             ..Metrics::default()
         };
         metrics.aborts_by_rule[ConflictRule::Deadlock.index()] = 3;
@@ -755,6 +769,8 @@ mod tests {
         let text = render_prometheus(&s);
         let samples = parse_prometheus(&text).unwrap();
         assert_eq!(sample(&samples, "ccopt_commits_total"), Some(31.0));
+        assert_eq!(sample(&samples, "ccopt_shard_msgs_total"), Some(12.0));
+        assert_eq!(sample(&samples, "ccopt_batched_ops_total"), Some(96.0));
         assert_eq!(
             sample(&samples, "ccopt_aborts_by_rule_total{rule=\"deadlock\"}"),
             Some(3.0)

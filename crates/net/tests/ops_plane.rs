@@ -356,6 +356,14 @@ fn stats_snapshot_ledgers_balance() {
         "every abort is attributed to exactly one rule"
     );
     assert_eq!(
+        stats.metrics.batched_ops, 20,
+        "the shard-message counters cross the wire: one data op per txn"
+    );
+    assert!(
+        stats.metrics.shard_msgs >= 20,
+        "each op travelled in a message of its own (one RTT per op)"
+    );
+    assert_eq!(
         stats.sheds_txns, txn_sheds,
         "txn-budget sheds land in their own layer"
     );
