@@ -84,13 +84,16 @@
 //!
 //! * `batched.tax` (engine level, the acceptance gate): one
 //!   deterministic conflict-free stream run three ways — direct
-//!   `SessionDb` calls, per-op `ShardedDb` calls at `S = 1` (every op
-//!   one mailbox round-trip: the historic ~60× overhead), and
+//!   `SessionDb` calls, per-op `ShardedDb` calls at `S = 1` (every
+//!   op, the commit and the retire one mailbox round-trip each, the
+//!   lazy begin riding the first op's: `ops + 2` messages per
+//!   transaction — the historic ~60× overhead), and
 //!   [`ccopt_engine::ShardedDb::submit_group`] with whole transactions
-//!   grouped per message. Taxes are wall-clock ratios against the
-//!   unsharded run; the grouped tax is **asserted ≤ 6×**, and the
-//!   engine's own `shard_msgs` counters report the round-trip collapse
-//!   exactly.
+//!   grouped per message. Both are jobs on the engine's one shard-job
+//!   executor, so the A/B isolates the packaging. Taxes are wall-clock
+//!   ratios against the unsharded run; the grouped tax is **asserted
+//!   ≤ 6×**, and the engine's own `shard_msgs` counters report the
+//!   round-trip collapse exactly.
 //! * `batched.wire` (served level): the same closed-loop fleet — via
 //!   the one shared [`closed_loop`] anchor that also calibrates the
 //!   `served` grid and drives `ops_overhead` — running per-op
@@ -1188,7 +1191,8 @@ fn batched_tax(quick: bool) -> Vec<BatchedTaxCell> {
         };
 
         // Path 2: `ShardedDb` at S = 1, one mailbox round-trip per op
-        // (plus commit and retire) — the messaging tax at its worst.
+        // (the begin rides the first), plus commit and retire — the
+        // messaging tax at its worst.
         let per_op = || {
             let mut db = ShardedDb::new(mk.as_ref(), init.clone(), 1);
             let wall = Instant::now();

@@ -49,9 +49,9 @@ pub struct Metrics {
     /// its shard's bounded mailbox was full (0 outside sharded runs).
     pub shed_aborts: usize,
     /// Coordinator→shard mailbox round-trips on the operation lifecycle
-    /// (lazy begins, operation runs, single-shard commits, retires; 2PC
-    /// protocol messages are counted separately under `twopc_actions` in
-    /// the sharded coordinator). The messaging tax is
+    /// (operation runs and single-shard commits — a lazy begin rides the
+    /// first — and retires; 2PC protocol messages are counted separately
+    /// under `twopc_actions` in the sharded coordinator). The messaging tax is
     /// `shard_msgs / batched_ops` round-trips per operation: 1.0+ on the
     /// per-op path, a small fraction under batched submission (0 outside
     /// sharded runs).

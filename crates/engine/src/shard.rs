@@ -304,14 +304,15 @@ pub struct ShardedDb<'a> {
     /// Log directory and mode when durable (`None` = volatile shards).
     durable: Option<(PathBuf, DurabilityMode)>,
     expected_txns: usize,
-    /// Two-phase-commit outcomes known in this process, by global
-    /// transaction id: `true` the instant the coordinator's resolve fsync
-    /// succeeds (the commit point), `false` when a transaction fails
-    /// mid-protocol; seeded from every recovered log's resolutions. A
-    /// crashed shard's in-doubt prepares settle against this table —
-    /// the in-process form of the coordinator consultation — and a full
-    /// [`checkpoint`](Self::checkpoint) clears it (resolution stability:
-    /// compacted records are never consulted again).
+    /// Two-phase-commit outcomes known in this process (kept by durable
+    /// databases only), by global transaction id: `true` the instant the
+    /// coordinator's resolve fsync succeeds (the commit point), `false`
+    /// when a transaction fails mid-protocol; seeded from every recovered
+    /// log's resolutions. A crashed shard's in-doubt prepares settle
+    /// against this table — the in-process form of the coordinator
+    /// consultation — and a full [`checkpoint`](Self::checkpoint) clears
+    /// it (resolution stability: compacted records are never consulted
+    /// again).
     decided: HashMap<u64, bool>,
     /// Shards whose storage could not be recovered: permanently down,
     /// every operation routed there fails while the others keep serving.
@@ -351,8 +352,8 @@ pub struct ShardedDb<'a> {
     /// attribution table.
     failover_fails: usize,
     /// Coordinator→shard mailbox round-trips on the operation lifecycle
-    /// (lazy begins, runs, single-shard commits, retires); the numerator
-    /// of the messaging tax.
+    /// (shard jobs — runs and single-shard commits, lazy begins riding
+    /// along — and retires); the numerator of the messaging tax.
     shard_msgs: usize,
     /// Data operations those messages carried; the denominator of the
     /// messaging tax.
@@ -628,7 +629,9 @@ impl<'a> ShardedDb<'a> {
 
     /// The general access primitive: routes the step to the shard owning
     /// `var` (translating to its local id) and runs it on that shard's
-    /// thread. Semantics of the returned [`Op`] mirror
+    /// thread as a one-operation job of the shard-job executor — so the
+    /// transaction's lazy begin on a shard it had not touched rides the
+    /// same message. Semantics of the returned [`Op`] mirror
     /// [`SessionDb::apply`]; a shard-level restart restarts the **whole**
     /// global transaction (every shard's sub-transaction rolls back) and
     /// the client replays its program against a fresh global timestamp.
@@ -640,230 +643,54 @@ impl<'a> ShardedDb<'a> {
         f: impl FnOnce(Value) -> Value + Send + 'static,
     ) -> Result<Op<Value>, SessionError> {
         let ti = self.running(h)?;
-        if self.slots[ti]
-            .subs
-            .iter()
-            .any(|s| matches!(s, SubState::Prepared(_)))
-        {
+        if self.is_prepared(ti) {
             // A partially prepared commit is in flight (some shard's vote
             // said wait): only the commit retry or an abort may proceed.
             return Err(SessionError::Prepared);
         }
         let si = self.partition.shard_of(var);
-        if self.down[si] {
-            // The owning shard is permanently down (unrecoverable
-            // storage); the rest of the database keeps serving.
-            return Err(SessionError::ShardDown);
-        }
-        if self.workers[si].is_full() {
-            // Backpressure: the shard's bounded mailbox is at capacity.
-            // Shed this transaction — restart it under a fresh timestamp
-            // — instead of queueing unboundedly; the client replays after
-            // its usual backoff, by which time the queue has drained.
-            self.shed_aborts += 1;
-            if self.coord_tracer.is_on() {
-                let (gts, tick) = (self.slots[ti].gts, self.next_gts);
-                self.coord_tracer.emit(
-                    tick,
-                    EventKind::Abort {
-                        txn: gts,
-                        rule: ConflictRule::Shed,
-                        var: Some(var.0),
-                        opponent: None,
-                    },
-                );
-            }
-            self.global_restart(ti);
-            return Ok(Op::Restarted);
-        }
-        let lv = self.partition.local(var);
-        let sub = self.ensure_sub(ti, si)?;
-        // Reserve (without consuming) the global timestamp a shard-local
-        // restart would stamp the fresh attempt with: the restart happens
-        // inside the shard, in place, before we see the outcome.
-        let spare = self.next_gts + 1;
-        self.shard_msgs += 1;
-        self.batched_ops += 1;
-        let r = match self.workers[si].call(move |db| {
-            db.set_restart_ts(spare);
-            db.apply(sub, lv, kind, f).expect("sub is live")
-        }) {
-            Ok(r) => r,
-            Err(WorkerError) => {
-                // The shard worker died running (or queued behind) this
-                // operation: supervise the crash — restart the shard from
-                // its log, fail every transaction with state there
-                // (including this one) — and report the loss.
-                self.supervise_crash(si);
-                return Err(SessionError::ShardDown);
-            }
-        };
-        Ok(match r {
-            Op::Done(v) => Op::Done(v),
-            Op::Wait => {
-                self.slots[ti].waits += 1;
-                self.waits += 1;
-                Op::Wait
-            }
-            Op::Restarted => {
-                // The shard already restarted the sub in place at `spare`;
-                // adopt that as the transaction's new global attempt.
-                self.next_gts = spare;
-                self.global_restart_keeping(ti, Some(si), spare);
-                Op::Restarted
-            }
-        })
+        let run = vec![(self.partition.local(var), RunOp::Call(kind, Box::new(f)))];
+        let (mut results, _) = self.shard_job(si, self.job(ti, si, run, Finish::None))?;
+        Ok(results.pop().expect("a one-operation run has one outcome"))
     }
 
-    /// Submit a run of operations in one call, amortizing the per-op
-    /// worker round trip flagged in the roadmap: maximal runs of
-    /// consecutive operations owned by the *same* shard travel in a
-    /// single mailbox message and execute back-to-back on that shard's
-    /// thread, so a k-op single-shard transaction costs one round trip
-    /// instead of k. Outcomes come back per operation, in submission
-    /// order, and execution stops at the first non-[`Op::Done`] outcome:
-    /// operations after it are **not attempted** (the returned vector is
-    /// short). Per operation the contract is identical to
-    /// [`ShardedDb::apply`] — a trailing [`Op::Wait`] means retry from
-    /// that operation, a trailing [`Op::Restarted`] means the whole
-    /// global transaction restarted and the client replays its program.
-    pub fn apply_batch(
-        &mut self,
-        h: GlobalTxn,
-        ops: &[BatchOp],
-    ) -> Result<Vec<Op<Value>>, SessionError> {
-        let mut out = Vec::with_capacity(ops.len());
-        let mut i = 0;
-        while i < ops.len() {
-            // The maximal same-shard run starting at `i`.
-            let si = self.partition.shard_of(ops[i].var());
-            let mut j = i + 1;
-            while j < ops.len() && self.partition.shard_of(ops[j].var()) == si {
-                j += 1;
-            }
-            // Pre-flight checks mirror `apply`, once per run.
-            let ti = self.running(h)?;
-            if self.slots[ti]
-                .subs
-                .iter()
-                .any(|s| matches!(s, SubState::Prepared(_)))
-            {
-                return Err(SessionError::Prepared);
-            }
-            if self.down[si] {
-                return Err(SessionError::ShardDown);
-            }
-            if self.workers[si].is_full() {
-                self.shed_aborts += 1;
-                if self.coord_tracer.is_on() {
-                    let (gts, tick) = (self.slots[ti].gts, self.next_gts);
-                    self.coord_tracer.emit(
-                        tick,
-                        EventKind::Abort {
-                            txn: gts,
-                            rule: ConflictRule::Shed,
-                            var: Some(ops[i].var().0),
-                            opponent: None,
-                        },
-                    );
-                }
-                self.global_restart(ti);
-                out.push(Op::Restarted);
-                return Ok(out);
-            }
-            let sub = self.ensure_sub(ti, si)?;
-            let run: Vec<(VarId, BatchOp)> = ops[i..j]
-                .iter()
-                .map(|op| (self.partition.local(op.var()), *op))
-                .collect();
-            let spare = self.next_gts + 1;
-            self.shard_msgs += 1;
-            self.batched_ops += run.len();
-            let rs = match self.workers[si].call(move |db| {
-                db.set_restart_ts(spare);
-                let mut rs = Vec::with_capacity(run.len());
-                for (lv, op) in run {
-                    let r = match op {
-                        BatchOp::Read(_) => db.apply(sub, lv, StepKind::Read, |v| v),
-                        BatchOp::Write(_, val) => db.apply(sub, lv, StepKind::Write, move |_| val),
-                        BatchOp::Affine { a, c, .. } => {
-                            db.apply(sub, lv, StepKind::Update, move |v| affine_eval(a, c, v))
-                        }
-                    }
-                    .expect("sub is live");
-                    let done = matches!(r, Op::Done(_));
-                    rs.push(r);
-                    if !done {
-                        break;
-                    }
-                }
-                rs
-            }) {
-                Ok(rs) => rs,
-                Err(WorkerError) => {
-                    self.supervise_crash(si);
-                    return Err(SessionError::ShardDown);
-                }
-            };
-            for r in rs {
-                match r {
-                    Op::Done(v) => out.push(Op::Done(v)),
-                    Op::Wait => {
-                        self.slots[ti].waits += 1;
-                        self.waits += 1;
-                        out.push(Op::Wait);
-                        return Ok(out);
-                    }
-                    Op::Restarted => {
-                        // The shard restarted the sub in place at `spare`;
-                        // adopt it as the new global attempt.
-                        self.next_gts = spare;
-                        self.global_restart_keeping(ti, Some(si), spare);
-                        out.push(Op::Restarted);
-                        return Ok(out);
-                    }
-                }
-            }
-            i = j;
-        }
-        Ok(out)
-    }
-
-    /// Submit a group of **independent transactions'** batches in as few
-    /// mailbox messages as possible — the cross-transaction half of the
-    /// batched-submission story (the server's engine thread collects
-    /// runs from many connections into one group per pass).
+    /// Submit a group of **independent transactions'** runs in as few
+    /// mailbox messages as possible (the server's engine thread collects
+    /// requests from many connections into one group per pass; a lone
+    /// request is a group of one).
     ///
     /// Requests whose operations (and prior shard footprint) sit on a
     /// single shard are packed into **one message per shard**, carrying
-    /// every such transaction's run — and, when
+    /// every such transaction's lazy begin and run — and, when
     /// [`commit`](GroupReq::commit) is set, its single-shard commit and
     /// retire too, so a whole k-op transaction costs one round trip
     /// instead of `k + 2`. Groups execute in first-appearance order of
-    /// their shard; requests that span shards fall back to
-    /// [`apply_batch`](Self::apply_batch) (and the ordinary
-    /// [`commit`](Self::commit)) after the packed groups, in submission
-    /// order.
+    /// their shard; requests that span shards follow in submission
+    /// order, one message per maximal same-shard run of their operations,
+    /// then the ordinary [`commit`](Self::commit) (two-phase when the
+    /// footprint spans shards).
+    ///
+    /// **Partial-batch contract**, per request: outcomes come back per
+    /// operation, in submission order, and execution stops at the first
+    /// non-[`Op::Done`] outcome — operations after it are **not
+    /// attempted** (the results are short). A trailing [`Op::Wait`] means
+    /// retry from that operation; a trailing [`Op::Restarted`] means the
+    /// whole global transaction restarted and the client replays its
+    /// program. The piggybacked commit is attempted only when every
+    /// operation completed `Done` ([`GroupResp::commit`] is `None`
+    /// otherwise). A committed request is also retired — its handle is
+    /// dead on return. Each handle may appear at most once per group.
     ///
     /// **Equivalence contract** (proved by the batched differential
     /// suite): the outcomes are bit-identical to driving the same
     /// requests sequentially through the per-operation API in the
-    /// canonical order above. Restart timestamps are consumed *lazily
-    /// inside the shard* — each transaction's potential restart stamp is
-    /// `cur + 1` where `cur` advances only when a restart actually
-    /// consumes it — exactly the stamp sequence the per-op path issues.
-    /// One intentional divergence: the GC floor of a piggybacked commit
-    /// is computed at submission (pessimistically low), so
-    /// multi-version reclamation *timing* may differ; no concurrency
-    /// decision reads the floor, so outcomes and final state do not.
-    ///
-    /// Per request the partial-batch contract of
-    /// [`apply_batch`](Self::apply_batch) holds: results stop at the
-    /// first non-[`Op::Done`] outcome, and the piggybacked commit is
-    /// attempted only when every operation completed `Done`
-    /// ([`GroupResp::commit`] is `None` otherwise). A committed request
-    /// is also retired — its handle is dead on return. Each handle may
-    /// appear at most once per group.
+    /// canonical order above — both run on the one shard-job executor,
+    /// which consumes restart timestamps *lazily inside the shard*,
+    /// exactly the stamp sequence one message per operation issues. One
+    /// intentional divergence: the GC floor of a piggybacked commit is
+    /// computed at submission (pessimistically low), so multi-version
+    /// reclamation *timing* may differ; no concurrency decision reads the
+    /// floor, so outcomes and final state do not.
     pub fn submit_group(&mut self, reqs: Vec<GroupReq>) -> Vec<GroupResp> {
         let mut resps: Vec<GroupResp> = (0..reqs.len())
             .map(|_| GroupResp {
@@ -873,107 +700,86 @@ impl<'a> ShardedDb<'a> {
             .collect();
         // Classify: pack single-shard requests per shard, keep the rest
         // (cross-shard footprints, trivial no-touch commits) for the
-        // sequential tail.
-        enum Class {
-            Packed,
-            Tail,
-        }
-        let mut shard_groups: Vec<Vec<usize>> = vec![Vec::new(); self.workers.len()];
+        // sequential tail. A refused request is in neither — its error
+        // already sits in its response.
+        let mut packed: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.workers.len()];
         let mut shard_order: Vec<usize> = Vec::new();
-        let mut classes: Vec<Class> = Vec::with_capacity(reqs.len());
+        let mut tail: Vec<usize> = Vec::new();
         for (k, req) in reqs.iter().enumerate() {
             let ti = match self.running(req.h) {
                 Ok(ti) => ti,
                 Err(e) => {
                     resps[k].results = Err(e);
-                    classes.push(Class::Tail);
                     continue;
                 }
             };
-            if self.slots[ti]
-                .subs
-                .iter()
-                .any(|s| matches!(s, SubState::Prepared(_)))
-            {
+            if self.is_prepared(ti) {
                 if req.ops.is_empty() && req.commit {
                     // A cross-shard commit retry: the tail's generic
                     // commit path resumes the two-phase protocol.
-                    classes.push(Class::Tail);
+                    tail.push(k);
                 } else {
                     resps[k].results = Err(SessionError::Prepared);
-                    classes.push(Class::Tail);
                 }
                 continue;
             }
             // The request's whole footprint: shards its ops touch plus
             // shards already engaged by earlier operations.
-            let mut home: Option<usize> = None;
-            let mut single = true;
-            for op in &req.ops {
-                let s = self.partition.shard_of(op.var());
-                match home {
-                    None => home = Some(s),
-                    Some(h) if h != s => {
-                        single = false;
-                        break;
-                    }
-                    Some(_) => {}
-                }
-            }
-            if single {
-                for &s in &self.slots[ti].touched {
-                    let s = s as usize;
-                    match home {
-                        None => home = Some(s),
-                        Some(h) if h != s => {
-                            single = false;
-                            break;
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
-            match (single, home) {
-                (true, Some(si)) => {
-                    if shard_groups[si].is_empty() {
+            let mut footprint = req
+                .ops
+                .iter()
+                .map(|op| self.partition.shard_of(op.var()))
+                .chain(self.slots[ti].touched.iter().map(|&s| s as usize));
+            match footprint.next() {
+                Some(si) if footprint.all(|s| s == si) => {
+                    if packed[si].is_empty() {
                         shard_order.push(si);
                     }
-                    shard_groups[si].push(k);
-                    classes.push(Class::Packed);
+                    packed[si].push((k, ti));
                 }
-                // No ops and nothing touched: a trivial commit (or a
-                // no-op), handled in the tail without any message.
-                _ => classes.push(Class::Tail),
+                // Cross-shard, or no ops and nothing touched: a trivial
+                // commit (or a no-op), handled in the tail without any
+                // message.
+                _ => tail.push(k),
             }
         }
         // One message per shard, in first-appearance order.
         for si in shard_order {
-            let members = std::mem::take(&mut shard_groups[si]);
-            self.group_shard(si, &members, &reqs, &mut resps);
-        }
-        // The sequential tail: cross-shard and trivial requests through
-        // the per-run machinery, in submission order.
-        for (k, req) in reqs.iter().enumerate() {
-            if !matches!(classes[k], Class::Tail) || resps[k].results.is_err() {
-                continue;
-            }
-            if !req.ops.is_empty() {
-                match self.apply_batch(req.h, &req.ops) {
-                    Ok(rs) => {
-                        let complete = rs.len() == req.ops.len()
-                            && rs.iter().all(|r| matches!(r, Op::Done(_)));
-                        resps[k].results = Ok(rs);
-                        if !complete {
-                            continue;
-                        }
+            let members = std::mem::take(&mut packed[si]);
+            let jobs = members
+                .iter()
+                .map(|&(k, ti)| {
+                    let finish = if reqs[k].commit {
+                        Finish::CommitRetire
+                    } else {
+                        Finish::None
+                    };
+                    self.job(ti, si, self.localize(&reqs[k].ops), finish)
+                })
+                .collect();
+            for (&(k, _), settled) in members.iter().zip(self.shard_jobs(si, jobs)) {
+                match settled {
+                    Ok((results, commit)) => {
+                        resps[k].results = Ok(results);
+                        resps[k].commit = commit.map(Ok);
                     }
-                    Err(e) => {
-                        resps[k].results = Err(e);
-                        continue;
-                    }
+                    Err(e) => resps[k].results = Err(e),
                 }
             }
-            if req.commit {
+        }
+        // The sequential tail: cross-shard and trivial requests, in
+        // submission order.
+        for k in tail {
+            let req = &reqs[k];
+            // Pre-flighted again: a packed group above may have crashed a
+            // shard this transaction had state on.
+            let ran = self
+                .running(req.h)
+                .and_then(|ti| self.run_across(ti, &req.ops));
+            let complete = matches!(&ran, Ok(rs) if rs.len() == req.ops.len()
+                && rs.iter().all(|r| matches!(r, Op::Done(_))));
+            resps[k].results = ran;
+            if complete && req.commit {
                 let c = self.commit(req.h);
                 if let Ok(Op::Done(())) = c {
                     let _ = self.retire(req.h);
@@ -984,89 +790,109 @@ impl<'a> ShardedDb<'a> {
         resps
     }
 
-    /// Execute one shard's packed group: a single mailbox message
-    /// carrying every member's (lazy begin, run, optional commit +
-    /// retire), with restart stamps consumed lazily in execution order.
-    fn group_shard(
-        &mut self,
-        si: usize,
-        members: &[usize],
-        reqs: &[GroupReq],
-        resps: &mut [GroupResp],
-    ) {
-        if self.down[si] {
-            for &k in members {
-                resps[k].results = Err(SessionError::ShardDown);
+    /// Run a cross-shard request's operations for slot `ti`: one job per
+    /// maximal run of consecutive operations owned by the same shard, in
+    /// program order, stopping at the first non-[`Op::Done`] outcome.
+    fn run_across(&mut self, ti: usize, ops: &[BatchOp]) -> Result<Vec<Op<Value>>, SessionError> {
+        let mut out = Vec::with_capacity(ops.len());
+        while out.len() < ops.len() {
+            let rest = &ops[out.len()..];
+            let si = self.partition.shard_of(rest[0].var());
+            let len = rest
+                .iter()
+                .take_while(|op| self.partition.shard_of(op.var()) == si)
+                .count();
+            let run = self.localize(&rest[..len]);
+            let (results, _) = self.shard_job(si, self.job(ti, si, run, Finish::None))?;
+            out.extend(results);
+            if !matches!(out.last(), Some(Op::Done(_))) {
+                break;
             }
-            return;
         }
-        if self.workers[si].is_full() {
-            // Backpressure sheds the whole group — the batched analogue
-            // of the per-op shed: every member restarts under a fresh
-            // stamp and replays after its backoff.
-            for &k in members {
-                let ti = match self.running(reqs[k].h) {
-                    Ok(ti) => ti,
-                    Err(e) => {
-                        resps[k].results = Err(e);
-                        continue;
-                    }
-                };
-                self.shed_aborts += 1;
-                if self.coord_tracer.is_on() {
-                    let (gts, tick) = (self.slots[ti].gts, self.next_gts);
-                    self.coord_tracer.emit(
-                        tick,
-                        EventKind::Abort {
-                            txn: gts,
-                            rule: ConflictRule::Shed,
-                            var: reqs[k].ops.first().map(|op| op.var().0),
-                            opponent: None,
-                        },
-                    );
-                }
-                self.global_restart(ti);
-                resps[k].results = Ok(vec![Op::Restarted]);
-            }
-            return;
-        }
-        struct Job {
-            sub: Option<Txn>,
-            gts: u64,
-            run: Vec<(VarId, BatchOp)>,
-            commit: bool,
-            floor: u64,
-        }
-        struct JobOut {
-            sub: Txn,
-            results: Vec<Op<Value>>,
-            /// Restart stamp consumed by this job (ops or commit).
-            consumed: Option<u64>,
-            commit: Option<Op<()>>,
-            retired: bool,
-        }
-        let mut jobs: Vec<Job> = Vec::with_capacity(members.len());
-        for &k in members {
-            let ti = self.slot_of(reqs[k].h).expect("pre-flighted");
-            let sub = match self.slots[ti].subs[si] {
+        Ok(out)
+    }
+
+    /// A same-shard run of operations, each under its shard-local id.
+    fn localize(&self, ops: &[BatchOp]) -> Vec<(VarId, RunOp)> {
+        ops.iter()
+            .map(|op| (self.partition.local(op.var()), RunOp::Data(*op)))
+            .collect()
+    }
+
+    /// Slot `ti`'s job on shard `si`. The caller has pre-flighted the
+    /// transaction: running, with no vote outstanding.
+    fn job(&self, ti: usize, si: usize, run: Vec<(VarId, RunOp)>, finish: Finish) -> Job {
+        let sl = &self.slots[ti];
+        Job {
+            ti,
+            sub: match sl.subs[si] {
                 SubState::Running(sub) => Some(sub),
                 SubState::Absent => None,
-                SubState::Prepared(_) => unreachable!("pre-flighted"),
-            };
-            jobs.push(Job {
-                sub,
-                gts: self.slots[ti].gts,
-                run: reqs[k]
-                    .ops
-                    .iter()
-                    .map(|op| (self.partition.local(op.var()), *op))
-                    .collect(),
-                commit: reqs[k].commit,
-                floor: self.min_active_gts(ti),
-            });
+                SubState::Prepared(_) => unreachable!("prepared transactions are refused"),
+            },
+            gts: sl.gts,
+            run,
+            finish,
+            floor: match finish {
+                Finish::None => 0,
+                Finish::Commit | Finish::CommitRetire => self.min_active_gts(ti),
+            },
+        }
+    }
+
+    /// One job, alone in its message.
+    fn shard_job(&mut self, si: usize, job: Job) -> Settled {
+        self.shard_jobs(si, vec![job])
+            .pop()
+            .expect("one job, one outcome")
+    }
+
+    /// The shard-job executor — the only code that runs data operations
+    /// on a shard: one mailbox message carrying every job (lazy begin,
+    /// run, optional commit + retire), executed back-to-back on shard
+    /// `si`'s thread, each outcome [`adopt`](Self::adopt)ed into its
+    /// coordinator slot. Outcomes come back in job order.
+    fn shard_jobs(&mut self, si: usize, jobs: Vec<Job>) -> Vec<Settled> {
+        if self.down[si] {
+            // The owning shard is permanently down (unrecoverable
+            // storage); the rest of the database keeps serving.
+            return jobs.iter().map(|_| Err(SessionError::ShardDown)).collect();
+        }
+        if self.workers[si].is_full() {
+            // Backpressure: the shard's bounded mailbox is at capacity.
+            // Shed the whole message — every transaction in it restarts
+            // under a fresh timestamp — instead of queueing unboundedly;
+            // the clients replay after their usual backoff, by which time
+            // the queue has drained.
+            return jobs
+                .iter()
+                .map(|job| {
+                    self.shed_aborts += 1;
+                    if self.coord_tracer.is_on() {
+                        let (gts, tick) = (self.slots[job.ti].gts, self.next_gts);
+                        let owned = self.partition.shard_vars(si);
+                        self.coord_tracer.emit(
+                            tick,
+                            EventKind::Abort {
+                                txn: gts,
+                                rule: ConflictRule::Shed,
+                                var: job.run.first().map(|(lv, _)| owned[lv.index()].0),
+                                opponent: None,
+                            },
+                        );
+                    }
+                    self.global_restart(job.ti);
+                    Ok((vec![Op::Restarted], None))
+                })
+                .collect();
         }
         self.shard_msgs += 1;
         self.batched_ops += jobs.iter().map(|j| j.run.len()).sum::<usize>();
+        let sent = jobs.len();
+        // Restart stamps are consumed lazily, inside the shard, in
+        // execution order: a shard-local restart happens in place, before
+        // we see the outcome, so each job reserves (without consuming)
+        // `cur + 1`, and `cur` advances only when a restart takes it.
         let base = self.next_gts;
         let outs = match self.workers[si].call(move |db| {
             let mut cur = base;
@@ -1077,52 +903,51 @@ impl<'a> ShardedDb<'a> {
                     None => db.begin_with_ts(job.gts),
                 };
                 let mut results = Vec::with_capacity(job.run.len());
-                let mut consumed = None;
                 let mut all_done = true;
                 db.set_restart_ts(cur + 1);
                 for (lv, op) in job.run {
                     let r = match op {
-                        BatchOp::Read(_) => db.apply(sub, lv, StepKind::Read, |v| v),
-                        BatchOp::Write(_, val) => db.apply(sub, lv, StepKind::Write, move |_| val),
-                        BatchOp::Affine { a, c, .. } => {
+                        RunOp::Data(BatchOp::Read(_)) => db.apply(sub, lv, StepKind::Read, |v| v),
+                        RunOp::Data(BatchOp::Write(_, val)) => {
+                            db.apply(sub, lv, StepKind::Write, move |_| val)
+                        }
+                        RunOp::Data(BatchOp::Affine { a, c, .. }) => {
                             db.apply(sub, lv, StepKind::Update, move |v| affine_eval(a, c, v))
                         }
+                        RunOp::Call(kind, f) => db.apply(sub, lv, kind, f),
                     }
                     .expect("sub is live");
-                    let done = matches!(r, Op::Done(_));
-                    if matches!(r, Op::Restarted) {
-                        consumed = Some(cur + 1);
-                        cur += 1;
-                    }
                     results.push(r);
-                    if !done {
+                    if !matches!(r, Op::Done(_)) {
                         all_done = false;
                         break;
                     }
                 }
                 let mut commit = None;
                 let mut retired = false;
-                if job.commit && all_done {
+                if job.finish != Finish::None && all_done {
                     db.set_gc_floor(job.floor);
                     db.set_restart_ts(cur + 1);
                     let r = db.commit(sub).expect("sub is live");
-                    match r {
-                        Op::Done(()) => {
-                            db.retire(sub).expect("sub is committed");
-                            retired = true;
-                        }
-                        Op::Restarted => {
-                            consumed = Some(cur + 1);
-                            cur += 1;
-                        }
-                        Op::Wait => {}
+                    if r == Op::Done(()) && job.finish == Finish::CommitRetire {
+                        db.retire(sub).expect("sub is committed");
+                        retired = true;
                     }
                     commit = Some(r);
                 }
+                // The run stops at its first non-`Done` outcome and the
+                // commit follows an all-`Done` run, so at most one of
+                // them restarted — consuming the reserved stamp.
+                let restarted =
+                    matches!(results.last(), Some(Op::Restarted)) || commit == Some(Op::Restarted);
+                if restarted {
+                    cur += 1;
+                }
                 outs.push(JobOut {
+                    ti: job.ti,
                     sub,
                     results,
-                    consumed,
+                    consumed: restarted.then_some(cur),
                     commit,
                     retired,
                 });
@@ -1131,57 +956,54 @@ impl<'a> ShardedDb<'a> {
         }) {
             Ok(outs) => outs,
             Err(WorkerError) => {
+                // The shard worker died running (or queued behind) this
+                // message: supervise the crash — restart the shard from
+                // its log, fail every transaction with state there — and
+                // report the loss. A commit in the message was never
+                // acknowledged; the recovered log decides it (as after
+                // any crash, an unacknowledged commit may legitimately
+                // have landed). A transaction whose begin was in the
+                // message holds nothing on the crashed shard, but its
+                // program needs the variable: either way the client sees
+                // the standard crashed-shard error, aborts and re-runs.
                 self.supervise_crash(si);
-                for &k in members {
-                    resps[k].results = Err(SessionError::ShardDown);
-                }
-                return;
+                return (0..sent).map(|_| Err(SessionError::ShardDown)).collect();
             }
         };
-        for (&k, out) in members.iter().zip(outs) {
-            let ti = self.slot_of(reqs[k].h).expect("pre-flighted");
-            if matches!(self.slots[ti].subs[si], SubState::Absent) {
-                self.slots[ti].subs[si] = SubState::Running(out.sub);
-                self.slots[ti].touched.push(si as u32);
-            }
-            for r in &out.results {
-                match r {
-                    Op::Done(_) => {}
-                    Op::Wait => {
-                        self.slots[ti].waits += 1;
-                        self.waits += 1;
-                    }
-                    Op::Restarted => {
-                        let stamp = out.consumed.expect("a restart consumed its stamp");
-                        self.next_gts = self.next_gts.max(stamp);
-                        self.global_restart_keeping(ti, Some(si), stamp);
-                    }
-                }
-            }
-            if let Some(c) = out.commit {
-                match c {
-                    Op::Done(()) => {
-                        self.slots[ti].status = GStatus::Committed;
-                        self.commits += 1;
-                        if out.retired {
-                            self.retires += 1;
-                            self.free_slot(ti);
-                        }
-                    }
-                    Op::Wait => {
-                        self.slots[ti].waits += 1;
-                        self.waits += 1;
-                    }
-                    Op::Restarted => {
-                        let stamp = out.consumed.expect("a restart consumed its stamp");
-                        self.next_gts = self.next_gts.max(stamp);
-                        self.global_restart_keeping(ti, Some(si), stamp);
-                    }
-                }
-                resps[k].commit = Some(Ok(c));
-            }
-            resps[k].results = Ok(out.results);
+        outs.into_iter()
+            .map(|out| Ok(self.adopt(si, out)))
+            .collect()
+    }
+
+    /// Fold one job's outcome into its coordinator slot: install the
+    /// sub-transaction the message began, count a wait, adopt a consumed
+    /// restart stamp as the transaction's new global attempt, record the
+    /// commit. (A run stops at its first non-`Done` outcome and commits
+    /// only after an all-`Done` run, so at most one of these happened.)
+    fn adopt(&mut self, si: usize, out: JobOut) -> Adopted {
+        let ti = out.ti;
+        if matches!(self.slots[ti].subs[si], SubState::Absent) {
+            self.slots[ti].subs[si] = SubState::Running(out.sub);
+            self.slots[ti].touched.push(si as u32);
         }
+        if matches!(out.results.last(), Some(Op::Wait)) || out.commit == Some(Op::Wait) {
+            self.slots[ti].waits += 1;
+            self.waits += 1;
+        }
+        if let Some(stamp) = out.consumed {
+            // The shard already restarted the sub in place at `stamp`.
+            self.next_gts = self.next_gts.max(stamp);
+            self.global_restart_keeping(ti, Some(si), stamp);
+        }
+        if out.commit == Some(Op::Done(())) {
+            self.slots[ti].status = GStatus::Committed;
+            self.commits += 1;
+            if out.retired {
+                self.retires += 1;
+                self.free_slot(ti);
+            }
+        }
+        (out.results, out.commit)
     }
 
     // --------------------------------------------------------------- finish
@@ -1204,47 +1026,13 @@ impl<'a> ShardedDb<'a> {
                 Ok(Op::Done(()))
             }
             1 => {
-                let si = touched[0];
-                let SubState::Running(sub) = self.slots[ti].subs[si] else {
-                    unreachable!("single-shard transactions never prepare")
-                };
-                let floor = self.min_active_gts(ti);
-                let spare = self.next_gts + 1;
-                self.shard_msgs += 1;
-                let r = match self.workers[si].call(move |db| {
-                    db.set_gc_floor(floor);
-                    db.set_restart_ts(spare);
-                    db.commit(sub).expect("sub is live")
-                }) {
-                    Ok(r) => r,
-                    Err(WorkerError) => {
-                        // The worker died around the commit point, so the
-                        // outcome was never acknowledged; the recovered
-                        // log decides it (as after any crash, an
-                        // unacknowledged commit may legitimately have
-                        // landed). The client sees the standard
-                        // crashed-shard error and re-runs.
-                        self.supervise_crash(si);
-                        return Err(SessionError::ShardDown);
-                    }
-                };
-                Ok(match r {
-                    Op::Done(()) => {
-                        self.slots[ti].status = GStatus::Committed;
-                        self.commits += 1;
-                        Op::Done(())
-                    }
-                    Op::Wait => {
-                        self.slots[ti].waits += 1;
-                        self.waits += 1;
-                        Op::Wait
-                    }
-                    Op::Restarted => {
-                        self.next_gts = spare;
-                        self.global_restart_keeping(ti, Some(si), spare);
-                        Op::Restarted
-                    }
-                })
+                // Single-shard transactions never prepare: a zero-op job
+                // that commits.
+                let job = self.job(ti, touched[0], Vec::new(), Finish::Commit);
+                let (_, commit) = self.shard_job(touched[0], job)?;
+                // No commit outcome: the shard's full mailbox shed the
+                // job, which restarted the transaction.
+                Ok(commit.unwrap_or(Op::Restarted))
             }
             _ => self.commit_cross(ti, touched),
         }
@@ -1394,8 +1182,11 @@ impl<'a> ShardedDb<'a> {
         // The fsynced resolve IS the commit point: record the decision
         // and the outcome *before* fanning out participant resolves — a
         // participant crash below must not un-commit the transaction (its
-        // recovered in-doubt prepare settles as committed via `decided`).
-        self.decided.insert(gtid, true);
+        // recovered in-doubt prepare settles as committed via `decided`;
+        // without logs none ever does, and the table would only grow).
+        if self.durable.is_some() {
+            self.decided.insert(gtid, true);
+        }
         self.slots[ti].status = GStatus::Committed;
         self.commits += 1;
         self.cross_commits += 1;
@@ -1792,33 +1583,13 @@ impl<'a> ShardedDb<'a> {
         }
     }
 
-    /// Begin the sub-transaction on shard `si` if absent, at the global
-    /// timestamp.
-    fn ensure_sub(&mut self, ti: usize, si: usize) -> Result<Txn, SessionError> {
-        match self.slots[ti].subs[si] {
-            SubState::Running(sub) | SubState::Prepared(sub) => Ok(sub),
-            SubState::Absent => {
-                let gts = self.slots[ti].gts;
-                self.shard_msgs += 1;
-                match self.workers[si].call(move |db| db.begin_with_ts(gts)) {
-                    Ok(sub) => {
-                        self.slots[ti].subs[si] = SubState::Running(sub);
-                        self.slots[ti].touched.push(si as u32);
-                        Ok(sub)
-                    }
-                    Err(WorkerError) => {
-                        // The shard died before this transaction touched
-                        // it: supervise (failing *other* transactions
-                        // with state there) and bounce the operation —
-                        // this transaction holds nothing on the crashed
-                        // shard, but its program needs the variable, so
-                        // the client aborts and retries.
-                        self.supervise_crash(si);
-                        Err(SessionError::ShardDown)
-                    }
-                }
-            }
-        }
+    /// Whether a partially prepared two-phase commit is in flight (some
+    /// shard voted yes, another's vote said wait).
+    fn is_prepared(&self, ti: usize) -> bool {
+        self.slots[ti]
+            .subs
+            .iter()
+            .any(|s| matches!(s, SubState::Prepared(_)))
     }
 
     /// Abort every sub-transaction (revoking prepared votes) and begin a
@@ -2393,7 +2164,7 @@ impl<'a> ShardedDb<'a> {
                 },
             );
         }
-        if self.slots[ti].touched.len() > 1 {
+        if self.durable.is_some() && self.slots[ti].touched.len() > 1 {
             let gts = self.slots[ti].gts;
             self.decided.entry(gts).or_insert(false);
         }
@@ -2448,7 +2219,7 @@ pub struct ShardStatus {
     pub restarts: u64,
 }
 
-/// One operation of a batched submission ([`ShardedDb::apply_batch`]).
+/// One operation of a grouped submission ([`ShardedDb::submit_group`]).
 ///
 /// This is the closed set of step shapes the wire protocol can express:
 /// unlike [`ShardedDb::update`]'s arbitrary closure, an affine update is
@@ -2500,7 +2271,7 @@ pub struct GroupReq {
 #[derive(Clone, Debug)]
 pub struct GroupResp {
     /// Per-operation outcomes under the partial-batch contract of
-    /// [`ShardedDb::apply_batch`]: in submission order, stopping at the
+    /// [`ShardedDb::submit_group`]: in submission order, stopping at the
     /// first non-[`Op::Done`] outcome.
     pub results: Result<Vec<Op<Value>>, SessionError>,
     /// The commit outcome; `None` when no commit was requested or the
@@ -2508,6 +2279,61 @@ pub struct GroupResp {
     /// also retired — the handle is dead.
     pub commit: Option<Result<Op<()>, SessionError>>,
 }
+
+/// One operation of a [`Job`]'s run.
+enum RunOp {
+    /// A wire-expressible step (plain data).
+    Data(BatchOp),
+    /// [`ShardedDb::apply`]'s arbitrary step closure, boxed so it travels
+    /// in the same message shape.
+    Call(StepKind, Box<dyn FnOnce(Value) -> Value + Send>),
+}
+
+/// What a [`Job`] does once its whole run completed [`Op::Done`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Finish {
+    /// Nothing: the transaction stays open.
+    None,
+    /// Attempt the single-shard commit.
+    Commit,
+    /// Attempt the commit and, when it lands, retire the sub-transaction
+    /// in the same message.
+    CommitRetire,
+}
+
+/// One transaction's work inside one shard message
+/// ([`ShardedDb::shard_jobs`]).
+struct Job {
+    /// The transaction's coordinator slot (echoed in the [`JobOut`]).
+    ti: usize,
+    /// The open sub-transaction; `None` when the transaction has not
+    /// touched this shard yet — the begin (at `gts`) rides this message.
+    sub: Option<Txn>,
+    gts: u64,
+    /// Operations with their shard-local variable ids, in program order.
+    run: Vec<(VarId, RunOp)>,
+    finish: Finish,
+    /// The shard GC floor for the commit (read only when `finish`
+    /// commits).
+    floor: u64,
+}
+
+/// What one [`Job`] came to on its shard.
+struct JobOut {
+    ti: usize,
+    sub: Txn,
+    /// Per-operation outcomes, stopping at the first non-`Done`.
+    results: Vec<Op<Value>>,
+    /// Restart stamp consumed by this job (ops or commit).
+    consumed: Option<u64>,
+    commit: Option<Op<()>>,
+    retired: bool,
+}
+
+/// A job's adopted outcome: per-operation results, and the commit's when one
+/// was attempted. [`Settled`] is that, or what kept the job from running.
+type Adopted = (Vec<Op<Value>>, Option<Op<()>>);
+type Settled = Result<Adopted, SessionError>;
 
 /// The affine update function of [`BatchOp::Affine`]: `a·v + c` over
 /// wrapping `i64` arithmetic, reading booleans as 0/1 and symbolic terms
@@ -2614,6 +2440,7 @@ mod tests {
         assert_eq!(g.0[a.index()], int(11));
         assert_eq!(g.0[b.index()], int(77));
         assert_eq!(db.cross_shard_commits(), 1);
+        assert!(db.decided.is_empty(), "no logs: no decision is recorded");
         // Single-shard transactions stay on the fast path.
         bump(&mut db, &[a]);
         assert_eq!(db.cross_shard_commits(), 1);

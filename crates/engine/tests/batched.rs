@@ -1,20 +1,21 @@
 //! Batched vs per-op submission: the bit-identical differential.
 //!
-//! Batched submission ([`ShardedDb::apply_batch`], and the cross-
-//! transaction [`ShardedDb::submit_group`]) exists purely to amortize
-//! coordinator→shard mailbox round-trips; it must change NOTHING about
-//! what the engine decides. This suite replays one recorded workload —
-//! the same transactions, the same operations, the same deterministic
-//! schedule — through three submission paths:
+//! Grouped submission ([`ShardedDb::submit_group`]) exists purely to
+//! amortize coordinator→shard mailbox round-trips; it must change
+//! NOTHING about what the engine decides. This suite replays one
+//! recorded workload — the same transactions, the same operations, the
+//! same deterministic schedule — through three packagings of the same
+//! requests:
 //!
 //! * **per-op**: every operation is its own `read`/`write`/`update`
 //!   call (one mailbox round-trip each), commits and retires their own
-//!   calls — the original, trusted path;
-//! * **batch**: each transaction's run travels through `apply_batch`,
-//!   commit and retire still separate calls;
+//!   calls;
+//! * **group of one**: each transaction's remaining run and its commit
+//!   are their own `submit_group(vec![one])` call — the degenerate group
+//!   the server sends for a lone interactive request;
 //! * **group**: every live transaction's remaining run *and* its commit
 //!   travel together in one `submit_group` call per scheduler round —
-//!   the server engine's shape.
+//!   the server engine's shape under load.
 //!
 //! and asserts the outcomes are **bit-identical** across all 7
 //! mechanisms × shard counts {1, 2, 8}: per-transaction commit results,
@@ -33,9 +34,9 @@
 //! Why the schedule makes the comparison exact: the driver mirrors
 //! `submit_group`'s documented canonical order (single-shard requests
 //! grouped per shard in first-appearance order, cross-shard requests
-//! trailing in submission order) and executes the per-op and batch
-//! paths in that same order, so all three paths perform the same global
-//! operation sequence — and the engine's lazy restart-stamp rule
+//! trailing in submission order) and executes the per-op and
+//! group-of-one paths in that same order, so all three perform the same
+//! global operation sequence — and the engine's lazy restart-stamp rule
 //! guarantees the same timestamps.
 
 use ccopt_engine::{
@@ -72,7 +73,7 @@ impl Rng {
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     PerOp,
-    Batch,
+    GroupOfOne,
     Group,
 }
 
@@ -197,8 +198,8 @@ fn settle(
     commit: Option<Op<()>>,
     mode: Mode,
 ) {
-    // Every attempted op engaged its shard (`ensure_sub` runs before
-    // the outcome), including the trailing non-`Done` one.
+    // Every attempted op engaged its shard (the begin rides the op's
+    // message), including the trailing non-`Done` one.
     for op in &chunk[..outs.len()] {
         let s = db.shard_of(op.var());
         st.touch(s);
@@ -228,9 +229,9 @@ fn settle(
     }
     match commit {
         Some(Op::Done(())) => {
-            // The group path retires inside the engine; the other two
-            // retire explicitly to keep the lifecycles identical.
-            if mode != Mode::Group {
+            // The group paths retire inside the engine; per-op retires
+            // explicitly to keep the lifecycles identical.
+            if mode == Mode::PerOp {
                 db.retire(st.h).expect("committed");
             }
             st.committed = true;
@@ -305,32 +306,38 @@ fn replay(
                     settle(&mut db, &mut states[*ti], chunk, &outs, commit, mode);
                 }
             }
-            Mode::PerOp | Mode::Batch => {
+            Mode::PerOp | Mode::GroupOfOne => {
                 // Same global op order as the engine's group execution.
                 for k in canonical_order(&reqs, &states, &db) {
                     let (ti, chunk) = &reqs[k];
                     let h = states[*ti].h;
-                    let outs: Vec<Op<Value>> = match mode {
-                        Mode::Batch => db.apply_batch(h, chunk).expect("live handle"),
-                        _ => {
-                            let mut outs = Vec::new();
-                            for op in chunk {
-                                let r = run_one(&mut db, h, op).expect("live handle");
-                                let done = matches!(r, Op::Done(_));
-                                outs.push(r);
-                                if !done {
-                                    break;
-                                }
-                            }
-                            outs
-                        }
-                    };
-                    let all_done =
-                        outs.len() == chunk.len() && outs.iter().all(|r| matches!(r, Op::Done(_)));
-                    let commit = if all_done {
-                        Some(db.commit(h).expect("live handle"))
+                    let (outs, commit) = if mode == Mode::GroupOfOne {
+                        let resp = db
+                            .submit_group(vec![GroupReq {
+                                h,
+                                ops: chunk.clone(),
+                                commit: true,
+                            }])
+                            .pop()
+                            .expect("one request, one response");
+                        (
+                            resp.results.expect("live handle"),
+                            resp.commit.map(|c| c.expect("live handle")),
+                        )
                     } else {
-                        None
+                        let mut outs = Vec::new();
+                        for op in chunk {
+                            let r = run_one(&mut db, h, op).expect("live handle");
+                            let done = matches!(r, Op::Done(_));
+                            outs.push(r);
+                            if !done {
+                                break;
+                            }
+                        }
+                        let all_done = outs.len() == chunk.len()
+                            && outs.iter().all(|r| matches!(r, Op::Done(_)));
+                        let commit = all_done.then(|| db.commit(h).expect("live handle"));
+                        (outs, commit)
                     };
                     settle(&mut db, &mut states[*ti], chunk, &outs, commit, mode);
                 }
@@ -377,7 +384,7 @@ fn batched_submission_is_bit_identical_for_every_mechanism() {
         for shards in [1usize, 2, 8] {
             let seed = 0xD1FF_0000 + shards as u64;
             let (commits_a, g_a, c_a, m_a) = replay(cc, shards, seed, Mode::PerOp);
-            let (commits_b, g_b, c_b, m_b) = replay(cc, shards, seed, Mode::Batch);
+            let (commits_b, g_b, c_b, m_b) = replay(cc, shards, seed, Mode::GroupOfOne);
             let (commits_c, g_c, c_c, m_c) = replay(cc, shards, seed, Mode::Group);
             let ctx = format!("{cc} S={shards}");
             assert!(
@@ -386,20 +393,20 @@ fn batched_submission_is_bit_identical_for_every_mechanism() {
             );
             assert_eq!(
                 commits_a, commits_b,
-                "{ctx}: per-op vs batch commit outcomes"
+                "{ctx}: per-op vs group-of-one commit outcomes"
             );
             assert_eq!(
                 commits_a, commits_c,
                 "{ctx}: per-op vs group commit outcomes"
             );
-            assert_eq!(g_a, g_b, "{ctx}: per-op vs batch final state");
+            assert_eq!(g_a, g_b, "{ctx}: per-op vs group-of-one final state");
             assert_eq!(g_a, g_c, "{ctx}: per-op vs group final state");
-            assert_eq!(c_a, c_b, "{ctx}: per-op vs batch committed state");
+            assert_eq!(c_a, c_b, "{ctx}: per-op vs group-of-one committed state");
             assert_eq!(c_a, c_c, "{ctx}: per-op vs group committed state");
             assert_eq!(
                 decision_metrics(&m_a),
                 decision_metrics(&m_b),
-                "{ctx}: per-op vs batch decision metrics"
+                "{ctx}: per-op vs group-of-one decision metrics"
             );
             assert_eq!(
                 decision_metrics(&m_a),
@@ -430,4 +437,37 @@ fn group_submission_kills_the_messaging_tax() {
             );
         }
     }
+    // The exact price list, on a conflict-free n-op single-shard
+    // transaction: per-op pays one message per operation (the lazy begin
+    // rides the first), one for the commit and one for the retire; a
+    // group carries the whole lifecycle in one.
+    let make = || cc_by_name("strict-2PL").expect("known mechanism");
+    let mut db = ShardedDb::new(&make, GlobalState::from_ints(&[7; NUM_VARS]), 2);
+    let vars: Vec<VarId> = db.shard_vars(0).to_vec();
+    let n = vars.len();
+    assert!(n >= 2, "shard 0 owns several of the {NUM_VARS} variables");
+    let before = db.metrics().shard_msgs;
+    let h = db.begin();
+    for &var in &vars {
+        let r = db.update(h, var, |v| affine_eval(1, 1, v));
+        assert!(matches!(r, Ok(Op::Done(_))));
+    }
+    assert_eq!(db.commit(h), Ok(Op::Done(())));
+    db.retire(h).expect("committed");
+    assert_eq!(db.metrics().shard_msgs - before, n + 2, "per-op messages");
+    let before = db.metrics().shard_msgs;
+    let h = db.begin();
+    let resp = db
+        .submit_group(vec![GroupReq {
+            h,
+            ops: vars
+                .iter()
+                .map(|&var| BatchOp::Affine { var, a: 1, c: 1 })
+                .collect(),
+            commit: true,
+        }])
+        .pop()
+        .expect("one request, one response");
+    assert_eq!(resp.commit, Some(Ok(Op::Done(()))));
+    assert_eq!(db.metrics().shard_msgs - before, 1, "grouped messages");
 }

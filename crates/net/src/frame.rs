@@ -152,7 +152,7 @@ pub enum Request {
     Subscribe,
     /// Many operations of **one transaction** in one frame — the wire
     /// half of batched submission, killing the one-RTT-per-op tax the
-    /// way [`ccopt_engine::ShardedDb::apply_batch`] kills the
+    /// way [`ccopt_engine::ShardedDb::submit_group`] kills the
     /// one-message-per-op tax below. Answered by
     /// exactly one [`Response::Batch`] (or a whole-request refusal:
     /// `Err`, never per-op errors). At most [`MAX_BATCH_OPS`]

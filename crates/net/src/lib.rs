@@ -12,9 +12,9 @@
 //!   carrying request/response payloads with client-chosen request ids
 //!   for pipelining; decoding is total (never panics on wire input);
 //! * [`server`] — the [`Server`]: accept/reader/writer threads around
-//!   one engine thread that owns a [`ccopt_engine::ShardedDb`], batches
-//!   consecutive same-transaction operations through
-//!   [`ccopt_engine::ShardedDb::apply_batch`], sheds load at three
+//!   one engine thread that owns a [`ccopt_engine::ShardedDb`], submits
+//!   each drain pass of its queue as one
+//!   [`ccopt_engine::ShardedDb::submit_group`] call, sheds load at three
 //!   bounded layers, and drains gracefully on shutdown;
 //! * [`stats`] — the ops plane's data model: [`ServerStats`] snapshots
 //!   (answering [`Request::Stats`]), the sampler's [`SamplePoint`]

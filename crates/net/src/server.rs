@@ -8,10 +8,12 @@
 //! engine) and a **writer** thread (frame and batch responses back out).
 //! One **engine** thread owns the [`ShardedDb`] and is the only thread
 //! that touches it: every connection's requests are multiplexed onto it
-//! through one bounded channel, and consecutive data operations of the
-//! same transaction are submitted through [`ShardedDb::apply_batch`] so a
-//! pipelining client amortizes the per-operation shard-mailbox round
-//! trip.
+//! through one bounded channel, and everything one drain pass of that
+//! channel holds — data operations, wire batches and commits, across
+//! transactions and connections — is submitted as one
+//! [`ShardedDb::submit_group`] call, so pipelining clients amortize the
+//! per-operation shard-mailbox round trip (a lone request is a group of
+//! one).
 //!
 //! # Admission control
 //!
@@ -915,6 +917,22 @@ struct PendEntry {
     commit_is_batch: bool,
 }
 
+impl PendEntry {
+    /// The request id of a plain `Commit` (answered on its own, unlike a
+    /// commit piggybacked on a wire batch).
+    fn plain_commit(&self) -> Option<u64> {
+        self.commit_req.filter(|_| !self.commit_is_batch)
+    }
+
+    /// Every request of the entry that owes its own response.
+    fn req_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        let segs = self.segs.iter().map(|seg| match *seg {
+            Seg::Single { req_id } | Seg::Wire { req_id, .. } => req_id,
+        });
+        segs.chain(self.plain_commit())
+    }
+}
+
 /// One request's slice of a [`PendEntry`]'s concatenated ops.
 enum Seg {
     /// A per-op request (`Read`/`Write`/`Update`): one op, one
@@ -925,17 +943,21 @@ enum Seg {
     Wire { req_id: u64, n: usize },
 }
 
+/// Which groupable request a call to `Engine::enqueue` appends.
+enum Piece {
+    /// A per-op request (`Read`/`Write`/`Update`).
+    Op,
+    /// A wire `Batch`, its commit piggybacked or not.
+    Batch { commit: bool },
+    /// A plain `Commit`.
+    Commit,
+}
+
 /// The per-pass accumulator of [`PendEntry`]s, in first-arrival order.
 #[derive(Default)]
 struct Pending {
     entries: Vec<PendEntry>,
     index: HashMap<(u64, u64), usize>,
-}
-
-impl Pending {
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 impl Engine<'_> {
@@ -956,83 +978,110 @@ impl Engine<'_> {
             self.tick += 1;
             match m {
                 ToEngine::Req { conn, req_id, req } => {
+                    let (conn, req_id) = (*conn, *req_id);
                     // The reader counted this request into the
                     // queue-depth gauge before sending it.
                     self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    match req {
-                        Request::Read { .. }
-                        | Request::Write { .. }
-                        | Request::Update { .. }
-                        | Request::Batch { .. }
-                        | Request::Commit { .. } => self.enqueue(&mut pending, *conn, *req_id, req),
-                        Request::Ping | Request::Begin | Request::Stats | Request::Health => {
-                            self.request(*conn, *req_id, req)
+                    let at = (conn, req_id);
+                    match *req {
+                        Request::Read { txn, var } => {
+                            let op = BatchOp::Read(VarId(var));
+                            self.enqueue(&mut pending, at, txn, &[op], Piece::Op);
                         }
-                        Request::Abort { .. } | Request::Shutdown | Request::Subscribe => {
+                        Request::Write { txn, var, value } => {
+                            let op = BatchOp::Write(VarId(var), value);
+                            self.enqueue(&mut pending, at, txn, &[op], Piece::Op);
+                        }
+                        Request::Update { txn, var, a, c } => {
+                            let var = VarId(var);
+                            let op = BatchOp::Affine { var, a, c };
+                            self.enqueue(&mut pending, at, txn, &[op], Piece::Op);
+                        }
+                        Request::Batch {
+                            txn,
+                            ref ops,
+                            commit,
+                        } => self.enqueue(&mut pending, at, txn, ops, Piece::Batch { commit }),
+                        Request::Commit { txn } => {
+                            self.enqueue(&mut pending, at, txn, &[], Piece::Commit);
+                        }
+                        Request::Ping => self.respond(conn, req_id, &Response::Pong),
+                        Request::Begin => self.begin_txn(conn, req_id),
+                        Request::Stats => {
+                            let stats = Box::new(self.snapshot());
+                            self.respond(conn, req_id, &Response::Stats { stats });
+                        }
+                        Request::Health => {
+                            let report = self.health();
+                            self.respond(conn, req_id, &Response::Health { report });
+                        }
+                        Request::Abort { txn } => {
                             self.flush_group(&mut pending);
-                            self.request(*conn, *req_id, req);
+                            self.abort_txn(conn, req_id, txn);
+                        }
+                        Request::Shutdown => {
+                            self.flush_group(&mut pending);
+                            self.respond(conn, req_id, &Response::Draining);
+                            self.begin_drain();
+                        }
+                        Request::Subscribe => {
+                            self.flush_group(&mut pending);
+                            self.subscribe(conn, req_id);
                         }
                     }
                 }
-                ToEngine::Conn { .. } => self.handle(m),
-                ToEngine::Gone { .. }
-                | ToEngine::Drain
-                | ToEngine::PanicShard(_)
-                | ToEngine::Kill => {
-                    self.flush_group(&mut pending);
-                    self.handle(m);
+                ToEngine::Conn { id, out } => {
+                    self.conns.insert(*id, out.clone());
+                    if self.tracer.is_on() {
+                        let t = self.tick;
+                        self.tracer.emit(t, EventKind::ConnAccept { conn: *id });
+                    }
                 }
+                ToEngine::Gone { id } => {
+                    self.flush_group(&mut pending);
+                    self.conn_gone(*id);
+                }
+                ToEngine::Drain => {
+                    self.flush_group(&mut pending);
+                    self.begin_drain();
+                }
+                ToEngine::PanicShard(s) => {
+                    self.flush_group(&mut pending);
+                    if *s < self.shards {
+                        self.db.panic_shard(*s);
+                    }
+                }
+                // The serve loop reads the kill flag itself.
+                ToEngine::Kill => self.flush_group(&mut pending),
             }
         }
         self.flush_group(&mut pending);
     }
 
-    /// Append one groupable request to the pass's pending group.
-    fn enqueue(&mut self, pending: &mut Pending, conn: u64, req_id: u64, req: &Request) {
-        let token = match req {
-            Request::Read { txn, .. }
-            | Request::Write { txn, .. }
-            | Request::Update { txn, .. }
-            | Request::Batch { txn, .. }
-            | Request::Commit { txn } => *txn,
-            _ => unreachable!("only groupable requests are enqueued"),
-        };
+    /// Append one groupable request — `ops` of transaction `token`, asked
+    /// by `(conn, req_id)` — to the pass's pending group.
+    fn enqueue(
+        &mut self,
+        pending: &mut Pending,
+        (conn, req_id): (u64, u64),
+        token: u64,
+        ops: &[BatchOp],
+        piece: Piece,
+    ) {
         // Malformed variable ids are refused before anything reaches a
         // shard; for a wire batch the whole request is refused (its
         // contract: one response, never per-op errors).
-        let num_vars = self.num_vars;
-        let bad_var = move |ops: &[BatchOp]| ops.iter().find(|op| op.var().0 >= num_vars).copied();
-        match req {
-            Request::Read { .. } | Request::Write { .. } | Request::Update { .. } => {
-                let (_, op) = data_op(req).expect("data requests carry an op");
-                if let Some(op) = bad_var(&[op]) {
-                    let msg = format!("variable {} outside 0..{}", op.var().0, self.num_vars);
-                    self.respond(
-                        conn,
-                        req_id,
-                        &Response::Err {
-                            code: ErrCode::Malformed,
-                            msg,
-                        },
-                    );
-                    return;
-                }
-            }
-            Request::Batch { ops, .. } => {
-                if let Some(op) = bad_var(ops) {
-                    let msg = format!("variable {} outside 0..{}", op.var().0, self.num_vars);
-                    self.respond(
-                        conn,
-                        req_id,
-                        &Response::Err {
-                            code: ErrCode::Malformed,
-                            msg,
-                        },
-                    );
-                    return;
-                }
-            }
-            _ => {}
+        if let Some(op) = ops.iter().find(|op| op.var().0 >= self.num_vars) {
+            let msg = format!("variable {} outside 0..{}", op.var().0, self.num_vars);
+            self.respond(
+                conn,
+                req_id,
+                &Response::Err {
+                    code: ErrCode::Malformed,
+                    msg,
+                },
+            );
+            return;
         }
         if let Some(&ix) = pending.index.get(&(conn, token)) {
             if pending.entries[ix].commit_req.is_some() {
@@ -1059,35 +1108,30 @@ impl Engine<'_> {
             }
         };
         let e = &mut pending.entries[ix];
-        match req {
-            Request::Read { .. } | Request::Write { .. } | Request::Update { .. } => {
-                let (_, op) = data_op(req).expect("data requests carry an op");
-                e.segs.push(Seg::Single { req_id });
-                e.ops.push(op);
-            }
-            Request::Batch { ops, commit, .. } => {
+        e.ops.extend_from_slice(ops);
+        match piece {
+            Piece::Op => e.segs.push(Seg::Single { req_id }),
+            Piece::Batch { commit } => {
                 e.segs.push(Seg::Wire {
                     req_id,
                     n: ops.len(),
                 });
-                e.ops.extend_from_slice(ops);
-                if *commit {
+                if commit {
                     e.commit_req = Some(req_id);
                     e.commit_is_batch = true;
                 }
             }
-            Request::Commit { .. } => {
+            Piece::Commit => {
                 e.commit_req = Some(req_id);
                 e.commit_is_batch = false;
             }
-            _ => unreachable!("only groupable requests are enqueued"),
         }
     }
 
     /// Submit the pass's pending group through
     /// [`ShardedDb::submit_group`] and answer every request it carried.
     fn flush_group(&mut self, pending: &mut Pending) {
-        if pending.is_empty() {
+        if pending.entries.is_empty() {
             return;
         }
         let entries = std::mem::take(&mut pending.entries);
@@ -1095,12 +1139,8 @@ impl Engine<'_> {
         let mut reqs: Vec<GroupReq> = Vec::with_capacity(entries.len());
         let mut live: Vec<(PendEntry, GlobalTxn)> = Vec::with_capacity(entries.len());
         for e in entries {
-            let Some(&(h, _)) = self.txns.get(&e.token) else {
-                for seg in &e.segs {
-                    let (Seg::Single { req_id } | Seg::Wire { req_id, .. }) = seg;
-                    self.unknown(e.conn, *req_id, e.token);
-                }
-                if let (Some(req_id), false) = (e.commit_req, e.commit_is_batch) {
+            let Some(h) = self.owned(e.conn, e.token) else {
+                for req_id in e.req_ids() {
                     self.unknown(e.conn, req_id, e.token);
                 }
                 continue;
@@ -1128,19 +1168,15 @@ impl Engine<'_> {
                 // The whole entry failed before any op ran (stale
                 // handle, shard down, prepared): every request it
                 // carried gets the mapped error.
-                for seg in &e.segs {
-                    let (Seg::Single { req_id } | Seg::Wire { req_id, .. }) = seg;
-                    self.session_error(conn, *req_id, token, err);
-                }
-                if let (Some(req_id), false) = (e.commit_req, e.commit_is_batch) {
+                for req_id in e.req_ids() {
                     self.session_error(conn, req_id, token, err);
                 }
                 return;
             }
         };
-        // Trailing analysis, once per entry (mirrors `flush_run`): a
-        // trailing `Wait` feeds the distributed-deadlock valve, which
-        // may turn the whole answer into `Restarted`.
+        // Trailing analysis, once per entry: a trailing `Wait` feeds the
+        // distributed-deadlock valve, which may turn the whole answer
+        // into `Restarted`.
         let trailing = match results.last() {
             Some(Op::Restarted) => {
                 self.waits.remove(&token);
@@ -1192,20 +1228,7 @@ impl Engine<'_> {
                     pos += n;
                     let commit = if e.commit_is_batch && e.commit_req == Some(req_id) {
                         match resp.commit {
-                            Some(Ok(Op::Done(()))) => {
-                                self.txns.remove(&token);
-                                self.waits.remove(&token);
-                                self.commits += 1;
-                                Some(BatchCommit::Committed)
-                            }
-                            Some(Ok(Op::Wait)) => match self.waited(token, h) {
-                                Response::Restarted => Some(BatchCommit::Restarted),
-                                _ => Some(BatchCommit::Wait),
-                            },
-                            Some(Ok(Op::Restarted)) => {
-                                self.waits.remove(&token);
-                                Some(BatchCommit::Restarted)
-                            }
+                            Some(Ok(c)) => Some(self.commit_outcome(token, h, c)),
                             Some(Err(err)) => {
                                 self.session_error(conn, req_id, token, err);
                                 continue;
@@ -1226,185 +1249,134 @@ impl Engine<'_> {
                 }
             }
         }
-        if let (Some(req_id), false) = (e.commit_req, e.commit_is_batch) {
-            match resp.commit {
-                Some(Ok(Op::Done(()))) => {
-                    self.txns.remove(&token);
-                    self.waits.remove(&token);
-                    self.commits += 1;
-                    self.respond(conn, req_id, &Response::Committed);
+        if let Some(req_id) = e.plain_commit() {
+            // `None`: the run ended short, so the group never attempted
+            // this plain `Commit`. It still owes an answer with
+            // sequential semantics: commit whatever the transaction's
+            // current attempt holds.
+            let c = resp.commit.unwrap_or_else(|| {
+                let c = self.db.commit(h);
+                if let Ok(Op::Done(())) = c {
+                    let _ = self.db.retire(h);
                 }
-                Some(Ok(Op::Wait)) => {
-                    let r = self.waited(token, h);
+                c
+            });
+            match c {
+                Ok(c) => {
+                    let r = match self.commit_outcome(token, h, c) {
+                        BatchCommit::Committed => Response::Committed,
+                        BatchCommit::Wait => Response::Wait,
+                        BatchCommit::Restarted => Response::Restarted,
+                    };
                     self.respond(conn, req_id, &r);
                 }
-                Some(Ok(Op::Restarted)) => {
-                    self.waits.remove(&token);
-                    self.respond(conn, req_id, &Response::Restarted);
-                }
-                Some(Err(err)) => self.session_error(conn, req_id, token, err),
-                None => {
-                    // The run ended short, so the group never attempted
-                    // this plain `Commit`. It still owes an answer with
-                    // today's sequential semantics: commit whatever the
-                    // transaction's current attempt holds.
-                    self.do_commit(conn, req_id, token, h);
-                }
+                Err(err) => self.session_error(conn, req_id, token, err),
             }
         }
     }
 
-    /// The plain-`Commit` execution path (shared by [`request`]
-    /// (Self::request) and the group fallback).
-    fn do_commit(&mut self, conn: u64, req_id: u64, token: u64, h: GlobalTxn) {
-        match self.db.commit(h) {
-            Ok(Op::Done(())) => {
-                let _ = self.db.retire(h);
+    /// Book one commit outcome of `token` — a landed commit drops the
+    /// token and counts, a `Wait` feeds the valve (which may turn it into
+    /// a restart), a restart clears the wait streak — and say what the
+    /// client is told.
+    fn commit_outcome(&mut self, token: u64, h: GlobalTxn, c: Op<()>) -> BatchCommit {
+        match c {
+            Op::Done(()) => {
                 self.txns.remove(&token);
                 self.waits.remove(&token);
                 self.commits += 1;
-                self.respond(conn, req_id, &Response::Committed);
+                BatchCommit::Committed
             }
-            Ok(Op::Wait) => {
-                let resp = self.waited(token, h);
-                self.respond(conn, req_id, &resp);
-            }
-            Ok(Op::Restarted) => {
+            Op::Wait => match self.waited(token, h) {
+                Response::Restarted => BatchCommit::Restarted,
+                _ => BatchCommit::Wait,
+            },
+            Op::Restarted => {
                 self.waits.remove(&token);
-                self.respond(conn, req_id, &Response::Restarted);
+                BatchCommit::Restarted
+            }
+        }
+    }
+
+    /// A connection closed: abort its transactions and end its trace
+    /// subscriptions.
+    fn conn_gone(&mut self, id: u64) {
+        // A dead connection's transactions are aborted: nobody can ever
+        // speak for their tokens again.
+        let orphans: Vec<u64> = self
+            .txns
+            .iter()
+            .filter(|(_, (_, c))| *c == id)
+            .map(|(&tok, _)| tok)
+            .collect();
+        for tok in orphans {
+            if let Some((h, _)) = self.txns.remove(&tok) {
+                self.waits.remove(&tok);
+                let _ = self.db.abort(h);
+            }
+        }
+        // Its trace subscriptions end with it: detach from the hub (emit
+        // stops immediately) and stop the pumps.
+        if let Some(entries) = self.subs.remove(&id) {
+            for e in entries {
+                if let Some(hub) = self.db.trace_hub() {
+                    hub.unsubscribe(e.hub_id);
+                }
+                e.stop.store(true, Ordering::SeqCst);
+                if self.tracer.is_on() {
+                    let t = self.tick;
+                    self.tracer.emit(t, EventKind::SubscribeEnd { conn: id });
+                }
+            }
+        }
+        self.conns.remove(&id);
+        if self.tracer.is_on() {
+            let t = self.tick;
+            self.tracer.emit(t, EventKind::ConnClose { conn: id });
+        }
+    }
+
+    /// The engine handle behind `token`, when `conn` owns it. Tokens are
+    /// sequential, so a connection can name another's live transaction;
+    /// only the connection that began it may speak for it.
+    fn owned(&self, conn: u64, token: u64) -> Option<GlobalTxn> {
+        match self.txns.get(&token) {
+            Some(&(h, owner)) if owner == conn => Some(h),
+            _ => None,
+        }
+    }
+
+    fn begin_txn(&mut self, conn: u64, req_id: u64) {
+        if self.draining {
+            self.respond(conn, req_id, &Response::Draining);
+        } else if self.txns.len() >= self.max_txns {
+            self.sheds.txns.fetch_add(1, Ordering::Relaxed);
+            if self.tracer.is_on() {
+                let t = self.tick;
+                self.tracer.emit(t, EventKind::RequestShed { conn });
+            }
+            self.respond(conn, req_id, &Response::Shed);
+        } else {
+            let h = self.db.begin();
+            self.next_token += 1;
+            let token = self.next_token;
+            self.txns.insert(token, (h, conn));
+            self.respond(conn, req_id, &Response::Began { txn: token });
+        }
+    }
+
+    fn abort_txn(&mut self, conn: u64, req_id: u64, token: u64) {
+        let Some(h) = self.owned(conn, token) else {
+            self.unknown(conn, req_id, token);
+            return;
+        };
+        match self.db.abort(h) {
+            Ok(()) => {
+                self.txns.remove(&token);
+                self.waits.remove(&token);
+                self.respond(conn, req_id, &Response::Aborted);
             }
             Err(e) => self.session_error(conn, req_id, token, e),
-        }
-    }
-
-    fn handle(&mut self, m: &ToEngine) {
-        match m {
-            ToEngine::Conn { id, out } => {
-                self.conns.insert(*id, out.clone());
-                if self.tracer.is_on() {
-                    let t = self.tick;
-                    self.tracer.emit(t, EventKind::ConnAccept { conn: *id });
-                }
-            }
-            ToEngine::Gone { id } => {
-                // A dead connection's transactions are aborted: nobody
-                // can ever speak for their tokens again.
-                let orphans: Vec<u64> = self
-                    .txns
-                    .iter()
-                    .filter(|(_, (_, c))| c == id)
-                    .map(|(&tok, _)| tok)
-                    .collect();
-                for tok in orphans {
-                    if let Some((h, _)) = self.txns.remove(&tok) {
-                        self.waits.remove(&tok);
-                        let _ = self.db.abort(h);
-                    }
-                }
-                // Its trace subscriptions end with it: detach from the
-                // hub (emit stops immediately) and stop the pumps.
-                if let Some(entries) = self.subs.remove(id) {
-                    for e in entries {
-                        if let Some(hub) = self.db.trace_hub() {
-                            hub.unsubscribe(e.hub_id);
-                        }
-                        e.stop.store(true, Ordering::SeqCst);
-                        if self.tracer.is_on() {
-                            let t = self.tick;
-                            self.tracer.emit(t, EventKind::SubscribeEnd { conn: *id });
-                        }
-                    }
-                }
-                self.conns.remove(id);
-                if self.tracer.is_on() {
-                    let t = self.tick;
-                    self.tracer.emit(t, EventKind::ConnClose { conn: *id });
-                }
-            }
-            ToEngine::Req { conn, req_id, req } => self.request(*conn, *req_id, req),
-            ToEngine::Drain => self.begin_drain(),
-            ToEngine::PanicShard(s) => {
-                if *s < self.shards {
-                    self.db.panic_shard(*s);
-                }
-            }
-            ToEngine::Kill => {}
-        }
-    }
-
-    fn request(&mut self, conn: u64, req_id: u64, req: &Request) {
-        match req {
-            Request::Ping => self.respond(conn, req_id, &Response::Pong),
-            Request::Begin => {
-                if self.draining {
-                    self.respond(conn, req_id, &Response::Draining);
-                } else if self.txns.len() >= self.max_txns {
-                    self.sheds.txns.fetch_add(1, Ordering::Relaxed);
-                    if self.tracer.is_on() {
-                        let t = self.tick;
-                        self.tracer.emit(t, EventKind::RequestShed { conn });
-                    }
-                    self.respond(conn, req_id, &Response::Shed);
-                } else {
-                    let h = self.db.begin();
-                    self.next_token += 1;
-                    let token = self.next_token;
-                    self.txns.insert(token, (h, conn));
-                    self.respond(conn, req_id, &Response::Began { txn: token });
-                }
-            }
-            Request::Commit { txn } => {
-                let Some(&(h, _)) = self.txns.get(txn) else {
-                    self.unknown(conn, req_id, *txn);
-                    return;
-                };
-                self.do_commit(conn, req_id, *txn, h);
-            }
-            Request::Abort { txn } => {
-                let Some(&(h, _)) = self.txns.get(txn) else {
-                    self.unknown(conn, req_id, *txn);
-                    return;
-                };
-                match self.db.abort(h) {
-                    Ok(()) => {
-                        self.txns.remove(txn);
-                        self.waits.remove(txn);
-                        self.respond(conn, req_id, &Response::Aborted);
-                    }
-                    Err(e) => self.session_error(conn, req_id, *txn, e),
-                }
-            }
-            Request::Shutdown => {
-                self.respond(conn, req_id, &Response::Draining);
-                self.begin_drain();
-            }
-            Request::Stats => {
-                let snap = self.snapshot();
-                self.respond(
-                    conn,
-                    req_id,
-                    &Response::Stats {
-                        stats: Box::new(snap),
-                    },
-                );
-            }
-            Request::Health => {
-                let report = self.health();
-                self.respond(conn, req_id, &Response::Health { report });
-            }
-            Request::Subscribe => self.subscribe(conn, req_id),
-            // Data ops and batches normally arrive through the group
-            // accumulator in `process`, but a lone one can still land
-            // here (e.g. via `handle`); route it through the same
-            // machinery as a one-entry group.
-            Request::Read { .. }
-            | Request::Write { .. }
-            | Request::Update { .. }
-            | Request::Batch { .. } => {
-                let mut pending = Pending::default();
-                self.enqueue(&mut pending, conn, req_id, req);
-                self.flush_group(&mut pending);
-            }
         }
     }
 
@@ -1857,21 +1829,4 @@ fn serve_http(mut stream: TcpStream, ops: &OpsShared) {
     let _ = stream.write_all(resp.as_bytes());
     let _ = stream.flush();
     let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// A request's data-op shape `(txn, op)`, if it is one.
-fn data_op(req: &Request) -> Option<(u64, BatchOp)> {
-    Some(match *req {
-        Request::Read { txn, var } => (txn, BatchOp::Read(VarId(var))),
-        Request::Write { txn, var, value } => (txn, BatchOp::Write(VarId(var), value)),
-        Request::Update { txn, var, a, c } => (
-            txn,
-            BatchOp::Affine {
-                var: VarId(var),
-                a,
-                c,
-            },
-        ),
-        _ => return None,
-    })
 }

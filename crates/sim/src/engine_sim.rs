@@ -13,13 +13,14 @@
 //! [`SimConfig::parallel`] to false (or `CCOPT_THREADS=1`) to force the
 //! sequential path, e.g. when profiling.
 
+use crate::event::{exp_sample, Event};
 use crate::stats::Summary;
 use ccopt_engine::cc::ConcurrencyControl;
 use ccopt_engine::db::{Database, StepOutcome};
 use ccopt_model::ids::TxnId;
 use ccopt_model::system::TransactionSystem;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -87,29 +88,6 @@ pub struct SimResult {
     pub waits: usize,
     /// Total commits across batches.
     pub commits: usize,
-}
-
-#[derive(PartialEq)]
-struct Event {
-    time: f64,
-    terminal: usize,
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .partial_cmp(&other.time)
-            .expect("event times are finite")
-            .then(self.terminal.cmp(&other.terminal))
-    }
 }
 
 /// Raw per-batch output, reduced in batch order by [`simulate_engine`].
@@ -275,19 +253,12 @@ pub fn simulate_engine(
     }
 }
 
-fn exp_sample(rng: &mut SmallRng, mean: f64) -> f64 {
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    let u: f64 = rng.gen_range(1e-12..1.0);
-    -mean * u.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccopt_engine::cc::{SerialCc, SgtCc, Strict2plCc};
     use ccopt_model::systems;
+    use rand::Rng;
 
     fn quick_cfg() -> SimConfig {
         SimConfig {

@@ -23,19 +23,21 @@
 //!   reporting throughput, the latency distribution, abort rate and the
 //!   boundedness gauges (peak slots, peak live versions), with an optional
 //!   serializability spot-check over the committed history.
-//! * [`shard_sim`] — the same open-world machine over a sharded database
-//!   ([`ccopt_engine::ShardedDb`]): a cross-shard-ratio workload axis,
-//!   two-phase cross-shard commits, a wait-bound restart valve for
-//!   cross-shard deadlocks, and histories the ordinary serializability
-//!   oracle checks unchanged. With one shard it reproduces [`open_sim`]
-//!   bit for bit.
+//! * [`shard_sim`] — a second driver of the same open-world machine, over
+//!   a sharded database ([`ccopt_engine::ShardedDb`]): a cross-shard-ratio
+//!   workload axis, two-phase cross-shard commits, a wait-bound restart
+//!   valve for cross-shard deadlocks, and histories the ordinary
+//!   serializability oracle checks unchanged. With one shard it
+//!   reproduces [`open_sim`] bit for bit.
 //!
 //! Plus [`workload`] (parameterized system families), [`stats`]
 //! (summaries) and [`report`] (aligned text tables for the experiment
 //! harness).
 
 pub mod engine_sim;
+mod event;
 pub mod open_sim;
+mod oracle;
 pub mod order_sim;
 pub mod report;
 pub mod shard_sim;

@@ -36,10 +36,12 @@
 //! boundary so tests can recover and diff against the in-memory committed
 //! prefix ([`OpenSimResult::journal`]).
 
+use crate::event::{exp_sample, Event};
+pub use crate::oracle::{check_serializable, check_strict};
 use crate::stats::Summary;
 use ccopt_engine::cc::ConcurrencyControl;
-use ccopt_engine::session::{Op, SessionDb, Txn};
-use ccopt_engine::{ConflictRule, DurabilityMode, TraceConfig, TraceHub};
+use ccopt_engine::session::{Op, SessionDb, SessionError, Txn, VarContention};
+use ccopt_engine::{ConflictRule, DurabilityMode, Histogram, Metrics, TraceConfig, TraceHub};
 use ccopt_model::ids::VarId;
 use ccopt_model::state::GlobalState;
 use ccopt_model::syntax::StepKind;
@@ -296,42 +298,22 @@ impl DurableConfig {
     }
 }
 
-#[derive(PartialEq)]
-struct Event {
-    time: f64,
-    terminal: usize,
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .partial_cmp(&other.time)
-            .expect("event times are finite")
-            .then(self.terminal.cmp(&other.terminal))
-    }
-}
-
-struct Terminal {
-    handle: Option<Txn>,
+/// One terminal of the open-world machine.
+struct Terminal<H> {
+    handle: Option<H>,
     prog: Vec<OpSpec>,
     next_op: usize,
     started_at: f64,
     /// Ops executed by the current attempt (cleared on restart).
     ops: Vec<(u64, OpSpec)>,
+    /// Consecutive `Wait` answers of the current attempt (valve input).
+    consec_waits: u32,
 }
 
 /// Jittered poll delay: lockstep polling livelocks under contention
 /// (every waiter retries on the same cadence), so each retry draws from
 /// `[0.5, 1.5) * retry_interval`.
-pub(crate) fn retry_delay(rng: &mut SmallRng, cfg: &OpenSimConfig) -> f64 {
+fn retry_delay(rng: &mut SmallRng, cfg: &OpenSimConfig) -> f64 {
     cfg.retry_interval * rng.gen_range(0.5..1.5)
 }
 
@@ -340,17 +322,9 @@ pub(crate) fn retry_delay(rng: &mut SmallRng, cfg: &OpenSimConfig) -> f64 {
 /// after the same constant penalty: each restart stamps the hot variables
 /// younger and kills the next elder, in lockstep. Exponentialish backoff
 /// with seeded jitter breaks the symmetry deterministically.
-pub(crate) fn restart_delay(rng: &mut SmallRng, cfg: &OpenSimConfig, attempts: u32) -> f64 {
+fn restart_delay(rng: &mut SmallRng, cfg: &OpenSimConfig, attempts: u32) -> f64 {
     let scale = (attempts.min(6) as f64).max(1.0);
     cfg.restart_penalty * scale * rng.gen_range(0.5..1.5)
-}
-
-pub(crate) fn exp_sample(rng: &mut SmallRng, mean: f64) -> f64 {
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    let u: f64 = rng.gen_range(1e-12..1.0);
-    -mean * u.ln()
 }
 
 /// Draw one transaction program.
@@ -363,26 +337,26 @@ pub(crate) fn gen_program(rng: &mut SmallRng, cfg: &OpenSimConfig) -> Vec<OpSpec
             } else {
                 rng.gen_range(0..cfg.vars)
             };
-            let r: f64 = rng.gen_range(0.0..1.0);
-            // Non-read ops are mostly read-modify-writes; a quarter are
-            // blind writes (the paper's `Write` shape).
-            let kind = if r < cfg.read_fraction {
-                StepKind::Read
-            } else if r < cfg.read_fraction + (1.0 - cfg.read_fraction) * 0.25 {
-                StepKind::Write
-            } else {
-                StepKind::Update
-            };
-            let a = [1i64, 1, 2, -1][rng.gen_range(0..4usize)];
-            let c = rng.gen_range(-2i64..=2);
-            OpSpec {
-                var: VarId(var as u32),
-                kind,
-                a,
-                c,
-            }
+            gen_op(rng, cfg, VarId(var as u32))
         })
         .collect()
+}
+
+/// Draw one operation's kind and step function over the chosen `var`.
+pub(crate) fn gen_op(rng: &mut SmallRng, cfg: &OpenSimConfig, var: VarId) -> OpSpec {
+    let r: f64 = rng.gen_range(0.0..1.0);
+    // Non-read ops are mostly read-modify-writes; a quarter are blind
+    // writes (the paper's `Write` shape).
+    let kind = if r < cfg.read_fraction {
+        StepKind::Read
+    } else if r < cfg.read_fraction + (1.0 - cfg.read_fraction) * 0.25 {
+        StepKind::Write
+    } else {
+        StepKind::Update
+    };
+    let a = [1i64, 1, 2, -1][rng.gen_range(0..4usize)];
+    let c = rng.gen_range(-2i64..=2);
+    OpSpec { var, kind, a, c }
 }
 
 /// Submit one operation through the session API (also used by the
@@ -450,37 +424,191 @@ fn simulate_open_impl(
     dur: Option<&DurableConfig>,
     trace: Option<&TraceConfig>,
 ) -> OpenSimResult {
-    let cc = make_cc();
-    let cc_name = cc.name().to_string();
-    let multiversion = cc.multiversion();
-    let defers_writes = cc.defers_writes();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x09E2_5EED);
     let init = GlobalState::from_ints(&vec![0; cfg.vars]);
     let mut db = match dur {
-        None => SessionDb::with_capacity(cc, init, cfg.terminals),
-        Some(d) => SessionDb::open_with_capacity(cc, init, &d.path, d.mode, cfg.terminals)
+        None => SessionDb::with_capacity(make_cc(), init, cfg.terminals),
+        Some(d) => SessionDb::open_with_capacity(make_cc(), init, &d.path, d.mode, cfg.terminals)
             .expect("open the durable session database"),
     };
-    if let Some(d) = dur {
-        if let Some(n) = d.crash_after_records {
-            db.wal_crash_after_records(n);
-        }
-        if let Some(n) = d.crash_after_syncs {
-            db.wal_crash_after_syncs(n);
-        }
+    if let Some(n) = dur.and_then(|d| d.crash_after_records) {
+        db.wal_crash_after_records(n);
+    }
+    if let Some(n) = dur.and_then(|d| d.crash_after_syncs) {
+        db.wal_crash_after_syncs(n);
     }
     let hub = trace.map(|tc| TraceHub::new(tc).expect("open the trace sink"));
     if let Some(hub) = &hub {
         db.set_tracer(hub.tracer(0));
     }
+    let result = run_stream(db, make_cc, cfg, dur.is_some_and(|d| d.record_journal));
+    if let Some(hub) = &hub {
+        hub.flush();
+    }
+    result
+}
 
-    let mut terminals: Vec<Terminal> = (0..cfg.terminals)
+/// A commit that landed: what the machine records about it.
+pub(crate) struct Committed {
+    /// Snapshot timestamp the transaction held going into its commit (the
+    /// MVTO serialization key).
+    pub(crate) view: u64,
+    /// The commit flushed the write-ahead log, so its terminal pays the
+    /// fsync.
+    pub(crate) flushed: bool,
+}
+
+/// What a driver hands back when the stream is over.
+pub(crate) struct Closing {
+    pub(crate) commit_latency_ticks: Histogram,
+    pub(crate) top_contended: Vec<VarContention>,
+    pub(crate) final_state: GlobalState,
+    /// Slots ever allocated — monotone, so the final value is the peak.
+    pub(crate) peak_slots: usize,
+    pub(crate) recovery_secs: f64,
+    pub(crate) recovery_replayed: u64,
+}
+
+/// The database under the open-world machine ([`run_stream`]): a
+/// [`SessionDb`] here, a [`ShardedDb`](ccopt_engine::ShardedDb) in
+/// [`crate::shard_sim`]. The machine owns time, the RNG, the terminals
+/// and the recorded history; everything it asks of the database goes
+/// through this trait. The defaulted methods are the sharded driver's
+/// extras — an unsharded database has no cross-shard wait cycle to valve
+/// and no fault plan to fire.
+pub(crate) trait Driver {
+    /// Handle to one open transaction.
+    type Handle: Copy;
+
+    /// Draw an arriving transaction's program (`cfg` is the open-world
+    /// base configuration).
+    fn gen_program(&self, rng: &mut SmallRng, cfg: &OpenSimConfig) -> Vec<OpSpec>;
+    fn begin(&mut self) -> Self::Handle;
+    /// Submit one operation. [`SessionError::ShardDown`] is a failed
+    /// transaction — the machine aborts it and redrives the terminal;
+    /// any other error is a driver bug.
+    fn submit(&mut self, h: Self::Handle, op: OpSpec) -> Result<Op<Value>, SessionError>;
+    /// Request the commit (errors as in [`submit`](Self::submit)); a
+    /// commit that lands is also retired, so its slot recycles.
+    fn commit(&mut self, h: Self::Handle) -> Result<Op<Committed>, SessionError>;
+    fn abort(&mut self, h: Self::Handle) -> Result<(), SessionError>;
+    /// Force-restart the transaction (the valve's action).
+    fn restart(&mut self, h: Self::Handle) -> Result<(), SessionError>;
+    /// Attempts of the live transaction so far (scales the backoff).
+    fn attempts(&self, h: Self::Handle) -> u32;
+    /// The wait valve: consecutive `Wait` answers after which the machine
+    /// force-restarts a transaction; `None` = no valve.
+    fn wait_bound(&self) -> Option<u32> {
+        None
+    }
+    fn committed_globals(&mut self) -> GlobalState;
+    /// Hook after the `committed`-th commit, before the next arrival is
+    /// scheduled; `journal_head` is the committed state just journaled
+    /// (when the journal is on).
+    fn after_commit(&mut self, _committed: usize, _journal_head: Option<&GlobalState>) {}
+    /// Boundedness gauge, sampled after every event.
+    fn open_sessions(&self) -> usize;
+    /// Boundedness gauge, sampled after every commit — the only step that
+    /// installs versions (`None` on single-version stores).
+    fn live_versions(&self) -> Option<usize>;
+    fn metrics(&self) -> Metrics;
+    /// Report the closing figures.
+    fn close(self) -> Closing;
+}
+
+/// The unsharded driver is the [`SessionDb`] itself (same-named calls
+/// below go to its inherent methods, spelled by path).
+impl Driver for SessionDb {
+    type Handle = Txn;
+
+    fn gen_program(&self, rng: &mut SmallRng, cfg: &OpenSimConfig) -> Vec<OpSpec> {
+        gen_program(rng, cfg)
+    }
+
+    fn begin(&mut self) -> Txn {
+        SessionDb::begin(self)
+    }
+
+    fn submit(&mut self, h: Txn, op: OpSpec) -> Result<Op<Value>, SessionError> {
+        Ok(submit_op(self, h, op))
+    }
+
+    fn commit(&mut self, h: Txn) -> Result<Op<Committed>, SessionError> {
+        let view = self.read_view(h)?;
+        let syncs_before = self.metrics.wal_syncs;
+        let outcome = SessionDb::commit(self, h)?;
+        let flushed = self.metrics.wal_syncs > syncs_before;
+        Ok(outcome.map_done(|()| {
+            self.retire(h).expect("committed handle");
+            Committed { view, flushed }
+        }))
+    }
+
+    fn abort(&mut self, h: Txn) -> Result<(), SessionError> {
+        SessionDb::abort(self, h)
+    }
+
+    fn restart(&mut self, h: Txn) -> Result<(), SessionError> {
+        SessionDb::restart(self, h)
+    }
+
+    fn attempts(&self, h: Txn) -> u32 {
+        SessionDb::attempts(self, h).expect("live handle")
+    }
+
+    fn committed_globals(&mut self) -> GlobalState {
+        SessionDb::committed_globals(self)
+    }
+
+    fn open_sessions(&self) -> usize {
+        SessionDb::open_sessions(self)
+    }
+
+    fn live_versions(&self) -> Option<usize> {
+        SessionDb::live_versions(self)
+    }
+
+    fn metrics(&self) -> Metrics {
+        self.metrics
+    }
+
+    fn close(self) -> Closing {
+        Closing {
+            commit_latency_ticks: self.commit_latency_ticks().clone(),
+            top_contended: self.top_contended(TOP_CONTENDED),
+            final_state: self.globals(),
+            peak_slots: self.num_slots(),
+            recovery_secs: 0.0,
+            recovery_replayed: self.recovery_info().map_or(0, |ri| ri.committed),
+        }
+    }
+}
+
+/// The open-world event machine, over any [`Driver`]: `K` terminals each
+/// keep one transaction open at a time — arrive, run the program
+/// operation by operation (waits poll on a jittered interval, restarts
+/// replay after attempt-scaled backoff), commit, retire, think, arrive
+/// again — until [`total_txns`](OpenSimConfig::total_txns) commits.
+pub(crate) fn run_stream<D: Driver>(
+    mut drv: D,
+    make_cc: &dyn Fn() -> Box<dyn ConcurrencyControl>,
+    cfg: &OpenSimConfig,
+    record_journal: bool,
+) -> OpenSimResult {
+    let sample = make_cc();
+    let (cc_name, multiversion, defers_writes) = (
+        sample.name().to_string(),
+        sample.multiversion(),
+        sample.defers_writes(),
+    );
+    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x09E2_5EED);
+    let mut terminals: Vec<Terminal<D::Handle>> = (0..cfg.terminals)
         .map(|_| Terminal {
             handle: None,
             prog: Vec::new(),
             next_op: 0,
             started_at: 0.0,
             ops: Vec::new(),
+            consec_waits: 0,
         })
         .collect();
     let mut queue: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
@@ -498,96 +626,54 @@ fn simulate_open_impl(
     let mut history: Vec<CommittedTxn> = Vec::new();
     // Committed-prefix journal for the crash-recovery differential:
     // journal[k] = committed state after k commits of *this* run.
-    let record_journal = dur.is_some_and(|d| d.record_journal);
     let mut journal: Vec<GlobalState> = Vec::new();
     if record_journal {
-        journal.push(db.committed_globals());
+        journal.push(drv.committed_globals());
     }
-    let mut peak_slots = 0usize;
-    let mut peak_open = 0usize;
-    let mut peak_versions = 0usize;
+    let (mut peak_open, mut peak_versions) = (0usize, 0usize);
     let mut events = 0usize;
 
-    'sim: while let Some(Reverse(ev)) = queue.pop() {
+    while let Some(Reverse(ev)) = queue.pop() {
         events += 1;
         if events > cfg.max_events {
             break;
         }
         clock = ev.time;
         let term = &mut terminals[ev.terminal];
-        if term.handle.is_none() {
-            // Arrival: a fresh transaction program on a recycled slot.
-            term.prog = gen_program(&mut rng, cfg);
-            term.handle = Some(db.begin());
-            term.next_op = 0;
-            term.started_at = ev.time;
-            term.ops.clear();
-        }
-        let h = term.handle.expect("just ensured");
-        if term.next_op == term.prog.len() {
-            // All operations ran: request the commit.
-            let view = db.read_view(h).expect("live handle");
-            let syncs_before = db.metrics.wal_syncs;
-            match db.commit(h).expect("live handle") {
-                Op::Done(()) => {
-                    db.retire(h).expect("committed handle");
-                    term.handle = None;
-                    committed += 1;
-                    // A commit that flushed the log pays the fsync; under
-                    // group commit only the batch leader does, which is
-                    // the whole throughput argument.
-                    let sync_cost = if db.metrics.wal_syncs > syncs_before {
-                        cfg.sync_time
-                    } else {
-                        0.0
-                    };
-                    latencies.push(ev.time + cfg.exec_time + sync_cost - term.started_at);
-                    seq += 1;
-                    if cfg.check {
-                        history.push(CommittedTxn {
-                            ops: std::mem::take(&mut term.ops),
-                            view,
-                            commit_seq: seq,
-                        });
-                    }
-                    if record_journal {
-                        journal.push(db.committed_globals());
-                    }
-                    if committed >= cfg.total_txns {
-                        break 'sim;
-                    }
-                    // Next arrival after the commit's execution + think.
-                    let think = exp_sample(&mut rng, cfg.think_time);
-                    queue.push(Reverse(Event {
-                        time: ev.time + cfg.exec_time + sync_cost + think,
-                        terminal: ev.terminal,
-                    }));
-                }
-                Op::Restarted => {
-                    term.next_op = 0;
-                    term.ops.clear();
-                    let attempts = db.attempts(h).expect("live handle");
-                    queue.push(Reverse(Event {
-                        time: ev.time + restart_delay(&mut rng, cfg, attempts),
-                        terminal: ev.terminal,
-                    }));
-                }
-                Op::Wait => {
-                    queue.push(Reverse(Event {
-                        time: ev.time + retry_delay(&mut rng, cfg),
-                        terminal: ev.terminal,
-                    }));
-                }
+        // One terminal turn, in the engine's own outcome shape: `Done`
+        // carries when the terminal wakes next (`None` ends the stream),
+        // `Wait` and `Restarted` are the operation's (or the commit's)
+        // answer; `Err` is what failed the transaction.
+        let mut turn = || -> Result<Op<Option<f64>>, SessionError> {
+            if term.handle.is_none() {
+                // Arrival: a fresh transaction program on a recycled slot.
+                term.prog = drv.gen_program(&mut rng, cfg);
+                term.handle = Some(drv.begin());
+                term.next_op = 0;
+                term.started_at = ev.time;
+                term.ops.clear();
+                term.consec_waits = 0;
             }
-        } else {
-            let op = term.prog[term.next_op];
-            match submit_op(&mut db, h, op) {
-                Op::Done(_) => {
+            let h = term.handle.expect("just ensured");
+            if drv
+                .wait_bound()
+                .is_some_and(|bound| term.consec_waits >= bound)
+            {
+                // The distributed-deadlock valve: shard-local detectors
+                // cannot see cross-shard wait cycles, so persistent
+                // waiting falls back to a forced restart (safe for every
+                // mechanism).
+                drv.restart(h)?;
+                return Ok(Op::Restarted);
+            }
+            if let Some(&op) = term.prog.get(term.next_op) {
+                return Ok(drv.submit(h, op)?.map_done(|_| {
                     seq += 1;
                     if cfg.check {
                         term.ops.push((seq, op));
                     }
                     term.next_op += 1;
+                    term.consec_waits = 0;
                     // The commit rides its own event right after the last
                     // operation's execution time; earlier operations pay
                     // execution + think.
@@ -596,60 +682,91 @@ fn simulate_open_impl(
                     } else {
                         cfg.exec_time + exp_sample(&mut rng, cfg.think_time)
                     };
-                    queue.push(Reverse(Event {
-                        time: ev.time + pause + cfg.scheduling_time,
-                        terminal: ev.terminal,
-                    }));
-                }
-                Op::Wait => {
-                    queue.push(Reverse(Event {
-                        time: ev.time + retry_delay(&mut rng, cfg),
-                        terminal: ev.terminal,
-                    }));
-                }
-                Op::Restarted => {
-                    term.next_op = 0;
-                    term.ops.clear();
-                    let attempts = db.attempts(h).expect("live handle");
-                    queue.push(Reverse(Event {
-                        time: ev.time + restart_delay(&mut rng, cfg, attempts),
-                        terminal: ev.terminal,
-                    }));
-                }
+                    Some(ev.time + pause + cfg.scheduling_time)
+                }));
             }
-        }
-        peak_slots = peak_slots.max(db.num_slots());
-        peak_open = peak_open.max(db.open_sessions());
-        if let Some(v) = db.live_versions() {
-            peak_versions = peak_versions.max(v);
-        }
+            // All operations ran: request the commit.
+            Ok(drv.commit(h)?.map_done(|Committed { view, flushed }| {
+                term.handle = None;
+                committed += 1;
+                // A commit that flushed the log pays the fsync; under
+                // group commit only the batch leader does, which is the
+                // whole throughput argument.
+                let sync_cost = if flushed { cfg.sync_time } else { 0.0 };
+                latencies.push(ev.time + cfg.exec_time + sync_cost - term.started_at);
+                seq += 1;
+                if cfg.check {
+                    history.push(CommittedTxn {
+                        ops: std::mem::take(&mut term.ops),
+                        view,
+                        commit_seq: seq,
+                    });
+                }
+                if record_journal {
+                    journal.push(drv.committed_globals());
+                }
+                peak_versions = peak_versions.max(drv.live_versions().unwrap_or(0));
+                drv.after_commit(committed, journal.last());
+                if committed >= cfg.total_txns {
+                    return None;
+                }
+                // Next arrival after the commit's execution + think.
+                let think = exp_sample(&mut rng, cfg.think_time);
+                Some(ev.time + cfg.exec_time + sync_cost + think)
+            }))
+        };
+        let next = match turn() {
+            Ok(Op::Done(Some(at))) => at,
+            Ok(Op::Done(None)) => break,
+            Ok(Op::Wait) => {
+                term.consec_waits += 1;
+                ev.time + retry_delay(&mut rng, cfg)
+            }
+            Ok(Op::Restarted) => {
+                // The attempt restarted in place: replay the program from
+                // the top after the attempt-scaled backoff.
+                term.next_op = 0;
+                term.ops.clear();
+                term.consec_waits = 0;
+                let h = term.handle.expect("a restarted transaction stays open");
+                ev.time + restart_delay(&mut rng, cfg, drv.attempts(h))
+            }
+            Err(SessionError::ShardDown) => {
+                // A failed global transaction (its shard crashed
+                // mid-flight or is down): abort it, back off on the
+                // ordinary jittered restart delay, and let the terminal
+                // redrive a fresh transaction — fault recovery is just
+                // another restart to the open-world driver.
+                if let Some(h) = term.handle.take() {
+                    let _ = drv.abort(h);
+                }
+                term.ops.clear();
+                ev.time + restart_delay(&mut rng, cfg, 2)
+            }
+            Err(e) => panic!("open-world driver: {e}"),
+        };
+        queue.push(Reverse(Event {
+            time: next,
+            terminal: ev.terminal,
+        }));
+        peak_open = peak_open.max(drv.open_sessions());
     }
 
     // Wind down: abort the in-flight sessions so the final state holds
     // committed effects only (and their slots retire cleanly). Their
     // client-aborts are bookkeeping, not contention — excluded from the
-    // reported abort counts.
-    let stream_aborts = db.metrics.aborts;
-    // Attribution is snapshotted with the stream's abort count: the
-    // wind-down client-aborts below are bookkeeping and stay out of both.
-    let aborts_by_rule = named_abort_rules(&db.metrics.aborts_by_rule);
+    // reported abort counts, and from the attribution snapshotted with
+    // them.
+    let pre = drv.metrics();
+    let stream_aborts = pre.aborts;
+    let aborts_by_rule = named_abort_rules(&pre.aborts_by_rule);
     for term in &mut terminals {
         if let Some(h) = term.handle.take() {
-            db.abort(h).expect("live handle");
+            drv.abort(h).expect("live handle");
         }
     }
-    peak_slots = peak_slots.max(db.num_slots());
-    if let Some(hub) = &hub {
-        hub.flush();
-    }
-
-    let clat = db.commit_latency_ticks().clone();
-    let top_contended: Vec<(u32, usize, usize)> = db
-        .top_contended(TOP_CONTENDED)
-        .iter()
-        .map(|r| (r.var.0, r.waits, r.aborts))
-        .collect();
-    let m = db.metrics;
+    let m = drv.metrics();
+    let end = drv.close();
     OpenSimResult {
         cc_name,
         committed,
@@ -665,197 +782,30 @@ fn simulate_open_impl(
         } else {
             stream_aborts as f64 / committed as f64
         },
-        peak_slots,
+        peak_slots: end.peak_slots,
         peak_open_sessions: peak_open,
         peak_live_versions: peak_versions,
         versions_reclaimed: m.versions_reclaimed,
-        final_state: db.globals(),
+        final_state: end.final_state,
         history,
         multiversion,
         defers_writes,
         wal_records: m.wal_records,
         wal_syncs: m.wal_syncs,
         journal,
-        shard_restarts: 0,
-        shed_aborts: 0,
+        shard_restarts: m.shard_restarts,
+        shed_aborts: m.shed_aborts,
         io_retries: m.io_retries,
-        recovery_secs: 0.0,
-        recovery_replayed: db.recovery_info().map_or(0, |ri| ri.committed),
-        commit_lat_ticks_p50: clat.quantile(0.5),
-        commit_lat_ticks_p99: clat.quantile(0.99),
-        top_contended,
+        recovery_secs: end.recovery_secs,
+        recovery_replayed: end.recovery_replayed,
+        commit_lat_ticks_p50: end.commit_latency_ticks.quantile(0.5),
+        commit_lat_ticks_p99: end.commit_latency_ticks.quantile(0.99),
+        top_contended: end
+            .top_contended
+            .iter()
+            .map(|r| (r.var.0, r.waits, r.aborts))
+            .collect(),
         aborts_by_rule,
-    }
-}
-
-/// Replay the committed history against a serial order and compare final
-/// states — the open-world serializability spot-check.
-///
-/// Single-version mechanisms: build the conflict graph over the committed
-/// operations (reads conflict at their execution sequence; the writes of
-/// deferred-write mechanisms take effect at the commit sequence, matching
-/// when they reached storage), topologically sort it, and replay the
-/// transactions serially in that order. Multi-version (MVTO): replay in
-/// begin-timestamp order — MVTO's serialization theorem. A conflict cycle
-/// or a final-state mismatch is reported as `Err`.
-///
-/// Snapshot isolation admits write skew by design; callers exempt it.
-pub fn check_serializable(r: &OpenSimResult) -> Result<(), String> {
-    let order: Vec<usize> = if r.multiversion {
-        let mut idx: Vec<usize> = (0..r.history.len()).collect();
-        idx.sort_by_key(|&i| (r.history[i].view, r.history[i].commit_seq));
-        idx
-    } else {
-        topo_order(&r.history, r.defers_writes)?
-    };
-    let mut state = vec![0i64; r.final_state.len()];
-    for &i in &order {
-        for &(_, op) in &r.history[i].ops {
-            if op.kind.writes() {
-                let slot = &mut state[op.var.index()];
-                *slot = op.eval(*slot);
-            }
-        }
-    }
-    let replayed = GlobalState::from_ints(&state);
-    if replayed == r.final_state {
-        Ok(())
-    } else {
-        Err(format!(
-            "{}: serial replay of {} committed txns diverges: replay {replayed} vs engine {}",
-            r.cc_name,
-            r.history.len(),
-            r.final_state
-        ))
-    }
-}
-
-/// Assert the committed history is **strict** — the property redo-only
-/// logging rests on: no transaction observes another's uncommitted write,
-/// and writes are installed only under their writer's control, undone
-/// before anyone else can see them on abort. Strict committed histories
-/// are reproducible from committed write-sets in commit order, so a redo
-/// log needs nothing else.
-///
-/// * Deferred-write mechanisms (OCC, MVTO, SI) are strict by
-///   construction: buffered writes reach the store only in the commit
-///   write phase, so the store never holds uncommitted data at all — the
-///   checker verifies the structural invariant that every operation
-///   executed before its transaction's commit point and trusts deferral
-///   for the rest.
-/// * Immediate-write mechanisms (serial, 2PL, SGT, T/O) install writes
-///   mid-transaction; the checker sweeps each variable's committed
-///   accesses in global execution order and rejects any access that lands
-///   inside another transaction's write-to-commit window.
-pub fn check_strict(r: &OpenSimResult) -> Result<(), String> {
-    for (i, t) in r.history.iter().enumerate() {
-        for &(s, _) in &t.ops {
-            if s >= t.commit_seq {
-                return Err(format!(
-                    "{}: txn {i} executed an op at seq {s} at/after its commit {}",
-                    r.cc_name, t.commit_seq
-                ));
-            }
-        }
-    }
-    if r.defers_writes {
-        return Ok(()); // buffered writes: the store holds committed data only
-    }
-    // Per variable: every access in (write_seq, writer_commit_seq) of a
-    // different transaction is a strictness violation.
-    let mut by_var: std::collections::BTreeMap<u32, Vec<(u64, usize, bool, u64)>> =
-        std::collections::BTreeMap::new();
-    for (i, t) in r.history.iter().enumerate() {
-        for &(s, op) in &t.ops {
-            by_var
-                .entry(op.var.0)
-                .or_default()
-                .push((s, i, op.kind.writes(), t.commit_seq));
-        }
-    }
-    for (var, accs) in &mut by_var {
-        accs.sort_unstable();
-        // The open dirty window: (owner, commit_seq of the owner).
-        let mut dirty: Option<(usize, u64)> = None;
-        for &(s, i, writes, commit_seq) in accs.iter() {
-            if let Some((owner, until)) = dirty {
-                if s >= until {
-                    dirty = None;
-                } else if i != owner {
-                    return Err(format!(
-                        "{}: txn {i} touched v{var} at seq {s}, inside txn {owner}'s \
-                         uncommitted write window (ends at {until})",
-                        r.cc_name
-                    ));
-                }
-            }
-            if writes {
-                dirty = Some((i, commit_seq));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Conflict-graph topological order of a single-version committed history
-/// (`Err` when the conflict graph has a cycle — a serializability
-/// violation on its own).
-fn topo_order(history: &[CommittedTxn], defers_writes: bool) -> Result<Vec<usize>, String> {
-    let n = history.len();
-    // Flatten to (effect sequence, txn, var, kind): the point each access
-    // became visible to others. Reads observe at execution; the writes of
-    // a deferred-write mechanism reach storage only in the commit-time
-    // write phase, so their effect sequence is the commit's.
-    let mut accesses: Vec<(u64, usize, u32, StepKind)> = Vec::new();
-    for (i, t) in history.iter().enumerate() {
-        for &(s, op) in &t.ops {
-            let eff = if defers_writes && op.kind.writes() {
-                t.commit_seq
-            } else {
-                s
-            };
-            accesses.push((eff, i, op.var.0, op.kind));
-        }
-    }
-    accesses.sort_unstable_by_key(|&(s, i, _, _)| (s, i));
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut in_deg: Vec<usize> = vec![0; n];
-    // Per variable, every conflicting ordered pair adds an edge.
-    let mut by_var: std::collections::BTreeMap<u32, Vec<(u64, usize, StepKind)>> =
-        std::collections::BTreeMap::new();
-    for &(s, i, v, k) in &accesses {
-        by_var.entry(v).or_default().push((s, i, k));
-    }
-    for accs in by_var.values() {
-        for (x, &(_, i, ki)) in accs.iter().enumerate() {
-            for &(_, j, kj) in &accs[x + 1..] {
-                if i != j && ki.conflicts_with(kj) && !out[i].contains(&j) {
-                    out[i].push(j);
-                    in_deg[j] += 1;
-                }
-            }
-        }
-    }
-    // Kahn, smallest index first for determinism.
-    let mut ready: std::collections::BinaryHeap<Reverse<usize>> =
-        (0..n).filter(|&i| in_deg[i] == 0).map(Reverse).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(Reverse(i)) = ready.pop() {
-        order.push(i);
-        for &j in &out[i] {
-            in_deg[j] -= 1;
-            if in_deg[j] == 0 {
-                ready.push(Reverse(j));
-            }
-        }
-    }
-    if order.len() == n {
-        Ok(order)
-    } else {
-        Err(format!(
-            "conflict cycle among {} committed transactions",
-            n - order.len()
-        ))
     }
 }
 

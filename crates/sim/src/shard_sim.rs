@@ -1,9 +1,9 @@
 //! Sharded open-world simulation: arrival-driven session streams over a
 //! [`ShardedDb`], with a cross-shard-ratio workload axis.
 //!
-//! The event loop is the same discrete-event machine as
-//! [`crate::open_sim`] — `K` terminals, jittered wait polling,
-//! attempt-scaled restart backoff, deterministic in the seed — driving a
+//! This module is the sharded *driver* of the one open-world event machine
+//! in [`crate::open_sim`] — `K` terminals, jittered wait polling,
+//! attempt-scaled restart backoff, deterministic in the seed — over a
 //! hash-partitioned, worker-thread-per-shard database instead of a single
 //! [`SessionDb`](ccopt_engine::SessionDb). Each arrival draws either a
 //! **single-shard** program (all operations inside one home shard — the
@@ -12,11 +12,11 @@
 //! alternating between two shards, whose commit runs the two-phase
 //! protocol.
 //!
-//! With one shard and `cross_ratio = 0`, the generator, the RNG draw
-//! order and the engine decisions are *identical* to [`crate::open_sim`]:
-//! the `S = 1` cells of the sharded benchmark grid reproduce the
-//! open-world grid bit for bit — the sharding layer adds no distortion
-//! (pinned by `tests/sharded.rs` and asserted by the throughput harness).
+//! With one shard the driver draws programs from the unsharded generator
+//! and the valve is off, so the `S = 1` cells of the sharded benchmark
+//! grid reproduce the open-world grid bit for bit — the sharding layer
+//! adds no distortion (pinned by `tests/sharded.rs` and asserted by the
+//! throughput harness).
 //!
 //! Sharding introduces one liveness hazard no shard-local mechanism can
 //! see: wait cycles *across* shards (2PL lock cycles spanning shards, the
@@ -49,23 +49,20 @@
 //! (`docs/FAULTS.md`).
 
 use crate::open_sim::{
-    exp_sample, gen_program, named_abort_rules, restart_delay, retry_delay, CommittedTxn, OpSpec,
-    OpenSimConfig, OpenSimResult, TOP_CONTENDED,
+    gen_op, gen_program, run_stream, Closing, Committed, Driver, OpSpec, OpenSimConfig,
+    OpenSimResult, TOP_CONTENDED,
 };
-use crate::stats::Summary;
 use ccopt_engine::cc::ConcurrencyControl;
 use ccopt_engine::durability::{Fault, StorageFaults};
 use ccopt_engine::session::{Op, SessionError};
 use ccopt_engine::shard::{GlobalTxn, ShardedDb};
-use ccopt_engine::{DurabilityMode, TraceConfig};
+use ccopt_engine::{DurabilityMode, Metrics, TraceConfig};
 use ccopt_model::ids::VarId;
 use ccopt_model::state::GlobalState;
 use ccopt_model::syntax::StepKind;
 use ccopt_model::value::Value;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use rand::Rng;
 use std::path::PathBuf;
 
 /// Sharded simulation parameters: the open-world base plus the sharding
@@ -156,39 +153,6 @@ impl FaultPlan {
     }
 }
 
-#[derive(PartialEq)]
-struct Event {
-    time: f64,
-    terminal: usize,
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .partial_cmp(&other.time)
-            .expect("event times are finite")
-            .then(self.terminal.cmp(&other.terminal))
-    }
-}
-
-struct Terminal {
-    handle: Option<GlobalTxn>,
-    prog: Vec<OpSpec>,
-    next_op: usize,
-    started_at: f64,
-    ops: Vec<(u64, OpSpec)>,
-    /// Consecutive `Wait` answers of the current attempt (valve input).
-    consec_waits: u32,
-}
-
 /// Draw one sharded transaction program: single-shard (all operations in
 /// one home shard) or, with probability `cross_ratio`, alternating
 /// between a home and an away shard so at least two shards are touched.
@@ -221,32 +185,9 @@ fn gen_sharded_program(
             } else {
                 vars[rng.gen_range(0..vars.len())]
             };
-            let r: f64 = rng.gen_range(0.0..1.0);
-            let kind = if r < cfg.read_fraction {
-                StepKind::Read
-            } else if r < cfg.read_fraction + (1.0 - cfg.read_fraction) * 0.25 {
-                StepKind::Write
-            } else {
-                StepKind::Update
-            };
-            let a = [1i64, 1, 2, -1][rng.gen_range(0..4usize)];
-            let c = rng.gen_range(-2i64..=2);
-            OpSpec { var, kind, a, c }
+            gen_op(rng, cfg, var)
         })
         .collect()
-}
-
-/// Submit one operation through the sharded API. `Err` is a failed
-/// global transaction (its shard crashed or is down) for the driver's
-/// abort-and-redrive path.
-fn submit_op(db: &mut ShardedDb, h: GlobalTxn, op: OpSpec) -> Result<Op<Value>, SessionError> {
-    match op.kind {
-        StepKind::Read => db.read(h, op.var),
-        StepKind::Write => db.write(h, op.var, Value::Int(op.eval(0))),
-        StepKind::Update => db.update(h, op.var, move |v| {
-            Value::Int(op.eval(v.as_int().expect("sharded stores hold ints")))
-        }),
-    }
 }
 
 /// Run the sharded open-world simulation for one mechanism (no
@@ -324,344 +265,181 @@ fn simulate_sharded_impl(
     trace: Option<&TraceConfig>,
 ) -> OpenSimResult {
     let cfg = &scfg.base;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x09E2_5EED);
     let init = GlobalState::from_ints(&vec![0; cfg.vars]);
     let mut db = match dur {
         None => ShardedDb::with_capacity(&make_cc, init, scfg.shards, cfg.terminals),
         Some(d) => ShardedDb::open(&make_cc, init, &d.dir, d.mode, scfg.shards, cfg.terminals)
             .expect("open the durable sharded database"),
     };
-    if let Some(d) = dur {
-        if let Some(n) = d.crash_after_2pc_actions {
-            db.crash_after_2pc_actions(n);
-        }
+    if let Some(n) = dur.and_then(|d| d.crash_after_2pc_actions) {
+        db.crash_after_2pc_actions(n);
     }
-    // Pending scripted faults, drained as their commit thresholds pass.
-    let mut due_panics = plan.map(|p| p.shard_panics.clone()).unwrap_or_default();
-    let mut due_io = plan
-        .map(|p| p.transient_sync_faults.clone())
-        .unwrap_or_default();
     if let Some(cap) = plan.and_then(|p| p.queue_capacity) {
         db.set_queue_capacity(cap);
     }
     if let Some(tc) = trace {
         db.set_trace(tc).expect("open the trace sink");
     }
-    let cc_name = db.cc_name().to_string();
-    let multiversion = db.multiversion();
-    let defers_writes = db.defers_writes();
     // Shard-local variable lists for the program generator, read from
     // the database's own partition (shards that own no variables are
     // never a home or away shard).
     let shard_vars: Vec<Vec<VarId>> = (0..scfg.shards)
         .map(|s| db.shard_vars(s).to_vec())
         .collect();
-    let nonempty: Vec<usize> = (0..scfg.shards)
+    let nonempty = (0..scfg.shards)
         .filter(|&s| !shard_vars[s].is_empty())
         .collect();
-    let single = scfg.shards == 1;
+    let driver = ShardedDriver {
+        db,
+        scfg,
+        shard_vars,
+        nonempty,
+        // Pending scripted faults, drained as their commit thresholds pass.
+        due_panics: plan.map(|p| p.shard_panics.clone()).unwrap_or_default(),
+        due_io: plan
+            .map(|p| p.transient_sync_faults.clone())
+            .unwrap_or_default(),
+    };
+    run_stream(driver, make_cc, cfg, dur.is_some_and(|d| d.record_journal))
+}
 
-    let mut terminals: Vec<Terminal> = (0..cfg.terminals)
-        .map(|_| Terminal {
-            handle: None,
-            prog: Vec::new(),
-            next_op: 0,
-            started_at: 0.0,
-            ops: Vec::new(),
-            consec_waits: 0,
-        })
-        .collect();
-    let mut queue: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    for terminal in 0..cfg.terminals {
-        queue.push(Reverse(Event {
-            time: exp_sample(&mut rng, cfg.think_time),
-            terminal,
-        }));
-    }
+/// The sharded driver: a [`ShardedDb`], the sharded program generator,
+/// the wait valve, and the [`FaultPlan`] still to fire.
+struct ShardedDriver<'c> {
+    db: ShardedDb<'c>,
+    scfg: &'c ShardSimConfig,
+    shard_vars: Vec<Vec<VarId>>,
+    nonempty: Vec<usize>,
+    due_panics: Vec<(usize, usize)>,
+    due_io: Vec<(usize, usize, u32)>,
+}
 
-    let mut clock = 0.0f64;
-    let mut committed = 0usize;
-    let mut seq = 0u64;
-    let mut latencies: Vec<f64> = Vec::with_capacity(cfg.total_txns);
-    let mut history: Vec<CommittedTxn> = Vec::new();
-    let record_journal = dur.is_some_and(|d| d.record_journal);
-    let mut journal: Vec<GlobalState> = Vec::new();
-    if record_journal {
-        journal.push(db.committed_globals());
-    }
-    let mut peak_open = 0usize;
-    let mut peak_versions = 0usize;
-    let mut events = 0usize;
+impl Driver for ShardedDriver<'_> {
+    type Handle = GlobalTxn;
 
-    // A failed global transaction (its shard crashed mid-flight or is
-    // down): abort it, back off on the ordinary jittered restart delay,
-    // and let the terminal redrive a fresh transaction — fault recovery
-    // is just another restart to the open-world driver.
-    macro_rules! shard_down {
-        ($term:expr, $h:expr, $ev:expr) => {{
-            let _ = db.abort($h);
-            $term.handle = None;
-            $term.ops.clear();
-            $term.consec_waits = 0;
-            queue.push(Reverse(Event {
-                time: $ev.time + restart_delay(&mut rng, cfg, 2),
-                terminal: $ev.terminal,
-            }));
-        }};
-    }
-
-    'sim: while let Some(Reverse(ev)) = queue.pop() {
-        events += 1;
-        if events > cfg.max_events {
-            break;
-        }
-        clock = ev.time;
-        let term = &mut terminals[ev.terminal];
-        if term.handle.is_none() {
-            term.prog = if single {
-                gen_program(&mut rng, cfg)
-            } else {
-                gen_sharded_program(&mut rng, scfg, &shard_vars, &nonempty)
-            };
-            term.handle = Some(db.begin());
-            term.next_op = 0;
-            term.started_at = ev.time;
-            term.ops.clear();
-            term.consec_waits = 0;
-        }
-        let h = term.handle.expect("just ensured");
-        // The distributed-deadlock valve: shard-local detectors cannot
-        // see cross-shard wait cycles, so persistent waiting falls back
-        // to a forced restart (safe for every mechanism).
-        let valve = !single && term.consec_waits >= scfg.wait_restart_after;
-        if valve {
-            if db.restart(h).is_err() {
-                shard_down!(term, h, ev);
-                continue 'sim;
-            }
-            term.next_op = 0;
-            term.ops.clear();
-            term.consec_waits = 0;
-            let attempts = db.attempts(h).expect("live handle");
-            queue.push(Reverse(Event {
-                time: ev.time + restart_delay(&mut rng, cfg, attempts),
-                terminal: ev.terminal,
-            }));
-            peak_open = peak_open.max(db.open_sessions());
-            continue;
-        }
-        if term.next_op == term.prog.len() {
-            let Ok(view) = db.read_view(h) else {
-                shard_down!(term, h, ev);
-                continue 'sim;
-            };
-            let outcome = match db.commit(h) {
-                Ok(o) => o,
-                Err(SessionError::ShardDown) => {
-                    shard_down!(term, h, ev);
-                    continue 'sim;
-                }
-                Err(e) => panic!("sharded-sim commit: {e}"),
-            };
-            match outcome {
-                Op::Done(()) => {
-                    db.retire(h).expect("committed handle");
-                    term.handle = None;
-                    term.consec_waits = 0;
-                    committed += 1;
-                    latencies.push(ev.time + cfg.exec_time - term.started_at);
-                    seq += 1;
-                    if cfg.check {
-                        history.push(CommittedTxn {
-                            ops: std::mem::take(&mut term.ops),
-                            view,
-                            commit_seq: seq,
-                        });
-                    }
-                    if record_journal {
-                        journal.push(db.committed_globals());
-                    }
-                    if let Some(vs) = db.live_versions() {
-                        peak_versions = peak_versions.max(vs);
-                    }
-                    // Fire the scripted faults whose commit thresholds
-                    // just passed; supervise crashes right away so the
-                    // committed-prefix assertion sees the recovered
-                    // state (terminals discover their failed
-                    // transactions on their next operation).
-                    let mut panicked = false;
-                    due_panics.retain(|&(at, s)| {
-                        if committed >= at {
-                            if !db.shard_is_down(s) {
-                                db.panic_shard(s);
-                            }
-                            panicked = true;
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    due_io.retain(|&(at, s, times)| {
-                        if committed >= at {
-                            db.set_shard_faults(
-                                s,
-                                StorageFaults::new().fail_sync(0, Fault::Transient { times }),
-                            );
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    if panicked {
-                        db.check_shards();
-                        if record_journal {
-                            // Committed-prefix consistency after every
-                            // recovery: a supervised restart must
-                            // rebuild exactly the committed state — no
-                            // committed transaction lost, none invented.
-                            assert_eq!(
-                                &db.committed_globals(),
-                                journal.last().expect("journal holds the initial state"),
-                                "sharded fault sim: supervised recovery lost committed state"
-                            );
-                        }
-                    }
-                    if committed >= cfg.total_txns {
-                        break 'sim;
-                    }
-                    let think = exp_sample(&mut rng, cfg.think_time);
-                    queue.push(Reverse(Event {
-                        time: ev.time + cfg.exec_time + think,
-                        terminal: ev.terminal,
-                    }));
-                }
-                Op::Restarted => {
-                    term.next_op = 0;
-                    term.ops.clear();
-                    term.consec_waits = 0;
-                    let attempts = db.attempts(h).expect("live handle");
-                    queue.push(Reverse(Event {
-                        time: ev.time + restart_delay(&mut rng, cfg, attempts),
-                        terminal: ev.terminal,
-                    }));
-                }
-                Op::Wait => {
-                    term.consec_waits += 1;
-                    queue.push(Reverse(Event {
-                        time: ev.time + retry_delay(&mut rng, cfg),
-                        terminal: ev.terminal,
-                    }));
-                }
-            }
+    fn gen_program(&self, rng: &mut SmallRng, cfg: &OpenSimConfig) -> Vec<OpSpec> {
+        if self.scfg.shards == 1 {
+            // One shard: the unsharded generator, draw for draw.
+            gen_program(rng, cfg)
         } else {
-            let op = term.prog[term.next_op];
-            let outcome = match submit_op(&mut db, h, op) {
-                Ok(o) => o,
-                Err(SessionError::ShardDown) => {
-                    shard_down!(term, h, ev);
-                    continue 'sim;
-                }
-                Err(e) => panic!("sharded-sim operation: {e}"),
-            };
-            match outcome {
-                Op::Done(_) => {
-                    seq += 1;
-                    if cfg.check {
-                        term.ops.push((seq, op));
-                    }
-                    term.next_op += 1;
-                    term.consec_waits = 0;
-                    let pause = if term.next_op == term.prog.len() {
-                        cfg.exec_time
-                    } else {
-                        cfg.exec_time + exp_sample(&mut rng, cfg.think_time)
-                    };
-                    queue.push(Reverse(Event {
-                        time: ev.time + pause + cfg.scheduling_time,
-                        terminal: ev.terminal,
-                    }));
-                }
-                Op::Wait => {
-                    term.consec_waits += 1;
-                    queue.push(Reverse(Event {
-                        time: ev.time + retry_delay(&mut rng, cfg),
-                        terminal: ev.terminal,
-                    }));
-                }
-                Op::Restarted => {
-                    term.next_op = 0;
-                    term.ops.clear();
-                    term.consec_waits = 0;
-                    let attempts = db.attempts(h).expect("live handle");
-                    queue.push(Reverse(Event {
-                        time: ev.time + restart_delay(&mut rng, cfg, attempts),
-                        terminal: ev.terminal,
-                    }));
-                }
+            gen_sharded_program(rng, self.scfg, &self.shard_vars, &self.nonempty)
+        }
+    }
+
+    fn begin(&mut self) -> GlobalTxn {
+        self.db.begin()
+    }
+
+    fn submit(&mut self, h: GlobalTxn, op: OpSpec) -> Result<Op<Value>, SessionError> {
+        match op.kind {
+            StepKind::Read => self.db.read(h, op.var),
+            StepKind::Write => self.db.write(h, op.var, Value::Int(op.eval(0))),
+            StepKind::Update => self.db.update(h, op.var, move |v| {
+                Value::Int(op.eval(v.as_int().expect("sharded stores hold ints")))
+            }),
+        }
+    }
+
+    fn commit(&mut self, h: GlobalTxn) -> Result<Op<Committed>, SessionError> {
+        let view = self.db.read_view(h)?;
+        // Shard fsyncs happen on the shard threads, off the terminal's
+        // clock: the sharded grid charges no sync time.
+        Ok(self.db.commit(h)?.map_done(|()| {
+            self.db.retire(h).expect("committed handle");
+            Committed {
+                view,
+                flushed: false,
+            }
+        }))
+    }
+
+    fn abort(&mut self, h: GlobalTxn) -> Result<(), SessionError> {
+        self.db.abort(h)
+    }
+
+    fn restart(&mut self, h: GlobalTxn) -> Result<(), SessionError> {
+        self.db.restart(h)
+    }
+
+    fn attempts(&self, h: GlobalTxn) -> u32 {
+        self.db.attempts(h).expect("live handle")
+    }
+
+    fn wait_bound(&self) -> Option<u32> {
+        // Off on one shard, where shard-local detectors are complete.
+        (self.scfg.shards > 1).then_some(self.scfg.wait_restart_after)
+    }
+
+    fn committed_globals(&mut self) -> GlobalState {
+        self.db.committed_globals()
+    }
+
+    fn after_commit(&mut self, committed: usize, journal_head: Option<&GlobalState>) {
+        // Fire the scripted faults whose commit thresholds just passed;
+        // supervise crashes right away so the committed-prefix assertion
+        // sees the recovered state (terminals discover their failed
+        // transactions on their next operation).
+        let db = &mut self.db;
+        let mut panicked = false;
+        self.due_panics.retain(|&(at, s)| {
+            if committed < at {
+                return true;
+            }
+            if !db.shard_is_down(s) {
+                db.panic_shard(s);
+            }
+            panicked = true;
+            false
+        });
+        self.due_io.retain(|&(at, s, times)| {
+            if committed < at {
+                return true;
+            }
+            db.set_shard_faults(
+                s,
+                StorageFaults::new().fail_sync(0, Fault::Transient { times }),
+            );
+            false
+        });
+        if panicked {
+            db.check_shards();
+            if let Some(head) = journal_head {
+                // Committed-prefix consistency after every recovery: a
+                // supervised restart must rebuild exactly the committed
+                // state — no committed transaction lost, none invented.
+                assert_eq!(
+                    &db.committed_globals(),
+                    head,
+                    "sharded fault sim: supervised recovery lost committed state"
+                );
             }
         }
-        peak_open = peak_open.max(db.open_sessions());
     }
 
-    // Wind down: abort in-flight global transactions (bookkeeping, not
-    // contention — excluded from the reported abort counts).
-    // Attribution is snapshotted with the stream's abort count: the
-    // wind-down client-aborts below are bookkeeping and stay out of both.
-    let pre = db.metrics();
-    let stream_aborts = pre.aborts;
-    let aborts_by_rule = named_abort_rules(&pre.aborts_by_rule);
-    for term in &mut terminals {
-        if let Some(h) = term.handle.take() {
-            db.abort(h).expect("live handle");
+    fn open_sessions(&self) -> usize {
+        self.db.open_sessions()
+    }
+
+    fn live_versions(&self) -> Option<usize> {
+        self.db.live_versions()
+    }
+
+    fn metrics(&self) -> Metrics {
+        self.db.metrics()
+    }
+
+    fn close(mut self) -> Closing {
+        self.db.flush_trace();
+        Closing {
+            commit_latency_ticks: self.db.commit_latency_ticks(),
+            top_contended: self.db.top_contended(TOP_CONTENDED),
+            final_state: self.db.globals(),
+            peak_slots: self.db.num_slots(),
+            recovery_secs: self
+                .db
+                .last_recovery_time()
+                .map_or(0.0, |d| d.as_secs_f64()),
+            recovery_replayed: self.db.last_recovery_replayed().unwrap_or(0),
         }
-    }
-    db.flush_trace();
-
-    let clat = db.commit_latency_ticks();
-    let top_contended: Vec<(u32, usize, usize)> = db
-        .top_contended(TOP_CONTENDED)
-        .iter()
-        .map(|r| (r.var.0, r.waits, r.aborts))
-        .collect();
-    let m = db.metrics();
-    OpenSimResult {
-        cc_name,
-        committed,
-        aborts: stream_aborts,
-        waits: m.waits,
-        retires: m.retires,
-        mv_write_aborts: m.mv_write_aborts,
-        clock,
-        throughput: committed as f64 / clock.max(1e-9),
-        latency: Summary::of(&latencies),
-        abort_rate: if committed == 0 {
-            0.0
-        } else {
-            stream_aborts as f64 / committed as f64
-        },
-        // Monotone across every shard: the final sum is the peak.
-        peak_slots: db.num_slots(),
-        peak_open_sessions: peak_open,
-        peak_live_versions: peak_versions,
-        versions_reclaimed: m.versions_reclaimed,
-        final_state: db.globals(),
-        history,
-        multiversion,
-        defers_writes,
-        wal_records: m.wal_records,
-        wal_syncs: m.wal_syncs,
-        journal,
-        shard_restarts: m.shard_restarts,
-        shed_aborts: m.shed_aborts,
-        io_retries: m.io_retries,
-        recovery_secs: db
-            .last_recovery_time()
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0),
-        recovery_replayed: db.last_recovery_replayed().unwrap_or(0),
-        commit_lat_ticks_p50: clat.quantile(0.5),
-        commit_lat_ticks_p99: clat.quantile(0.99),
-        top_contended,
-        aborts_by_rule,
     }
 }
