@@ -340,10 +340,23 @@ pub enum Response {
 
 /// Append one frame (length + CRC + payload) to `out`.
 pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
+    frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Append one frame whose payload `fill` writes in place behind the
+/// header — no intermediate payload buffer. Returns the frame's length
+/// in bytes, header included.
+fn frame_with(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let head = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    fill(out);
+    let payload = &out[head + 8..];
     debug_assert!(payload.len() <= MAX_FRAME as usize);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&encoding::crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = encoding::crc32(payload).to_le_bytes();
+    out[head..head + 4].copy_from_slice(&len);
+    out[head + 4..head + 8].copy_from_slice(&crc);
+    out.len() - head
 }
 
 /// Write one frame to a stream (no flush; callers batch and flush).
@@ -545,6 +558,17 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), WireError> {
 /// Encode a response payload.
 pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
     let mut b = Vec::with_capacity(32);
+    encode_response_into(&mut b, req_id, resp);
+    b
+}
+
+/// Append one whole response frame to `out`, encoded in place (the
+/// server's outbox path). Returns the frame's length in bytes.
+pub(crate) fn frame_response_into(out: &mut Vec<u8>, req_id: u64, resp: &Response) -> usize {
+    frame_with(out, |out| encode_response_into(out, req_id, resp))
+}
+
+fn encode_response_into(b: &mut Vec<u8>, req_id: u64, resp: &Response) {
     let op = match resp {
         Response::Pong => RESP_PONG,
         Response::Began { .. } => RESP_BEGAN,
@@ -566,7 +590,7 @@ pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
     b.extend_from_slice(&req_id.to_le_bytes());
     match resp {
         Response::Began { txn } => b.extend_from_slice(&txn.to_le_bytes()),
-        Response::Done { value } => encoding::put_value(&mut b, *value),
+        Response::Done { value } => encoding::put_value(b, *value),
         Response::Err { code, msg } => {
             b.push(code.to_byte());
             let bytes = msg.as_bytes();
@@ -574,8 +598,8 @@ pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
             b.extend_from_slice(&(n as u16).to_le_bytes());
             b.extend_from_slice(&bytes[..n]);
         }
-        Response::Stats { stats } => stats::put_stats(&mut b, stats),
-        Response::Health { report } => stats::put_health(&mut b, report),
+        Response::Stats { stats } => stats::put_stats(b, stats),
+        Response::Health { report } => stats::put_health(b, report),
         Response::Events { dropped, lines } => {
             b.extend_from_slice(&dropped.to_le_bytes());
             let count = lines.len().min(u16::MAX as usize);
@@ -595,7 +619,7 @@ pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
                 match r {
                     BatchOutcome::Done { value } => {
                         b.push(BOUT_DONE);
-                        encoding::put_value(&mut b, *value);
+                        encoding::put_value(b, *value);
                     }
                     BatchOutcome::Wait => b.push(BOUT_WAIT),
                     BatchOutcome::Restarted => b.push(BOUT_RESTARTED),
@@ -610,7 +634,6 @@ pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
         }
         _ => {}
     }
-    b
 }
 
 /// Decode a response payload. Total, like [`decode_request`].

@@ -11,11 +11,13 @@
 //!   convention (`[len][crc32][payload]`, [`ccopt_durability::encoding`])
 //!   carrying request/response payloads with client-chosen request ids
 //!   for pipelining; decoding is total (never panics on wire input);
-//! * [`server`] — the [`Server`]: accept/reader/writer threads around
-//!   one engine thread that owns a [`ccopt_engine::ShardedDb`], submits
-//!   each drain pass of its queue as one
-//!   [`ccopt_engine::ShardedDb::submit_group`] call, sheds load at three
-//!   bounded layers, and drains gracefully on shutdown;
+//! * [`server`] — the [`Server`]: an accept thread and one reader
+//!   thread per connection around one engine thread that owns a
+//!   [`ccopt_engine::ShardedDb`], submits each drain pass of its queue
+//!   as one [`ccopt_engine::ShardedDb::submit_group`] call, writes each
+//!   connection's responses itself (one coalesced, bounded `write` per
+//!   pass), sheds load at three bounded layers, and drains gracefully on
+//!   shutdown;
 //! * [`stats`] — the ops plane's data model: [`ServerStats`] snapshots
 //!   (answering [`Request::Stats`]), the sampler's [`SamplePoint`]
 //!   time-series, [`HealthReport`], their total wire codecs, and the

@@ -3,17 +3,32 @@
 //!
 //! # Threads
 //!
-//! One **accept** thread polls the listener; each connection gets a
+//! One **accept** thread polls the listener; each connection gets one
 //! **reader** thread (decode frames, admission-check, forward to the
-//! engine) and a **writer** thread (frame and batch responses back out).
-//! One **engine** thread owns the [`ShardedDb`] and is the only thread
-//! that touches it: every connection's requests are multiplexed onto it
-//! through one bounded channel, and everything one drain pass of that
-//! channel holds — data operations, wire batches and commits, across
-//! transactions and connections — is submitted as one
+//! engine). One **engine** thread owns the [`ShardedDb`] and is the only
+//! thread that touches it: every connection's requests are multiplexed
+//! onto it through one bounded channel, and everything one drain pass of
+//! that channel holds — data operations, wire batches and commits,
+//! across transactions and connections — is submitted as one
 //! [`ShardedDb::submit_group`] call, so pipelining clients amortize the
 //! per-operation shard-mailbox round trip (a lone request is a group of
 //! one).
+//!
+//! Responses leave on the thread that made them. Each connection has an
+//! **outbox** — a buffer of framed bytes plus the write half of the
+//! socket — into which the engine encodes every response as it is
+//! decided, and which it flushes once per connection at the end of the
+//! pass with a single `write`: the responses to a pipelined burst share
+//! one syscall, and a round trip crosses no thread but the reader and
+//! the engine. The engine never waits on a client: that `write` is one
+//! attempt, bounded by a send timeout of a scheduler tick, and what a
+//! full socket would not take stays in the outbox for an on-demand
+//! **drainer** thread that blocks in the engine's stead until the buffer
+//! is empty, then exits. While a drainer owns the socket the engine only
+//! appends. The reader's own answers (`Shed`, `Malformed`) and the
+//! subscription pumps go through the same outbox and block in the same
+//! drain routine themselves, so frames never interleave and there is one
+//! write routine.
 //!
 //! # Admission control
 //!
@@ -22,9 +37,12 @@
 //!
 //! 1. **per-connection pipeline cap** — at most `pipeline` requests may
 //!    be awaiting responses on one connection; excess requests are shed
-//!    by the reader thread without ever reaching the engine. This also
-//!    bounds every per-connection outbox: the writer never holds more
-//!    than `pipeline` undelivered responses.
+//!    by the reader thread without ever reaching the engine. A request
+//!    stops counting when the kernel has accepted its whole response, so
+//!    this also bounds every outbox exactly: at most `pipeline`
+//!    undelivered responses, plus the one `Shed` its reader is blocked
+//!    delivering — a peer that does not read its responses stops being
+//!    read from.
 //! 2. **engine queue** — one bounded channel in front of the engine
 //!    thread; readers `try_send` and shed on overflow.
 //! 3. **transaction cap and shard mailboxes** — `Begin` is shed when
@@ -63,13 +81,14 @@
 //!   the connection through a bounded per-subscriber ring
 //!   ([`ServerConfig::subscriber_ring`]) that **drops and counts**
 //!   instead of ever back-pressuring the engine: a pump thread forwards
-//!   events only while the writer has credit, so a subscriber that never
-//!   reads costs the engine one failed length check per event.
+//!   one bounded round of events at a time and blocks until the kernel
+//!   has taken it, so a subscriber that never reads costs the engine one
+//!   failed length check per event.
 
 use crate::error::{FrameError, ServerError};
 use crate::frame::{
-    decode_request, encode_response, frame_into, read_frame, BatchCommit, BatchOutcome, ErrCode,
-    Request, Response,
+    decode_request, frame_response_into, read_frame, BatchCommit, BatchOutcome, ErrCode, Request,
+    Response,
 };
 use crate::stats::{
     render_prometheus, ContendedVar, HealthReport, SamplePoint, ServerStats, ShardHealth,
@@ -83,12 +102,12 @@ use ccopt_model::ids::VarId;
 use ccopt_model::state::GlobalState;
 use ccopt_trace::{EventKind, Histogram, TraceConfig, TraceSubscription, Tracer};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -242,19 +261,208 @@ struct OpsShared {
     shards_down: AtomicU32,
 }
 
-/// One writer-bound message. `credit` is the in-flight counter the
-/// writer decrements after framing: responses to wire requests return
-/// pipeline credit, subscription events return pump credit.
-struct OutMsg {
-    bytes: Vec<u8>,
-    credit: Option<Arc<AtomicUsize>>,
+/// How long one `write` may wait on a full socket before returning a
+/// short count or `WouldBlock` — the bound on the engine's single flush
+/// attempt. The kernel rounds it up to a scheduler tick. Set once on the
+/// accepted stream: every clone shares the option, and only writes see it.
+const WRITE_TICK: Duration = Duration::from_millis(1);
+
+/// One connection's response path: framed bytes the kernel has not yet
+/// accepted, plus the write half of the socket.
+///
+/// Every response — the engine's, the reader's `Shed` / `Malformed`
+/// answers, a subscription pump's `Events` — is encoded and framed
+/// straight into `buf` under the lock, so frames never interleave, and
+/// exactly one thread writes the socket at a time: whoever holds the
+/// lock inside [`flush_once`](Outbox::flush_once), or the one **drainer**
+/// that set `busy`. The engine only ever makes the one bounded attempt of
+/// `flush_once`; blocking until the peer reads is for everyone else.
+struct Outbox {
+    stream: TcpStream,
+    state: Mutex<OutState>,
+    /// Signalled when a drainer lets go of the socket.
+    idle: Condvar,
+}
+
+#[derive(Default)]
+struct OutState {
+    /// Framed bytes; `buf[..sent]` the kernel already has.
+    buf: Vec<u8>,
+    sent: usize,
+    /// One entry per frame with unaccepted bytes, oldest first: how many
+    /// of its bytes are left, and whether it answers a request (and so
+    /// returns pipeline credit once the kernel has all of it).
+    frames: VecDeque<(usize, bool)>,
+    /// Requests read off this connection whose responses the kernel has
+    /// not accepted yet: admission layer 1 compares it to `pipeline`.
+    inflight: usize,
+    /// A drainer owns the socket; everyone else only appends.
+    busy: bool,
+    /// A write failed: the connection is gone, responses are dropped.
+    dead: bool,
+}
+
+impl OutState {
+    /// The kernel accepted the next `n` bytes: return the pipeline
+    /// credit of every reply frame that is now wholly out.
+    fn accepted(&mut self, mut n: usize) {
+        while let Some((left, reply)) = self.frames.front_mut() {
+            if n < *left {
+                *left -= n;
+                return;
+            }
+            n -= *left;
+            if *reply {
+                self.inflight -= 1;
+            }
+            self.frames.pop_front();
+        }
+    }
+}
+
+impl Outbox {
+    fn new(stream: TcpStream) -> Outbox {
+        Outbox {
+            stream,
+            state: Mutex::default(),
+            idle: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, OutState> {
+        self.state.lock().expect("outbox mutex poisoned")
+    }
+
+    /// Count one request read off the connection; `false` when that puts
+    /// it over the `pipeline` cap. The lock makes the count exact against
+    /// a flush in progress: credit for a response the client has already
+    /// seen is back before its next request is judged.
+    fn admit(&self, pipeline: usize) -> bool {
+        let mut st = self.lock();
+        st.inflight += 1;
+        st.inflight <= pipeline
+    }
+
+    /// Frame one response into the buffer. `reply` frames answer a
+    /// counted request; subscription events do not. Returns `true` when
+    /// these are the first pending bytes of an unowned outbox — the
+    /// caller then owes it a flush.
+    fn push(&self, req_id: u64, resp: &Response, reply: bool) -> bool {
+        let mut st = self.lock();
+        if st.dead {
+            return false;
+        }
+        let first = st.buf.is_empty() && !st.busy;
+        let len = frame_response_into(&mut st.buf, req_id, resp);
+        st.frames.push_back((len, reply));
+        first
+    }
+
+    /// The engine's flush: **one** write attempt, bounded by
+    /// [`WRITE_TICK`], and none at all while a drainer owns the socket.
+    /// Returns `true` when bytes are left over: the outbox is then marked
+    /// owned on behalf of the drainer the caller must start
+    /// ([`drain_owned`](Outbox::drain_owned)).
+    fn flush_once(&self) -> bool {
+        let mut st = self.lock();
+        if st.busy || st.dead || st.buf.is_empty() {
+            return false;
+        }
+        let from = st.sent;
+        match (&self.stream).write(&st.buf[from..]) {
+            Ok(n) => {
+                st.sent += n;
+                st.accepted(n);
+            }
+            Err(e) if stalled(&e) => {}
+            Err(_) => {
+                self.die(&mut st);
+                return false;
+            }
+        }
+        if st.sent == st.buf.len() {
+            st.buf.clear();
+            st.sent = 0;
+            return false;
+        }
+        st.busy = true;
+        true
+    }
+
+    /// Push one response and block until the kernel has everything in
+    /// the outbox — the reader's and the pumps' send. `false` when the
+    /// connection is gone.
+    fn send(&self, req_id: u64, resp: &Response, reply: bool) -> bool {
+        self.push(req_id, resp, reply);
+        let mut st = self.lock();
+        while st.busy {
+            st = self.idle.wait(st).expect("outbox mutex poisoned");
+        }
+        st.busy = true;
+        drop(st);
+        self.drain_owned()
+    }
+
+    /// The drainer: write until the buffer is empty, sleeping in the
+    /// kernel while the peer does not read, then give the socket back.
+    /// The caller has set `busy`. The lock is held only to take the next
+    /// chunk and to book accepted bytes, so the engine keeps appending
+    /// throughout. Returns `false` when the connection is gone.
+    fn drain_owned(&self) -> bool {
+        let mut chunk = Vec::new();
+        let mut st = self.lock();
+        while !st.dead && !st.buf.is_empty() {
+            std::mem::swap(&mut chunk, &mut st.buf);
+            let mut from = std::mem::take(&mut st.sent);
+            drop(st);
+            let mut failed = false;
+            while from < chunk.len() && !failed {
+                match (&self.stream).write(&chunk[from..]) {
+                    Ok(0) => failed = true,
+                    Ok(n) => {
+                        from += n;
+                        self.lock().accepted(n);
+                    }
+                    Err(e) if stalled(&e) => {}
+                    Err(_) => failed = true,
+                }
+            }
+            chunk.clear();
+            st = self.lock();
+            if failed {
+                self.die(&mut st);
+            }
+        }
+        st.busy = false;
+        self.idle.notify_all();
+        !st.dead
+    }
+
+    /// A write failed (or no drainer could be started): drop what is
+    /// buffered, release whoever waits for the socket, and close it so
+    /// the reader notices and reports the connection gone.
+    fn die(&self, st: &mut OutState) {
+        st.dead = true;
+        st.busy = false;
+        st.buf = Vec::new();
+        st.frames.clear();
+        self.idle.notify_all();
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// The write made no progress only because the peer is not reading (or a
+/// signal arrived): try again.
+fn stalled(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    matches!(e.kind(), WouldBlock | TimedOut | Interrupted)
 }
 
 // ------------------------------------------------------------- messages
 
 enum ToEngine {
     /// A connection opened; `out` is its response outbox.
-    Conn { id: u64, out: mpsc::Sender<OutMsg> },
+    Conn { id: u64, out: Arc<Outbox> },
     /// A connection closed; abort its transactions.
     Gone { id: u64 },
     /// One decoded request.
@@ -284,7 +492,7 @@ pub struct Server {
     stop: Arc<AtomicBool>,
     kill: Arc<AtomicBool>,
     sheds: Arc<ShedCounters>,
-    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
+    conns: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
     accept: Option<JoinHandle<()>>,
     engine: Option<JoinHandle<()>>,
     ops_http: Option<JoinHandle<()>>,
@@ -465,8 +673,8 @@ impl Server {
 
     fn join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        for (_, s) in self.conns.lock().unwrap().drain() {
-            let _ = s.shutdown(Shutdown::Both);
+        for (_, out) in self.conns.lock().unwrap().drain() {
+            let _ = out.stream.shutdown(Shutdown::Both);
         }
         if let Some(h) = self.accept.take() {
             let _ = h.join();
@@ -499,7 +707,7 @@ fn accept_thread(
     tx: SyncSender<ToEngine>,
     stop: Arc<AtomicBool>,
     sheds: Arc<ShedCounters>,
-    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
+    conns: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
     pipeline: usize,
     queue_depth: Arc<AtomicUsize>,
 ) {
@@ -510,49 +718,31 @@ fn accept_thread(
                 next_id += 1;
                 let id = next_id;
                 let _ = stream.set_nodelay(true);
-                let (out_tx, out_rx) = mpsc::channel::<OutMsg>();
+                let _ = stream.set_write_timeout(Some(WRITE_TICK));
+                let Ok(write_half) = stream.try_clone() else {
+                    continue;
+                };
+                let out = Arc::new(Outbox::new(write_half));
                 // Registration order matters: the engine must learn of
                 // the connection before any of its requests.
-                if tx
-                    .send(ToEngine::Conn {
-                        id,
-                        out: out_tx.clone(),
-                    })
-                    .is_err()
-                {
+                let hello = ToEngine::Conn {
+                    id,
+                    out: Arc::clone(&out),
+                };
+                if tx.send(hello).is_err() {
                     return; // engine gone; stop accepting
                 }
-                if let (Ok(write_half), Ok(registered)) = (stream.try_clone(), stream.try_clone()) {
-                    conns.lock().unwrap().insert(id, registered);
-                    let inflight = Arc::new(AtomicUsize::new(0));
-                    {
-                        let inflight = Arc::clone(&inflight);
-                        let _ = std::thread::Builder::new()
-                            .name(format!("ccopt-net-w{id}"))
-                            .spawn(move || writer_thread(write_half, out_rx, inflight));
-                    }
-                    {
-                        let tx = tx.clone();
-                        let sheds = Arc::clone(&sheds);
-                        let conns = Arc::clone(&conns);
-                        let queue_depth = Arc::clone(&queue_depth);
-                        let _ = std::thread::Builder::new()
-                            .name(format!("ccopt-net-r{id}"))
-                            .spawn(move || {
-                                reader_thread(
-                                    stream,
-                                    id,
-                                    tx,
-                                    out_tx,
-                                    inflight,
-                                    pipeline,
-                                    sheds,
-                                    queue_depth,
-                                );
-                                conns.lock().unwrap().remove(&id);
-                            });
-                    }
-                }
+                conns.lock().unwrap().insert(id, Arc::clone(&out));
+                let tx = tx.clone();
+                let sheds = Arc::clone(&sheds);
+                let conns = Arc::clone(&conns);
+                let queue_depth = Arc::clone(&queue_depth);
+                let _ = std::thread::Builder::new()
+                    .name(format!("ccopt-net-r{id}"))
+                    .spawn(move || {
+                        reader_thread(stream, id, tx, out, pipeline, sheds, queue_depth);
+                        conns.lock().unwrap().remove(&id);
+                    });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -563,24 +753,24 @@ fn accept_thread(
 }
 
 /// Decode frames, admission-check, forward. Every accepted request
-/// produces exactly one response; the in-flight counter goes up here and
-/// down in the writer, so `pipeline` bounds both the engine's exposure
-/// to this connection and the outbox length.
-#[allow(clippy::too_many_arguments)]
+/// produces exactly one response; the outbox's in-flight count goes up
+/// here and down when the kernel has accepted that response, so
+/// `pipeline` bounds both the engine's exposure to this connection and
+/// the outbox length. The reader's own answers (`Shed`, `Malformed`) are
+/// sent blocking: a peer that will not read its responses stops being
+/// read from.
 fn reader_thread(
-    mut stream: TcpStream,
+    stream: TcpStream,
     id: u64,
     tx: SyncSender<ToEngine>,
-    out: mpsc::Sender<OutMsg>,
-    inflight: Arc<AtomicUsize>,
+    out: Arc<Outbox>,
     pipeline: usize,
     sheds: Arc<ShedCounters>,
     queue_depth: Arc<AtomicUsize>,
 ) {
-    let reply = |payload: Vec<u8>| OutMsg {
-        bytes: payload,
-        credit: None,
-    };
+    // One `read` per frame, and per pipelined burst, instead of a header
+    // read plus a payload read.
+    let mut stream = BufReader::new(stream);
     loop {
         let payload = match read_frame(&mut stream) {
             Ok(Some(p)) => p,
@@ -596,25 +786,21 @@ fn reader_thread(
                 // or close cleanly".
                 if payload.len() >= 9 {
                     let req_id = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-                    inflight.fetch_add(1, Ordering::SeqCst);
+                    out.admit(pipeline);
                     let resp = Response::Err {
                         code: ErrCode::Malformed,
                         msg: "request payload does not decode".to_string(),
                     };
-                    if out.send(reply(encode_response(req_id, &resp))).is_err() {
-                        break;
+                    if out.send(req_id, &resp, true) {
+                        continue;
                     }
-                    continue;
                 }
                 break;
             }
         };
-        let in_flight = inflight.fetch_add(1, Ordering::SeqCst);
-        let shed = in_flight >= pipeline;
-        if shed {
+        if !out.admit(pipeline) {
             sheds.pipeline.fetch_add(1, Ordering::Relaxed);
-            let msg = reply(encode_response(req_id, &Response::Shed));
-            if out.send(msg).is_err() {
+            if !out.send(req_id, &Response::Shed, true) {
                 break;
             }
             continue;
@@ -633,46 +819,15 @@ fn reader_thread(
             Err(TrySendError::Full(_)) => {
                 queue_depth.fetch_sub(1, Ordering::Relaxed);
                 sheds.queue.fetch_add(1, Ordering::Relaxed);
-                let msg = reply(encode_response(req_id, &Response::Shed));
-                if out.send(msg).is_err() {
+                if !out.send(req_id, &Response::Shed, true) {
                     break;
                 }
             }
             Err(TrySendError::Disconnected(_)) => break,
         }
     }
-    let _ = stream.shutdown(Shutdown::Both);
+    let _ = stream.get_ref().shutdown(Shutdown::Both);
     let _ = tx.send(ToEngine::Gone { id });
-}
-
-/// Frame and write responses, batching everything already queued into
-/// one flush (the write-side half of pipelining). Each message returns
-/// credit to whoever bounded it: the connection's in-flight counter for
-/// request responses, a pump's counter for subscription events.
-fn writer_thread(stream: TcpStream, out_rx: mpsc::Receiver<OutMsg>, inflight: Arc<AtomicUsize>) {
-    let mut w = std::io::BufWriter::new(stream);
-    let mut buf = Vec::with_capacity(4096);
-    let done = |m: &OutMsg| match &m.credit {
-        Some(c) => {
-            c.fetch_sub(1, Ordering::SeqCst);
-        }
-        None => {
-            inflight.fetch_sub(1, Ordering::SeqCst);
-        }
-    };
-    while let Ok(msg) = out_rx.recv() {
-        buf.clear();
-        frame_into(&mut buf, &msg.bytes);
-        done(&msg);
-        // Greedily batch whatever else is ready before flushing.
-        while let Ok(m) = out_rx.try_recv() {
-            frame_into(&mut buf, &m.bytes);
-            done(&m);
-        }
-        if w.write_all(&buf).is_err() || w.flush().is_err() {
-            return;
-        }
-    }
 }
 
 // --------------------------------------------------------- engine plane
@@ -684,18 +839,13 @@ struct SubEntry {
     stop: Arc<AtomicBool>,
 }
 
-/// How many [`Response::Events`] batch frames a pump may have
-/// undelivered in the writer channel at once. Beyond this the pump
-/// leaves events in the subscriber's bounded ring, where overflow
-/// drops-and-counts — so a subscriber that never reads bounds its whole
-/// footprint to `SUB_CREDIT` bounded frames plus one ring, and costs
-/// the engine nothing.
-const SUB_CREDIT: usize = 8;
-
 struct Engine<'a> {
     db: ShardedDb<'a>,
     tracer: Tracer,
-    conns: HashMap<u64, mpsc::Sender<OutMsg>>,
+    conns: HashMap<u64, Arc<Outbox>>,
+    /// Outboxes this pass put their first pending bytes into: each is
+    /// owed one flush when the pass ends.
+    unflushed: Vec<Arc<Outbox>>,
     /// token -> (engine handle, owning connection)
     txns: HashMap<u64, (GlobalTxn, u64)>,
     /// token -> consecutive `Wait` answers (valve input; reset by any
@@ -744,7 +894,7 @@ fn engine_thread(
     stop: Arc<AtomicBool>,
     kill: Arc<AtomicBool>,
     sheds: Arc<ShedCounters>,
-    conn_streams: Arc<Mutex<HashMap<u64, TcpStream>>>,
+    conn_streams: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
     ops: Arc<OpsShared>,
     queue_depth: Arc<AtomicUsize>,
 ) {
@@ -786,6 +936,7 @@ fn engine_thread(
         db,
         tracer,
         conns: HashMap::new(),
+        unflushed: Vec::new(),
         txns: HashMap::new(),
         waits: HashMap::new(),
         wait_valve: cfg.wait_valve,
@@ -889,8 +1040,8 @@ fn engine_thread(
     }
     // Wake every connection so its threads exit.
     stop.store(true, Ordering::SeqCst);
-    for (_, s) in conn_streams.lock().unwrap().drain() {
-        let _ = s.shutdown(Shutdown::Both);
+    for (_, out) in conn_streams.lock().unwrap().drain() {
+        let _ = out.stream.shutdown(Shutdown::Both);
     }
     let _ = done_tx.send(stats);
     // `killed` drops the database without the sync above: the write-ahead
@@ -1056,6 +1207,25 @@ impl Engine<'_> {
             }
         }
         self.flush_group(&mut pending);
+        self.flush_outboxes();
+    }
+
+    /// End of a pass: every connection answered during it gets its
+    /// responses in one coalesced `write`. The engine never waits on a
+    /// client — what a full socket would not take is left to a drainer
+    /// thread that lives until the outbox is empty.
+    fn flush_outboxes(&mut self) {
+        for out in self.unflushed.drain(..) {
+            if out.flush_once() {
+                let owned = Arc::clone(&out);
+                let spawned = std::thread::Builder::new()
+                    .name("ccopt-net-drain".to_string())
+                    .spawn(move || owned.drain_owned());
+                if spawned.is_err() {
+                    out.die(&mut out.lock());
+                }
+            }
+        }
     }
 
     /// Append one groupable request — `ops` of transaction `token`, asked
@@ -1653,13 +1823,12 @@ impl Engine<'_> {
     }
 
     fn respond(&mut self, conn: u64, req_id: u64, resp: &Response) {
+        // A closed connection is handled by the reader's `Gone`; its
+        // outbox drops the response.
         if let Some(out) = self.conns.get(&conn) {
-            // A dead writer is handled by the reader's `Gone`; dropping
-            // the response here is safe because the connection is gone.
-            let _ = out.send(OutMsg {
-                bytes: encode_response(req_id, resp),
-                credit: None,
-            });
+            if out.push(req_id, resp, true) {
+                self.unflushed.push(Arc::clone(out));
+            }
         }
     }
 }
@@ -1670,25 +1839,25 @@ impl Engine<'_> {
 ///
 /// The pump is the isolation layer between the engine and a slow
 /// subscriber: it takes lines out of the bounded [`TraceSubscription`]
-/// ring only while it holds credit (at most [`SUB_CREDIT`] batch
-/// frames undelivered in the writer channel), sleeping otherwise. A
-/// subscriber that never reads therefore stalls only this thread; the
+/// ring one round at a time and blocks in [`Outbox::send`] until the
+/// kernel has accepted them. A subscriber that never reads therefore
+/// stalls only this thread, with one round of frames undelivered; the
 /// engine keeps emitting into the ring, which drops-and-counts on
 /// overflow, and the running dropped total rides along in every
 /// [`Response::Events`] frame.
 ///
 /// Each round drains one bounded batch and packs it into as few
 /// [`Response::Events`] frames as fit under a per-frame byte cap: one
-/// channel push, one writer wake-up and one client read then carry
-/// hundreds of events instead of one — the difference between an ops
-/// plane that perturbs a single-core box and one that does not.
+/// write and one client read then carry hundreds of events instead of
+/// one — the difference between an ops plane that perturbs a
+/// single-core box and one that does not.
 ///
 /// `rate` ([`ServerConfig::subscriber_rate`]) caps delivery: at most
 /// `rate / 100` lines per 10 ms round, the rest left to the ring's
 /// drop-and-count. Zero runs the pump unpaced.
 fn subscription_pump(
     sub: TraceSubscription,
-    out: mpsc::Sender<OutMsg>,
+    out: Arc<Outbox>,
     req_id: u64,
     rate: usize,
     stop: Arc<AtomicBool>,
@@ -1704,14 +1873,9 @@ fn subscription_pump(
     } else {
         (rate / 100).max(1)
     };
-    let credit = Arc::new(AtomicUsize::new(0));
     loop {
         if stop.load(Ordering::SeqCst) || global_stop.load(Ordering::SeqCst) {
             return;
-        }
-        if credit.load(Ordering::SeqCst) >= SUB_CREDIT {
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
         }
         let (lines, dropped) = sub.drain_up_to(per_round);
         if lines.is_empty() {
@@ -1722,7 +1886,8 @@ fn subscription_pump(
         let mut bytes = 0usize;
         for line in lines {
             if !batch.is_empty() && bytes + line.len() > BATCH_BYTES {
-                if !send_events(&out, req_id, dropped, std::mem::take(&mut batch), &credit) {
+                let lines = std::mem::take(&mut batch);
+                if !out.send(req_id, &Response::Events { dropped, lines }, false) {
                     return; // connection gone
                 }
                 bytes = 0;
@@ -1730,31 +1895,17 @@ fn subscription_pump(
             bytes += line.len();
             batch.push(line);
         }
-        if !batch.is_empty() && !send_events(&out, req_id, dropped, batch, &credit) {
+        let last = Response::Events {
+            dropped,
+            lines: batch,
+        };
+        if !out.send(req_id, &last, false) {
             return; // connection gone
         }
         if rate != 0 {
             std::thread::sleep(ROUND);
         }
     }
-}
-
-/// Push one [`Response::Events`] frame into the connection's writer
-/// channel, charging the pump's credit. Returns `false` when the
-/// connection is gone.
-fn send_events(
-    out: &mpsc::Sender<OutMsg>,
-    req_id: u64,
-    dropped: u64,
-    lines: Vec<String>,
-    credit: &Arc<AtomicUsize>,
-) -> bool {
-    credit.fetch_add(1, Ordering::SeqCst);
-    out.send(OutMsg {
-        bytes: encode_response(req_id, &Response::Events { dropped, lines }),
-        credit: Some(Arc::clone(credit)),
-    })
-    .is_ok()
 }
 
 /// The dependency-free ops HTTP listener: `GET /metrics` serves the
@@ -1829,4 +1980,122 @@ fn serve_http(mut stream: TcpStream, ops: &OpsShared) {
     let _ = stream.write_all(resp.as_bytes());
     let _ = stream.flush();
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::decode_response;
+
+    /// An outbox over one end of a loopback connection, and the peer.
+    fn outbox_and_peer() -> (Arc<Outbox>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        stream.set_write_timeout(Some(WRITE_TICK)).unwrap();
+        (Arc::new(Outbox::new(stream)), peer)
+    }
+
+    #[test]
+    fn credit_returns_when_the_kernel_has_the_whole_frame() {
+        let (out, peer) = outbox_and_peer();
+        assert!(out.admit(2));
+        assert!(out.admit(2));
+        assert!(!out.admit(2), "a third request in flight is over the cap");
+        assert!(
+            out.push(1, &Response::Pong, true),
+            "first bytes owe a flush"
+        );
+        assert!(!out.push(2, &Response::Pong, true));
+        // A subscription event rides along and returns no credit.
+        let event = Response::Events {
+            dropped: 0,
+            lines: vec!["{}".to_string()],
+        };
+        assert!(!out.push(0, &event, false));
+        assert_eq!(out.lock().inflight, 3, "framed is not delivered");
+        assert!(!out.flush_once(), "an idle socket takes it all at once");
+        assert_eq!(out.lock().inflight, 1);
+        assert!(out.lock().frames.is_empty());
+        for want in [1, 2, 0] {
+            let payload = read_frame(&mut &peer).unwrap().expect("a frame");
+            assert_eq!(decode_response(&payload).unwrap().0, want);
+        }
+    }
+
+    #[test]
+    fn a_full_socket_costs_the_engine_one_bounded_attempt() {
+        let (out, peer) = outbox_and_peer();
+        // Responses nobody reads, until one flush attempt leaves bytes
+        // behind; every attempt on the way is bounded.
+        let big = Response::Err {
+            code: ErrCode::BadState,
+            msg: "x".repeat(60_000),
+        };
+        let mut pushed = 0u64;
+        loop {
+            for _ in 0..16 {
+                out.admit(usize::MAX);
+                pushed += 1;
+                out.push(pushed, &big, true);
+            }
+            let t = Instant::now();
+            let left = out.flush_once();
+            assert!(t.elapsed() < Duration::from_secs(1), "one bounded write");
+            if left {
+                break;
+            }
+            assert!(pushed < 100_000, "the socket never filled");
+        }
+        // The outbox now belongs to a drainer: the engine only appends.
+        assert!(out.lock().busy);
+        out.admit(usize::MAX);
+        pushed += 1;
+        assert!(!out.push(pushed, &Response::Pong, true), "no flush owed");
+        let t = Instant::now();
+        assert!(!out.flush_once());
+        assert!(t.elapsed() < WRITE_TICK, "an owned socket is not touched");
+        let undelivered = out.lock().inflight;
+        assert!(undelivered > 1, "leftovers hold their credit");
+
+        // The drainer delivers everything, in order, once the peer reads.
+        let drainer = {
+            let out = Arc::clone(&out);
+            std::thread::spawn(move || out.drain_owned())
+        };
+        for want in 1..=pushed {
+            let payload = read_frame(&mut &peer).unwrap().expect("a frame");
+            assert_eq!(decode_response(&payload).unwrap().0, want);
+        }
+        assert!(drainer.join().unwrap(), "the connection is still alive");
+        let st = out.lock();
+        assert!(!st.busy && st.buf.is_empty() && st.frames.is_empty());
+        assert_eq!(st.inflight, 0);
+    }
+
+    #[test]
+    fn a_dead_peer_ends_the_drainer() {
+        let (out, peer) = outbox_and_peer();
+        let big = Response::Err {
+            code: ErrCode::BadState,
+            msg: "x".repeat(60_000),
+        };
+        let mut req_id = 0;
+        while !out.flush_once() {
+            for _ in 0..16 {
+                req_id += 1;
+                out.admit(usize::MAX);
+                out.push(req_id, &big, true);
+            }
+        }
+        let drainer = {
+            let out = Arc::clone(&out);
+            std::thread::spawn(move || out.drain_owned())
+        };
+        drop(peer); // closes with unread data: the kernel resets
+        assert!(!drainer.join().unwrap(), "the drainer reports the death");
+        assert!(!out.send(req_id + 1, &Response::Pong, true));
+        let st = out.lock();
+        assert!(st.dead && !st.busy && st.buf.is_empty());
+    }
 }

@@ -21,7 +21,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const VARS: u32 = 8;
 const TXNS: usize = 40;
@@ -94,6 +94,21 @@ fn http_get(addr: &str, path: &str) -> (u32, String) {
     (status, body)
 }
 
+/// Poll `probe` until it passes or 2 s are up. `/metrics` and the
+/// snapshot's `series` serve the sampler's last *published* tick (50 ms
+/// here, driven by the engine loop), so a single look right after the
+/// workload can still see the tick before its last commits.
+fn eventually<T>(what: &str, mut probe: impl FnMut() -> Result<T, String>) -> T {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        match probe() {
+            Ok(v) => return v,
+            Err(seen) if Instant::now() >= deadline => panic!("{what}: {seen}"),
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+    }
+}
+
 #[test]
 fn served_binary_exposes_a_reconciling_ops_plane() {
     let mut server = spawn_server();
@@ -153,29 +168,35 @@ fn served_binary_exposes_a_reconciling_ops_plane() {
     // Health and exposition over real HTTP.
     let (code, body) = http_get(&server.metrics, "/healthz");
     assert_eq!(code, 200, "healthy: {body}");
-    let (code, body) = http_get(&server.metrics, "/metrics");
-    assert_eq!(code, 200);
-    let samples = parse_prometheus(&body).expect("exposition parses");
-    assert_eq!(
-        sample(&samples, "ccopt_commits_total"),
-        Some(committed as f64),
-        "the exposition reconciles with client-observed commits"
+    let samples = eventually(
+        "the exposition reconciles with client-observed commits",
+        || {
+            let (code, body) = http_get(&server.metrics, "/metrics");
+            assert_eq!(code, 200);
+            let samples = parse_prometheus(&body).expect("exposition parses");
+            match sample(&samples, "ccopt_commits_total") {
+                Some(n) if n == committed as f64 => Ok(samples),
+                other => Err(format!("ccopt_commits_total = {other:?}, want {committed}")),
+            }
+        },
     );
     assert_eq!(sample(&samples, "ccopt_shard_up{shard=\"0\"}"), Some(1.0));
     assert_eq!(sample(&samples, "ccopt_shard_up{shard=\"1\"}"), Some(1.0));
 
     // The wire snapshot reconciles too, and its ledgers balance.
-    let stats = client.stats().expect("stats");
+    let stats = eventually("the sampler populated the time-series", || {
+        let stats = client.stats().expect("stats");
+        if stats.series.is_empty() {
+            return Err("series is empty".to_string());
+        }
+        Ok(stats)
+    });
     assert_eq!(stats.metrics.commits as u64, committed);
     assert_eq!(
         stats.metrics.aborts_by_rule.iter().sum::<usize>(),
         stats.metrics.aborts
     );
     assert!(stats.subscribers >= 1, "the subscription is visible");
-    assert!(
-        !stats.series.is_empty(),
-        "the sampler populated the time-series"
-    );
 
     // Drain over the wire; the binary's stdout must contain at least one
     // machine-parseable sampler line before the drain summary.
