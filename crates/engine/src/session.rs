@@ -880,6 +880,11 @@ impl SessionDb {
     }
 
     // --------------------------------------------------------------- finish
+    //
+    // A commit is three stages, each written once: **decide** (ask the
+    // concurrency control), **log** (the write-set, under a commit or a
+    // prepare record), **land** (install, publish, account). `commit` runs
+    // all three; a two-phase commit parks between log and land.
 
     /// Ask the concurrency control to commit the transaction. On success
     /// the deferred write phase runs (buffered values reach the store; the
@@ -899,90 +904,10 @@ impl SessionDb {
     /// the durability contract it was opened with.
     pub fn commit(&mut self, h: Txn) -> Result<Op<()>, SessionError> {
         let ti = self.running(h)?;
-        let t = TxnId(h.slot);
-        let decision = self.cc.on_commit(t, self.tick);
-        if self.tracer.is_on() {
-            let verdict = match decision {
-                CcDecision::Proceed => Verdict::Proceed,
-                CcDecision::Wait => Verdict::Wait,
-                CcDecision::Abort => Verdict::Abort,
-            };
-            let gsn = self.slots[ti].gsn;
-            let tick = self.tick;
-            self.tracer
-                .emit(tick, EventKind::CcDecision { txn: gsn, verdict });
-        }
-        match decision {
-            CcDecision::Proceed => {
-                // Write phase for deferred-write CCs: apply buffered values
-                // in first-write order (`cts` is meaningless, and unused, on
-                // the single-version path).
-                let cts = self.cc.commit_view(t);
-                let gsn = self.slots[ti].gsn;
-                if let Some(wal) = &mut self.wal {
-                    // One redo group per commit, encoded into the log's
-                    // reusable scratch buffer as the write phase runs.
-                    wal.start_commit(gsn, cts);
-                }
-                for at in 0..self.slots[ti].wbuf.writes.len() {
-                    let (var, value) = self.slots[ti].wbuf.writes[at];
-                    if let Some(wal) = &mut self.wal {
-                        wal.push_write(var, value);
-                    }
-                    self.install_write(var, value, cts);
-                }
-                self.slots[ti].wbuf.clear();
-                if let Some(wal) = &mut self.wal {
-                    // Immediate-write mechanisms carry no write buffer:
-                    // their committed after-images are the current stored
-                    // values of the variables in the undo log (strictness
-                    // guarantees no other live writer touched them).
-                    if let Store::Single(storage) = &self.store {
-                        let undo = &self.slots[ti].undo;
-                        for (i, &(var, _)) in undo.iter().enumerate() {
-                            if undo[..i].iter().any(|&(v, _)| v == var) {
-                                continue; // first-write order, once per var
-                            }
-                            wal.push_write(var, storage.get(var));
-                        }
-                    }
-                    let tick = self.tick;
-                    if let Err(e) = wal.finish_commit(gsn, tick) {
-                        panic!("write-ahead log failed at commit: {e}");
-                    }
-                    self.refresh_wal_metrics();
-                }
-                if self.cc.multiversion() {
-                    self.max_cts = self.max_cts.max(cts);
-                }
-                self.slots[ti].undo.clear();
-                self.slots[ti].status = Status::Committed;
-                self.cc.after_commit(t);
-                self.metrics.commits += 1;
-                self.commit_latency_ticks
-                    .record(self.tick - self.slots[ti].begin_tick);
-                if self.tracer.is_on() {
-                    let gsn = self.slots[ti].gsn;
-                    let tick = self.tick;
-                    self.tracer.emit(tick, EventKind::Commit { txn: gsn });
-                }
-                self.sweep_versions();
-                self.drain_deferred();
-                Ok(Op::Done(()))
-            }
-            CcDecision::Abort => {
-                if self.cc.multiversion() {
-                    self.metrics.mv_write_aborts += 1;
-                }
-                self.note_cc_abort(ti);
-                self.restart_slot(ti);
-                Ok(Op::Restarted)
-            }
-            CcDecision::Wait => {
-                self.note_wait(ti);
-                Ok(Op::Wait)
-            }
-        }
+        Ok(self.decide(ti).map_done(|cts| {
+            self.log_write_set(ti, cts, None);
+            self.land(ti, cts);
+        }))
     }
 
     /// Two-phase commit, phase 1 (one shard's **vote**): run the
@@ -1010,77 +935,16 @@ impl SessionDb {
         coord: u32,
     ) -> Result<Op<()>, SessionError> {
         let ti = self.running(h)?;
-        let t = TxnId(h.slot);
-        let decision = self.cc.on_commit(t, self.tick);
-        if self.tracer.is_on() {
-            let verdict = match decision {
-                CcDecision::Proceed => Verdict::Proceed,
-                CcDecision::Wait => Verdict::Wait,
-                CcDecision::Abort => Verdict::Abort,
-            };
-            let gsn = self.slots[ti].gsn;
-            let tick = self.tick;
+        Ok(self.decide(ti).map_done(|cts| {
+            self.log_write_set(ti, cts, Some((gtid, coord)));
+            let slot = &mut self.slots[ti];
+            slot.status = Status::Prepared;
+            slot.gtid = gtid;
+            slot.cts = cts;
+            let (txn, vote) = (slot.gsn, true);
             self.tracer
-                .emit(tick, EventKind::CcDecision { txn: gsn, verdict });
-        }
-        match decision {
-            CcDecision::Proceed => {}
-            CcDecision::Abort => {
-                if self.cc.multiversion() {
-                    self.metrics.mv_write_aborts += 1;
-                }
-                self.note_cc_abort(ti);
-                self.restart_slot(ti);
-                return Ok(Op::Restarted);
-            }
-            CcDecision::Wait => {
-                self.note_wait(ti);
-                return Ok(Op::Wait);
-            }
-        }
-        let cts = self.cc.commit_view(t);
-        let gsn = self.slots[ti].gsn;
-        if let Some(wal) = &mut self.wal {
-            // The durable yes-vote: write-set after-images exactly as a
-            // commit would log them, but under a prepare record keyed by
-            // the global transaction id, and always fsynced — a commit
-            // decision must never outlive a lost vote.
-            wal.start_prepare(gsn, gtid, cts, coord);
-            let slot = &self.slots[ti];
-            for &(var, value) in &slot.wbuf.writes {
-                wal.push_write(var, value);
-            }
-            if let Store::Single(storage) = &self.store {
-                let undo = &slot.undo;
-                for (i, &(var, _)) in undo.iter().enumerate() {
-                    if undo[..i].iter().any(|&(v, _)| v == var) {
-                        continue; // first-write order, once per var
-                    }
-                    wal.push_write(var, storage.get(var));
-                }
-            }
-            if let Err(e) = wal.finish_prepare() {
-                panic!("write-ahead log failed at prepare: {e}");
-            }
-            self.refresh_wal_metrics();
-        }
-        let slot = &mut self.slots[ti];
-        slot.status = Status::Prepared;
-        slot.gtid = gtid;
-        slot.cts = cts;
-        if self.tracer.is_on() {
-            let gsn = self.slots[ti].gsn;
-            let tick = self.tick;
-            self.tracer.emit(
-                tick,
-                EventKind::Prepare {
-                    txn: gsn,
-                    gtid,
-                    vote: true,
-                },
-            );
-        }
-        Ok(Op::Done(()))
+                .emit(self.tick, EventKind::Prepare { txn, gtid, vote });
+        }))
     }
 
     /// Two-phase commit, phase 2 (the coordinator's **decision**) for a
@@ -1110,74 +974,25 @@ impl SessionDb {
             Status::Committed => return Err(SessionError::AlreadyCommitted),
             Status::Free => unreachable!("stale handles were rejected"),
         }
-        let t = TxnId(h.slot);
         let gtid = self.slots[ti].gtid;
-        if self.tracer.is_on() {
-            let tick = self.tick;
-            self.tracer.emit(tick, EventKind::Resolve { gtid, commit });
+        self.tracer
+            .emit(self.tick, EventKind::Resolve { gtid, commit });
+        if let Some(wal) = &mut self.wal {
+            if let Err(e) = wal.resolve_txn(gtid, commit, force_sync) {
+                panic!("write-ahead log failed at resolve: {e}");
+            }
+            self.refresh_wal_metrics();
         }
         if commit {
-            let cts = self.slots[ti].cts;
-            for at in 0..self.slots[ti].wbuf.writes.len() {
-                let (var, value) = self.slots[ti].wbuf.writes[at];
-                self.install_write(var, value, cts);
-            }
-            self.slots[ti].wbuf.clear();
-            if let Some(wal) = &mut self.wal {
-                if let Err(e) = wal.resolve_txn(gtid, true, force_sync) {
-                    panic!("write-ahead log failed at resolve: {e}");
-                }
-                self.refresh_wal_metrics();
-            }
-            if self.cc.multiversion() {
-                self.max_cts = self.max_cts.max(cts);
-            }
-            self.slots[ti].undo.clear();
-            self.slots[ti].status = Status::Committed;
-            self.cc.after_commit(t);
-            self.metrics.commits += 1;
-            self.commit_latency_ticks
-                .record(self.tick - self.slots[ti].begin_tick);
-            if self.tracer.is_on() {
-                let gsn = self.slots[ti].gsn;
-                let tick = self.tick;
-                self.tracer.emit(tick, EventKind::Commit { txn: gsn });
-            }
-            self.sweep_versions();
-            self.drain_deferred();
+            self.land(ti, self.slots[ti].cts);
         } else {
             // The coordinator aborted the global transaction (some other
             // shard failed its vote, or the client gave up): the vote is
-            // void — roll back and retire like a client abort. This shard
-            // only sees the decision, not its cause, so the abort is
-            // attributed to the client; the coordinator's own metrics
-            // carry the real reason (shed, failover) when it knows one.
-            self.slots[ti].status = Status::Running;
-            self.rollback(ti);
-            self.cc.on_abort(t);
-            if let Some(wal) = &mut self.wal {
-                if let Err(e) = wal.resolve_txn(gtid, false, force_sync) {
-                    panic!("write-ahead log failed at resolve: {e}");
-                }
-                self.refresh_wal_metrics();
-            }
-            self.metrics.aborts += 1;
-            self.metrics.aborts_by_rule[ConflictRule::Client.index()] += 1;
-            self.tick += 1;
-            if self.tracer.is_on() {
-                let gsn = self.slots[ti].gsn;
-                let tick = self.tick;
-                self.tracer.emit(
-                    tick,
-                    EventKind::Abort {
-                        txn: gsn,
-                        rule: ConflictRule::Client,
-                        var: None,
-                        opponent: None,
-                    },
-                );
-            }
-            self.retire_slot(ti);
+            // void. This shard only sees the decision, not its cause, so
+            // the abort is attributed to the client; the coordinator's own
+            // metrics carry the real reason (shed, failover) when it knows
+            // one.
+            self.abandon(ti);
         }
         Ok(())
     }
@@ -1187,32 +1002,13 @@ impl SessionDb {
     /// session goes stale).
     pub fn abort(&mut self, h: Txn) -> Result<(), SessionError> {
         let ti = self.running(h)?;
-        let t = TxnId(h.slot);
-        self.rollback(ti);
-        self.cc.on_abort(t);
         if let Some(wal) = &mut self.wal {
             // Informational only (redo-only logging durably records
             // nothing of an uncommitted transaction): buffered, unsynced.
             wal.abort_txn(self.slots[ti].gsn);
             self.refresh_wal_metrics();
         }
-        self.metrics.aborts += 1;
-        self.metrics.aborts_by_rule[ConflictRule::Client.index()] += 1;
-        self.tick += 1;
-        if self.tracer.is_on() {
-            let gsn = self.slots[ti].gsn;
-            let tick = self.tick;
-            self.tracer.emit(
-                tick,
-                EventKind::Abort {
-                    txn: gsn,
-                    rule: ConflictRule::Client,
-                    var: None,
-                    opponent: None,
-                },
-            );
-        }
-        self.retire_slot(ti);
+        self.abandon(ti);
         Ok(())
     }
 
@@ -1222,20 +1018,7 @@ impl SessionDb {
     /// restart is a driver decision, not a concurrency-control rule.
     pub fn restart(&mut self, h: Txn) -> Result<(), SessionError> {
         let ti = self.running(h)?;
-        self.metrics.aborts_by_rule[ConflictRule::Client.index()] += 1;
-        if self.tracer.is_on() {
-            let gsn = self.slots[ti].gsn;
-            let tick = self.tick;
-            self.tracer.emit(
-                tick,
-                EventKind::Abort {
-                    txn: gsn,
-                    rule: ConflictRule::Client,
-                    var: None,
-                    opponent: None,
-                },
-            );
-        }
+        self.note_client_abort(ti);
         self.restart_slot(ti);
         Ok(())
     }
@@ -1547,21 +1330,135 @@ impl SessionDb {
         }
     }
 
-    /// The write phase of one buffered write: store it, on the
-    /// multi-version store as a version at `cts`.
-    fn install_write(&mut self, var: VarId, value: Value, cts: u64) {
-        match &mut self.store {
-            Store::Single(storage) => {
-                storage.set(var, value);
+    /// Commit stage 1 — **decide**: the one place the concurrency control
+    /// is asked to commit. `Done` carries the commit timestamp (`cts` is
+    /// meaningless, and unused, on the single-version path); an abort has
+    /// already restarted the slot, a wait has been booked.
+    fn decide(&mut self, ti: usize) -> Op<u64> {
+        let t = TxnId(ti as u32);
+        let decision = self.cc.on_commit(t, self.tick);
+        let verdict = match decision {
+            CcDecision::Proceed => Verdict::Proceed,
+            CcDecision::Wait => Verdict::Wait,
+            CcDecision::Abort => Verdict::Abort,
+        };
+        let txn = self.slots[ti].gsn;
+        self.tracer
+            .emit(self.tick, EventKind::CcDecision { txn, verdict });
+        match decision {
+            CcDecision::Proceed => Op::Done(self.cc.commit_view(t)),
+            CcDecision::Abort => {
+                if self.cc.multiversion() {
+                    self.metrics.mv_write_aborts += 1;
+                }
+                self.note_cc_abort(ti);
+                self.restart_slot(ti);
+                Op::Restarted
             }
-            Store::Multi(mv) => {
-                mv.install(var, cts, value);
-                self.metrics.versions_installed += 1;
-                // The gauge samples per-chain peaks exactly: chains only
-                // ever grow at this install.
-                self.metrics.max_chain_len = self.metrics.max_chain_len.max(mv.chain_len(var));
+            CcDecision::Wait => {
+                self.note_wait(ti);
+                Op::Wait
             }
         }
+    }
+
+    /// Commit stage 2 — **log**: one redo group holding the write-set's
+    /// after-images, encoded into the log's reusable scratch buffer —
+    /// under a commit record, or (`vote`: the global transaction id and
+    /// its coordinator shard) under the prepare record of a durable
+    /// yes-vote, which is always fsynced: a commit decision must never
+    /// outlive a lost vote. No-op without durability.
+    fn log_write_set(&mut self, ti: usize, cts: u64, vote: Option<(u64, u32)>) {
+        let Some(wal) = &mut self.wal else {
+            return;
+        };
+        let slot = &self.slots[ti];
+        match vote {
+            None => wal.start_commit(slot.gsn, cts),
+            Some((gtid, coord)) => wal.start_prepare(slot.gsn, gtid, cts, coord),
+        }
+        // Deferred-write mechanisms: the buffer, in first-write order.
+        for &(var, value) in &slot.wbuf.writes {
+            wal.push_write(var, value);
+        }
+        // Immediate-write mechanisms carry no write buffer: their
+        // committed after-images are the current stored values of the
+        // variables in the undo log (strictness guarantees no other live
+        // writer touched them).
+        if let Store::Single(storage) = &self.store {
+            for (i, &(var, _)) in slot.undo.iter().enumerate() {
+                if slot.undo[..i].iter().any(|&(v, _)| v == var) {
+                    continue; // first-write order, once per var
+                }
+                wal.push_write(var, storage.get(var));
+            }
+        }
+        let (record, logged) = match vote {
+            None => ("commit", wal.finish_commit(slot.gsn, self.tick).map(drop)),
+            Some(_) => ("prepare", wal.finish_prepare()),
+        };
+        if let Err(e) = logged {
+            panic!("write-ahead log failed at {record}: {e}");
+        }
+        self.refresh_wal_metrics();
+    }
+
+    /// Commit stage 3 — **land**: the write phase (buffered values reach
+    /// the store in first-write order, on the multi-version store as
+    /// versions at `cts`) and the one place a transaction becomes
+    /// [`Status::Committed`].
+    fn land(&mut self, ti: usize, cts: u64) {
+        let slot = &mut self.slots[ti];
+        match &mut self.store {
+            Store::Single(storage) => {
+                for &(var, value) in &slot.wbuf.writes {
+                    storage.set(var, value);
+                }
+            }
+            Store::Multi(mv) => {
+                for &(var, value) in &slot.wbuf.writes {
+                    mv.install(var, cts, value);
+                    self.metrics.versions_installed += 1;
+                    // The gauge samples per-chain peaks exactly: chains
+                    // only ever grow at this install.
+                    self.metrics.max_chain_len = self.metrics.max_chain_len.max(mv.chain_len(var));
+                }
+                self.max_cts = self.max_cts.max(cts);
+            }
+        }
+        slot.wbuf.clear();
+        slot.undo.clear();
+        slot.status = Status::Committed;
+        let (txn, begin_tick) = (slot.gsn, slot.begin_tick);
+        self.cc.after_commit(TxnId(ti as u32));
+        self.metrics.commits += 1;
+        self.commit_latency_ticks.record(self.tick - begin_tick);
+        self.tracer.emit(self.tick, EventKind::Commit { txn });
+        self.sweep_versions();
+        self.drain_deferred();
+    }
+
+    /// The client gave the transaction up (its own abort, or the
+    /// coordinator's no): roll back and retire the slot.
+    fn abandon(&mut self, ti: usize) {
+        self.rollback(ti);
+        self.note_client_abort(ti);
+        self.retire_slot(ti);
+    }
+
+    /// Book a client-decided abort (the one place [`ConflictRule::Client`]
+    /// is attributed and its trace event emitted).
+    fn note_client_abort(&mut self, ti: usize) {
+        self.metrics.aborts_by_rule[ConflictRule::Client.index()] += 1;
+        self.tracer.emit(
+            self.tick,
+            EventKind::Abort {
+                txn: self.slots[ti].gsn,
+                rule: ConflictRule::Client,
+                var: None,
+                opponent: None,
+            },
+        );
     }
 
     /// A commit retired a snapshot: reclaim the versions no remaining
@@ -1578,8 +1475,10 @@ impl SessionDb {
         }
     }
 
-    /// Undo the slot's effects on the store. Deferred-write mechanisms
-    /// have nothing to undo — their buffered writes are simply dropped.
+    /// The one rollback, whoever decided the abort: undo the slot's
+    /// effects on the store (deferred-write mechanisms have nothing to
+    /// undo — their buffered writes are simply dropped), tell the
+    /// concurrency control, and count the abort and its tick.
     fn rollback(&mut self, ti: usize) {
         let undo = std::mem::take(&mut self.slots[ti].undo);
         if let Store::Single(storage) = &mut self.store {
@@ -1588,16 +1487,16 @@ impl SessionDb {
             debug_assert!(undo.is_empty(), "multi-version runs never log undo");
         }
         self.slots[ti].wbuf.clear();
+        self.cc.on_abort(TxnId(ti as u32));
+        self.metrics.aborts += 1;
+        self.tick += 1;
     }
 
-    /// CC-initiated abort: roll back, notify, and restart immediately with
-    /// a fresh CC context on the same slot.
+    /// Roll back and restart immediately with a fresh CC context on the
+    /// same slot (a CC-initiated abort, or the drivers' restart valve).
     fn restart_slot(&mut self, ti: usize) {
         let t = TxnId(ti as u32);
         self.rollback(ti);
-        self.cc.on_abort(t);
-        self.metrics.aborts += 1;
-        self.tick += 1;
         self.slots[ti].attempts += 1;
         if let Some(wal) = &mut self.wal {
             // The restarted attempt is a fresh logical transaction.
@@ -1612,11 +1511,8 @@ impl SessionDb {
             None => self.cc.begin(t, self.tick),
             Some(ts) => self.cc.begin_at(t, self.tick, ts),
         }
-        if self.tracer.is_on() {
-            let gsn = self.slots[ti].gsn;
-            let tick = self.tick;
-            self.tracer.emit(tick, EventKind::TxnBegin { txn: gsn });
-        }
+        let txn = self.slots[ti].gsn;
+        self.tracer.emit(self.tick, EventKind::TxnBegin { txn });
         self.drain_deferred();
     }
 
@@ -2132,5 +2028,78 @@ mod tests {
         assert_eq!(db.commit(h), Ok(Op::Done(())));
         db.retire(h).unwrap();
         assert_eq!(db.metrics.diff(&before).aborts, 0);
+    }
+
+    /// The one-pipeline pin: committing a transaction in one step and
+    /// committing it as a two-phase vote plus a coordinator yes run the
+    /// same decide / log / land stages, so they must leave the same
+    /// store, counters (the log's own aside: a vote and a resolve are two
+    /// records where a commit is one), latency histogram, `Commit` trace
+    /// events and recovered state — for every mechanism, which covers
+    /// both store kinds.
+    #[test]
+    fn commit_and_vote_then_resolve_land_identically() {
+        use ccopt_trace::{TraceConfig, TraceHub};
+        for name in crate::cc::MECHANISM_NAMES {
+            let run = |two_phase: bool| {
+                let tag = format!("pipeline-{}-{two_phase}", name.replace('/', "-"));
+                let path = ccopt_durability::scratch_path(&tag);
+                let _ = std::fs::remove_file(&path);
+                let open = || {
+                    let cc = crate::cc::cc_by_name(name).expect("a known mechanism");
+                    let init = GlobalState::from_ints(&[1, 2, 3, 4]);
+                    SessionDb::open(cc, init, &path, DurabilityMode::Strict).unwrap()
+                };
+                let hub = TraceHub::new(&TraceConfig::ring(256)).unwrap();
+                let mut db = open();
+                db.set_tracer(hub.tracer(0));
+                for round in 0..3u64 {
+                    let h = db.begin();
+                    // A read, a blind write, and one variable written
+                    // twice (logged once, in first-write order).
+                    assert!(matches!(db.read(h, v(3)).unwrap(), Op::Done(_)));
+                    assert!(matches!(db.update(h, v(1), inc).unwrap(), Op::Done(_)));
+                    assert!(matches!(db.write(h, v(0), int(7)).unwrap(), Op::Done(_)));
+                    assert!(matches!(db.update(h, v(1), inc).unwrap(), Op::Done(_)));
+                    if two_phase {
+                        assert_eq!(db.prepare_commit(h, 40 + round, 0), Ok(Op::Done(())));
+                        assert_eq!(db.status(h), SessionStatus::Prepared);
+                        db.resolve_commit(h, true, true).unwrap();
+                    } else {
+                        assert_eq!(db.commit(h), Ok(Op::Done(())));
+                    }
+                    assert_eq!(db.status(h), SessionStatus::Committed);
+                    db.retire(h).unwrap();
+                }
+                let commits: Vec<(u64, EventKind)> = hub
+                    .merged_events()
+                    .into_iter()
+                    .filter(|e| matches!(e.kind, EventKind::Commit { .. }))
+                    .map(|e| (e.tick, e.kind))
+                    .collect();
+                assert_eq!(commits.len(), 3, "{name}");
+                let counters = Metrics {
+                    wal_records: 0,
+                    wal_syncs: 0,
+                    wal_bytes: 0,
+                    ..db.metrics
+                };
+                let landed = (
+                    db.globals(),
+                    db.committed_globals(),
+                    db.live_versions(),
+                    counters,
+                    db.commit_latency_ticks().clone(),
+                    commits,
+                );
+                drop(db); // crash: both forms were durable at their ack
+                let recovered = open().globals();
+                let _ = std::fs::remove_file(&path);
+                (landed, recovered)
+            };
+            let (one_step, two_phase) = (run(false), run(true));
+            assert_eq!(one_step, two_phase, "{name}");
+            assert_eq!(one_step.0 .0, one_step.1, "{name}: recovery is exact");
+        }
     }
 }

@@ -1,0 +1,594 @@
+//! The operation path: the scatter/gather primitive every coordinator →
+//! shard interaction goes through, the shard-job executor (the only code
+//! that runs data operations on a shard), and grouped submission.
+
+use super::{GlobalTxn, ShardedDb, SubState};
+use crate::session::{Op, SessionDb, SessionError, Txn};
+use ccopt_model::ids::VarId;
+use ccopt_model::syntax::StepKind;
+use ccopt_model::value::Value;
+use ccopt_par::{Reply, Worker, WorkerError};
+use ccopt_trace::{ConflictRule, EventKind};
+
+/// One reply per scattered job, tagged with its shard, in submission
+/// order (`Err`: the worker was dead, or died before answering).
+pub(super) type Replies<R> = Vec<(usize, Result<R, WorkerError>)>;
+
+/// The scatter/gather primitive: submit each `(shard, job)` to its
+/// shard's mailbox, then wait for every reply, both in iteration order.
+/// The shards run their jobs concurrently. `jobs` is pulled between
+/// submits, so whatever producing a later job does to other mailboxes
+/// lands behind the jobs already submitted there — per-shard FIFO
+/// mailboxes make every such boundary deterministic.
+pub(super) fn gather<R, F>(
+    workers: &[Worker<SessionDb>],
+    jobs: impl IntoIterator<Item = (usize, F)>,
+) -> Replies<R>
+where
+    R: Send + 'static,
+    F: FnOnce(&mut SessionDb) -> R + Send + 'static,
+{
+    let pending: Vec<_> = jobs
+        .into_iter()
+        .map(|(s, job)| (s, workers[s].submit(job)))
+        .collect();
+    pending
+        .into_iter()
+        .map(|(s, reply)| (s, reply.and_then(Reply::wait)))
+        .collect()
+}
+
+/// One operation of a grouped submission ([`ShardedDb::submit_group`]).
+///
+/// This is the closed set of step shapes the wire protocol can express:
+/// unlike [`ShardedDb::update`]'s arbitrary closure, an affine update is
+/// plain data, so a whole run of operations moves to a shard worker in
+/// one mailbox message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BatchOp {
+    /// Observe a variable.
+    Read(VarId),
+    /// Blind-write a value (the observed old value rides along).
+    Write(VarId, Value),
+    /// Read-modify-write `v ← a·v + c` ([`affine_eval`]).
+    Affine {
+        /// The updated variable.
+        var: VarId,
+        /// Multiplier.
+        a: i64,
+        /// Offset.
+        c: i64,
+    },
+}
+
+impl BatchOp {
+    /// The variable the operation touches (what routes it to a shard).
+    pub fn var(&self) -> VarId {
+        match *self {
+            BatchOp::Read(v) | BatchOp::Write(v, _) => v,
+            BatchOp::Affine { var, .. } => var,
+        }
+    }
+}
+
+/// One transaction's contribution to a [`ShardedDb::submit_group`] call:
+/// a run of operations (possibly empty) and, optionally, the
+/// transaction's commit piggybacked on the same shard message.
+#[derive(Clone, Debug)]
+pub struct GroupReq {
+    /// The transaction the run belongs to.
+    pub h: GlobalTxn,
+    /// The operations, in program order (may be empty for a commit-only
+    /// request).
+    pub ops: Vec<BatchOp>,
+    /// Attempt to commit (and retire) after the run; honored only when
+    /// every operation completes [`Op::Done`].
+    pub commit: bool,
+}
+
+/// What one [`GroupReq`] came to.
+#[derive(Clone, Debug)]
+pub struct GroupResp {
+    /// Per-operation outcomes under the partial-batch contract of
+    /// [`ShardedDb::submit_group`]: in submission order, stopping at the
+    /// first non-[`Op::Done`] outcome.
+    pub results: Result<Vec<Op<Value>>, SessionError>,
+    /// The commit outcome; `None` when no commit was requested or the
+    /// run did not complete. On `Ok(Op::Done(()))` the transaction was
+    /// also retired — the handle is dead.
+    pub commit: Option<Result<Op<()>, SessionError>>,
+}
+
+/// One operation of a [`Job`]'s run.
+enum RunOp {
+    /// A wire-expressible step (plain data).
+    Data(BatchOp),
+    /// [`ShardedDb::apply`]'s arbitrary step closure, boxed so it travels
+    /// in the same message shape.
+    Call(StepKind, Box<dyn FnOnce(Value) -> Value + Send>),
+}
+
+/// What a [`Job`] does once its whole run completed [`Op::Done`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Finish {
+    /// Nothing: the transaction stays open.
+    None,
+    /// Attempt the single-shard commit.
+    Commit,
+    /// Attempt the commit and, when it lands, retire the sub-transaction
+    /// in the same message.
+    CommitRetire,
+}
+
+/// One transaction's work inside one shard message
+/// ([`ShardedDb::shard_jobs`]).
+struct Job {
+    /// The transaction's coordinator slot (echoed in the [`JobOut`]).
+    ti: usize,
+    /// The open sub-transaction; `None` when the transaction has not
+    /// touched this shard yet — the begin (at `gts`) rides this message.
+    sub: Option<Txn>,
+    gts: u64,
+    /// Operations with their shard-local variable ids, in program order.
+    run: Vec<(VarId, RunOp)>,
+    finish: Finish,
+    /// The shard GC floor for the commit (read only when `finish`
+    /// commits).
+    floor: u64,
+}
+
+/// What one [`Job`] came to on its shard.
+struct JobOut {
+    ti: usize,
+    sub: Txn,
+    /// Per-operation outcomes, stopping at the first non-`Done`.
+    results: Vec<Op<Value>>,
+    /// Restart stamp consumed by this job (ops or commit).
+    consumed: Option<u64>,
+    commit: Option<Op<()>>,
+    retired: bool,
+}
+
+/// A job's adopted outcome: per-operation results, and the commit's when one
+/// was attempted. [`Settled`] is that, or what kept the job from running.
+type Adopted = (Vec<Op<Value>>, Option<Op<()>>);
+type Settled = Result<Adopted, SessionError>;
+
+/// The affine update function of [`BatchOp::Affine`]: `a·v + c` over
+/// wrapping `i64` arithmetic, reading booleans as 0/1 and symbolic terms
+/// as 0 (total, so a malformed wire request can never panic a shard).
+/// Public so wire clients can predict a served update's result exactly —
+/// the served-vs-in-process differential test leans on this.
+pub fn affine_eval(a: i64, c: i64, observed: Value) -> Value {
+    let v = observed.as_int().unwrap_or(0);
+    Value::Int(a.wrapping_mul(v).wrapping_add(c))
+}
+
+impl ShardedDb<'_> {
+    /// [`gather`], then supervise every shard whose worker turned out
+    /// dead — only once the last reply is in, so a restart never runs
+    /// under a fan-out still in flight.
+    pub(super) fn scatter<R, F>(&mut self, jobs: impl IntoIterator<Item = (usize, F)>) -> Replies<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut SessionDb) -> R + Send + 'static,
+    {
+        let replies = gather(&self.workers, jobs);
+        self.supervise_dead(&replies);
+        replies
+    }
+
+    // ----------------------------------------------------------- operations
+
+    /// Observe global variable `var` (a pure read).
+    pub fn read(&mut self, h: GlobalTxn, var: VarId) -> Result<Op<Value>, SessionError> {
+        self.apply(h, var, StepKind::Read, |v| v)
+    }
+
+    /// Blind-write `value` to `var`; the observed old value rides along.
+    pub fn write(
+        &mut self,
+        h: GlobalTxn,
+        var: VarId,
+        value: Value,
+    ) -> Result<Op<Value>, SessionError> {
+        self.apply(h, var, StepKind::Write, move |_| value)
+    }
+
+    /// Read-modify-write `var` through `f`, atomically with respect to
+    /// the owning shard's concurrency control.
+    pub fn update(
+        &mut self,
+        h: GlobalTxn,
+        var: VarId,
+        f: impl FnOnce(Value) -> Value + Send + 'static,
+    ) -> Result<Op<Value>, SessionError> {
+        self.apply(h, var, StepKind::Update, f)
+    }
+
+    /// The general access primitive: routes the step to the shard owning
+    /// `var` (translating to its local id) and runs it on that shard's
+    /// thread as a one-operation job of the shard-job executor — so the
+    /// transaction's lazy begin on a shard it had not touched rides the
+    /// same message. Semantics of the returned [`Op`] mirror
+    /// [`SessionDb::apply`]; a shard-level restart restarts the **whole**
+    /// global transaction (every shard's sub-transaction rolls back) and
+    /// the client replays its program against a fresh global timestamp.
+    pub fn apply(
+        &mut self,
+        h: GlobalTxn,
+        var: VarId,
+        kind: StepKind,
+        f: impl FnOnce(Value) -> Value + Send + 'static,
+    ) -> Result<Op<Value>, SessionError> {
+        let ti = self.running(h)?;
+        if self.is_prepared(ti) {
+            // A partially prepared commit is in flight (some shard's vote
+            // said wait): only the commit retry or an abort may proceed.
+            return Err(SessionError::Prepared);
+        }
+        let si = self.partition.shard_of(var);
+        let run = vec![(self.partition.local(var), RunOp::Call(kind, Box::new(f)))];
+        let (mut results, _) = self.shard_job(si, self.job(ti, si, run, Finish::None))?;
+        Ok(results.pop().expect("a one-operation run has one outcome"))
+    }
+
+    /// Submit a group of **independent transactions'** runs in as few
+    /// mailbox messages as possible (the server's engine thread collects
+    /// requests from many connections into one group per pass; a lone
+    /// request is a group of one).
+    ///
+    /// Requests whose operations (and prior shard footprint) sit on a
+    /// single shard are packed into **one message per shard**, carrying
+    /// every such transaction's lazy begin and run — and, when
+    /// [`commit`](GroupReq::commit) is set, its single-shard commit and
+    /// retire too, so a whole k-op transaction costs one round trip
+    /// instead of `k + 2`. Groups execute in first-appearance order of
+    /// their shard; requests that span shards follow in submission
+    /// order, one message per maximal same-shard run of their operations,
+    /// then the ordinary [`commit`](Self::commit) (two-phase when the
+    /// footprint spans shards).
+    ///
+    /// **Partial-batch contract**, per request: outcomes come back per
+    /// operation, in submission order, and execution stops at the first
+    /// non-[`Op::Done`] outcome — operations after it are **not
+    /// attempted** (the results are short). A trailing [`Op::Wait`] means
+    /// retry from that operation; a trailing [`Op::Restarted`] means the
+    /// whole global transaction restarted and the client replays its
+    /// program. The piggybacked commit is attempted only when every
+    /// operation completed `Done` ([`GroupResp::commit`] is `None`
+    /// otherwise). A committed request is also retired — its handle is
+    /// dead on return. Each handle may appear at most once per group.
+    ///
+    /// **Equivalence contract** (proved by the batched differential
+    /// suite): the outcomes are bit-identical to driving the same
+    /// requests sequentially through the per-operation API in the
+    /// canonical order above — both run on the one shard-job executor,
+    /// which consumes restart timestamps *lazily inside the shard*,
+    /// exactly the stamp sequence one message per operation issues. One
+    /// intentional divergence: the GC floor of a piggybacked commit is
+    /// computed at submission (pessimistically low), so multi-version
+    /// reclamation *timing* may differ; no concurrency decision reads the
+    /// floor, so outcomes and final state do not.
+    pub fn submit_group(&mut self, reqs: Vec<GroupReq>) -> Vec<GroupResp> {
+        let mut resps: Vec<GroupResp> = (0..reqs.len())
+            .map(|_| GroupResp {
+                results: Ok(Vec::new()),
+                commit: None,
+            })
+            .collect();
+        // Classify: pack single-shard requests per shard, keep the rest
+        // (cross-shard footprints, trivial no-touch commits) for the
+        // sequential tail. A refused request is in neither — its error
+        // already sits in its response.
+        let mut packed: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.workers.len()];
+        let mut shard_order: Vec<usize> = Vec::new();
+        let mut tail: Vec<usize> = Vec::new();
+        for (k, req) in reqs.iter().enumerate() {
+            let ti = match self.running(req.h) {
+                Ok(ti) => ti,
+                Err(e) => {
+                    resps[k].results = Err(e);
+                    continue;
+                }
+            };
+            if self.is_prepared(ti) {
+                if req.ops.is_empty() && req.commit {
+                    // A cross-shard commit retry: the tail's generic
+                    // commit path resumes the two-phase protocol.
+                    tail.push(k);
+                } else {
+                    resps[k].results = Err(SessionError::Prepared);
+                }
+                continue;
+            }
+            // The request's whole footprint: shards its ops touch plus
+            // shards already engaged by earlier operations.
+            let mut footprint = req
+                .ops
+                .iter()
+                .map(|op| self.partition.shard_of(op.var()))
+                .chain(self.slots[ti].touched.iter().map(|&s| s as usize));
+            match footprint.next() {
+                Some(si) if footprint.all(|s| s == si) => {
+                    if packed[si].is_empty() {
+                        shard_order.push(si);
+                    }
+                    packed[si].push((k, ti));
+                }
+                // Cross-shard, or no ops and nothing touched: a trivial
+                // commit (or a no-op), handled in the tail without any
+                // message.
+                _ => tail.push(k),
+            }
+        }
+        // One message per shard, in first-appearance order.
+        for si in shard_order {
+            let members = std::mem::take(&mut packed[si]);
+            let jobs = members
+                .iter()
+                .map(|&(k, ti)| {
+                    let finish = if reqs[k].commit {
+                        Finish::CommitRetire
+                    } else {
+                        Finish::None
+                    };
+                    self.job(ti, si, self.localize(&reqs[k].ops), finish)
+                })
+                .collect();
+            for (&(k, _), settled) in members.iter().zip(self.shard_jobs(si, jobs)) {
+                match settled {
+                    Ok((results, commit)) => {
+                        resps[k].results = Ok(results);
+                        resps[k].commit = commit.map(Ok);
+                    }
+                    Err(e) => resps[k].results = Err(e),
+                }
+            }
+        }
+        // The sequential tail: cross-shard and trivial requests, in
+        // submission order.
+        for k in tail {
+            let req = &reqs[k];
+            // Pre-flighted again: a packed group above may have crashed a
+            // shard this transaction had state on.
+            let ran = self
+                .running(req.h)
+                .and_then(|ti| self.run_across(ti, &req.ops));
+            let complete = matches!(&ran, Ok(rs) if rs.len() == req.ops.len()
+                && rs.iter().all(|r| matches!(r, Op::Done(_))));
+            resps[k].results = ran;
+            if complete && req.commit {
+                let c = self.commit(req.h);
+                if let Ok(Op::Done(())) = c {
+                    let _ = self.retire(req.h);
+                }
+                resps[k].commit = Some(c);
+            }
+        }
+        resps
+    }
+
+    /// Run a cross-shard request's operations for slot `ti`: one job per
+    /// maximal run of consecutive operations owned by the same shard, in
+    /// program order, stopping at the first non-[`Op::Done`] outcome.
+    fn run_across(&mut self, ti: usize, ops: &[BatchOp]) -> Result<Vec<Op<Value>>, SessionError> {
+        let mut out = Vec::with_capacity(ops.len());
+        while out.len() < ops.len() {
+            let rest = &ops[out.len()..];
+            let si = self.partition.shard_of(rest[0].var());
+            let len = rest
+                .iter()
+                .take_while(|op| self.partition.shard_of(op.var()) == si)
+                .count();
+            let run = self.localize(&rest[..len]);
+            let (results, _) = self.shard_job(si, self.job(ti, si, run, Finish::None))?;
+            out.extend(results);
+            if !matches!(out.last(), Some(Op::Done(_))) {
+                break;
+            }
+        }
+        Ok(out)
+    }
+
+    /// A same-shard run of operations, each under its shard-local id.
+    fn localize(&self, ops: &[BatchOp]) -> Vec<(VarId, RunOp)> {
+        ops.iter()
+            .map(|op| (self.partition.local(op.var()), RunOp::Data(*op)))
+            .collect()
+    }
+
+    /// Slot `ti`'s job on shard `si`. The caller has pre-flighted the
+    /// transaction: running, with no vote outstanding.
+    fn job(&self, ti: usize, si: usize, run: Vec<(VarId, RunOp)>, finish: Finish) -> Job {
+        let sl = &self.slots[ti];
+        Job {
+            ti,
+            sub: match sl.subs[si] {
+                SubState::Running(sub) => Some(sub),
+                SubState::Absent => None,
+                SubState::Prepared(_) => unreachable!("prepared transactions are refused"),
+            },
+            gts: sl.gts,
+            run,
+            finish,
+            floor: match finish {
+                Finish::None => 0,
+                Finish::Commit | Finish::CommitRetire => self.min_active_gts(ti),
+            },
+        }
+    }
+
+    /// The single-shard commit — such transactions never prepare: a
+    /// zero-op job that commits.
+    pub(super) fn commit_local(&mut self, ti: usize, si: usize) -> Result<Op<()>, SessionError> {
+        let job = self.job(ti, si, Vec::new(), Finish::Commit);
+        let (_, commit) = self.shard_job(si, job)?;
+        // No commit outcome: the shard's full mailbox shed the job,
+        // which restarted the transaction.
+        Ok(commit.unwrap_or(Op::Restarted))
+    }
+
+    /// One job, alone in its message.
+    fn shard_job(&mut self, si: usize, job: Job) -> Settled {
+        self.shard_jobs(si, vec![job])
+            .pop()
+            .expect("one job, one outcome")
+    }
+
+    /// The shard-job executor — the only code that runs data operations
+    /// on a shard: one mailbox message carrying every job (lazy begin,
+    /// run, optional commit + retire), executed back-to-back on shard
+    /// `si`'s thread, each outcome [`adopt`](Self::adopt)ed into its
+    /// coordinator slot. Outcomes come back in job order.
+    fn shard_jobs(&mut self, si: usize, jobs: Vec<Job>) -> Vec<Settled> {
+        if self.down[si] {
+            // The owning shard is permanently down (unrecoverable
+            // storage); the rest of the database keeps serving.
+            return jobs.iter().map(|_| Err(SessionError::ShardDown)).collect();
+        }
+        if self.workers[si].is_full() {
+            // Backpressure: the shard's bounded mailbox is at capacity.
+            // Shed the whole message — every transaction in it restarts
+            // under a fresh timestamp — instead of queueing unboundedly;
+            // the clients replay after their usual backoff, by which time
+            // the queue has drained.
+            return jobs
+                .iter()
+                .map(|job| {
+                    self.shed_aborts += 1;
+                    if self.coord_tracer.is_on() {
+                        let (gts, tick) = (self.slots[job.ti].gts, self.next_gts);
+                        let owned = self.partition.shard_vars(si);
+                        self.coord_tracer.emit(
+                            tick,
+                            EventKind::Abort {
+                                txn: gts,
+                                rule: ConflictRule::Shed,
+                                var: job.run.first().map(|(lv, _)| owned[lv.index()].0),
+                                opponent: None,
+                            },
+                        );
+                    }
+                    self.global_restart(job.ti);
+                    Ok((vec![Op::Restarted], None))
+                })
+                .collect();
+        }
+        self.shard_msgs += 1;
+        self.batched_ops += jobs.iter().map(|j| j.run.len()).sum::<usize>();
+        let sent = jobs.len();
+        // Restart stamps are consumed lazily, inside the shard, in
+        // execution order: a shard-local restart happens in place, before
+        // we see the outcome, so each job reserves (without consuming)
+        // `cur + 1`, and `cur` advances only when a restart takes it.
+        let base = self.next_gts;
+        let job = move |db: &mut SessionDb| {
+            let mut cur = base;
+            let mut outs: Vec<JobOut> = Vec::with_capacity(jobs.len());
+            for job in jobs {
+                let sub = match job.sub {
+                    Some(s) => s,
+                    None => db.begin_with_ts(job.gts),
+                };
+                let mut results = Vec::with_capacity(job.run.len());
+                let mut all_done = true;
+                db.set_restart_ts(cur + 1);
+                for (lv, op) in job.run {
+                    let r = match op {
+                        RunOp::Data(BatchOp::Read(_)) => db.apply(sub, lv, StepKind::Read, |v| v),
+                        RunOp::Data(BatchOp::Write(_, val)) => {
+                            db.apply(sub, lv, StepKind::Write, move |_| val)
+                        }
+                        RunOp::Data(BatchOp::Affine { a, c, .. }) => {
+                            db.apply(sub, lv, StepKind::Update, move |v| affine_eval(a, c, v))
+                        }
+                        RunOp::Call(kind, f) => db.apply(sub, lv, kind, f),
+                    }
+                    .expect("sub is live");
+                    results.push(r);
+                    if !matches!(r, Op::Done(_)) {
+                        all_done = false;
+                        break;
+                    }
+                }
+                let mut commit = None;
+                let mut retired = false;
+                if job.finish != Finish::None && all_done {
+                    db.set_gc_floor(job.floor);
+                    db.set_restart_ts(cur + 1);
+                    let r = db.commit(sub).expect("sub is live");
+                    if r == Op::Done(()) && job.finish == Finish::CommitRetire {
+                        db.retire(sub).expect("sub is committed");
+                        retired = true;
+                    }
+                    commit = Some(r);
+                }
+                // The run stops at its first non-`Done` outcome and the
+                // commit follows an all-`Done` run, so at most one of
+                // them restarted — consuming the reserved stamp.
+                let restarted =
+                    matches!(results.last(), Some(Op::Restarted)) || commit == Some(Op::Restarted);
+                if restarted {
+                    cur += 1;
+                }
+                outs.push(JobOut {
+                    ti: job.ti,
+                    sub,
+                    results,
+                    consumed: restarted.then_some(cur),
+                    commit,
+                    retired,
+                });
+            }
+            outs
+        };
+        let (_, reply) = self.scatter([(si, job)]).pop().expect("one job, one reply");
+        let Ok(outs) = reply else {
+            // The shard worker died running (or queued behind) this
+            // message, and the scatter supervised the crash — restarted
+            // the shard from its log, failed every transaction with state
+            // there; report the loss. A commit in the message was never
+            // acknowledged; the recovered log decides it (as after any
+            // crash, an unacknowledged commit may legitimately have
+            // landed). A transaction whose begin was in the message holds
+            // nothing on the crashed shard, but its program needs the
+            // variable: either way the client sees the standard
+            // crashed-shard error, aborts and re-runs.
+            return (0..sent).map(|_| Err(SessionError::ShardDown)).collect();
+        };
+        outs.into_iter()
+            .map(|out| Ok(self.adopt(si, out)))
+            .collect()
+    }
+
+    /// Fold one job's outcome into its coordinator slot: install the
+    /// sub-transaction the message began, count a wait, adopt a consumed
+    /// restart stamp as the transaction's new global attempt, record the
+    /// commit. (A run stops at its first non-`Done` outcome and commits
+    /// only after an all-`Done` run, so at most one of these happened.)
+    fn adopt(&mut self, si: usize, out: JobOut) -> Adopted {
+        let ti = out.ti;
+        if matches!(self.slots[ti].subs[si], SubState::Absent) {
+            self.slots[ti].subs[si] = SubState::Running(out.sub);
+            self.slots[ti].touched.push(si as u32);
+        }
+        if matches!(out.results.last(), Some(Op::Wait)) || out.commit == Some(Op::Wait) {
+            self.slots[ti].waits += 1;
+            self.waits += 1;
+        }
+        if let Some(stamp) = out.consumed {
+            // The shard already restarted the sub in place at `stamp`.
+            self.next_gts = self.next_gts.max(stamp);
+            self.global_restart_keeping(ti, Some(si), stamp);
+        }
+        if out.commit == Some(Op::Done(())) {
+            self.land(ti, false);
+            if out.retired {
+                self.retires += 1;
+                self.free_slot(ti);
+            }
+        }
+        (out.results, out.commit)
+    }
+}

@@ -1,0 +1,970 @@
+//! Sharded execution: hash-partitioned shards with cross-shard two-phase
+//! commit.
+//!
+//! [`ShardedDb`] splits the variable universe across `S` independent
+//! [`SessionDb`] shards — each with its own concurrency-control instance,
+//! store, and (optionally) write-ahead log — and drives every shard from
+//! its **own OS thread** through a mailbox ([`ccopt_par::Worker`]): the
+//! first genuinely parallel execution path in the engine. A transaction
+//! whose footprint stays inside one shard runs entirely locally (the
+//! common case a good partitioning maximizes); a cross-shard transaction
+//! commits through a **two-phase commit**:
+//!
+//! 1. *Prepare*: every touched shard runs its ordinary concurrency-control
+//!    commit decision ([`SessionDb::prepare_commit`]) and forces a prepare
+//!    record — the write-set under the global transaction id — to its own
+//!    log. Votes fan out to the shard threads in parallel.
+//! 2. *Resolve*: once every shard voted yes, the **coordinator shard**
+//!    (the lowest touched index) logs and fsyncs a resolve record — the
+//!    atomic commit point — after which the remaining shards apply their
+//!    write phases with buffered resolve records ([`SessionDb::
+//!    resolve_commit`]).
+//!
+//! Crash recovery ([`ShardedDb::open`]) recovers every shard log, then
+//! settles each shard's **in-doubt** transactions (prepared, no local
+//! resolve) by consulting the coordinator shard's recovered decisions:
+//! commit if and only if the coordinator's resolve record survived —
+//! presumed abort otherwise. Settlements are written back, so they are
+//! made exactly once. Every crash boundary therefore leaves all shards
+//! agreeing on every transaction's fate; the differential tests kill the
+//! coordinator at every protocol boundary to pin this.
+//!
+//! Cross-shard **serializability** (the full argument: `docs/SHARDING.md`)
+//! rests on each shard's serialization order embedding into one global
+//! order:
+//!
+//! * timestamp mechanisms (T/O, MVTO) stamp every global transaction with
+//!   one coordinator-issued global timestamp on every shard it touches
+//!   ([`SessionDb::begin_with_ts`]), so all per-shard timestamp orders
+//!   equal the global timestamp order;
+//! * commit-ordered mechanisms (serial, strict 2PL, OCC) serialize in
+//!   commit order, which the single coordinator makes globally total;
+//! * SGT is switched into commit-order mode
+//!   ([`crate::cc::ConcurrencyControl::enable_commit_order`]): commits
+//!   wait for live conflict predecessors, making each shard's commit
+//!   order a topological order of its conflict graph;
+//! * SI keeps per-shard snapshot isolation; a cross-shard read may span
+//!   two shards' snapshot boundaries (SI is exempt from the
+//!   serializability oracle either way).
+//!
+//! Waits can now cross shards where no local detector sees them (2PL lock
+//! cycles spanning shards, the serial token, SGT commit-order gates), so
+//! drivers must pair the session loop with a **wait-bound restart valve**:
+//! after too many consecutive waits, [`ShardedDb::restart`] aborts the
+//! global transaction everywhere and replays it — always safe, and the
+//! standard timeout resolution for distributed deadlocks.
+//!
+//! ## Fault domains
+//!
+//! Each shard worker is a **fault domain** (`ccopt-par`): a panic on a
+//! shard thread kills that shard, never the process, and drops its
+//! [`SessionDb`] mid-flight — the write-ahead log closes without a final
+//! flush, which is crash semantics. The coordinator **supervises**: any
+//! interaction returning a worker error triggers an in-place restart of
+//! the crashed shard — recover its log, settle its in-doubt prepares
+//! against the in-process decision table (`decided`, the same
+//! coordinator consultation recovery uses), fail every running global
+//! transaction that had state there with [`SessionError::ShardDown`],
+//! and *complete* any transaction whose commit point (the coordinator's
+//! fsynced resolve) already survived. The other shards keep serving
+//! throughout; unrecoverable storage degrades to a permanently
+//! [down](ShardedDb::shard_is_down) shard rather than an outage. Bounded
+//! shard mailboxes ([`ShardedDb::set_queue_capacity`]) shed load — the
+//! transaction restarts instead of queueing unboundedly — and injected
+//! storage faults ([`ShardedDb::set_shard_faults`]) exercise the logs'
+//! retry-or-poison paths. `docs/FAULTS.md` has the full fault model.
+
+mod inject;
+mod jobs;
+mod partition;
+mod supervise;
+#[cfg(test)]
+mod tests;
+mod twopc;
+
+pub use jobs::{affine_eval, BatchOp, GroupReq, GroupResp};
+pub use partition::Partition;
+pub use supervise::{RecoveryHistograms, ShardStatus};
+pub use twopc::TwoPcHistograms;
+
+use crate::cc::ConcurrencyControl;
+use crate::metrics::Metrics;
+use crate::session::{SessionDb, SessionError, SessionStatus, Txn, VarContention};
+use ccopt_durability::recovery::{self, Recovered};
+use ccopt_durability::{DurabilityMode, WalError, WalHistograms};
+use ccopt_model::ids::VarId;
+use ccopt_model::state::GlobalState;
+use ccopt_model::value::Value;
+use ccopt_par::Worker;
+use ccopt_trace::{ConflictRule, Histogram, TraceConfig, TraceHub, Tracer};
+use inject::Inject;
+use jobs::gather;
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// One shard's concurrency control: a fresh instance from the factory,
+/// in commit-order mode whenever the database has more than one shard.
+fn shard_cc(
+    make_cc: &dyn Fn() -> Box<dyn ConcurrencyControl>,
+    shards: usize,
+) -> Box<dyn ConcurrencyControl> {
+    let mut cc = make_cc();
+    if shards > 1 {
+        cc.enable_commit_order();
+    }
+    cc
+}
+
+/// Epoch-guarded handle to one open **global** transaction (the sharded
+/// analogue of [`Txn`]). Copyable; goes stale at retirement.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct GlobalTxn {
+    slot: u32,
+    epoch: u64,
+}
+
+/// Per-shard state of a global transaction.
+#[derive(Clone, Copy, Debug)]
+enum SubState {
+    /// Not begun on this shard.
+    Absent,
+    /// An open sub-transaction (begun at the global timestamp).
+    Running(Txn),
+    /// Voted yes in the in-flight two-phase commit.
+    Prepared(Txn),
+}
+
+impl SubState {
+    /// The open sub-transaction on this shard, voted or not.
+    fn txn(self) -> Option<Txn> {
+        match self {
+            SubState::Running(sub) | SubState::Prepared(sub) => Some(sub),
+            SubState::Absent => None,
+        }
+    }
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum GStatus {
+    Free,
+    Running,
+    Committed,
+    /// The owning shard of some in-flight state crashed: the supervisor
+    /// rolled the transaction back everywhere and parked the slot. Every
+    /// operation returns [`SessionError::ShardDown`] until the client
+    /// aborts the handle (which retires the slot).
+    Failed,
+}
+
+/// Coordinator-side slot of one global transaction.
+struct GSlot {
+    epoch: u64,
+    status: GStatus,
+    /// Global timestamp of the current attempt: the transaction's stamp
+    /// on every shard, and the global transaction id of its 2PC.
+    gts: u64,
+    attempts: u32,
+    waits: u32,
+    /// Per-shard sub-transactions.
+    subs: Vec<SubState>,
+    /// Shards touched, in first-touch order.
+    touched: Vec<u32>,
+}
+
+impl GSlot {
+    fn new(shards: usize) -> GSlot {
+        GSlot {
+            epoch: 0,
+            status: GStatus::Free,
+            gts: 0,
+            attempts: 0,
+            waits: 0,
+            subs: vec![SubState::Absent; shards],
+            touched: Vec::new(),
+        }
+    }
+}
+
+/// What recovering all shard logs found ([`ShardedDb::open`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct ShardedRecoveryInfo {
+    /// Sub-transactions replayed across all shards (a cross-shard
+    /// transaction counts once per shard it touched).
+    pub sub_committed: u64,
+    /// Largest timestamp floor over the shards; global timestamps resume
+    /// above it.
+    pub floor: u64,
+    /// Torn-tail bytes dropped, summed over the shards.
+    pub truncated_bytes: u64,
+    /// In-doubt prepares settled as **committed** by consulting their
+    /// coordinator shard's decision.
+    pub in_doubt_committed: u64,
+    /// In-doubt prepares rolled back (no durable coordinator decision:
+    /// presumed abort).
+    pub in_doubt_aborted: u64,
+}
+
+/// An in-memory database hash-partitioned across `S` shard threads, each
+/// an independent [`SessionDb`], with single-shard fast-path commits and
+/// two-phase cross-shard commits. See the [module docs](self).
+///
+/// The public API mirrors [`SessionDb`] (begin / per-operation access /
+/// commit / abort / retire, epoch-guarded handles, `Op`-shaped outcomes)
+/// and is driven by one coordinator at a time (`&mut self`); parallelism
+/// lives *inside* calls, fanning work out to the shard threads.
+pub struct ShardedDb<'a> {
+    workers: Vec<Worker<SessionDb>>,
+    partition: Partition,
+    num_vars: usize,
+    slots: Vec<GSlot>,
+    free: Vec<u32>,
+    /// Global timestamp authority: stamps, in issue order, every
+    /// transaction attempt (also serving as the 2PC global id).
+    next_gts: u64,
+    cc_name: String,
+    multiversion: bool,
+    defers: bool,
+    recovery: Option<ShardedRecoveryInfo>,
+    /// Coordinator-level counters (global outcomes; shard-level counters
+    /// aggregate separately in [`metrics`](Self::metrics)).
+    commits: usize,
+    aborts: usize,
+    waits: usize,
+    retires: usize,
+    cross_commits: usize,
+    /// Fault-injection scripts (tests); inert unless armed.
+    inject: Inject,
+    // --- fault domains (supervision) ---
+    /// The concurrency-control factory, kept so the supervisor can build
+    /// a replacement instance when it restarts a crashed shard in place.
+    make_cc: &'a dyn Fn() -> Box<dyn ConcurrencyControl>,
+    /// The initial global state (a crashed volatile shard respawns from
+    /// its projection; a durable one recovers over it).
+    init: GlobalState,
+    /// Log directory and mode when durable (`None` = volatile shards).
+    durable: Option<(PathBuf, DurabilityMode)>,
+    expected_txns: usize,
+    /// Two-phase-commit outcomes known in this process (kept by durable
+    /// databases only), by global transaction id: `true` the instant the
+    /// coordinator's resolve fsync succeeds (the commit point), `false`
+    /// when a transaction fails mid-protocol; seeded from every recovered
+    /// log's resolutions. A crashed shard's in-doubt prepares settle
+    /// against this table — the in-process form of the coordinator
+    /// consultation — and a full [`checkpoint`](Self::checkpoint) clears
+    /// it (resolution stability: compacted records are never consulted
+    /// again).
+    decided: HashMap<u64, bool>,
+    /// Shards whose storage could not be recovered: permanently down,
+    /// every operation routed there fails while the others keep serving.
+    down: Vec<bool>,
+    /// Mailbox bound applied to every (re)spawned shard worker.
+    queue_capacity: Option<usize>,
+    shard_restarts: usize,
+    /// Supervised restarts broken down by shard (sums to
+    /// `shard_restarts`), for per-shard health reporting.
+    restarts_by_shard: Vec<usize>,
+    shed_aborts: usize,
+    /// Wall-clock duration of the most recent supervised shard restart.
+    last_recovery: Option<Duration>,
+    /// Committed sub-transactions replayed by the most recent supervised
+    /// restart — the deterministic size of that recovery.
+    last_recovery_replayed: Option<u64>,
+    // --- observability (trace plane) ---
+    /// Shared tracing state when tracing is on ([`set_trace`](Self::
+    /// set_trace)): the global order stamp, the JSONL sink, and the
+    /// per-shard flight-recorder rings the supervisor dumps on a crash.
+    trace_hub: Option<Arc<TraceHub>>,
+    /// The supervisor's own tracer (emitting as shard id `S`, one past
+    /// the data shards): `ShardDown` / `ShardUp` around supervised
+    /// restarts and the coordinator-plane abort attributions (shed,
+    /// failover). Off unless tracing is on.
+    coord_tracer: Tracer,
+    /// Two-phase-commit phase timings and fan-out widths (always on).
+    twopc_hist: TwoPcHistograms,
+    /// Supervised-restart cost (always on).
+    recovery_hist: RecoveryHistograms,
+    /// Transactions failed by shard-crash supervision (their slot parked
+    /// as [`GStatus::Failed`]); the coordinator's share of the abort
+    /// attribution table.
+    failover_fails: usize,
+    /// Coordinator→shard mailbox round-trips on the operation lifecycle
+    /// (shard jobs — runs and single-shard commits, lazy begins riding
+    /// along — and retires); the numerator of the messaging tax.
+    shard_msgs: usize,
+    /// Data operations those messages carried; the denominator of the
+    /// messaging tax.
+    batched_ops: usize,
+}
+
+impl<'a> ShardedDb<'a> {
+    /// Create an in-memory sharded database over the variables of `init`,
+    /// partitioned across `shards` shards, each running its own instance
+    /// from `make_cc`.
+    pub fn new(
+        make_cc: &'a dyn Fn() -> Box<dyn ConcurrencyControl>,
+        init: GlobalState,
+        shards: usize,
+    ) -> ShardedDb<'a> {
+        Self::with_capacity(make_cc, init, shards, 0)
+    }
+
+    /// Like [`new`](Self::new), pre-sizing every shard's tables for
+    /// `expected_txns` simultaneously open global transactions.
+    pub fn with_capacity(
+        make_cc: &'a dyn Fn() -> Box<dyn ConcurrencyControl>,
+        init: GlobalState,
+        shards: usize,
+        expected_txns: usize,
+    ) -> ShardedDb<'a> {
+        let partition = Partition::new(init.0.len(), shards);
+        let workers = (0..shards)
+            .map(|s| {
+                Worker::spawn(SessionDb::with_capacity(
+                    shard_cc(make_cc, shards),
+                    partition.project(&init, s),
+                    expected_txns,
+                ))
+            })
+            .collect();
+        Self::build(
+            make_cc,
+            workers,
+            partition,
+            init,
+            None,
+            expected_txns,
+            HashMap::new(),
+            0,
+            None,
+        )
+    }
+
+    /// Open a **durable** sharded database under directory `dir` (one
+    /// write-ahead log per shard, `dir/shard-<i>.wal`): recover every
+    /// shard log, settle in-doubt two-phase commits against their
+    /// coordinator shard's recovered decisions (commit iff the
+    /// coordinator's resolve record survived; presumed abort otherwise),
+    /// write the settlements back, and resume the stream. Fresh logs are
+    /// created where none exist. With [`DurabilityMode::None`] this is
+    /// exactly [`new`](Self::new).
+    pub fn open(
+        make_cc: &'a dyn Fn() -> Box<dyn ConcurrencyControl>,
+        init: GlobalState,
+        dir: impl AsRef<Path>,
+        mode: DurabilityMode,
+        shards: usize,
+        expected_txns: usize,
+    ) -> Result<ShardedDb<'a>, WalError> {
+        if matches!(mode, DurabilityMode::None) {
+            return Ok(Self::with_capacity(make_cc, init, shards, expected_txns));
+        }
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        let paths: Vec<PathBuf> = (0..shards).map(|s| Self::shard_path(dir, s)).collect();
+        // Pass 1: recover every shard log (scan, validate, truncate) and
+        // collect each shard's decision table for the consultations.
+        let mut recovered: Vec<Option<Recovered>> = Vec::with_capacity(shards);
+        for p in &paths {
+            recovered.push(recovery::recover(p)?);
+        }
+        let decisions: Vec<HashMap<u64, bool>> = recovered
+            .iter()
+            .map(|r| {
+                r.as_ref()
+                    .map(|r| r.resolutions.clone())
+                    .unwrap_or_default()
+            })
+            .collect();
+        // Pass 2: build each shard over its recovered state, settling its
+        // in-doubt prepares against the coordinator shard's decisions.
+        let partition = Partition::new(init.0.len(), shards);
+        let mut next_gts = 0u64;
+        let mut info = ShardedRecoveryInfo::default();
+        let mut any_recovered = false;
+        let mut workers = Vec::with_capacity(shards);
+        for (s, rec) in recovered.into_iter().enumerate() {
+            if let Some(r) = &rec {
+                any_recovered = true;
+                next_gts = next_gts.max(r.floor).max(r.max_gtid);
+            }
+            let db = SessionDb::from_recovered(
+                shard_cc(make_cc, shards),
+                partition.project(&init, s),
+                &paths[s],
+                mode,
+                expected_txns,
+                rec,
+                &mut |p| {
+                    decisions
+                        .get(p.coord as usize)
+                        .and_then(|m| m.get(&p.gtid))
+                        .copied()
+                        .unwrap_or(false)
+                },
+            )?;
+            if let Some(ri) = db.recovery_info() {
+                info.sub_committed += ri.committed;
+                info.floor = info.floor.max(ri.floor);
+                info.truncated_bytes += ri.truncated_bytes;
+                info.in_doubt_committed += ri.in_doubt_committed;
+                info.in_doubt_aborted += ri.in_doubt_aborted;
+            }
+            workers.push(Worker::spawn(db));
+        }
+        // Every shard's durable decisions seed the in-process table the
+        // supervisor consults when it recovers a crashed shard later.
+        let mut decided = HashMap::new();
+        for m in decisions {
+            decided.extend(m);
+        }
+        Ok(Self::build(
+            make_cc,
+            workers,
+            partition,
+            init,
+            Some((dir.to_path_buf(), mode)),
+            expected_txns,
+            decided,
+            next_gts,
+            any_recovered.then_some(info),
+        ))
+    }
+
+    /// The per-shard log path convention of [`open`](Self::open).
+    pub fn shard_path(dir: &Path, shard: usize) -> PathBuf {
+        dir.join(format!("shard-{shard}.wal"))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        make_cc: &'a dyn Fn() -> Box<dyn ConcurrencyControl>,
+        workers: Vec<Worker<SessionDb>>,
+        partition: Partition,
+        init: GlobalState,
+        durable: Option<(PathBuf, DurabilityMode)>,
+        expected_txns: usize,
+        decided: HashMap<u64, bool>,
+        next_gts: u64,
+        recovery: Option<ShardedRecoveryInfo>,
+    ) -> ShardedDb<'a> {
+        let sample = make_cc();
+        let (cc_name, multiversion, defers) = (
+            sample.name().to_string(),
+            sample.multiversion(),
+            sample.defers_writes(),
+        );
+        drop(sample);
+        let shards = workers.len();
+        ShardedDb {
+            workers,
+            partition,
+            num_vars: init.0.len(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            next_gts,
+            cc_name,
+            multiversion,
+            defers,
+            recovery,
+            commits: 0,
+            aborts: 0,
+            waits: 0,
+            retires: 0,
+            cross_commits: 0,
+            inject: Inject::default(),
+            make_cc,
+            init,
+            durable,
+            expected_txns,
+            decided,
+            down: vec![false; shards],
+            queue_capacity: None,
+            shard_restarts: 0,
+            restarts_by_shard: vec![0; shards],
+            shed_aborts: 0,
+            last_recovery: None,
+            last_recovery_replayed: None,
+            trace_hub: None,
+            coord_tracer: Tracer::off(),
+            twopc_hist: TwoPcHistograms::default(),
+            recovery_hist: RecoveryHistograms::default(),
+            failover_fails: 0,
+            shard_msgs: 0,
+            batched_ops: 0,
+        }
+    }
+
+    // ---------------------------------------------------------------- begin
+
+    /// Open a new global transaction: recycle a free coordinator slot,
+    /// stamp the attempt with a fresh global timestamp, and return the
+    /// epoch-guarded handle. Shards are engaged lazily, at the first
+    /// operation that touches them.
+    pub fn begin(&mut self) -> GlobalTxn {
+        let slot = match self.free.pop() {
+            Some(s) => s,
+            None => {
+                let s = self.slots.len() as u32;
+                self.slots.push(GSlot::new(self.workers.len()));
+                s
+            }
+        };
+        self.next_gts += 1;
+        let gts = self.next_gts;
+        let sl = &mut self.slots[slot as usize];
+        debug_assert!(sl.status == GStatus::Free && sl.touched.is_empty());
+        sl.status = GStatus::Running;
+        sl.gts = gts;
+        sl.attempts = 1;
+        sl.waits = 0;
+        GlobalTxn {
+            slot,
+            epoch: sl.epoch,
+        }
+    }
+
+    /// Retire a committed global transaction: retire every shard-local
+    /// sub-transaction and hand the coordinator slot back for recycling
+    /// (every handle goes stale).
+    pub fn retire(&mut self, h: GlobalTxn) -> Result<(), SessionError> {
+        let ti = self.slot_of(h)?;
+        match self.slots[ti].status {
+            GStatus::Committed => {}
+            GStatus::Running => return Err(SessionError::StillRunning),
+            GStatus::Failed => return Err(SessionError::ShardDown),
+            GStatus::Free => unreachable!("stale handles were rejected"),
+        }
+        let subs = self.slots[ti].subs.iter().enumerate();
+        let jobs: Vec<_> = subs
+            .filter_map(|(s, state)| {
+                let sub = state.txn()?;
+                let retire = move |db: &mut SessionDb| db.retire(sub).expect("sub is committed");
+                Some((s, retire))
+            })
+            .collect();
+        let retired = self.scatter(jobs);
+        self.shard_msgs += retired.iter().filter(|(_, r)| r.is_ok()).count();
+        self.retires += 1;
+        self.free_slot(ti);
+        Ok(())
+    }
+
+    // ------------------------------------------------------------ accessors
+
+    /// The concurrency control's name (every shard runs the same one).
+    pub fn cc_name(&self) -> &str {
+        &self.cc_name
+    }
+
+    /// Number of shards.
+    pub fn shards(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Number of global variables.
+    pub fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+
+    /// The shard owning global variable `v`.
+    pub fn shard_of(&self, v: VarId) -> usize {
+        self.partition.shard_of(v)
+    }
+
+    /// Global variable ids owned by shard `s`.
+    pub fn shard_vars(&self, s: usize) -> &[VarId] {
+        self.partition.shard_vars(s)
+    }
+
+    /// Is the store multi-version?
+    pub fn multiversion(&self) -> bool {
+        self.multiversion
+    }
+
+    /// Does the mechanism buffer writes until commit?
+    pub fn defers_writes(&self) -> bool {
+        self.defers
+    }
+
+    /// Current committed global state, gathered across the shards.
+    pub fn globals(&mut self) -> GlobalState {
+        self.global_state(|db| db.globals())
+    }
+
+    /// The committed state only (see [`SessionDb::committed_globals`]),
+    /// gathered across the shards.
+    pub fn committed_globals(&mut self) -> GlobalState {
+        self.global_state(|db| db.committed_globals())
+    }
+
+    /// Aggregated execution counters: global outcomes (commits, aborts,
+    /// waits, retires, restarts, sheds) from the coordinator — a
+    /// cross-shard transaction counts once — and store-level counters
+    /// summed over the shards (a dead or down shard contributes zeros).
+    pub fn metrics(&self) -> Metrics {
+        let mut m = Metrics {
+            commits: self.commits,
+            aborts: self.aborts,
+            waits: self.waits,
+            retires: self.retires,
+            shard_restarts: self.shard_restarts,
+            shed_aborts: self.shed_aborts,
+            shard_msgs: self.shard_msgs,
+            batched_ops: self.batched_ops,
+            ..Metrics::default()
+        };
+        // Abort attribution: shard-level rows carry the concurrency-
+        // control causes — every CC-triggered global restart stems from
+        // one shard's in-place abort, which recorded the real rule;
+        // collateral rollbacks on sibling shards are shard-level `Client`
+        // rows and are excluded. The coordinator adds its own causes
+        // (backpressure sheds, crash failovers), and whatever remains of
+        // the global abort count — explicit client aborts, driver restart
+        // valves — reports as `Client`, so the rows sum to `aborts`
+        // (best-effort: a 2PC round where several shards restart at once
+        // attributes each shard's cause, and a failover counts before its
+        // handle is aborted, both absorbed by the saturating remainder).
+        let client = ConflictRule::Client.index();
+        for sm in self.ask(|db| db.metrics) {
+            m.steps_executed += sm.steps_executed;
+            m.mv_write_aborts += sm.mv_write_aborts;
+            m.versions_installed += sm.versions_installed;
+            m.versions_reclaimed += sm.versions_reclaimed;
+            m.max_chain_len = m.max_chain_len.max(sm.max_chain_len);
+            m.wal_records += sm.wal_records;
+            m.wal_syncs += sm.wal_syncs;
+            m.wal_bytes += sm.wal_bytes;
+            m.io_retries += sm.io_retries;
+            for (i, &n) in sm.aborts_by_rule.iter().enumerate() {
+                if i != client {
+                    m.aborts_by_rule[i] += n;
+                }
+            }
+        }
+        m.aborts_by_rule[ConflictRule::Shed.index()] += self.shed_aborts;
+        m.aborts_by_rule[ConflictRule::ShardFailover.index()] += self.failover_fails;
+        let attributed: usize = m.aborts_by_rule.iter().sum();
+        m.aborts_by_rule[client] = m.aborts.saturating_sub(attributed);
+        m
+    }
+
+    /// Cross-shard transactions committed through the two-phase protocol.
+    pub fn cross_shard_commits(&self) -> usize {
+        self.cross_commits
+    }
+
+    /// Dense-table capacity across all shards: slots ever allocated,
+    /// summed (monotone — never shrinks — so the final value is the
+    /// peak). The recycling claim is that it stays a small multiple of
+    /// `terminals * shards` no matter the stream length.
+    pub fn num_slots(&self) -> usize {
+        self.ask(|db| db.num_slots()).sum()
+    }
+
+    /// Global transactions currently open (running or
+    /// committed-unretired).
+    pub fn open_sessions(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Live version count summed over the shards; `None` on
+    /// single-version stores.
+    pub fn live_versions(&self) -> Option<usize> {
+        if !self.multiversion {
+            return None;
+        }
+        Some(self.ask(|db| db.live_versions().unwrap_or(0)).sum())
+    }
+
+    /// Lifecycle state of a handle. A failed transaction (its shard
+    /// crashed) still reports `Running`: it is unfinished — every
+    /// operation returns [`SessionError::ShardDown`] and only
+    /// [`abort`](Self::abort) retires it (see
+    /// [`is_failed`](Self::is_failed)).
+    pub fn status(&self, h: GlobalTxn) -> SessionStatus {
+        match self.slot_of(h) {
+            Err(_) => SessionStatus::Retired,
+            Ok(ti) => match self.slots[ti].status {
+                GStatus::Running | GStatus::Failed => SessionStatus::Running,
+                GStatus::Committed => SessionStatus::Committed,
+                GStatus::Free => unreachable!("stale handles were rejected"),
+            },
+        }
+    }
+
+    /// Whether the transaction was failed by the supervisor (a shard it
+    /// had in-flight state on crashed): abort the handle and re-run.
+    pub fn is_failed(&self, h: GlobalTxn) -> bool {
+        matches!(
+            self.slot_of(h),
+            Ok(ti) if self.slots[ti].status == GStatus::Failed
+        )
+    }
+
+    /// The global timestamp of the transaction's current attempt — its
+    /// stamp on every shard, its serialization position under the
+    /// timestamp mechanisms, and its 2PC identity.
+    pub fn read_view(&self, h: GlobalTxn) -> Result<u64, SessionError> {
+        Ok(self.slots[self.slot_of(h)?].gts)
+    }
+
+    /// Restart attempts of the global transaction so far (1 = first run).
+    pub fn attempts(&self, h: GlobalTxn) -> Result<u32, SessionError> {
+        Ok(self.slots[self.slot_of(h)?].attempts)
+    }
+
+    /// Wait outcomes of the global transaction across its lifetime.
+    pub fn waits(&self, h: GlobalTxn) -> Result<u32, SessionError> {
+        Ok(self.slots[self.slot_of(h)?].waits)
+    }
+
+    /// What recovering the shard logs found, when this database was
+    /// [`open`](Self::open)ed over existing logs.
+    pub fn recovery_info(&self) -> Option<ShardedRecoveryInfo> {
+        self.recovery
+    }
+
+    // ------------------------------------------------------------ durability
+
+    /// Flush and fsync every shard's buffered log records (graceful
+    /// shutdown; also makes every participant resolve record durable).
+    /// Every live shard is synced — one shard's failing log must not
+    /// leave another's acknowledged group-commit batch unflushed — and
+    /// the first log error, in shard order, is reported.
+    pub fn sync(&mut self) -> Result<(), WalError> {
+        // A shard that died before (or while) syncing is restarted from
+        // its durable prefix by the scatter; nothing buffered survives
+        // to sync.
+        let synced = self.scatter_all(|db| db.sync());
+        synced.into_iter().filter_map(|(_, r)| r.ok()).collect()
+    }
+
+    /// Checkpoint every shard: first [`sync`](Self::sync) all shards —
+    /// once every buffered participant resolve is durable, no shard will
+    /// ever again consult another's decisions for the records a
+    /// checkpoint discards (the **resolution stability rule**,
+    /// `docs/SHARDING.md`) — then compact each shard's log. A failed
+    /// checkpoint (e.g. an injected ENOSPC) leaves that shard's prior log
+    /// fully intact; the first such error is reported once every live
+    /// shard was asked.
+    pub fn checkpoint(&mut self) -> Result<(), WalError> {
+        self.sync()?;
+        let compacted = self.scatter_all(|db| db.checkpoint());
+        let all = compacted.iter().all(|(_, r)| r.is_ok());
+        compacted
+            .into_iter()
+            .filter_map(|(_, r)| r.ok())
+            .collect::<Result<(), WalError>>()?;
+        if all {
+            // Resolution stability: every resolve is durable everywhere
+            // and every log is compacted past it — no later recovery can
+            // consult a decision about the discarded records, so the
+            // in-process table can shrink too.
+            self.decided.clear();
+        }
+        Ok(())
+    }
+
+    // ------------------------------------------------------------ internals
+
+    /// Ask every shard the same read-only question, concurrently; a dead
+    /// or down shard answers nothing (and, behind `&self`, is left for
+    /// the next mutating call to supervise).
+    fn ask<R: Send + 'static>(&self, question: fn(&mut SessionDb) -> R) -> impl Iterator<Item = R> {
+        let shards = 0..self.workers.len();
+        gather(&self.workers, shards.map(|s| (s, question)))
+            .into_iter()
+            .filter_map(|(_, reply)| reply.ok())
+    }
+
+    /// [`scatter`](Self::scatter) the same job to every shard (a
+    /// permanently down shard's worker is shut down: it answers `Err`
+    /// and its supervision is a no-op).
+    fn scatter_all<R: Send + 'static>(&mut self, job: fn(&mut SessionDb) -> R) -> jobs::Replies<R> {
+        let shards = 0..self.workers.len();
+        self.scatter(shards.map(|s| (s, job)))
+    }
+
+    fn slot_of(&self, h: GlobalTxn) -> Result<usize, SessionError> {
+        match self.slots.get(h.slot as usize) {
+            Some(sl) if sl.epoch == h.epoch => Ok(h.slot as usize),
+            _ => Err(SessionError::Stale),
+        }
+    }
+
+    fn running(&self, h: GlobalTxn) -> Result<usize, SessionError> {
+        let ti = self.slot_of(h)?;
+        match self.slots[ti].status {
+            GStatus::Running => Ok(ti),
+            GStatus::Committed => Err(SessionError::AlreadyCommitted),
+            GStatus::Failed => Err(SessionError::ShardDown),
+            GStatus::Free => unreachable!("stale handles were rejected"),
+        }
+    }
+
+    /// Whether a partially prepared two-phase commit is in flight (some
+    /// shard voted yes, another's vote said wait).
+    fn is_prepared(&self, ti: usize) -> bool {
+        self.slots[ti]
+            .subs
+            .iter()
+            .any(|s| matches!(s, SubState::Prepared(_)))
+    }
+
+    fn free_slot(&mut self, ti: usize) {
+        let sl = &mut self.slots[ti];
+        sl.epoch += 1;
+        sl.status = GStatus::Free;
+        for s in sl.subs.iter_mut() {
+            *s = SubState::Absent;
+        }
+        sl.touched.clear();
+        self.free.push(ti as u32);
+    }
+
+    /// Oldest global timestamp of any *other* active transaction — the
+    /// shard GC floor: a snapshot that old may still arrive at any shard.
+    fn min_active_gts(&self, committing: usize) -> u64 {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|&(i, sl)| i != committing && sl.status == GStatus::Running)
+            .map(|(_, sl)| sl.gts)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Gather a per-shard state projection back into global variable
+    /// order. A crashed shard is supervised (restarted from its log) and
+    /// asked once more; a shard that is (or went) permanently down reads
+    /// as its initial projection — the degraded-mode answer for
+    /// unavailable data.
+    fn global_state(&mut self, f: fn(&SessionDb) -> GlobalState) -> GlobalState {
+        let mut locals: Vec<Option<GlobalState>> = vec![None; self.workers.len()];
+        for _attempt in 0..2 {
+            let missing: Vec<usize> = (0..locals.len())
+                .filter(|&s| locals[s].is_none() && !self.down[s])
+                .collect();
+            let ask = move |db: &mut SessionDb| f(db);
+            for (s, local) in self.scatter(missing.into_iter().map(|s| (s, ask))) {
+                locals[s] = local.ok();
+            }
+        }
+        let mut out = vec![Value::Int(0); self.num_vars];
+        for (s, local) in locals.into_iter().enumerate() {
+            let local = local.unwrap_or_else(|| self.partition.project(&self.init, s));
+            for (i, &v) in self.partition.shard_vars(s).iter().enumerate() {
+                out[v.index()] = local.0[i];
+            }
+        }
+        GlobalState(out)
+    }
+
+    // -------------------------------------------------------- observability
+
+    /// Turn on the trace plane for this database: build the shared
+    /// [`TraceHub`] from `cfg` (opening the JSONL sink when configured),
+    /// attach one tracer per shard worker, and keep a coordinator tracer
+    /// (shard id `S`, one past the data shards) for supervisor events.
+    /// Restarted shards get fresh tracers automatically. Call before
+    /// driving transactions; without it the engine's emission sites stay
+    /// single-branch no-ops.
+    pub fn set_trace(&mut self, cfg: &TraceConfig) -> std::io::Result<()> {
+        let hub = Arc::new(TraceHub::new(cfg)?);
+        let live = (0..self.workers.len()).filter(|&s| !self.down[s]);
+        gather(
+            &self.workers,
+            live.map(|s| {
+                let tracer = hub.tracer(s as u32);
+                (s, move |db: &mut SessionDb| db.set_tracer(tracer))
+            }),
+        );
+        self.coord_tracer = hub.tracer(self.workers.len() as u32);
+        self.trace_hub = Some(hub);
+        Ok(())
+    }
+
+    /// The shared tracing state, when [`set_trace`](Self::set_trace) was
+    /// called: rings for flight-recorder dumps, merged-event snapshots,
+    /// and the sink.
+    pub fn trace_hub(&self) -> Option<&Arc<TraceHub>> {
+        self.trace_hub.as_ref()
+    }
+
+    /// Flush the JSONL trace sink (no-op when tracing is off or
+    /// sink-less). Call before reading the sink file.
+    pub fn flush_trace(&self) {
+        if let Some(hub) = &self.trace_hub {
+            hub.flush();
+        }
+    }
+
+    /// Two-phase-commit phase timings and fan-out widths (always on).
+    pub fn twopc_histograms(&self) -> &TwoPcHistograms {
+        &self.twopc_hist
+    }
+
+    /// Commit latency in engine ticks, merged over the shards (see
+    /// [`SessionDb::commit_latency_ticks`]); tick-based, so deterministic
+    /// runs reproduce it bit-for-bit. A dead or down shard contributes
+    /// nothing.
+    pub fn commit_latency_ticks(&self) -> Histogram {
+        let mut h = Histogram::new();
+        for sh in self.ask(|db| db.commit_latency_ticks().clone()) {
+            h.merge(&sh);
+        }
+        h
+    }
+
+    /// The write-ahead logs' append/fsync/group-flush distributions,
+    /// merged over the shards; `None` without durability.
+    pub fn wal_histograms(&self) -> Option<WalHistograms> {
+        self.durable.as_ref()?;
+        let mut out = WalHistograms::default();
+        for sh in self.ask(|db| db.wal_histograms().cloned()).flatten() {
+            out.append_nanos.merge(&sh.append_nanos);
+            out.fsync_nanos.merge(&sh.fsync_nanos);
+            out.flush_batch_commits.merge(&sh.flush_batch_commits);
+        }
+        Some(out)
+    }
+
+    /// The `n` most contended **global** variables: every shard's
+    /// attribution table ([`SessionDb::top_contended`]) translated back
+    /// to global ids and re-ranked (waits plus aborts descending, ties by
+    /// variable id — deterministic).
+    pub fn top_contended(&self, n: usize) -> Vec<VarContention> {
+        // Each shard owns disjoint variables, so rows never merge; asking
+        // each shard for its own top-n keeps the union a superset of the
+        // global top-n.
+        let local = move |db: &mut SessionDb| db.top_contended(n);
+        let shards = 0..self.workers.len();
+        let mut rows: Vec<VarContention> = gather(&self.workers, shards.map(|s| (s, local)))
+            .into_iter()
+            .flat_map(|(s, rows)| {
+                let owned = self.partition.shard_vars(s);
+                let global = move |r: VarContention| VarContention {
+                    var: owned[r.var.index()],
+                    ..r
+                };
+                rows.unwrap_or_default().into_iter().map(global)
+            })
+            .collect();
+        rows.sort_by_key(|r| (std::cmp::Reverse(r.total()), r.var.0));
+        rows.truncate(n);
+        rows
+    }
+
+    /// Bound every shard's mailbox at `cap` data-plane jobs: an operation
+    /// arriving at a full shard is shed — the transaction restarts,
+    /// [`shed_aborts`](Self::shed_aborts) counts it — instead of queueing
+    /// unboundedly. Applies to restarted workers too.
+    pub fn set_queue_capacity(&mut self, cap: usize) {
+        self.queue_capacity = Some(cap);
+        for w in &self.workers {
+            w.set_capacity(cap);
+        }
+    }
+}

@@ -1,0 +1,324 @@
+//! Fault domains: supervising crashed shard workers — restart in place
+//! from the shard's own log, settle the in-flight transactions that had
+//! state there. `docs/FAULTS.md` has the full fault model.
+
+use super::jobs::{gather, Replies};
+use super::{shard_cc, GStatus, ShardedDb, SubState};
+use crate::session::{SessionDb, SessionStatus};
+use ccopt_durability::recovery;
+use ccopt_par::Worker;
+use ccopt_trace::{ConflictRule, EventKind, Histogram};
+use std::time::{Duration, Instant};
+
+/// Cost of supervised shard restarts ([`ShardedDb::recovery_histograms`]):
+/// one sample per restart handled by the fault supervisor.
+#[derive(Clone, Debug, Default)]
+pub struct RecoveryHistograms {
+    /// Wall-clock nanoseconds per restart: worker teardown, log
+    /// recovery (when durable), respawn, and in-flight settlement.
+    pub nanos: Histogram,
+    /// The deterministic size of each recovery: committed
+    /// sub-transactions replayed from the recovered log (0 for a
+    /// volatile shard, which respawns empty).
+    pub replayed_commits: Histogram,
+}
+
+/// One shard's liveness, as the supervisor sees it without touching the
+/// worker ([`ShardedDb::shard_statuses`]): atomic flag reads only, so a
+/// health probe costs the data plane nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShardStatus {
+    /// The worker thread is running (its panic flag is clear). A crashed
+    /// worker reports `false` until the next operation routed there
+    /// triggers supervision, which restarts it in place.
+    pub alive: bool,
+    /// The shard is permanently down: its storage could not be recovered
+    /// after a crash, and every operation routed there fails while the
+    /// other shards keep serving.
+    pub down: bool,
+    /// Supervised restarts of this shard so far.
+    pub restarts: u64,
+}
+
+impl ShardedDb<'_> {
+    /// Whether shard `s` is permanently down: its storage could not be
+    /// recovered after a crash, and every operation routed there returns
+    /// [`ShardDown`](crate::session::SessionError::ShardDown) while the
+    /// other shards keep serving.
+    pub fn shard_is_down(&self, s: usize) -> bool {
+        self.down[s]
+    }
+
+    /// Crashed shard workers detected and restarted (or marked down) by
+    /// the supervisor so far.
+    pub fn shard_restarts(&self) -> usize {
+        self.shard_restarts
+    }
+
+    /// Transactions shed because a shard's bounded mailbox was full.
+    pub fn shed_aborts(&self) -> usize {
+        self.shed_aborts
+    }
+
+    /// Wall-clock duration of the most recent supervised shard restart
+    /// (log recovery included), when one has happened: the last sample
+    /// fed into [`recovery_histograms`](Self::recovery_histograms). For
+    /// a reproducible measure of the same restart, use
+    /// [`last_recovery_replayed`](Self::last_recovery_replayed).
+    pub fn last_recovery_time(&self) -> Option<Duration> {
+        self.last_recovery
+    }
+
+    /// Committed sub-transactions replayed by the most recent supervised
+    /// shard restart — the deterministic companion of
+    /// [`last_recovery_time`](Self::last_recovery_time): a function of
+    /// the log contents alone, so identical runs report it identically.
+    pub fn last_recovery_replayed(&self) -> Option<u64> {
+        self.last_recovery_replayed
+    }
+
+    /// Supervised-restart cost distributions (always on): one sample per
+    /// restart the fault supervisor handled.
+    pub fn recovery_histograms(&self) -> &RecoveryHistograms {
+        &self.recovery_hist
+    }
+
+    /// Detect and supervise crashed shard workers *now*; they are
+    /// otherwise supervised lazily, at the next operation that touches
+    /// them. Returns how many this call restarted or marked down.
+    pub fn check_shards(&mut self) -> usize {
+        let mut handled = 0;
+        for s in 0..self.workers.len() {
+            if !self.down[s] && !self.workers[s].is_alive() {
+                self.supervise_crash(s);
+                handled += 1;
+            }
+        }
+        handled
+    }
+
+    /// Per-shard liveness: alive/down flags and supervised restart
+    /// counts. Atomic reads only — no worker round-trips — so this is
+    /// safe to call from a health probe at any rate.
+    pub fn shard_statuses(&self) -> Vec<ShardStatus> {
+        (0..self.workers.len())
+            .map(|s| ShardStatus {
+                alive: self.workers[s].is_alive(),
+                down: self.down[s],
+                restarts: self.restarts_by_shard[s] as u64,
+            })
+            .collect()
+    }
+
+    /// Supervise every shard a [`gather`] found dead.
+    pub(super) fn supervise_dead<R>(&mut self, replies: &Replies<R>) {
+        for (s, reply) in replies {
+            if reply.is_err() {
+                self.supervise_crash(*s);
+            }
+        }
+    }
+
+    /// Supervise a crashed shard worker: restart the shard in place —
+    /// recovering its write-ahead log when durable — then settle every
+    /// global transaction that had state there, exactly as post-crash
+    /// recovery settles in-doubt prepares: committed iff the commit point
+    /// (the coordinator's fsynced resolve) is known to have survived,
+    /// presumed abort otherwise. Serving on the other shards is never
+    /// interrupted, and the process never aborts.
+    fn supervise_crash(&mut self, s: usize) {
+        if self.down[s] {
+            return;
+        }
+        let t0 = Instant::now();
+        self.shard_restarts += 1;
+        self.restarts_by_shard[s] += 1;
+        // Dump the dead shard's flight recorder first: the hub holds the
+        // ring, so it survives the worker — the respawn below mints the
+        // replacement a fresh one.
+        if let Some(hub) = &self.trace_hub {
+            let _ = hub.dump_ring(s as u32);
+        }
+        let tick = self.next_gts;
+        self.coord_tracer
+            .emit(tick, EventKind::ShardDown { shard: s as u32 });
+        let replayed = self.respawn_shard(s);
+        if !self.down[s] {
+            self.coord_tracer
+                .emit(tick, EventKind::ShardUp { shard: s as u32 });
+        }
+        for ti in 0..self.slots.len() {
+            if matches!(self.slots[ti].subs[s], SubState::Absent) {
+                continue;
+            }
+            match self.slots[ti].status {
+                // The outcome is decided (and, when durable, the shard's
+                // share of it was just recovered from its log — an
+                // in-doubt prepare settles as committed via `decided`);
+                // only the now-dead sub handle goes away.
+                GStatus::Committed => self.slots[ti].subs[s] = SubState::Absent,
+                GStatus::Free | GStatus::Failed => {
+                    self.slots[ti].subs[s] = SubState::Absent;
+                }
+                GStatus::Running => {
+                    let gts = self.slots[ti].gts;
+                    if self.decided.get(&gts) == Some(&true) {
+                        // The commit point survived on the coordinator's
+                        // durable log even though the in-memory protocol
+                        // never finished: complete phase 2 on the
+                        // surviving shards.
+                        self.finish_decided_commit(ti, s);
+                    } else {
+                        self.fail_slot(ti, s);
+                    }
+                }
+            }
+        }
+        let elapsed = t0.elapsed();
+        self.recovery_hist.nanos.record(elapsed.as_nanos() as u64);
+        self.recovery_hist.replayed_commits.record(replayed);
+        self.last_recovery = Some(elapsed);
+        self.last_recovery_replayed = Some(replayed);
+    }
+
+    /// Tear down a crashed shard worker and start a replacement in place:
+    /// over its recovered write-ahead log when durable (in-doubt prepares
+    /// settle against the in-process decision table), over the initial
+    /// projection otherwise — volatile shards have nothing to recover, a
+    /// documented data loss. Unrecoverable storage marks the shard
+    /// permanently down instead; the other shards keep serving either
+    /// way. Returns the deterministic size of the recovery: committed
+    /// sub-transactions replayed from the recovered log (0 when volatile
+    /// or down).
+    fn respawn_shard(&mut self, s: usize) -> u64 {
+        // Join the dead worker first so its SessionDb — and the log file
+        // handle it owns — is fully dropped before recovery reopens the
+        // file.
+        self.workers[s].shutdown();
+        let proj = self.partition.project(&self.init, s);
+        let cc = shard_cc(self.make_cc, self.workers.len());
+        let mut db = if let Some((dir, mode)) = self.durable.clone() {
+            let path = Self::shard_path(&dir, s);
+            let rec = match recovery::recover(&path) {
+                Ok(rec) => rec,
+                Err(_) => {
+                    self.down[s] = true;
+                    return 0;
+                }
+            };
+            if let Some(r) = &rec {
+                // The shard may have coordinated 2PCs: its durable
+                // decisions join the in-process table before the
+                // consultation below (and for every later crash).
+                for (&gtid, &commit) in &r.resolutions {
+                    self.decided.insert(gtid, commit);
+                }
+                self.next_gts = self.next_gts.max(r.floor).max(r.max_gtid);
+            }
+            let decided = &self.decided;
+            match SessionDb::from_recovered(
+                cc,
+                proj,
+                &path,
+                mode,
+                self.expected_txns,
+                rec,
+                &mut |p| decided.get(&p.gtid).copied().unwrap_or(false),
+            ) {
+                Ok(db) => db,
+                Err(_) => {
+                    self.down[s] = true;
+                    return 0;
+                }
+            }
+        } else {
+            SessionDb::with_capacity(cc, proj, self.expected_txns)
+        };
+        let replayed = db.recovery_info().map_or(0, |ri| ri.committed);
+        if let Some(hub) = &self.trace_hub {
+            db.set_tracer(hub.tracer(s as u32));
+        }
+        let w = Worker::spawn(db);
+        if let Some(cap) = self.queue_capacity {
+            w.set_capacity(cap);
+        }
+        self.workers[s] = w;
+        replayed
+    }
+
+    /// The crashed shard held state of a transaction whose commit point
+    /// already survived (the coordinator's durable resolve): finish phase
+    /// 2 on the surviving shards and record the committed outcome.
+    fn finish_decided_commit(&mut self, ti: usize, crashed: usize) {
+        let floor = self.min_active_gts(ti);
+        self.slots[ti].subs[crashed] = SubState::Absent;
+        let subs = self.slots[ti].subs.iter().enumerate();
+        // Not supervised (this *is* the supervisor): a survivor that dies
+        // here is found by its own next interaction.
+        gather(
+            &self.workers,
+            subs.filter_map(|(s, &state)| {
+                let SubState::Prepared(sub) = state else {
+                    return None;
+                };
+                let resolve = move |db: &mut SessionDb| {
+                    db.set_gc_floor(floor);
+                    db.resolve_commit(sub, true, false)
+                        .expect("participant sub is prepared")
+                };
+                Some((s, resolve))
+            }),
+        );
+        self.land(ti, true);
+    }
+
+    /// Fail a running global transaction whose state on the crashed shard
+    /// is gone: record the abort decision (an in-doubt prepare surfacing
+    /// in any later recovery must settle the same way), roll back its
+    /// sub-transactions on the surviving shards, and park the slot as
+    /// [`GStatus::Failed`] — the client sees `SessionError::ShardDown` and
+    /// aborts the handle.
+    fn fail_slot(&mut self, ti: usize, crashed: usize) {
+        self.failover_fails += 1;
+        if self.coord_tracer.is_on() {
+            let (gts, tick) = (self.slots[ti].gts, self.next_gts);
+            self.coord_tracer.emit(
+                tick,
+                EventKind::Abort {
+                    txn: gts,
+                    rule: ConflictRule::ShardFailover,
+                    var: None,
+                    opponent: None,
+                },
+            );
+        }
+        if self.durable.is_some() && self.slots[ti].touched.len() > 1 {
+            let gts = self.slots[ti].gts;
+            self.decided.entry(gts).or_insert(false);
+        }
+        let subs = self.slots[ti].subs.iter().enumerate();
+        gather(
+            &self.workers,
+            subs.filter_map(|(s, state)| {
+                let sub = state.txn()?;
+                // Defensive rollback: mid-crash, the shard's view of the
+                // sub may legitimately differ from the coordinator's, so
+                // the job re-checks instead of asserting.
+                let rollback = move |db: &mut SessionDb| match db.status(sub) {
+                    SessionStatus::Running => {
+                        let _ = db.abort(sub);
+                    }
+                    SessionStatus::Prepared => {
+                        let _ = db.resolve_commit(sub, false, false);
+                    }
+                    _ => {}
+                };
+                (s != crashed).then_some((s, rollback))
+            }),
+        );
+        let sl = &mut self.slots[ti];
+        sl.subs.fill(SubState::Absent);
+        sl.touched.clear();
+        sl.status = GStatus::Failed;
+    }
+}

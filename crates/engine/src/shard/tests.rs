@@ -1,0 +1,693 @@
+use super::*;
+use crate::cc::{MvtoCc, OccCc, SerialCc, SgtCc, SiCc, Strict2plCc, TimestampCc};
+use crate::session::Op;
+use ccopt_durability::{Fault, RetryPolicy, StorageFaults};
+
+/// Hooks only these tests need, kept off the production type.
+impl ShardedDb<'_> {
+    /// Set the transient-I/O retry policy on every shard's log.
+    fn set_retry_policy(&mut self, retry: RetryPolicy) {
+        gather(
+            &self.workers,
+            (0..self.workers.len()).map(|s| (s, move |db: &mut SessionDb| db.wal_set_retry(retry))),
+        );
+    }
+
+    /// Block shard `s`'s worker on a gate until the returned sender
+    /// transmits (or drops), so submissions pile up and the
+    /// bounded-mailbox shed path can be exercised deterministically.
+    fn stall_shard(&mut self, s: usize) -> std::sync::mpsc::Sender<()> {
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let _ = self.workers[s].submit(move |_db| {
+            let _ = rx.recv();
+        });
+        tx
+    }
+}
+
+fn v(i: u32) -> VarId {
+    VarId(i)
+}
+
+fn int(i: i64) -> Value {
+    Value::Int(i)
+}
+
+fn cc_2pl() -> Box<dyn ConcurrencyControl> {
+    Box::new(Strict2plCc::default())
+}
+
+/// Two global variables guaranteed to live on different shards.
+fn split_pair(db: &ShardedDb) -> (VarId, VarId) {
+    let a = v(0);
+    let b = (1..db.num_vars() as u32)
+        .map(v)
+        .find(|&x| db.shard_of(x) != db.shard_of(a))
+        .expect("at least two shards own variables");
+    (a, b)
+}
+
+/// Drive one update-commit-retire transaction over `vars`.
+fn bump(db: &mut ShardedDb, vars: &[VarId]) {
+    let h = db.begin();
+    for &var in vars {
+        loop {
+            match db.update(h, var, |x| int(x.as_int().unwrap() + 1)).unwrap() {
+                Op::Done(_) => break,
+                Op::Wait | Op::Restarted => {}
+            }
+        }
+    }
+    loop {
+        match db.commit(h).unwrap() {
+            Op::Done(()) => break,
+            Op::Wait => {}
+            Op::Restarted => {
+                for &var in vars {
+                    loop {
+                        match db.update(h, var, |x| int(x.as_int().unwrap() + 1)).unwrap() {
+                            Op::Done(_) => break,
+                            Op::Wait | Op::Restarted => {}
+                        }
+                    }
+                }
+            }
+        }
+    }
+    db.retire(h).unwrap();
+}
+
+#[test]
+fn partition_covers_every_variable_exactly_once() {
+    for shards in [1usize, 2, 3, 8] {
+        let p = Partition::new(37, shards);
+        let mut seen = [false; 37];
+        for s in 0..shards {
+            for (i, &gv) in p.shard_vars(s).iter().enumerate() {
+                assert_eq!(p.shard_of(gv), s);
+                assert_eq!(p.local(gv).index(), i);
+                assert!(!seen[gv.index()], "variable owned twice");
+                seen[gv.index()] = true;
+            }
+        }
+        assert!(seen.iter().all(|&b| b), "every variable must be owned");
+    }
+}
+
+#[test]
+fn single_and_cross_shard_lifecycle() {
+    let mut db = ShardedDb::new(&cc_2pl, GlobalState::from_ints(&[10; 8]), 3);
+    let (a, b) = split_pair(&db);
+    // Cross-shard read-your-writes and 2PC commit.
+    let h = db.begin();
+    assert_eq!(
+        db.update(h, a, |x| int(x.as_int().unwrap() + 1)).unwrap(),
+        Op::Done(int(10))
+    );
+    assert_eq!(db.write(h, b, int(77)).unwrap(), Op::Done(int(10)));
+    assert_eq!(db.read(h, a).unwrap(), Op::Done(int(11)));
+    assert_eq!(db.commit(h).unwrap(), Op::Done(()));
+    assert_eq!(db.status(h), SessionStatus::Committed);
+    db.retire(h).unwrap();
+    assert_eq!(db.status(h), SessionStatus::Retired);
+    let g = db.globals();
+    assert_eq!(g.0[a.index()], int(11));
+    assert_eq!(g.0[b.index()], int(77));
+    assert_eq!(db.cross_shard_commits(), 1);
+    assert!(db.decided.is_empty(), "no logs: no decision is recorded");
+    // Single-shard transactions stay on the fast path.
+    bump(&mut db, &[a]);
+    assert_eq!(db.cross_shard_commits(), 1);
+    assert_eq!(db.metrics().commits, 2);
+}
+
+#[test]
+fn stale_handles_are_rejected() {
+    let mut db = ShardedDb::new(&cc_2pl, GlobalState::from_ints(&[0; 4]), 2);
+    let h = db.begin();
+    let _ = db.write(h, v(0), int(1)).unwrap();
+    assert_eq!(db.commit(h).unwrap(), Op::Done(()));
+    db.retire(h).unwrap();
+    let h2 = db.begin(); // recycles the slot under a new epoch
+    assert_ne!(h, h2);
+    assert_eq!(db.read(h, v(0)), Err(SessionError::Stale));
+    assert_eq!(db.commit(h), Err(SessionError::Stale));
+    db.abort(h2).unwrap();
+}
+
+#[test]
+fn streams_recycle_slots_across_all_shards() {
+    let mut db = ShardedDb::new(&cc_2pl, GlobalState::from_ints(&[0; 16]), 4);
+    let before = db.metrics().snapshot();
+    let (a, b) = split_pair(&db);
+    for i in 0..60 {
+        if i % 3 == 0 {
+            bump(&mut db, &[a, b]); // cross-shard
+        } else {
+            bump(&mut db, &[v(i % 16)]);
+        }
+    }
+    let d = db.metrics().diff(&before);
+    assert_eq!((d.commits, d.retires), (60, 60));
+    assert!(
+        db.num_slots() <= 2 * db.shards(),
+        "sequential streams must recycle shard slots (got {})",
+        db.num_slots()
+    );
+}
+
+#[test]
+fn cross_shard_deadlock_is_broken_by_the_restart_valve() {
+    // Serial CC: each shard is one token. Two transactions take one
+    // token each, then want the other: both Wait forever — no local
+    // detector can see the cycle. The valve (client restart) breaks it.
+    let mk = || Box::new(SerialCc::default()) as Box<dyn ConcurrencyControl>;
+    let mut db = ShardedDb::new(&mk, GlobalState::from_ints(&[0; 8]), 2);
+    let (a, b) = split_pair(&db);
+    let t1 = db.begin();
+    let t2 = db.begin();
+    assert_eq!(db.write(t1, a, int(1)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.write(t2, b, int(2)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.write(t1, b, int(3)).unwrap(), Op::Wait);
+    assert_eq!(db.write(t2, a, int(4)).unwrap(), Op::Wait);
+    // Still deadlocked on retry.
+    assert_eq!(db.write(t1, b, int(3)).unwrap(), Op::Wait);
+    db.restart(t2).unwrap(); // the valve fires
+    assert_eq!(db.attempts(t2), Ok(2));
+    // t1 now runs to completion, then t2's replay does.
+    assert_eq!(db.write(t1, b, int(3)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.commit(t1).unwrap(), Op::Done(()));
+    db.retire(t1).unwrap();
+    assert_eq!(db.write(t2, b, int(2)).unwrap(), Op::Done(int(3)));
+    assert_eq!(db.write(t2, a, int(4)).unwrap(), Op::Done(int(1)));
+    assert_eq!(db.commit(t2).unwrap(), Op::Done(()));
+    db.retire(t2).unwrap();
+    let g = db.globals();
+    assert_eq!((g.0[a.index()], g.0[b.index()]), (int(4), int(2)));
+}
+
+#[test]
+fn global_timestamps_serialize_timestamp_mechanisms_across_shards() {
+    // The T/O write-skew shape that per-shard local clocks would
+    // admit: t1 reads a (shard A) and writes b (shard B); t2 reads b
+    // and writes a. With one global stamp order, some late access
+    // aborts — both can never commit on opposite per-shard orders.
+    for mk in [
+        (|| Box::new(TimestampCc::default()) as Box<dyn ConcurrencyControl>)
+            as fn() -> Box<dyn ConcurrencyControl>,
+        || Box::new(MvtoCc::default()),
+    ] {
+        let mut db = ShardedDb::new(&mk, GlobalState::from_ints(&[0; 8]), 2);
+        let (a, b) = split_pair(&db);
+        let t1 = db.begin(); // gts 1
+        let t2 = db.begin(); // gts 2
+        assert_eq!(db.read(t1, a).unwrap(), Op::Done(int(0)));
+        assert_eq!(db.read(t2, b).unwrap(), Op::Done(int(0)));
+        // t2 (younger) writes a: fine. t1 (older) writing b after
+        // t2... wait: t2 read b at stamp 2, t1 writes b at stamp 1 —
+        // late, restarts.
+        let r2 = db.write(t2, a, int(9)).unwrap();
+        assert!(matches!(r2, Op::Done(_) | Op::Wait), "got {r2:?}");
+        assert_eq!(db.write(t1, b, int(9)).unwrap(), Op::Restarted);
+        db.abort(t1).unwrap();
+        db.abort(t2).unwrap();
+    }
+}
+
+#[test]
+fn durable_cross_shard_commits_survive_crashes_at_every_2pc_boundary() {
+    // One cross-shard transaction over 2 shards = 3 durable 2PC
+    // actions: prepare@A, prepare@B, resolve@coordinator. Kill every
+    // shard log before action n for every n; recovery must leave all
+    // shards agreeing: committed iff the coordinator's resolve (action
+    // 2) became durable. Budget 3 = no crash during 2PC, but the drop
+    // without sync still loses the buffered participant resolve — the
+    // in-doubt-consultation path that must *commit*.
+    for budget in 0..=3u64 {
+        let dir = ccopt_durability::scratch_path(&format!("shard-2pc-{budget}"));
+        let committed_expected = budget >= 3;
+        {
+            let mut db = ShardedDb::open(
+                &cc_2pl,
+                GlobalState::from_ints(&[0; 8]),
+                &dir,
+                DurabilityMode::Strict,
+                2,
+                0,
+            )
+            .unwrap();
+            let (a, b) = split_pair(&db);
+            db.crash_after_2pc_actions(budget);
+            let h = db.begin();
+            assert_eq!(db.write(h, a, int(5)).unwrap(), Op::Done(int(0)));
+            assert_eq!(db.write(h, b, int(6)).unwrap(), Op::Done(int(0)));
+            // In-memory the commit always succeeds; durability of the
+            // outcome is what the budget caps.
+            assert_eq!(db.commit(h).unwrap(), Op::Done(()));
+        } // crash (drop without sync)
+        let mut db = ShardedDb::open(
+            &cc_2pl,
+            GlobalState::from_ints(&[0; 8]),
+            &dir,
+            DurabilityMode::Strict,
+            2,
+            0,
+        )
+        .unwrap();
+        let (a, b) = split_pair(&db);
+        let info = db.recovery_info().expect("logs were recovered");
+        let g = db.globals();
+        let pair = (g.0[a.index()], g.0[b.index()]);
+        if committed_expected {
+            assert_eq!(pair, (int(5), int(6)), "budget {budget}: must commit");
+            assert_eq!(
+                info.in_doubt_committed, 1,
+                "budget {budget}: the participant was in doubt and must consult-commit"
+            );
+        } else {
+            assert_eq!(pair, (int(0), int(0)), "budget {budget}: must abort");
+            assert_eq!(info.in_doubt_committed, 0, "budget {budget}");
+        }
+        assert!(
+            info.in_doubt_aborted + info.in_doubt_committed <= 2,
+            "budget {budget}: at most one in-doubt vote per shard"
+        );
+        // The settlements were written back: a third open re-asks
+        // nothing.
+        drop(db);
+        let db = ShardedDb::open(
+            &cc_2pl,
+            GlobalState::from_ints(&[0; 8]),
+            &dir,
+            DurabilityMode::Strict,
+            2,
+            0,
+        )
+        .unwrap();
+        let info = db.recovery_info().unwrap();
+        assert_eq!(
+            (info.in_doubt_committed, info.in_doubt_aborted),
+            (0, 0),
+            "budget {budget}: settlements must be decided exactly once"
+        );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn durable_sharded_stream_recovers_and_checkpoints() {
+    let dir = ccopt_durability::scratch_path("shard-stream");
+    {
+        let mut db = ShardedDb::open(
+            &cc_2pl,
+            GlobalState::from_ints(&[0; 12]),
+            &dir,
+            DurabilityMode::Strict,
+            3,
+            0,
+        )
+        .unwrap();
+        let (a, b) = split_pair(&db);
+        for i in 0..12 {
+            if i % 4 == 0 {
+                bump(&mut db, &[a, b]);
+            } else {
+                bump(&mut db, &[v(i % 12)]);
+            }
+        }
+        db.checkpoint().unwrap();
+        bump(&mut db, &[a, b]); // one cross-shard commit on top
+    } // crash
+    let mut db = ShardedDb::open(
+        &cc_2pl,
+        GlobalState::from_ints(&[0; 12]),
+        &dir,
+        DurabilityMode::Strict,
+        3,
+        0,
+    )
+    .unwrap();
+    let (a, b) = split_pair(&db);
+    let g = db.globals();
+    // a and b: 3 cross bumps + their single-shard bumps + 1 post-ckpt.
+    let expect = {
+        let mut e = vec![0i64; 12];
+        for i in 0..12usize {
+            if i % 4 == 0 {
+                e[a.index()] += 1;
+                e[b.index()] += 1;
+            } else {
+                e[i % 12] += 1;
+            }
+        }
+        e[a.index()] += 1;
+        e[b.index()] += 1;
+        e
+    };
+    assert_eq!(g, GlobalState::from_ints(&expect));
+    // The stream resumes cleanly on the recovered state.
+    bump(&mut db, &[a, b]);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One named mechanism factory of the fault-domain sweep.
+type Mechanism = (&'static str, fn() -> Box<dyn ConcurrencyControl>);
+
+/// All seven mechanisms, for the fault-domain sweep.
+fn all_mechanisms() -> [Mechanism; 7] {
+    [
+        ("serial", || Box::new(SerialCc::default())),
+        ("2pl", || Box::new(Strict2plCc::default())),
+        ("sgt", || Box::new(SgtCc::default())),
+        ("to", || Box::new(TimestampCc::default())),
+        ("occ", || Box::new(OccCc::default())),
+        ("mvto", || Box::new(MvtoCc::default())),
+        ("si", || Box::new(SiCc::default())),
+    ]
+}
+
+#[test]
+fn shard_panic_at_every_2pc_boundary_is_supervised() {
+    // One cross-shard transaction over 2 shards = 4 protocol jobs:
+    // vote@coordinator, vote@participant, resolve@coordinator,
+    // resolve@participant. Panic the worker at each boundary (n = 4
+    // never fires — the healthy control): the process must survive,
+    // the crashed shard must recover to the exact committed prefix,
+    // both shards must serve afterwards, and a final reopen must find
+    // nothing in doubt. Committed iff the coordinator's resolve fsync
+    // (job 2) happened — the commit point.
+    for (name, mk) in all_mechanisms() {
+        for n in 0..=4u64 {
+            let dir = ccopt_durability::scratch_path(&format!("shard-panic-{name}-{n}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut db = ShardedDb::open(
+                &mk,
+                GlobalState::from_ints(&[0; 8]),
+                &dir,
+                DurabilityMode::Strict,
+                2,
+                0,
+            )
+            .unwrap();
+            let (a, b) = split_pair(&db);
+            db.panic_after_2pc_jobs(n);
+            let h = db.begin();
+            assert_eq!(db.write(h, a, int(5)).unwrap(), Op::Done(int(0)));
+            assert_eq!(db.write(h, b, int(6)).unwrap(), Op::Done(int(0)));
+            let committed = match db.commit(h) {
+                Ok(Op::Done(())) => {
+                    db.retire(h).unwrap();
+                    true
+                }
+                Err(SessionError::ShardDown) => {
+                    assert!(db.is_failed(h), "{name} n={n}: slot must be parked");
+                    db.abort(h).unwrap();
+                    false
+                }
+                other => panic!("{name} n={n}: unexpected commit outcome {other:?}"),
+            };
+            assert_eq!(
+                committed,
+                n >= 3,
+                "{name} n={n}: committed iff the commit point (job 2) was reached"
+            );
+            assert_eq!(
+                db.shard_restarts(),
+                usize::from(n < 4),
+                "{name} n={n}: one supervised restart per injected panic"
+            );
+            let mut expect = vec![0i64; 8];
+            if committed {
+                expect[a.index()] = 5;
+                expect[b.index()] = 6;
+            }
+            assert_eq!(
+                db.globals(),
+                GlobalState::from_ints(&expect),
+                "{name} n={n}: exact committed prefix after supervision"
+            );
+            // Both shards — survivor and restarted — keep serving.
+            bump(&mut db, &[a]);
+            bump(&mut db, &[b]);
+            expect[a.index()] += 1;
+            expect[b.index()] += 1;
+            assert_eq!(db.globals(), GlobalState::from_ints(&expect));
+            db.sync().unwrap();
+            drop(db);
+            // A clean reopen agrees and has nothing left in doubt:
+            // the supervised settlement was made exactly once.
+            let mut db = ShardedDb::open(
+                &mk,
+                GlobalState::from_ints(&[0; 8]),
+                &dir,
+                DurabilityMode::Strict,
+                2,
+                0,
+            )
+            .unwrap();
+            let info = db.recovery_info().expect("logs were recovered");
+            assert_eq!(
+                (info.in_doubt_committed, info.in_doubt_aborted),
+                (0, 0),
+                "{name} n={n}: supervision settled every prepare"
+            );
+            assert_eq!(db.globals(), GlobalState::from_ints(&expect));
+            drop(db);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
+fn volatile_shard_panic_loses_only_that_shard() {
+    let mut db = ShardedDb::new(&cc_2pl, GlobalState::from_ints(&[0; 8]), 2);
+    let (a, b) = split_pair(&db);
+    bump(&mut db, &[a]);
+    bump(&mut db, &[b]);
+    let sb = db.shard_of(b);
+    // An in-flight transaction holding state on the doomed shard...
+    let h = db.begin();
+    assert_eq!(db.write(h, b, int(9)).unwrap(), Op::Done(int(1)));
+    db.panic_shard(sb);
+    // ...is failed by the supervisor at the next touch...
+    assert_eq!(db.read(h, b), Err(SessionError::ShardDown));
+    assert!(db.is_failed(h));
+    assert_eq!(db.read(h, a), Err(SessionError::ShardDown));
+    db.abort(h).unwrap();
+    assert_eq!(db.shard_restarts(), 1);
+    // ...and the shard respawns over its initial projection (without
+    // a log, its committed data is lost — the documented volatile
+    // degradation) while the other shard keeps everything.
+    let g = db.globals();
+    assert_eq!((g.0[a.index()], g.0[b.index()]), (int(1), int(0)));
+    // Both shards serve again, including cross-shard 2PC.
+    bump(&mut db, &[a, b]);
+    let g = db.globals();
+    assert_eq!((g.0[a.index()], g.0[b.index()]), (int(2), int(1)));
+}
+
+#[test]
+fn full_shard_mailboxes_shed_load() {
+    let mut db = ShardedDb::new(&cc_2pl, GlobalState::from_ints(&[0; 8]), 2);
+    let (a, b) = split_pair(&db);
+    let sb = db.shard_of(b);
+    db.set_queue_capacity(1);
+    let gate = db.stall_shard(sb);
+    let h = db.begin();
+    assert_eq!(db.write(h, a, int(1)).unwrap(), Op::Done(int(0)));
+    // The stalled shard's mailbox is at capacity: the operation is
+    // shed — the transaction restarts — instead of queueing behind
+    // the stall.
+    assert_eq!(db.write(h, b, int(2)).unwrap(), Op::Restarted);
+    assert_eq!(db.shed_aborts(), 1);
+    // Lift the pressure (capacity back up, gate open): the replay
+    // goes through once the stalled job drains.
+    db.set_queue_capacity(64);
+    gate.send(()).unwrap();
+    loop {
+        match db.write(h, b, int(2)).unwrap() {
+            Op::Done(_) => break,
+            Op::Wait | Op::Restarted => std::thread::yield_now(),
+        }
+    }
+    assert_eq!(db.write(h, a, int(1)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.commit(h).unwrap(), Op::Done(()));
+    db.retire(h).unwrap();
+    let m = db.metrics();
+    assert_eq!(m.shed_aborts, 1);
+    assert_eq!(m.shard_restarts, 0, "shedding is not a crash");
+    assert_eq!(
+        m.aborts_for(ConflictRule::Shed),
+        1,
+        "the shed abort is attributed"
+    );
+}
+
+#[test]
+fn unrecoverable_storage_marks_the_shard_down_and_the_rest_serve() {
+    let dir = ccopt_durability::scratch_path("shard-perma-down");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = ShardedDb::open(
+        &cc_2pl,
+        GlobalState::from_ints(&[0; 8]),
+        &dir,
+        DurabilityMode::Strict,
+        2,
+        0,
+    )
+    .unwrap();
+    let (a, b) = split_pair(&db);
+    bump(&mut db, &[a]);
+    bump(&mut db, &[b]);
+    let sb = db.shard_of(b);
+    db.panic_shard(sb);
+    // Make the shard's log unreadable (a directory where the file
+    // was): recovery cannot even open it.
+    let p = ShardedDb::shard_path(&dir, sb);
+    std::fs::remove_file(&p).unwrap();
+    std::fs::create_dir(&p).unwrap();
+    assert_eq!(db.check_shards(), 1);
+    assert!(db.shard_is_down(sb));
+    // Operations routed there fail cleanly; the other shard serves.
+    let h = db.begin();
+    assert_eq!(db.read(h, b), Err(SessionError::ShardDown));
+    db.abort(h).unwrap();
+    bump(&mut db, &[a]);
+    // Degraded reads: the down shard reports its initial projection.
+    let g = db.globals();
+    assert_eq!((g.0[a.index()], g.0[b.index()]), (int(2), int(0)));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn transient_shard_io_faults_retry_and_surface_in_metrics() {
+    let dir = ccopt_durability::scratch_path("shard-io-retry");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = ShardedDb::open(
+        &cc_2pl,
+        GlobalState::from_ints(&[0; 8]),
+        &dir,
+        DurabilityMode::Strict,
+        2,
+        0,
+    )
+    .unwrap();
+    let (a, b) = split_pair(&db);
+    let sa = db.shard_of(a);
+    db.set_retry_policy(RetryPolicy::immediate(4));
+    // The second fsync on a's shard (counting from installation)
+    // fails transiently twice, then goes through under the retry
+    // budget — invisibly to the committing transaction.
+    db.set_shard_faults(
+        sa,
+        StorageFaults::new().fail_sync(1, Fault::Transient { times: 2 }),
+    );
+    let before = db.metrics().snapshot();
+    bump(&mut db, &[a]);
+    bump(&mut db, &[a]);
+    bump(&mut db, &[b]);
+    let d = db.metrics().diff(&before);
+    assert_eq!(d.commits, 3);
+    assert_eq!(d.io_retries, 2, "both transient failures were retried");
+    assert_eq!(d.shard_restarts, 0);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sgt_commit_order_composes_across_shards() {
+    // The mixed-transaction counterexample from docs/SHARDING.md: a
+    // cross-shard pair with opposite-direction conflicts on two
+    // shards cannot both commit under the commit-order gate.
+    let mk = || Box::new(SgtCc::default()) as Box<dyn ConcurrencyControl>;
+    let mut db = ShardedDb::new(&mk, GlobalState::from_ints(&[0; 8]), 2);
+    let (a, b) = split_pair(&db);
+    let t1 = db.begin();
+    let t2 = db.begin();
+    // Shard A: t1 reads a, t2 overwrites it (edge t1 -> t2).
+    assert_eq!(db.read(t1, a).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.write(t2, a, int(1)).unwrap(), Op::Done(int(0)));
+    // Shard B: t2 reads b, t1 overwrites it (edge t2 -> t1).
+    assert_eq!(db.read(t2, b).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.write(t1, b, int(2)).unwrap(), Op::Done(int(0)));
+    // Each commit now waits on its live predecessor on one shard: a
+    // cross-shard wait cycle — the valve restarts one and the other
+    // completes.
+    assert_eq!(db.commit(t1).unwrap(), Op::Wait);
+    assert_eq!(db.commit(t2).unwrap(), Op::Wait);
+    db.restart(t1).unwrap();
+    assert_eq!(db.commit(t2).unwrap(), Op::Done(()));
+    db.retire(t2).unwrap();
+    // t1's replay commits after t2 — serializable order t1' after t2.
+    assert_eq!(db.read(t1, a).unwrap(), Op::Done(int(1)));
+    assert_eq!(db.write(t1, b, int(2)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.commit(t1).unwrap(), Op::Done(()));
+    db.retire(t1).unwrap();
+}
+
+#[test]
+fn scatter_collects_live_replies_and_supervises_the_dead_after_the_gather() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    // The factory doubles as the probe: the supervisor calls it to
+    // respawn the dead shard, and it records how many scattered jobs had
+    // run by then.
+    let ran = Arc::new(AtomicUsize::new(0));
+    let ran_at_respawn = Arc::new(AtomicUsize::new(usize::MAX));
+    let (probe, seen) = (ran.clone(), ran_at_respawn.clone());
+    let mk = move || {
+        seen.store(probe.load(Ordering::SeqCst), Ordering::SeqCst);
+        cc_2pl()
+    };
+    let mut db = ShardedDb::new(&mk, GlobalState::from_ints(&[0; 9]), 3);
+    db.panic_shard(1); // the dead shard sits between the two live targets
+    assert_eq!(db.shard_restarts(), 0, "nothing touched the dead shard yet");
+    let replies = db.scatter((0..3).map(|s| {
+        let ran = ran.clone();
+        (s, move |_: &mut SessionDb| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            s
+        })
+    }));
+    assert_eq!(
+        replies,
+        vec![(0, Ok(0)), (1, Err(ccopt_par::WorkerError)), (2, Ok(2))],
+        "both live replies are collected around the dead shard"
+    );
+    assert_eq!(db.shard_restarts(), 1, "the dead shard is supervised once");
+    assert_eq!(
+        ran_at_respawn.load(Ordering::SeqCst),
+        2,
+        "supervision waited for the whole gather"
+    );
+    // The respawned worker answers the next scatter.
+    let replies = db.scatter((0..3).map(|s| (s, |db: &mut SessionDb| db.num_slots())));
+    assert!(replies.iter().all(|(_, r)| r.is_ok()), "got {replies:?}");
+    assert_eq!(db.shard_restarts(), 1);
+}
+
+#[test]
+fn sync_flushes_every_live_shard_before_reporting_a_failing_one() {
+    let dir = ccopt_durability::scratch_path("shard-sync-all");
+    let _ = std::fs::remove_dir_all(&dir);
+    let init = GlobalState::from_ints(&[0; 8]);
+    let mode = DurabilityMode::group(64);
+    let mut db = ShardedDb::open(&cc_2pl, init.clone(), &dir, mode, 2, 0).unwrap();
+    let b = (0..8).map(v).find(|&x| db.shard_of(x) == 1).unwrap();
+    // Shard 0's log fails its next fsync for good; shard 1 holds an
+    // acknowledged commit that group mode has not flushed yet.
+    db.set_shard_faults(0, StorageFaults::new().fail_sync(0, Fault::Permanent));
+    bump(&mut db, &[b]);
+    assert!(db.sync().is_err(), "shard 0's failure is reported");
+    drop(db); // a crash right after the drain's sync
+    let mut db = ShardedDb::open(&cc_2pl, init, &dir, mode, 2, 0).unwrap();
+    assert_eq!(
+        db.globals().0[b.index()],
+        int(1),
+        "shard 1 was synced although shard 0, asked first, failed"
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,0 +1,313 @@
+//! How a global transaction ends: single-shard fast-path commits, the
+//! two-phase commit of cross-shard transactions, and the abort and global
+//! restart that roll one back everywhere.
+
+use super::jobs::{gather, Replies};
+use super::{GStatus, GlobalTxn, ShardedDb, SubState};
+use crate::session::{Op, SessionDb, SessionError, Txn};
+use ccopt_trace::Histogram;
+use std::time::Instant;
+
+/// Wall-clock histograms of the cross-shard two-phase commit
+/// ([`ShardedDb::twopc_histograms`]). Always on — recording is a few
+/// instructions per protocol round — but wall-clock, so not reproduced
+/// across runs (unlike the tick-based commit-latency histogram).
+#[derive(Clone, Debug, Default)]
+pub struct TwoPcHistograms {
+    /// Phase-1 duration in nanoseconds per vote round: vote submission
+    /// to the last vote collected (validation + forced prepare fsyncs).
+    pub prepare_nanos: Histogram,
+    /// Phase-2 duration in nanoseconds per **completed** resolve: the
+    /// coordinator's resolve fsync through the last participant apply
+    /// (rounds cut short by a shard crash are not recorded; the
+    /// recovery histograms cover those).
+    pub resolve_nanos: Histogram,
+    /// Outstanding votes per phase-1 round — the prepare fan-out width
+    /// (shards that stayed prepared across a `Wait`ed retry don't
+    /// re-vote, so a retry's round is narrower).
+    pub prepare_fanout: Histogram,
+}
+
+impl ShardedDb<'_> {
+    // --------------------------------------------------------------- finish
+
+    /// Commit the global transaction. Single-shard transactions commit
+    /// entirely on their shard (the fast path, batched by that shard's
+    /// group commit); cross-shard transactions run the two-phase protocol
+    /// described in the [module docs](super). [`Op::Wait`] means retry the
+    /// commit later — shards that already voted stay prepared, and only
+    /// the outstanding votes re-run; [`Op::Restarted`] means some shard's
+    /// validation failed and a fresh global attempt has begun.
+    pub fn commit(&mut self, h: GlobalTxn) -> Result<Op<()>, SessionError> {
+        let ti = self.running(h)?;
+        let touched: Vec<usize> = self.slots[ti].touched.iter().map(|&s| s as usize).collect();
+        match touched.len() {
+            0 => {
+                // A transaction that never touched data commits trivially.
+                self.land(ti, false);
+                Ok(Op::Done(()))
+            }
+            1 => self.commit_local(ti, touched[0]),
+            _ => self.commit_cross(ti, touched),
+        }
+    }
+
+    /// The two-phase commit of a cross-shard transaction.
+    fn commit_cross(&mut self, ti: usize, mut shards: Vec<usize>) -> Result<Op<()>, SessionError> {
+        shards.sort_unstable();
+        let gtid = self.slots[ti].gts;
+        let coord = shards[0] as u32;
+        // Phase 1 — collect the outstanding votes, every shard's
+        // (concurrency-control validation + forced prepare fsync) running
+        // concurrently on its own thread. Already-prepared shards (from a
+        // Wait-ed earlier attempt) keep their vote. Each vote reserves its
+        // own restart timestamp (a shard whose validation fails restarts
+        // its sub in place at that stamp).
+        let base = self.next_gts;
+        let spare = move |i: usize| base + 1 + i as u64;
+        let pending = shards.iter().filter_map(|&s| match self.slots[ti].subs[s] {
+            SubState::Running(sub) => Some((s, sub)),
+            _ => None,
+        });
+        let votes: Vec<_> = pending
+            .enumerate()
+            .map(|(i, (s, sub))| {
+                let spare = spare(i);
+                let vote = move |db: &mut SessionDb| {
+                    db.set_restart_ts(spare);
+                    db.prepare_commit(sub, gtid, coord).expect("sub is live")
+                };
+                (s, vote)
+            })
+            .collect();
+        let fanout = votes.len();
+        let t_prepare = Instant::now();
+        let outcomes = self.twopc_scatter(true, votes);
+        if fanout > 0 {
+            self.twopc_hist.prepare_fanout.record(fanout as u64);
+            self.twopc_hist
+                .prepare_nanos
+                .record(t_prepare.elapsed().as_nanos() as u64);
+        }
+        // A shard that died during its vote never logged a resolve, so
+        // the decision was never made: the scatter supervised each
+        // crashed shard (which failed this transaction — it has state on
+        // the dead shard); report the loss.
+        if outcomes.iter().any(|(_, vote)| vote.is_err()) {
+            return Err(SessionError::ShardDown);
+        }
+        let mut waited = false;
+        let mut restarted: Option<(usize, u64)> = None;
+        for (i, &(s, vote)) in outcomes.iter().enumerate() {
+            match vote {
+                Ok(Op::Done(())) => {
+                    let SubState::Running(sub) = self.slots[ti].subs[s] else {
+                        unreachable!("voting shards were running")
+                    };
+                    self.slots[ti].subs[s] = SubState::Prepared(sub);
+                }
+                Ok(Op::Wait) => waited = true,
+                Ok(Op::Restarted) => restarted = restarted.or(Some((s, spare(i)))),
+                Err(_) => unreachable!("crashed shards were handled above"),
+            }
+        }
+        if let Some((keep, gts)) = restarted {
+            // Some shard's validation failed and restarted its sub in
+            // place: the global transaction aborts everywhere else
+            // (prepared votes are revoked — the decision was never
+            // logged) and continues as the kept shard's fresh attempt.
+            // Spares may have been stamped by multiple restarting shards;
+            // burn the whole batch to keep global timestamps unique.
+            self.next_gts += fanout as u64;
+            self.global_restart_keeping(ti, Some(keep), gts);
+            return Ok(Op::Restarted);
+        }
+        if waited {
+            self.slots[ti].waits += 1;
+            self.waits += 1;
+            return Ok(Op::Wait);
+        }
+        // Phase 2 — all shards voted yes. The coordinator shard's fsynced
+        // resolve record is the commit point of the global transaction.
+        let floor = self.min_active_gts(ti);
+        let resolve = |sub: Txn, force_sync: bool| {
+            move |db: &mut SessionDb| {
+                db.set_gc_floor(floor);
+                db.resolve_commit(sub, true, force_sync)
+                    .expect("sub is prepared")
+            }
+        };
+        let subs: Vec<(usize, Txn)> = shards
+            .iter()
+            .map(|&s| match self.slots[ti].subs[s] {
+                SubState::Prepared(sub) => (s, sub),
+                _ => unreachable!("every touched shard voted yes above"),
+            })
+            .collect();
+        let t_resolve = Instant::now();
+        let point = self.twopc_scatter(true, [(subs[0].0, resolve(subs[0].1, true))]);
+        if point[0].1.is_err() {
+            // The coordinator worker died around the commit point:
+            // whether the resolve record became durable is exactly what
+            // its log knows. Supervision recovered the shard, merged its
+            // durable decisions into `decided`, and settled this
+            // transaction the same way post-crash recovery would —
+            // committed iff the resolve survived, presumed abort
+            // otherwise.
+            return match self.slots[ti].status {
+                GStatus::Committed => Ok(Op::Done(())),
+                _ => Err(SessionError::ShardDown),
+            };
+        }
+        // The fsynced resolve IS the commit point: record the decision
+        // and the outcome *before* fanning out participant resolves — a
+        // participant crash below must not un-commit the transaction (its
+        // recovered in-doubt prepare settles as committed via `decided`;
+        // without logs none ever does, and the table would only grow).
+        if self.durable.is_some() {
+            self.decided.insert(gtid, true);
+        }
+        self.land(ti, true);
+        // Participants apply in parallel; their resolve records stay
+        // buffered — if a crash loses one, that shard recovers in-doubt
+        // and re-derives the decision from the coordinator's log.
+        let participants = subs[1..].iter().map(|&(s, sub)| (s, resolve(sub, false)));
+        self.twopc_scatter(false, participants);
+        self.twopc_hist
+            .resolve_nanos
+            .record(t_resolve.elapsed().as_nanos() as u64);
+        Ok(Op::Done(()))
+    }
+
+    /// The one place a global transaction becomes committed at the
+    /// coordinator (`cross`: through the two-phase protocol).
+    pub(super) fn land(&mut self, ti: usize, cross: bool) {
+        self.slots[ti].status = GStatus::Committed;
+        self.commits += 1;
+        self.cross_commits += usize::from(cross);
+    }
+
+    /// The single 2PC submit site: [`scatter`](Self::scatter) one protocol
+    /// round's jobs — votes, the coordinator resolve, or participant
+    /// resolves — consulting the fault-injection script
+    /// ([`Inject::consult`](super::inject::Inject::consult)) as each job
+    /// enters its mailbox. `durable` marks a round of durable protocol
+    /// actions (prepare and coordinator-resolve fsyncs).
+    fn twopc_scatter<R, F>(
+        &mut self,
+        durable: bool,
+        jobs: impl IntoIterator<Item = (usize, F)>,
+    ) -> Replies<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut SessionDb) -> R + Send + 'static,
+    {
+        let (workers, inject) = (&self.workers, &mut self.inject);
+        let replies = gather(
+            workers,
+            jobs.into_iter().map(|(s, job)| {
+                let bomb = inject.consult(durable, workers);
+                let job = move |db: &mut SessionDb| {
+                    if bomb {
+                        // The worker dies AT this protocol boundary, in
+                        // place of performing the action — the sharpest
+                        // version of a shard failing mid-protocol.
+                        panic!("injected shard-worker panic at a 2PC boundary");
+                    }
+                    job(db)
+                };
+                (s, job)
+            }),
+        );
+        self.supervise_dead(&replies);
+        replies
+    }
+
+    /// Client-initiated abort: roll the global transaction back on every
+    /// touched shard (revoking any prepared votes — legal, since the
+    /// commit decision was never logged) and retire the slot.
+    pub fn abort(&mut self, h: GlobalTxn) -> Result<(), SessionError> {
+        let ti = self.slot_of(h)?;
+        match self.slots[ti].status {
+            GStatus::Running => self.rollback_subs(ti, None),
+            // A failed transaction was already rolled back everywhere by
+            // the supervisor; aborting the handle just retires the slot.
+            GStatus::Failed => {}
+            GStatus::Committed => return Err(SessionError::AlreadyCommitted),
+            GStatus::Free => unreachable!("stale handles were rejected"),
+        }
+        self.aborts += 1;
+        // An abort frees (retires) the slot, exactly as SessionDb counts.
+        self.retires += 1;
+        self.free_slot(ti);
+        Ok(())
+    }
+
+    /// Force-abort the running global transaction everywhere and begin a
+    /// fresh attempt on the same slot under a **new global timestamp**
+    /// (the handle stays valid; the client replays). This is the restart
+    /// valve drivers fire after too many consecutive waits — cross-shard
+    /// wait cycles are invisible to every shard-local deadlock detector,
+    /// so a timeout-style valve is the liveness backstop.
+    pub fn restart(&mut self, h: GlobalTxn) -> Result<(), SessionError> {
+        let ti = self.running(h)?;
+        self.global_restart(ti);
+        Ok(())
+    }
+
+    /// Abort every sub-transaction (revoking prepared votes) and begin a
+    /// fresh attempt under a new global timestamp.
+    pub(super) fn global_restart(&mut self, ti: usize) {
+        self.next_gts += 1;
+        let gts = self.next_gts;
+        self.global_restart_keeping(ti, None, gts);
+    }
+
+    /// Restart the global transaction at timestamp `gts`: roll back every
+    /// sub-transaction *except* `keep` — a shard whose concurrency
+    /// control already restarted its sub in place (the fresh attempt,
+    /// stamped `gts`, carries over as the first touched shard of the new
+    /// global attempt).
+    pub(super) fn global_restart_keeping(&mut self, ti: usize, keep: Option<usize>, gts: u64) {
+        self.rollback_subs(ti, keep);
+        self.aborts += 1;
+        let sl = &mut self.slots[ti];
+        sl.gts = gts;
+        sl.attempts += 1;
+    }
+
+    /// Roll back every sub-transaction of slot `ti` on its shard, except
+    /// the shard `keep` (which stays touched and running). Rollbacks fan
+    /// out to the shard threads and are collected before returning.
+    pub(super) fn rollback_subs(&mut self, ti: usize, keep: Option<usize>) {
+        // Detach the subs first: the supervision a scatter runs for a dead
+        // shard must not find this transaction's state there (the sub
+        // died with its shard — nothing to roll back).
+        let sl = &mut self.slots[ti];
+        let mut subs: Vec<(usize, Txn, bool)> = Vec::new();
+        for (s, state) in sl.subs.iter_mut().enumerate() {
+            if Some(s) == keep {
+                debug_assert!(matches!(state, SubState::Running(_)));
+                continue;
+            }
+            match std::mem::replace(state, SubState::Absent) {
+                SubState::Running(sub) => subs.push((s, sub, false)),
+                SubState::Prepared(sub) => subs.push((s, sub, true)),
+                SubState::Absent => {}
+            }
+        }
+        sl.touched.clear();
+        sl.touched.extend(keep.map(|s| s as u32));
+        self.scatter(subs.into_iter().map(|(s, sub, prepared)| {
+            let rollback = move |db: &mut SessionDb| {
+                if prepared {
+                    db.resolve_commit(sub, false, false)
+                        .expect("sub is prepared")
+                } else {
+                    db.abort(sub).expect("sub is live")
+                }
+            };
+            (s, rollback)
+        }));
+    }
+}

@@ -969,9 +969,9 @@ fn engine_thread(
     };
     // Publish a baseline snapshot so `/metrics` answers from the first
     // scrape and the first sample point diffs against startup, not zero.
-    eng.prev_metrics = eng.db.metrics();
-    eng.prev_hist = eng.db.commit_latency_ticks();
-    let first = eng.snapshot();
+    let (first, hist) = eng.snapshot();
+    eng.prev_metrics = first.metrics;
+    eng.prev_hist = hist;
     *eng.ops.published.lock().unwrap() = Some(first);
     eng.publish_health();
     // Readiness is signalled only now: `start` returning guarantees the
@@ -1159,7 +1159,7 @@ impl Engine<'_> {
                         Request::Ping => self.respond(conn, req_id, &Response::Pong),
                         Request::Begin => self.begin_txn(conn, req_id),
                         Request::Stats => {
-                            let stats = Box::new(self.snapshot());
+                            let stats = Box::new(self.snapshot().0);
                             self.respond(conn, req_id, &Response::Stats { stats });
                         }
                         Request::Health => {
@@ -1556,15 +1556,17 @@ impl Engine<'_> {
     /// [`ShardedDb`]: aggregating counters, draining per-shard
     /// contention tallies, and cloning the sample ring — no transaction
     /// state is touched, which is what keeps `Stats` requests invisible
-    /// to the data plane.
-    fn snapshot(&mut self) -> ServerStats {
+    /// to the data plane. The merged commit-latency histogram the
+    /// percentiles were read from rides along, so the sampler does not
+    /// ask every shard for it a second time.
+    fn snapshot(&mut self) -> (ServerStats, Histogram) {
         let metrics = self.db.metrics();
         let hist = self.db.commit_latency_ticks();
         let (subscribers, sub_dropped) = match self.db.trace_hub() {
             Some(hub) => (hub.subscriber_count() as u32, hub.subscribers_dropped()),
             None => (0, 0),
         };
-        ServerStats {
+        let stats = ServerStats {
             uptime_ms: self.started.elapsed().as_millis() as u64,
             cc: self.cc_name.clone(),
             num_vars: self.num_vars,
@@ -1601,7 +1603,8 @@ impl Engine<'_> {
             subscribers,
             sub_dropped,
             series: self.series.iter().copied().collect(),
-        }
+        };
+        (stats, hist)
     }
 
     fn health(&mut self) -> HealthReport {
@@ -1646,8 +1649,7 @@ impl Engine<'_> {
         while self.next_sample <= now {
             self.next_sample += self.sample_interval;
         }
-        let snap = self.snapshot();
-        let hist = self.db.commit_latency_ticks();
+        let (snap, hist) = self.snapshot();
         let dm = snap.metrics.diff(&self.prev_metrics);
         let wire_sheds = snap.sheds_total();
         let point = SamplePoint {
@@ -1689,8 +1691,9 @@ impl Engine<'_> {
 
     /// Handle [`Request::Subscribe`]: attach a bounded ring to the trace
     /// hub (creating a sink-less hub if the server runs untraced) and
-    /// spawn a pump thread that forwards buffered events to the
-    /// connection under [`SUB_CREDIT`] flow control.
+    /// spawn a pump thread ([`subscription_pump`]) that forwards buffered
+    /// events to the connection, blocking in [`Outbox::send`] — never the
+    /// engine — while the subscriber is slow.
     fn subscribe(&mut self, conn: u64, req_id: u64) {
         if self.draining {
             self.respond(conn, req_id, &Response::Draining);

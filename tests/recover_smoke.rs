@@ -1,0 +1,188 @@
+//! Tier-1 smoke of the two recovery paths, through the engine's public
+//! fault-injection surface only.
+//!
+//! * **Durable recover** — a coordinator crash
+//!   ([`ShardedDb::crash_after_2pc_actions`]) at every boundary of one
+//!   cross-shard two-phase commit over strict logs: reopening leaves
+//!   both shards agreeing, committed exactly when the coordinator's
+//!   resolve record became durable, with the single-shard commits before
+//!   it intact and nothing left in doubt for a third open.
+//! * **Fault recovery** — a shard worker panic
+//!   ([`ShardedDb::panic_shard`]) in the middle of a stream: the
+//!   survivor keeps committing, the supervisor restarts the dead shard
+//!   once, and both the live state and a reopen equal the acknowledged
+//!   commits, no more and no less.
+//!
+//! One single-version and one multi-version mechanism each.
+//! `crates/engine/src/shard/tests.rs` and `crates/sim/tests/{sharded,
+//! faults,durability}.rs` hold the full sweeps; this is the thin slice
+//! the Tier-1 command runs.
+
+use ccopt::engine::durability::scratch_path;
+use ccopt::engine::{cc_by_name, DurabilityMode, Op, SessionError, ShardedDb};
+use ccopt::model::ids::VarId;
+use ccopt::model::state::GlobalState;
+use ccopt::model::value::Value;
+use std::path::Path;
+
+const NUM_VARS: usize = 8;
+const MECHANISMS: [&str; 2] = ["strict-2PL", "MVTO"];
+
+fn open<'a>(
+    mk: &'a dyn Fn() -> Box<dyn ccopt::engine::ConcurrencyControl>,
+    dir: &Path,
+) -> ShardedDb<'a> {
+    let init = GlobalState::from_ints(&[0; NUM_VARS]);
+    ShardedDb::open(mk, init, dir, DurabilityMode::Strict, 2, 0).expect("open the shard logs")
+}
+
+/// One variable per shard.
+fn split_pair(db: &ShardedDb) -> (VarId, VarId) {
+    let on = |shard| {
+        (0..NUM_VARS as u32)
+            .map(VarId)
+            .find(|&v| db.shard_of(v) == shard)
+            .expect("both shards own variables")
+    };
+    (on(0), on(1))
+}
+
+/// Add one to each of `vars` in one transaction. `Ok` once it committed
+/// (and retired); `Err` when a crashed shard failed it — the handle is
+/// aborted, nothing of it may survive.
+fn bump(db: &mut ShardedDb, vars: &[VarId]) -> Result<(), SessionError> {
+    let h = db.begin();
+    let gave_up = |db: &mut ShardedDb, e| {
+        db.abort(h).expect("a failed handle aborts");
+        Err(e)
+    };
+    'attempt: loop {
+        for &var in vars {
+            loop {
+                match db.update(h, var, |x| Value::Int(x.as_int().unwrap() + 1)) {
+                    Ok(Op::Done(_)) => break,
+                    Ok(Op::Wait) => {}
+                    Ok(Op::Restarted) => continue 'attempt,
+                    Err(e) => return gave_up(db, e),
+                }
+            }
+        }
+        loop {
+            match db.commit(h) {
+                Ok(Op::Done(())) => {
+                    db.retire(h).expect("committed handles retire");
+                    return Ok(());
+                }
+                Ok(Op::Wait) => {}
+                Ok(Op::Restarted) => continue 'attempt,
+                Err(e) => return gave_up(db, e),
+            }
+        }
+    }
+}
+
+fn ints(db: &mut ShardedDb) -> Vec<i64> {
+    let state = db.globals();
+    state.0.iter().map(|v| v.as_int().unwrap()).collect()
+}
+
+#[test]
+fn coordinator_crash_at_every_2pc_boundary_recovers_all_or_nothing() {
+    for name in MECHANISMS {
+        let mk = || cc_by_name(name).expect("a known mechanism");
+        // One cross-shard commit over two shards is three durable
+        // actions — prepare@0, prepare@1, resolve@coordinator. Budget `n`
+        // kills every log before action `n`; budget 3 lets the protocol
+        // finish but the un-synced drop still loses the participant's
+        // buffered resolve, which recovery must re-derive as a commit.
+        for budget in 0..=3u64 {
+            let dir = scratch_path(&format!("recover-smoke-2pc-{name}-{budget}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut db = open(&mk, &dir);
+            let (a, b) = split_pair(&db);
+            bump(&mut db, &[a]).unwrap();
+            bump(&mut db, &[b]).unwrap();
+            db.crash_after_2pc_actions(budget);
+            // In memory the commit always succeeds; how much of it is
+            // durable is what the budget caps.
+            bump(&mut db, &[a, b]).unwrap();
+            drop(db); // the crash
+
+            let mut db = open(&mk, &dir);
+            let mut expect = vec![0i64; NUM_VARS];
+            let both = if budget >= 3 { 2 } else { 1 };
+            (expect[a.index()], expect[b.index()]) = (both, both);
+            assert_eq!(ints(&mut db), expect, "{name}, budget {budget}");
+            let info = db.recovery_info().expect("logs were recovered");
+            assert_eq!(
+                info.in_doubt_committed,
+                u64::from(budget >= 3),
+                "{name}, budget {budget}"
+            );
+            // The stream resumes, cross-shard included.
+            bump(&mut db, &[a, b]).unwrap();
+            db.sync().unwrap();
+            drop(db);
+
+            let mut db = open(&mk, &dir);
+            let info = db.recovery_info().expect("logs were recovered");
+            assert_eq!(
+                (info.in_doubt_committed, info.in_doubt_aborted),
+                (0, 0),
+                "{name}, budget {budget}: every vote was settled exactly once"
+            );
+            expect[a.index()] += 1;
+            expect[b.index()] += 1;
+            assert_eq!(ints(&mut db), expect, "{name}, budget {budget}");
+            drop(db);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
+fn shard_panic_mid_stream_is_supervised_and_recovers_the_committed_prefix() {
+    for name in MECHANISMS {
+        let mk = || cc_by_name(name).expect("a known mechanism");
+        let dir = scratch_path(&format!("recover-smoke-panic-{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = open(&mk, &dir);
+        let (a, b) = split_pair(&db);
+        let mut expect = vec![0i64; NUM_VARS];
+        let mut failed = 0;
+        for i in 0..12 {
+            if i == 6 {
+                db.panic_shard(1);
+            }
+            let vars: &[VarId] = match i % 3 {
+                0 => &[a],
+                1 => &[b],
+                _ => &[a, b],
+            };
+            match bump(&mut db, vars) {
+                Ok(()) => vars.iter().for_each(|v| expect[v.index()] += 1),
+                // The first transaction to touch the dead shard finds it:
+                // supervision fails that one and restarts the shard.
+                Err(SessionError::ShardDown) => failed += 1,
+                Err(e) => panic!("{name}: unexpected {e}"),
+            }
+        }
+        assert_eq!(failed, 1, "{name}: one transaction met the dead shard");
+        assert_eq!(db.shard_restarts(), 1, "{name}");
+        assert_eq!(db.metrics().commits, 11, "{name}: everyone else committed");
+        assert_eq!(
+            ints(&mut db),
+            expect,
+            "{name}: live state = acknowledged commits"
+        );
+        drop(db); // strict logs: every acknowledged commit is durable
+        let mut db = open(&mk, &dir);
+        assert_eq!(
+            ints(&mut db),
+            expect,
+            "{name}: reopen = acknowledged commits"
+        );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
