@@ -1,9 +1,7 @@
 //! Micro-benchmarks of the core building blocks.
 
-use ccopt_engine::cc::{
-    ConcurrencyControl, MvtoCc, OccCc, SerialCc, SgtCc, SiCc, Strict2plCc, TimestampCc,
-};
 use ccopt_engine::db::Database;
+use ccopt_engine::CcKind;
 use ccopt_model::ids::TxnId;
 use ccopt_model::state::GlobalState;
 use ccopt_model::systems;
@@ -77,22 +75,12 @@ fn bench_cc_hot_path(c: &mut Criterion) {
     use ccopt_model::syntax::StepKind;
 
     const STEPS: u32 = 4;
-    type Factory = fn() -> Box<dyn ConcurrencyControl>;
-    let mechanisms: Vec<(&str, Factory)> = vec![
-        ("serial", || Box::new(SerialCc::default())),
-        ("2pl", || Box::new(Strict2plCc::default())),
-        ("sgt", || Box::new(SgtCc::default())),
-        ("ts", || Box::new(TimestampCc::default())),
-        ("occ", || Box::new(OccCc::default())),
-        ("mvto", || Box::new(MvtoCc::default())),
-        ("si", || Box::new(SiCc::default())),
-    ];
     for &n in &[4u32, 64, 256] {
         let mut g = c.benchmark_group(format!("cc_on_step_commit_n{n}"));
-        for (label, make) in &mechanisms {
-            g.bench_function(*label, |b| {
+        for kind in CcKind::ALL {
+            g.bench_function(kind.name(), |b| {
                 b.iter(|| {
-                    let mut cc = make();
+                    let mut cc = kind.build();
                     let mut tick = 0u64;
                     for t in 0..n {
                         cc.begin(TxnId(t), tick);
@@ -101,7 +89,7 @@ fn bench_cc_hot_path(c: &mut Criterion) {
                     // The serial strawman serializes everyone; interleaving
                     // would just measure Wait returns, so for it each txn
                     // runs back-to-back. The real mechanisms interleave.
-                    if *label == "serial" {
+                    if kind == CcKind::Serial {
                         for t in 0..n {
                             for j in 0..STEPS {
                                 let _ =
@@ -188,7 +176,7 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             let mut db = Database::new(
                 sys.clone(),
-                Box::new(SgtCc::default()),
+                CcKind::Sgt.build(),
                 GlobalState::from_ints(&[0]),
             );
             black_box(db.run_round_robin(&ids, 10_000).unwrap().metrics.commits)
@@ -199,7 +187,7 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             let mut db = Database::new(
                 sys.clone(),
-                Box::new(MvtoCc::default()),
+                CcKind::Mvto.build(),
                 GlobalState::from_ints(&[0]),
             );
             black_box(db.run_round_robin(&ids, 10_000).unwrap().metrics.commits)

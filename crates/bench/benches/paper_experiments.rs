@@ -5,7 +5,7 @@
 use ccopt_bench::{fig1, fig2, fig3, fig4, fig5, g1_deadlock, t1_hierarchy, t2_fixpoints};
 use ccopt_core::fixpoint::fixpoint_set;
 use ccopt_core::theorems::{theorem2, theorem3};
-use ccopt_engine::cc::Strict2plCc;
+use ccopt_engine::CcKind;
 use ccopt_model::systems;
 use ccopt_schedulers::suite::scheduler_suite;
 use ccopt_sim::engine_sim::{simulate_engine, SimConfig};
@@ -65,9 +65,7 @@ fn bench_simulation(c: &mut Criterion) {
         ..SimConfig::default()
     };
     c.bench_function("T3_engine_sim_2pl", |b| {
-        b.iter(|| {
-            black_box(simulate_engine(&sys, &|| Box::new(Strict2plCc::default()), &cfg).commits)
-        })
+        b.iter(|| black_box(simulate_engine(&sys, CcKind::Strict2pl, &cfg).commits))
     });
 }
 

@@ -106,9 +106,8 @@
 //!   ops, commit included), so the RTT amortization is a measured
 //!   speedup, not a claim.
 
-use ccopt_bench::t3_simulation::cc_factories;
 use ccopt_engine::durability::scratch_path;
-use ccopt_engine::DurabilityMode;
+use ccopt_engine::{CcKind, DurabilityMode};
 use ccopt_sim::engine_sim::{simulate_engine, SimConfig, SimResult};
 use ccopt_sim::open_sim::{
     check_serializable, check_strict, simulate_open, simulate_open_durable, DurableConfig,
@@ -306,7 +305,8 @@ fn degraded_grid(quick: bool) -> Vec<DegradedCell> {
             prev(info);
         }
     }));
-    for (name, mk) in cc_factories() {
+    for kind in CcKind::ALL {
+        let name = kind.name();
         let wall = Instant::now();
         let scfg = ShardSimConfig::new(base, shards, 0.2);
         let tag = name.replace('/', "_");
@@ -314,7 +314,7 @@ fn degraded_grid(quick: bool) -> Vec<DegradedCell> {
         let dir = scratch_path(&format!("bench-degraded-base-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
         let dur = ShardDurableConfig::new(dir.clone(), DurabilityMode::Strict);
-        let b = simulate_sharded_faulty(mk.as_ref(), &scfg, Some(&dur), &FaultPlan::default());
+        let b = simulate_sharded_faulty(kind, &scfg, Some(&dur), &FaultPlan::default());
         let _ = std::fs::remove_dir_all(&dir);
         // The degraded run: panic one shard halfway through the stream.
         let dir = scratch_path(&format!("bench-degraded-{tag}"));
@@ -324,7 +324,7 @@ fn degraded_grid(quick: bool) -> Vec<DegradedCell> {
             ..ShardDurableConfig::new(dir.clone(), DurabilityMode::Strict)
         };
         let plan = FaultPlan::panic_at(base.total_txns / 2, 1);
-        let r = simulate_sharded_faulty(mk.as_ref(), &scfg, Some(&dur), &plan);
+        let r = simulate_sharded_faulty(kind, &scfg, Some(&dur), &plan);
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(
             r.committed, base.total_txns,
@@ -386,10 +386,11 @@ fn sharded_grid(quick: bool, open_cells: &[OpenCell]) -> Vec<ShardCell> {
     };
     let mut cells = Vec::new();
     for (shards, cross_ratio) in shard_combos(quick) {
-        for (name, mk) in cc_factories() {
+        for kind in CcKind::ALL {
+            let name = kind.name();
             let wall = Instant::now();
             let scfg = ShardSimConfig::new(base, shards, cross_ratio);
-            let r = simulate_sharded(mk.as_ref(), &scfg);
+            let r = simulate_sharded(kind, &scfg);
             assert_eq!(
                 r.committed, base.total_txns,
                 "{name} did not serve the sharded {label} stream (S={shards}, x={cross_ratio})"
@@ -472,14 +473,15 @@ fn open_grid(quick: bool) -> Vec<OpenCell> {
             ..ocfg
         };
         for mode in durability_modes() {
-            for (name, mk) in cc_factories() {
+            for kind in CcKind::ALL {
+                let name = kind.name();
                 let wall = Instant::now();
                 let r: OpenSimResult = match mode {
-                    DurabilityMode::None => simulate_open(mk.as_ref(), &ocfg),
+                    DurabilityMode::None => simulate_open(kind, &ocfg),
                     mode => {
                         let path = scratch_path("bench-open");
                         let r = simulate_open_durable(
-                            mk.as_ref(),
+                            kind,
                             &ocfg,
                             &DurableConfig::new(path.clone(), mode),
                         );
@@ -1174,7 +1176,8 @@ fn batched_tax(quick: bool) -> Vec<BatchedTaxCell> {
     // enough that a single scheduler hiccup would swamp the ratio.
     let trials = 3;
     let mut cells = Vec::new();
-    for (name, mk) in cc_factories() {
+    for kind in CcKind::ALL {
+        let name = kind.name();
         if !matches!(name, "strict-2PL" | "SI") {
             continue; // one locking and one multi-version representative
         }
@@ -1182,7 +1185,7 @@ fn batched_tax(quick: bool) -> Vec<BatchedTaxCell> {
 
         // Path 1: direct `SessionDb` calls — no threads, no messages.
         let unsharded = || {
-            let mut db = SessionDb::new(mk(), init.clone());
+            let mut db = SessionDb::new(kind.build(), init.clone());
             let wall = Instant::now();
             for i in 0..txns {
                 let h = db.begin();
@@ -1207,7 +1210,7 @@ fn batched_tax(quick: bool) -> Vec<BatchedTaxCell> {
         // (the begin rides the first), plus commit and retire — the
         // messaging tax at its worst.
         let per_op = || {
-            let mut db = ShardedDb::new(mk.as_ref(), init.clone(), 1);
+            let mut db = ShardedDb::new(kind, init.clone(), 1);
             let wall = Instant::now();
             for i in 0..txns {
                 let h = db.begin();
@@ -1229,7 +1232,7 @@ fn batched_tax(quick: bool) -> Vec<BatchedTaxCell> {
         // Path 3: `submit_group` at S = 1, whole transactions —
         // begins, runs, commits, retires — grouped per message.
         let grouped = || {
-            let mut db = ShardedDb::new(mk.as_ref(), init.clone(), 1);
+            let mut db = ShardedDb::new(kind, init.clone(), 1);
             let wall = Instant::now();
             let mut done = 0usize;
             while done < txns {
@@ -1330,12 +1333,13 @@ fn main() {
             _ => &SEEDS[..],
         };
         let systems: Vec<_> = seeds.iter().map(|&s| wl.instantiate(s)).collect();
-        for (name, mk) in cc_factories() {
+        for kind in CcKind::ALL {
+            let name = kind.name();
             let wall = Instant::now();
             // Embarrassingly parallel multi-seed sweep: one simulation per
             // workload seed, reduced in seed order (deterministic).
             let results: Vec<SimResult> =
-                ccopt_par::par_map(&systems, |sys| simulate_engine(sys, mk.as_ref(), &cfg));
+                ccopt_par::par_map(&systems, |sys| simulate_engine(sys, kind, &cfg));
             let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
             let commits: usize = results.iter().map(|r| r.commits).sum();
             let aborts: usize = results.iter().map(|r| r.aborts).sum();

@@ -17,10 +17,9 @@
 //! subdirectory per mechanism, for CI to upload. Exits non-zero on any
 //! validation failure (assertions), so the smoke job is a real gate.
 
-use ccopt_bench::t3_simulation::cc_factories;
 use ccopt_engine::durability::scratch_path;
 use ccopt_engine::trace::validate_jsonl_line;
-use ccopt_engine::{DurabilityMode, TraceConfig};
+use ccopt_engine::{CcKind, DurabilityMode, TraceConfig};
 use ccopt_sim::open_sim::OpenSimConfig;
 use ccopt_sim::shard_sim::{
     simulate_sharded_traced, FaultPlan, ShardDurableConfig, ShardSimConfig,
@@ -95,7 +94,8 @@ fn main() {
         ..OpenSimConfig::default()
     };
     let scfg = ShardSimConfig::new(cfg, 2, 0.4);
-    for (name, mk) in cc_factories() {
+    for kind in CcKind::ALL {
+        let name = kind.name();
         let tag = name.replace('/', "_");
         let cell_dir = out.join(&tag);
         std::fs::create_dir_all(&cell_dir).expect("create the cell directory");
@@ -104,7 +104,7 @@ fn main() {
         let trace = TraceConfig::to_sink(cell_dir.join("trace.jsonl")).with_dump_dir(&cell_dir);
         let dur = ShardDurableConfig::new(wal_dir.clone(), DurabilityMode::Strict);
         let plan = FaultPlan::panic_at(cfg.total_txns / 2, 0);
-        let r = simulate_sharded_traced(mk.as_ref(), &scfg, Some(&dur), Some(&plan), &trace);
+        let r = simulate_sharded_traced(kind, &scfg, Some(&dur), Some(&plan), &trace);
         let _ = std::fs::remove_dir_all(&wal_dir);
 
         assert_eq!(

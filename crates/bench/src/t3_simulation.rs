@@ -4,32 +4,10 @@
 //! and reports throughput, response time and the scheduling/waiting/
 //! execution decomposition for each engine concurrency control.
 
-use ccopt_engine::cc::{
-    ConcurrencyControl, MvtoCc, OccCc, SerialCc, SgtCc, SiCc, Strict2plCc, TimestampCc,
-};
+use ccopt_engine::CcKind;
 use ccopt_sim::engine_sim::{simulate_engine, SimConfig, SimResult};
 use ccopt_sim::report::{f3, Table};
 use ccopt_sim::workload::Workload;
-
-/// A CC factory usable from parallel simulation batches.
-pub type CcFactory = Box<dyn Fn() -> Box<dyn ConcurrencyControl> + Sync>;
-
-/// The CC line-up with factories (fresh instance per batch): the five
-/// single-version mechanisms plus the multi-version family (MVTO, SI).
-pub fn cc_factories() -> Vec<(&'static str, CcFactory)> {
-    vec![
-        ("serial", Box::new(|| Box::new(SerialCc::default()) as _)),
-        (
-            "strict-2PL",
-            Box::new(|| Box::new(Strict2plCc::default()) as _),
-        ),
-        ("T/O", Box::new(|| Box::new(TimestampCc::default()) as _)),
-        ("OCC", Box::new(|| Box::new(OccCc::default()) as _)),
-        ("SGT", Box::new(|| Box::new(SgtCc::default()) as _)),
-        ("MVTO", Box::new(|| Box::new(MvtoCc::default()) as _)),
-        ("SI", Box::new(|| Box::new(SiCc::default()) as _)),
-    ]
-}
 
 /// Multiprogramming levels swept.
 pub const LEVELS: [usize; 3] = [2, 4, 8];
@@ -47,8 +25,8 @@ pub fn sweep(cfg: &SimConfig) -> Vec<(usize, SimResult)> {
             vars: 2 * n,
         };
         let sys = wl.instantiate(1000 + n as u64);
-        for (_, mk) in cc_factories() {
-            out.push((n, simulate_engine(&sys, mk.as_ref(), cfg)));
+        for kind in CcKind::ALL {
+            out.push((n, simulate_engine(&sys, kind, cfg)));
         }
     }
     out

@@ -8,7 +8,7 @@
 //! violation means the trace hooks changed what the engine decides (a
 //! correctness bug), not that the machine was busy.
 
-use ccopt_bench::t3_simulation::cc_factories;
+use ccopt_engine::CcKind;
 use ccopt_sim::open_sim::{simulate_open, OpenSimConfig};
 
 /// The `open_uniform` full-grid cell exactly as `--bin throughput`
@@ -56,9 +56,10 @@ fn untraced_throughput_stays_within_3_percent_of_the_checked_in_baseline() {
     let json = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_engine.json"))
         .expect("the checked-in BENCH_engine.json");
     let (label, cfg) = baseline_cell();
-    for (name, mk) in cc_factories() {
+    for kind in CcKind::ALL {
+        let name = kind.name();
         let want = baseline_throughput(&json, &label, name);
-        let r = simulate_open(mk.as_ref(), &cfg);
+        let r = simulate_open(kind, &cfg);
         assert_eq!(r.committed, cfg.total_txns, "{name}: full service");
         let drift = (r.throughput - want).abs() / want.max(1e-12);
         assert!(

@@ -1351,21 +1351,90 @@ impl ConcurrencyControl for SiCc {
 /// family.
 pub const MECHANISM_NAMES: [&str; 7] = ["serial", "strict-2PL", "T/O", "OCC", "SGT", "MVTO", "SI"];
 
+/// One of the seven mechanisms, as a value: the single way code names
+/// "which concurrency control" — copied into a
+/// [`ShardedDb`](crate::ShardedDb), parsed from the server's `--cc`
+/// flag, iterated by every grid. [`build`](Self::build) is the only
+/// place the seven constructors are listed.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum CcKind {
+    /// [`SerialCc`].
+    Serial,
+    /// [`Strict2plCc`].
+    Strict2pl,
+    /// [`TimestampCc`].
+    Timestamp,
+    /// [`OccCc`].
+    Occ,
+    /// [`SgtCc`].
+    Sgt,
+    /// [`MvtoCc`].
+    Mvto,
+    /// [`SiCc`].
+    Si,
+}
+
+impl CcKind {
+    /// Every mechanism, in [`MECHANISM_NAMES`] order.
+    pub const ALL: [CcKind; 7] = [
+        CcKind::Serial,
+        CcKind::Strict2pl,
+        CcKind::Timestamp,
+        CcKind::Occ,
+        CcKind::Sgt,
+        CcKind::Mvto,
+        CcKind::Si,
+    ];
+
+    /// The canonical name: what the built instance's
+    /// [`name`](ConcurrencyControl::name) returns.
+    pub const fn name(self) -> &'static str {
+        MECHANISM_NAMES[self as usize]
+    }
+
+    /// The mechanism with canonical name `name`; `None` for unknown names.
+    pub fn from_name(name: &str) -> Option<CcKind> {
+        CcKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+
+    /// A fresh default-configured instance.
+    pub fn build(self) -> Box<dyn ConcurrencyControl> {
+        match self {
+            CcKind::Serial => Box::new(SerialCc::default()),
+            CcKind::Strict2pl => Box::new(Strict2plCc::default()),
+            CcKind::Timestamp => Box::new(TimestampCc::default()),
+            CcKind::Occ => Box::new(OccCc::default()),
+            CcKind::Sgt => Box::new(SgtCc::default()),
+            CcKind::Mvto => Box::new(MvtoCc::default()),
+            CcKind::Si => Box::new(SiCc::default()),
+        }
+    }
+}
+
+/// Compatibility conversion for the one caller that still hands
+/// [`ShardedDb`](crate::ShardedDb) a reference to a factory closure
+/// (`benchmark/src/ladder.rs`, which a non-benchmark PR may not edit): the
+/// closure is called once and the instance's name resolved to its kind.
+/// Nothing inside the workspace uses it; the next benchmark PR deletes
+/// that call and this impl with it.
+///
+/// # Panics
+/// When the closure builds something whose name is not one of
+/// [`MECHANISM_NAMES`].
+impl<F: Fn() -> Box<dyn ConcurrencyControl> + ?Sized> From<&F> for CcKind {
+    fn from(factory: &F) -> CcKind {
+        let cc = factory();
+        CcKind::from_name(cc.name())
+            .unwrap_or_else(|| panic!("{:?} is not one of the seven mechanisms", cc.name()))
+    }
+}
+
 /// Construct a fresh default-configured mechanism by its canonical name
 /// (one of [`MECHANISM_NAMES`]). `None` for unknown names. This is the
 /// lookup the served system's `--cc` flag resolves through, so a server
 /// and an in-process run of the same name get identical mechanisms.
 pub fn cc_by_name(name: &str) -> Option<Box<dyn ConcurrencyControl>> {
-    Some(match name {
-        "serial" => Box::new(SerialCc::default()),
-        "strict-2PL" => Box::new(Strict2plCc::default()),
-        "T/O" => Box::new(TimestampCc::default()),
-        "OCC" => Box::new(OccCc::default()),
-        "SGT" => Box::new(SgtCc::default()),
-        "MVTO" => Box::new(MvtoCc::default()),
-        "SI" => Box::new(SiCc::default()),
-        _ => return None,
-    })
+    CcKind::from_name(name).map(CcKind::build)
 }
 
 #[cfg(test)]
@@ -1886,15 +1955,9 @@ mod tests {
 
     #[test]
     fn retire_defaults_to_immediate_for_slot_local_mechanisms() {
-        let ccs: Vec<Box<dyn ConcurrencyControl>> = vec![
-            Box::new(SerialCc::default()),
-            Box::new(Strict2plCc::default()),
-            Box::new(TimestampCc::default()),
-            Box::new(OccCc::default()),
-            Box::new(MvtoCc::default()),
-            Box::new(SiCc::default()),
-        ];
-        for mut cc in ccs {
+        // Every mechanism but SGT, which defers (pinned above).
+        for kind in CcKind::ALL.into_iter().filter(|&k| k != CcKind::Sgt) {
+            let mut cc = kind.build();
             cc.begin(t(0), 0);
             assert_eq!(
                 cc.on_step(t(0), v(0), StepKind::Update),
@@ -2008,5 +2071,19 @@ mod tests {
             );
             assert_eq!(cc.on_step(t(1), v(0), StepKind::Update), CcDecision::Wait);
         }
+    }
+
+    #[test]
+    fn cc_kind_names_parses_and_builds_all_seven() {
+        assert_eq!(CcKind::ALL.map(CcKind::name), MECHANISM_NAMES);
+        for k in CcKind::ALL {
+            assert_eq!(CcKind::from_name(k.name()), Some(k));
+            assert_eq!(k.build().name(), k.name());
+            // The compatibility conversion.
+            let factory = move || k.build();
+            assert_eq!(CcKind::from(&factory), k);
+        }
+        assert_eq!(CcKind::from_name("2pl"), None);
+        assert!(cc_by_name("2pl").is_none());
     }
 }

@@ -269,29 +269,17 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{
-        ConcurrencyControl, MvtoCc, OccCc, SerialCc, SgtCc, SiCc, Strict2plCc, TimestampCc,
-    };
+    use crate::cc::{CcKind, MvtoCc, SerialCc, SiCc, Strict2plCc};
     use ccopt_model::exec::Executor;
     use ccopt_model::ids::VarId;
     use ccopt_model::systems;
     use ccopt_schedule::schedule::permutations;
 
-    // SI rides along here because on these systems every concurrent pair
-    // has overlapping write sets, where first-committer-wins degenerates to
-    // serializable behavior; the write-skew boundary it actually admits is
-    // pinned by `tests/mv_anomalies.rs`.
-    fn all_ccs() -> Vec<Box<dyn ConcurrencyControl>> {
-        vec![
-            Box::new(SerialCc::default()),
-            Box::new(Strict2plCc::default()),
-            Box::new(SgtCc::default()),
-            Box::new(TimestampCc::default()),
-            Box::new(OccCc::default()),
-            Box::new(MvtoCc::default()),
-            Box::new(SiCc::default()),
-        ]
-    }
+    // SI rides along in `CcKind::ALL` here because on these systems every
+    // concurrent pair has overlapping write sets, where
+    // first-committer-wins degenerates to serializable behavior; the
+    // write-skew boundary it actually admits is pinned by
+    // `tests/mv_anomalies.rs`.
 
     /// Every CC must produce a final state equal to SOME serial execution
     /// (state-level serializability), for every round-robin order.
@@ -307,9 +295,9 @@ mod tests {
             .map(|order| ex.run_concatenation(init.clone(), &order).unwrap())
             .collect();
         for order in permutations(&ids) {
-            for cc in all_ccs() {
-                let name = cc.name().to_string();
-                let mut db = Database::new(sys.clone(), cc, init.clone());
+            for kind in CcKind::ALL {
+                let name = kind.name();
+                let mut db = Database::new(sys.clone(), kind.build(), init.clone());
                 let stats = db
                     .run_round_robin(&order, 1000)
                     .unwrap_or_else(|| panic!("{name} stalled"));
@@ -330,9 +318,9 @@ mod tests {
         let sys = systems::hotspot(3, 2);
         let init = GlobalState::from_ints(&[0]);
         let ids: Vec<TxnId> = (0..3u32).map(TxnId).collect();
-        for cc in all_ccs() {
-            let name = cc.name().to_string();
-            let mut db = Database::new(sys.clone(), cc, init.clone());
+        for kind in CcKind::ALL {
+            let name = kind.name();
+            let mut db = Database::new(sys.clone(), kind.build(), init.clone());
             db.run_round_robin(&ids, 1000)
                 .unwrap_or_else(|| panic!("{name} stalled"));
             assert_eq!(
@@ -386,9 +374,9 @@ mod tests {
         let sys = systems::banking();
         let ids: Vec<TxnId> = (0..3u32).map(TxnId).collect();
         for init in sys.space.initial_states.clone() {
-            for cc in all_ccs() {
-                let name = cc.name().to_string();
-                let mut db = Database::new(sys.clone(), cc, init.clone());
+            for kind in CcKind::ALL {
+                let name = kind.name();
+                let mut db = Database::new(sys.clone(), kind.build(), init.clone());
                 db.run_round_robin(&ids, 2000)
                     .unwrap_or_else(|| panic!("{name} stalled"));
                 assert!(

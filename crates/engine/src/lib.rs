@@ -55,7 +55,7 @@ pub mod session;
 pub mod shard;
 pub mod storage;
 
-pub use cc::{cc_by_name, CcConflict, CcDecision, ConcurrencyControl, MECHANISM_NAMES};
+pub use cc::{cc_by_name, CcConflict, CcDecision, CcKind, ConcurrencyControl, MECHANISM_NAMES};
 pub use ccopt_durability as durability;
 pub use ccopt_durability::{DurabilityMode, StoreImage, WalError};
 pub use ccopt_trace as trace;

@@ -53,7 +53,7 @@ impl Inject {
     }
 }
 
-impl ShardedDb<'_> {
+impl ShardedDb {
     /// Crash injection (tests): allow `n` durable two-phase-commit
     /// actions **from this call on** — each participant's prepare fsync
     /// and each coordinator resolve fsync counts one, in shard order —

@@ -164,7 +164,7 @@ pub fn affine_eval(a: i64, c: i64, observed: Value) -> Value {
     Value::Int(a.wrapping_mul(v).wrapping_add(c))
 }
 
-impl ShardedDb<'_> {
+impl ShardedDb {
     /// [`gather`], then supervise every shard whose worker turned out
     /// dead — only once the last reply is in, so a restart never runs
     /// under a fan-out still in flight.

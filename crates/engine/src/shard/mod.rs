@@ -87,7 +87,7 @@ pub use partition::Partition;
 pub use supervise::{RecoveryHistograms, ShardStatus};
 pub use twopc::TwoPcHistograms;
 
-use crate::cc::ConcurrencyControl;
+use crate::cc::{CcKind, ConcurrencyControl};
 use crate::metrics::Metrics;
 use crate::session::{SessionDb, SessionError, SessionStatus, Txn, VarContention};
 use ccopt_durability::recovery::{self, Recovered};
@@ -104,13 +104,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One shard's concurrency control: a fresh instance from the factory,
-/// in commit-order mode whenever the database has more than one shard.
-fn shard_cc(
-    make_cc: &dyn Fn() -> Box<dyn ConcurrencyControl>,
-    shards: usize,
-) -> Box<dyn ConcurrencyControl> {
-    let mut cc = make_cc();
+/// One shard's concurrency control: a fresh instance of `kind`, in
+/// commit-order mode whenever the database has more than one shard.
+fn shard_cc(kind: CcKind, shards: usize) -> Box<dyn ConcurrencyControl> {
+    let mut cc = kind.build();
     if shards > 1 {
         cc.enable_commit_order();
     }
@@ -214,7 +211,7 @@ pub struct ShardedRecoveryInfo {
 /// commit / abort / retire, epoch-guarded handles, `Op`-shaped outcomes)
 /// and is driven by one coordinator at a time (`&mut self`); parallelism
 /// lives *inside* calls, fanning work out to the shard threads.
-pub struct ShardedDb<'a> {
+pub struct ShardedDb {
     workers: Vec<Worker<SessionDb>>,
     partition: Partition,
     num_vars: usize,
@@ -223,7 +220,6 @@ pub struct ShardedDb<'a> {
     /// Global timestamp authority: stamps, in issue order, every
     /// transaction attempt (also serving as the 2PC global id).
     next_gts: u64,
-    cc_name: String,
     multiversion: bool,
     defers: bool,
     recovery: Option<ShardedRecoveryInfo>,
@@ -237,9 +233,10 @@ pub struct ShardedDb<'a> {
     /// Fault-injection scripts (tests); inert unless armed.
     inject: Inject,
     // --- fault domains (supervision) ---
-    /// The concurrency-control factory, kept so the supervisor can build
-    /// a replacement instance when it restarts a crashed shard in place.
-    make_cc: &'a dyn Fn() -> Box<dyn ConcurrencyControl>,
+    /// The mechanism every shard runs, owned so the supervisor can build
+    /// a replacement instance when it restarts a crashed shard in place —
+    /// on whichever thread holds the database by then.
+    kind: CcKind,
     /// The initial global state (a crashed volatile shard respawns from
     /// its projection; a durable one recovers over it).
     init: GlobalState,
@@ -298,38 +295,44 @@ pub struct ShardedDb<'a> {
     batched_ops: usize,
 }
 
-impl<'a> ShardedDb<'a> {
+/// The point of owning the mechanism: the whole database moves between
+/// threads (its shard workers stay where they are).
+const _: () = {
+    const fn assert_send<T: Send + 'static>() {}
+    assert_send::<ShardedDb>()
+};
+
+impl ShardedDb {
     /// Create an in-memory sharded database over the variables of `init`,
     /// partitioned across `shards` shards, each running its own instance
-    /// from `make_cc`.
-    pub fn new(
-        make_cc: &'a dyn Fn() -> Box<dyn ConcurrencyControl>,
-        init: GlobalState,
-        shards: usize,
-    ) -> ShardedDb<'a> {
-        Self::with_capacity(make_cc, init, shards, 0)
+    /// of `kind` (a [`CcKind`]; the `Into` exists for one legacy caller,
+    /// see the conversion on [`CcKind`]).
+    pub fn new(kind: impl Into<CcKind>, init: GlobalState, shards: usize) -> ShardedDb {
+        Self::with_capacity(kind, init, shards, 0)
     }
 
     /// Like [`new`](Self::new), pre-sizing every shard's tables for
     /// `expected_txns` simultaneously open global transactions.
     pub fn with_capacity(
-        make_cc: &'a dyn Fn() -> Box<dyn ConcurrencyControl>,
+        kind: impl Into<CcKind>,
         init: GlobalState,
         shards: usize,
         expected_txns: usize,
-    ) -> ShardedDb<'a> {
+    ) -> ShardedDb {
+        let kind = kind.into();
         let partition = Partition::new(init.0.len(), shards);
         let workers = (0..shards)
             .map(|s| {
-                Worker::spawn(SessionDb::with_capacity(
-                    shard_cc(make_cc, shards),
+                let db = SessionDb::with_capacity(
+                    shard_cc(kind, shards),
                     partition.project(&init, s),
                     expected_txns,
-                ))
+                );
+                Self::spawn_shard(s, db)
             })
             .collect();
         Self::build(
-            make_cc,
+            kind,
             workers,
             partition,
             init,
@@ -350,15 +353,16 @@ impl<'a> ShardedDb<'a> {
     /// created where none exist. With [`DurabilityMode::None`] this is
     /// exactly [`new`](Self::new).
     pub fn open(
-        make_cc: &'a dyn Fn() -> Box<dyn ConcurrencyControl>,
+        kind: impl Into<CcKind>,
         init: GlobalState,
         dir: impl AsRef<Path>,
         mode: DurabilityMode,
         shards: usize,
         expected_txns: usize,
-    ) -> Result<ShardedDb<'a>, WalError> {
+    ) -> Result<ShardedDb, WalError> {
+        let kind = kind.into();
         if matches!(mode, DurabilityMode::None) {
-            return Ok(Self::with_capacity(make_cc, init, shards, expected_txns));
+            return Ok(Self::with_capacity(kind, init, shards, expected_txns));
         }
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
@@ -390,7 +394,7 @@ impl<'a> ShardedDb<'a> {
                 next_gts = next_gts.max(r.floor).max(r.max_gtid);
             }
             let db = SessionDb::from_recovered(
-                shard_cc(make_cc, shards),
+                shard_cc(kind, shards),
                 partition.project(&init, s),
                 &paths[s],
                 mode,
@@ -411,7 +415,7 @@ impl<'a> ShardedDb<'a> {
                 info.in_doubt_committed += ri.in_doubt_committed;
                 info.in_doubt_aborted += ri.in_doubt_aborted;
             }
-            workers.push(Worker::spawn(db));
+            workers.push(Self::spawn_shard(s, db));
         }
         // Every shard's durable decisions seed the in-process table the
         // supervisor consults when it recovers a crashed shard later.
@@ -420,7 +424,7 @@ impl<'a> ShardedDb<'a> {
             decided.extend(m);
         }
         Ok(Self::build(
-            make_cc,
+            kind,
             workers,
             partition,
             init,
@@ -437,9 +441,15 @@ impl<'a> ShardedDb<'a> {
         dir.join(format!("shard-{shard}.wal"))
     }
 
+    /// Start shard `s`'s worker thread over `db`, named so `top -H` shows
+    /// it as a shard whichever thread built (or respawned) it.
+    fn spawn_shard(s: usize, db: SessionDb) -> Worker<SessionDb> {
+        Worker::spawn_named(format!("ccopt-shard-{s}"), db)
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn build(
-        make_cc: &'a dyn Fn() -> Box<dyn ConcurrencyControl>,
+        kind: CcKind,
         workers: Vec<Worker<SessionDb>>,
         partition: Partition,
         init: GlobalState,
@@ -448,14 +458,9 @@ impl<'a> ShardedDb<'a> {
         decided: HashMap<u64, bool>,
         next_gts: u64,
         recovery: Option<ShardedRecoveryInfo>,
-    ) -> ShardedDb<'a> {
-        let sample = make_cc();
-        let (cc_name, multiversion, defers) = (
-            sample.name().to_string(),
-            sample.multiversion(),
-            sample.defers_writes(),
-        );
-        drop(sample);
+    ) -> ShardedDb {
+        let sample = kind.build();
+        let (multiversion, defers) = (sample.multiversion(), sample.defers_writes());
         let shards = workers.len();
         ShardedDb {
             workers,
@@ -464,7 +469,6 @@ impl<'a> ShardedDb<'a> {
             slots: Vec::new(),
             free: Vec::new(),
             next_gts,
-            cc_name,
             multiversion,
             defers,
             recovery,
@@ -474,7 +478,7 @@ impl<'a> ShardedDb<'a> {
             retires: 0,
             cross_commits: 0,
             inject: Inject::default(),
-            make_cc,
+            kind,
             init,
             durable,
             expected_txns,
@@ -555,7 +559,7 @@ impl<'a> ShardedDb<'a> {
 
     /// The concurrency control's name (every shard runs the same one).
     pub fn cc_name(&self) -> &str {
-        &self.cc_name
+        self.kind.name()
     }
 
     /// Number of shards.

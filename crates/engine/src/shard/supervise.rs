@@ -6,7 +6,6 @@ use super::jobs::{gather, Replies};
 use super::{shard_cc, GStatus, ShardedDb, SubState};
 use crate::session::{SessionDb, SessionStatus};
 use ccopt_durability::recovery;
-use ccopt_par::Worker;
 use ccopt_trace::{ConflictRule, EventKind, Histogram};
 use std::time::{Duration, Instant};
 
@@ -40,7 +39,7 @@ pub struct ShardStatus {
     pub restarts: u64,
 }
 
-impl ShardedDb<'_> {
+impl ShardedDb {
     /// Whether shard `s` is permanently down: its storage could not be
     /// recovered after a crash, and every operation routed there returns
     /// [`ShardDown`](crate::session::SessionError::ShardDown) while the
@@ -196,7 +195,7 @@ impl ShardedDb<'_> {
         // file.
         self.workers[s].shutdown();
         let proj = self.partition.project(&self.init, s);
-        let cc = shard_cc(self.make_cc, self.workers.len());
+        let cc = shard_cc(self.kind, self.workers.len());
         let mut db = if let Some((dir, mode)) = self.durable.clone() {
             let path = Self::shard_path(&dir, s);
             let rec = match recovery::recover(&path) {
@@ -238,7 +237,7 @@ impl ShardedDb<'_> {
         if let Some(hub) = &self.trace_hub {
             db.set_tracer(hub.tracer(s as u32));
         }
-        let w = Worker::spawn(db);
+        let w = Self::spawn_shard(s, db);
         if let Some(cap) = self.queue_capacity {
             w.set_capacity(cap);
         }

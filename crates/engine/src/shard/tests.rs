@@ -1,10 +1,9 @@
 use super::*;
-use crate::cc::{MvtoCc, OccCc, SerialCc, SgtCc, SiCc, Strict2plCc, TimestampCc};
 use crate::session::Op;
 use ccopt_durability::{Fault, RetryPolicy, StorageFaults};
 
 /// Hooks only these tests need, kept off the production type.
-impl ShardedDb<'_> {
+impl ShardedDb {
     /// Set the transient-I/O retry policy on every shard's log.
     fn set_retry_policy(&mut self, retry: RetryPolicy) {
         gather(
@@ -31,10 +30,6 @@ fn v(i: u32) -> VarId {
 
 fn int(i: i64) -> Value {
     Value::Int(i)
-}
-
-fn cc_2pl() -> Box<dyn ConcurrencyControl> {
-    Box::new(Strict2plCc::default())
 }
 
 /// Two global variables guaranteed to live on different shards.
@@ -96,7 +91,7 @@ fn partition_covers_every_variable_exactly_once() {
 
 #[test]
 fn single_and_cross_shard_lifecycle() {
-    let mut db = ShardedDb::new(&cc_2pl, GlobalState::from_ints(&[10; 8]), 3);
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[10; 8]), 3);
     let (a, b) = split_pair(&db);
     // Cross-shard read-your-writes and 2PC commit.
     let h = db.begin();
@@ -123,7 +118,7 @@ fn single_and_cross_shard_lifecycle() {
 
 #[test]
 fn stale_handles_are_rejected() {
-    let mut db = ShardedDb::new(&cc_2pl, GlobalState::from_ints(&[0; 4]), 2);
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 4]), 2);
     let h = db.begin();
     let _ = db.write(h, v(0), int(1)).unwrap();
     assert_eq!(db.commit(h).unwrap(), Op::Done(()));
@@ -137,7 +132,7 @@ fn stale_handles_are_rejected() {
 
 #[test]
 fn streams_recycle_slots_across_all_shards() {
-    let mut db = ShardedDb::new(&cc_2pl, GlobalState::from_ints(&[0; 16]), 4);
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 16]), 4);
     let before = db.metrics().snapshot();
     let (a, b) = split_pair(&db);
     for i in 0..60 {
@@ -161,8 +156,7 @@ fn cross_shard_deadlock_is_broken_by_the_restart_valve() {
     // Serial CC: each shard is one token. Two transactions take one
     // token each, then want the other: both Wait forever — no local
     // detector can see the cycle. The valve (client restart) breaks it.
-    let mk = || Box::new(SerialCc::default()) as Box<dyn ConcurrencyControl>;
-    let mut db = ShardedDb::new(&mk, GlobalState::from_ints(&[0; 8]), 2);
+    let mut db = ShardedDb::new(CcKind::Serial, GlobalState::from_ints(&[0; 8]), 2);
     let (a, b) = split_pair(&db);
     let t1 = db.begin();
     let t2 = db.begin();
@@ -192,12 +186,8 @@ fn global_timestamps_serialize_timestamp_mechanisms_across_shards() {
     // admit: t1 reads a (shard A) and writes b (shard B); t2 reads b
     // and writes a. With one global stamp order, some late access
     // aborts — both can never commit on opposite per-shard orders.
-    for mk in [
-        (|| Box::new(TimestampCc::default()) as Box<dyn ConcurrencyControl>)
-            as fn() -> Box<dyn ConcurrencyControl>,
-        || Box::new(MvtoCc::default()),
-    ] {
-        let mut db = ShardedDb::new(&mk, GlobalState::from_ints(&[0; 8]), 2);
+    for kind in [CcKind::Timestamp, CcKind::Mvto] {
+        let mut db = ShardedDb::new(kind, GlobalState::from_ints(&[0; 8]), 2);
         let (a, b) = split_pair(&db);
         let t1 = db.begin(); // gts 1
         let t2 = db.begin(); // gts 2
@@ -228,7 +218,7 @@ fn durable_cross_shard_commits_survive_crashes_at_every_2pc_boundary() {
         let committed_expected = budget >= 3;
         {
             let mut db = ShardedDb::open(
-                &cc_2pl,
+                CcKind::Strict2pl,
                 GlobalState::from_ints(&[0; 8]),
                 &dir,
                 DurabilityMode::Strict,
@@ -246,7 +236,7 @@ fn durable_cross_shard_commits_survive_crashes_at_every_2pc_boundary() {
             assert_eq!(db.commit(h).unwrap(), Op::Done(()));
         } // crash (drop without sync)
         let mut db = ShardedDb::open(
-            &cc_2pl,
+            CcKind::Strict2pl,
             GlobalState::from_ints(&[0; 8]),
             &dir,
             DurabilityMode::Strict,
@@ -276,7 +266,7 @@ fn durable_cross_shard_commits_survive_crashes_at_every_2pc_boundary() {
         // nothing.
         drop(db);
         let db = ShardedDb::open(
-            &cc_2pl,
+            CcKind::Strict2pl,
             GlobalState::from_ints(&[0; 8]),
             &dir,
             DurabilityMode::Strict,
@@ -300,7 +290,7 @@ fn durable_sharded_stream_recovers_and_checkpoints() {
     let dir = ccopt_durability::scratch_path("shard-stream");
     {
         let mut db = ShardedDb::open(
-            &cc_2pl,
+            CcKind::Strict2pl,
             GlobalState::from_ints(&[0; 12]),
             &dir,
             DurabilityMode::Strict,
@@ -320,7 +310,7 @@ fn durable_sharded_stream_recovers_and_checkpoints() {
         bump(&mut db, &[a, b]); // one cross-shard commit on top
     } // crash
     let mut db = ShardedDb::open(
-        &cc_2pl,
+        CcKind::Strict2pl,
         GlobalState::from_ints(&[0; 12]),
         &dir,
         DurabilityMode::Strict,
@@ -352,22 +342,6 @@ fn durable_sharded_stream_recovers_and_checkpoints() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One named mechanism factory of the fault-domain sweep.
-type Mechanism = (&'static str, fn() -> Box<dyn ConcurrencyControl>);
-
-/// All seven mechanisms, for the fault-domain sweep.
-fn all_mechanisms() -> [Mechanism; 7] {
-    [
-        ("serial", || Box::new(SerialCc::default())),
-        ("2pl", || Box::new(Strict2plCc::default())),
-        ("sgt", || Box::new(SgtCc::default())),
-        ("to", || Box::new(TimestampCc::default())),
-        ("occ", || Box::new(OccCc::default())),
-        ("mvto", || Box::new(MvtoCc::default())),
-        ("si", || Box::new(SiCc::default())),
-    ]
-}
-
 #[test]
 fn shard_panic_at_every_2pc_boundary_is_supervised() {
     // One cross-shard transaction over 2 shards = 4 protocol jobs:
@@ -378,12 +352,14 @@ fn shard_panic_at_every_2pc_boundary_is_supervised() {
     // both shards must serve afterwards, and a final reopen must find
     // nothing in doubt. Committed iff the coordinator's resolve fsync
     // (job 2) happened — the commit point.
-    for (name, mk) in all_mechanisms() {
+    for kind in CcKind::ALL {
+        // Debug form: "T/O" is not a file name.
+        let name = format!("{kind:?}");
         for n in 0..=4u64 {
             let dir = ccopt_durability::scratch_path(&format!("shard-panic-{name}-{n}"));
             let _ = std::fs::remove_dir_all(&dir);
             let mut db = ShardedDb::open(
-                &mk,
+                kind,
                 GlobalState::from_ints(&[0; 8]),
                 &dir,
                 DurabilityMode::Strict,
@@ -439,7 +415,7 @@ fn shard_panic_at_every_2pc_boundary_is_supervised() {
             // A clean reopen agrees and has nothing left in doubt:
             // the supervised settlement was made exactly once.
             let mut db = ShardedDb::open(
-                &mk,
+                kind,
                 GlobalState::from_ints(&[0; 8]),
                 &dir,
                 DurabilityMode::Strict,
@@ -462,7 +438,7 @@ fn shard_panic_at_every_2pc_boundary_is_supervised() {
 
 #[test]
 fn volatile_shard_panic_loses_only_that_shard() {
-    let mut db = ShardedDb::new(&cc_2pl, GlobalState::from_ints(&[0; 8]), 2);
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 8]), 2);
     let (a, b) = split_pair(&db);
     bump(&mut db, &[a]);
     bump(&mut db, &[b]);
@@ -490,7 +466,7 @@ fn volatile_shard_panic_loses_only_that_shard() {
 
 #[test]
 fn full_shard_mailboxes_shed_load() {
-    let mut db = ShardedDb::new(&cc_2pl, GlobalState::from_ints(&[0; 8]), 2);
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 8]), 2);
     let (a, b) = split_pair(&db);
     let sb = db.shard_of(b);
     db.set_queue_capacity(1);
@@ -530,7 +506,7 @@ fn unrecoverable_storage_marks_the_shard_down_and_the_rest_serve() {
     let dir = ccopt_durability::scratch_path("shard-perma-down");
     let _ = std::fs::remove_dir_all(&dir);
     let mut db = ShardedDb::open(
-        &cc_2pl,
+        CcKind::Strict2pl,
         GlobalState::from_ints(&[0; 8]),
         &dir,
         DurabilityMode::Strict,
@@ -567,7 +543,7 @@ fn transient_shard_io_faults_retry_and_surface_in_metrics() {
     let dir = ccopt_durability::scratch_path("shard-io-retry");
     let _ = std::fs::remove_dir_all(&dir);
     let mut db = ShardedDb::open(
-        &cc_2pl,
+        CcKind::Strict2pl,
         GlobalState::from_ints(&[0; 8]),
         &dir,
         DurabilityMode::Strict,
@@ -602,8 +578,7 @@ fn sgt_commit_order_composes_across_shards() {
     // The mixed-transaction counterexample from docs/SHARDING.md: a
     // cross-shard pair with opposite-direction conflicts on two
     // shards cannot both commit under the commit-order gate.
-    let mk = || Box::new(SgtCc::default()) as Box<dyn ConcurrencyControl>;
-    let mut db = ShardedDb::new(&mk, GlobalState::from_ints(&[0; 8]), 2);
+    let mut db = ShardedDb::new(CcKind::Sgt, GlobalState::from_ints(&[0; 8]), 2);
     let (a, b) = split_pair(&db);
     let t1 = db.begin();
     let t2 = db.begin();
@@ -630,24 +605,17 @@ fn sgt_commit_order_composes_across_shards() {
 
 #[test]
 fn scatter_collects_live_replies_and_supervises_the_dead_after_the_gather() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    // The factory doubles as the probe: the supervisor calls it to
-    // respawn the dead shard, and it records how many scattered jobs had
-    // run by then.
-    let ran = Arc::new(AtomicUsize::new(0));
-    let ran_at_respawn = Arc::new(AtomicUsize::new(usize::MAX));
-    let (probe, seen) = (ran.clone(), ran_at_respawn.clone());
-    let mk = move || {
-        seen.store(probe.load(Ordering::SeqCst), Ordering::SeqCst);
-        cc_2pl()
-    };
-    let mut db = ShardedDb::new(&mk, GlobalState::from_ints(&[0; 9]), 3);
+    use ccopt_trace::EventKind;
+    // The trace hub's global order stamp is the probe: each scattered job
+    // emits one event on its shard, the supervisor stamps `ShardDown`
+    // when it turns to the dead one.
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 9]), 3);
+    db.set_trace(&TraceConfig::ring(16)).unwrap();
     db.panic_shard(1); // the dead shard sits between the two live targets
     assert_eq!(db.shard_restarts(), 0, "nothing touched the dead shard yet");
     let replies = db.scatter((0..3).map(|s| {
-        let ran = ran.clone();
-        (s, move |_: &mut SessionDb| {
-            ran.fetch_add(1, Ordering::SeqCst);
+        (s, move |db: &mut SessionDb| {
+            db.begin();
             s
         })
     }));
@@ -657,15 +625,38 @@ fn scatter_collects_live_replies_and_supervises_the_dead_after_the_gather() {
         "both live replies are collected around the dead shard"
     );
     assert_eq!(db.shard_restarts(), 1, "the dead shard is supervised once");
-    assert_eq!(
-        ran_at_respawn.load(Ordering::SeqCst),
-        2,
-        "supervision waited for the whole gather"
-    );
+    let events = db.trace_hub().unwrap().merged_events();
+    let stamp = |shard: u32, what: fn(&EventKind) -> bool| {
+        let mut hits = events.iter().filter(|e| e.shard == shard && what(&e.kind));
+        let hit = hits.next().expect("the event was emitted");
+        assert!(hits.next().is_none(), "and only once");
+        hit.gseq
+    };
+    let down = stamp(3, |k| matches!(k, EventKind::ShardDown { shard: 1 }));
+    for s in [0, 2] {
+        assert!(
+            stamp(s, |k| matches!(k, EventKind::TxnBegin { .. })) < down,
+            "supervision waited for the whole gather (shard {s}'s job ran first)"
+        );
+    }
     // The respawned worker answers the next scatter.
     let replies = db.scatter((0..3).map(|s| (s, |db: &mut SessionDb| db.num_slots())));
     assert!(replies.iter().all(|(_, r)| r.is_ok()), "got {replies:?}");
     assert_eq!(db.shard_restarts(), 1);
+}
+
+#[test]
+fn shard_workers_are_named_at_construction_and_at_respawn() {
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 4]), 2);
+    let name = |_: &mut SessionDb| std::thread::current().name().map(String::from);
+    let expect = vec![
+        (0, Ok(Some("ccopt-shard-0".to_string()))),
+        (1, Ok(Some("ccopt-shard-1".to_string()))),
+    ];
+    assert_eq!(db.scatter((0..2).map(|s| (s, name))), expect);
+    db.panic_shard(1);
+    assert_eq!(db.check_shards(), 1);
+    assert_eq!(db.scatter((0..2).map(|s| (s, name))), expect);
 }
 
 #[test]
@@ -674,7 +665,7 @@ fn sync_flushes_every_live_shard_before_reporting_a_failing_one() {
     let _ = std::fs::remove_dir_all(&dir);
     let init = GlobalState::from_ints(&[0; 8]);
     let mode = DurabilityMode::group(64);
-    let mut db = ShardedDb::open(&cc_2pl, init.clone(), &dir, mode, 2, 0).unwrap();
+    let mut db = ShardedDb::open(CcKind::Strict2pl, init.clone(), &dir, mode, 2, 0).unwrap();
     let b = (0..8).map(v).find(|&x| db.shard_of(x) == 1).unwrap();
     // Shard 0's log fails its next fsync for good; shard 1 holds an
     // acknowledged commit that group mode has not flushed yet.
@@ -682,7 +673,7 @@ fn sync_flushes_every_live_shard_before_reporting_a_failing_one() {
     bump(&mut db, &[b]);
     assert!(db.sync().is_err(), "shard 0's failure is reported");
     drop(db); // a crash right after the drain's sync
-    let mut db = ShardedDb::open(&cc_2pl, init, &dir, mode, 2, 0).unwrap();
+    let mut db = ShardedDb::open(CcKind::Strict2pl, init, &dir, mode, 2, 0).unwrap();
     assert_eq!(
         db.globals().0[b.index()],
         int(1),

@@ -28,7 +28,7 @@ pub struct TwoPcHistograms {
     pub prepare_fanout: Histogram,
 }
 
-impl ShardedDb<'_> {
+impl ShardedDb {
     // --------------------------------------------------------------- finish
 
     /// Commit the global transaction. Single-shard transactions commit

@@ -40,8 +40,7 @@
 //! guarantees the same timestamps.
 
 use ccopt_engine::{
-    affine_eval, cc_by_name, BatchOp, GlobalTxn, GroupReq, Metrics, Op, SessionError, ShardedDb,
-    MECHANISM_NAMES,
+    affine_eval, BatchOp, CcKind, GlobalTxn, GroupReq, Metrics, Op, SessionError, ShardedDb,
 };
 use ccopt_model::{GlobalState, Value, VarId};
 
@@ -257,14 +256,13 @@ fn settle(
 /// Replay the recorded programs through one submission path. Returns
 /// (commits in driver order, final state, committed state, metrics).
 fn replay(
-    cc: &str,
+    cc: CcKind,
     shards: usize,
     seed: u64,
     mode: Mode,
 ) -> (Vec<bool>, GlobalState, GlobalState, Metrics) {
-    let make = move || cc_by_name(cc).expect("known mechanism");
     let init = GlobalState::from_ints(&[7; NUM_VARS]);
-    let mut db = ShardedDb::new(&make, init, shards);
+    let mut db = ShardedDb::new(cc, init, shards);
     let programs = record_programs(&mut db, shards, seed);
     let mut states: Vec<TxnState> = programs
         .iter()
@@ -380,13 +378,13 @@ fn decision_metrics(m: &Metrics) -> Metrics {
 
 #[test]
 fn batched_submission_is_bit_identical_for_every_mechanism() {
-    for cc in MECHANISM_NAMES {
+    for cc in CcKind::ALL {
         for shards in [1usize, 2, 8] {
             let seed = 0xD1FF_0000 + shards as u64;
             let (commits_a, g_a, c_a, m_a) = replay(cc, shards, seed, Mode::PerOp);
             let (commits_b, g_b, c_b, m_b) = replay(cc, shards, seed, Mode::GroupOfOne);
             let (commits_c, g_c, c_c, m_c) = replay(cc, shards, seed, Mode::Group);
-            let ctx = format!("{cc} S={shards}");
+            let ctx = format!("{} S={shards}", cc.name());
             assert!(
                 commits_a.iter().filter(|&&c| c).count() > 0,
                 "{ctx}: workload must commit something to be a meaningful differential"
@@ -419,11 +417,12 @@ fn batched_submission_is_bit_identical_for_every_mechanism() {
 
 #[test]
 fn group_submission_kills_the_messaging_tax() {
-    for cc in ["strict-2PL", "SI"] {
+    for kind in [CcKind::Strict2pl, CcKind::Si] {
+        let cc = kind.name();
         for shards in [1usize, 2] {
             let seed = 0xD1FF_0000 + shards as u64;
-            let (_, _, _, per_op) = replay(cc, shards, seed, Mode::PerOp);
-            let (_, _, _, group) = replay(cc, shards, seed, Mode::Group);
+            let (_, _, _, per_op) = replay(kind, shards, seed, Mode::PerOp);
+            let (_, _, _, group) = replay(kind, shards, seed, Mode::Group);
             // Same ops executed (proved bit-identical above), far fewer
             // messages: whole transactions — begin, run, commit, retire
             // — ride one message on the packed path.
@@ -441,8 +440,7 @@ fn group_submission_kills_the_messaging_tax() {
     // transaction: per-op pays one message per operation (the lazy begin
     // rides the first), one for the commit and one for the retire; a
     // group carries the whole lifecycle in one.
-    let make = || cc_by_name("strict-2PL").expect("known mechanism");
-    let mut db = ShardedDb::new(&make, GlobalState::from_ints(&[7; NUM_VARS]), 2);
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[7; NUM_VARS]), 2);
     let vars: Vec<VarId> = db.shard_vars(0).to_vec();
     let n = vars.len();
     assert!(n >= 2, "shard 0 owns several of the {NUM_VARS} variables");

@@ -93,8 +93,7 @@ pub enum ServerError {
     UnknownMechanism(String),
     /// Opening the durable engine (write-ahead logs, recovery) failed.
     Wal(WalError),
-    /// The server's engine thread is already gone (stopped twice, or it
-    /// exited on a fatal startup error reported elsewhere).
+    /// The server's engine thread is already gone (stopped twice).
     Stopped,
 }
 

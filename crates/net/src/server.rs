@@ -6,8 +6,17 @@
 //! One **accept** thread polls the listener; each connection gets one
 //! **reader** thread (decode frames, admission-check, forward to the
 //! engine). One **engine** thread owns the [`ShardedDb`] and is the only
-//! thread that touches it: every connection's requests are multiplexed
-//! onto it through one bounded channel, and everything one drain pass of
+//! thread that touches it once serving starts. [`Server::start`] builds
+//! the engine — parse the mechanism, open or recover the logs, attach
+//! the trace plane, publish the first stats snapshot — on its caller's
+//! thread, so every start-up error is a plain `Err` returned before any
+//! `ccopt-net-*` thread exists, and then moves the finished engine onto
+//! its thread: no readiness hand-shake, and a failed `start` leaves no
+//! thread and no bound port behind. (The shard workers inside the
+//! database are named `ccopt-shard-<s>` by the engine crate, whichever
+//! thread spawns or respawns them, and are joined when it drops.) Every
+//! connection's requests are multiplexed onto the engine thread through
+//! one bounded channel, and everything one drain pass of
 //! that channel holds — data operations, wire batches and commits,
 //! across transactions and connections — is submitted as one
 //! [`ShardedDb::submit_group`] call, so pipelining clients amortize the
@@ -95,8 +104,7 @@ use crate::stats::{
 };
 use ccopt_durability::DurabilityMode;
 use ccopt_engine::{
-    cc_by_name, BatchOp, ConcurrencyControl, GlobalTxn, GroupReq, GroupResp, Metrics, Op,
-    SessionError, ShardedDb,
+    BatchOp, CcKind, GlobalTxn, GroupReq, GroupResp, Metrics, Op, SessionError, ShardedDb,
 };
 use ccopt_model::ids::VarId;
 use ccopt_model::state::GlobalState;
@@ -500,12 +508,15 @@ pub struct Server {
 
 impl Server {
     /// Bind, open (or recover) the engine, and start serving. Fails
-    /// synchronously on an unknown mechanism, a bind error, or a log
-    /// that does not recover.
+    /// synchronously on an unknown mechanism, a bind error, a log that
+    /// does not recover, or a trace sink that does not open — and every
+    /// fallible step runs on the calling thread before the first thread
+    /// is spawned, so an `Err` leaves nothing behind: no thread, no bound
+    /// port.
     pub fn start(cfg: ServerConfig) -> Result<Server, ServerError> {
-        if cc_by_name(&cfg.cc).is_none() {
+        let Some(kind) = CcKind::from_name(&cfg.cc) else {
             return Err(ServerError::UnknownMechanism(cfg.cc));
-        }
+        };
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -527,7 +538,6 @@ impl Server {
 
         let (tx, rx) = mpsc::sync_channel::<ToEngine>(cfg.queue.max(1));
         let (done_tx, done_rx) = mpsc::channel::<DrainStats>();
-        let (ready_tx, ready_rx) = mpsc::channel::<Result<(), ServerError>>();
         let stop = Arc::new(AtomicBool::new(false));
         let kill = Arc::new(AtomicBool::new(false));
         let sheds = Arc::new(ShedCounters::default());
@@ -538,8 +548,19 @@ impl Server {
             ..OpsShared::default()
         });
 
+        // Engine startup (recovery included) happens here, on the
+        // caller's thread: a log that does not open fails `start`, not
+        // the first request. This is the last fallible step.
+        let eng = Engine::open(
+            &cfg,
+            kind,
+            Arc::clone(&sheds),
+            Arc::clone(&stop),
+            Arc::clone(&ops),
+            Arc::clone(&queue_depth),
+        )?;
+
         let ops_http = ops_listener.map(|l| {
-            let ops = Arc::clone(&ops);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("ccopt-net-ops".to_string())
@@ -548,44 +569,13 @@ impl Server {
         });
 
         let engine = {
-            let cfg = cfg.clone();
-            let stop = Arc::clone(&stop);
             let kill = Arc::clone(&kill);
-            let sheds = Arc::clone(&sheds);
             let conns = Arc::clone(&conns);
-            let ops = Arc::clone(&ops);
-            let queue_depth = Arc::clone(&queue_depth);
             std::thread::Builder::new()
                 .name("ccopt-net-engine".to_string())
-                .spawn(move || {
-                    engine_thread(
-                        cfg,
-                        rx,
-                        ready_tx,
-                        done_tx,
-                        stop,
-                        kill,
-                        sheds,
-                        conns,
-                        ops,
-                        queue_depth,
-                    )
-                })
+                .spawn(move || engine_thread(eng, rx, done_tx, kill, conns))
                 .expect("spawn engine thread")
         };
-        // Engine startup (recovery included) is synchronous: a log that
-        // does not open fails `start`, not the first request.
-        match ready_rx.recv() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                let _ = engine.join();
-                return Err(e);
-            }
-            Err(_) => {
-                let _ = engine.join();
-                return Err(ServerError::Stopped);
-            }
-        }
 
         let accept = {
             let tx = tx.clone();
@@ -839,8 +829,8 @@ struct SubEntry {
     stop: Arc<AtomicBool>,
 }
 
-struct Engine<'a> {
-    db: ShardedDb<'a>,
+struct Engine {
+    db: ShardedDb,
     tracer: Tracer,
     conns: HashMap<u64, Arc<Outbox>>,
     /// Outboxes this pass put their first pending bytes into: each is
@@ -885,99 +875,95 @@ struct Engine<'a> {
     stats_line: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn engine_thread(
-    cfg: ServerConfig,
-    rx: Receiver<ToEngine>,
-    ready_tx: mpsc::Sender<Result<(), ServerError>>,
-    done_tx: mpsc::Sender<DrainStats>,
-    stop: Arc<AtomicBool>,
-    kill: Arc<AtomicBool>,
-    sheds: Arc<ShedCounters>,
-    conn_streams: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
-    ops: Arc<OpsShared>,
-    queue_depth: Arc<AtomicUsize>,
-) {
-    // The factory lives on this thread's stack for the `ShardedDb`'s
-    // whole life — the borrow that makes `ShardedDb<'a>` workable here.
-    let cc_name = cfg.cc.clone();
-    let make_cc: Box<dyn Fn() -> Box<dyn ConcurrencyControl>> =
-        Box::new(move || cc_by_name(&cc_name).expect("name validated at start"));
-    let init = GlobalState::from_ints(&vec![0; cfg.num_vars]);
-    let mut db = match &cfg.dir {
-        Some(dir) => {
-            match ShardedDb::open(&*make_cc, init, dir, cfg.mode, cfg.shards, cfg.max_txns) {
-                Ok(db) => db,
-                Err(e) => {
-                    let _ = ready_tx.send(Err(ServerError::Wal(e)));
-                    return;
-                }
+/// The engine is built by [`Server::start`] on its caller's thread and
+/// moved onto the engine thread whole.
+const _: () = {
+    const fn assert_send<T: Send + 'static>() {}
+    assert_send::<Engine>()
+};
+
+impl Engine {
+    /// Open (or recover) the database, attach the trace plane and build
+    /// the engine around it, with a baseline snapshot already published
+    /// so `/metrics` answers from the first scrape.
+    fn open(
+        cfg: &ServerConfig,
+        kind: CcKind,
+        sheds: Arc<ShedCounters>,
+        stop: Arc<AtomicBool>,
+        ops: Arc<OpsShared>,
+        queue_depth: Arc<AtomicUsize>,
+    ) -> Result<Engine, ServerError> {
+        let init = GlobalState::from_ints(&vec![0; cfg.num_vars]);
+        let mut db = match &cfg.dir {
+            Some(dir) => ShardedDb::open(kind, init, dir, cfg.mode, cfg.shards, cfg.max_txns)?,
+            None => ShardedDb::with_capacity(kind, init, cfg.shards, cfg.max_txns),
+        };
+        if cfg.shard_queue > 0 {
+            db.set_queue_capacity(cfg.shard_queue);
+        }
+        let mut tracer = Tracer::off();
+        if let Some(tc) = &cfg.trace {
+            db.set_trace(tc)?;
+            // The server plane emits as shard id S+1 (one past the
+            // coordinator's S), so merged traces stay totally ordered.
+            if let Some(hub) = db.trace_hub() {
+                tracer = hub.tracer(cfg.shards as u32 + 1);
             }
         }
-        None => ShardedDb::with_capacity(&*make_cc, init, cfg.shards, cfg.max_txns),
-    };
-    if cfg.shard_queue > 0 {
-        db.set_queue_capacity(cfg.shard_queue);
+        let now = Instant::now();
+        let mut eng = Engine {
+            db,
+            tracer,
+            conns: HashMap::new(),
+            unflushed: Vec::new(),
+            txns: HashMap::new(),
+            waits: HashMap::new(),
+            wait_valve: cfg.wait_valve,
+            next_token: 0,
+            max_txns: cfg.max_txns.max(1),
+            num_vars: cfg.num_vars as u32,
+            sheds,
+            commits: 0,
+            tick: 0,
+            draining: false,
+            deadline: None,
+            grace: cfg.drain_grace,
+            cc_name: cfg.cc.clone(),
+            shards: cfg.shards,
+            started: now,
+            subs: HashMap::new(),
+            subscriber_ring: cfg.subscriber_ring.max(1),
+            subscriber_rate: cfg.subscriber_rate,
+            stop,
+            ops,
+            queue_depth,
+            sample_interval: cfg.sample_interval,
+            next_sample: now + cfg.sample_interval,
+            prev_metrics: Metrics::default(),
+            prev_hist: Histogram::new(),
+            prev_wire_sheds: 0,
+            series: VecDeque::new(),
+            sample_ring: cfg.sample_ring.max(1),
+            stats_line: cfg.stats_line,
+        };
+        // The first sample point diffs against startup, not zero.
+        let (first, hist) = eng.snapshot();
+        eng.prev_metrics = first.metrics;
+        eng.prev_hist = hist;
+        *eng.ops.published.lock().unwrap() = Some(first);
+        eng.publish_health();
+        Ok(eng)
     }
-    let mut tracer = Tracer::off();
-    if let Some(tc) = &cfg.trace {
-        if let Err(e) = db.set_trace(tc) {
-            let _ = ready_tx.send(Err(ServerError::Io(e)));
-            return;
-        }
-        // The server plane emits as shard id S+1 (one past the
-        // coordinator's S), so merged traces stay totally ordered.
-        if let Some(hub) = db.trace_hub() {
-            tracer = hub.tracer(cfg.shards as u32 + 1);
-        }
-    }
-    let now = Instant::now();
-    let mut eng = Engine {
-        db,
-        tracer,
-        conns: HashMap::new(),
-        unflushed: Vec::new(),
-        txns: HashMap::new(),
-        waits: HashMap::new(),
-        wait_valve: cfg.wait_valve,
-        next_token: 0,
-        max_txns: cfg.max_txns.max(1),
-        num_vars: cfg.num_vars as u32,
-        sheds,
-        commits: 0,
-        tick: 0,
-        draining: false,
-        deadline: None,
-        grace: cfg.drain_grace,
-        cc_name: cfg.cc.clone(),
-        shards: cfg.shards,
-        started: now,
-        subs: HashMap::new(),
-        subscriber_ring: cfg.subscriber_ring.max(1),
-        subscriber_rate: cfg.subscriber_rate,
-        stop: Arc::clone(&stop),
-        ops,
-        queue_depth,
-        sample_interval: cfg.sample_interval,
-        next_sample: now + cfg.sample_interval,
-        prev_metrics: Metrics::default(),
-        prev_hist: Histogram::new(),
-        prev_wire_sheds: 0,
-        series: VecDeque::new(),
-        sample_ring: cfg.sample_ring.max(1),
-        stats_line: cfg.stats_line,
-    };
-    // Publish a baseline snapshot so `/metrics` answers from the first
-    // scrape and the first sample point diffs against startup, not zero.
-    let (first, hist) = eng.snapshot();
-    eng.prev_metrics = first.metrics;
-    eng.prev_hist = hist;
-    *eng.ops.published.lock().unwrap() = Some(first);
-    eng.publish_health();
-    // Readiness is signalled only now: `start` returning guarantees the
-    // first `/metrics` scrape has a snapshot to serve.
-    let _ = ready_tx.send(Ok(()));
+}
 
+fn engine_thread(
+    mut eng: Engine,
+    rx: Receiver<ToEngine>,
+    done_tx: mpsc::Sender<DrainStats>,
+    kill: Arc<AtomicBool>,
+    conn_streams: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
+) {
     let mut batch: Vec<ToEngine> = Vec::with_capacity(256);
     let mut killed = false;
     'serve: loop {
@@ -1039,7 +1025,7 @@ fn engine_thread(
         eng.db.flush_trace();
     }
     // Wake every connection so its threads exit.
-    stop.store(true, Ordering::SeqCst);
+    eng.stop.store(true, Ordering::SeqCst);
     for (_, out) in conn_streams.lock().unwrap().drain() {
         let _ = out.stream.shutdown(Shutdown::Both);
     }
@@ -1111,7 +1097,7 @@ struct Pending {
     index: HashMap<(u64, u64), usize>,
 }
 
-impl Engine<'_> {
+impl Engine {
     fn process(&mut self, msgs: &[ToEngine]) {
         // Group submit: accumulate every transaction's data ops, wire
         // batches and commits across the whole drained pass — across

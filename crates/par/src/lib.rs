@@ -197,15 +197,26 @@ pub struct Worker<T> {
 }
 
 impl<T: Send + 'static> Worker<T> {
-    /// Move `state` onto a fresh worker thread and open its mailbox.
+    /// Move `state` onto a fresh worker thread and open its mailbox. The
+    /// thread is unnamed: it shows up under its spawner's name.
     pub fn spawn(state: T) -> Worker<T> {
+        Self::spawn_on(std::thread::Builder::new(), state)
+    }
+
+    /// Like [`spawn`](Self::spawn), on a thread named `name` (what
+    /// `top -H` and a panic message show).
+    pub fn spawn_named(name: String, state: T) -> Worker<T> {
+        Self::spawn_on(std::thread::Builder::new().name(name), state)
+    }
+
+    fn spawn_on(thread: std::thread::Builder, state: T) -> Worker<T> {
         let (tx, rx) = channel::<Job<T>>();
         let alive = Arc::new(AtomicBool::new(true));
         let pending = Arc::new(AtomicUsize::new(0));
         let handle = {
             let alive = alive.clone();
             let pending = pending.clone();
-            std::thread::spawn(move || {
+            let body = move || {
                 let mut state = state;
                 while let Ok(job) = rx.recv() {
                     let ok = catch_unwind(AssertUnwindSafe(|| job(&mut state))).is_ok();
@@ -225,7 +236,10 @@ impl<T: Send + 'static> Worker<T> {
                         return;
                     }
                 }
-            })
+            };
+            // As `std::thread::spawn`: no thread is an unrecoverable
+            // resource failure.
+            thread.spawn(body).expect("failed to spawn worker thread")
         };
         Worker {
             tx: Some(tx),
@@ -393,6 +407,14 @@ mod tests {
         }
         let out = w.call(|v| v.clone()).unwrap();
         assert_eq!(out, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn named_worker_thread_carries_its_name() {
+        let name = |_: &mut ()| std::thread::current().name().map(String::from);
+        let w = Worker::spawn_named("ccopt-shard-7".to_string(), ());
+        assert_eq!(w.call(name).unwrap().as_deref(), Some("ccopt-shard-7"));
+        assert_eq!(Worker::spawn(()).call(name).unwrap(), None);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::event::{exp_sample, Event};
 use crate::stats::Summary;
-use ccopt_engine::cc::ConcurrencyControl;
+use ccopt_engine::cc::CcKind;
 use ccopt_engine::db::{Database, StepOutcome};
 use ccopt_model::ids::TxnId;
 use ccopt_model::system::TransactionSystem;
@@ -115,12 +115,7 @@ fn batch_rng(seed: u64, batch: usize) -> SmallRng {
 
 /// Run one batch to completion: instantiate the system, drive every
 /// transaction to commit under a fresh CC instance, accumulate timing.
-fn run_batch(
-    sys: &TransactionSystem,
-    make_cc: &(dyn Fn() -> Box<dyn ConcurrencyControl> + Sync),
-    cfg: &SimConfig,
-    batch: usize,
-) -> BatchOut {
+fn run_batch(sys: &TransactionSystem, kind: CcKind, cfg: &SimConfig, batch: usize) -> BatchOut {
     let mut rng = batch_rng(cfg.seed, batch);
     let n = sys.num_txns();
     let init = sys
@@ -131,7 +126,7 @@ fn run_batch(
         .unwrap_or_else(|| {
             ccopt_model::state::GlobalState::from_ints(&vec![0; sys.syntax.num_vars()])
         });
-    let mut db = Database::new(sys.clone(), make_cc(), init);
+    let mut db = Database::new(sys.clone(), kind.build(), init);
 
     let mut out = BatchOut {
         clock: 0.0,
@@ -204,20 +199,16 @@ fn run_batch(
 }
 
 /// Run the simulation: each batch instantiates the system once, runs every
-/// transaction to commit under `make_cc`, and accumulates timing. Batches
+/// transaction to commit under `kind`, and accumulates timing. Batches
 /// run on all cores when `cfg.parallel` is set; the reduction is in batch
 /// order, so the result is bit-identical to the sequential path.
-pub fn simulate_engine(
-    sys: &TransactionSystem,
-    make_cc: &(dyn Fn() -> Box<dyn ConcurrencyControl> + Sync),
-    cfg: &SimConfig,
-) -> SimResult {
-    let cc_name = make_cc().name().to_string();
+pub fn simulate_engine(sys: &TransactionSystem, kind: CcKind, cfg: &SimConfig) -> SimResult {
+    let cc_name = kind.name().to_string();
     let outs: Vec<BatchOut> = if cfg.parallel {
-        ccopt_par::par_map_indexed(cfg.batches, |b| run_batch(sys, make_cc, cfg, b))
+        ccopt_par::par_map_indexed(cfg.batches, |b| run_batch(sys, kind, cfg, b))
     } else {
         (0..cfg.batches)
-            .map(|b| run_batch(sys, make_cc, cfg, b))
+            .map(|b| run_batch(sys, kind, cfg, b))
             .collect()
     };
 
@@ -256,7 +247,6 @@ pub fn simulate_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccopt_engine::cc::{SerialCc, SgtCc, Strict2plCc};
     use ccopt_model::systems;
     use rand::Rng;
 
@@ -272,7 +262,7 @@ mod tests {
     fn all_transactions_commit() {
         let sys = systems::fig3_pair();
         let cfg = quick_cfg();
-        let r = simulate_engine(&sys, &|| Box::new(Strict2plCc::default()), &cfg);
+        let r = simulate_engine(&sys, CcKind::Strict2pl, &cfg);
         assert_eq!(r.commits, 2 * cfg.batches);
         assert_eq!(r.response.n, 2 * cfg.batches);
         assert!(r.throughput > 0.0);
@@ -310,8 +300,8 @@ mod tests {
             StateSpace::from_ints(&[&[0, 0]]),
         );
         let cfg = quick_cfg();
-        let serial = simulate_engine(&sys, &|| Box::new(SerialCc::default()), &cfg);
-        let sgt = simulate_engine(&sys, &|| Box::new(SgtCc::default()), &cfg);
+        let serial = simulate_engine(&sys, CcKind::Serial, &cfg);
+        let sgt = simulate_engine(&sys, CcKind::Sgt, &cfg);
         assert!(sgt.waiting.mean <= serial.waiting.mean);
         assert_eq!(sgt.aborts, 0);
     }
@@ -320,8 +310,8 @@ mod tests {
     fn determinism_under_seed() {
         let sys = systems::fig3_pair();
         let cfg = quick_cfg();
-        let a = simulate_engine(&sys, &|| Box::new(Strict2plCc::default()), &cfg);
-        let b = simulate_engine(&sys, &|| Box::new(Strict2plCc::default()), &cfg);
+        let a = simulate_engine(&sys, CcKind::Strict2pl, &cfg);
+        let b = simulate_engine(&sys, CcKind::Strict2pl, &cfg);
         assert_eq!(a.response, b.response);
         assert_eq!(a.aborts, b.aborts);
     }
@@ -346,8 +336,8 @@ mod tests {
                     parallel: false,
                     ..par
                 };
-                let a = simulate_engine(&sys, &|| Box::new(SgtCc::default()), &par);
-                let b = simulate_engine(&sys, &|| Box::new(SgtCc::default()), &seq);
+                let a = simulate_engine(&sys, CcKind::Sgt, &par);
+                let b = simulate_engine(&sys, CcKind::Sgt, &seq);
                 assert_eq!(a.response, b.response, "{label} seed {seed}");
                 assert_eq!(a.waiting, b.waiting, "{label} seed {seed}");
                 assert_eq!(a.scheduling, b.scheduling, "{label} seed {seed}");
@@ -363,16 +353,15 @@ mod tests {
 
     #[test]
     fn multiversion_mechanisms_run_through_the_simulator() {
-        use ccopt_engine::cc::{MvtoCc, SiCc};
         for (label, sys) in [
             ("fig3", systems::fig3_pair()),
             ("banking", systems::banking()),
         ] {
             let cfg = quick_cfg();
-            let mvto = simulate_engine(&sys, &|| Box::new(MvtoCc::default()), &cfg);
+            let mvto = simulate_engine(&sys, CcKind::Mvto, &cfg);
             assert_eq!(mvto.commits, sys.num_txns() * cfg.batches, "{label}");
             assert_eq!(mvto.cc_name, "MVTO");
-            let si = simulate_engine(&sys, &|| Box::new(SiCc::default()), &cfg);
+            let si = simulate_engine(&sys, CcKind::Si, &cfg);
             assert_eq!(si.commits, sys.num_txns() * cfg.batches, "{label}");
             assert_eq!(si.cc_name, "SI");
             // The parallel path stays bit-identical for the MV family too.
@@ -380,7 +369,7 @@ mod tests {
                 parallel: false,
                 ..cfg
             };
-            let mvto_seq = simulate_engine(&sys, &|| Box::new(MvtoCc::default()), &seq);
+            let mvto_seq = simulate_engine(&sys, CcKind::Mvto, &seq);
             assert_eq!(mvto.response, mvto_seq.response, "{label}");
             assert_eq!(mvto.aborts, mvto_seq.aborts, "{label}");
         }
@@ -403,7 +392,7 @@ mod tests {
             batches: 3,
             ..quick_cfg()
         };
-        let r = simulate_engine(&sys, &|| Box::new(SgtCc::default()), &cfg);
+        let r = simulate_engine(&sys, CcKind::Sgt, &cfg);
         assert_eq!(r.commits, 3 * 3);
     }
 }

@@ -39,7 +39,7 @@
 use crate::event::{exp_sample, Event};
 pub use crate::oracle::{check_serializable, check_strict};
 use crate::stats::Summary;
-use ccopt_engine::cc::ConcurrencyControl;
+use ccopt_engine::cc::CcKind;
 use ccopt_engine::session::{Op, SessionDb, SessionError, Txn, VarContention};
 use ccopt_engine::{ConflictRule, DurabilityMode, Histogram, Metrics, TraceConfig, TraceHub};
 use ccopt_model::ids::VarId;
@@ -374,11 +374,8 @@ pub fn submit_op(db: &mut SessionDb, h: Txn, op: OpSpec) -> Op<Value> {
 }
 
 /// Run the open-world simulation for one mechanism (no durability).
-pub fn simulate_open(
-    make_cc: &(dyn Fn() -> Box<dyn ConcurrencyControl> + Sync),
-    cfg: &OpenSimConfig,
-) -> OpenSimResult {
-    simulate_open_impl(make_cc, cfg, None, None)
+pub fn simulate_open(kind: CcKind, cfg: &OpenSimConfig) -> OpenSimResult {
+    simulate_open_impl(kind, cfg, None, None)
 }
 
 /// Run the open-world simulation with the trace plane on: lifecycle
@@ -391,12 +388,12 @@ pub fn simulate_open(
 /// # Panics
 /// Panics when the sink cannot be created (harness convention).
 pub fn simulate_open_traced(
-    make_cc: &(dyn Fn() -> Box<dyn ConcurrencyControl> + Sync),
+    kind: CcKind,
     cfg: &OpenSimConfig,
     dur: Option<&DurableConfig>,
     trace: &TraceConfig,
 ) -> OpenSimResult {
-    simulate_open_impl(make_cc, cfg, dur, Some(trace))
+    simulate_open_impl(kind, cfg, dur, Some(trace))
 }
 
 /// Run the open-world simulation against a durable [`SessionDb::open`]:
@@ -411,24 +408,26 @@ pub fn simulate_open_traced(
 /// Panics when the log cannot be opened or recovered (simulation harness
 /// convention: configuration errors are bugs in the experiment).
 pub fn simulate_open_durable(
-    make_cc: &(dyn Fn() -> Box<dyn ConcurrencyControl> + Sync),
+    kind: CcKind,
     cfg: &OpenSimConfig,
     dur: &DurableConfig,
 ) -> OpenSimResult {
-    simulate_open_impl(make_cc, cfg, Some(dur), None)
+    simulate_open_impl(kind, cfg, Some(dur), None)
 }
 
 fn simulate_open_impl(
-    make_cc: &(dyn Fn() -> Box<dyn ConcurrencyControl> + Sync),
+    kind: CcKind,
     cfg: &OpenSimConfig,
     dur: Option<&DurableConfig>,
     trace: Option<&TraceConfig>,
 ) -> OpenSimResult {
     let init = GlobalState::from_ints(&vec![0; cfg.vars]);
     let mut db = match dur {
-        None => SessionDb::with_capacity(make_cc(), init, cfg.terminals),
-        Some(d) => SessionDb::open_with_capacity(make_cc(), init, &d.path, d.mode, cfg.terminals)
-            .expect("open the durable session database"),
+        None => SessionDb::with_capacity(kind.build(), init, cfg.terminals),
+        Some(d) => {
+            SessionDb::open_with_capacity(kind.build(), init, &d.path, d.mode, cfg.terminals)
+                .expect("open the durable session database")
+        }
     };
     if let Some(n) = dur.and_then(|d| d.crash_after_records) {
         db.wal_crash_after_records(n);
@@ -440,7 +439,7 @@ fn simulate_open_impl(
     if let Some(hub) = &hub {
         db.set_tracer(hub.tracer(0));
     }
-    let result = run_stream(db, make_cc, cfg, dur.is_some_and(|d| d.record_journal));
+    let result = run_stream(db, cfg, dur.is_some_and(|d| d.record_journal));
     if let Some(hub) = &hub {
         hub.flush();
     }
@@ -511,6 +510,8 @@ pub(crate) trait Driver {
     /// installs versions (`None` on single-version stores).
     fn live_versions(&self) -> Option<usize>;
     fn metrics(&self) -> Metrics;
+    /// The mechanism's `(name, multiversion, defers_writes)`.
+    fn mechanism(&self) -> (String, bool, bool);
     /// Report the closing figures.
     fn close(self) -> Closing;
 }
@@ -571,6 +572,11 @@ impl Driver for SessionDb {
         self.metrics
     }
 
+    fn mechanism(&self) -> (String, bool, bool) {
+        let name = self.cc_name().to_string();
+        (name, self.multiversion(), self.defers_writes())
+    }
+
     fn close(self) -> Closing {
         Closing {
             commit_latency_ticks: self.commit_latency_ticks().clone(),
@@ -590,16 +596,10 @@ impl Driver for SessionDb {
 /// again — until [`total_txns`](OpenSimConfig::total_txns) commits.
 pub(crate) fn run_stream<D: Driver>(
     mut drv: D,
-    make_cc: &dyn Fn() -> Box<dyn ConcurrencyControl>,
     cfg: &OpenSimConfig,
     record_journal: bool,
 ) -> OpenSimResult {
-    let sample = make_cc();
-    let (cc_name, multiversion, defers_writes) = (
-        sample.name().to_string(),
-        sample.multiversion(),
-        sample.defers_writes(),
-    );
+    let (cc_name, multiversion, defers_writes) = drv.mechanism();
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x09E2_5EED);
     let mut terminals: Vec<Terminal<D::Handle>> = (0..cfg.terminals)
         .map(|_| Terminal {
@@ -812,7 +812,6 @@ pub(crate) fn run_stream<D: Driver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccopt_engine::cc::{MvtoCc, OccCc, SgtCc, SiCc, Strict2plCc};
 
     fn quick(seed: u64) -> OpenSimConfig {
         OpenSimConfig {
@@ -828,7 +827,7 @@ mod tests {
     #[test]
     fn stream_commits_exactly_and_slots_stay_bounded() {
         let cfg = quick(7);
-        let r = simulate_open(&|| Box::new(Strict2plCc::default()), &cfg);
+        let r = simulate_open(CcKind::Strict2pl, &cfg);
         assert_eq!(r.committed, 60);
         assert_eq!(r.history.len(), 60);
         assert!(r.peak_slots <= cfg.terminals);
@@ -840,8 +839,8 @@ mod tests {
     #[test]
     fn deterministic_in_the_seed() {
         let cfg = quick(11);
-        let a = simulate_open(&|| Box::new(OccCc::default()), &cfg);
-        let b = simulate_open(&|| Box::new(OccCc::default()), &cfg);
+        let a = simulate_open(CcKind::Occ, &cfg);
+        let b = simulate_open(CcKind::Occ, &cfg);
         assert_eq!(a.committed, b.committed);
         assert_eq!(a.aborts, b.aborts);
         assert_eq!(a.waits, b.waits);
@@ -854,17 +853,9 @@ mod tests {
     fn committed_histories_replay_serializably() {
         for seed in [1u64, 2, 3] {
             let cfg = quick(seed);
-            for (mk, name) in [
-                (
-                    (|| Box::new(Strict2plCc::default()) as Box<dyn ConcurrencyControl>)
-                        as fn() -> Box<dyn ConcurrencyControl>,
-                    "2PL",
-                ),
-                (|| Box::new(SgtCc::default()) as _, "SGT"),
-                (|| Box::new(OccCc::default()) as _, "OCC"),
-                (|| Box::new(MvtoCc::default()) as _, "MVTO"),
-            ] {
-                let r = simulate_open(&mk, &cfg);
+            for kind in [CcKind::Strict2pl, CcKind::Sgt, CcKind::Occ, CcKind::Mvto] {
+                let name = kind.name();
+                let r = simulate_open(kind, &cfg);
                 assert_eq!(r.committed, 60, "{name} seed {seed}");
                 check_serializable(&r).unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
             }
@@ -874,7 +865,7 @@ mod tests {
     #[test]
     fn si_runs_the_stream_but_is_exempt_from_the_oracle() {
         let cfg = quick(5);
-        let r = simulate_open(&|| Box::new(SiCc::default()), &cfg);
+        let r = simulate_open(CcKind::Si, &cfg);
         assert_eq!(r.committed, 60);
         assert!(r.multiversion);
         assert!(r.versions_reclaimed > 0, "SI GC must reclaim versions");

@@ -52,7 +52,7 @@ use crate::open_sim::{
     gen_op, gen_program, run_stream, Closing, Committed, Driver, OpSpec, OpenSimConfig,
     OpenSimResult, TOP_CONTENDED,
 };
-use ccopt_engine::cc::ConcurrencyControl;
+use ccopt_engine::cc::CcKind;
 use ccopt_engine::durability::{Fault, StorageFaults};
 use ccopt_engine::session::{Op, SessionError};
 use ccopt_engine::shard::{GlobalTxn, ShardedDb};
@@ -192,11 +192,8 @@ fn gen_sharded_program(
 
 /// Run the sharded open-world simulation for one mechanism (no
 /// durability).
-pub fn simulate_sharded(
-    make_cc: &(dyn Fn() -> Box<dyn ConcurrencyControl> + Sync),
-    scfg: &ShardSimConfig,
-) -> OpenSimResult {
-    simulate_sharded_impl(make_cc, scfg, None, None, None)
+pub fn simulate_sharded(kind: CcKind, scfg: &ShardSimConfig) -> OpenSimResult {
+    simulate_sharded_impl(kind, scfg, None, None, None)
 }
 
 /// Run the sharded simulation with the trace plane on
@@ -212,13 +209,13 @@ pub fn simulate_sharded(
 /// Panics when the logs or the trace sink cannot be created (harness
 /// convention).
 pub fn simulate_sharded_traced(
-    make_cc: &(dyn Fn() -> Box<dyn ConcurrencyControl> + Sync),
+    kind: CcKind,
     scfg: &ShardSimConfig,
     dur: Option<&ShardDurableConfig>,
     plan: Option<&FaultPlan>,
     trace: &TraceConfig,
 ) -> OpenSimResult {
-    simulate_sharded_impl(make_cc, scfg, dur, plan, Some(trace))
+    simulate_sharded_impl(kind, scfg, dur, plan, Some(trace))
 }
 
 /// Run the sharded open-world simulation against a durable
@@ -231,11 +228,11 @@ pub fn simulate_sharded_traced(
 /// Panics when the logs cannot be opened or recovered (harness
 /// convention: configuration errors are bugs in the experiment).
 pub fn simulate_sharded_durable(
-    make_cc: &(dyn Fn() -> Box<dyn ConcurrencyControl> + Sync),
+    kind: CcKind,
     scfg: &ShardSimConfig,
     dur: &ShardDurableConfig,
 ) -> OpenSimResult {
-    simulate_sharded_impl(make_cc, scfg, Some(dur), None, None)
+    simulate_sharded_impl(kind, scfg, Some(dur), None, None)
 }
 
 /// Run the sharded open-world simulation under a scripted [`FaultPlan`]
@@ -249,16 +246,16 @@ pub fn simulate_sharded_durable(
 /// when a supervised recovery loses committed state (the committed-prefix
 /// consistency assertion).
 pub fn simulate_sharded_faulty(
-    make_cc: &(dyn Fn() -> Box<dyn ConcurrencyControl> + Sync),
+    kind: CcKind,
     scfg: &ShardSimConfig,
     dur: Option<&ShardDurableConfig>,
     plan: &FaultPlan,
 ) -> OpenSimResult {
-    simulate_sharded_impl(make_cc, scfg, dur, Some(plan), None)
+    simulate_sharded_impl(kind, scfg, dur, Some(plan), None)
 }
 
 fn simulate_sharded_impl(
-    make_cc: &(dyn Fn() -> Box<dyn ConcurrencyControl> + Sync),
+    kind: CcKind,
     scfg: &ShardSimConfig,
     dur: Option<&ShardDurableConfig>,
     plan: Option<&FaultPlan>,
@@ -267,8 +264,8 @@ fn simulate_sharded_impl(
     let cfg = &scfg.base;
     let init = GlobalState::from_ints(&vec![0; cfg.vars]);
     let mut db = match dur {
-        None => ShardedDb::with_capacity(&make_cc, init, scfg.shards, cfg.terminals),
-        Some(d) => ShardedDb::open(&make_cc, init, &d.dir, d.mode, scfg.shards, cfg.terminals)
+        None => ShardedDb::with_capacity(kind, init, scfg.shards, cfg.terminals),
+        Some(d) => ShardedDb::open(kind, init, &d.dir, d.mode, scfg.shards, cfg.terminals)
             .expect("open the durable sharded database"),
     };
     if let Some(n) = dur.and_then(|d| d.crash_after_2pc_actions) {
@@ -300,13 +297,13 @@ fn simulate_sharded_impl(
             .map(|p| p.transient_sync_faults.clone())
             .unwrap_or_default(),
     };
-    run_stream(driver, make_cc, cfg, dur.is_some_and(|d| d.record_journal))
+    run_stream(driver, cfg, dur.is_some_and(|d| d.record_journal))
 }
 
 /// The sharded driver: a [`ShardedDb`], the sharded program generator,
 /// the wait valve, and the [`FaultPlan`] still to fire.
 struct ShardedDriver<'c> {
-    db: ShardedDb<'c>,
+    db: ShardedDb,
     scfg: &'c ShardSimConfig,
     shard_vars: Vec<Vec<VarId>>,
     nonempty: Vec<usize>,
@@ -426,6 +423,11 @@ impl Driver for ShardedDriver<'_> {
 
     fn metrics(&self) -> Metrics {
         self.db.metrics()
+    }
+
+    fn mechanism(&self) -> (String, bool, bool) {
+        let name = self.db.cc_name().to_string();
+        (name, self.db.multiversion(), self.db.defers_writes())
     }
 
     fn close(mut self) -> Closing {

@@ -8,28 +8,11 @@
 //! committed state after every commit: recovery at a boundary where `k`
 //! commit records survived must rebuild `journal[k]`, byte for byte.
 
-use ccopt_engine::cc::{
-    ConcurrencyControl, MvtoCc, OccCc, SerialCc, SgtCc, SiCc, Strict2plCc, TimestampCc,
-};
 use ccopt_engine::durability::encoding::{frame_boundaries, HEADER_LEN};
 use ccopt_engine::durability::{recover, scratch_path, StoreImage};
-use ccopt_engine::{DurabilityMode, SessionDb};
+use ccopt_engine::{CcKind, DurabilityMode, SessionDb};
 use ccopt_sim::open_sim::{simulate_open_durable, DurableConfig, OpenSimConfig, OpenSimResult};
 use std::path::Path;
-
-type Factory = (&'static str, fn() -> Box<dyn ConcurrencyControl>);
-
-fn factories() -> Vec<Factory> {
-    vec![
-        ("serial", || Box::new(SerialCc::default())),
-        ("strict-2PL", || Box::new(Strict2plCc::default())),
-        ("SGT", || Box::new(SgtCc::default())),
-        ("T/O", || Box::new(TimestampCc::default())),
-        ("OCC", || Box::new(OccCc::default())),
-        ("MVTO", || Box::new(MvtoCc::default())),
-        ("SI", || Box::new(SiCc::default())),
-    ]
-}
 
 fn cfg(total_txns: usize, seed: u64) -> OpenSimConfig {
     OpenSimConfig {
@@ -47,14 +30,11 @@ fn cfg(total_txns: usize, seed: u64) -> OpenSimConfig {
 
 /// Run one durable stream under `Strict` (every commit on disk) and hand
 /// back the result plus the raw log bytes.
-fn durable_run(
-    name: &str,
-    mk: fn() -> Box<dyn ConcurrencyControl>,
-    seed: u64,
-) -> (OpenSimResult, Vec<u8>, std::path::PathBuf) {
+fn durable_run(kind: CcKind, seed: u64) -> (OpenSimResult, Vec<u8>, std::path::PathBuf) {
+    let name = kind.name();
     let path = scratch_path(&format!("sim-dur-{}", name.replace('/', "_")));
     let r = simulate_open_durable(
-        &mk,
+        kind,
         &cfg(30, seed),
         &DurableConfig::recording(path.clone(), DurabilityMode::Strict),
     );
@@ -116,8 +96,9 @@ fn assert_prefix(name: &str, scratch: &Path, bytes: &[u8], r: &OpenSimResult) ->
 
 #[test]
 fn crash_at_every_record_boundary_recovers_the_committed_prefix() {
-    for (name, mk) in factories() {
-        let (r, bytes, path) = durable_run(name, mk, 42);
+    for kind in CcKind::ALL {
+        let name = kind.name();
+        let (r, bytes, path) = durable_run(kind, 42);
         let scratch = scratch_path(&format!("sim-cut-{}", name.replace('/', "_")));
         let mut last_k = 0;
         let boundaries = frame_boundaries(&bytes[HEADER_LEN..]);
@@ -141,8 +122,9 @@ fn crash_at_every_record_boundary_recovers_the_committed_prefix() {
 
 #[test]
 fn torn_tails_mid_record_truncate_cleanly() {
-    for (name, mk) in [factories()[1], factories()[5]] {
-        let (r, bytes, path) = durable_run(name, mk, 7);
+    for kind in [CcKind::Strict2pl, CcKind::Mvto] {
+        let name = kind.name();
+        let (r, bytes, path) = durable_run(kind, 7);
         let scratch = scratch_path(&format!("sim-torn-{}", name.replace('/', "_")));
         let boundaries = frame_boundaries(&bytes[HEADER_LEN..]);
         // Cut mid-record: a few bytes past each of a sample of boundaries.
@@ -159,8 +141,9 @@ fn torn_tails_mid_record_truncate_cleanly() {
 /// detected and truncated — never replayed, never a panic.
 #[test]
 fn corrupted_records_are_detected_and_never_replayed() {
-    for (name, mk) in [factories()[1], factories()[5], factories()[6]] {
-        let (r, bytes, path) = durable_run(name, mk, 99);
+    for kind in [CcKind::Strict2pl, CcKind::Mvto, CcKind::Si] {
+        let name = kind.name();
+        let (r, bytes, path) = durable_run(kind, 99);
         let scratch = scratch_path(&format!("sim-flip-{}", name.replace('/', "_")));
         let boundaries = frame_boundaries(&bytes[HEADER_LEN..]);
         // Flip one byte inside each of a sample of records (its first
@@ -207,11 +190,12 @@ fn count_commits(mut records: &[u8]) -> usize {
 /// open-world stream on the recovered state.
 #[test]
 fn in_sim_crash_injection_recovers_and_resumes() {
-    for (name, mk) in [factories()[1], factories()[3], factories()[5]] {
+    for kind in [CcKind::Strict2pl, CcKind::Timestamp, CcKind::Mvto] {
+        let name = kind.name();
         for crash_at in [10u64, 40, 90] {
             let path = scratch_path(&format!("sim-kill-{}", name.replace('/', "_")));
             let r = simulate_open_durable(
-                &mk,
+                kind,
                 &cfg(30, 5),
                 &DurableConfig {
                     crash_after_records: Some(crash_at),
@@ -225,7 +209,7 @@ fn in_sim_crash_injection_recovers_and_resumes() {
             // Reopen: the recovered state is the committed prefix at the
             // kill boundary.
             let db = SessionDb::open(
-                mk(),
+                kind.build(),
                 ccopt_model::state::GlobalState::from_ints(&[0; 6]),
                 &path,
                 DurabilityMode::Strict,
@@ -247,7 +231,7 @@ fn in_sim_crash_injection_recovers_and_resumes() {
             // recovers, serves a fresh stream, and its journal starts
             // exactly where recovery left off.
             let r2 = simulate_open_durable(
-                &mk,
+                kind,
                 &cfg(20, 6),
                 &DurableConfig::recording(path.clone(), DurabilityMode::Strict),
             );
@@ -265,7 +249,8 @@ fn in_sim_crash_injection_recovers_and_resumes() {
 /// recovered state is still exactly a committed prefix.
 #[test]
 fn group_commit_crash_loses_at_most_one_batch() {
-    for (name, mk) in [factories()[1], factories()[5]] {
+    for kind in [CcKind::Strict2pl, CcKind::Mvto] {
+        let name = kind.name();
         let path = scratch_path(&format!("sim-group-{}", name.replace('/', "_")));
         let mode = DurabilityMode::Group {
             max_batch: 4,
@@ -274,7 +259,7 @@ fn group_commit_crash_loses_at_most_one_batch() {
         // The run ends like a crash: acknowledged commits inside the open
         // batch are intentionally lost.
         let r = simulate_open_durable(
-            &mk,
+            kind,
             &cfg(30, 11),
             &DurableConfig::recording(path.clone(), mode),
         );
@@ -299,15 +284,16 @@ fn group_commit_crash_loses_at_most_one_batch() {
 /// recovered watermark floor and collapses the replayed history.
 #[test]
 fn recovered_mv_streams_gc_the_replayed_history() {
-    for (name, mk) in [factories()[5], factories()[6]] {
+    for kind in [CcKind::Mvto, CcKind::Si] {
+        let name = kind.name();
         let path = scratch_path(&format!("sim-mvgc-{}", name.replace('/', "_")));
         let r = simulate_open_durable(
-            &mk,
+            kind,
             &cfg(30, 23),
             &DurableConfig::recording(path.clone(), DurabilityMode::Strict),
         );
         let r2 = simulate_open_durable(
-            &mk,
+            kind,
             &cfg(30, 24),
             &DurableConfig::recording(path.clone(), DurabilityMode::Strict),
         );

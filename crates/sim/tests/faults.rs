@@ -5,27 +5,11 @@
 //! exact committed prefix (asserted inside the simulator after every
 //! recovery), and the fault counters surface in the result.
 
-use ccopt_engine::cc::ConcurrencyControl;
-use ccopt_engine::DurabilityMode;
+use ccopt_engine::{CcKind, DurabilityMode};
 use ccopt_sim::open_sim::{check_serializable, OpenSimConfig};
 use ccopt_sim::shard_sim::{
     simulate_sharded_faulty, FaultPlan, ShardDurableConfig, ShardSimConfig,
 };
-
-type Factory = (&'static str, fn() -> Box<dyn ConcurrencyControl>);
-
-fn factories() -> Vec<Factory> {
-    use ccopt_engine::cc::*;
-    vec![
-        ("serial", || Box::new(SerialCc::default())),
-        ("strict-2PL", || Box::new(Strict2plCc::default())),
-        ("SGT", || Box::new(SgtCc::default())),
-        ("T/O", || Box::new(TimestampCc::default())),
-        ("OCC", || Box::new(OccCc::default())),
-        ("MVTO", || Box::new(MvtoCc::default())),
-        ("SI", || Box::new(SiCc::default())),
-    ]
-}
 
 fn base(seed: u64, total: usize) -> OpenSimConfig {
     OpenSimConfig {
@@ -45,8 +29,8 @@ fn shard_panics_mid_stream_recover_and_the_stream_serves_fully() {
     // (committed-prefix equality asserted inside the simulator after
     // every recovery), the terminals redrive their failed transactions,
     // and the full stream commits and serializes.
-    for (name, mk) in factories() {
-        let mk_cc = move || mk();
+    for kind in CcKind::ALL {
+        let name = kind.name();
         let dir = ccopt_engine::durability::scratch_path(&format!(
             "sim-fault-panic-{}",
             name.replace('/', "_")
@@ -61,7 +45,7 @@ fn shard_panics_mid_stream_recover_and_the_stream_serves_fully() {
             shard_panics: vec![(15, 0), (35, 1)],
             ..FaultPlan::default()
         };
-        let r = simulate_sharded_faulty(&mk_cc, &scfg, Some(&dur), &plan);
+        let r = simulate_sharded_faulty(kind, &scfg, Some(&dur), &plan);
         assert_eq!(
             r.committed, 60,
             "{name}: the stream must serve fully once the faults stop"
@@ -84,8 +68,8 @@ fn volatile_shard_panic_still_leaves_a_live_stream() {
     // documented volatile degradation) so state checks don't apply —
     // but liveness must hold: the supervisor restarts the shard over
     // its initial projection and the stream keeps serving.
-    for (name, mk) in factories() {
-        let mk_cc = move || mk();
+    for kind in CcKind::ALL {
+        let name = kind.name();
         let scfg = ShardSimConfig::new(
             OpenSimConfig {
                 check: false,
@@ -94,7 +78,7 @@ fn volatile_shard_panic_still_leaves_a_live_stream() {
             2,
             0.3,
         );
-        let r = simulate_sharded_faulty(&mk_cc, &scfg, None, &FaultPlan::panic_at(20, 1));
+        let r = simulate_sharded_faulty(kind, &scfg, None, &FaultPlan::panic_at(20, 1));
         assert_eq!(r.committed, 50, "{name}: liveness after a volatile panic");
         assert!(r.shard_restarts >= 1, "{name}");
     }
@@ -105,8 +89,8 @@ fn transient_storage_faults_are_retried_through_and_counted() {
     // Scripted transient fsync failures on one shard's log: the bounded
     // retry loop absorbs them (no transaction lost, the run completes)
     // and the retries surface in the result.
-    for (name, mk) in factories() {
-        let mk_cc = move || mk();
+    for kind in CcKind::ALL {
+        let name = kind.name();
         let dir = ccopt_engine::durability::scratch_path(&format!(
             "sim-fault-io-{}",
             name.replace('/', "_")
@@ -118,7 +102,7 @@ fn transient_storage_faults_are_retried_through_and_counted() {
             transient_sync_faults: vec![(10, 0, 2), (20, 1, 1)],
             ..FaultPlan::default()
         };
-        let r = simulate_sharded_faulty(&mk_cc, &scfg, Some(&dur), &plan);
+        let r = simulate_sharded_faulty(kind, &scfg, Some(&dur), &plan);
         assert_eq!(r.committed, 40, "{name}: transient faults must not stall");
         assert!(
             r.io_retries >= 3,
@@ -138,13 +122,12 @@ fn bounded_mailboxes_shed_under_pressure_without_losing_the_stream() {
     // A tiny mailbox bound makes shedding possible under burst arrival;
     // whether or not a shed happens at this scale, the bound must never
     // cost correctness: full service and a serializable history.
-    let mk = || Box::new(ccopt_engine::cc::Strict2plCc::default()) as Box<dyn ConcurrencyControl>;
     let scfg = ShardSimConfig::new(base(5, 60), 3, 0.5);
     let plan = FaultPlan {
         queue_capacity: Some(2),
         ..FaultPlan::default()
     };
-    let r = simulate_sharded_faulty(&mk, &scfg, None, &plan);
+    let r = simulate_sharded_faulty(CcKind::Strict2pl, &scfg, None, &plan);
     assert_eq!(
         r.committed, 60,
         "bounded mailboxes must not wedge the stream"
@@ -157,8 +140,8 @@ fn panics_and_io_faults_composed_still_serve_and_serialize() {
     // The composed plan: a shard panic, transient storage faults on the
     // surviving shard, and bounded mailboxes — graceful degradation
     // end to end on one run.
-    for (name, mk) in factories() {
-        let mk_cc = move || mk();
+    for kind in CcKind::ALL {
+        let name = kind.name();
         let dir = ccopt_engine::durability::scratch_path(&format!(
             "sim-fault-mixed-{}",
             name.replace('/', "_")
@@ -174,7 +157,7 @@ fn panics_and_io_faults_composed_still_serve_and_serialize() {
             transient_sync_faults: vec![(10, 1, 2)],
             queue_capacity: Some(32),
         };
-        let r = simulate_sharded_faulty(&mk_cc, &scfg, Some(&dur), &plan);
+        let r = simulate_sharded_faulty(kind, &scfg, Some(&dur), &plan);
         assert_eq!(r.committed, 50, "{name}: composed faults must not stall");
         assert!(r.shard_restarts >= 1, "{name}");
         if name != "SI" {

@@ -4,26 +4,10 @@
 //! bounded — and sampled committed histories replay serializably (SI
 //! exempt, by design).
 
-use ccopt_engine::cc::{
-    ConcurrencyControl, MvtoCc, OccCc, SerialCc, SgtCc, SiCc, Strict2plCc, TimestampCc,
-};
+use ccopt_engine::CcKind;
 use ccopt_sim::open_sim::{
     check_serializable, check_strict, simulate_open, CommittedTxn, OpenSimConfig,
 };
-
-type Factory = (&'static str, fn() -> Box<dyn ConcurrencyControl>);
-
-fn factories() -> Vec<Factory> {
-    vec![
-        ("serial", || Box::new(SerialCc::default())),
-        ("strict-2PL", || Box::new(Strict2plCc::default())),
-        ("SGT", || Box::new(SgtCc::default())),
-        ("T/O", || Box::new(TimestampCc::default())),
-        ("OCC", || Box::new(OccCc::default())),
-        ("MVTO", || Box::new(MvtoCc::default())),
-        ("SI", || Box::new(SiCc::default())),
-    ]
-}
 
 fn cfg(total_txns: usize, seed: u64) -> OpenSimConfig {
     OpenSimConfig {
@@ -44,8 +28,9 @@ fn cfg(total_txns: usize, seed: u64) -> OpenSimConfig {
 #[test]
 fn stream_runs_10x_past_table_capacity_for_all_mechanisms() {
     let c = cfg(240, 42);
-    for (name, mk) in factories() {
-        let r = simulate_open(&mk, &c);
+    for kind in CcKind::ALL {
+        let name = kind.name();
+        let r = simulate_open(kind, &c);
         assert_eq!(r.committed, 240, "{name} must serve the whole stream");
         // SGT may transiently pin a few extra committed slots (deferred
         // retirement while a live predecessor runs); the table still stays
@@ -74,9 +59,10 @@ fn stream_runs_10x_past_table_capacity_for_all_mechanisms() {
 /// high-water mark.
 #[test]
 fn memory_high_water_marks_are_stream_length_independent() {
-    for (name, mk) in factories() {
-        let short = simulate_open(&mk, &cfg(240, 9));
-        let long = simulate_open(&mk, &cfg(720, 9));
+    for kind in CcKind::ALL {
+        let name = kind.name();
+        let short = simulate_open(kind, &cfg(240, 9));
+        let long = simulate_open(kind, &cfg(720, 9));
         // The high-water mark is a running maximum, so it can take a few
         // hundred transactions to reach its plateau — but past that,
         // tripling the stream must not move it (SGT's deferred-retirement
@@ -115,11 +101,12 @@ fn memory_high_water_marks_are_stream_length_independent() {
 fn sampled_histories_replay_serializably_si_exempt() {
     for seed in [3u64, 17, 99] {
         let c = cfg(120, seed);
-        for (name, mk) in factories() {
+        for kind in CcKind::ALL {
+            let name = kind.name();
             if name == "SI" {
                 continue; // admits write skew by design; pinned in tests/mv_anomalies.rs
             }
-            let r = simulate_open(&mk, &c);
+            let r = simulate_open(kind, &c);
             assert_eq!(r.committed, 120, "{name} seed {seed}");
             check_serializable(&r).unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
         }
@@ -135,8 +122,9 @@ fn sampled_histories_replay_serializably_si_exempt() {
 fn sampled_histories_are_strict_for_all_mechanisms() {
     for seed in [3u64, 17, 99] {
         let c = cfg(120, seed);
-        for (name, mk) in factories() {
-            let r = simulate_open(&mk, &c);
+        for kind in CcKind::ALL {
+            let name = kind.name();
+            let r = simulate_open(kind, &c);
             assert_eq!(r.committed, 120, "{name} seed {seed}");
             check_strict(&r).unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
         }
@@ -149,8 +137,8 @@ fn sampled_histories_are_strict_for_all_mechanisms() {
 #[test]
 fn the_strictness_checker_rejects_dirty_histories() {
     let c = cfg(120, 5);
-    let (_, mk) = factories()[1]; // strict-2PL: immediate writes
-    let r = simulate_open(&mk, &c);
+    let kind = CcKind::Strict2pl; // immediate writes
+    let r = simulate_open(kind, &c);
     check_strict(&r).expect("the genuine history is strict");
 
     // Stretch one writer's commit far into the future: its write window
@@ -188,7 +176,7 @@ fn the_strictness_checker_rejects_dirty_histories() {
     );
 
     // An operation at/after its own commit point is structurally broken.
-    let mut late = simulate_open(&mk, &c);
+    let mut late = simulate_open(kind, &c);
     late.history[0].commit_seq = 0;
     assert!(check_strict(&late).is_err());
 }
@@ -198,8 +186,8 @@ fn the_strictness_checker_rejects_dirty_histories() {
 #[test]
 fn the_oracle_rejects_corrupted_histories() {
     let c = cfg(60, 5);
-    let (_, mk) = factories()[1]; // strict-2PL
-    let mut r = simulate_open(&mk, &c);
+    let kind = CcKind::Strict2pl;
+    let mut r = simulate_open(kind, &c);
     check_serializable(&r).expect("the genuine history passes");
     // Corrupt the stream's *last* write to some variable — no later write
     // can mask it, so the serial replay must diverge from the engine's
@@ -239,8 +227,9 @@ fn contended_streams_restart_but_complete() {
         ..OpenSimConfig::default()
     };
     let mut any_aborts = false;
-    for (name, mk) in factories() {
-        let r = simulate_open(&mk, &hot);
+    for kind in CcKind::ALL {
+        let name = kind.name();
+        let r = simulate_open(kind, &hot);
         assert_eq!(r.committed, 120, "{name} under contention");
         any_aborts |= r.aborts > 0;
     }

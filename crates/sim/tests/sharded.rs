@@ -4,29 +4,13 @@
 //! boundary recover a consistent committed prefix with no in-doubt
 //! transaction left unresolved.
 
-use ccopt_engine::cc::ConcurrencyControl;
 use ccopt_engine::shard::ShardedDb;
-use ccopt_engine::DurabilityMode;
+use ccopt_engine::{CcKind, DurabilityMode};
 use ccopt_model::state::GlobalState;
 use ccopt_sim::open_sim::{check_serializable, simulate_open, OpenSimConfig};
 use ccopt_sim::shard_sim::{
     simulate_sharded, simulate_sharded_durable, ShardDurableConfig, ShardSimConfig,
 };
-
-type Factory = (&'static str, fn() -> Box<dyn ConcurrencyControl>);
-
-fn factories() -> Vec<Factory> {
-    use ccopt_engine::cc::*;
-    vec![
-        ("serial", || Box::new(SerialCc::default())),
-        ("strict-2PL", || Box::new(Strict2plCc::default())),
-        ("SGT", || Box::new(SgtCc::default())),
-        ("T/O", || Box::new(TimestampCc::default())),
-        ("OCC", || Box::new(OccCc::default())),
-        ("MVTO", || Box::new(MvtoCc::default())),
-        ("SI", || Box::new(SiCc::default())),
-    ]
-}
 
 fn base(seed: u64, total: usize) -> OpenSimConfig {
     OpenSimConfig {
@@ -42,9 +26,10 @@ fn base(seed: u64, total: usize) -> OpenSimConfig {
 #[test]
 fn cross_shard_streams_serve_fully_and_serialize() {
     for seed in [1u64, 7] {
-        for (name, mk) in factories() {
+        for kind in CcKind::ALL {
+            let name = kind.name();
             let scfg = ShardSimConfig::new(base(seed, 90), 3, 0.35);
-            let r = simulate_sharded(&move || mk(), &scfg);
+            let r = simulate_sharded(kind, &scfg);
             assert_eq!(
                 r.committed, 90,
                 "{name} seed {seed}: the sharded stream must serve fully \
@@ -70,10 +55,11 @@ fn cross_shard_streams_serve_fully_and_serialize() {
 
 #[test]
 fn one_shard_reproduces_the_open_world_simulator_exactly() {
-    for (name, mk) in factories() {
+    for kind in CcKind::ALL {
+        let name = kind.name();
         let cfg = base(13, 80);
-        let open = simulate_open(&move || mk(), &cfg);
-        let sharded = simulate_sharded(&move || mk(), &ShardSimConfig::new(cfg, 1, 0.0));
+        let open = simulate_open(kind, &cfg);
+        let sharded = simulate_sharded(kind, &ShardSimConfig::new(cfg, 1, 0.0));
         assert_eq!(sharded.committed, open.committed, "{name}");
         assert_eq!(sharded.aborts, open.aborts, "{name}");
         assert_eq!(sharded.waits, open.waits, "{name}");
@@ -107,10 +93,7 @@ fn one_shard_reproduces_the_open_world_simulator_exactly() {
 fn corrupted_cross_shard_history_fails_the_oracle() {
     // Negative control: the oracle has teeth on sharded histories too.
     let scfg = ShardSimConfig::new(base(3, 60), 3, 0.4);
-    let mut r = simulate_sharded(
-        &|| Box::new(ccopt_engine::cc::Strict2plCc::default()),
-        &scfg,
-    );
+    let mut r = simulate_sharded(CcKind::Strict2pl, &scfg);
     // Doctor the final state: replay can no longer reproduce it.
     let mut s = r.final_state.0.clone();
     s[0] = ccopt_model::value::Value::Int(123_456);
@@ -127,8 +110,8 @@ fn coordinator_crash_at_every_boundary_recovers_a_consistent_prefix() {
     // the decision point; the recovered state must equal some journal
     // prefix (no shard-mixed state), and a second recovery must find
     // nothing in doubt.
-    for (name, mk) in factories() {
-        let mk_cc = move || mk();
+    for kind in CcKind::ALL {
+        let name = kind.name();
         for budget in [0u64, 1, 2, 3, 4, 7, 10] {
             let dir = ccopt_engine::durability::scratch_path(&format!(
                 "shard-sim-crash-{budget}-{}",
@@ -152,11 +135,11 @@ fn coordinator_crash_at_every_boundary_recovers_a_consistent_prefix() {
                 crash_after_2pc_actions: Some(budget),
                 record_journal: true,
             };
-            let r = simulate_sharded_durable(&mk_cc, &scfg, &dur);
+            let r = simulate_sharded_durable(kind, &scfg, &dur);
             assert_eq!(r.committed, 40, "{name} budget {budget}: sim serves fully");
             // Recover and diff against the committed-prefix journal.
             let mut db = ShardedDb::open(
-                &mk_cc,
+                kind,
                 GlobalState::from_ints(&[0; 8]),
                 &dir,
                 DurabilityMode::Strict,
@@ -179,7 +162,7 @@ fn coordinator_crash_at_every_boundary_recovers_a_consistent_prefix() {
             drop(db);
             // Nothing stays in doubt: the settlement was written back.
             let db = ShardedDb::open(
-                &mk_cc,
+                kind,
                 GlobalState::from_ints(&[0; 8]),
                 &dir,
                 DurabilityMode::Strict,
@@ -204,7 +187,6 @@ fn durable_sharded_stream_resumes_across_restarts() {
     // Two back-to-back durable runs against the same logs: the second
     // recovers the first's committed state and continues on top.
     let dir = ccopt_engine::durability::scratch_path("shard-sim-resume");
-    let mk = || Box::new(ccopt_engine::cc::MvtoCc::default()) as Box<dyn ConcurrencyControl>;
     let scfg = ShardSimConfig::new(
         OpenSimConfig {
             terminals: 4,
@@ -217,9 +199,9 @@ fn durable_sharded_stream_resumes_across_restarts() {
         0.3,
     );
     let dur = ShardDurableConfig::new(dir.clone(), DurabilityMode::Strict);
-    let first = simulate_sharded_durable(&mk, &scfg, &dur);
+    let first = simulate_sharded_durable(CcKind::Mvto, &scfg, &dur);
     assert_eq!(first.committed, 30);
-    let second = simulate_sharded_durable(&mk, &scfg, &dur);
+    let second = simulate_sharded_durable(CcKind::Mvto, &scfg, &dur);
     assert_eq!(second.committed, 30, "the resumed stream serves fully");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,9 +4,8 @@
 //! mid-stream leaves a schema-valid JSONL dump whose merged events are
 //! totally ordered and attribute every abort).
 
-use ccopt_engine::cc::ConcurrencyControl;
 use ccopt_engine::trace::validate_jsonl_line;
-use ccopt_engine::{DurabilityMode, TraceConfig};
+use ccopt_engine::{CcKind, DurabilityMode, TraceConfig};
 use ccopt_sim::open_sim::{
     named_abort_rules, simulate_open, simulate_open_traced, OpenSimConfig, OpenSimResult,
     TOP_CONTENDED,
@@ -14,21 +13,6 @@ use ccopt_sim::open_sim::{
 use ccopt_sim::shard_sim::{
     simulate_sharded, simulate_sharded_traced, FaultPlan, ShardDurableConfig, ShardSimConfig,
 };
-
-type Factory = (&'static str, fn() -> Box<dyn ConcurrencyControl>);
-
-fn factories() -> Vec<Factory> {
-    use ccopt_engine::cc::*;
-    vec![
-        ("serial", || Box::new(SerialCc::default())),
-        ("strict-2PL", || Box::new(Strict2plCc::default())),
-        ("SGT", || Box::new(SgtCc::default())),
-        ("T/O", || Box::new(TimestampCc::default())),
-        ("OCC", || Box::new(OccCc::default())),
-        ("MVTO", || Box::new(MvtoCc::default())),
-        ("SI", || Box::new(SiCc::default())),
-    ]
-}
 
 /// Every deterministic field of two runs must agree bit-for-bit (floats
 /// compared by bit pattern: "close" is not "identical").
@@ -97,12 +81,12 @@ fn traced_open_runs_are_bit_identical_to_untraced() {
     let dir = ccopt_engine::durability::scratch_path("sim-trace-diff");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    for (name, mk) in factories() {
-        let mk_cc = move || mk();
+    for kind in CcKind::ALL {
+        let name = kind.name();
         let cfg = contended(17, 80);
-        let base = simulate_open(&mk_cc, &cfg);
+        let base = simulate_open(kind, &cfg);
         let sink = dir.join(format!("open-{}.jsonl", name.replace('/', "_")));
-        let traced = simulate_open_traced(&mk_cc, &cfg, None, &TraceConfig::to_sink(&sink));
+        let traced = simulate_open_traced(kind, &cfg, None, &TraceConfig::to_sink(&sink));
         assert_identical(name, &base, &traced);
         // And the sink it produced is schema-valid, line by line.
         let body = std::fs::read_to_string(&sink).unwrap();
@@ -116,11 +100,11 @@ fn traced_open_runs_are_bit_identical_to_untraced() {
 
 #[test]
 fn traced_sharded_runs_are_bit_identical_to_untraced() {
-    for (name, mk) in factories() {
-        let mk_cc = move || mk();
+    for kind in CcKind::ALL {
+        let name = kind.name();
         let scfg = ShardSimConfig::new(contended(23, 60), 2, 0.4);
-        let base = simulate_sharded(&mk_cc, &scfg);
-        let traced = simulate_sharded_traced(&mk_cc, &scfg, None, None, &TraceConfig::ring(1024));
+        let base = simulate_sharded(kind, &scfg);
+        let traced = simulate_sharded_traced(kind, &scfg, None, None, &TraceConfig::ring(1024));
         assert_identical(name, &base, &traced);
     }
 }
@@ -130,9 +114,9 @@ fn contended_runs_attribute_their_aborts_and_rank_hot_variables() {
     // The attribution surfaces in the result: rule rows account for every
     // abort, and under a hot-variable workload the contention table names
     // the hot variable first.
-    for (name, mk) in factories() {
-        let mk_cc = move || mk();
-        let r = simulate_open(&mk_cc, &contended(31, 80));
+    for kind in CcKind::ALL {
+        let name = kind.name();
+        let r = simulate_open(kind, &contended(31, 80));
         let attributed: usize = r.aborts_by_rule.iter().map(|&(_, n)| n).sum();
         assert_eq!(
             attributed, r.aborts,
@@ -167,8 +151,8 @@ fn shard_panic_mid_2pc_dumps_a_valid_flight_recorder() {
     // respawning it; the dump and the live sink must both be schema-valid
     // JSONL; the merged stream must be totally ordered and reconstruct
     // the committed prefix; and every abort must carry its attribution.
-    let (name, mk) = ("strict-2PL", factories()[1].1);
-    let mk_cc = move || mk();
+    let kind = CcKind::Strict2pl;
+    let name = kind.name();
     let root = ccopt_engine::durability::scratch_path("sim-trace-flight");
     let _ = std::fs::remove_dir_all(&root);
     let wal_dir = root.join("wal");
@@ -192,7 +176,7 @@ fn shard_panic_mid_2pc_dumps_a_valid_flight_recorder() {
     };
     let plan = FaultPlan::panic_at(20, 0);
     let trace = TraceConfig::to_sink(&sink).with_dump_dir(&dump_dir);
-    let r = simulate_sharded_traced(&mk_cc, &scfg, Some(&dur), Some(&plan), &trace);
+    let r = simulate_sharded_traced(kind, &scfg, Some(&dur), Some(&plan), &trace);
     assert_eq!(r.committed, 60, "{name}: the stream serves fully");
     assert!(r.shard_restarts >= 1, "{name}: the panic was supervised");
 

@@ -7,9 +7,7 @@
 //! ```
 
 use ccopt::core::fixpoint::fixpoint_ratio;
-use ccopt::engine::cc::{
-    ConcurrencyControl, MvtoCc, OccCc, SerialCc, SgtCc, SiCc, Strict2plCc, TimestampCc,
-};
+use ccopt::engine::CcKind;
 use ccopt::model::systems;
 use ccopt::schedulers::suite::with_weak;
 use ccopt::sim::engine_sim::{simulate_engine, SimConfig};
@@ -34,25 +32,12 @@ fn main() {
         batches: 16,
         ..SimConfig::default()
     };
-    type CcFactory = Box<dyn Fn() -> Box<dyn ConcurrencyControl> + Sync>;
-    let ccs: Vec<(&str, CcFactory)> = vec![
-        ("serial", Box::new(|| Box::new(SerialCc::default()) as _)),
-        (
-            "strict-2PL",
-            Box::new(|| Box::new(Strict2plCc::default()) as _),
-        ),
-        ("T/O", Box::new(|| Box::new(TimestampCc::default()) as _)),
-        ("OCC", Box::new(|| Box::new(OccCc::default()) as _)),
-        ("SGT", Box::new(|| Box::new(SgtCc::default()) as _)),
-        ("MVTO", Box::new(|| Box::new(MvtoCc::default()) as _)),
-        ("SI", Box::new(|| Box::new(SiCc::default()) as _)),
-    ];
     let mut t = Table::new(
         "engine simulation on hotspot(4 txns x 2 steps)",
         &["cc", "throughput", "avg response", "avg waiting", "aborts"],
     );
-    for (_, mk) in &ccs {
-        let r = simulate_engine(&hot, mk.as_ref(), &cfg);
+    for kind in CcKind::ALL {
+        let r = simulate_engine(&hot, kind, &cfg);
         t.row(&[
             r.cc_name.clone(),
             f3(r.throughput),

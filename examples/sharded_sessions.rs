@@ -7,23 +7,20 @@
 //! cargo run --release --example sharded_sessions
 //! ```
 
-use ccopt::engine::cc::Strict2plCc;
 use ccopt::engine::shard::ShardedDb;
-use ccopt::engine::{ConcurrencyControl, DurabilityMode, Op};
+use ccopt::engine::{CcKind, DurabilityMode, Op};
 use ccopt::model::ids::VarId;
 use ccopt::model::state::GlobalState;
 use ccopt::model::value::Value;
 
-fn cc() -> Box<dyn ConcurrencyControl> {
-    Box::new(Strict2plCc::default())
-}
+const CC: CcKind = CcKind::Strict2pl;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = ccopt::engine::durability::scratch_path("example-sharded");
     let init = GlobalState::from_ints(&[100; 16]);
 
     // Four shards, each its own thread, lock table and write-ahead log.
-    let mut db = ShardedDb::open(&cc, init.clone(), &dir, DurabilityMode::Strict, 4, 8)?;
+    let mut db = ShardedDb::open(CC, init.clone(), &dir, DurabilityMode::Strict, 4, 8)?;
     let a = VarId(0);
     let b = (1..16)
         .map(VarId)
@@ -66,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = db.commit(h)?; // in memory it "commits" — durably it cannot
     drop(db); // the crash
 
-    let mut db = ShardedDb::open(&cc, init.clone(), &dir, DurabilityMode::Strict, 4, 8)?;
+    let mut db = ShardedDb::open(CC, init.clone(), &dir, DurabilityMode::Strict, 4, 8)?;
     let info = db.recovery_info().expect("logs recovered");
     println!(
         "crash between prepare and decision: recovery rolled back {} in-doubt vote(s); \
@@ -89,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = db.commit(h)?;
     drop(db); // crash with the participant resolve still buffered
 
-    let mut db = ShardedDb::open(&cc, init, &dir, DurabilityMode::Strict, 4, 8)?;
+    let mut db = ShardedDb::open(CC, init, &dir, DurabilityMode::Strict, 4, 8)?;
     let info = db.recovery_info().expect("logs recovered");
     println!(
         "crash after the decision: recovery consult-committed {} in-doubt vote(s); \

@@ -10,10 +10,8 @@
 //! as its own property below and the concrete anomaly is demonstrated in
 //! `tests/mv_anomalies.rs`.
 
-use ccopt::engine::cc::{
-    ConcurrencyControl, MvtoCc, OccCc, SerialCc, SgtCc, SiCc, Strict2plCc, TimestampCc,
-};
 use ccopt::engine::db::Database;
+use ccopt::engine::CcKind;
 use ccopt::model::exec::Executor;
 use ccopt::model::ids::TxnId;
 use ccopt::model::random::{random_system, RandomConfig};
@@ -22,15 +20,8 @@ use ccopt::schedule::schedule::permutations;
 use proptest::prelude::*;
 
 /// The mechanisms held to the serializability oracle (SI exempt, see above).
-fn serializable_ccs() -> Vec<Box<dyn ConcurrencyControl>> {
-    vec![
-        Box::new(SerialCc::default()),
-        Box::new(Strict2plCc::default()),
-        Box::new(SgtCc::default()),
-        Box::new(TimestampCc::default()),
-        Box::new(OccCc::default()),
-        Box::new(MvtoCc::default()),
-    ]
+fn serializable_ccs() -> impl Iterator<Item = CcKind> {
+    CcKind::ALL.into_iter().filter(|&k| k != CcKind::Si)
 }
 
 /// Workload axis: a write-heavy mix and a read-mixed one (where the
@@ -68,9 +59,9 @@ proptest! {
             .collect();
         let orders = permutations(&ids);
         let order = &orders[perm % orders.len()];
-        for cc in serializable_ccs() {
-            let name = cc.name().to_string();
-            let mut db = Database::new(sys.clone(), cc, init.clone());
+        for kind in serializable_ccs() {
+            let name = kind.name();
+            let mut db = Database::new(sys.clone(), kind.build(), init.clone());
             let stats = db.run_round_robin(order, 3000);
             prop_assert!(stats.is_some(), "{name} stalled (seed {seed})");
             prop_assert!(db.all_committed());
@@ -91,14 +82,9 @@ proptest! {
         let sys = random_system(&cfg(read_mix(mix)), seed);
         let init = sys.space.initial_states[0].clone();
         let ids: Vec<TxnId> = (0..sys.num_txns() as u32).map(TxnId).collect();
-        let ccs: Vec<Box<dyn ConcurrencyControl>> = {
-            let mut v = serializable_ccs();
-            v.push(Box::new(SiCc::default()));
-            v
-        };
-        for cc in ccs {
-            let name = cc.name().to_string();
-            let mut db = Database::new(sys.clone(), cc, init.clone());
+        for kind in CcKind::ALL {
+            let name = kind.name();
+            let mut db = Database::new(sys.clone(), kind.build(), init.clone());
             let stats = db.run_round_robin(&ids, 3000).expect("completes");
             prop_assert_eq!(stats.metrics.commits, sys.num_txns(), "{}", name);
             // Each commit requires at least its steps to have executed.
@@ -117,7 +103,7 @@ proptest! {
         let sys = random_system(&cfg(0.35), seed);
         let init = sys.space.initial_states[0].clone();
         let ids: Vec<TxnId> = (0..sys.num_txns() as u32).map(TxnId).collect();
-        let mut db = Database::new(sys.clone(), Box::new(SiCc::default()), init);
+        let mut db = Database::new(sys.clone(), CcKind::Si.build(), init);
         let stats = db.run_round_robin(&ids, 3000).expect("SI completes");
         prop_assert!(db.all_committed());
         prop_assert_eq!(stats.metrics.commits, sys.num_txns());

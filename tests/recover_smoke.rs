@@ -13,27 +13,29 @@
 //!   once, and both the live state and a reopen equal the acknowledged
 //!   commits, no more and no less.
 //!
+//! * **Ownership** — the database owns its mechanism (a `CcKind`), so it
+//!   is `Send`: built on one thread, supervised on a second (the respawn
+//!   builds the replacement shard's mechanism from the owned kind, there
+//!   being no caller-side factory to borrow), dropped on a third.
+//!
 //! One single-version and one multi-version mechanism each.
 //! `crates/engine/src/shard/tests.rs` and `crates/sim/tests/{sharded,
 //! faults,durability}.rs` hold the full sweeps; this is the thin slice
 //! the Tier-1 command runs.
 
 use ccopt::engine::durability::scratch_path;
-use ccopt::engine::{cc_by_name, DurabilityMode, Op, SessionError, ShardedDb};
+use ccopt::engine::{CcKind, DurabilityMode, Op, SessionError, ShardedDb};
 use ccopt::model::ids::VarId;
 use ccopt::model::state::GlobalState;
 use ccopt::model::value::Value;
 use std::path::Path;
 
 const NUM_VARS: usize = 8;
-const MECHANISMS: [&str; 2] = ["strict-2PL", "MVTO"];
+const MECHANISMS: [CcKind; 2] = [CcKind::Strict2pl, CcKind::Mvto];
 
-fn open<'a>(
-    mk: &'a dyn Fn() -> Box<dyn ccopt::engine::ConcurrencyControl>,
-    dir: &Path,
-) -> ShardedDb<'a> {
+fn open(kind: CcKind, dir: &Path) -> ShardedDb {
     let init = GlobalState::from_ints(&[0; NUM_VARS]);
-    ShardedDb::open(mk, init, dir, DurabilityMode::Strict, 2, 0).expect("open the shard logs")
+    ShardedDb::open(kind, init, dir, DurabilityMode::Strict, 2, 0).expect("open the shard logs")
 }
 
 /// One variable per shard.
@@ -88,8 +90,8 @@ fn ints(db: &mut ShardedDb) -> Vec<i64> {
 
 #[test]
 fn coordinator_crash_at_every_2pc_boundary_recovers_all_or_nothing() {
-    for name in MECHANISMS {
-        let mk = || cc_by_name(name).expect("a known mechanism");
+    for kind in MECHANISMS {
+        let name = kind.name();
         // One cross-shard commit over two shards is three durable
         // actions — prepare@0, prepare@1, resolve@coordinator. Budget `n`
         // kills every log before action `n`; budget 3 lets the protocol
@@ -98,7 +100,7 @@ fn coordinator_crash_at_every_2pc_boundary_recovers_all_or_nothing() {
         for budget in 0..=3u64 {
             let dir = scratch_path(&format!("recover-smoke-2pc-{name}-{budget}"));
             let _ = std::fs::remove_dir_all(&dir);
-            let mut db = open(&mk, &dir);
+            let mut db = open(kind, &dir);
             let (a, b) = split_pair(&db);
             bump(&mut db, &[a]).unwrap();
             bump(&mut db, &[b]).unwrap();
@@ -108,7 +110,7 @@ fn coordinator_crash_at_every_2pc_boundary_recovers_all_or_nothing() {
             bump(&mut db, &[a, b]).unwrap();
             drop(db); // the crash
 
-            let mut db = open(&mk, &dir);
+            let mut db = open(kind, &dir);
             let mut expect = vec![0i64; NUM_VARS];
             let both = if budget >= 3 { 2 } else { 1 };
             (expect[a.index()], expect[b.index()]) = (both, both);
@@ -124,7 +126,7 @@ fn coordinator_crash_at_every_2pc_boundary_recovers_all_or_nothing() {
             db.sync().unwrap();
             drop(db);
 
-            let mut db = open(&mk, &dir);
+            let mut db = open(kind, &dir);
             let info = db.recovery_info().expect("logs were recovered");
             assert_eq!(
                 (info.in_doubt_committed, info.in_doubt_aborted),
@@ -142,11 +144,11 @@ fn coordinator_crash_at_every_2pc_boundary_recovers_all_or_nothing() {
 
 #[test]
 fn shard_panic_mid_stream_is_supervised_and_recovers_the_committed_prefix() {
-    for name in MECHANISMS {
-        let mk = || cc_by_name(name).expect("a known mechanism");
+    for kind in MECHANISMS {
+        let name = kind.name();
         let dir = scratch_path(&format!("recover-smoke-panic-{name}"));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut db = open(&mk, &dir);
+        let mut db = open(kind, &dir);
         let (a, b) = split_pair(&db);
         let mut expect = vec![0i64; NUM_VARS];
         let mut failed = 0;
@@ -176,7 +178,7 @@ fn shard_panic_mid_stream_is_supervised_and_recovers_the_committed_prefix() {
             "{name}: live state = acknowledged commits"
         );
         drop(db); // strict logs: every acknowledged commit is durable
-        let mut db = open(&mk, &dir);
+        let mut db = open(kind, &dir);
         assert_eq!(
             ints(&mut db),
             expect,
@@ -185,4 +187,55 @@ fn shard_panic_mid_stream_is_supervised_and_recovers_the_committed_prefix() {
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn engine_moves_between_threads() {
+    use std::thread;
+    let dir = scratch_path("recover-smoke-moves");
+    let _ = std::fs::remove_dir_all(&dir);
+    let log_dir = dir.clone();
+
+    // Thread A builds it, commits once, and leaves a cross-shard
+    // transaction written but not committed.
+    let built = move || {
+        let mut db = open(CcKind::Strict2pl, &log_dir);
+        let (a, b) = split_pair(&db);
+        bump(&mut db, &[a, b]).unwrap();
+        let h = db.begin();
+        for var in [a, b] {
+            let wrote = db.write(h, var, Value::Int(40));
+            assert_eq!(wrote, Ok(Op::Done(Value::Int(1))));
+        }
+        (db, h, a, b)
+    };
+    let (mut db, h, a, b) = thread::spawn(built).join().unwrap();
+
+    // Thread B loses a shard: its next call supervises — the respawn is
+    // built here, from the kind the database carries — failing the open
+    // transaction; its successor commits on both shards.
+    let supervised = move || {
+        db.panic_shard(1);
+        assert_eq!(db.commit(h), Err(SessionError::ShardDown));
+        db.abort(h).unwrap();
+        assert_eq!(db.shard_restarts(), 1);
+        bump(&mut db, &[a, b]).unwrap();
+        db
+    };
+    let db = thread::spawn(supervised).join().unwrap();
+
+    // Thread C drops it, which joins both shard workers and closes
+    // their logs without a final sync.
+    thread::spawn(move || drop(db)).join().unwrap();
+
+    let mut db = open(CcKind::Strict2pl, &dir);
+    let mut expect = vec![0i64; NUM_VARS];
+    (expect[a.index()], expect[b.index()]) = (2, 2);
+    assert_eq!(
+        ints(&mut db),
+        expect,
+        "reopen = the two acknowledged commits"
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,8 +29,8 @@ const IN_FLIGHT: usize = 64;
 
 /// Live threads the server runs per connection (`ccopt-net-r<id>`
 /// readers, pumps, drainers): every thread it names except its three
-/// singletons — whose name the unnamed shard workers inherit from the
-/// engine thread that spawns them. `None` off Linux.
+/// singletons. (The shard workers are `ccopt-shard-<s>`, named by the
+/// engine crate, outside the prefix.) `None` off Linux.
 fn connection_threads() -> Option<usize> {
     const SINGLETONS: [&str; 3] = ["ccopt-net-engin", "ccopt-net-accep", "ccopt-net-ops"];
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;

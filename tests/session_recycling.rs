@@ -13,11 +13,8 @@
 //! undo entries, or version bookkeeping across retirement shows up as a
 //! divergence.
 
-use ccopt::engine::cc::{
-    ConcurrencyControl, MvtoCc, OccCc, SerialCc, SgtCc, SiCc, Strict2plCc, TimestampCc,
-};
 use ccopt::engine::session::{Op, SessionDb, Txn};
-use ccopt::engine::Metrics;
+use ccopt::engine::{CcKind, Metrics};
 use ccopt::model::ids::VarId;
 use ccopt::model::state::GlobalState;
 use ccopt::model::syntax::StepKind;
@@ -28,18 +25,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const VARS: usize = 4;
-
-fn make_cc(idx: usize) -> Box<dyn ConcurrencyControl> {
-    match idx {
-        0 => Box::new(SerialCc::default()),
-        1 => Box::new(Strict2plCc::default()),
-        2 => Box::new(SgtCc::default()),
-        3 => Box::new(TimestampCc::default()),
-        4 => Box::new(OccCc::default()),
-        5 => Box::new(MvtoCc::default()),
-        _ => Box::new(SiCc::default()),
-    }
-}
 
 /// Draw a random program of the open-world [`OpSpec`] shape (the op
 /// semantics — affine update, blind write, modular bound — live in one
@@ -231,12 +216,12 @@ proptest! {
     /// mechanisms per generated case.
     #[test]
     fn recycled_slot_is_indistinguishable_from_fresh(seed in 0u64..400) {
-        for cc_idx in 0..7usize {
+        for (cc_idx, kind) in CcKind::ALL.into_iter().enumerate() {
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(cc_idx as u64));
         let init = GlobalState::from_ints(&[0; VARS]);
 
         // Warm database: concurrent batch, everything finished and retired.
-        let mut warm = SessionDb::with_capacity(make_cc(cc_idx), init, 5);
+        let mut warm = SessionDb::with_capacity(kind.build(), init, 5);
         warmup(&mut warm, &mut rng, 5);
         prop_assert_eq!(warm.open_sessions(), 0, "warmup must retire everything");
         prop_assert_eq!(warm.pending_retires(), 0, "quiescent retirement must drain");
@@ -254,12 +239,12 @@ proptest! {
         );
 
         // ... and in slot 0 of a fresh database starting from the same state.
-        let mut fresh = SessionDb::new(make_cc(cc_idx), warmed_state);
+        let mut fresh = SessionDb::new(kind.build(), warmed_state);
         let (obs_f, fin_f, delta_f, attempts_f) = run_probe(&mut fresh, &probe);
 
-        prop_assert_eq!(&obs_w, &obs_f, "observed values diverged (cc {})", cc_idx);
-        prop_assert_eq!(&fin_w, &fin_f, "final state diverged (cc {})", cc_idx);
-        prop_assert_eq!(delta_w, delta_f, "metric deltas diverged (cc {})", cc_idx);
+        prop_assert_eq!(&obs_w, &obs_f, "observed values diverged (cc {})", kind.name());
+        prop_assert_eq!(&fin_w, &fin_f, "final state diverged (cc {})", kind.name());
+        prop_assert_eq!(delta_w, delta_f, "metric deltas diverged (cc {})", kind.name());
         prop_assert_eq!(attempts_w, 1u32);
         prop_assert_eq!(attempts_f, 1u32);
         }

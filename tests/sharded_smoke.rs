@@ -13,9 +13,7 @@
 //! thin slice of it the Tier-1 command runs, plus one cross-shard
 //! two-phase commit / abort round trip.
 
-use ccopt::engine::{
-    affine_eval, cc_by_name, BatchOp, GlobalTxn, GroupReq, Metrics, Op, ShardedDb, MECHANISM_NAMES,
-};
+use ccopt::engine::{affine_eval, BatchOp, CcKind, GlobalTxn, GroupReq, Metrics, Op, ShardedDb};
 use ccopt::model::ids::VarId;
 use ccopt::model::state::GlobalState;
 use ccopt::model::value::Value;
@@ -134,9 +132,8 @@ fn settle(db: &mut ShardedDb, st: &mut TxnState, outs: &[Op<Value>], commit: Opt
 
 /// Replay the recorded workload per-op or grouped. Returns the commit
 /// vector, the final state, the metrics and the cross-shard commit count.
-fn replay(cc: &str, grouped: bool) -> (Vec<bool>, GlobalState, Metrics, usize) {
-    let make = move || cc_by_name(cc).expect("known mechanism");
-    let mut db = ShardedDb::new(&make, GlobalState::from_ints(&[7; NUM_VARS]), SHARDS);
+fn replay(cc: CcKind, grouped: bool) -> (Vec<bool>, GlobalState, Metrics, usize) {
+    let mut db = ShardedDb::new(cc, GlobalState::from_ints(&[7; NUM_VARS]), SHARDS);
     let programs = record_programs(&db);
     let mut states: Vec<TxnState> = programs
         .iter()
@@ -230,9 +227,10 @@ fn decision_metrics(m: &Metrics) -> Metrics {
 
 #[test]
 fn per_op_and_grouped_submission_decide_identically() {
-    for cc in MECHANISM_NAMES {
-        let (commits_a, state_a, m_a, cross_a) = replay(cc, false);
-        let (commits_b, state_b, m_b, cross_b) = replay(cc, true);
+    for kind in CcKind::ALL {
+        let cc = kind.name();
+        let (commits_a, state_a, m_a, cross_a) = replay(kind, false);
+        let (commits_b, state_b, m_b, cross_b) = replay(kind, true);
         assert!(
             cross_a > 0 && commits_a.iter().any(|&c| c),
             "{cc}: the workload must commit across shards to mean anything"
@@ -256,8 +254,11 @@ fn per_op_and_grouped_submission_decide_identically() {
 
 #[test]
 fn cross_shard_two_phase_commit_and_abort_round_trip() {
-    let make = || cc_by_name("strict-2PL").expect("known mechanism");
-    let mut db = ShardedDb::new(&make, GlobalState::from_ints(&[0; NUM_VARS]), SHARDS);
+    let mut db = ShardedDb::new(
+        CcKind::Strict2pl,
+        GlobalState::from_ints(&[0; NUM_VARS]),
+        SHARDS,
+    );
     let (a, b) = (db.shard_vars(0)[0], db.shard_vars(1)[0]);
     let read = |db: &mut ShardedDb, v: VarId| db.globals().0[v.index()];
 
