@@ -14,6 +14,7 @@ fn main() {
     } else {
         args
     };
+    let mut unknown = Vec::new();
     for (k, id) in ids.iter().enumerate() {
         match run_experiment(id) {
             Some(report) => {
@@ -22,7 +23,11 @@ fn main() {
                 }
                 println!("{report}");
             }
-            None => eprintln!("unknown experiment id: {id} (known: {ALL_IDS:?})"),
+            None => unknown.push(id.as_str()),
         }
+    }
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment id: {unknown:?} (known: {ALL_IDS:?})");
+        std::process::exit(2);
     }
 }

@@ -5,17 +5,18 @@
 //! the data recorded in `EXPERIMENTS.md`) and by the Criterion benches
 //! (timing the underlying computations).
 //!
-//! The `throughput` binary is the engine's perf trajectory: it sweeps
+//! The `throughput` binary is the engine's deterministic grid: it sweeps
 //! the closed-world CC × workload grid, the open-world session grid
-//! across durability modes, and the sharded grid across shard count ×
-//! cross-shard ratio, asserting the headline claims in-process (full
-//! streams served, histories strict and serializable, group commit
-//! retaining ≥ 50% of no-log throughput, `S = 1` sharded cells equal to
-//! the open-world cells) and writing the machine-readable
-//! `BENCH_engine.json` (schema v7: v6's fault-tolerance columns plus
-//! commit-latency percentiles, top-contended variables, and per-rule
-//! abort attribution from the trace plane) next to this crate's manifest
-//! for future PRs to beat. The `trace_smoke` binary is the observability
+//! across durability modes, the sharded grid across shard count ×
+//! cross-shard ratio and the degraded-mode grid in simulated time,
+//! asserting the headline claims in-process (full streams served,
+//! histories strict and serializable, group commit retaining ≥ 50% of
+//! no-log throughput, `S = 1` sharded cells equal to the open-world
+//! cells, grouped submission collapsing mailbox round-trips ≥ 10×) and
+//! writing `BENCH_engine.json` (schema v11) next to this crate's
+//! manifest. No leaf reads a wall clock, so regenerating the file and
+//! `git diff --exit-code`-ing it is the semantic regression guard; real
+//! time is `benchmark/`'s job. The `trace_smoke` binary is the observability
 //! gate: one traced, durable, mid-2PC-crash run per mechanism whose
 //! JSONL sink and flight-recorder dumps it validates line by line.
 //!

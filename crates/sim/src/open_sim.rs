@@ -219,10 +219,6 @@ pub struct OpenSimResult {
     /// Write-ahead-log I/O attempts retried after a transient storage
     /// fault (0 unless storage faults were injected).
     pub io_retries: usize,
-    /// Wall-clock seconds of the most recent supervised shard recovery —
-    /// the time-to-recover of the degraded-mode benchmark (0 when no
-    /// shard was restarted).
-    pub recovery_secs: f64,
     /// Committed (sub-)transactions replayed by the most recent recovery
     /// — the deterministic recovery size: startup log recovery on durable
     /// open-world runs, the last supervised shard restart on sharded
@@ -463,7 +459,6 @@ pub(crate) struct Closing {
     pub(crate) final_state: GlobalState,
     /// Slots ever allocated — monotone, so the final value is the peak.
     pub(crate) peak_slots: usize,
-    pub(crate) recovery_secs: f64,
     pub(crate) recovery_replayed: u64,
 }
 
@@ -583,7 +578,6 @@ impl Driver for SessionDb {
             top_contended: self.top_contended(TOP_CONTENDED),
             final_state: self.globals(),
             peak_slots: self.num_slots(),
-            recovery_secs: 0.0,
             recovery_replayed: self.recovery_info().map_or(0, |ri| ri.committed),
         }
     }
@@ -796,7 +790,6 @@ pub(crate) fn run_stream<D: Driver>(
         shard_restarts: m.shard_restarts,
         shed_aborts: m.shed_aborts,
         io_retries: m.io_retries,
-        recovery_secs: end.recovery_secs,
         recovery_replayed: end.recovery_replayed,
         commit_lat_ticks_p50: end.commit_latency_ticks.quantile(0.5),
         commit_lat_ticks_p99: end.commit_latency_ticks.quantile(0.99),

@@ -437,10 +437,6 @@ impl Driver for ShardedDriver<'_> {
             top_contended: self.db.top_contended(TOP_CONTENDED),
             final_state: self.db.globals(),
             peak_slots: self.db.num_slots(),
-            recovery_secs: self
-                .db
-                .last_recovery_time()
-                .map_or(0.0, |d| d.as_secs_f64()),
             recovery_replayed: self.db.last_recovery_replayed().unwrap_or(0),
         }
     }
