@@ -26,8 +26,8 @@
 //!   ([`SessionDb::open`]): a redo-only write-ahead log with group
 //!   commit, checkpoints and crash recovery (`ccopt-durability`);
 //! * [`shard`] — sharded execution: [`ShardedDb`] hash-partitions the
-//!   variable universe across independent [`SessionDb`] shards, each on
-//!   its own worker thread, with single-shard fast-path commits and
+//!   variable universe across independent [`SessionDb`] shards, each
+//!   behind its own worker, with single-shard fast-path commits and
 //!   two-phase cross-shard commits (prepare votes + coordinator resolve,
 //!   in-doubt recovery by consulting the coordinator shard's log);
 //! * [`db`] — the closed-world [`Database`]: the paper's fixed transaction

@@ -77,9 +77,10 @@ impl ShardedDb {
     }
 
     /// Fault injection (tests): kill shard `s`'s worker now, exactly as a
-    /// shard-local bug would — the bomb job panics on the worker thread,
-    /// which drops the shard state mid-flight (its log closes without a
-    /// final flush: crash semantics). Returns once the worker is dead;
+    /// shard-local bug would — the bomb job panics under the shard's
+    /// ownership token, which drops the shard state mid-flight (its log
+    /// closes without a final flush: crash semantics). Returns once the
+    /// worker is dead;
     /// supervision happens at the next touch, or via
     /// [`check_shards`](Self::check_shards).
     pub fn panic_shard(&mut self, s: usize) {

@@ -437,10 +437,10 @@ impl ShardedDb {
     }
 
     /// The shard-job executor — the only code that runs data operations
-    /// on a shard: one mailbox message carrying every job (lazy begin,
-    /// run, optional commit + retire), executed back-to-back on shard
-    /// `si`'s thread, each outcome [`adopt`](Self::adopt)ed into its
-    /// coordinator slot. Outcomes come back in job order.
+    /// on a shard: one message carrying every job (lazy begin, run,
+    /// optional commit + retire), executed back-to-back under shard
+    /// `si`'s ownership token, each outcome [`adopt`](Self::adopt)ed into
+    /// its coordinator slot. Outcomes come back in job order.
     fn shard_jobs(&mut self, si: usize, jobs: Vec<Job>) -> Vec<Settled> {
         if self.down[si] {
             // The owning shard is permanently down (unrecoverable
@@ -543,18 +543,21 @@ impl ShardedDb {
             }
             outs
         };
-        let (_, reply) = self.scatter([(si, job)]).pop().expect("one job, one reply");
-        let Ok(outs) = reply else {
+        // A lone blocking message has no fan-out to overlap with: `call`
+        // runs it right here under the shard's ownership token when the
+        // mailbox is empty, behind whatever is queued otherwise.
+        let Ok(outs) = self.workers[si].call(job) else {
             // The shard worker died running (or queued behind) this
-            // message, and the scatter supervised the crash — restarted
-            // the shard from its log, failed every transaction with state
-            // there; report the loss. A commit in the message was never
-            // acknowledged; the recovered log decides it (as after any
-            // crash, an unacknowledged commit may legitimately have
-            // landed). A transaction whose begin was in the message holds
-            // nothing on the crashed shard, but its program needs the
-            // variable: either way the client sees the standard
-            // crashed-shard error, aborts and re-runs.
+            // message: supervise the crash — restart the shard from its
+            // log, fail every transaction with state there — and report
+            // the loss. A commit in the message was never acknowledged;
+            // the recovered log decides it (as after any crash, an
+            // unacknowledged commit may legitimately have landed). A
+            // transaction whose begin was in the message holds nothing on
+            // the crashed shard, but its program needs the variable:
+            // either way the client sees the standard crashed-shard
+            // error, aborts and re-runs.
+            self.supervise_crash(si);
             return (0..sent).map(|_| Err(SessionError::ShardDown)).collect();
         };
         outs.into_iter()

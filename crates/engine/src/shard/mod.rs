@@ -3,9 +3,14 @@
 //!
 //! [`ShardedDb`] splits the variable universe across `S` independent
 //! [`SessionDb`] shards — each with its own concurrency-control instance,
-//! store, and (optionally) write-ahead log — and drives every shard from
-//! its **own OS thread** through a mailbox ([`ccopt_par::Worker`]): the
-//! first genuinely parallel execution path in the engine. A transaction
+//! store, and (optionally) write-ahead log — and puts every shard behind
+//! its own [`ccopt_par::Worker`]. A fan-out (a two-phase-commit round, a
+//! database-wide sweep) goes through the shards' mailboxes and runs on
+//! their **own OS threads**, concurrently: the first genuinely parallel
+//! execution path in the engine. A lone blocking message (every data
+//! operation, lazy begin and single-shard commit) has nothing to overlap
+//! with, so it runs on the calling thread under the shard's ownership
+//! token whenever that shard's mailbox is empty. A transaction
 //! whose footprint stays inside one shard runs entirely locally (the
 //! common case a good partitioning maximizes); a cross-shard transaction
 //! commits through a **two-phase commit**:
@@ -56,8 +61,9 @@
 //!
 //! ## Fault domains
 //!
-//! Each shard worker is a **fault domain** (`ccopt-par`): a panic on a
-//! shard thread kills that shard, never the process, and drops its
+//! Each shard worker is a **fault domain** (`ccopt-par`): a panic in a
+//! shard job — on the shard's thread or inline on the caller's — kills
+//! that shard, never the process or the caller, and drops its
 //! [`SessionDb`] mid-flight — the write-ahead log closes without a final
 //! flush, which is crash semantics. The coordinator **supervises**: any
 //! interaction returning a worker error triggers an in-place restart of
@@ -102,7 +108,6 @@ use jobs::gather;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One shard's concurrency control: a fresh instance of `kind`, in
 /// commit-order mode whenever the database has more than one shard.
@@ -263,8 +268,6 @@ pub struct ShardedDb {
     /// `shard_restarts`), for per-shard health reporting.
     restarts_by_shard: Vec<usize>,
     shed_aborts: usize,
-    /// Wall-clock duration of the most recent supervised shard restart.
-    last_recovery: Option<Duration>,
     /// Committed sub-transactions replayed by the most recent supervised
     /// restart — the deterministic size of that recovery.
     last_recovery_replayed: Option<u64>,
@@ -488,7 +491,6 @@ impl ShardedDb {
             shard_restarts: 0,
             restarts_by_shard: vec![0; shards],
             shed_aborts: 0,
-            last_recovery: None,
             last_recovery_replayed: None,
             trace_hub: None,
             coord_tracer: Tracer::off(),

@@ -7,7 +7,7 @@ use super::{shard_cc, GStatus, ShardedDb, SubState};
 use crate::session::{SessionDb, SessionStatus};
 use ccopt_durability::recovery;
 use ccopt_trace::{ConflictRule, EventKind, Histogram};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Cost of supervised shard restarts ([`ShardedDb::recovery_histograms`]):
 /// one sample per restart handled by the fault supervisor.
@@ -27,7 +27,7 @@ pub struct RecoveryHistograms {
 /// health probe costs the data plane nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardStatus {
-    /// The worker thread is running (its panic flag is clear). A crashed
+    /// The worker is serving (its panic flag is clear). A crashed
     /// worker reports `false` until the next operation routed there
     /// triggers supervision, which restarts it in place.
     pub alive: bool,
@@ -59,19 +59,11 @@ impl ShardedDb {
         self.shed_aborts
     }
 
-    /// Wall-clock duration of the most recent supervised shard restart
-    /// (log recovery included), when one has happened: the last sample
-    /// fed into [`recovery_histograms`](Self::recovery_histograms). For
-    /// a reproducible measure of the same restart, use
-    /// [`last_recovery_replayed`](Self::last_recovery_replayed).
-    pub fn last_recovery_time(&self) -> Option<Duration> {
-        self.last_recovery
-    }
-
     /// Committed sub-transactions replayed by the most recent supervised
     /// shard restart — the deterministic companion of
-    /// [`last_recovery_time`](Self::last_recovery_time): a function of
-    /// the log contents alone, so identical runs report it identically.
+    /// [`recovery_histograms`](Self::recovery_histograms)' wall-clock
+    /// samples: a function of the log contents alone, so identical runs
+    /// report it identically.
     pub fn last_recovery_replayed(&self) -> Option<u64> {
         self.last_recovery_replayed
     }
@@ -125,7 +117,7 @@ impl ShardedDb {
     /// (the coordinator's fsynced resolve) is known to have survived,
     /// presumed abort otherwise. Serving on the other shards is never
     /// interrupted, and the process never aborts.
-    fn supervise_crash(&mut self, s: usize) {
+    pub(super) fn supervise_crash(&mut self, s: usize) {
         if self.down[s] {
             return;
         }
@@ -176,7 +168,6 @@ impl ShardedDb {
         let elapsed = t0.elapsed();
         self.recovery_hist.nanos.record(elapsed.as_nanos() as u64);
         self.recovery_hist.replayed_commits.record(replayed);
-        self.last_recovery = Some(elapsed);
         self.last_recovery_replayed = Some(replayed);
     }
 

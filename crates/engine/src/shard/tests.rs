@@ -22,6 +22,14 @@ impl ShardedDb {
         });
         tx
     }
+
+    /// Spin until shard `s`'s mailbox is empty (a reply resolves a moment
+    /// before the depth drops), so the next lone message runs inline.
+    fn await_idle(&self, s: usize) {
+        while self.workers[s].queue_len() != 0 {
+            std::thread::yield_now();
+        }
+    }
 }
 
 fn v(i: u32) -> VarId {
@@ -462,6 +470,95 @@ fn volatile_shard_panic_loses_only_that_shard() {
     bump(&mut db, &[a, b]);
     let g = db.globals();
     assert_eq!((g.0[a.index()], g.0[b.index()]), (int(2), int(1)));
+}
+
+/// Panic inside a data operation on idle shard `sb` — the job runs, and
+/// dies, on this very thread — and check the fault contract: the caller
+/// gets `ShardDown`, the shard is supervised exactly once, and the
+/// coordinator's trace names it.
+fn panic_inline_on(db: &mut ShardedDb, h: GlobalTxn, var: VarId) {
+    use ccopt_trace::EventKind;
+    let sb = db.shard_of(var) as u32;
+    let ran_on = Arc::new(std::sync::Mutex::new(None));
+    let probe = ran_on.clone();
+    db.await_idle(sb as usize);
+    let r = db.update(h, var, move |_| {
+        *probe.lock().unwrap() = Some(std::thread::current().id());
+        panic!("injected step-closure panic")
+    });
+    assert_eq!(r, Err(SessionError::ShardDown));
+    assert_eq!(
+        *ran_on.lock().unwrap(),
+        Some(std::thread::current().id()),
+        "the idle shard's job ran on the calling thread"
+    );
+    assert_eq!(db.shard_restarts(), 1, "supervised once");
+    let statuses = db.shard_statuses();
+    assert!(statuses.iter().all(|st| st.alive && !st.down));
+    assert_eq!(statuses[sb as usize].restarts, 1);
+    let coordinator = db.shards() as u32;
+    let events = db.trace_hub().unwrap().merged_events();
+    let count = |kind: EventKind| {
+        let on_coord = events.iter().filter(|e| e.shard == coordinator);
+        on_coord.filter(|e| e.kind == kind).count()
+    };
+    let down = count(EventKind::ShardDown { shard: sb });
+    let up = count(EventKind::ShardUp { shard: sb });
+    assert_eq!((down, up), (1, 1), "ShardDown/ShardUp name the shard");
+}
+
+#[test]
+fn inline_panic_in_a_data_operation_is_a_crashed_shard() {
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 8]), 2);
+    db.set_trace(&TraceConfig::ring(64)).unwrap();
+    let (a, b) = split_pair(&db);
+    bump(&mut db, &[a]);
+    // The doomed transaction holds state on the surviving shard only:
+    // its begin on `b`'s shard rides the message that panics.
+    let h = db.begin();
+    assert_eq!(db.write(h, a, int(7)).unwrap(), Op::Done(int(1)));
+    panic_inline_on(&mut db, h, b);
+    // This thread is alive, and so is the other shard: the survivor's
+    // share of the transaction rolls back and both shards serve.
+    db.abort(h).unwrap();
+    bump(&mut db, &[a]);
+    bump(&mut db, &[a, b]);
+    let g = db.globals();
+    assert_eq!((g.0[a.index()], g.0[b.index()]), (int(3), int(1)));
+    assert_eq!(db.shard_restarts(), 1);
+}
+
+#[test]
+fn durable_inline_panic_recovers_the_exact_committed_prefix() {
+    let dir = ccopt_durability::scratch_path("shard-inline-panic");
+    let _ = std::fs::remove_dir_all(&dir);
+    let init = GlobalState::from_ints(&[0; 8]);
+    let mode = DurabilityMode::Strict;
+    let mut db = ShardedDb::open(CcKind::Strict2pl, init.clone(), &dir, mode, 2, 0).unwrap();
+    db.set_trace(&TraceConfig::ring(64)).unwrap();
+    let (a, b) = split_pair(&db);
+    for _ in 0..2 {
+        bump(&mut db, &[a]);
+    }
+    for _ in 0..3 {
+        bump(&mut db, &[b]);
+    }
+    // An uncommitted write on the doomed shard dies with it.
+    let h = db.begin();
+    assert_eq!(db.write(h, b, int(99)).unwrap(), Op::Done(int(3)));
+    panic_inline_on(&mut db, h, b);
+    assert!(db.is_failed(h), "the transaction had state on the shard");
+    db.abort(h).unwrap();
+    assert_eq!(db.last_recovery_replayed(), Some(3));
+    let g = db.globals();
+    assert_eq!((g.0[a.index()], g.0[b.index()]), (int(2), int(3)));
+    bump(&mut db, &[b]);
+    drop(db);
+    let mut db = ShardedDb::open(CcKind::Strict2pl, init, &dir, mode, 2, 0).unwrap();
+    let g = db.globals();
+    assert_eq!((g.0[a.index()], g.0[b.index()]), (int(2), int(4)));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

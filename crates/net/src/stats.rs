@@ -32,7 +32,7 @@ pub const MAX_SERIES_POINTS: usize = 600;
 /// wire form of [`ccopt_engine::ShardStatus`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardHealth {
-    /// The worker thread is running.
+    /// The worker is serving (none of its jobs has panicked).
     pub alive: bool,
     /// The shard is permanently down (unrecoverable storage).
     pub down: bool,

@@ -10,21 +10,26 @@
 //!   reduction is bit-identical to the sequential loop whenever the
 //!   per-item work is itself deterministic — which the simulator
 //!   guarantees by deriving an independent RNG stream per item.
-//! * [`Worker`] — a persistent actor: one OS thread owning a piece of
-//!   state, driven through a mailbox of `FnOnce(&mut T)` jobs. Jobs from
-//!   one sender run in send order; [`Worker::submit`] returns a [`Reply`]
-//!   so a coordinator can fan a batch out to several workers and then
-//!   collect, which is how the engine's sharded database drives one
-//!   worker per shard (`ccopt-engine::shard`).
+//! * [`Worker`] — a persistent actor: a piece of state owned by one
+//!   *token*, driven through a mailbox of `FnOnce(&mut T)` jobs that a
+//!   dedicated OS thread runs. Jobs from one sender run in send order;
+//!   [`Worker::submit`] returns a [`Reply`] so a coordinator can fan a
+//!   batch out to several workers and then collect, which is how the
+//!   engine's sharded database drives one worker per shard
+//!   (`ccopt-engine::shard`). Whoever holds the token runs the job:
+//!   queued jobs run on the worker thread, a [`Worker::call`] that finds
+//!   the mailbox empty runs on the caller — a synchronous round trip has
+//!   no concurrency to buy with two thread hand-offs.
 //!
 //! ## Fault containment
 //!
 //! A worker is a *fault domain*: each job runs under
 //! [`std::panic::catch_unwind`], so a panicking job kills
-//! only its own worker, never the process. The state is dropped on the
-//! worker thread at the point of death — for a shard database this closes
-//! its write-ahead log *without* a final flush, which is exactly crash
-//! semantics: recovery replays the durable prefix. After death every
+//! only its own worker, never the process — nor the calling thread, when
+//! the job ran inline. The state is dropped at the point of death, on
+//! whichever thread ran the panicking job — for a shard database this
+//! closes its write-ahead log *without* a final flush, which is exactly
+//! crash semantics: recovery replays the durable prefix. After death every
 //! interaction returns [`WorkerError`] instead of panicking, and queued
 //! jobs that will never run resolve their [`Reply`]s as errors, so a
 //! supervisor can detect the crash, fail the in-flight work, and respawn.
@@ -38,7 +43,7 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Number of worker threads `par_map` uses: the machine's available
@@ -119,14 +124,14 @@ where
 
 // ------------------------------------------------------------------ worker
 
-/// The worker thread died (a previous job panicked) before — or while —
-/// running the interaction that returned this error.
+/// The worker died (a previous job panicked) before — or while — running
+/// the interaction that returned this error.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerError;
 
 impl std::fmt::Display for WorkerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker thread dead (a job panicked)")
+        write!(f, "worker dead (a job panicked)")
     }
 }
 
@@ -135,7 +140,7 @@ impl std::error::Error for WorkerError {}
 /// Why [`Worker::try_submit`] refused a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The worker thread died (a previous job panicked).
+    /// The worker died (a previous job panicked).
     Dead,
     /// The bounded mailbox is at capacity — backpressure; shed or retry.
     Full,
@@ -144,7 +149,7 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::Dead => write!(f, "worker thread dead (a job panicked)"),
+            SubmitError::Dead => write!(f, "worker dead (a job panicked)"),
             SubmitError::Full => write!(f, "worker mailbox full"),
         }
     }
@@ -171,71 +176,109 @@ impl<R> Reply<R> {
     }
 }
 
-/// A persistent worker thread owning a piece of state `T`, driven through
-/// a FIFO mailbox of closures.
+/// What a [`Worker`]'s handle and its thread share.
+struct Shared<T> {
+    /// The ownership token: whoever holds the lock runs the next job with
+    /// exclusive `&mut T`. `None` once the worker is dead (a job
+    /// panicked) or shut down — the state has been dropped.
+    state: Mutex<Option<T>>,
+    alive: AtomicBool,
+    /// Jobs submitted but not yet completed (mailbox depth).
+    pending: AtomicUsize,
+    /// Mailbox bound for [`try_submit`](Worker::try_submit);
+    /// `usize::MAX` = unbounded.
+    capacity: AtomicUsize,
+}
+
+impl<T> Shared<T> {
+    /// Wait for the ownership token.
+    fn token(&self) -> MutexGuard<'_, Option<T>> {
+        self.state
+            .lock()
+            .expect("a job's panic is caught before it can poison the token")
+    }
+
+    /// Take the token and run `f` on the state under `catch_unwind` — the
+    /// one place a job executes, on whichever thread got here.
+    fn run<R>(&self, f: impl FnOnce(&mut T) -> R) -> Result<R, WorkerError> {
+        let mut token = self.token();
+        let state = token.as_mut().ok_or(WorkerError)?;
+        catch_unwind(AssertUnwindSafe(|| f(state))).map_err(|_| {
+            // Fault containment: mark the domain dead *before* dropping
+            // the state so observers never see a live flag over a dropped
+            // state. Dropping here (mid-flight, still holding the token)
+            // gives crash semantics to whatever the state owns — a WAL
+            // file closes without a final flush, so recovery sees exactly
+            // the durable prefix.
+            self.alive.store(false, Ordering::Release);
+            *token = None;
+            WorkerError
+        })
+    }
+}
+
+/// A piece of state `T` owned by one token and served by a persistent
+/// worker thread through a FIFO mailbox of closures.
 ///
 /// Jobs submitted from the owning coordinator run strictly in submission
-/// order, each with exclusive `&mut T` access — the actor pattern: state
-/// is owned, never shared, so `T` needs no internal synchronization.
-/// Dropping the worker closes the mailbox, drains the remaining jobs,
-/// drops `T` *on the worker thread*, and joins — so resources owned by
-/// `T` (files, logs) are fully released when `drop` returns.
+/// order, each with exclusive `&mut T` access — the actor pattern: the
+/// state is reached only through the token, one job at a time, so `T`
+/// needs no internal synchronization. Queued jobs run on the worker
+/// thread; a [`call`](Worker::call) on an idle worker takes the token
+/// and runs on the caller. Dropping the worker closes the mailbox,
+/// drains the remaining jobs, drops `T` *on the worker thread*, and
+/// joins — so resources owned by `T` (files, logs) are fully released
+/// when `drop` returns.
 ///
 /// A job that panics kills the worker, not the process: the panic is
-/// caught, the state is dropped on the worker thread (mid-flight, as a
-/// crash would leave it), queued jobs are discarded, and every later
-/// interaction returns [`WorkerError`].
+/// caught, the state is dropped on the thread that ran the job
+/// (mid-flight, as a crash would leave it), queued jobs are discarded,
+/// and every later interaction returns [`WorkerError`].
 pub struct Worker<T> {
     tx: Option<Sender<Job<T>>>,
     handle: Option<JoinHandle<()>>,
-    alive: Arc<AtomicBool>,
-    /// Jobs submitted but not yet completed (mailbox depth).
-    pending: Arc<AtomicUsize>,
-    /// Mailbox bound for [`try_submit`](Worker::try_submit);
-    /// `usize::MAX` = unbounded.
-    capacity: Arc<AtomicUsize>,
+    shared: Arc<Shared<T>>,
 }
 
 impl<T: Send + 'static> Worker<T> {
-    /// Move `state` onto a fresh worker thread and open its mailbox. The
+    /// Give `state` a fresh worker thread and open its mailbox. The
     /// thread is unnamed: it shows up under its spawner's name.
     pub fn spawn(state: T) -> Worker<T> {
         Self::spawn_on(std::thread::Builder::new(), state)
     }
 
     /// Like [`spawn`](Self::spawn), on a thread named `name` (what
-    /// `top -H` and a panic message show).
+    /// `top -H` shows, and the panic message of a queued job).
     pub fn spawn_named(name: String, state: T) -> Worker<T> {
         Self::spawn_on(std::thread::Builder::new().name(name), state)
     }
 
     fn spawn_on(thread: std::thread::Builder, state: T) -> Worker<T> {
         let (tx, rx) = channel::<Job<T>>();
-        let alive = Arc::new(AtomicBool::new(true));
-        let pending = Arc::new(AtomicUsize::new(0));
+        let shared = Arc::new(Shared {
+            state: Mutex::new(Some(state)),
+            alive: AtomicBool::new(true),
+            pending: AtomicUsize::new(0),
+            capacity: AtomicUsize::new(usize::MAX),
+        });
         let handle = {
-            let alive = alive.clone();
-            let pending = pending.clone();
+            let shared = shared.clone();
             let body = move || {
-                let mut state = state;
                 while let Ok(job) = rx.recv() {
-                    let ok = catch_unwind(AssertUnwindSafe(|| job(&mut state))).is_ok();
-                    pending.fetch_sub(1, Ordering::Release);
-                    if !ok {
-                        // Fault containment: mark the domain dead *before*
-                        // dropping the state so observers never see a live
-                        // flag over a dropped state. Dropping here (on the
-                        // worker thread, mid-flight) gives crash semantics
-                        // to whatever the state owns — a WAL file closes
-                        // without a final flush, so recovery sees exactly
-                        // the durable prefix. Queued jobs die with the
+                    let ran = shared.run(job);
+                    shared.pending.fetch_sub(1, Ordering::Release);
+                    if ran.is_err() {
+                        // The worker died, under this job or an inline
+                        // one before it. Queued jobs die with the
                         // receiver; their Reply senders drop and every
                         // wait() resolves to Err(WorkerError).
-                        alive.store(false, Ordering::Release);
-                        drop(state);
                         return;
                     }
                 }
+                // Mailbox closed: the state goes here, on the worker
+                // thread, so the join in shutdown/Drop covers it.
+                let state = shared.token().take();
+                drop(state);
             };
             // As `std::thread::spawn`: no thread is an unrecoverable
             // resource failure.
@@ -244,36 +287,34 @@ impl<T: Send + 'static> Worker<T> {
         Worker {
             tx: Some(tx),
             handle: Some(handle),
-            alive,
-            pending,
-            capacity: Arc::new(AtomicUsize::new(usize::MAX)),
+            shared,
         }
     }
 
-    /// Whether the worker thread is still serving jobs. A `true` may be
-    /// stale the instant it is read (the worker may be dying right now);
+    /// Whether the worker is still serving jobs. A `true` may be stale
+    /// the instant it is read (the worker may be dying right now);
     /// `false` is definitive.
     pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire)
+        self.shared.alive.load(Ordering::Acquire)
     }
 
     /// Jobs submitted but not yet completed.
     pub fn queue_len(&self) -> usize {
-        self.pending.load(Ordering::Acquire)
+        self.shared.pending.load(Ordering::Acquire)
     }
 
     /// Bound the mailbox at `cap` jobs for [`try_submit`](Self::try_submit)
     /// (`usize::MAX` = unbounded, the default). [`submit`](Self::submit)
     /// ignores the bound — control-plane jobs must never be shed.
     pub fn set_capacity(&self, cap: usize) {
-        self.capacity.store(cap, Ordering::Release);
+        self.shared.capacity.store(cap, Ordering::Release);
     }
 
     /// Whether the bounded mailbox is at capacity right now — the
     /// backpressure signal a coordinator can check *before* spending any
     /// per-operation setup work on a job it would have to shed.
     pub fn is_full(&self) -> bool {
-        self.pending.load(Ordering::Acquire) >= self.capacity.load(Ordering::Acquire)
+        self.queue_len() >= self.shared.capacity.load(Ordering::Acquire)
     }
 
     /// Close the mailbox and join the worker thread in place: queued jobs
@@ -288,7 +329,7 @@ impl<T: Send + 'static> Worker<T> {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-        self.alive.store(false, Ordering::Release);
+        self.shared.alive.store(false, Ordering::Release);
     }
 
     /// Enqueue `f` and return a [`Reply`] for its result, or
@@ -308,14 +349,14 @@ impl<T: Send + 'static> Worker<T> {
             return Err(WorkerError);
         };
         let (rtx, rrx) = channel();
-        self.pending.fetch_add(1, Ordering::AcqRel);
+        self.shared.pending.fetch_add(1, Ordering::AcqRel);
         let sent = tx.send(Box::new(move |state: &mut T| {
             let _ = rtx.send(f(state));
         }));
         if sent.is_err() {
             // The worker died between the liveness check and the send;
             // the job never entered the mailbox.
-            self.pending.fetch_sub(1, Ordering::Release);
+            self.shared.pending.fetch_sub(1, Ordering::Release);
             return Err(WorkerError);
         }
         Ok(Reply { rx: rrx })
@@ -328,19 +369,28 @@ impl<T: Send + 'static> Worker<T> {
         &self,
         f: impl FnOnce(&mut T) -> R + Send + 'static,
     ) -> Result<Reply<R>, SubmitError> {
-        if self.pending.load(Ordering::Acquire) >= self.capacity.load(Ordering::Acquire) {
+        if self.is_full() {
             return Err(SubmitError::Full);
         }
         self.submit(f).map_err(|WorkerError| SubmitError::Dead)
     }
 
-    /// Run `f` on the worker and block for its result (a synchronous
-    /// round-trip through the mailbox), or [`WorkerError`] when the
-    /// worker is dead or dies running `f`.
+    /// Run `f` on the state and block for its result, or [`WorkerError`]
+    /// when the worker is dead or dies running `f`. With the mailbox
+    /// empty, `f` runs right here on the calling thread under the
+    /// ownership token — no boxing, reply channel or wake-up; with jobs
+    /// queued it goes behind them through the mailbox (FIFO holds) and
+    /// runs on the worker thread.
     pub fn call<R: Send + 'static>(
         &self,
         f: impl FnOnce(&mut T) -> R + Send + 'static,
     ) -> Result<R, WorkerError> {
+        // `pending` is decremented (Release) only after a queued job has
+        // run, so reading 0 (Acquire) means every job submitted before
+        // this call has completed.
+        if self.queue_len() == 0 && self.is_alive() {
+            return self.shared.run(f);
+        }
         self.submit(f)?.wait()
     }
 }
@@ -379,6 +429,14 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 mod tests {
     use super::*;
 
+    /// A state whose drop raises a flag.
+    struct Flagged(Arc<AtomicBool>);
+    impl Drop for Flagged {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
     #[test]
     fn preserves_order() {
         let input: Vec<usize> = (0..1000).collect();
@@ -409,12 +467,75 @@ mod tests {
         assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 
+    /// Spin until every queued job has completed: a `Reply` resolves from
+    /// inside its job, a moment before the mailbox depth drops.
+    fn idle<T: Send + 'static>(w: &Worker<T>) {
+        while w.queue_len() != 0 {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn named_worker_thread_carries_its_name() {
         let name = |_: &mut ()| std::thread::current().name().map(String::from);
         let w = Worker::spawn_named("ccopt-shard-7".to_string(), ());
-        assert_eq!(w.call(name).unwrap().as_deref(), Some("ccopt-shard-7"));
-        assert_eq!(Worker::spawn(()).call(name).unwrap(), None);
+        // A queued job runs on the worker thread...
+        let queued = w.submit(name).unwrap().wait().unwrap();
+        assert_eq!(queued.as_deref(), Some("ccopt-shard-7"));
+        let unnamed = Worker::spawn(());
+        assert_eq!(unnamed.submit(name).unwrap().wait().unwrap(), None);
+        // ...a call on an idle worker on the caller's.
+        idle(&w);
+        let here = std::thread::current().name().map(String::from);
+        assert!(here.is_some(), "the test harness names its threads");
+        assert_eq!(w.call(name).unwrap(), here);
+        assert_eq!(w.queue_len(), 0, "an inline call never enters the mailbox");
+    }
+
+    #[test]
+    fn call_behind_a_queued_job_keeps_fifo_on_the_worker_thread() {
+        let w = Worker::spawn_named("fifo".to_string(), Vec::<u32>::new());
+        let (gate_tx, gate_rx) = channel::<()>();
+        let _stalled = w
+            .submit(move |v| {
+                let _ = gate_rx.recv();
+                v.push(1);
+            })
+            .unwrap();
+        let (thread, seen) = std::thread::scope(|scope| {
+            // Open the gate only once the call sits in the mailbox behind
+            // the stalled job.
+            scope.spawn(|| {
+                while w.queue_len() < 2 {
+                    std::thread::yield_now();
+                }
+                gate_tx.send(()).unwrap();
+            });
+            w.call(|v| {
+                v.push(2);
+                (std::thread::current().name().map(String::from), v.clone())
+            })
+            .unwrap()
+        });
+        assert_eq!(thread.as_deref(), Some("fifo"), "queued, not inline");
+        assert_eq!(seen, vec![1, 2], "the call ran after the job ahead of it");
+    }
+
+    #[test]
+    fn inline_calls_and_queued_jobs_interleave_in_submission_order() {
+        // Each call finds the job submitted just before it either still
+        // queued (and goes behind it) or done (and runs inline): the
+        // sequence must replay exactly whichever way each step falls.
+        let w = Worker::spawn(Vec::<u32>::new());
+        for i in 0..10_000 {
+            if i % 2 == 0 {
+                let _ = w.submit(move |v| v.push(i)).unwrap();
+            } else {
+                w.call(move |v| v.push(i)).unwrap();
+            }
+        }
+        let out = w.call(|v| v.clone()).unwrap();
+        assert_eq!(out, (0..10_000).collect::<Vec<_>>());
     }
 
     #[test]
@@ -432,14 +553,6 @@ mod tests {
 
     #[test]
     fn drop_joins_and_releases_state() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        struct Flagged(Arc<AtomicBool>);
-        impl Drop for Flagged {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
         let flag = Arc::new(AtomicBool::new(false));
         let w = Worker::spawn(Flagged(flag.clone()));
         w.call(|_| ()).unwrap();
@@ -461,7 +574,7 @@ mod tests {
     #[test]
     fn panicking_job_kills_worker_not_process() {
         let w = Worker::spawn(0u32);
-        let r = w.call(|_| panic!("injected"));
+        let r = w.submit(|_| panic!("injected")).unwrap().wait();
         assert_eq!(r, Err(WorkerError));
         // The error return is the definitive death signal; the liveness
         // flag flips moments later (the reply channel drops during the
@@ -477,23 +590,36 @@ mod tests {
 
     #[test]
     fn panic_drops_state_on_worker_thread() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        struct Flagged(Arc<AtomicBool>);
-        impl Drop for Flagged {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
         let flag = Arc::new(AtomicBool::new(false));
         let w = Worker::spawn(Flagged(flag.clone()));
-        assert!(w.call(|_| panic!("injected")).is_err());
+        let bomb = w.submit(|_| panic!("injected")).unwrap();
+        assert!(bomb.wait().is_err());
         // The catch-unwind path drops the state at the point of death;
         // wait for the worker thread to finish doing so.
         while !flag.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
         assert!(!w.is_alive());
+    }
+
+    #[test]
+    fn inline_panic_kills_the_worker_before_call_returns() {
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut w = Worker::spawn(Flagged(flag.clone()));
+        assert_eq!(w.queue_len(), 0);
+        // The mailbox is empty: the bomb runs — and is caught — right
+        // here, and this thread survives it.
+        assert_eq!(w.call(|_| panic!("injected")), Err(WorkerError));
+        assert!(flag.load(Ordering::SeqCst), "state dropped in place");
+        assert!(!w.is_alive());
+        assert_eq!(w.queue_len(), 0);
+        assert_eq!(w.call(|_| ()), Err(WorkerError));
+        assert!(w.submit(|_| ()).is_err());
+        assert_eq!(w.try_submit(|_| ()).unwrap_err(), SubmitError::Dead);
+        // The worker thread is still parked on its mailbox; closing it
+        // lets the join return.
+        w.shutdown();
+        assert_eq!(w.call(|_| ()), Err(WorkerError));
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl ShardDurableConfig {
 /// is deterministic in the seed like everything else in the simulator.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// `(after_commits, shard)`: panic the shard's worker thread — the
+    /// `(after_commits, shard)`: panic the shard's worker — the
     /// supervisor restarts it in place (recovering its log on durable
     /// runs) and fails the global transactions that had state there.
     pub shard_panics: Vec<(usize, usize)>,
