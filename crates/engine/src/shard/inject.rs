@@ -4,11 +4,15 @@
 //! storage-fault hooks. `docs/FAULTS.md` lists the whole surface.
 //!
 //! The two-phase fan-out stays **concurrent** while a script is armed:
-//! the coordinator submits a round's jobs in shard order and consults the
-//! script as each one enters its mailbox, so "kill every log before
+//! the coordinator hands a round's jobs over in shard order and consults
+//! the script as each one is handed over, so "kill every log before
 //! action `n`" and "panic job `n`" land at a fixed position in every
-//! shard's FIFO mailbox — behind the jobs submitted before the boundary,
-//! ahead of those after it — whatever the threads' relative speed.
+//! shard's FIFO mailbox — behind the jobs handed over before the
+//! boundary, ahead of those after it — whatever the threads' relative
+//! speed. A round of one job (the coordinator resolve; at `S = 2` the
+//! participant resolve too) runs on the coordinator's thread whenever its
+//! mailbox is empty, so its scripted panic unwinds there and is caught at
+//! the shard's fault boundary — the coordinator survives it.
 
 use super::jobs::gather;
 use super::ShardedDb;
@@ -32,7 +36,7 @@ pub(super) struct Inject {
 }
 
 impl Inject {
-    /// Consulted once per two-phase-commit job, as it is submitted.
+    /// Consulted once per two-phase-commit job, as it is handed over.
     /// `durable` jobs (votes, the coordinator resolve) count against the
     /// crash budget, and the job at the boundary first kills every shard
     /// log. Returns whether this job is the scripted panic.

@@ -14,24 +14,31 @@ use ccopt_trace::{ConflictRule, EventKind};
 /// order (`Err`: the worker was dead, or died before answering).
 pub(super) type Replies<R> = Vec<(usize, Result<R, WorkerError>)>;
 
-/// The scatter/gather primitive: submit each `(shard, job)` to its
-/// shard's mailbox, then wait for every reply, both in iteration order.
-/// The shards run their jobs concurrently. `jobs` is pulled between
-/// submits, so whatever producing a later job does to other mailboxes
-/// lands behind the jobs already submitted there — per-shard FIFO
-/// mailboxes make every such boundary deterministic.
+/// The scatter/gather primitive — the one place that decides whether a
+/// shard job runs inline or queued. A fan-out of one is a
+/// [`Worker::call`]: it runs right here under the shard's ownership
+/// token when that mailbox is empty, behind the queued jobs otherwise,
+/// since the coordinator would only block on its reply. A wider fan-out
+/// submits each `(shard, job)` to its shard's mailbox, then waits for
+/// every reply, both in iteration order, and the shards run their jobs
+/// concurrently. `jobs` is pulled as each job is handed over, so
+/// whatever producing a later job does to other mailboxes lands behind
+/// the jobs already handed over there — per-shard FIFO mailboxes make
+/// every such boundary deterministic.
 pub(super) fn gather<R, F>(
     workers: &[Worker<SessionDb>],
-    jobs: impl IntoIterator<Item = (usize, F)>,
+    jobs: impl IntoIterator<Item = (usize, F), IntoIter: ExactSizeIterator>,
 ) -> Replies<R>
 where
     R: Send + 'static,
     F: FnOnce(&mut SessionDb) -> R + Send + 'static,
 {
-    let pending: Vec<_> = jobs
-        .into_iter()
-        .map(|(s, job)| (s, workers[s].submit(job)))
-        .collect();
+    let mut jobs = jobs.into_iter();
+    if jobs.len() == 1 {
+        let (s, job) = jobs.next().expect("a fan-out of one");
+        return vec![(s, workers[s].call(job))];
+    }
+    let pending: Vec<_> = jobs.map(|(s, job)| (s, workers[s].submit(job))).collect();
     pending
         .into_iter()
         .map(|(s, reply)| (s, reply.and_then(Reply::wait)))
@@ -168,7 +175,10 @@ impl ShardedDb {
     /// [`gather`], then supervise every shard whose worker turned out
     /// dead — only once the last reply is in, so a restart never runs
     /// under a fan-out still in flight.
-    pub(super) fn scatter<R, F>(&mut self, jobs: impl IntoIterator<Item = (usize, F)>) -> Replies<R>
+    pub(super) fn scatter<R, F>(
+        &mut self,
+        jobs: impl IntoIterator<Item = (usize, F), IntoIter: ExactSizeIterator>,
+    ) -> Replies<R>
     where
         R: Send + 'static,
         F: FnOnce(&mut SessionDb) -> R + Send + 'static,
@@ -543,21 +553,17 @@ impl ShardedDb {
             }
             outs
         };
-        // A lone blocking message has no fan-out to overlap with: `call`
-        // runs it right here under the shard's ownership token when the
-        // mailbox is empty, behind whatever is queued otherwise.
-        let Ok(outs) = self.workers[si].call(job) else {
+        let Some((_, Ok(outs))) = self.scatter([(si, job)]).pop() else {
             // The shard worker died running (or queued behind) this
-            // message: supervise the crash — restart the shard from its
-            // log, fail every transaction with state there — and report
-            // the loss. A commit in the message was never acknowledged;
-            // the recovered log decides it (as after any crash, an
-            // unacknowledged commit may legitimately have landed). A
-            // transaction whose begin was in the message holds nothing on
-            // the crashed shard, but its program needs the variable:
-            // either way the client sees the standard crashed-shard
-            // error, aborts and re-runs.
-            self.supervise_crash(si);
+            // message, and the scatter supervised the crash — restarted
+            // the shard from its log, failed every transaction with state
+            // there. Report the loss. A commit in the message was never
+            // acknowledged; the recovered log decides it (as after any
+            // crash, an unacknowledged commit may legitimately have
+            // landed). A transaction whose begin was in the message holds
+            // nothing on the crashed shard, but its program needs the
+            // variable: either way the client sees the standard
+            // crashed-shard error, aborts and re-runs.
             return (0..sent).map(|_| Err(SessionError::ShardDown)).collect();
         };
         outs.into_iter()

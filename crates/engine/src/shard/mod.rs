@@ -4,13 +4,15 @@
 //! [`ShardedDb`] splits the variable universe across `S` independent
 //! [`SessionDb`] shards — each with its own concurrency-control instance,
 //! store, and (optionally) write-ahead log — and puts every shard behind
-//! its own [`ccopt_par::Worker`]. A fan-out (a two-phase-commit round, a
-//! database-wide sweep) goes through the shards' mailboxes and runs on
-//! their **own OS threads**, concurrently: the first genuinely parallel
-//! execution path in the engine. A lone blocking message (every data
-//! operation, lazy begin and single-shard commit) has nothing to overlap
-//! with, so it runs on the calling thread under the shard's ownership
-//! token whenever that shard's mailbox is empty. A transaction
+//! its own [`ccopt_par::Worker`]. A fan-out to several shards (a
+//! two-phase-commit vote round, a database-wide sweep) goes through the
+//! shards' mailboxes and runs on their **own OS threads**, concurrently:
+//! the first genuinely parallel execution path in the engine. A fan-out
+//! of one (every data operation, lazy begin and single-shard commit, the
+//! 2PC coordinator resolve, a lone participant resolve or rollback) has
+//! nothing to overlap with, so it is a call: it runs on the calling
+//! thread under the shard's ownership token whenever that shard's
+//! mailbox is empty. A transaction
 //! whose footprint stays inside one shard runs entirely locally (the
 //! common case a good partitioning maximizes); a cross-shard transaction
 //! commits through a **two-phase commit**:
@@ -880,13 +882,13 @@ impl ShardedDb {
     pub fn set_trace(&mut self, cfg: &TraceConfig) -> std::io::Result<()> {
         let hub = Arc::new(TraceHub::new(cfg)?);
         let live = (0..self.workers.len()).filter(|&s| !self.down[s]);
-        gather(
-            &self.workers,
-            live.map(|s| {
+        let attach: Vec<_> = live
+            .map(|s| {
                 let tracer = hub.tracer(s as u32);
                 (s, move |db: &mut SessionDb| db.set_tracer(tracer))
-            }),
-        );
+            })
+            .collect();
+        gather(&self.workers, attach);
         self.coord_tracer = hub.tracer(self.workers.len() as u32);
         self.trace_hub = Some(hub);
         Ok(())

@@ -117,7 +117,7 @@ impl ShardedDb {
     /// (the coordinator's fsynced resolve) is known to have survived,
     /// presumed abort otherwise. Serving on the other shards is never
     /// interrupted, and the process never aborts.
-    pub(super) fn supervise_crash(&mut self, s: usize) {
+    fn supervise_crash(&mut self, s: usize) {
         if self.down[s] {
             return;
         }
@@ -243,11 +243,8 @@ impl ShardedDb {
         let floor = self.min_active_gts(ti);
         self.slots[ti].subs[crashed] = SubState::Absent;
         let subs = self.slots[ti].subs.iter().enumerate();
-        // Not supervised (this *is* the supervisor): a survivor that dies
-        // here is found by its own next interaction.
-        gather(
-            &self.workers,
-            subs.filter_map(|(s, &state)| {
+        let resolves: Vec<_> = subs
+            .filter_map(|(s, &state)| {
                 let SubState::Prepared(sub) = state else {
                     return None;
                 };
@@ -257,8 +254,11 @@ impl ShardedDb {
                         .expect("participant sub is prepared")
                 };
                 Some((s, resolve))
-            }),
-        );
+            })
+            .collect();
+        // Not supervised (this *is* the supervisor): a survivor that dies
+        // here is found by its own next interaction.
+        gather(&self.workers, resolves);
         self.land(ti, true);
     }
 
@@ -287,9 +287,8 @@ impl ShardedDb {
             self.decided.entry(gts).or_insert(false);
         }
         let subs = self.slots[ti].subs.iter().enumerate();
-        gather(
-            &self.workers,
-            subs.filter_map(|(s, state)| {
+        let rollbacks: Vec<_> = subs
+            .filter_map(|(s, state)| {
                 let sub = state.txn()?;
                 // Defensive rollback: mid-crash, the shard's view of the
                 // sub may legitimately differ from the coordinator's, so
@@ -304,8 +303,9 @@ impl ShardedDb {
                     _ => {}
                 };
                 (s != crashed).then_some((s, rollback))
-            }),
-        );
+            })
+            .collect();
+        gather(&self.workers, rollbacks);
         let sl = &mut self.slots[ti];
         sl.subs.fill(SubState::Absent);
         sl.touched.clear();

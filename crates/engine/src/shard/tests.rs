@@ -23,8 +23,8 @@ impl ShardedDb {
         tx
     }
 
-    /// Spin until shard `s`'s mailbox is empty (a reply resolves a moment
-    /// before the depth drops), so the next lone message runs inline.
+    /// Spin until shard `s`'s mailbox is empty (a stalled or uncollected
+    /// job may still sit there), so the next lone message runs inline.
     fn await_idle(&self, s: usize) {
         while self.workers[s].queue_len() != 0 {
             std::thread::yield_now();
@@ -754,6 +754,112 @@ fn shard_workers_are_named_at_construction_and_at_respawn() {
     db.panic_shard(1);
     assert_eq!(db.check_shards(), 1);
     assert_eq!(db.scatter((0..2).map(|s| (s, name))), expect);
+}
+
+/// The name of the thread running this code.
+fn thread_name() -> Option<String> {
+    std::thread::current().name().map(String::from)
+}
+
+#[test]
+fn lone_fan_out_runs_on_the_calling_thread_of_an_idle_shard() {
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 4]), 2);
+    let name = |_: &mut SessionDb| thread_name();
+    let here = thread_name();
+    assert!(here.is_some(), "the test harness names its threads");
+    // A wider fan-out first: its collected replies have left the
+    // mailboxes, so the shard is idle again.
+    assert_eq!(db.scatter((0..2).map(|s| (s, name))).len(), 2);
+    assert_eq!(db.scatter([(1, name)]), vec![(1, Ok(here))]);
+    assert_eq!(db.workers[1].queue_len(), 0, "the lone job never queued");
+}
+
+#[test]
+fn lone_fan_out_behind_a_stalled_job_runs_queued_after_it() {
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 4]), 2);
+    let gate = db.stall_shard(1);
+    // The stalled work leaves an effect the lone job must see.
+    let _begun = db.workers[1].submit(|db: &mut SessionDb| db.begin());
+    let workers = &db.workers;
+    let (thread, open) = std::thread::scope(|scope| {
+        // Open the gate only once the lone job sits in the mailbox
+        // behind the stalled work.
+        scope.spawn(move || {
+            while workers[1].queue_len() < 3 {
+                std::thread::yield_now();
+            }
+            gate.send(()).unwrap();
+        });
+        let lone = |db: &mut SessionDb| (thread_name(), db.open_sessions());
+        let (s, reply) = gather(workers, [(1, lone)]).pop().expect("one reply");
+        assert_eq!(s, 1);
+        reply.expect("the shard is alive")
+    });
+    assert_eq!(
+        thread.as_deref(),
+        Some("ccopt-shard-1"),
+        "queued, not inline"
+    );
+    assert_eq!(open, 1, "it ran after the stalled work and sees its begin");
+}
+
+/// The threads an injected 2PC-boundary panic went off on, recorded by a
+/// panic hook installed on first use on top of the previous hook (which
+/// still prints).
+fn bomb_threads() -> &'static std::sync::Mutex<Vec<Option<String>>> {
+    static THREADS: std::sync::OnceLock<std::sync::Mutex<Vec<Option<String>>>> =
+        std::sync::OnceLock::new();
+    THREADS.get_or_init(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let bomb = "injected shard-worker panic at a 2PC boundary";
+            if info.payload().downcast_ref::<&str>() == Some(&bomb) {
+                bomb_threads().lock().unwrap().push(thread_name());
+            }
+            prev(info);
+        }));
+        std::sync::Mutex::new(Vec::new())
+    })
+}
+
+#[test]
+fn lone_fan_out_2pc_panic_unwinds_on_the_calling_thread() {
+    let dir = ccopt_durability::scratch_path("shard-lone-2pc-panic");
+    let _ = std::fs::remove_dir_all(&dir);
+    let init = GlobalState::from_ints(&[0; 8]);
+    let mode = DurabilityMode::Strict;
+    let mut db = ShardedDb::open(CcKind::Strict2pl, init.clone(), &dir, mode, 2, 0).unwrap();
+    let (a, b) = split_pair(&db);
+    let here = thread_name();
+    assert!(here.is_some(), "the test harness names its threads");
+    bomb_threads();
+    // At S = 2 the votes are jobs 0 and 1 (a fan-out of two), the
+    // coordinator resolve is job 2 — a fan-out of one, on this thread.
+    db.panic_after_2pc_jobs(2);
+    let h = db.begin();
+    assert_eq!(db.write(h, a, int(5)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.write(h, b, int(6)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.commit(h), Err(SessionError::ShardDown));
+    assert!(
+        bomb_threads().lock().unwrap().contains(&here),
+        "the bomb went off on this thread, which survived it"
+    );
+    // The coordinator shard was supervised once; its log holds the
+    // prepare but no resolve, so the transaction settled as aborted.
+    assert_eq!(db.shard_restarts(), 1);
+    assert!(db.is_failed(h), "the slot is parked");
+    db.abort(h).unwrap();
+    assert_eq!(db.globals(), init);
+    bump(&mut db, &[a, b]);
+    db.sync().unwrap();
+    drop(db);
+    let mut db = ShardedDb::open(CcKind::Strict2pl, init, &dir, mode, 2, 0).unwrap();
+    let info = db.recovery_info().expect("logs were recovered");
+    assert_eq!((info.in_doubt_committed, info.in_doubt_aborted), (0, 0));
+    let g = db.globals();
+    assert_eq!((g.0[a.index()], g.0[b.index()]), (int(1), int(1)));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -168,9 +168,10 @@ impl ShardedDb {
             self.decided.insert(gtid, true);
         }
         self.land(ti, true);
-        // Participants apply in parallel; their resolve records stay
-        // buffered — if a crash loses one, that shard recovers in-doubt
-        // and re-derives the decision from the coordinator's log.
+        // Participants apply in parallel (a lone one, as at S = 2, on
+        // this thread); their resolve records stay buffered — if a crash
+        // loses one, that shard recovers in-doubt and re-derives the
+        // decision from the coordinator's log.
         let participants = subs[1..].iter().map(|&(s, sub)| (s, resolve(sub, false)));
         self.twopc_scatter(false, participants);
         self.twopc_hist
@@ -191,12 +192,12 @@ impl ShardedDb {
     /// round's jobs — votes, the coordinator resolve, or participant
     /// resolves — consulting the fault-injection script
     /// ([`Inject::consult`](super::inject::Inject::consult)) as each job
-    /// enters its mailbox. `durable` marks a round of durable protocol
+    /// is handed over. `durable` marks a round of durable protocol
     /// actions (prepare and coordinator-resolve fsyncs).
     fn twopc_scatter<R, F>(
         &mut self,
         durable: bool,
-        jobs: impl IntoIterator<Item = (usize, F)>,
+        jobs: impl IntoIterator<Item = (usize, F), IntoIter: ExactSizeIterator>,
     ) -> Replies<R>
     where
         R: Send + 'static,
@@ -278,7 +279,8 @@ impl ShardedDb {
 
     /// Roll back every sub-transaction of slot `ti` on its shard, except
     /// the shard `keep` (which stays touched and running). Rollbacks fan
-    /// out to the shard threads and are collected before returning.
+    /// out to the shard threads (a lone one runs on this thread) and are
+    /// collected before returning.
     pub(super) fn rollback_subs(&mut self, ti: usize, keep: Option<usize>) {
         // Detach the subs first: the supervision a scatter runs for a dead
         // shard must not find this transaction's state there (the sub

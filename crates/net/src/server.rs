@@ -14,7 +14,11 @@
 //! its thread: no readiness hand-shake, and a failed `start` leaves no
 //! thread and no bound port behind. (The shard workers inside the
 //! database are named `ccopt-shard-<s>` by the engine crate, whichever
-//! thread spawns or respawns them, and are joined when it drops.) Every
+//! thread spawns or respawns them, and are joined when it drops.) The
+//! per-connection threads — readers, drainers, subscription pumps — are
+//! registered as they spawn (finished ones are reaped at the next spawn),
+//! and [`Server::shutdown`], [`Server::kill`] and drop join every one:
+//! when they return, no `ccopt-net-*` thread of the server is left. Every
 //! connection's requests are multiplexed onto the engine thread through
 //! one bounded channel, and everything one drain pass of
 //! that channel holds — data operations, wire batches and commits,
@@ -466,6 +470,36 @@ fn stalled(e: &std::io::Error) -> bool {
     matches!(e.kind(), WouldBlock | TimedOut | Interrupted)
 }
 
+/// The server's per-connection threads — readers, drainers, subscription
+/// pumps — which come and go while it runs, registered so that
+/// [`Server::join`] can wait for every one of them.
+#[derive(Clone, Default)]
+struct Threads(Arc<Mutex<Vec<JoinHandle<()>>>>);
+
+impl Threads {
+    /// Spawn a thread named `name` and register it. Finished threads are
+    /// reaped first, so connection churn keeps the registry as long as
+    /// the live threads, not the server's history.
+    fn spawn(&self, name: String, body: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+        let handle = std::thread::Builder::new().name(name).spawn(body)?;
+        let mut live = self.0.lock().expect("no registry update panics");
+        for done in live.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
+        live.push(handle);
+        Ok(())
+    }
+
+    /// Join every registered thread. Their sockets must already be shut
+    /// down and nothing may spawn more.
+    fn join_all(&self) {
+        let live = std::mem::take(&mut *self.0.lock().expect("no registry update panics"));
+        for h in live {
+            let _ = h.join();
+        }
+    }
+}
+
 // ------------------------------------------------------------- messages
 
 enum ToEngine {
@@ -504,6 +538,7 @@ pub struct Server {
     accept: Option<JoinHandle<()>>,
     engine: Option<JoinHandle<()>>,
     ops_http: Option<JoinHandle<()>>,
+    threads: Threads,
 }
 
 impl Server {
@@ -543,6 +578,7 @@ impl Server {
         let sheds = Arc::new(ShedCounters::default());
         let conns = Arc::new(Mutex::new(HashMap::new()));
         let queue_depth = Arc::new(AtomicUsize::new(0));
+        let threads = Threads::default();
         let ops = Arc::new(OpsShared {
             shards: AtomicU32::new(cfg.shards as u32),
             ..OpsShared::default()
@@ -558,6 +594,7 @@ impl Server {
             Arc::clone(&stop),
             Arc::clone(&ops),
             Arc::clone(&queue_depth),
+            threads.clone(),
         )?;
 
         let ops_http = ops_listener.map(|l| {
@@ -583,11 +620,21 @@ impl Server {
             let sheds = Arc::clone(&sheds);
             let conns = Arc::clone(&conns);
             let queue_depth = Arc::clone(&queue_depth);
+            let threads = threads.clone();
             let pipeline = cfg.pipeline.max(1);
             std::thread::Builder::new()
                 .name("ccopt-net-accept".to_string())
                 .spawn(move || {
-                    accept_thread(listener, tx, stop, sheds, conns, pipeline, queue_depth)
+                    accept_thread(
+                        listener,
+                        tx,
+                        stop,
+                        sheds,
+                        conns,
+                        pipeline,
+                        queue_depth,
+                        threads,
+                    )
                 })
                 .expect("spawn accept thread")
         };
@@ -604,6 +651,7 @@ impl Server {
             accept: Some(accept),
             engine: Some(engine),
             ops_http,
+            threads,
         })
     }
 
@@ -661,13 +709,17 @@ impl Server {
         self.join();
     }
 
+    /// Stop and join every server thread: once this returns, no
+    /// `ccopt-net-*` thread of this server is left.
     fn join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        for (_, out) in self.conns.lock().unwrap().drain() {
-            let _ = out.stream.shutdown(Shutdown::Both);
-        }
+        // The accept thread first, so no connection registers behind the
+        // shutdown below.
         if let Some(h) = self.accept.take() {
             let _ = h.join();
+        }
+        for (_, out) in self.conns.lock().unwrap().drain() {
+            let _ = out.stream.shutdown(Shutdown::Both);
         }
         if let Some(h) = self.engine.take() {
             let _ = h.join();
@@ -675,6 +727,9 @@ impl Server {
         if let Some(h) = self.ops_http.take() {
             let _ = h.join();
         }
+        // Every socket is shut down and nothing spawns any more: the
+        // readers, drainers and pumps are on their way out.
+        self.threads.join_all();
     }
 }
 
@@ -700,6 +755,7 @@ fn accept_thread(
     conns: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
     pipeline: usize,
     queue_depth: Arc<AtomicUsize>,
+    threads: Threads,
 ) {
     let mut next_id = 0u64;
     while !stop.load(Ordering::SeqCst) {
@@ -727,12 +783,10 @@ fn accept_thread(
                 let sheds = Arc::clone(&sheds);
                 let conns = Arc::clone(&conns);
                 let queue_depth = Arc::clone(&queue_depth);
-                let _ = std::thread::Builder::new()
-                    .name(format!("ccopt-net-r{id}"))
-                    .spawn(move || {
-                        reader_thread(stream, id, tx, out, pipeline, sheds, queue_depth);
-                        conns.lock().unwrap().remove(&id);
-                    });
+                let _ = threads.spawn(format!("ccopt-net-r{id}"), move || {
+                    reader_thread(stream, id, tx, out, pipeline, sheds, queue_depth);
+                    conns.lock().unwrap().remove(&id);
+                });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -865,6 +919,8 @@ struct Engine {
     stop: Arc<AtomicBool>,
     ops: Arc<OpsShared>,
     queue_depth: Arc<AtomicUsize>,
+    /// Where drainers and subscription pumps are registered.
+    threads: Threads,
     sample_interval: Duration,
     next_sample: Instant,
     prev_metrics: Metrics,
@@ -893,6 +949,7 @@ impl Engine {
         stop: Arc<AtomicBool>,
         ops: Arc<OpsShared>,
         queue_depth: Arc<AtomicUsize>,
+        threads: Threads,
     ) -> Result<Engine, ServerError> {
         let init = GlobalState::from_ints(&vec![0; cfg.num_vars]);
         let mut db = match &cfg.dir {
@@ -938,6 +995,7 @@ impl Engine {
             stop,
             ops,
             queue_depth,
+            threads,
             sample_interval: cfg.sample_interval,
             next_sample: now + cfg.sample_interval,
             prev_metrics: Metrics::default(),
@@ -1204,9 +1262,9 @@ impl Engine {
         for out in self.unflushed.drain(..) {
             if out.flush_once() {
                 let owned = Arc::clone(&out);
-                let spawned = std::thread::Builder::new()
-                    .name("ccopt-net-drain".to_string())
-                    .spawn(move || owned.drain_owned());
+                let spawned = self.threads.spawn("ccopt-net-drain".to_string(), move || {
+                    owned.drain_owned();
+                });
                 if spawned.is_err() {
                     out.die(&mut out.lock());
                 }
@@ -1726,9 +1784,11 @@ impl Engine {
         self.respond(conn, req_id, &Response::Subscribed);
         let global_stop = Arc::clone(&self.stop);
         let rate = self.subscriber_rate;
-        let _ = std::thread::Builder::new()
-            .name(format!("ccopt-net-sub{hub_id}"))
-            .spawn(move || subscription_pump(sub, out, req_id, rate, stop, global_stop));
+        let _ = self
+            .threads
+            .spawn(format!("ccopt-net-sub{hub_id}"), move || {
+                subscription_pump(sub, out, req_id, rate, stop, global_stop)
+            });
     }
 
     fn begin_drain(&mut self) {

@@ -157,8 +157,11 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A boxed job for a [`Worker`]'s mailbox.
-type Job<T> = Box<dyn FnOnce(&mut T) + Send>;
+/// A boxed job for a [`Worker`]'s mailbox. It is handed the mailbox depth
+/// and leaves the mailbox — decrements it — *before* it answers, so a
+/// caller holding the reply finds the mailbox without it: a
+/// [`Worker::call`] right after a collected fan-out runs inline.
+type Job<T> = Box<dyn FnOnce(&mut T, &AtomicUsize) + Send>;
 
 /// The pending answer of a [`Worker::submit`] call. Dropping it without
 /// [`wait`](Reply::wait)ing discards the result (the job still runs).
@@ -265,13 +268,13 @@ impl<T: Send + 'static> Worker<T> {
             let shared = shared.clone();
             let body = move || {
                 while let Ok(job) = rx.recv() {
-                    let ran = shared.run(job);
-                    shared.pending.fetch_sub(1, Ordering::Release);
-                    if ran.is_err() {
-                        // The worker died, under this job or an inline
-                        // one before it. Queued jobs die with the
-                        // receiver; their Reply senders drop and every
-                        // wait() resolves to Err(WorkerError).
+                    if shared.run(|state| job(state, &shared.pending)).is_err() {
+                        // The worker died, under this job (which never
+                        // reached its own decrement) or an inline one
+                        // before it. Queued jobs die with the receiver;
+                        // their Reply senders drop and every wait()
+                        // resolves to Err(WorkerError).
+                        shared.pending.fetch_sub(1, Ordering::Release);
                         return;
                     }
                 }
@@ -350,8 +353,10 @@ impl<T: Send + 'static> Worker<T> {
         };
         let (rtx, rrx) = channel();
         self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        let sent = tx.send(Box::new(move |state: &mut T| {
-            let _ = rtx.send(f(state));
+        let sent = tx.send(Box::new(move |state: &mut T, pending: &AtomicUsize| {
+            let out = f(state);
+            pending.fetch_sub(1, Ordering::Release);
+            let _ = rtx.send(out);
         }));
         if sent.is_err() {
             // The worker died between the liveness check and the send;
@@ -387,7 +392,8 @@ impl<T: Send + 'static> Worker<T> {
     ) -> Result<R, WorkerError> {
         // `pending` is decremented (Release) only after a queued job has
         // run, so reading 0 (Acquire) means every job submitted before
-        // this call has completed.
+        // this call has completed (the worker thread may still be handing
+        // the token back; `run` waits for it).
         if self.queue_len() == 0 && self.is_alive() {
             return self.shared.run(f);
         }
@@ -467,14 +473,6 @@ mod tests {
         assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 
-    /// Spin until every queued job has completed: a `Reply` resolves from
-    /// inside its job, a moment before the mailbox depth drops.
-    fn idle<T: Send + 'static>(w: &Worker<T>) {
-        while w.queue_len() != 0 {
-            std::thread::yield_now();
-        }
-    }
-
     #[test]
     fn named_worker_thread_carries_its_name() {
         let name = |_: &mut ()| std::thread::current().name().map(String::from);
@@ -484,8 +482,9 @@ mod tests {
         assert_eq!(queued.as_deref(), Some("ccopt-shard-7"));
         let unnamed = Worker::spawn(());
         assert_eq!(unnamed.submit(name).unwrap().wait().unwrap(), None);
-        // ...a call on an idle worker on the caller's.
-        idle(&w);
+        // ...and has left the mailbox by the time its reply is in, so a
+        // call right after runs on the caller's.
+        assert_eq!(w.queue_len(), 0, "a collected reply has left the mailbox");
         let here = std::thread::current().name().map(String::from);
         assert!(here.is_some(), "the test harness names its threads");
         assert_eq!(w.call(name).unwrap(), here);
