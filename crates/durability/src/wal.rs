@@ -37,7 +37,7 @@
 //! pages a failed fsync covered); permanent and torn failures poison the
 //! log fail-stop (see [`crate::faults`]).
 
-use crate::encoding::{encode_header, RecordEncoder, StoreKind, HEADER_LEN};
+use crate::encoding::{encode_header, RecordEncoder, StoreKind};
 use crate::faults::{
     io_error_is_transient, permanent_error, transient_error, FaultPoint, Fired, RetryPolicy,
     StorageFaults,
@@ -730,11 +730,6 @@ impl Wal {
     /// includes the header).
     pub fn file_len(&self) -> Result<u64, WalError> {
         Ok(std::fs::metadata(&self.path)?.len())
-    }
-
-    /// Header length in bytes (records start here).
-    pub fn header_len() -> usize {
-        HEADER_LEN
     }
 }
 

@@ -76,15 +76,6 @@ impl Metrics {
         }
     }
 
-    /// Fraction of executed steps that waited.
-    pub fn wait_rate(&self) -> f64 {
-        if self.steps_executed == 0 {
-            0.0
-        } else {
-            self.waits as f64 / self.steps_executed as f64
-        }
-    }
-
     /// Aborts attributed to `rule`.
     pub fn aborts_for(&self, rule: ConflictRule) -> usize {
         self.aborts_by_rule[rule.index()]
@@ -142,20 +133,16 @@ mod tests {
     fn rates_handle_zero_denominators() {
         let m = Metrics::default();
         assert_eq!(m.abort_rate(), 0.0);
-        assert_eq!(m.wait_rate(), 0.0);
     }
 
     #[test]
     fn rates_compute() {
         let m = Metrics {
-            steps_executed: 10,
-            waits: 2,
             aborts: 1,
             commits: 4,
             ..Metrics::default()
         };
         assert!((m.abort_rate() - 0.25).abs() < 1e-12);
-        assert!((m.wait_rate() - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -645,19 +645,6 @@ impl SessionDb {
         Ok(())
     }
 
-    /// The durability policy in force ([`DurabilityMode::None`] when the
-    /// database was built without a log).
-    pub fn durability_mode(&self) -> DurabilityMode {
-        self.wal.as_ref().map_or(DurabilityMode::None, |w| w.mode())
-    }
-
-    /// The log's append/fsync/group-flush distributions (`None` when
-    /// durability is off). See
-    /// [`WalHistograms`](ccopt_durability::WalHistograms).
-    pub fn wal_histograms(&self) -> Option<&ccopt_durability::WalHistograms> {
-        self.wal.as_ref().map(|w| w.histograms())
-    }
-
     /// What crash recovery found, when this database was opened over an
     /// existing log.
     pub fn recovery_info(&self) -> Option<RecoveryInfo> {
@@ -1967,7 +1954,7 @@ mod tests {
         .unwrap();
         let before = db.metrics.snapshot();
         bump(&mut db, v(0));
-        assert_eq!(db.durability_mode(), DurabilityMode::None);
+        assert!(db.wal.is_none(), "None mode opens no log");
         assert_eq!(db.metrics.diff(&before).wal_records, 0);
         assert!(!path.exists(), "None mode must not touch the disk");
         db.checkpoint().unwrap(); // no-op

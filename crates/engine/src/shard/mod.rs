@@ -92,14 +92,13 @@ mod twopc;
 
 pub use jobs::{affine_eval, BatchOp, GroupReq, GroupResp};
 pub use partition::Partition;
-pub use supervise::{RecoveryHistograms, ShardStatus};
-pub use twopc::TwoPcHistograms;
+pub use supervise::ShardStatus;
 
 use crate::cc::{CcKind, ConcurrencyControl};
 use crate::metrics::Metrics;
-use crate::session::{SessionDb, SessionError, SessionStatus, Txn, VarContention};
+use crate::session::{SessionDb, SessionError, Txn, VarContention};
 use ccopt_durability::recovery::{self, Recovered};
-use ccopt_durability::{DurabilityMode, WalError, WalHistograms};
+use ccopt_durability::{DurabilityMode, WalError};
 use ccopt_model::ids::VarId;
 use ccopt_model::state::GlobalState;
 use ccopt_model::value::Value;
@@ -283,10 +282,6 @@ pub struct ShardedDb {
     /// restarts and the coordinator-plane abort attributions (shed,
     /// failover). Off unless tracing is on.
     coord_tracer: Tracer,
-    /// Two-phase-commit phase timings and fan-out widths (always on).
-    twopc_hist: TwoPcHistograms,
-    /// Supervised-restart cost (always on).
-    recovery_hist: RecoveryHistograms,
     /// Transactions failed by shard-crash supervision (their slot parked
     /// as [`GStatus::Failed`]); the coordinator's share of the abort
     /// attribution table.
@@ -442,7 +437,7 @@ impl ShardedDb {
     }
 
     /// The per-shard log path convention of [`open`](Self::open).
-    pub fn shard_path(dir: &Path, shard: usize) -> PathBuf {
+    fn shard_path(dir: &Path, shard: usize) -> PathBuf {
         dir.join(format!("shard-{shard}.wal"))
     }
 
@@ -496,8 +491,6 @@ impl ShardedDb {
             last_recovery_replayed: None,
             trace_hub: None,
             coord_tracer: Tracer::off(),
-            twopc_hist: TwoPcHistograms::default(),
-            recovery_hist: RecoveryHistograms::default(),
             failover_fails: 0,
             shard_msgs: 0,
             batched_ops: 0,
@@ -686,31 +679,6 @@ impl ShardedDb {
         Some(self.ask(|db| db.live_versions().unwrap_or(0)).sum())
     }
 
-    /// Lifecycle state of a handle. A failed transaction (its shard
-    /// crashed) still reports `Running`: it is unfinished — every
-    /// operation returns [`SessionError::ShardDown`] and only
-    /// [`abort`](Self::abort) retires it (see
-    /// [`is_failed`](Self::is_failed)).
-    pub fn status(&self, h: GlobalTxn) -> SessionStatus {
-        match self.slot_of(h) {
-            Err(_) => SessionStatus::Retired,
-            Ok(ti) => match self.slots[ti].status {
-                GStatus::Running | GStatus::Failed => SessionStatus::Running,
-                GStatus::Committed => SessionStatus::Committed,
-                GStatus::Free => unreachable!("stale handles were rejected"),
-            },
-        }
-    }
-
-    /// Whether the transaction was failed by the supervisor (a shard it
-    /// had in-flight state on crashed): abort the handle and re-run.
-    pub fn is_failed(&self, h: GlobalTxn) -> bool {
-        matches!(
-            self.slot_of(h),
-            Ok(ti) if self.slots[ti].status == GStatus::Failed
-        )
-    }
-
     /// The global timestamp of the transaction's current attempt — its
     /// stamp on every shard, its serialization position under the
     /// timestamp mechanisms, and its 2PC identity.
@@ -896,22 +864,9 @@ impl ShardedDb {
 
     /// The shared tracing state, when [`set_trace`](Self::set_trace) was
     /// called: rings for flight-recorder dumps, merged-event snapshots,
-    /// and the sink.
+    /// and the sink ([`TraceHub::flush`] it before reading the file).
     pub fn trace_hub(&self) -> Option<&Arc<TraceHub>> {
         self.trace_hub.as_ref()
-    }
-
-    /// Flush the JSONL trace sink (no-op when tracing is off or
-    /// sink-less). Call before reading the sink file.
-    pub fn flush_trace(&self) {
-        if let Some(hub) = &self.trace_hub {
-            hub.flush();
-        }
-    }
-
-    /// Two-phase-commit phase timings and fan-out widths (always on).
-    pub fn twopc_histograms(&self) -> &TwoPcHistograms {
-        &self.twopc_hist
     }
 
     /// Commit latency in engine ticks, merged over the shards (see
@@ -924,19 +879,6 @@ impl ShardedDb {
             h.merge(&sh);
         }
         h
-    }
-
-    /// The write-ahead logs' append/fsync/group-flush distributions,
-    /// merged over the shards; `None` without durability.
-    pub fn wal_histograms(&self) -> Option<WalHistograms> {
-        self.durable.as_ref()?;
-        let mut out = WalHistograms::default();
-        for sh in self.ask(|db| db.wal_histograms().cloned()).flatten() {
-            out.append_nanos.merge(&sh.append_nanos);
-            out.fsync_nanos.merge(&sh.fsync_nanos);
-            out.flush_batch_commits.merge(&sh.flush_batch_commits);
-        }
-        Some(out)
     }
 
     /// The `n` most contended **global** variables: every shard's
@@ -967,7 +909,7 @@ impl ShardedDb {
 
     /// Bound every shard's mailbox at `cap` data-plane jobs: an operation
     /// arriving at a full shard is shed — the transaction restarts,
-    /// [`shed_aborts`](Self::shed_aborts) counts it — instead of queueing
+    /// [`Metrics::shed_aborts`] counts it — instead of queueing
     /// unboundedly. Applies to restarted workers too.
     pub fn set_queue_capacity(&mut self, cap: usize) {
         self.queue_capacity = Some(cap);

@@ -6,21 +6,7 @@ use super::jobs::{gather, Replies};
 use super::{shard_cc, GStatus, ShardedDb, SubState};
 use crate::session::{SessionDb, SessionStatus};
 use ccopt_durability::recovery;
-use ccopt_trace::{ConflictRule, EventKind, Histogram};
-use std::time::Instant;
-
-/// Cost of supervised shard restarts ([`ShardedDb::recovery_histograms`]):
-/// one sample per restart handled by the fault supervisor.
-#[derive(Clone, Debug, Default)]
-pub struct RecoveryHistograms {
-    /// Wall-clock nanoseconds per restart: worker teardown, log
-    /// recovery (when durable), respawn, and in-flight settlement.
-    pub nanos: Histogram,
-    /// The deterministic size of each recovery: committed
-    /// sub-transactions replayed from the recovered log (0 for a
-    /// volatile shard, which respawns empty).
-    pub replayed_commits: Histogram,
-}
+use ccopt_trace::{ConflictRule, EventKind};
 
 /// One shard's liveness, as the supervisor sees it without touching the
 /// worker ([`ShardedDb::shard_statuses`]): atomic flag reads only, so a
@@ -48,30 +34,12 @@ impl ShardedDb {
         self.down[s]
     }
 
-    /// Crashed shard workers detected and restarted (or marked down) by
-    /// the supervisor so far.
-    pub fn shard_restarts(&self) -> usize {
-        self.shard_restarts
-    }
-
-    /// Transactions shed because a shard's bounded mailbox was full.
-    pub fn shed_aborts(&self) -> usize {
-        self.shed_aborts
-    }
-
     /// Committed sub-transactions replayed by the most recent supervised
-    /// shard restart — the deterministic companion of
-    /// [`recovery_histograms`](Self::recovery_histograms)' wall-clock
-    /// samples: a function of the log contents alone, so identical runs
-    /// report it identically.
+    /// shard restart (0 for a volatile shard, which respawns empty) — the
+    /// size of that recovery: a function of the log contents alone, so
+    /// identical runs report it identically.
     pub fn last_recovery_replayed(&self) -> Option<u64> {
         self.last_recovery_replayed
-    }
-
-    /// Supervised-restart cost distributions (always on): one sample per
-    /// restart the fault supervisor handled.
-    pub fn recovery_histograms(&self) -> &RecoveryHistograms {
-        &self.recovery_hist
     }
 
     /// Detect and supervise crashed shard workers *now*; they are
@@ -121,7 +89,6 @@ impl ShardedDb {
         if self.down[s] {
             return;
         }
-        let t0 = Instant::now();
         self.shard_restarts += 1;
         self.restarts_by_shard[s] += 1;
         // Dump the dead shard's flight recorder first: the hub holds the
@@ -165,9 +132,6 @@ impl ShardedDb {
                 }
             }
         }
-        let elapsed = t0.elapsed();
-        self.recovery_hist.nanos.record(elapsed.as_nanos() as u64);
-        self.recovery_hist.replayed_commits.record(replayed);
         self.last_recovery_replayed = Some(replayed);
     }
 

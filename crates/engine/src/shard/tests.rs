@@ -50,6 +50,23 @@ fn split_pair(db: &ShardedDb) -> (VarId, VarId) {
     (a, b)
 }
 
+/// Supervised restarts so far, as [`ShardedDb::metrics`] reports them,
+/// checked against the per-shard health rows they must sum to.
+fn restarts(db: &ShardedDb) -> usize {
+    let total = db.metrics().shard_restarts;
+    let per_shard: u64 = db.shard_statuses().iter().map(|st| st.restarts).sum();
+    assert_eq!(total as u64, per_shard, "per-shard rows sum to it");
+    total
+}
+
+/// A handle the supervisor failed answers `ShardDown` to every operation
+/// (`var` is any variable) until the client aborts it, which retires it.
+fn abort_failed(db: &mut ShardedDb, h: GlobalTxn, var: VarId) {
+    assert_eq!(db.read(h, var), Err(SessionError::ShardDown));
+    assert_eq!(db.abort(h), Ok(()));
+    assert_eq!(db.read(h, var), Err(SessionError::Stale));
+}
+
 /// Drive one update-commit-retire transaction over `vars`.
 fn bump(db: &mut ShardedDb, vars: &[VarId]) {
     let h = db.begin();
@@ -110,9 +127,9 @@ fn single_and_cross_shard_lifecycle() {
     assert_eq!(db.write(h, b, int(77)).unwrap(), Op::Done(int(10)));
     assert_eq!(db.read(h, a).unwrap(), Op::Done(int(11)));
     assert_eq!(db.commit(h).unwrap(), Op::Done(()));
-    assert_eq!(db.status(h), SessionStatus::Committed);
+    assert_eq!(db.read(h, a), Err(SessionError::AlreadyCommitted));
     db.retire(h).unwrap();
-    assert_eq!(db.status(h), SessionStatus::Retired);
+    assert_eq!(db.read(h, a), Err(SessionError::Stale));
     let g = db.globals();
     assert_eq!(g.0[a.index()], int(11));
     assert_eq!(g.0[b.index()], int(77));
@@ -386,8 +403,7 @@ fn shard_panic_at_every_2pc_boundary_is_supervised() {
                     true
                 }
                 Err(SessionError::ShardDown) => {
-                    assert!(db.is_failed(h), "{name} n={n}: slot must be parked");
-                    db.abort(h).unwrap();
+                    abort_failed(&mut db, h, a);
                     false
                 }
                 other => panic!("{name} n={n}: unexpected commit outcome {other:?}"),
@@ -398,7 +414,7 @@ fn shard_panic_at_every_2pc_boundary_is_supervised() {
                 "{name} n={n}: committed iff the commit point (job 2) was reached"
             );
             assert_eq!(
-                db.shard_restarts(),
+                restarts(&db),
                 usize::from(n < 4),
                 "{name} n={n}: one supervised restart per injected panic"
             );
@@ -457,10 +473,8 @@ fn volatile_shard_panic_loses_only_that_shard() {
     db.panic_shard(sb);
     // ...is failed by the supervisor at the next touch...
     assert_eq!(db.read(h, b), Err(SessionError::ShardDown));
-    assert!(db.is_failed(h));
-    assert_eq!(db.read(h, a), Err(SessionError::ShardDown));
-    db.abort(h).unwrap();
-    assert_eq!(db.shard_restarts(), 1);
+    abort_failed(&mut db, h, a);
+    assert_eq!(restarts(&db), 1);
     // ...and the shard respawns over its initial projection (without
     // a log, its committed data is lost — the documented volatile
     // degradation) while the other shard keeps everything.
@@ -492,7 +506,7 @@ fn panic_inline_on(db: &mut ShardedDb, h: GlobalTxn, var: VarId) {
         Some(std::thread::current().id()),
         "the idle shard's job ran on the calling thread"
     );
-    assert_eq!(db.shard_restarts(), 1, "supervised once");
+    assert_eq!(restarts(db), 1, "supervised once");
     let statuses = db.shard_statuses();
     assert!(statuses.iter().all(|st| st.alive && !st.down));
     assert_eq!(statuses[sb as usize].restarts, 1);
@@ -525,7 +539,7 @@ fn inline_panic_in_a_data_operation_is_a_crashed_shard() {
     bump(&mut db, &[a, b]);
     let g = db.globals();
     assert_eq!((g.0[a.index()], g.0[b.index()]), (int(3), int(1)));
-    assert_eq!(db.shard_restarts(), 1);
+    assert_eq!(restarts(&db), 1);
 }
 
 #[test]
@@ -547,8 +561,8 @@ fn durable_inline_panic_recovers_the_exact_committed_prefix() {
     let h = db.begin();
     assert_eq!(db.write(h, b, int(99)).unwrap(), Op::Done(int(3)));
     panic_inline_on(&mut db, h, b);
-    assert!(db.is_failed(h), "the transaction had state on the shard");
-    db.abort(h).unwrap();
+    // The transaction had state on the shard: the supervisor failed it.
+    abort_failed(&mut db, h, a);
     assert_eq!(db.last_recovery_replayed(), Some(3));
     let g = db.globals();
     assert_eq!((g.0[a.index()], g.0[b.index()]), (int(2), int(3)));
@@ -574,7 +588,8 @@ fn full_shard_mailboxes_shed_load() {
     // shed — the transaction restarts — instead of queueing behind
     // the stall.
     assert_eq!(db.write(h, b, int(2)).unwrap(), Op::Restarted);
-    assert_eq!(db.shed_aborts(), 1);
+    // (`metrics()` asks every shard, the stalled one too: the counts are
+    // read below, once the gate is open.)
     // Lift the pressure (capacity back up, gate open): the replay
     // goes through once the stalled job drains.
     db.set_queue_capacity(64);
@@ -590,11 +605,11 @@ fn full_shard_mailboxes_shed_load() {
     db.retire(h).unwrap();
     let m = db.metrics();
     assert_eq!(m.shed_aborts, 1);
-    assert_eq!(m.shard_restarts, 0, "shedding is not a crash");
+    assert_eq!(restarts(&db), 0, "shedding is not a crash");
     assert_eq!(
+        m.shed_aborts,
         m.aborts_for(ConflictRule::Shed),
-        1,
-        "the shed abort is attributed"
+        "every shed abort is attributed to the shed rule"
     );
 }
 
@@ -623,6 +638,7 @@ fn unrecoverable_storage_marks_the_shard_down_and_the_rest_serve() {
     std::fs::create_dir(&p).unwrap();
     assert_eq!(db.check_shards(), 1);
     assert!(db.shard_is_down(sb));
+    assert_eq!(restarts(&db), 1, "marking a shard down counts as handled");
     // Operations routed there fail cleanly; the other shard serves.
     let h = db.begin();
     assert_eq!(db.read(h, b), Err(SessionError::ShardDown));
@@ -709,7 +725,7 @@ fn scatter_collects_live_replies_and_supervises_the_dead_after_the_gather() {
     let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 9]), 3);
     db.set_trace(&TraceConfig::ring(16)).unwrap();
     db.panic_shard(1); // the dead shard sits between the two live targets
-    assert_eq!(db.shard_restarts(), 0, "nothing touched the dead shard yet");
+    assert_eq!(restarts(&db), 0, "nothing touched the dead shard yet");
     let replies = db.scatter((0..3).map(|s| {
         (s, move |db: &mut SessionDb| {
             db.begin();
@@ -721,7 +737,7 @@ fn scatter_collects_live_replies_and_supervises_the_dead_after_the_gather() {
         vec![(0, Ok(0)), (1, Err(ccopt_par::WorkerError)), (2, Ok(2))],
         "both live replies are collected around the dead shard"
     );
-    assert_eq!(db.shard_restarts(), 1, "the dead shard is supervised once");
+    assert_eq!(restarts(&db), 1, "the dead shard is supervised once");
     let events = db.trace_hub().unwrap().merged_events();
     let stamp = |shard: u32, what: fn(&EventKind) -> bool| {
         let mut hits = events.iter().filter(|e| e.shard == shard && what(&e.kind));
@@ -739,7 +755,7 @@ fn scatter_collects_live_replies_and_supervises_the_dead_after_the_gather() {
     // The respawned worker answers the next scatter.
     let replies = db.scatter((0..3).map(|s| (s, |db: &mut SessionDb| db.num_slots())));
     assert!(replies.iter().all(|(_, r)| r.is_ok()), "got {replies:?}");
-    assert_eq!(db.shard_restarts(), 1);
+    assert_eq!(restarts(&db), 1);
 }
 
 #[test]
@@ -846,9 +862,8 @@ fn lone_fan_out_2pc_panic_unwinds_on_the_calling_thread() {
     );
     // The coordinator shard was supervised once; its log holds the
     // prepare but no resolve, so the transaction settled as aborted.
-    assert_eq!(db.shard_restarts(), 1);
-    assert!(db.is_failed(h), "the slot is parked");
-    db.abort(h).unwrap();
+    assert_eq!(restarts(&db), 1);
+    abort_failed(&mut db, h, a);
     assert_eq!(db.globals(), init);
     bump(&mut db, &[a, b]);
     db.sync().unwrap();

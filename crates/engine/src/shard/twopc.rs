@@ -5,28 +5,6 @@
 use super::jobs::{gather, Replies};
 use super::{GStatus, GlobalTxn, ShardedDb, SubState};
 use crate::session::{Op, SessionDb, SessionError, Txn};
-use ccopt_trace::Histogram;
-use std::time::Instant;
-
-/// Wall-clock histograms of the cross-shard two-phase commit
-/// ([`ShardedDb::twopc_histograms`]). Always on — recording is a few
-/// instructions per protocol round — but wall-clock, so not reproduced
-/// across runs (unlike the tick-based commit-latency histogram).
-#[derive(Clone, Debug, Default)]
-pub struct TwoPcHistograms {
-    /// Phase-1 duration in nanoseconds per vote round: vote submission
-    /// to the last vote collected (validation + forced prepare fsyncs).
-    pub prepare_nanos: Histogram,
-    /// Phase-2 duration in nanoseconds per **completed** resolve: the
-    /// coordinator's resolve fsync through the last participant apply
-    /// (rounds cut short by a shard crash are not recorded; the
-    /// recovery histograms cover those).
-    pub resolve_nanos: Histogram,
-    /// Outstanding votes per phase-1 round — the prepare fan-out width
-    /// (shards that stayed prepared across a `Wait`ed retry don't
-    /// re-vote, so a retry's round is narrower).
-    pub prepare_fanout: Histogram,
-}
 
 impl ShardedDb {
     // --------------------------------------------------------------- finish
@@ -81,14 +59,7 @@ impl ShardedDb {
             })
             .collect();
         let fanout = votes.len();
-        let t_prepare = Instant::now();
         let outcomes = self.twopc_scatter(true, votes);
-        if fanout > 0 {
-            self.twopc_hist.prepare_fanout.record(fanout as u64);
-            self.twopc_hist
-                .prepare_nanos
-                .record(t_prepare.elapsed().as_nanos() as u64);
-        }
         // A shard that died during its vote never logged a resolve, so
         // the decision was never made: the scatter supervised each
         // crashed shard (which failed this transaction — it has state on
@@ -144,7 +115,6 @@ impl ShardedDb {
                 _ => unreachable!("every touched shard voted yes above"),
             })
             .collect();
-        let t_resolve = Instant::now();
         let point = self.twopc_scatter(true, [(subs[0].0, resolve(subs[0].1, true))]);
         if point[0].1.is_err() {
             // The coordinator worker died around the commit point:
@@ -174,9 +144,6 @@ impl ShardedDb {
         // decision from the coordinator's log.
         let participants = subs[1..].iter().map(|&(s, sub)| (s, resolve(sub, false)));
         self.twopc_scatter(false, participants);
-        self.twopc_hist
-            .resolve_nanos
-            .record(t_resolve.elapsed().as_nanos() as u64);
         Ok(Op::Done(()))
     }
 

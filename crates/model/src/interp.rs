@@ -19,9 +19,8 @@ use crate::ids::{StepId, TxnId};
 use crate::syntax::{StepKind, Syntax};
 use crate::term::{TermArena, TermId};
 use crate::value::Value;
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// An interpretation assigns meaning `ρ_ij` to every function symbol.
 ///
@@ -238,7 +237,7 @@ impl HerbrandInterpretation {
 
     /// Intern the initial term of variable `v`.
     pub fn init_term(&self, v: crate::ids::VarId) -> TermId {
-        self.arena.lock().init(v)
+        self.arena.lock().unwrap().init(v)
     }
 
     fn kind(&self, site: StepId) -> StepKind {
@@ -267,9 +266,11 @@ impl Interpretation for HerbrandInterpretation {
             StepKind::Write => {
                 // Independent of t_ij: drop the just-read local.
                 let upto = terms.len().saturating_sub(1);
-                Ok(Value::Term(self.arena.lock().app(site, &terms[..upto])))
+                Ok(Value::Term(
+                    self.arena.lock().unwrap().app(site, &terms[..upto]),
+                ))
             }
-            StepKind::Update => Ok(Value::Term(self.arena.lock().app(site, &terms))),
+            StepKind::Update => Ok(Value::Term(self.arena.lock().unwrap().app(site, &terms))),
         }
     }
 
@@ -387,7 +388,7 @@ mod tests {
             .as_term()
             .unwrap();
         let arena = h.arena();
-        let arena = arena.lock();
+        let arena = arena.lock().unwrap();
         assert_eq!(arena.render(v2, None), "f12(x00, f11(x00))");
     }
 
@@ -415,7 +416,7 @@ mod tests {
             .as_term()
             .unwrap();
         let arena = h.arena();
-        let arena = arena.lock();
+        let arena = arena.lock().unwrap();
         assert_eq!(arena.render(v, None), "f12(x00)");
     }
 

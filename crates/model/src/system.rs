@@ -216,7 +216,7 @@ mod tests {
         assert_eq!(h.interp.name(), "herbrand");
         // The returned handle is the same interpretation object.
         let t = interp.init_term(VarId(0));
-        assert_eq!(interp.arena().lock().render(t, None), "x00");
+        assert_eq!(interp.arena().lock().unwrap().render(t, None), "x00");
     }
 
     #[test]

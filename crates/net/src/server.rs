@@ -252,14 +252,6 @@ struct ShedCounters {
     txns: AtomicU64,
 }
 
-impl ShedCounters {
-    fn total(&self) -> u64 {
-        self.pipeline.load(Ordering::Relaxed)
-            + self.queue.load(Ordering::Relaxed)
-            + self.txns.load(Ordering::Relaxed)
-    }
-}
-
 /// What the engine publishes for the ops-plane HTTP listener: the last
 /// sampler snapshot (for `/metrics`) plus health flags refreshed every
 /// engine-loop iteration (for `/healthz`, which must flip within
@@ -533,7 +525,6 @@ pub struct Server {
     done_rx: Receiver<DrainStats>,
     stop: Arc<AtomicBool>,
     kill: Arc<AtomicBool>,
-    sheds: Arc<ShedCounters>,
     conns: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
     accept: Option<JoinHandle<()>>,
     engine: Option<JoinHandle<()>>,
@@ -617,7 +608,6 @@ impl Server {
         let accept = {
             let tx = tx.clone();
             let stop = Arc::clone(&stop);
-            let sheds = Arc::clone(&sheds);
             let conns = Arc::clone(&conns);
             let queue_depth = Arc::clone(&queue_depth);
             let threads = threads.clone();
@@ -646,7 +636,6 @@ impl Server {
             done_rx,
             stop,
             kill,
-            sheds,
             conns,
             accept: Some(accept),
             engine: Some(engine),
@@ -664,11 +653,6 @@ impl Server {
     /// [`ServerConfig::metrics_addr`] was set.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
         self.metrics_addr
-    }
-
-    /// Requests shed by admission control so far (all wire layers).
-    pub fn shed_count(&self) -> u64 {
-        self.sheds.total()
     }
 
     /// Fault injection (tests): panic shard `s`'s worker on the engine
@@ -1080,7 +1064,9 @@ fn engine_thread(
             let t = eng.tick;
             eng.tracer.emit(t, EventKind::DrainDone);
         }
-        eng.db.flush_trace();
+        if let Some(hub) = eng.db.trace_hub() {
+            hub.flush();
+        }
     }
     // Wake every connection so its threads exit.
     eng.stop.store(true, Ordering::SeqCst);

@@ -35,9 +35,9 @@
 //! supervisor can detect the crash, fail the in-flight work, and respawn.
 //!
 //! The mailbox is optionally bounded ([`Worker::set_capacity`]):
-//! [`Worker::try_submit`] refuses with [`SubmitError::Full`] instead of
-//! queueing unboundedly, giving the layer above a backpressure signal to
-//! shed load.
+//! [`Worker::is_full`] is the backpressure signal the layer above checks
+//! before handing a job over, shedding load instead of queueing
+//! unboundedly.
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -137,26 +137,6 @@ impl std::fmt::Display for WorkerError {
 
 impl std::error::Error for WorkerError {}
 
-/// Why [`Worker::try_submit`] refused a job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The worker died (a previous job panicked).
-    Dead,
-    /// The bounded mailbox is at capacity — backpressure; shed or retry.
-    Full,
-}
-
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::Dead => write!(f, "worker dead (a job panicked)"),
-            SubmitError::Full => write!(f, "worker mailbox full"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
-
 /// A boxed job for a [`Worker`]'s mailbox. It is handed the mailbox depth
 /// and leaves the mailbox — decrements it — *before* it answers, so a
 /// caller holding the reply finds the mailbox without it: a
@@ -188,8 +168,8 @@ struct Shared<T> {
     alive: AtomicBool,
     /// Jobs submitted but not yet completed (mailbox depth).
     pending: AtomicUsize,
-    /// Mailbox bound for [`try_submit`](Worker::try_submit);
-    /// `usize::MAX` = unbounded.
+    /// Mailbox bound for [`is_full`](Worker::is_full); `usize::MAX` =
+    /// unbounded.
     capacity: AtomicUsize,
 }
 
@@ -306,9 +286,10 @@ impl<T: Send + 'static> Worker<T> {
         self.shared.pending.load(Ordering::Acquire)
     }
 
-    /// Bound the mailbox at `cap` jobs for [`try_submit`](Self::try_submit)
-    /// (`usize::MAX` = unbounded, the default). [`submit`](Self::submit)
-    /// ignores the bound — control-plane jobs must never be shed.
+    /// Bound the mailbox at `cap` jobs for [`is_full`](Self::is_full)
+    /// (`usize::MAX` = unbounded, the default). The bound is advisory:
+    /// [`submit`](Self::submit) and [`call`](Self::call) ignore it, and
+    /// the caller decides which jobs to shed.
     pub fn set_capacity(&self, cap: usize) {
         self.shared.capacity.store(cap, Ordering::Release);
     }
@@ -339,7 +320,7 @@ impl<T: Send + 'static> Worker<T> {
     /// [`WorkerError`] when the worker is dead. Use this to fan a batch
     /// of jobs out to several workers before collecting any of the
     /// answers — the workers run concurrently. Ignores the mailbox bound
-    /// (see [`try_submit`](Self::try_submit) for backpressure).
+    /// (check [`is_full`](Self::is_full) first for backpressure).
     pub fn submit<R: Send + 'static>(
         &self,
         f: impl FnOnce(&mut T) -> R + Send + 'static,
@@ -365,19 +346,6 @@ impl<T: Send + 'static> Worker<T> {
             return Err(WorkerError);
         }
         Ok(Reply { rx: rrx })
-    }
-
-    /// Like [`submit`](Self::submit), but refuse with
-    /// [`SubmitError::Full`] when the mailbox is at the configured
-    /// capacity — the backpressure path for data-plane jobs.
-    pub fn try_submit<R: Send + 'static>(
-        &self,
-        f: impl FnOnce(&mut T) -> R + Send + 'static,
-    ) -> Result<Reply<R>, SubmitError> {
-        if self.is_full() {
-            return Err(SubmitError::Full);
-        }
-        self.submit(f).map_err(|WorkerError| SubmitError::Dead)
     }
 
     /// Run `f` on the state and block for its result, or [`WorkerError`]
@@ -582,9 +550,8 @@ mod tests {
             std::thread::yield_now();
         }
         // Every later interaction is a clean error, never a panic.
-        assert!(w.submit(|s| *s).is_err());
+        assert_eq!(w.submit(|s| *s).unwrap_err(), WorkerError);
         assert_eq!(w.call(|s| *s), Err(WorkerError));
-        assert_eq!(w.try_submit(|s| *s).unwrap_err(), SubmitError::Dead);
     }
 
     #[test]
@@ -613,8 +580,7 @@ mod tests {
         assert!(!w.is_alive());
         assert_eq!(w.queue_len(), 0);
         assert_eq!(w.call(|_| ()), Err(WorkerError));
-        assert!(w.submit(|_| ()).is_err());
-        assert_eq!(w.try_submit(|_| ()).unwrap_err(), SubmitError::Dead);
+        assert_eq!(w.submit(|_| ()).unwrap_err(), WorkerError);
         // The worker thread is still parked on its mailbox; closing it
         // lets the join return.
         w.shutdown();
@@ -650,8 +616,9 @@ mod tests {
     }
 
     #[test]
-    fn bounded_mailbox_sheds_when_full() {
+    fn bounded_mailbox_reports_full() {
         let w = Worker::spawn(());
+        assert!(!w.is_full(), "unbounded by default");
         w.set_capacity(2);
         let (gate_tx, gate_rx) = channel::<()>();
         // Stall the worker so submissions pile up deterministically.
@@ -660,15 +627,18 @@ mod tests {
                 let _ = gate_rx.recv();
             })
             .unwrap();
-        let queued = w.try_submit(|_| ()).unwrap();
-        assert_eq!(w.try_submit(|_| ()).unwrap_err(), SubmitError::Full);
-        // Control-plane submit ignores the bound.
-        let control = w.submit(|_| ()).unwrap();
+        assert!(!w.is_full());
+        let queued = w.submit(|_| ()).unwrap();
+        assert!(w.is_full(), "two jobs pending at capacity two");
+        // The bound is advisory: submit still queues past it.
+        let over = w.submit(|_| ()).unwrap();
+        assert_eq!(w.queue_len(), 3);
         gate_tx.send(()).unwrap();
         stalled.wait().unwrap();
         queued.wait().unwrap();
-        control.wait().unwrap();
-        // Drained: accepted again.
-        w.try_submit(|_| ()).unwrap().wait().unwrap();
+        over.wait().unwrap();
+        // Drained: room again.
+        assert!(!w.is_full());
+        assert_eq!(w.queue_len(), 0);
     }
 }

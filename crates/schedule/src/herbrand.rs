@@ -17,9 +17,8 @@ use ccopt_model::syntax::Syntax;
 use ccopt_model::system::TransactionSystem;
 use ccopt_model::term::{TermArena, TermId};
 use ccopt_model::value::Value;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Context for Herbrand-semantics runs over one syntax.
 pub struct HerbrandCtx {
@@ -141,7 +140,7 @@ impl HerbrandCtx {
     /// Render the final state of a run as `var = term` lines.
     pub fn render_final(&self, terms: &[TermId]) -> String {
         let arena = self.interp.arena();
-        let arena = arena.lock();
+        let arena = arena.lock().unwrap();
         let names = &self.sys.syntax.vars;
         terms
             .iter()

@@ -431,7 +431,9 @@ impl Driver for ShardedDriver<'_> {
     }
 
     fn close(mut self) -> Closing {
-        self.db.flush_trace();
+        if let Some(hub) = self.db.trace_hub() {
+            hub.flush();
+        }
         Closing {
             commit_latency_ticks: self.db.commit_latency_ticks(),
             top_contended: self.db.top_contended(TOP_CONTENDED),
