@@ -179,7 +179,7 @@ fn bench_engine(c: &mut Criterion) {
                 CcKind::Sgt.build(),
                 GlobalState::from_ints(&[0]),
             );
-            black_box(db.run_round_robin(&ids, 10_000).unwrap().metrics.commits)
+            black_box(db.run_round_robin(&ids, 10_000).unwrap().commits)
         })
     });
     // The multi-version end-to-end path: version installs plus watermark GC.
@@ -190,7 +190,7 @@ fn bench_engine(c: &mut Criterion) {
                 CcKind::Mvto.build(),
                 GlobalState::from_ints(&[0]),
             );
-            black_box(db.run_round_robin(&ids, 10_000).unwrap().metrics.commits)
+            black_box(db.run_round_robin(&ids, 10_000).unwrap().commits)
         })
     });
 }

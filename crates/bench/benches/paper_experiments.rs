@@ -8,7 +8,7 @@ use ccopt_core::theorems::{theorem2, theorem3};
 use ccopt_engine::CcKind;
 use ccopt_model::systems;
 use ccopt_schedulers::suite::scheduler_suite;
-use ccopt_sim::engine_sim::{simulate_engine, SimConfig};
+use ccopt_sim::open_sim::{simulate_open, OpenSimConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -55,17 +55,19 @@ fn bench_fixpoint_ratios(c: &mut Criterion) {
 }
 
 fn bench_simulation(c: &mut Criterion) {
-    let sys = systems::fig3_pair();
-    let cfg = SimConfig {
-        batches: 3,
-        // Sequential batches: with microsecond-scale batch work the scoped
-        // thread spawn/join would dominate and the number would stop
-        // tracking the engine hot path.
-        parallel: false,
-        ..SimConfig::default()
+    // T3's stream at four users.
+    let cfg = OpenSimConfig {
+        terminals: 4,
+        total_txns: 160,
+        vars: 8,
+        steps: (3, 3),
+        read_fraction: 0.0,
+        hot_fraction: 0.0,
+        seed: 1004,
+        ..OpenSimConfig::default()
     };
-    c.bench_function("T3_engine_sim_2pl", |b| {
-        b.iter(|| black_box(simulate_engine(&sys, CcKind::Strict2pl, &cfg).commits))
+    c.bench_function("T3_open_sim_2pl", |b| {
+        b.iter(|| black_box(simulate_open(CcKind::Strict2pl, &cfg).committed))
     });
 }
 

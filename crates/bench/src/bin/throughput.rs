@@ -2,7 +2,7 @@
 //! throughput`.
 //!
 //! Runs every concurrency-control mechanism (all seven: the five
-//! single-version ones plus MVTO and SI) against four simulated grids and
+//! single-version ones plus MVTO and SI) against three simulated grids and
 //! one message count, writes `BENCH_engine.json` next to the bench crate's
 //! manifest, then prints the same cells as aligned tables. Nothing here
 //! reads a wall clock: every leaf of the file is a function of the
@@ -17,9 +17,6 @@
 //! waits, aborts or logs differently. Real time is measured by
 //! `benchmark/` alone (`BENCHMARK.json` at the repo root).
 //!
-//! * the **closed-world** grid (`results`): the paper's fixed transaction
-//!   systems, swept over several workload seeds per cell — simulated
-//!   throughput and the response / waiting decomposition of §6;
 //! * the **open-world** grid (`open_world`): arrival-driven session
 //!   streams over recycled slots — throughput, the latency distribution
 //!   (mean/p50/p95), abort rate, the boundedness gauges (peak slots,
@@ -63,12 +60,13 @@
 //! table (`top_contended`: the most wait/abort-attributed variables) and
 //! the abort attribution (`aborts_by_rule`: conflict-rule name to count).
 //!
-//! Schema v11 is v10 less its wall-clock leaves; every remaining leaf kept
-//! its path and value.
+//! Schema v12 is v11 less the closed-world `results` grid and its
+//! `config.batches` / `config.workload_seeds`; every remaining leaf kept its
+//! path and value (`config.seed` and the timing constants are the open
+//! grid's).
 
 use ccopt_engine::durability::scratch_path;
 use ccopt_engine::{CcKind, DurabilityMode};
-use ccopt_sim::engine_sim::{simulate_engine, SimConfig, SimResult};
 use ccopt_sim::open_sim::{
     check_serializable, check_strict, simulate_open, simulate_open_durable, DurableConfig,
     OpenSimConfig, OpenSimResult,
@@ -77,52 +75,6 @@ use ccopt_sim::report::{f3, Table};
 use ccopt_sim::shard_sim::{
     simulate_sharded, simulate_sharded_faulty, FaultPlan, ShardDurableConfig, ShardSimConfig,
 };
-use ccopt_sim::workload::Workload;
-
-/// Workload seeds swept per cell (aggregated into one row).
-const SEEDS: [u64; 3] = [1, 2, 3];
-
-struct Cell {
-    workload: String,
-    cc: String,
-    commits: usize,
-    aborts: usize,
-    waits: usize,
-    mv_write_aborts: usize,
-    sim_throughput: f64,
-    response_mean: f64,
-    waiting_mean: f64,
-}
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload::Uniform {
-            n: 8,
-            steps: 6,
-            vars: 32,
-        },
-        Workload::Hotspot {
-            n: 8,
-            steps: 6,
-            vars: 32,
-            hot: 0.4,
-        },
-        Workload::ReadMostly {
-            n: 8,
-            steps: 6,
-            vars: 32,
-            reads: 0.7,
-        },
-        Workload::LongReaders {
-            readers: 2,
-            read_steps: 10,
-            writers: 6,
-            write_steps: 4,
-            vars: 8,
-        },
-        Workload::Banking,
-    ]
-}
 
 /// One open-world grid cell: the simulator's result under its labels.
 struct OpenCell {
@@ -528,42 +480,6 @@ fn batched_tax() -> Vec<BatchedTaxCell> {
 }
 
 fn main() {
-    let cfg = SimConfig {
-        batches: 64,
-        seed: 0xC0FFEE,
-        // The multi-seed sweep below is the parallel axis; keep the inner
-        // batch loop sequential so cells do not oversubscribe the machine.
-        parallel: false,
-        ..SimConfig::default()
-    };
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for wl in workloads() {
-        // Banking is seed-independent; one instantiation is enough.
-        let seeds: &[u64] = match wl {
-            Workload::Banking => &SEEDS[..1],
-            _ => &SEEDS[..],
-        };
-        let systems: Vec<_> = seeds.iter().map(|&s| wl.instantiate(s)).collect();
-        for kind in CcKind::ALL {
-            // Embarrassingly parallel multi-seed sweep: one simulation per
-            // workload seed, reduced in seed order (deterministic).
-            let results: Vec<SimResult> =
-                ccopt_par::par_map(&systems, |sys| simulate_engine(sys, kind, &cfg));
-            let k = results.len() as f64;
-            cells.push(Cell {
-                workload: wl.name(),
-                cc: kind.name().to_string(),
-                commits: results.iter().map(|r| r.commits).sum(),
-                aborts: results.iter().map(|r| r.aborts).sum(),
-                waits: results.iter().map(|r| r.waits).sum(),
-                mv_write_aborts: results.iter().map(|r| r.mv_write_aborts).sum(),
-                sim_throughput: results.iter().map(|r| r.throughput).sum::<f64>() / k,
-                response_mean: results.iter().map(|r| r.response.mean).sum::<f64>() / k,
-                waiting_mean: results.iter().map(|r| r.waiting.mean).sum::<f64>() / k,
-            });
-        }
-    }
     let open_cells = open_grid();
     let shard_cells = sharded_grid(&open_cells);
     let degraded_cells = degraded_grid();
@@ -575,8 +491,7 @@ fn main() {
     std::fs::write(
         path,
         to_json(
-            &cfg,
-            &cells,
+            &open_workloads()[0].1,
             &open_cells,
             &shard_cells,
             &degraded_cells,
@@ -585,35 +500,6 @@ fn main() {
     )
     .expect("write BENCH_engine.json");
     println!("wrote {path}");
-
-    let mut table = Table::new(
-        "engine throughput (per CC x workload)",
-        &[
-            "workload",
-            "cc",
-            "commits",
-            "aborts",
-            "waits",
-            "mv-aborts",
-            "sim-thru",
-            "response",
-            "waiting",
-        ],
-    );
-    for c in &cells {
-        table.row(&[
-            c.workload.clone(),
-            c.cc.clone(),
-            c.commits.to_string(),
-            c.aborts.to_string(),
-            c.waits.to_string(),
-            c.mv_write_aborts.to_string(),
-            f3(c.sim_throughput),
-            f3(c.response_mean),
-            f3(c.waiting_mean),
-        ]);
-    }
-    println!("{table}");
 
     let mut open_table = Table::new(
         "open-world session streams (per CC x workload x durability)",
@@ -759,10 +645,10 @@ fn json_rules(rows: &[(&'static str, usize)]) -> String {
 
 /// Hand-rolled JSON (no serde in the dependency-free build environment).
 /// Floats print at `{:.6}`, so a libm that differs in the last ulp of the
-/// arrival process's `ln` still writes the same file.
+/// arrival process's `ln` still writes the same file. `cfg` is an open
+/// grid stream: the seed and timing constants every grid shares.
 fn to_json(
-    cfg: &SimConfig,
-    cells: &[Cell],
+    cfg: &OpenSimConfig,
     open_cells: &[OpenCell],
     shard_cells: &[ShardCell],
     degraded_cells: &[DegradedCell],
@@ -770,36 +656,17 @@ fn to_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"ccopt-bench/throughput/v11\",\n");
+    s.push_str("  \"schema\": \"ccopt-bench/throughput/v12\",\n");
     s.push_str(&format!(
-        "  \"config\": {{\"batches\": {}, \"seed\": {}, \"workload_seeds\": {:?}, \"scheduling_time\": {}, \"exec_time\": {}, \"think_time\": {}, \"retry_interval\": {}, \"restart_penalty\": {}, \"sync_time\": {}}},\n",
-        cfg.batches,
+        "  \"config\": {{\"seed\": {}, \"scheduling_time\": {}, \"exec_time\": {}, \"think_time\": {}, \"retry_interval\": {}, \"restart_penalty\": {}, \"sync_time\": {}}},\n",
         cfg.seed,
-        SEEDS,
         cfg.scheduling_time,
         cfg.exec_time,
         cfg.think_time,
         cfg.retry_interval,
         cfg.restart_penalty,
-        OpenSimConfig::default().sync_time,
+        cfg.sync_time,
     ));
-    s.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": {:?}, \"cc\": {:?}, \"commits\": {}, \"aborts\": {}, \"waits\": {}, \"mv_write_aborts\": {}, \"sim_throughput\": {:.6}, \"response_mean\": {:.6}, \"waiting_mean\": {:.6}}}{}\n",
-            c.workload,
-            c.cc,
-            c.commits,
-            c.aborts,
-            c.waits,
-            c.mv_write_aborts,
-            c.sim_throughput,
-            c.response_mean,
-            c.waiting_mean,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    s.push_str("  ],\n");
     s.push_str("  \"open_world\": [\n");
     for (i, c) in open_cells.iter().enumerate() {
         s.push_str(&format!(

@@ -1,78 +1,84 @@
-//! Experiment T3 — the Section 6 time decomposition, simulated.
+//! Experiment T3 — the Section 6 environment, simulated.
 //!
-//! Sweeps the multiprogramming level (number of concurrent transactions)
-//! and reports throughput, response time and the scheduling/waiting/
-//! execution decomposition for each engine concurrency control.
+//! "Multiple users at various terminals executing transactions": the
+//! open-world machine ([`ccopt_sim::simulate_open`]) runs `n` terminals
+//! for `n` in [`LEVELS`], each submitting three-step update transactions
+//! over `2n` variables (the data scales with the users, so per-variable
+//! contention stays comparable across levels), until `40n` commits. Every
+//! engine mechanism runs the same stream; the report gives throughput,
+//! mean response, and the two ways a step loses time to concurrency
+//! control — waits and aborts — per commit.
 
 use ccopt_engine::CcKind;
-use ccopt_sim::engine_sim::{simulate_engine, SimConfig, SimResult};
+use ccopt_sim::open_sim::{simulate_open, OpenSimConfig, OpenSimResult};
 use ccopt_sim::report::{f3, Table};
-use ccopt_sim::workload::Workload;
 
-/// Multiprogramming levels swept.
+/// Numbers of users (terminals) swept.
 pub const LEVELS: [usize; 3] = [2, 4, 8];
 
-/// Run the sweep; rows keyed by (level, cc).
-pub fn sweep(cfg: &SimConfig) -> Vec<(usize, SimResult)> {
+/// The stream at `n` users.
+fn config(n: usize) -> OpenSimConfig {
+    OpenSimConfig {
+        terminals: n,
+        total_txns: 40 * n,
+        vars: 2 * n,
+        steps: (3, 3),
+        read_fraction: 0.0,
+        hot_fraction: 0.0,
+        seed: 1000 + n as u64,
+        ..OpenSimConfig::default()
+    }
+}
+
+/// Run the sweep; rows keyed by (level, cc), mechanisms in
+/// [`CcKind::ALL`] order.
+pub fn sweep() -> Vec<(usize, OpenSimResult)> {
     let mut out = Vec::new();
-    for &n in &LEVELS {
-        // Scale the data size with the user count so per-variable
-        // contention stays comparable across levels (the paper's regime:
-        // "transactions mainly involve local computations").
-        let wl = Workload::Uniform {
-            n,
-            steps: 3,
-            vars: 2 * n,
-        };
-        let sys = wl.instantiate(1000 + n as u64);
+    for n in LEVELS {
+        let cfg = config(n);
         for kind in CcKind::ALL {
-            out.push((n, simulate_engine(&sys, kind, cfg)));
+            out.push((n, simulate_open(kind, &cfg)));
         }
     }
     out
 }
 
-/// The printable report.
-pub fn report() -> String {
-    report_with(&SimConfig {
-        batches: 12,
-        ..SimConfig::default()
-    })
+/// Waits per commit.
+fn waits_per_commit(r: &OpenSimResult) -> f64 {
+    r.waits as f64 / r.committed.max(1) as f64
 }
 
-/// Report with an explicit configuration (benches use smaller ones).
-pub fn report_with(cfg: &SimConfig) -> String {
+/// The printable report.
+pub fn report() -> String {
     let mut t = Table::new(
-        "T3: simulated time decomposition per transaction",
+        "T3: simulated users at terminals, per engine mechanism",
         &[
             "users",
             "cc",
             "throughput",
             "response",
-            "waiting",
-            "scheduling",
-            "aborts",
+            "waits/commit",
+            "aborts/commit",
         ],
     );
-    let results = sweep(cfg);
-    for (n, r) in &results {
+    for (n, r) in &sweep() {
         t.row(&[
             n.to_string(),
             r.cc_name.clone(),
             f3(r.throughput),
-            f3(r.response.mean),
-            f3(r.waiting.mean),
-            f3(r.scheduling.mean),
-            r.aborts.to_string(),
+            f3(r.latency.mean),
+            f3(waits_per_commit(r)),
+            f3(r.abort_rate),
         ]);
     }
     let mut out = String::new();
     out.push_str("EXPERIMENT T3 — scheduling/waiting/execution times (Section 6)\n\n");
     out.push_str(&t.to_string());
-    out.push_str("\nShape: the serial strawman's waiting time dominates and grows\n");
-    out.push_str("with the number of users; richer-information schedulers wait\n");
-    out.push_str("less, trading some waits for aborts (T/O, OCC, SGT). Absolute\n");
-    out.push_str("numbers are simulator-scale; the ordering is the paper's claim.\n");
+    out.push_str("\nShape: the serial strawman waits most and its waits grow with\n");
+    out.push_str("the number of users while its throughput stays flat;\n");
+    out.push_str("richer-information schedulers wait less, trading some waits\n");
+    out.push_str("for aborts (T/O, OCC, SGT). Absolute numbers are\n");
+    out.push_str("simulator-scale; the ordering is the paper's claim.\n");
     out
 }
 
@@ -81,37 +87,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serial_waits_dominate_at_high_mpl() {
-        let cfg = SimConfig {
-            batches: 6,
-            seed: 11,
-            ..SimConfig::default()
-        };
-        let results = sweep(&cfg);
-        // At the largest level, serial's mean waiting exceeds SGT's.
-        let at_top: Vec<_> = results
-            .iter()
-            .filter(|(n, _)| *n == *LEVELS.last().unwrap())
-            .collect();
-        let serial = at_top.iter().find(|(_, r)| r.cc_name == "serial").unwrap();
-        let sgt = at_top.iter().find(|(_, r)| r.cc_name == "SGT").unwrap();
-        assert!(
-            serial.1.waiting.mean >= sgt.1.waiting.mean,
-            "serial {} vs SGT {}",
-            serial.1.waiting.mean,
-            sgt.1.waiting.mean
-        );
-    }
-
-    #[test]
-    fn all_ccs_commit_everything() {
-        let cfg = SimConfig {
-            batches: 4,
-            seed: 5,
-            ..SimConfig::default()
-        };
-        for (n, r) in sweep(&cfg) {
-            assert_eq!(r.commits, n * cfg.batches, "{} at {n}", r.cc_name);
+    fn serial_waits_most_and_more_with_every_user() {
+        let results = sweep();
+        let mut serial_prev = 0.0;
+        for n in LEVELS {
+            let level: Vec<&OpenSimResult> = results
+                .iter()
+                .filter(|(m, _)| *m == n)
+                .map(|(_, r)| r)
+                .collect();
+            assert_eq!(level.len(), CcKind::ALL.len());
+            for r in &level {
+                assert_eq!(r.committed, config(n).total_txns, "{} at {n}", r.cc_name);
+            }
+            let serial = level.iter().find(|r| r.cc_name == "serial").unwrap();
+            let serial_waits = waits_per_commit(serial);
+            for r in &level {
+                assert!(
+                    waits_per_commit(r) <= serial_waits,
+                    "{} waits more than serial at {n} users: {} > {serial_waits}",
+                    r.cc_name,
+                    waits_per_commit(r)
+                );
+            }
+            assert!(
+                serial_waits > serial_prev,
+                "serial waits/commit must grow with users: {serial_waits} at {n}"
+            );
+            serial_prev = serial_waits;
         }
     }
 }

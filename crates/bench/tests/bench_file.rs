@@ -26,7 +26,7 @@ fn cc_column<'a>(json: &'a str, name: &str) -> Vec<&'a str> {
 fn the_checked_in_file_is_deterministic_only_and_in_mechanism_order() {
     let json = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_engine.json"))
         .expect("the checked-in BENCH_engine.json");
-    assert!(json.contains("\"schema\": \"ccopt-bench/throughput/v11\""));
+    assert!(json.contains("\"schema\": \"ccopt-bench/throughput/v12\""));
 
     // No wall-clock vocabulary: `benchmark/` owns real time. Keys are
     // the only quoted runs followed by a colon, and no workload label
@@ -45,8 +45,17 @@ fn the_checked_in_file_is_deterministic_only_and_in_mechanism_order() {
         );
     }
 
+    // The closed-world grid and its configuration are gone: the
+    // open-world machine is the one simulator.
+    for closed in ["\"results\":", "\"batches\":", "\"workload_seeds\":"] {
+        assert!(
+            !json.contains(closed),
+            "closed-world key `{closed}` in BENCH_engine.json"
+        );
+    }
+
     let all: Vec<&str> = CcKind::ALL.iter().map(|k| k.name()).collect();
-    for grid in ["results", "open_world", "sharded", "degraded"] {
+    for grid in ["open_world", "sharded", "degraded"] {
         let ccs = cc_column(&json, grid);
         assert!(!ccs.is_empty(), "`{grid}` is empty");
         for (block, chunk) in ccs.chunks(all.len()).enumerate() {

@@ -44,15 +44,6 @@ pub enum StepOutcome {
     AlreadyCommitted,
 }
 
-/// Statistics of a full run.
-#[derive(Clone, Copy, Debug)]
-pub struct RunStats {
-    /// Engine counters.
-    pub metrics: Metrics,
-    /// Scheduling rounds used.
-    pub rounds: usize,
-}
-
 /// An in-memory database executing one transaction system instance — the
 /// closed-world adapter over the open-world [`SessionDb`].
 pub struct Database {
@@ -228,10 +219,11 @@ impl Database {
 
     /// Drive the database with a round-robin policy biased by `order`:
     /// repeatedly walk `order`, attempting one step of each uncommitted
-    /// transaction, until everything commits. Returns `None` if progress
-    /// stalls for `max_rounds` full sweeps (should not happen with the
-    /// provided CC mechanisms, which always abort someone on deadlock).
-    pub fn run_round_robin(&mut self, order: &[TxnId], max_rounds: usize) -> Option<RunStats> {
+    /// transaction, until everything commits, and return the engine
+    /// counters. Returns `None` if progress stalls for `max_rounds` full
+    /// sweeps (should not happen with the provided CC mechanisms, which
+    /// always abort someone on deadlock).
+    pub fn run_round_robin(&mut self, order: &[TxnId], max_rounds: usize) -> Option<Metrics> {
         let mut rounds = 0;
         while !self.all_committed() {
             rounds += 1;
@@ -260,10 +252,7 @@ impl Database {
                 }
             }
         }
-        Some(RunStats {
-            metrics: self.metrics,
-            rounds,
-        })
+        Some(self.metrics)
     }
 }
 #[cfg(test)]
@@ -298,10 +287,10 @@ mod tests {
             for kind in CcKind::ALL {
                 let name = kind.name();
                 let mut db = Database::new(sys.clone(), kind.build(), init.clone());
-                let stats = db
+                let m = db
                     .run_round_robin(&order, 1000)
                     .unwrap_or_else(|| panic!("{name} stalled"));
-                assert!(stats.metrics.commits >= 2);
+                assert!(m.commits >= 2);
                 let fin = db.globals();
                 assert!(
                     serial_states.contains(&fin),
@@ -457,6 +446,38 @@ mod tests {
         );
         assert_eq!(db.step(TxnId(1)), StepOutcome::Waited);
         assert!(db.waits(TxnId(1)) > 0);
+    }
+
+    #[test]
+    fn sgt_runs_disjoint_work_untouched_while_serial_waits() {
+        use ccopt_model::expr::Expr;
+        use ccopt_model::ic::TrueIc;
+        use ccopt_model::interp::ExprInterpretation;
+        use ccopt_model::syntax::SyntaxBuilder;
+        use ccopt_model::system::StateSpace;
+        use std::sync::Arc;
+        let syn = SyntaxBuilder::new()
+            .txn("T1", |t| t.update("x").update("x").update("x"))
+            .txn("T2", |t| t.update("y").update("y").update("y"))
+            .build();
+        let bump = || (0..3).map(|j| Expr::add(Expr::Local(j), Expr::Const(1)));
+        let interp = ExprInterpretation::new(vec![bump().collect(), bump().collect()]);
+        let sys = TransactionSystem::new(
+            "disjoint",
+            syn,
+            Arc::new(interp),
+            Arc::new(TrueIc),
+            StateSpace::from_ints(&[&[0, 0]]),
+        );
+        let ids = [TxnId(0), TxnId(1)];
+        let run = |kind: CcKind| {
+            let init = sys.space.initial_states[0].clone();
+            let mut db = Database::new(sys.clone(), kind.build(), init);
+            db.run_round_robin(&ids, 1000).expect("completes")
+        };
+        let sgt = run(CcKind::Sgt);
+        assert_eq!((sgt.commits, sgt.waits, sgt.aborts), (2, 0, 0));
+        assert!(run(CcKind::Serial).waits > 0, "the serial token blocks T2");
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use ccopt_durability as durability;
 pub use ccopt_durability::{DurabilityMode, StoreImage, WalError};
 pub use ccopt_trace as trace;
 pub use ccopt_trace::{ConflictRule, Histogram, TraceConfig, TraceHub, Tracer};
-pub use db::{Database, RunStats, StepOutcome};
+pub use db::{Database, StepOutcome};
 pub use metrics::Metrics;
 pub use mvstore::MvStore;
 pub use session::{Op, RecoveryInfo, SessionDb, SessionError, SessionStatus, Txn, VarContention};

@@ -583,7 +583,6 @@ impl ShardedDb {
             self.slots[ti].touched.push(si as u32);
         }
         if matches!(out.results.last(), Some(Op::Wait)) || out.commit == Some(Op::Wait) {
-            self.slots[ti].waits += 1;
             self.waits += 1;
         }
         if let Some(stamp) = out.consumed {

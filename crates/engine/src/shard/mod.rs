@@ -169,7 +169,6 @@ struct GSlot {
     /// on every shard, and the global transaction id of its 2PC.
     gts: u64,
     attempts: u32,
-    waits: u32,
     /// Per-shard sub-transactions.
     subs: Vec<SubState>,
     /// Shards touched, in first-touch order.
@@ -183,7 +182,6 @@ impl GSlot {
             status: GStatus::Free,
             gts: 0,
             attempts: 0,
-            waits: 0,
             subs: vec![SubState::Absent; shards],
             touched: Vec::new(),
         }
@@ -519,7 +517,6 @@ impl ShardedDb {
         sl.status = GStatus::Running;
         sl.gts = gts;
         sl.attempts = 1;
-        sl.waits = 0;
         GlobalTxn {
             slot,
             epoch: sl.epoch,
@@ -689,11 +686,6 @@ impl ShardedDb {
     /// Restart attempts of the global transaction so far (1 = first run).
     pub fn attempts(&self, h: GlobalTxn) -> Result<u32, SessionError> {
         Ok(self.slots[self.slot_of(h)?].attempts)
-    }
-
-    /// Wait outcomes of the global transaction across its lifetime.
-    pub fn waits(&self, h: GlobalTxn) -> Result<u32, SessionError> {
-        Ok(self.slots[self.slot_of(h)?].waits)
     }
 
     /// What recovering the shard logs found, when this database was

@@ -94,7 +94,6 @@ impl ShardedDb {
             return Ok(Op::Restarted);
         }
         if waited {
-            self.slots[ti].waits += 1;
             self.waits += 1;
             return Ok(Op::Wait);
         }

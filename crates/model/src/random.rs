@@ -1,8 +1,8 @@
 //! Seeded random transaction-system generation.
 //!
 //! Used by the property tests ("serial ⊆ CSR ⊆ SR ⊆ WSR ⊆ C on random small
-//! systems"), the workload generator in `ccopt-sim`, and the adversary
-//! families in `ccopt-core`.
+//! systems", engine serializability) and the adversary families in
+//! `ccopt-core`.
 
 use crate::expr::{Cond, Expr};
 use crate::ic::TrueIc;
@@ -245,5 +245,33 @@ mod tests {
         let sys = random_system(&cfg, 11);
         // All kinds valid; reads use identity semantics so executing works.
         Executor::new(&sys).verify_basic_assumption().unwrap();
+    }
+
+    #[test]
+    fn fractions_shape_the_steps() {
+        let base = RandomConfig {
+            num_txns: 4,
+            steps_per_txn: (4, 4),
+            num_vars: 8,
+            ..RandomConfig::default()
+        };
+        let steps = |cfg: &RandomConfig| -> Vec<StepSyntax> {
+            let sys = random_system(cfg, 3);
+            let all = sys.syntax.transactions.iter().flat_map(|t| &t.steps);
+            all.copied().collect()
+        };
+        let hot = steps(&RandomConfig {
+            hot_fraction: 1.0,
+            ..base.clone()
+        });
+        assert!(
+            hot.iter().all(|s| s.var.0 == 0),
+            "every step hits the hot variable"
+        );
+        let reads = steps(&RandomConfig {
+            read_fraction: 0.45,
+            ..base
+        });
+        assert!(reads.iter().any(|s| s.kind == StepKind::Read));
     }
 }

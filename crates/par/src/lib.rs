@@ -1,25 +1,16 @@
-//! # `ccopt-par` — minimal deterministic parallelism primitives
+//! # `ccopt-par` — a persistent worker behind a mailbox
 //!
-//! A rayon stand-in built on the standard library (the build environment
-//! has no network access to crates.io, so rayon itself is unavailable).
-//! Two primitives cover the workspace:
-//!
-//! * [`par_map`] / [`par_map_indexed`] — fork-join: a parallel,
-//!   order-preserving map over `std::thread::scope`. Results land at the
-//!   index of their input, so a parallel map followed by an in-order
-//!   reduction is bit-identical to the sequential loop whenever the
-//!   per-item work is itself deterministic — which the simulator
-//!   guarantees by deriving an independent RNG stream per item.
-//! * [`Worker`] — a persistent actor: a piece of state owned by one
-//!   *token*, driven through a mailbox of `FnOnce(&mut T)` jobs that a
-//!   dedicated OS thread runs. Jobs from one sender run in send order;
-//!   [`Worker::submit`] returns a [`Reply`] so a coordinator can fan a
-//!   batch out to several workers and then collect, which is how the
-//!   engine's sharded database drives one worker per shard
-//!   (`ccopt-engine::shard`). Whoever holds the token runs the job:
-//!   queued jobs run on the worker thread, a [`Worker::call`] that finds
-//!   the mailbox empty runs on the caller — a synchronous round trip has
-//!   no concurrency to buy with two thread hand-offs.
+//! One primitive, built on the standard library alone: [`Worker`], a
+//! persistent actor — a piece of state owned by one *token*, driven
+//! through a mailbox of `FnOnce(&mut T)` jobs that a dedicated OS thread
+//! runs. Jobs from one sender run in send order; [`Worker::submit`]
+//! returns a [`Reply`] so a coordinator can fan a batch out to several
+//! workers and then collect, which is how the engine's sharded database
+//! drives one worker per shard (`ccopt-engine::shard`). Whoever holds the
+//! token runs the job: queued jobs run on the worker thread, a
+//! [`Worker::call`] that finds the mailbox empty runs on the caller — a
+//! synchronous round trip has no concurrency to buy with two thread
+//! hand-offs.
 //!
 //! ## Fault containment
 //!
@@ -39,90 +30,11 @@
 //! before handing a job over, shedding load instead of queueing
 //! unboundedly.
 
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-
-/// Number of worker threads `par_map` uses: the machine's available
-/// parallelism, overridable with `CCOPT_THREADS` (useful to force
-/// `CCOPT_THREADS=1` when profiling).
-pub fn num_threads() -> usize {
-    if let Ok(v) = std::env::var("CCOPT_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Map `f` over `0..n` in parallel, returning results in index order.
-///
-/// Work is distributed by an atomic cursor, so threads self-balance over
-/// uneven items; output order is by index regardless of completion order.
-/// With one thread (or `n <= 1`) this degrades to the plain sequential
-/// loop — there is no other code path to diverge from.
-pub fn par_map_indexed<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = num_threads().min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let cursor = AtomicUsize::new(0);
-    let f = &f;
-
-    std::thread::scope(|scope| {
-        // Hand each worker a disjoint view of the slots via raw parts —
-        // disjointness is guaranteed by the atomic cursor handing out each
-        // index exactly once.
-        let slots_ptr = SendPtr(slots.as_mut_ptr());
-        let cursor = &cursor;
-        for _ in 0..threads {
-            // SendPtr is Copy, so each move closure gets its own copy; the
-            // .get() method call makes the closure capture the whole
-            // wrapper rather than its raw-pointer field (2021 disjoint
-            // capture), keeping the Send impl in effect.
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f(i);
-                // SAFETY: index i is handed out exactly once across all
-                // workers, so this write is the only access to slot i
-                // while the scope is alive; the Vec outlives the scope.
-                unsafe { *slots_ptr.get().add(i) = Some(out) };
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index was produced"))
-        .collect()
-}
-
-/// Map `f` over a slice in parallel, preserving input order.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed(items.len(), |i| f(&items[i]))
-}
-
-// ------------------------------------------------------------------ worker
 
 /// The worker died (a previous job panicked) before — or while — running
 /// the interaction that returned this error.
@@ -380,25 +292,6 @@ impl<T> Drop for Worker<T> {
     }
 }
 
-struct SendPtr<T>(*mut T);
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    fn get(self) -> *mut T {
-        self.0
-    }
-}
-// SAFETY: the pointer is only dereferenced at indices handed out uniquely
-// by the atomic cursor, inside the scope that owns the allocation.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,26 +302,6 @@ mod tests {
         fn drop(&mut self) {
             self.0.store(true, Ordering::SeqCst);
         }
-    }
-
-    #[test]
-    fn preserves_order() {
-        let input: Vec<usize> = (0..1000).collect();
-        let out = par_map(&input, |&x| x * 2);
-        assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn indexed_matches_sequential() {
-        let seq: Vec<u64> = (0..257).map(|i| (i as u64).wrapping_mul(0x9E37)).collect();
-        let par = par_map_indexed(257, |i| (i as u64).wrapping_mul(0x9E37));
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn empty_and_single() {
-        assert!(par_map_indexed(0, |i| i).is_empty());
-        assert_eq!(par_map_indexed(1, |i| i), vec![0]);
     }
 
     #[test]
@@ -525,17 +398,6 @@ mod tests {
         w.call(|_| ()).unwrap();
         drop(w);
         assert!(flag.load(Ordering::SeqCst), "state must drop before join");
-    }
-
-    #[test]
-    fn uneven_work_self_balances() {
-        let out = par_map_indexed(64, |i| {
-            if i % 7 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            i
-        });
-        assert_eq!(out, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -6,36 +6,32 @@
 //! time for carrying out a transaction step is divided into the following
 //! three parts: scheduling time, waiting time, execution time."
 //!
-//! Two complementary simulations:
+//! One discrete-event machine simulates that environment, and one
+//! request-level simulation sits beside it:
 //!
+//! * [`open_sim`] — the event machine, over the session API
+//!   ([`ccopt_engine::SessionDb`]): terminals with exponential think
+//!   times run an unbounded stream of dynamic transactions over recycled
+//!   dense slots — scheduling and execution time per operation, jittered
+//!   polling on waits, attempt-scaled backoff on restarts — reporting
+//!   throughput, the latency distribution, waits, abort rate and the
+//!   boundedness gauges (peak slots, peak live versions), with an optional
+//!   serializability spot-check over the committed history.
+//! * [`shard_sim`] — a second driver of the same machine, over a sharded
+//!   database ([`ccopt_engine::ShardedDb`]): a cross-shard-ratio workload
+//!   axis, two-phase cross-shard commits, a wait-bound restart valve for
+//!   cross-shard deadlocks, and histories the ordinary serializability
+//!   oracle checks unchanged. With one shard it reproduces [`open_sim`]
+//!   bit for bit.
 //! * [`order_sim`] — drives the *online schedulers* of `ccopt-schedulers`
 //!   with uniformly random request histories, measuring exactly the
 //!   quantities the paper ties to the fixpoint set `P`: the probability of
 //!   a delay-free pass (`|P|/|H|`) and the discrete waiting totals.
-//! * [`engine_sim`] — a discrete-event simulation over the real
-//!   [`ccopt_engine::Database`]: terminals with exponential think times,
-//!   per-step execution times, polling retries on waits, restart penalties
-//!   on aborts; reports throughput, response, and the three-way time
-//!   decomposition.
-//! * [`open_sim`] — the open-world counterpart over the session API
-//!   ([`ccopt_engine::SessionDb`]): arrival-driven terminals run an
-//!   unbounded stream of dynamic transactions over recycled dense slots,
-//!   reporting throughput, the latency distribution, abort rate and the
-//!   boundedness gauges (peak slots, peak live versions), with an optional
-//!   serializability spot-check over the committed history.
-//! * [`shard_sim`] — a second driver of the same open-world machine, over
-//!   a sharded database ([`ccopt_engine::ShardedDb`]): a cross-shard-ratio
-//!   workload axis, two-phase cross-shard commits, a wait-bound restart
-//!   valve for cross-shard deadlocks, and histories the ordinary
-//!   serializability oracle checks unchanged. With one shard it
-//!   reproduces [`open_sim`] bit for bit.
 //!
-//! Plus [`workload`] (parameterized system families), [`stats`]
+//! Plus [`workload`] (the long-readers transaction system), [`stats`]
 //! (summaries) and [`report`] (aligned text tables for the experiment
 //! harness).
 
-pub mod engine_sim;
-mod event;
 pub mod open_sim;
 mod oracle;
 pub mod order_sim;
@@ -44,7 +40,6 @@ pub mod shard_sim;
 pub mod stats;
 pub mod workload;
 
-pub use engine_sim::{simulate_engine, SimConfig, SimResult};
 pub use open_sim::{
     check_serializable, check_strict, simulate_open, simulate_open_durable, DurableConfig,
     OpenSimConfig, OpenSimResult,

@@ -1,10 +1,9 @@
 //! Open-world simulation: arrival-driven sessions over an unbounded
 //! transaction stream.
 //!
-//! Where [`crate::engine_sim`] replays the paper's closed world — a fixed
-//! transaction system run to completion — this simulator models the
-//! arrival-driven shape of a serving system: `K` terminals each keep one
-//! dynamic session open at a time against a
+//! The paper's Section 6 environment — users at terminals executing
+//! transactions — in the arrival-driven shape of a serving system: `K`
+//! terminals each keep one dynamic session open at a time against a
 //! [`SessionDb`], drawing a fresh random
 //! transaction program on every arrival, driving it operation by operation
 //! (waits poll, concurrency-control aborts restart the attempt in place),
@@ -36,7 +35,6 @@
 //! boundary so tests can recover and diff against the in-memory committed
 //! prefix ([`OpenSimResult::journal`]).
 
-use crate::event::{exp_sample, Event};
 pub use crate::oracle::{check_serializable, check_strict};
 use crate::stats::Summary;
 use ccopt_engine::cc::CcKind;
@@ -292,6 +290,40 @@ impl DurableConfig {
             ..Self::new(path, mode)
         }
     }
+}
+
+/// One terminal's next wake-up, ordered by `(time, terminal)` so the
+/// event queue is deterministic in the seed.
+#[derive(PartialEq)]
+struct Event {
+    time: f64,
+    terminal: usize,
+}
+
+impl Eq for Event {}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.time
+            .partial_cmp(&other.time)
+            .expect("event times are finite")
+            .then(self.terminal.cmp(&other.terminal))
+    }
+}
+
+/// Exponential sample with the given mean (think times).
+fn exp_sample(rng: &mut SmallRng, mean: f64) -> f64 {
+    if mean <= 0.0 {
+        return 0.0;
+    }
+    let u: f64 = rng.gen_range(1e-12..1.0);
+    -mean * u.ln()
 }
 
 /// One terminal of the open-world machine.

@@ -1,80 +1,26 @@
-//! Parameterized workload families for the experiments.
+//! The long-readers transaction system: the workload where the
+//! multi-version vs. single-version gap is widest.
 
 use ccopt_model::expr::Expr;
 use ccopt_model::ic::TrueIc;
 use ccopt_model::interp::ExprInterpretation;
-use ccopt_model::random::{random_system, RandomConfig};
 use ccopt_model::syntax::SyntaxBuilder;
 use ccopt_model::system::{StateSpace, TransactionSystem};
-use ccopt_model::systems;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// A named workload family generating systems per seed.
-#[derive(Clone, Debug)]
-pub enum Workload {
-    /// `n` transactions, `steps` steps each, over `vars` uniformly chosen
-    /// variables.
-    Uniform {
-        /// Number of transactions (the multiprogramming level).
-        n: usize,
-        /// Steps per transaction.
-        steps: usize,
-        /// Number of variables.
-        vars: usize,
-    },
-    /// Like `Uniform` but a fraction of accesses hit variable 0.
-    Hotspot {
-        /// Number of transactions.
-        n: usize,
-        /// Steps per transaction.
-        steps: usize,
-        /// Number of variables.
-        vars: usize,
-        /// Probability that a step accesses the hot variable.
-        hot: f64,
-    },
-    /// Read-mostly: a fraction of steps are pure reads.
-    ReadMostly {
-        /// Number of transactions.
-        n: usize,
-        /// Steps per transaction.
-        steps: usize,
-        /// Number of variables.
-        vars: usize,
-        /// Fraction of read steps.
-        reads: f64,
-    },
-    /// A few many-step read-only transactions scanning the variables over a
-    /// write-heavy background of short updaters. The readers come first
-    /// (transaction ids `0..readers`), so multi-version mechanisms give
-    /// them the oldest snapshots: this is the workload where the
-    /// multi-version vs. single-version gap is widest — MVTO readers finish
-    /// with zero waits and zero aborts while 2PL blocks them behind writer
-    /// locks and T/O aborts them on late conflicts.
-    LongReaders {
-        /// Number of read-only transactions (ids `0..readers`).
-        readers: usize,
-        /// Read steps per reader (its scan length).
-        read_steps: usize,
-        /// Number of background updater transactions.
-        writers: usize,
-        /// Update steps per writer.
-        write_steps: usize,
-        /// Number of variables. Each reader strides across the set (full
-        /// coverage when `read_steps >= vars`); each writer draws a random
-        /// `write_steps`-sized footprint from it.
-        vars: usize,
-    },
-    /// The Section 2 banking example (fixed, seed-independent).
-    Banking,
-}
-
-/// Build the `LongReaders` system: deterministic reader scans over the
-/// variable set, seeded random updater footprints with affine step
-/// functions.
-fn long_readers_system(
+/// `readers` many-step read-only transactions scanning the variables over
+/// a write-heavy background of `writers` short updaters. The readers come
+/// first (transaction ids `0..readers`), so multi-version mechanisms give
+/// them the oldest snapshots: MVTO readers finish with zero waits and zero
+/// aborts while 2PL blocks them behind writer locks and T/O aborts them on
+/// late conflicts.
+///
+/// Each reader strides `read_steps` reads across the `vars` variables
+/// (full coverage when `read_steps >= vars`); each writer draws a seeded
+/// random `write_steps`-sized footprint of affine updates.
+pub fn long_readers_system(
     readers: usize,
     read_steps: usize,
     writers: usize,
@@ -126,163 +72,13 @@ fn long_readers_system(
     )
 }
 
-impl Workload {
-    /// Instantiate the workload for a seed.
-    pub fn instantiate(&self, seed: u64) -> TransactionSystem {
-        match *self {
-            Workload::Uniform { n, steps, vars } => random_system(
-                &RandomConfig {
-                    num_txns: n,
-                    steps_per_txn: (steps, steps),
-                    num_vars: vars,
-                    read_fraction: 0.0,
-                    hot_fraction: 0.0,
-                    num_check_states: 2,
-                    value_range: (-3, 3),
-                },
-                seed,
-            ),
-            Workload::Hotspot {
-                n,
-                steps,
-                vars,
-                hot,
-            } => random_system(
-                &RandomConfig {
-                    num_txns: n,
-                    steps_per_txn: (steps, steps),
-                    num_vars: vars,
-                    read_fraction: 0.0,
-                    hot_fraction: hot,
-                    num_check_states: 2,
-                    value_range: (-3, 3),
-                },
-                seed,
-            ),
-            Workload::ReadMostly {
-                n,
-                steps,
-                vars,
-                reads,
-            } => random_system(
-                &RandomConfig {
-                    num_txns: n,
-                    steps_per_txn: (steps, steps),
-                    num_vars: vars,
-                    read_fraction: reads,
-                    hot_fraction: 0.0,
-                    num_check_states: 2,
-                    value_range: (-3, 3),
-                },
-                seed,
-            ),
-            Workload::LongReaders {
-                readers,
-                read_steps,
-                writers,
-                write_steps,
-                vars,
-            } => long_readers_system(readers, read_steps, writers, write_steps, vars, seed),
-            Workload::Banking => systems::banking(),
-        }
-    }
-
-    /// Short name for tables.
-    pub fn name(&self) -> String {
-        match *self {
-            Workload::Uniform { n, steps, vars } => format!("uniform(n={n},s={steps},v={vars})"),
-            Workload::Hotspot {
-                n,
-                steps,
-                vars,
-                hot,
-            } => {
-                format!("hotspot(n={n},s={steps},v={vars},h={hot})")
-            }
-            Workload::ReadMostly {
-                n,
-                steps,
-                vars,
-                reads,
-            } => {
-                format!("readmostly(n={n},s={steps},v={vars},r={reads})")
-            }
-            Workload::LongReaders {
-                readers,
-                read_steps,
-                writers,
-                write_steps,
-                vars,
-            } => {
-                format!("long_readers(r={readers}x{read_steps},w={writers}x{write_steps},v={vars})")
-            }
-            Workload::Banking => "banking".to_string(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn workloads_instantiate_deterministically() {
-        let w = Workload::Uniform {
-            n: 3,
-            steps: 2,
-            vars: 2,
-        };
-        let a = w.instantiate(5);
-        let b = w.instantiate(5);
-        assert_eq!(a.syntax, b.syntax);
-        assert_eq!(a.format(), vec![2, 2, 2]);
-    }
-
-    #[test]
-    fn hotspot_concentrates_accesses() {
-        let w = Workload::Hotspot {
-            n: 4,
-            steps: 3,
-            vars: 8,
-            hot: 1.0,
-        };
-        let sys = w.instantiate(1);
-        for t in &sys.syntax.transactions {
-            for s in &t.steps {
-                assert_eq!(s.var.0, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn read_mostly_has_reads() {
-        let w = Workload::ReadMostly {
-            n: 3,
-            steps: 4,
-            vars: 3,
-            reads: 0.9,
-        };
-        let sys = w.instantiate(3);
-        let reads = sys
-            .syntax
-            .transactions
-            .iter()
-            .flat_map(|t| &t.steps)
-            .filter(|s| s.kind == ccopt_model::syntax::StepKind::Read)
-            .count();
-        assert!(reads > 0);
-    }
-
-    #[test]
     fn long_readers_shape_is_readers_then_writers() {
-        let w = Workload::LongReaders {
-            readers: 2,
-            read_steps: 6,
-            writers: 3,
-            write_steps: 2,
-            vars: 4,
-        };
-        let sys = w.instantiate(9);
+        let sys = long_readers_system(2, 6, 3, 2, 4, 9);
         assert_eq!(sys.num_txns(), 5);
         // Readers first: ids 0..2 are pure reads covering the variable set.
         for t in &sys.syntax.transactions[..2] {
@@ -300,22 +96,10 @@ mod tests {
                 .all(|s| s.kind == ccopt_model::syntax::StepKind::Update));
         }
         // Deterministic in the seed.
-        assert_eq!(w.instantiate(9).syntax, sys.syntax);
+        assert_eq!(long_readers_system(2, 6, 3, 2, 4, 9).syntax, sys.syntax);
         // Executable.
         ccopt_model::exec::Executor::new(&sys)
             .verify_basic_assumption()
             .unwrap();
-    }
-
-    #[test]
-    fn names_are_informative() {
-        assert!(Workload::Banking.name().contains("banking"));
-        assert!(Workload::Uniform {
-            n: 2,
-            steps: 2,
-            vars: 2
-        }
-        .name()
-        .contains("n=2"));
     }
 }

@@ -10,20 +10,10 @@
 use ccopt_engine::cc::{ConcurrencyControl, MvtoCc, Strict2plCc, TimestampCc};
 use ccopt_engine::db::Database;
 use ccopt_model::ids::TxnId;
-use ccopt_sim::workload::Workload;
+use ccopt_sim::workload::long_readers_system;
 
 const READERS: usize = 2;
 const VARS: usize = 8;
-
-fn workload() -> Workload {
-    Workload::LongReaders {
-        readers: READERS,
-        read_steps: 10,
-        writers: 6,
-        write_steps: 4,
-        vars: VARS,
-    }
-}
 
 /// Drive one instantiation for up to `max_rounds` sweeps; return the
 /// database, whether it fully committed, and per-reader (attempts, waits).
@@ -35,7 +25,7 @@ fn run(
     seed: u64,
     max_rounds: usize,
 ) -> (Database, bool, Vec<(u32, u32)>) {
-    let sys = workload().instantiate(seed);
+    let sys = long_readers_system(READERS, 10, 6, 4, VARS, seed);
     let init = sys.space.initial_states[0].clone();
     let ids: Vec<TxnId> = (0..sys.num_txns() as u32).map(TxnId).collect();
     let mut db = Database::new(sys, cc, init);

@@ -10,7 +10,7 @@ use ccopt::core::fixpoint::fixpoint_ratio;
 use ccopt::engine::CcKind;
 use ccopt::model::systems;
 use ccopt::schedulers::suite::with_weak;
-use ccopt::sim::engine_sim::{simulate_engine, SimConfig};
+use ccopt::sim::open_sim::{simulate_open, OpenSimConfig};
 use ccopt::sim::report::{f3, pct, Table};
 
 fn main() {
@@ -26,24 +26,33 @@ fn main() {
     }
     println!("{t}");
 
-    // Axis 2: engine simulation on a contended workload.
-    let hot = systems::hotspot(4, 2);
-    let cfg = SimConfig {
-        batches: 16,
-        ..SimConfig::default()
+    // Axis 2: four users at terminals updating one hot variable.
+    let hot = OpenSimConfig {
+        terminals: 4,
+        total_txns: 64,
+        vars: 1,
+        steps: (2, 2),
+        read_fraction: 0.0,
+        ..OpenSimConfig::default()
     };
     let mut t = Table::new(
-        "engine simulation on hotspot(4 txns x 2 steps)",
-        &["cc", "throughput", "avg response", "avg waiting", "aborts"],
+        "engine simulation on a hotspot (4 users x 2 steps, one variable)",
+        &[
+            "cc",
+            "throughput",
+            "avg response",
+            "waits/commit",
+            "aborts/commit",
+        ],
     );
     for kind in CcKind::ALL {
-        let r = simulate_engine(&hot, kind, &cfg);
+        let r = simulate_open(kind, &hot);
         t.row(&[
             r.cc_name.clone(),
             f3(r.throughput),
-            f3(r.response.mean),
-            f3(r.waiting.mean),
-            r.aborts.to_string(),
+            f3(r.latency.mean),
+            f3(r.waits as f64 / r.committed.max(1) as f64),
+            f3(r.abort_rate),
         ]);
     }
     println!("{t}");

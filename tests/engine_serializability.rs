@@ -86,11 +86,11 @@ proptest! {
             let name = kind.name();
             let mut db = Database::new(sys.clone(), kind.build(), init.clone());
             let stats = db.run_round_robin(&ids, 3000).expect("completes");
-            prop_assert_eq!(stats.metrics.commits, sys.num_txns(), "{}", name);
+            prop_assert_eq!(stats.commits, sys.num_txns(), "{}", name);
             // Each commit requires at least its steps to have executed.
             let min_steps: usize = sys.format().iter().map(|&m| m as usize).sum();
-            prop_assert!(stats.metrics.steps_executed >= min_steps);
-            prop_assert!(stats.metrics.mv_write_aborts <= stats.metrics.aborts, "{}", name);
+            prop_assert!(stats.steps_executed >= min_steps);
+            prop_assert!(stats.mv_write_aborts <= stats.aborts, "{}", name);
         }
     }
 
@@ -106,6 +106,6 @@ proptest! {
         let mut db = Database::new(sys.clone(), CcKind::Si.build(), init);
         let stats = db.run_round_robin(&ids, 3000).expect("SI completes");
         prop_assert!(db.all_committed());
-        prop_assert_eq!(stats.metrics.commits, sys.num_txns());
+        prop_assert_eq!(stats.commits, sys.num_txns());
     }
 }
