@@ -30,7 +30,7 @@
 //! * the **sharded** grid (`sharded`): the same open-world streams over a
 //!   [`ccopt_engine::ShardedDb`], swept over shard count × cross-shard
 //!   ratio — single-shard fast-path commits vs. two-phase cross-shard
-//!   commits on real per-shard worker threads. Every sampled history
+//!   commits on real per-shard workers. Every sampled history
 //!   passes the serializability oracle (SI exempt), and the `S = 1` cells
 //!   are asserted **equal** to the open-world `none` cells: the sharding
 //!   layer adds no simulated-time distortion;
@@ -75,6 +75,7 @@ use ccopt_sim::report::{f3, Table};
 use ccopt_sim::shard_sim::{
     simulate_sharded, simulate_sharded_faulty, FaultPlan, ShardDurableConfig, ShardSimConfig,
 };
+use std::io::Write;
 
 /// One open-world grid cell: the simulator's result under its labels.
 struct OpenCell {
@@ -499,7 +500,6 @@ fn main() {
         ),
     )
     .expect("write BENCH_engine.json");
-    println!("wrote {path}");
 
     let mut open_table = Table::new(
         "open-world session streams (per CC x workload x durability)",
@@ -544,7 +544,6 @@ fn main() {
                 .map_or_else(|| "-".to_string(), |&(v, _, _)| format!("v{v}")),
         ]);
     }
-    println!("{open_table}");
 
     let mut shard_table = Table::new(
         "sharded session streams (per CC x shards x cross-ratio; S=1 == open-world)",
@@ -583,7 +582,6 @@ fn main() {
             c.r.peak_live_versions.to_string(),
         ]);
     }
-    println!("{shard_table}");
 
     let mut degraded_table = Table::new(
         "degraded mode (durable 2-shard stream through a mid-run shard panic)",
@@ -605,7 +603,6 @@ fn main() {
             c.r.recovery_replayed.to_string(),
         ]);
     }
-    println!("{degraded_table}");
 
     let mut tax_table = Table::new(
         "batched messaging (S=1 mailbox round-trips, per-op vs grouped)",
@@ -620,7 +617,25 @@ fn main() {
             c.grouped_msgs.to_string(),
         ]);
     }
-    println!("{tax_table}");
+
+    // A reader that closes stdout early (`throughput | head -1`) is done
+    // reading, which is no failure: the file is already written.
+    let tables = [open_table, shard_table, degraded_table, tax_table];
+    if let Err(e) = print_report(path, &tables) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            panic!("write to stdout: {e}");
+        }
+    }
+}
+
+/// The report on stdout: where the file went, then every table.
+fn print_report(path: &str, tables: &[Table]) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "wrote {path}")?;
+    for table in tables {
+        writeln!(out, "{table}")?;
+    }
+    out.flush()
 }
 
 /// Encode a contention table as a JSON array of rows.

@@ -3,16 +3,17 @@
 //! (`ShardedDb::twopc_scatter`), plus the direct shard-kill and
 //! storage-fault hooks. `docs/FAULTS.md` lists the whole surface.
 //!
-//! The two-phase fan-out stays **concurrent** while a script is armed:
-//! the coordinator hands a round's jobs over in shard order and consults
-//! the script as each one is handed over, so "kill every log before
-//! action `n`" and "panic job `n`" land at a fixed position in every
-//! shard's FIFO mailbox — behind the jobs handed over before the
-//! boundary, ahead of those after it — whatever the threads' relative
-//! speed. A round of one job (the coordinator resolve; at `S = 2` the
-//! participant resolve too) runs on the coordinator's thread whenever its
-//! mailbox is empty, so its scripted panic unwinds there and is caught at
-//! the shard's fault boundary — the coordinator survives it.
+//! A script changes no thread assignment: a durable vote round stays
+//! **concurrent** while one is armed. The coordinator hands a round's
+//! jobs over in shard order and consults the script as each one is
+//! handed over, so "kill every log before action `n`" and "panic job
+//! `n`" land at a fixed position in every shard's FIFO mailbox — behind
+//! the jobs handed over before the boundary, ahead of those after it —
+//! whatever the threads' relative speed. Every job that runs on the
+//! coordinator's thread (the last vote of a durable round, every job of
+//! a volatile round, every resolve) unwinds its scripted panic there,
+//! where it is caught at the shard's fault boundary — the coordinator
+//! survives it.
 
 use super::jobs::gather;
 use super::ShardedDb;
@@ -45,7 +46,7 @@ impl Inject {
             if !self.dead && self.crash_budget.is_some_and(|n| self.twopc_actions >= n) {
                 self.dead = true;
                 let kill = |db: &mut SessionDb| db.wal_crash_after_records(0);
-                gather(workers, (0..workers.len()).map(|s| (s, kill)));
+                gather(workers, false, (0..workers.len()).map(|s| (s, kill)));
             }
             self.twopc_actions += 1;
         }
@@ -62,9 +63,10 @@ impl ShardedDb {
     /// actions **from this call on** — each participant's prepare fsync
     /// and each coordinator resolve fsync counts one, in shard order —
     /// then kill **every** shard log at that boundary, as a coordinator
-    /// process crash would. The fan-out stays concurrent: the kill is
-    /// submitted between the jobs of actions `n - 1` and `n`, and each
-    /// shard's FIFO mailbox runs it in exactly that position.
+    /// process crash would. The vote round keeps its threads: the kill is
+    /// handed to every shard between the jobs of actions `n - 1` and `n`
+    /// (behind a vote still queued there), so each shard runs it in
+    /// exactly that position.
     pub fn crash_after_2pc_actions(&mut self, n: u64) {
         self.inject.crash_budget = Some(n);
         self.inject.twopc_actions = 0;
@@ -72,9 +74,11 @@ impl ShardedDb {
 
     /// Fault injection (tests): let `n` two-phase-commit jobs (votes,
     /// coordinator resolve, participant resolves — in protocol order,
-    /// shard order within a round) run **from this call on**, then
-    /// submit a panic in place of the next one. The other jobs of its
-    /// round still run, concurrently, on their own shards.
+    /// shard order within a round) run **from this call on**, then hand
+    /// over a panic in place of the next one. The other jobs of its round
+    /// still run, on the threads they would have run on: a durable vote
+    /// round's all-but-last on their shards, everything else on the
+    /// coordinator's thread.
     pub fn panic_after_2pc_jobs(&mut self, n: u64) {
         self.inject.panic_at_2pc_job = Some(n);
         self.inject.twopc_jobs = 0;

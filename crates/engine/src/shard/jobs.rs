@@ -14,19 +14,22 @@ use ccopt_trace::{ConflictRule, EventKind};
 /// order (`Err`: the worker was dead, or died before answering).
 pub(super) type Replies<R> = Vec<(usize, Result<R, WorkerError>)>;
 
-/// The scatter/gather primitive — the one place that decides whether a
-/// shard job runs inline or queued. A fan-out of one is a
-/// [`Worker::call`]: it runs right here under the shard's ownership
-/// token when that mailbox is empty, behind the queued jobs otherwise,
-/// since the coordinator would only block on its reply. A wider fan-out
-/// submits each `(shard, job)` to its shard's mailbox, then waits for
-/// every reply, both in iteration order, and the shards run their jobs
-/// concurrently. `jobs` is pulled as each job is handed over, so
-/// whatever producing a later job does to other mailboxes lands behind
-/// the jobs already handed over there — per-shard FIFO mailboxes make
-/// every such boundary deterministic.
+/// The scatter/gather primitive — the one place that decides which
+/// thread runs a shard job. A job goes to another thread only when that
+/// thread can overlap an fsync with the coordinator's: with `overlap` (a
+/// round whose jobs force a log write, on a database with logs) every job
+/// but the last is submitted to its shard's mailbox and runs on that
+/// shard's thread, the last runs here, and the replies are collected in
+/// iteration order. Without `overlap` every job runs here, in iteration
+/// order. "Here" is a [`Worker::call`]: under the shard's ownership token
+/// when that mailbox is empty, behind the queued jobs otherwise. `jobs`
+/// is pulled as each job is handed over, so whatever producing a later
+/// job does to other mailboxes lands behind the jobs already handed over
+/// there — per-shard FIFO mailboxes make every such boundary
+/// deterministic.
 pub(super) fn gather<R, F>(
     workers: &[Worker<SessionDb>],
+    overlap: bool,
     jobs: impl IntoIterator<Item = (usize, F), IntoIter: ExactSizeIterator>,
 ) -> Replies<R>
 where
@@ -34,14 +37,19 @@ where
     F: FnOnce(&mut SessionDb) -> R + Send + 'static,
 {
     let mut jobs = jobs.into_iter();
-    if jobs.len() == 1 {
-        let (s, job) = jobs.next().expect("a fan-out of one");
-        return vec![(s, workers[s].call(job))];
+    if !overlap {
+        return jobs.map(|(s, job)| (s, workers[s].call(job))).collect();
     }
-    let pending: Vec<_> = jobs.map(|(s, job)| (s, workers[s].submit(job))).collect();
+    let queued = jobs.len().saturating_sub(1);
+    let pending: Vec<_> = (&mut jobs)
+        .take(queued)
+        .map(|(s, job)| (s, workers[s].submit(job)))
+        .collect();
+    let last = jobs.next().map(|(s, job)| (s, workers[s].call(job)));
     pending
         .into_iter()
         .map(|(s, reply)| (s, reply.and_then(Reply::wait)))
+        .chain(last)
         .collect()
 }
 
@@ -177,13 +185,14 @@ impl ShardedDb {
     /// under a fan-out still in flight.
     pub(super) fn scatter<R, F>(
         &mut self,
+        overlap: bool,
         jobs: impl IntoIterator<Item = (usize, F), IntoIter: ExactSizeIterator>,
     ) -> Replies<R>
     where
         R: Send + 'static,
         F: FnOnce(&mut SessionDb) -> R + Send + 'static,
     {
-        let replies = gather(&self.workers, jobs);
+        let replies = gather(&self.workers, overlap, jobs);
         self.supervise_dead(&replies);
         replies
     }
@@ -217,10 +226,10 @@ impl ShardedDb {
     }
 
     /// The general access primitive: routes the step to the shard owning
-    /// `var` (translating to its local id) and runs it on that shard's
-    /// thread as a one-operation job of the shard-job executor — so the
-    /// transaction's lazy begin on a shard it had not touched rides the
-    /// same message. Semantics of the returned [`Op`] mirror
+    /// `var` (translating to its local id) and runs it under that shard's
+    /// ownership token as a one-operation job of the shard-job executor —
+    /// so the transaction's lazy begin on a shard it had not touched rides
+    /// the same message. Semantics of the returned [`Op`] mirror
     /// [`SessionDb::apply`]; a shard-level restart restarts the **whole**
     /// global transaction (every shard's sub-transaction rolls back) and
     /// the client replays its program against a fresh global timestamp.
@@ -553,7 +562,7 @@ impl ShardedDb {
             }
             outs
         };
-        let Some((_, Ok(outs))) = self.scatter([(si, job)]).pop() else {
+        let Some((_, Ok(outs))) = self.scatter(false, [(si, job)]).pop() else {
             // The shard worker died running (or queued behind) this
             // message, and the scatter supervised the crash — restarted
             // the shard from its log, failed every transaction with state

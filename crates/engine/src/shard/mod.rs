@@ -4,15 +4,16 @@
 //! [`ShardedDb`] splits the variable universe across `S` independent
 //! [`SessionDb`] shards — each with its own concurrency-control instance,
 //! store, and (optionally) write-ahead log — and puts every shard behind
-//! its own [`ccopt_par::Worker`]. A fan-out to several shards (a
-//! two-phase-commit vote round, a database-wide sweep) goes through the
-//! shards' mailboxes and runs on their **own OS threads**, concurrently:
-//! the first genuinely parallel execution path in the engine. A fan-out
-//! of one (every data operation, lazy begin and single-shard commit, the
-//! 2PC coordinator resolve, a lone participant resolve or rollback) has
-//! nothing to overlap with, so it is a call: it runs on the calling
-//! thread under the shard's ownership token whenever that shard's
-//! mailbox is empty. A transaction
+//! its own [`ccopt_par::Worker`]. A shard job goes to the shard's **own
+//! OS thread** only when that thread can overlap an fsync with the
+//! coordinator's: on a database with logs, every job but the last of a
+//! prepare-vote round, a `sync` or a `checkpoint` goes through the
+//! shard's mailbox, and the shards force their logs concurrently — the
+//! engine's one parallel execution path. Every other job (data
+//! operations, lazy begins, single-shard commits, resolves, retires,
+//! rollbacks, statistics, and a volatile database's votes) is a call: it
+//! runs on the calling thread under the shard's ownership token whenever
+//! that shard's mailbox is empty, in order. A transaction
 //! whose footprint stays inside one shard runs entirely locally (the
 //! common case a good partitioning maximizes); a cross-shard transaction
 //! commits through a **two-phase commit**:
@@ -20,7 +21,7 @@
 //! 1. *Prepare*: every touched shard runs its ordinary concurrency-control
 //!    commit decision ([`SessionDb::prepare_commit`]) and forces a prepare
 //!    record — the write-set under the global transaction id — to its own
-//!    log. Votes fan out to the shard threads in parallel.
+//!    log. With logs, the votes' fsyncs overlap across the shard threads.
 //! 2. *Resolve*: once every shard voted yes, the **coordinator shard**
 //!    (the lowest touched index) logs and fsyncs a resolve record — the
 //!    atomic commit point — after which the remaining shards apply their
@@ -214,7 +215,8 @@ pub struct ShardedRecoveryInfo {
 /// The public API mirrors [`SessionDb`] (begin / per-operation access /
 /// commit / abort / retire, epoch-guarded handles, `Op`-shaped outcomes)
 /// and is driven by one coordinator at a time (`&mut self`); parallelism
-/// lives *inside* calls, fanning work out to the shard threads.
+/// lives *inside* calls, where durable vote, `sync` and `checkpoint`
+/// rounds overlap their fsyncs on the shard threads.
 pub struct ShardedDb {
     workers: Vec<Worker<SessionDb>>,
     partition: Partition,
@@ -542,7 +544,7 @@ impl ShardedDb {
                 Some((s, retire))
             })
             .collect();
-        let retired = self.scatter(jobs);
+        let retired = self.scatter(false, jobs);
         self.shard_msgs += retired.iter().filter(|(_, r)| r.is_ok()).count();
         self.retires += 1;
         self.free_slot(ti);
@@ -737,22 +739,23 @@ impl ShardedDb {
 
     // ------------------------------------------------------------ internals
 
-    /// Ask every shard the same read-only question, concurrently; a dead
-    /// or down shard answers nothing (and, behind `&self`, is left for
-    /// the next mutating call to supervise).
+    /// Ask every shard the same read-only question, in shard order, on
+    /// this thread; a dead or down shard answers nothing (and, behind
+    /// `&self`, is left for the next mutating call to supervise).
     fn ask<R: Send + 'static>(&self, question: fn(&mut SessionDb) -> R) -> impl Iterator<Item = R> {
         let shards = 0..self.workers.len();
-        gather(&self.workers, shards.map(|s| (s, question)))
+        gather(&self.workers, false, shards.map(|s| (s, question)))
             .into_iter()
             .filter_map(|(_, reply)| reply.ok())
     }
 
-    /// [`scatter`](Self::scatter) the same job to every shard (a
-    /// permanently down shard's worker is shut down: it answers `Err`
+    /// [`scatter`](Self::scatter) the same log job (`sync`, `checkpoint`)
+    /// to every shard, overlapping the shards' fsyncs when there are logs
+    /// (a permanently down shard's worker is shut down: it answers `Err`
     /// and its supervision is a no-op).
     fn scatter_all<R: Send + 'static>(&mut self, job: fn(&mut SessionDb) -> R) -> jobs::Replies<R> {
         let shards = 0..self.workers.len();
-        self.scatter(shards.map(|s| (s, job)))
+        self.scatter(self.durable.is_some(), shards.map(|s| (s, job)))
     }
 
     fn slot_of(&self, h: GlobalTxn) -> Result<usize, SessionError> {
@@ -816,7 +819,7 @@ impl ShardedDb {
                 .filter(|&s| locals[s].is_none() && !self.down[s])
                 .collect();
             let ask = move |db: &mut SessionDb| f(db);
-            for (s, local) in self.scatter(missing.into_iter().map(|s| (s, ask))) {
+            for (s, local) in self.scatter(false, missing.into_iter().map(|s| (s, ask))) {
                 locals[s] = local.ok();
             }
         }
@@ -848,7 +851,7 @@ impl ShardedDb {
                 (s, move |db: &mut SessionDb| db.set_tracer(tracer))
             })
             .collect();
-        gather(&self.workers, attach);
+        gather(&self.workers, false, attach);
         self.coord_tracer = hub.tracer(self.workers.len() as u32);
         self.trace_hub = Some(hub);
         Ok(())
@@ -883,7 +886,7 @@ impl ShardedDb {
         // global top-n.
         let local = move |db: &mut SessionDb| db.top_contended(n);
         let shards = 0..self.workers.len();
-        let mut rows: Vec<VarContention> = gather(&self.workers, shards.map(|s| (s, local)))
+        let mut rows: Vec<VarContention> = gather(&self.workers, false, shards.map(|s| (s, local)))
             .into_iter()
             .flat_map(|(s, rows)| {
                 let owned = self.partition.shard_vars(s);

@@ -222,7 +222,7 @@ impl ShardedDb {
             .collect();
         // Not supervised (this *is* the supervisor): a survivor that dies
         // here is found by its own next interaction.
-        gather(&self.workers, resolves);
+        gather(&self.workers, false, resolves);
         self.land(ti, true);
     }
 
@@ -269,7 +269,7 @@ impl ShardedDb {
                 (s != crashed).then_some((s, rollback))
             })
             .collect();
-        gather(&self.workers, rollbacks);
+        gather(&self.workers, false, rollbacks);
         let sl = &mut self.slots[ti];
         sl.subs.fill(SubState::Absent);
         sl.touched.clear();

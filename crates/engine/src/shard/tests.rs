@@ -8,6 +8,7 @@ impl ShardedDb {
     fn set_retry_policy(&mut self, retry: RetryPolicy) {
         gather(
             &self.workers,
+            false,
             (0..self.workers.len()).map(|s| (s, move |db: &mut SessionDb| db.wal_set_retry(retry))),
         );
     }
@@ -726,12 +727,15 @@ fn scatter_collects_live_replies_and_supervises_the_dead_after_the_gather() {
     db.set_trace(&TraceConfig::ring(16)).unwrap();
     db.panic_shard(1); // the dead shard sits between the two live targets
     assert_eq!(restarts(&db), 0, "nothing touched the dead shard yet");
-    let replies = db.scatter((0..3).map(|s| {
-        (s, move |db: &mut SessionDb| {
-            db.begin();
-            s
-        })
-    }));
+    let replies = db.scatter(
+        false,
+        (0..3).map(|s| {
+            (s, move |db: &mut SessionDb| {
+                db.begin();
+                s
+            })
+        }),
+    );
     assert_eq!(
         replies,
         vec![(0, Ok(0)), (1, Err(ccopt_par::WorkerError)), (2, Ok(2))],
@@ -753,23 +757,12 @@ fn scatter_collects_live_replies_and_supervises_the_dead_after_the_gather() {
         );
     }
     // The respawned worker answers the next scatter.
-    let replies = db.scatter((0..3).map(|s| (s, |db: &mut SessionDb| db.num_slots())));
+    let replies = db.scatter(
+        false,
+        (0..3).map(|s| (s, |db: &mut SessionDb| db.num_slots())),
+    );
     assert!(replies.iter().all(|(_, r)| r.is_ok()), "got {replies:?}");
     assert_eq!(restarts(&db), 1);
-}
-
-#[test]
-fn shard_workers_are_named_at_construction_and_at_respawn() {
-    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 4]), 2);
-    let name = |_: &mut SessionDb| std::thread::current().name().map(String::from);
-    let expect = vec![
-        (0, Ok(Some("ccopt-shard-0".to_string()))),
-        (1, Ok(Some("ccopt-shard-1".to_string()))),
-    ];
-    assert_eq!(db.scatter((0..2).map(|s| (s, name))), expect);
-    db.panic_shard(1);
-    assert_eq!(db.check_shards(), 1);
-    assert_eq!(db.scatter((0..2).map(|s| (s, name))), expect);
 }
 
 /// The name of the thread running this code.
@@ -778,16 +771,62 @@ fn thread_name() -> Option<String> {
 }
 
 #[test]
-fn lone_fan_out_runs_on_the_calling_thread_of_an_idle_shard() {
+fn shard_workers_are_named_at_construction_and_at_respawn() {
     let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 4]), 2);
+    // A queued job runs on the shard's own thread.
+    let names = |db: &ShardedDb| -> Vec<Option<String>> {
+        let queued = db.workers.iter().map(|w| w.submit(|_| thread_name()));
+        queued.map(|r| r.unwrap().wait().unwrap()).collect()
+    };
+    let expect = vec![
+        Some("ccopt-shard-0".to_string()),
+        Some("ccopt-shard-1".to_string()),
+    ];
+    assert_eq!(names(&db), expect);
+    db.panic_shard(1);
+    assert_eq!(db.check_shards(), 1);
+    assert_eq!(names(&db), expect);
+}
+
+#[test]
+fn volatile_fan_out_runs_in_order_on_the_calling_thread() {
+    thread_local!(static RAN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 6]), 3);
+    let here = thread_name();
+    assert!(here.is_some(), "the test harness names its threads");
+    // Without logs a `sync` round has no fsync to overlap: each probe
+    // runs here, and counts on this thread's counter, in shard order.
+    let probe = |_: &mut SessionDb| (thread_name(), RAN.with(|n| n.replace(n.get() + 1)));
+    let replies = db.scatter_all(probe);
+    let expect: Vec<_> = (0..3).map(|s| (s, Ok((here.clone(), s)))).collect();
+    assert_eq!(replies, expect);
+    assert!(
+        db.workers.iter().all(|w| w.queue_len() == 0),
+        "nothing queued"
+    );
+}
+
+#[test]
+fn lone_fan_out_runs_on_the_calling_thread_of_an_idle_shard() {
+    let dir = ccopt_durability::scratch_path("shard-lone-fan-out");
+    let _ = std::fs::remove_dir_all(&dir);
+    let init = GlobalState::from_ints(&[0; 4]);
+    let mode = DurabilityMode::Strict;
+    let mut db = ShardedDb::open(CcKind::Strict2pl, init, &dir, mode, 2, 0).unwrap();
     let name = |_: &mut SessionDb| thread_name();
     let here = thread_name();
     assert!(here.is_some(), "the test harness names its threads");
-    // A wider fan-out first: its collected replies have left the
-    // mailboxes, so the shard is idle again.
-    assert_eq!(db.scatter((0..2).map(|s| (s, name))).len(), 2);
-    assert_eq!(db.scatter([(1, name)]), vec![(1, Ok(here))]);
-    assert_eq!(db.workers[1].queue_len(), 0, "the lone job never queued");
+    // An overlapping fan-out first (a durable `sync` round): shard 0's
+    // job is queued and its collected reply has left the mailbox, so the
+    // shard is idle again.
+    let shard0 = Some("ccopt-shard-0".to_string());
+    let overlapped = vec![(0, Ok(shard0)), (1, Ok(here.clone()))];
+    assert_eq!(db.scatter_all(name), overlapped);
+    // A lone job, even of an overlapping round, is the last: a call.
+    assert_eq!(db.scatter(true, [(0, name)]), vec![(0, Ok(here))]);
+    assert_eq!(db.workers[0].queue_len(), 0, "the lone job never queued");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -807,7 +846,9 @@ fn lone_fan_out_behind_a_stalled_job_runs_queued_after_it() {
             gate.send(()).unwrap();
         });
         let lone = |db: &mut SessionDb| (thread_name(), db.open_sessions());
-        let (s, reply) = gather(workers, [(1, lone)]).pop().expect("one reply");
+        let (s, reply) = gather(workers, false, [(1, lone)])
+            .pop()
+            .expect("one reply");
         assert_eq!(s, 1);
         reply.expect("the shard is alive")
     });
@@ -873,6 +914,89 @@ fn lone_fan_out_2pc_panic_unwinds_on_the_calling_thread() {
     assert_eq!((info.in_doubt_committed, info.in_doubt_aborted), (0, 0));
     let g = db.globals();
     assert_eq!((g.0[a.index()], g.0[b.index()]), (int(1), int(1)));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn volatile_2pc_fan_out_panic_unwinds_on_the_calling_thread() {
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 8]), 2);
+    let (a, b) = split_pair(&db);
+    let here = thread_name();
+    assert!(here.is_some(), "the test harness names its threads");
+    bomb_threads();
+    // Job 0 is shard 0's vote. Without logs the votes have no fsync to
+    // overlap, so both run on this thread, in shard order.
+    db.panic_after_2pc_jobs(0);
+    let h = db.begin();
+    assert_eq!(db.write(h, a, int(5)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.write(h, b, int(6)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.commit(h), Err(SessionError::ShardDown));
+    assert!(
+        bomb_threads().lock().unwrap().contains(&here),
+        "the bomb went off on this thread, which survived it"
+    );
+    let restarted: Vec<u64> = db.shard_statuses().iter().map(|st| st.restarts).collect();
+    assert_eq!(restarted, vec![1, 0], "shard 0 was supervised once");
+    abort_failed(&mut db, h, a);
+    // Shard 1's yes vote was revoked; it keeps serving, and the
+    // respawned shard 0 serves again.
+    bump(&mut db, &[b]);
+    bump(&mut db, &[a, b]);
+    let g = db.globals();
+    assert_eq!((g.0[a.index()], g.0[b.index()]), (int(1), int(2)));
+    assert_eq!(restarts(&db), 1);
+}
+
+#[test]
+fn durable_vote_fan_out_overlaps_all_but_the_last() {
+    let dir = ccopt_durability::scratch_path("shard-durable-vote-overlap");
+    let _ = std::fs::remove_dir_all(&dir);
+    let init = GlobalState::from_ints(&[0; 8]);
+    let mode = DurabilityMode::Strict;
+    let mut db = ShardedDb::open(CcKind::Strict2pl, init.clone(), &dir, mode, 2, 0).unwrap();
+    let (a, b) = split_pair(&db);
+    let here = thread_name();
+    assert!(here.is_some(), "the test harness names its threads");
+    bomb_threads();
+    bump(&mut db, &[a, b]);
+    // Each vote forces an fsync: job 0 (shard 0's vote) is queued on its
+    // shard's thread, job 1 (the last vote) runs on this one.
+    let shard0 = Some("ccopt-shard-0".to_string());
+    for (job, thread) in [(0, shard0), (1, here.clone())] {
+        db.panic_after_2pc_jobs(job);
+        let h = db.begin();
+        assert_eq!(db.write(h, a, int(5)).unwrap(), Op::Done(int(1)));
+        assert_eq!(db.write(h, b, int(6)).unwrap(), Op::Done(int(1)));
+        assert_eq!(db.commit(h), Err(SessionError::ShardDown));
+        let bombs = bomb_threads().lock().unwrap().clone();
+        assert!(bombs.contains(&thread), "job {job} went off on {thread:?}");
+        if job == 0 {
+            assert!(!bombs.contains(&here), "job 0 did not run on this thread");
+        }
+        abort_failed(&mut db, h, a);
+        let g = db.globals();
+        assert_eq!(
+            (g.0[a.index()], g.0[b.index()]),
+            (int(1), int(1)),
+            "job {job}"
+        );
+    }
+    let restarted: Vec<u64> = db.shard_statuses().iter().map(|st| st.restarts).collect();
+    assert_eq!(
+        restarted,
+        vec![1, 1],
+        "each crashed shard was supervised once"
+    );
+    bump(&mut db, &[a, b]);
+    db.sync().unwrap();
+    drop(db);
+    // Recovery is the exact committed prefix, with nothing in doubt.
+    let mut db = ShardedDb::open(CcKind::Strict2pl, init, &dir, mode, 2, 0).unwrap();
+    let info = db.recovery_info().expect("logs were recovered");
+    assert_eq!((info.in_doubt_committed, info.in_doubt_aborted), (0, 0));
+    let g = db.globals();
+    assert_eq!((g.0[a.index()], g.0[b.index()]), (int(2), int(2)));
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -35,12 +35,15 @@ impl ShardedDb {
         shards.sort_unstable();
         let gtid = self.slots[ti].gts;
         let coord = shards[0] as u32;
-        // Phase 1 — collect the outstanding votes, every shard's
-        // (concurrency-control validation + forced prepare fsync) running
-        // concurrently on its own thread. Already-prepared shards (from a
-        // Wait-ed earlier attempt) keep their vote. Each vote reserves its
-        // own restart timestamp (a shard whose validation fails restarts
-        // its sub in place at that stamp).
+        // Phase 1 — collect the outstanding votes (concurrency-control
+        // validation + prepare record). With logs, each vote forces an
+        // fsync, so the votes overlap: every one but the last runs on its
+        // shard's thread while the last runs here. Without logs there is
+        // nothing to overlap and they all run here, in shard order.
+        // Already-prepared shards (from a Wait-ed earlier attempt) keep
+        // their vote. Each vote reserves its own restart timestamp (a
+        // shard whose validation fails restarts its sub in place at that
+        // stamp).
         let base = self.next_gts;
         let spare = move |i: usize| base + 1 + i as u64;
         let pending = shards.iter().filter_map(|&s| match self.slots[ti].subs[s] {
@@ -137,8 +140,8 @@ impl ShardedDb {
             self.decided.insert(gtid, true);
         }
         self.land(ti, true);
-        // Participants apply in parallel (a lone one, as at S = 2, on
-        // this thread); their resolve records stay buffered — if a crash
+        // Participants apply here, in shard order: their resolve records
+        // stay buffered, so there is no fsync to overlap — if a crash
         // loses one, that shard recovers in-doubt and re-derives the
         // decision from the coordinator's log.
         let participants = subs[1..].iter().map(|&(s, sub)| (s, resolve(sub, false)));
@@ -159,7 +162,8 @@ impl ShardedDb {
     /// resolves — consulting the fault-injection script
     /// ([`Inject::consult`](super::inject::Inject::consult)) as each job
     /// is handed over. `durable` marks a round of durable protocol
-    /// actions (prepare and coordinator-resolve fsyncs).
+    /// actions (prepare and coordinator-resolve fsyncs); on a database
+    /// with logs its jobs overlap their fsyncs ([`gather`]).
     fn twopc_scatter<R, F>(
         &mut self,
         durable: bool,
@@ -172,6 +176,7 @@ impl ShardedDb {
         let (workers, inject) = (&self.workers, &mut self.inject);
         let replies = gather(
             workers,
+            durable && self.durable.is_some(),
             jobs.into_iter().map(|(s, job)| {
                 let bomb = inject.consult(durable, workers);
                 let job = move |db: &mut SessionDb| {
@@ -244,9 +249,8 @@ impl ShardedDb {
     }
 
     /// Roll back every sub-transaction of slot `ti` on its shard, except
-    /// the shard `keep` (which stays touched and running). Rollbacks fan
-    /// out to the shard threads (a lone one runs on this thread) and are
-    /// collected before returning.
+    /// the shard `keep` (which stays touched and running). Rollbacks force
+    /// no log write, so they run on this thread, in shard order.
     pub(super) fn rollback_subs(&mut self, ti: usize, keep: Option<usize>) {
         // Detach the subs first: the supervision a scatter runs for a dead
         // shard must not find this transaction's state there (the sub
@@ -266,16 +270,19 @@ impl ShardedDb {
         }
         sl.touched.clear();
         sl.touched.extend(keep.map(|s| s as u32));
-        self.scatter(subs.into_iter().map(|(s, sub, prepared)| {
-            let rollback = move |db: &mut SessionDb| {
-                if prepared {
-                    db.resolve_commit(sub, false, false)
-                        .expect("sub is prepared")
-                } else {
-                    db.abort(sub).expect("sub is live")
-                }
-            };
-            (s, rollback)
-        }));
+        self.scatter(
+            false,
+            subs.into_iter().map(|(s, sub, prepared)| {
+                let rollback = move |db: &mut SessionDb| {
+                    if prepared {
+                        db.resolve_commit(sub, false, false)
+                            .expect("sub is prepared")
+                    } else {
+                        db.abort(sub).expect("sub is live")
+                    }
+                };
+                (s, rollback)
+            }),
+        );
     }
 }

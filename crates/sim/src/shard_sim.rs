@@ -339,8 +339,8 @@ impl Driver for ShardedDriver<'_> {
 
     fn commit(&mut self, h: GlobalTxn) -> Result<Op<Committed>, SessionError> {
         let view = self.db.read_view(h)?;
-        // Shard fsyncs happen on the shard threads, off the terminal's
-        // clock: the sharded grid charges no sync time.
+        // Shard fsyncs stay off the terminal's simulated clock: the
+        // sharded grid charges no sync time.
         Ok(self.db.commit(h)?.map_done(|()| {
             self.db.retire(h).expect("committed handle");
             Committed {
