@@ -6,15 +6,14 @@
 //! (timing the underlying computations).
 //!
 //! The `throughput` binary is the engine's deterministic grid: it sweeps
-//! the closed-world CC × workload grid, the open-world session grid
-//! across durability modes, the sharded grid across shard count ×
-//! cross-shard ratio and the degraded-mode grid in simulated time,
-//! asserting the headline claims in-process (full streams served,
-//! histories strict and serializable, group commit retaining ≥ 50% of
-//! no-log throughput, `S = 1` sharded cells equal to the open-world
-//! cells, grouped submission collapsing mailbox round-trips ≥ 10×) and
-//! writing `BENCH_engine.json` (schema v11) next to this crate's
-//! manifest. No leaf reads a wall clock, so regenerating the file and
+//! the open-world session grid across durability modes, the sharded grid
+//! across shard count × cross-shard ratio and the degraded-mode grid in
+//! simulated time, plus one shard-job count, asserting the headline
+//! claims in-process (full streams served, histories strict and
+//! serializable, group commit retaining ≥ 50% of no-log throughput,
+//! `S = 1` sharded cells equal to the open-world cells, grouped
+//! submission collapsing shard jobs ≥ 10×) and writing
+//! `BENCH_engine.json` (schema v12) next to this crate's manifest. No leaf reads a wall clock, so regenerating the file and
 //! `git diff --exit-code`-ing it is the semantic regression guard; real
 //! time is `benchmark/`'s job. The `trace_smoke` binary is the observability
 //! gate: one traced, durable, mid-2PC-crash run per mechanism whose

@@ -127,13 +127,8 @@ fn render(out: &mut String, s: &ServerStats) {
     }
     let _ = writeln!(
         out,
-        "latency  p50={} p99={} ticks   sheds pipeline={} queue={} txn={} mailbox={}",
-        s.commit_p50_ticks,
-        s.commit_p99_ticks,
-        s.sheds_pipeline,
-        s.sheds_queue,
-        s.sheds_txns,
-        s.metrics.shed_aborts
+        "latency  p50={} p99={} ticks   sheds pipeline={} queue={} txn={}",
+        s.commit_p50_ticks, s.commit_p99_ticks, s.sheds_pipeline, s.sheds_queue, s.sheds_txns
     );
 
     let _ = writeln!(

@@ -45,16 +45,15 @@ pub struct Metrics {
     /// Write-ahead-log I/O attempts retried after a transient storage
     /// fault (0 when durability is off or the storage behaves).
     pub io_retries: usize,
-    /// Transactions aborted by load shedding: an operation arrived while
-    /// its shard's bounded mailbox was full (0 outside sharded runs).
-    pub shed_aborts: usize,
-    /// Coordinator→shard mailbox round-trips on the operation lifecycle
-    /// (operation runs and single-shard commits — a lazy begin rides the
-    /// first — and retires; 2PC protocol messages are counted separately
-    /// under `twopc_actions` in the sharded coordinator). The messaging tax is
-    /// `shard_msgs / batched_ops` round-trips per operation: 1.0+ on the
-    /// per-op path, a small fraction under batched submission (0 outside
-    /// sharded runs).
+    /// Shard messages on the operation lifecycle. Each is one job run
+    /// under a shard's ownership token — a run of operations and
+    /// single-shard commits (a lazy begin rides the first), or a retire —
+    /// counted whichever thread runs it. Most run inline on the
+    /// coordinator's thread, so this counts jobs, not thread hand-offs.
+    /// Two-phase commit's votes and resolves are not counted. The
+    /// messaging tax is `shard_msgs / batched_ops` messages per
+    /// operation: 1.0+ on the per-op path, a small fraction under batched
+    /// submission (0 outside sharded runs).
     pub shard_msgs: usize,
     /// Data operations carried by those `shard_msgs` messages (0 outside
     /// sharded runs).
@@ -117,7 +116,6 @@ impl Metrics {
             wal_bytes: self.wal_bytes.saturating_sub(earlier.wal_bytes),
             shard_restarts: self.shard_restarts.saturating_sub(earlier.shard_restarts),
             io_retries: self.io_retries.saturating_sub(earlier.io_retries),
-            shed_aborts: self.shed_aborts.saturating_sub(earlier.shed_aborts),
             shard_msgs: self.shard_msgs.saturating_sub(earlier.shard_msgs),
             batched_ops: self.batched_ops.saturating_sub(earlier.batched_ops),
             aborts_by_rule,

@@ -8,7 +8,6 @@ use ccopt_model::ids::VarId;
 use ccopt_model::syntax::StepKind;
 use ccopt_model::value::Value;
 use ccopt_par::{Reply, Worker, WorkerError};
-use ccopt_trace::{ConflictRule, EventKind};
 
 /// One reply per scattered job, tagged with its shard, in submission
 /// order (`Err`: the worker was dead, or died before answering).
@@ -443,9 +442,7 @@ impl ShardedDb {
     pub(super) fn commit_local(&mut self, ti: usize, si: usize) -> Result<Op<()>, SessionError> {
         let job = self.job(ti, si, Vec::new(), Finish::Commit);
         let (_, commit) = self.shard_job(si, job)?;
-        // No commit outcome: the shard's full mailbox shed the job,
-        // which restarted the transaction.
-        Ok(commit.unwrap_or(Op::Restarted))
+        Ok(commit.expect("a zero-op run is all done, so the job commits"))
     }
 
     /// One job, alone in its message.
@@ -465,34 +462,6 @@ impl ShardedDb {
             // The owning shard is permanently down (unrecoverable
             // storage); the rest of the database keeps serving.
             return jobs.iter().map(|_| Err(SessionError::ShardDown)).collect();
-        }
-        if self.workers[si].is_full() {
-            // Backpressure: the shard's bounded mailbox is at capacity.
-            // Shed the whole message — every transaction in it restarts
-            // under a fresh timestamp — instead of queueing unboundedly;
-            // the clients replay after their usual backoff, by which time
-            // the queue has drained.
-            return jobs
-                .iter()
-                .map(|job| {
-                    self.shed_aborts += 1;
-                    if self.coord_tracer.is_on() {
-                        let (gts, tick) = (self.slots[job.ti].gts, self.next_gts);
-                        let owned = self.partition.shard_vars(si);
-                        self.coord_tracer.emit(
-                            tick,
-                            EventKind::Abort {
-                                txn: gts,
-                                rule: ConflictRule::Shed,
-                                var: job.run.first().map(|(lv, _)| owned[lv.index()].0),
-                                opponent: None,
-                            },
-                        );
-                    }
-                    self.global_restart(job.ti);
-                    Ok((vec![Op::Restarted], None))
-                })
-                .collect();
         }
         self.shard_msgs += 1;
         self.batched_ops += jobs.iter().map(|j| j.run.len()).sum::<usize>();

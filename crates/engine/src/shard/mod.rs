@@ -77,9 +77,7 @@
 //! and *complete* any transaction whose commit point (the coordinator's
 //! fsynced resolve) already survived. The other shards keep serving
 //! throughout; unrecoverable storage degrades to a permanently
-//! [down](ShardedDb::shard_is_down) shard rather than an outage. Bounded
-//! shard mailboxes ([`ShardedDb::set_queue_capacity`]) shed load — the
-//! transaction restarts instead of queueing unboundedly — and injected
+//! [down](ShardedDb::shard_is_down) shard rather than an outage. Injected
 //! storage faults ([`ShardedDb::set_shard_faults`]) exercise the logs'
 //! retry-or-poison paths. `docs/FAULTS.md` has the full fault model.
 
@@ -262,13 +260,10 @@ pub struct ShardedDb {
     /// Shards whose storage could not be recovered: permanently down,
     /// every operation routed there fails while the others keep serving.
     down: Vec<bool>,
-    /// Mailbox bound applied to every (re)spawned shard worker.
-    queue_capacity: Option<usize>,
     shard_restarts: usize,
     /// Supervised restarts broken down by shard (sums to
     /// `shard_restarts`), for per-shard health reporting.
     restarts_by_shard: Vec<usize>,
-    shed_aborts: usize,
     /// Committed sub-transactions replayed by the most recent supervised
     /// restart — the deterministic size of that recovery.
     last_recovery_replayed: Option<u64>,
@@ -279,16 +274,17 @@ pub struct ShardedDb {
     trace_hub: Option<Arc<TraceHub>>,
     /// The supervisor's own tracer (emitting as shard id `S`, one past
     /// the data shards): `ShardDown` / `ShardUp` around supervised
-    /// restarts and the coordinator-plane abort attributions (shed,
-    /// failover). Off unless tracing is on.
+    /// restarts and the coordinator-plane abort attributions
+    /// (failover). Off unless tracing is on.
     coord_tracer: Tracer,
     /// Transactions failed by shard-crash supervision (their slot parked
     /// as [`GStatus::Failed`]); the coordinator's share of the abort
     /// attribution table.
     failover_fails: usize,
-    /// Coordinator→shard mailbox round-trips on the operation lifecycle
-    /// (shard jobs — runs and single-shard commits, lazy begins riding
-    /// along — and retires); the numerator of the messaging tax.
+    /// Shard messages on the operation lifecycle, each one job under a
+    /// shard's ownership token (a run and single-shard commits, lazy
+    /// begins riding along, or a retire), counted whichever thread runs
+    /// it; the numerator of the messaging tax.
     shard_msgs: usize,
     /// Data operations those messages carried; the denominator of the
     /// messaging tax.
@@ -484,10 +480,8 @@ impl ShardedDb {
             expected_txns,
             decided,
             down: vec![false; shards],
-            queue_capacity: None,
             shard_restarts: 0,
             restarts_by_shard: vec![0; shards],
-            shed_aborts: 0,
             last_recovery_replayed: None,
             trace_hub: None,
             coord_tracer: Tracer::off(),
@@ -600,7 +594,7 @@ impl ShardedDb {
     }
 
     /// Aggregated execution counters: global outcomes (commits, aborts,
-    /// waits, retires, restarts, sheds) from the coordinator — a
+    /// waits, retires, restarts) from the coordinator — a
     /// cross-shard transaction counts once — and store-level counters
     /// summed over the shards (a dead or down shard contributes zeros).
     pub fn metrics(&self) -> Metrics {
@@ -610,7 +604,6 @@ impl ShardedDb {
             waits: self.waits,
             retires: self.retires,
             shard_restarts: self.shard_restarts,
-            shed_aborts: self.shed_aborts,
             shard_msgs: self.shard_msgs,
             batched_ops: self.batched_ops,
             ..Metrics::default()
@@ -619,10 +612,10 @@ impl ShardedDb {
         // control causes — every CC-triggered global restart stems from
         // one shard's in-place abort, which recorded the real rule;
         // collateral rollbacks on sibling shards are shard-level `Client`
-        // rows and are excluded. The coordinator adds its own causes
-        // (backpressure sheds, crash failovers), and whatever remains of
-        // the global abort count — explicit client aborts, driver restart
-        // valves — reports as `Client`, so the rows sum to `aborts`
+        // rows and are excluded. The coordinator adds its own cause
+        // (crash failovers), and whatever remains of the global abort
+        // count — explicit client aborts, driver restart valves — reports
+        // as `Client`, so the rows sum to `aborts`
         // (best-effort: a 2PC round where several shards restart at once
         // attributes each shard's cause, and a failover counts before its
         // handle is aborted, both absorbed by the saturating remainder).
@@ -643,7 +636,6 @@ impl ShardedDb {
                 }
             }
         }
-        m.aborts_by_rule[ConflictRule::Shed.index()] += self.shed_aborts;
         m.aborts_by_rule[ConflictRule::ShardFailover.index()] += self.failover_fails;
         let attributed: usize = m.aborts_by_rule.iter().sum();
         m.aborts_by_rule[client] = m.aborts.saturating_sub(attributed);
@@ -900,16 +892,5 @@ impl ShardedDb {
         rows.sort_by_key(|r| (std::cmp::Reverse(r.total()), r.var.0));
         rows.truncate(n);
         rows
-    }
-
-    /// Bound every shard's mailbox at `cap` data-plane jobs: an operation
-    /// arriving at a full shard is shed — the transaction restarts,
-    /// [`Metrics::shed_aborts`] counts it — instead of queueing
-    /// unboundedly. Applies to restarted workers too.
-    pub fn set_queue_capacity(&mut self, cap: usize) {
-        self.queue_capacity = Some(cap);
-        for w in &self.workers {
-            w.set_capacity(cap);
-        }
     }
 }

@@ -192,11 +192,7 @@ impl ShardedDb {
         if let Some(hub) = &self.trace_hub {
             db.set_tracer(hub.tracer(s as u32));
         }
-        let w = Self::spawn_shard(s, db);
-        if let Some(cap) = self.queue_capacity {
-            w.set_capacity(cap);
-        }
-        self.workers[s] = w;
+        self.workers[s] = Self::spawn_shard(s, db);
         replayed
     }
 

@@ -14,8 +14,8 @@ impl ShardedDb {
     }
 
     /// Block shard `s`'s worker on a gate until the returned sender
-    /// transmits (or drops), so submissions pile up and the
-    /// bounded-mailbox shed path can be exercised deterministically.
+    /// transmits (or drops), so later jobs queue behind the stall and
+    /// per-shard FIFO can be observed deterministically.
     fn stall_shard(&mut self, s: usize) -> std::sync::mpsc::Sender<()> {
         let (tx, rx) = std::sync::mpsc::channel::<()>();
         let _ = self.workers[s].submit(move |_db| {
@@ -577,44 +577,6 @@ fn durable_inline_panic_recovers_the_exact_committed_prefix() {
 }
 
 #[test]
-fn full_shard_mailboxes_shed_load() {
-    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 8]), 2);
-    let (a, b) = split_pair(&db);
-    let sb = db.shard_of(b);
-    db.set_queue_capacity(1);
-    let gate = db.stall_shard(sb);
-    let h = db.begin();
-    assert_eq!(db.write(h, a, int(1)).unwrap(), Op::Done(int(0)));
-    // The stalled shard's mailbox is at capacity: the operation is
-    // shed — the transaction restarts — instead of queueing behind
-    // the stall.
-    assert_eq!(db.write(h, b, int(2)).unwrap(), Op::Restarted);
-    // (`metrics()` asks every shard, the stalled one too: the counts are
-    // read below, once the gate is open.)
-    // Lift the pressure (capacity back up, gate open): the replay
-    // goes through once the stalled job drains.
-    db.set_queue_capacity(64);
-    gate.send(()).unwrap();
-    loop {
-        match db.write(h, b, int(2)).unwrap() {
-            Op::Done(_) => break,
-            Op::Wait | Op::Restarted => std::thread::yield_now(),
-        }
-    }
-    assert_eq!(db.write(h, a, int(1)).unwrap(), Op::Done(int(0)));
-    assert_eq!(db.commit(h).unwrap(), Op::Done(()));
-    db.retire(h).unwrap();
-    let m = db.metrics();
-    assert_eq!(m.shed_aborts, 1);
-    assert_eq!(restarts(&db), 0, "shedding is not a crash");
-    assert_eq!(
-        m.shed_aborts,
-        m.aborts_for(ConflictRule::Shed),
-        "every shed abort is attributed to the shed rule"
-    );
-}
-
-#[test]
 fn unrecoverable_storage_marks_the_shard_down_and_the_rest_serve() {
     let dir = ccopt_durability::scratch_path("shard-perma-down");
     let _ = std::fs::remove_dir_all(&dir);
@@ -1022,5 +984,67 @@ fn sync_flushes_every_live_shard_before_reporting_a_failing_one() {
         "shard 1 was synced although shard 0, asked first, failed"
     );
     drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fan_out_leaves_every_mailbox_empty_between_calls() {
+    // A queued job lives only inside a durable round, which collects it
+    // before returning: between public calls every mailbox is empty, on
+    // a volatile database and on a strict durable one alike.
+    let dir = ccopt_durability::scratch_path("shard-mailboxes-empty");
+    let _ = std::fs::remove_dir_all(&dir);
+    let init = GlobalState::from_ints(&[0; 8]);
+    let mode = DurabilityMode::Strict;
+    let volatile = ShardedDb::new(CcKind::Strict2pl, init.clone(), 2);
+    let durable = ShardedDb::open(CcKind::Strict2pl, init, &dir, mode, 2, 0).unwrap();
+    for mut db in [volatile, durable] {
+        let empty = |db: &ShardedDb, after: &str| {
+            let depths: Vec<usize> = db.workers.iter().map(|w| w.queue_len()).collect();
+            assert_eq!(depths, vec![0, 0], "mailbox depths after {after}");
+        };
+        let (a, b) = split_pair(&db);
+        let h = db.begin();
+        assert_eq!(db.read(h, a).unwrap(), Op::Done(int(0)));
+        empty(&db, "read");
+        assert_eq!(db.write(h, b, int(1)).unwrap(), Op::Done(int(0)));
+        empty(&db, "write");
+        let inc = |x: Value| int(x.as_int().unwrap() + 1);
+        assert_eq!(db.update(h, a, inc).unwrap(), Op::Done(int(0)));
+        empty(&db, "update");
+        assert_eq!(db.commit(h).unwrap(), Op::Done(()));
+        empty(&db, "two-phase commit");
+        db.retire(h).unwrap();
+        empty(&db, "retire");
+        let (packed, cross) = (db.begin(), db.begin());
+        let resps = db.submit_group(vec![
+            GroupReq {
+                h: packed,
+                ops: vec![BatchOp::Write(a, int(5))],
+                commit: true,
+            },
+            GroupReq {
+                h: cross,
+                ops: vec![BatchOp::Affine { var: a, a: 1, c: 1 }, BatchOp::Read(b)],
+                commit: true,
+            },
+        ]);
+        let commits: Vec<_> = resps.into_iter().map(|r| r.commit).collect();
+        assert_eq!(commits, vec![Some(Ok(Op::Done(()))); 2]);
+        empty(&db, "submit_group");
+        let h = db.begin();
+        assert_eq!(db.write(h, a, int(9)).unwrap(), Op::Done(int(6)));
+        assert_eq!(db.write(h, b, int(9)).unwrap(), Op::Done(int(1)));
+        db.abort(h).unwrap();
+        empty(&db, "abort");
+        db.sync().unwrap();
+        empty(&db, "sync");
+        db.checkpoint().unwrap();
+        empty(&db, "checkpoint");
+        db.panic_shard(1);
+        empty(&db, "panic_shard");
+        assert_eq!(db.check_shards(), 1);
+        empty(&db, "check_shards");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -223,16 +223,9 @@ impl ShardedDb {
     /// so a timeout-style valve is the liveness backstop.
     pub fn restart(&mut self, h: GlobalTxn) -> Result<(), SessionError> {
         let ti = self.running(h)?;
-        self.global_restart(ti);
-        Ok(())
-    }
-
-    /// Abort every sub-transaction (revoking prepared votes) and begin a
-    /// fresh attempt under a new global timestamp.
-    pub(super) fn global_restart(&mut self, ti: usize) {
         self.next_gts += 1;
-        let gts = self.next_gts;
-        self.global_restart_keeping(ti, None, gts);
+        self.global_restart_keeping(ti, None, self.next_gts);
+        Ok(())
     }
 
     /// Restart the global transaction at timestamp `gts`: roll back every

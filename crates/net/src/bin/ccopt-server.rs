@@ -4,8 +4,8 @@
 //! ccopt-server [--addr 127.0.0.1:0] [--cc strict-2PL] [--shards 4]
 //!              [--vars 64] [--data-dir PATH] [--durability strict|group:N|none]
 //!              [--max-txns 256] [--pipeline 64] [--queue 1024]
-//!              [--shard-queue 256] [--grace-ms 2000] [--trace PATH]
-//!              [--wait-valve 24] [--metrics-addr A] [--stats-interval-ms N]
+//!              [--grace-ms 2000] [--trace PATH] [--wait-valve 24]
+//!              [--metrics-addr A] [--stats-interval-ms N]
 //! ```
 //!
 //! Prints `listening on <addr>` (machine-parseable — the smoke tests
@@ -28,7 +28,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: ccopt-server [--addr A] [--cc NAME] [--shards N] [--vars N] \
          [--data-dir PATH] [--durability strict|group:N|none] [--max-txns N] \
-         [--pipeline N] [--queue N] [--shard-queue N] [--grace-ms N] [--trace PATH] \
+         [--pipeline N] [--queue N] [--grace-ms N] [--trace PATH] \
          [--wait-valve N] [--metrics-addr A] [--stats-interval-ms N]"
     );
     eprintln!("mechanisms: {}", ccopt_engine::MECHANISM_NAMES.join(", "));
@@ -60,7 +60,6 @@ fn main() {
             "--max-txns" => cfg.max_txns = parse(&val()),
             "--pipeline" => cfg.pipeline = parse(&val()),
             "--queue" => cfg.queue = parse(&val()),
-            "--shard-queue" => cfg.shard_queue = parse(&val()),
             "--grace-ms" => cfg.drain_grace = Duration::from_millis(parse::<u64>(&val())),
             "--wait-valve" => cfg.wait_valve = parse(&val()),
             "--trace" => cfg.trace = Some(TraceConfig::to_sink(val())),

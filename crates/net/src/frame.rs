@@ -283,9 +283,8 @@ pub enum Response {
     Aborted,
     /// Admission control refused the request: a bounded queue was full.
     /// Back off and retry; the transaction state is unchanged (a shed
-    /// `Begin` opened nothing, a shed operation restarted the
-    /// transaction — the server answers `Restarted` in that case, never
-    /// `Shed`).
+    /// `Begin` opened nothing, a shed operation never reached the
+    /// engine).
     Shed,
     /// The server is draining: no new transactions. Also the
     /// acknowledgement of [`Request::Shutdown`].

@@ -58,12 +58,8 @@
 //!    read from.
 //! 2. **engine queue** — one bounded channel in front of the engine
 //!    thread; readers `try_send` and shed on overflow.
-//! 3. **transaction cap and shard mailboxes** — `Begin` is shed when
-//!    `max_txns` transactions are live; admitted operations still hit the
-//!    existing per-shard bounded mailboxes ([`ShardedDb::
-//!    set_queue_capacity`]), whose overflow restarts the transaction
-//!    through the engine's `shed_aborts` / `ConflictRule::Shed`
-//!    accounting and answers [`Response::Restarted`].
+//! 3. **transaction cap** — `Begin` is shed when `max_txns`
+//!    transactions are live.
 //!
 //! # Drain
 //!
@@ -150,9 +146,6 @@ pub struct ServerConfig {
     /// Admission cap: bound of the engine's request queue; overflow is
     /// shed by the reader thread.
     pub queue: usize,
-    /// Bound of each shard's mailbox (0 = unbounded); overflow restarts
-    /// the transaction through the engine's shed accounting.
-    pub shard_queue: usize,
     /// Trace configuration; the server adds its network-plane events to
     /// the same hub the engine traces through.
     pub trace: Option<TraceConfig>,
@@ -203,7 +196,6 @@ impl Default for ServerConfig {
             max_txns: 256,
             pipeline: 64,
             queue: 1024,
-            shard_queue: 256,
             trace: None,
             drain_grace: Duration::from_secs(2),
             wait_valve: 24,
@@ -234,8 +226,7 @@ pub struct DrainStats {
 }
 
 impl DrainStats {
-    /// Requests refused by admission control, all wire layers combined
-    /// (shard-mailbox sheds live in [`Metrics::shed_aborts`], not here).
+    /// Requests refused by admission control, all three layers combined.
     pub fn sheds(&self) -> u64 {
         self.sheds_pipeline + self.sheds_queue + self.sheds_txns
     }
@@ -940,9 +931,6 @@ impl Engine {
             Some(dir) => ShardedDb::open(kind, init, dir, cfg.mode, cfg.shards, cfg.max_txns)?,
             None => ShardedDb::with_capacity(kind, init, cfg.shards, cfg.max_txns),
         };
-        if cfg.shard_queue > 0 {
-            db.set_queue_capacity(cfg.shard_queue);
-        }
         let mut tracer = Tracer::off();
         if let Some(tc) = &cfg.trace {
             db.set_trace(tc)?;
@@ -1688,7 +1676,6 @@ impl Engine {
             commits: dm.commits as u64,
             aborts: dm.aborts as u64,
             sheds: wire_sheds.saturating_sub(self.prev_wire_sheds),
-            shed_aborts: dm.shed_aborts as u64,
             queue_depth: snap.queue_depth,
             live_txns: snap.live_txns,
             p99_ticks: hist.diff(&self.prev_hist).quantile(0.99),
@@ -1702,13 +1689,12 @@ impl Engine {
         self.series.push_back(point);
         if self.stats_line {
             println!(
-                "stats at_ms={} commits={} aborts={} sheds={} shed_aborts={} \
-                 queue_depth={} live_txns={} p99_ticks={}",
+                "stats at_ms={} commits={} aborts={} sheds={} queue_depth={} \
+                 live_txns={} p99_ticks={}",
                 point.at_ms,
                 point.commits,
                 point.aborts,
                 point.sheds,
-                point.shed_aborts,
                 point.queue_depth,
                 point.live_txns,
                 point.p99_ticks

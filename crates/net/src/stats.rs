@@ -3,7 +3,7 @@
 //! text exposition.
 //!
 //! A [`ServerStats`] is what [`Request::Stats`](crate::Request::Stats)
-//! returns: the engine's [`Metrics`] (including the 16-rule abort
+//! returns: the engine's [`Metrics`] (including the 15-rule abort
 //! attribution), commit-latency quantiles, per-shard health, the
 //! admission-control shed ledger broken down by layer, live gauges, and
 //! the sampler's bounded time-series of [`SamplePoint`]s. The codec
@@ -20,11 +20,11 @@ use ccopt_engine::Metrics;
 use ccopt_trace::ConflictRule;
 
 /// Version byte leading every encoded [`ServerStats`].
-const STATS_VERSION: u8 = 2;
+const STATS_VERSION: u8 = 3;
 
 /// Most sample points ever encoded into one Stats response, keeping the
 /// frame comfortably under [`MAX_FRAME`](crate::MAX_FRAME) (a point is
-/// 56 bytes; 600 of them is ~33 KiB). The encoder keeps the **newest**
+/// 48 bytes; 600 of them is ~28 KiB). The encoder keeps the **newest**
 /// points when the ring holds more.
 pub const MAX_SERIES_POINTS: usize = 600;
 
@@ -67,8 +67,6 @@ pub struct SamplePoint {
     /// Admission-control sheds in the window (pipeline + queue + txn
     /// budget layers).
     pub sheds: u64,
-    /// Shard-mailbox sheds in the window (the engine-side fourth layer).
-    pub shed_aborts: u64,
     /// Engine queue depth at the sample instant (gauge).
     pub queue_depth: u32,
     /// Open transactions at the sample instant (gauge).
@@ -98,8 +96,7 @@ pub struct ServerStats {
     pub draining: bool,
     /// Per-shard health, indexed by shard id.
     pub shards: Vec<ShardHealth>,
-    /// The engine's counters, 16-rule abort attribution included.
-    /// `metrics.shed_aborts` is the shard-mailbox admission layer.
+    /// The engine's counters, 15-rule abort attribution included.
     pub metrics: Metrics,
     /// Commit-latency median (engine ticks, cumulative histogram).
     pub commit_p50_ticks: u64,
@@ -123,8 +120,7 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Total admission-control sheds across the three wire layers
-    /// (the shard-mailbox layer lives in `metrics.shed_aborts`).
+    /// Total admission-control sheds across the three layers.
     pub fn sheds_total(&self) -> u64 {
         self.sheds_pipeline + self.sheds_queue + self.sheds_txns
     }
@@ -179,7 +175,7 @@ fn take_bool(c: &mut Cursor<'_>) -> Option<bool> {
 /// The engine metric fields in wire order (everything but the rule
 /// array). Encoder and decoder iterate this single list, so the two
 /// cannot drift.
-fn metric_fields(m: &mut Metrics) -> [&mut usize; 17] {
+fn metric_fields(m: &mut Metrics) -> [&mut usize; 16] {
     [
         &mut m.steps_executed,
         &mut m.waits,
@@ -195,7 +191,6 @@ fn metric_fields(m: &mut Metrics) -> [&mut usize; 17] {
         &mut m.wal_bytes,
         &mut m.shard_restarts,
         &mut m.io_retries,
-        &mut m.shed_aborts,
         &mut m.shard_msgs,
         &mut m.batched_ops,
     ]
@@ -269,7 +264,6 @@ pub fn put_stats(b: &mut Vec<u8>, s: &ServerStats) {
         put_u64(b, p.commits);
         put_u64(b, p.aborts);
         put_u64(b, p.sheds);
-        put_u64(b, p.shed_aborts);
         put_u32(b, p.queue_depth);
         put_u32(b, p.live_txns);
         put_u64(b, p.p99_ticks);
@@ -326,7 +320,6 @@ pub fn take_stats(c: &mut Cursor<'_>) -> Option<ServerStats> {
             commits: c.take_u64()?,
             aborts: c.take_u64()?,
             sheds: c.take_u64()?,
-            shed_aborts: c.take_u64()?,
             queue_depth: c.take_u32()?,
             live_txns: c.take_u32()?,
             p99_ticks: c.take_u64()?,
@@ -504,9 +497,8 @@ pub fn render_prometheus(s: &ServerStats) -> String {
         &format!(
             "ccopt_sheds_total{{layer=\"pipeline\"}} {}\n\
              ccopt_sheds_total{{layer=\"queue\"}} {}\n\
-             ccopt_sheds_total{{layer=\"txn_budget\"}} {}\n\
-             ccopt_sheds_total{{layer=\"shard_mailbox\"}} {}\n",
-            s.sheds_pipeline, s.sheds_queue, s.sheds_txns, m.shed_aborts
+             ccopt_sheds_total{{layer=\"txn_budget\"}} {}\n",
+            s.sheds_pipeline, s.sheds_queue, s.sheds_txns
         ),
     );
     for (name, help, v) in [
@@ -649,13 +641,12 @@ mod tests {
             waits: 4,
             aborts: 7,
             commits: 31,
-            shed_aborts: 2,
             shard_msgs: 12,
             batched_ops: 96,
             ..Metrics::default()
         };
         metrics.aborts_by_rule[ConflictRule::Deadlock.index()] = 3;
-        metrics.aborts_by_rule[ConflictRule::Shed.index()] = 2;
+        metrics.aborts_by_rule[ConflictRule::ShardFailover.index()] = 2;
         metrics.aborts_by_rule[ConflictRule::Client.index()] = 2;
         ServerStats {
             uptime_ms: 1234,
@@ -696,7 +687,6 @@ mod tests {
                 commits: 31,
                 aborts: 7,
                 sheds: 60,
-                shed_aborts: 2,
                 queue_depth: 5,
                 live_txns: 2,
                 p99_ticks: 15,
@@ -725,6 +715,15 @@ mod tests {
             let mut c = Cursor::new(&b[..cut]);
             assert!(take_stats(&mut c).is_none(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn stats_of_another_version_decode_to_none() {
+        let mut b = Vec::new();
+        put_stats(&mut b, &demo());
+        assert!(take_stats(&mut Cursor::new(&b)).is_some());
+        b[0] = 2;
+        assert!(take_stats(&mut Cursor::new(&b)).is_none());
     }
 
     #[test]
@@ -780,9 +779,16 @@ mod tests {
             Some(20.0)
         );
         assert_eq!(
-            sample(&samples, "ccopt_sheds_total{layer=\"shard_mailbox\"}"),
+            sample(
+                &samples,
+                "ccopt_aborts_by_rule_total{rule=\"shard_failover\"}"
+            ),
             Some(2.0)
         );
+        let layers = samples
+            .iter()
+            .filter(|(k, _)| k.starts_with("ccopt_sheds_total{"));
+        assert_eq!(layers.count(), 3, "pipeline, queue and txn budget");
         assert_eq!(sample(&samples, "ccopt_shard_up{shard=\"1\"}"), Some(1.0));
         assert_eq!(
             sample(&samples, "ccopt_commit_latency_ticks{quantile=\"0.99\"}"),

@@ -24,11 +24,6 @@
 //! interaction returns [`WorkerError`] instead of panicking, and queued
 //! jobs that will never run resolve their [`Reply`]s as errors, so a
 //! supervisor can detect the crash, fail the in-flight work, and respawn.
-//!
-//! The mailbox is optionally bounded ([`Worker::set_capacity`]):
-//! [`Worker::is_full`] is the backpressure signal the layer above checks
-//! before handing a job over, shedding load instead of queueing
-//! unboundedly.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -80,9 +75,6 @@ struct Shared<T> {
     alive: AtomicBool,
     /// Jobs submitted but not yet completed (mailbox depth).
     pending: AtomicUsize,
-    /// Mailbox bound for [`is_full`](Worker::is_full); `usize::MAX` =
-    /// unbounded.
-    capacity: AtomicUsize,
 }
 
 impl<T> Shared<T> {
@@ -154,7 +146,6 @@ impl<T: Send + 'static> Worker<T> {
             state: Mutex::new(Some(state)),
             alive: AtomicBool::new(true),
             pending: AtomicUsize::new(0),
-            capacity: AtomicUsize::new(usize::MAX),
         });
         let handle = {
             let shared = shared.clone();
@@ -198,21 +189,6 @@ impl<T: Send + 'static> Worker<T> {
         self.shared.pending.load(Ordering::Acquire)
     }
 
-    /// Bound the mailbox at `cap` jobs for [`is_full`](Self::is_full)
-    /// (`usize::MAX` = unbounded, the default). The bound is advisory:
-    /// [`submit`](Self::submit) and [`call`](Self::call) ignore it, and
-    /// the caller decides which jobs to shed.
-    pub fn set_capacity(&self, cap: usize) {
-        self.shared.capacity.store(cap, Ordering::Release);
-    }
-
-    /// Whether the bounded mailbox is at capacity right now — the
-    /// backpressure signal a coordinator can check *before* spending any
-    /// per-operation setup work on a job it would have to shed.
-    pub fn is_full(&self) -> bool {
-        self.queue_len() >= self.shared.capacity.load(Ordering::Acquire)
-    }
-
     /// Close the mailbox and join the worker thread in place: queued jobs
     /// drain (or die with the receiver if the worker already panicked),
     /// the state — and everything it owns, such as log file handles — is
@@ -231,8 +207,7 @@ impl<T: Send + 'static> Worker<T> {
     /// Enqueue `f` and return a [`Reply`] for its result, or
     /// [`WorkerError`] when the worker is dead. Use this to fan a batch
     /// of jobs out to several workers before collecting any of the
-    /// answers — the workers run concurrently. Ignores the mailbox bound
-    /// (check [`is_full`](Self::is_full) first for backpressure).
+    /// answers — the workers run concurrently.
     pub fn submit<R: Send + 'static>(
         &self,
         f: impl FnOnce(&mut T) -> R + Send + 'static,
@@ -475,32 +450,5 @@ mod tests {
         assert!(w.submit(|s| *s).is_err());
         // Shutting down twice is fine.
         w.shutdown();
-    }
-
-    #[test]
-    fn bounded_mailbox_reports_full() {
-        let w = Worker::spawn(());
-        assert!(!w.is_full(), "unbounded by default");
-        w.set_capacity(2);
-        let (gate_tx, gate_rx) = channel::<()>();
-        // Stall the worker so submissions pile up deterministically.
-        let stalled = w
-            .submit(move |_| {
-                let _ = gate_rx.recv();
-            })
-            .unwrap();
-        assert!(!w.is_full());
-        let queued = w.submit(|_| ()).unwrap();
-        assert!(w.is_full(), "two jobs pending at capacity two");
-        // The bound is advisory: submit still queues past it.
-        let over = w.submit(|_| ()).unwrap();
-        assert_eq!(w.queue_len(), 3);
-        gate_tx.send(()).unwrap();
-        stalled.wait().unwrap();
-        queued.wait().unwrap();
-        over.wait().unwrap();
-        // Drained: room again.
-        assert!(!w.is_full());
-        assert_eq!(w.queue_len(), 0);
     }
 }

@@ -211,9 +211,6 @@ pub struct OpenSimResult {
     /// Crashed shard workers supervised and restarted in place (0
     /// outside sharded fault runs).
     pub shard_restarts: usize,
-    /// Transactions aborted by load shedding at a full shard mailbox (0
-    /// outside bounded-queue sharded runs).
-    pub shed_aborts: usize,
     /// Write-ahead-log I/O attempts retried after a transient storage
     /// fault (0 unless storage faults were injected).
     pub io_retries: usize,
@@ -820,7 +817,6 @@ pub(crate) fn run_stream<D: Driver>(
         wal_syncs: m.wal_syncs,
         journal,
         shard_restarts: m.shard_restarts,
-        shed_aborts: m.shed_aborts,
         io_retries: m.io_retries,
         recovery_replayed: end.recovery_replayed,
         commit_lat_ticks_p50: end.commit_latency_ticks.quantile(0.5),

@@ -37,12 +37,12 @@
 //!
 //! A [`FaultPlan`] scripts faults into a run
 //! ([`simulate_sharded_faulty`]): shard-worker panics and transient
-//! storage faults fire at configured commit counts, and shard mailboxes
-//! can be bounded so overload sheds. The driver treats a failed global
-//! transaction ([`ShardDown`](ccopt_engine::SessionError::ShardDown))
-//! like any other loss: abort, back off on the existing jittered restart
-//! delay, and redrive — so the stream still serves fully once the faults
-//! stop (the liveness claim of `tests/faults.rs`). On durable runs with
+//! storage faults fire at configured commit counts. The driver treats a
+//! failed global transaction
+//! ([`ShardDown`](ccopt_engine::SessionError::ShardDown)) like any other
+//! loss: abort, back off on the existing jittered restart delay, and
+//! redrive — so the stream still serves fully once the faults stop (the
+//! liveness claim of `tests/faults.rs`). On durable runs with
 //! the journal on, the simulation asserts after every supervised
 //! recovery that the committed global state still equals the journal
 //! head: a shard crash never loses or invents a committed transaction
@@ -137,10 +137,6 @@ pub struct FaultPlan {
     /// failures on the shard's write-ahead log (durable runs only; the
     /// log retries on bounded backoff and the run proceeds).
     pub transient_sync_faults: Vec<(usize, usize, u32)>,
-    /// Bound every shard mailbox at this many jobs (`None` = unbounded):
-    /// operations arriving at a full shard are shed — the transaction
-    /// restarts instead of queueing behind the backlog.
-    pub queue_capacity: Option<usize>,
 }
 
 impl FaultPlan {
@@ -270,9 +266,6 @@ fn simulate_sharded_impl(
     };
     if let Some(n) = dur.and_then(|d| d.crash_after_2pc_actions) {
         db.crash_after_2pc_actions(n);
-    }
-    if let Some(cap) = plan.and_then(|p| p.queue_capacity) {
-        db.set_queue_capacity(cap);
     }
     if let Some(tc) = trace {
         db.set_trace(tc).expect("open the trace sink");

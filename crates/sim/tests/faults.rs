@@ -118,28 +118,9 @@ fn transient_storage_faults_are_retried_through_and_counted() {
 }
 
 #[test]
-fn bounded_mailboxes_shed_under_pressure_without_losing_the_stream() {
-    // A tiny mailbox bound makes shedding possible under burst arrival;
-    // whether or not a shed happens at this scale, the bound must never
-    // cost correctness: full service and a serializable history.
-    let scfg = ShardSimConfig::new(base(5, 60), 3, 0.5);
-    let plan = FaultPlan {
-        queue_capacity: Some(2),
-        ..FaultPlan::default()
-    };
-    let r = simulate_sharded_faulty(CcKind::Strict2pl, &scfg, None, &plan);
-    assert_eq!(
-        r.committed, 60,
-        "bounded mailboxes must not wedge the stream"
-    );
-    check_serializable(&r).unwrap_or_else(|e| panic!("{e}"));
-}
-
-#[test]
 fn panics_and_io_faults_composed_still_serve_and_serialize() {
-    // The composed plan: a shard panic, transient storage faults on the
-    // surviving shard, and bounded mailboxes — graceful degradation
-    // end to end on one run.
+    // The composed plan: a shard panic and transient storage faults on
+    // the surviving shard — graceful degradation end to end on one run.
     for kind in CcKind::ALL {
         let name = kind.name();
         let dir = ccopt_engine::durability::scratch_path(&format!(
@@ -155,7 +136,6 @@ fn panics_and_io_faults_composed_still_serve_and_serialize() {
         let plan = FaultPlan {
             shard_panics: vec![(25, 0)],
             transient_sync_faults: vec![(10, 1, 2)],
-            queue_capacity: Some(32),
         };
         let r = simulate_sharded_faulty(kind, &scfg, Some(&dur), &plan);
         assert_eq!(r.committed, 50, "{name}: composed faults must not stall");

@@ -44,7 +44,6 @@ fn assert_identical(name: &str, a: &OpenSimResult, b: &OpenSimResult) {
     );
     assert_eq!(a.final_state, b.final_state, "{name}: final state");
     assert_eq!(a.shard_restarts, b.shard_restarts, "{name}: restarts");
-    assert_eq!(a.shed_aborts, b.shed_aborts, "{name}: shed");
     assert_eq!(a.io_retries, b.io_retries, "{name}: io retries");
     assert_eq!(
         a.recovery_replayed, b.recovery_replayed,

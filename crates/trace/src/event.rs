@@ -47,9 +47,6 @@ pub enum ConflictRule {
     SiFirstUpdater,
     /// SI: commit-time validation lost first-committer-wins.
     SiFirstCommitter,
-    /// Sharded backpressure: an operation arrived while the shard's
-    /// bounded mailbox was full; the transaction was shed.
-    Shed,
     /// The transaction was failed by shard-crash supervision (its shard
     /// died mid-flight and the slot could not be resumed).
     ShardFailover,
@@ -64,7 +61,7 @@ pub enum ConflictRule {
 
 impl ConflictRule {
     /// Number of rules (the length of per-reason counter arrays).
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 15;
 
     /// All rules, in `index` order.
     pub const ALL: [ConflictRule; ConflictRule::COUNT] = [
@@ -80,7 +77,6 @@ impl ConflictRule {
         ConflictRule::MvPendingWait,
         ConflictRule::SiFirstUpdater,
         ConflictRule::SiFirstCommitter,
-        ConflictRule::Shed,
         ConflictRule::ShardFailover,
         ConflictRule::Client,
         ConflictRule::Unattributed,
@@ -109,7 +105,6 @@ impl ConflictRule {
             ConflictRule::MvPendingWait => "mv_pending_wait",
             ConflictRule::SiFirstUpdater => "si_first_updater",
             ConflictRule::SiFirstCommitter => "si_first_committer",
-            ConflictRule::Shed => "shed",
             ConflictRule::ShardFailover => "shard_failover",
             ConflictRule::Client => "client",
             ConflictRule::Unattributed => "unattributed",
