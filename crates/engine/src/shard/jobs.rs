@@ -252,7 +252,7 @@ impl ShardedDb {
     }
 
     /// Submit a group of **independent transactions'** runs in as few
-    /// mailbox messages as possible (the server's engine thread collects
+    /// mailbox messages as possible (the server's engine collects
     /// requests from many connections into one group per pass; a lone
     /// request is a group of one).
     ///

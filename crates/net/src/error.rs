@@ -93,7 +93,8 @@ pub enum ServerError {
     UnknownMechanism(String),
     /// Opening the durable engine (write-ahead logs, recovery) failed.
     Wal(WalError),
-    /// The server's engine thread is already gone (stopped twice).
+    /// The server's engine is gone without a drain report: a pass over
+    /// its queue panicked, and the engine was dropped.
     Stopped,
 }
 

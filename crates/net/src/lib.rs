@@ -12,7 +12,8 @@
 //!   carrying request/response payloads with client-chosen request ids
 //!   for pipelining; decoding is total (never panics on wire input);
 //! * [`server`] — the [`Server`]: an accept thread and one reader
-//!   thread per connection around one engine thread that owns a
+//!   thread per connection around one engine behind a combining lock
+//!   (run by whichever of them finds it free) that owns a
 //!   [`ccopt_engine::ShardedDb`], submits each drain pass of its queue
 //!   as one [`ccopt_engine::ShardedDb::submit_group`] call, writes each
 //!   connection's responses itself (one coalesced, bounded `write` per

@@ -5,24 +5,28 @@
 //!
 //! One **accept** thread polls the listener; each connection gets one
 //! **reader** thread (decode frames, admission-check, forward to the
-//! engine). One **engine** thread owns the [`ShardedDb`] and is the only
-//! thread that touches it once serving starts. [`Server::start`] builds
-//! the engine — parse the mechanism, open or recover the logs, attach
-//! the trace plane, publish the first stats snapshot — on its caller's
-//! thread, so every start-up error is a plain `Err` returned before any
-//! `ccopt-net-*` thread exists, and then moves the finished engine onto
-//! its thread: no readiness hand-shake, and a failed `start` leaves no
-//! thread and no bound port behind. (The shard workers inside the
-//! database are named `ccopt-shard-<s>` by the engine crate, whichever
-//! thread spawns or respawns them, and are joined when it drops.) The
-//! per-connection threads — readers, drainers, subscription pumps — are
-//! registered as they spawn (finished ones are reaped at the next spawn),
-//! and [`Server::shutdown`], [`Server::kill`] and drop join every one:
-//! when they return, no `ccopt-net-*` thread of the server is left. Every
-//! connection's requests are multiplexed onto the engine thread through
-//! one bounded channel, and everything one drain pass of
-//! that channel holds — data operations, wire batches and commits,
-//! across transactions and connections — is submitted as one
+//! engine). The engine has no thread of its own. It sits, with the
+//! receiving end of its one bounded request queue, behind a **combining
+//! lock** (`Core`): a thread that has just queued a message takes the
+//! lock if it is free, drains the queue, runs one pass over what it
+//! holds, lets go, and checks the queue again; a thread that finds the
+//! lock taken goes straight back to `read`, and the holder runs its
+//! message. The accept thread's 5 ms poll is the engine's clock: each
+//! turn runs a pass too, which reads the kill flag, ends a drain whose
+//! grace expired, feeds the sampler and refreshes the `/healthz` flags.
+//! [`Server::start`] builds the engine — parse the mechanism, open or
+//! recover the logs, attach the trace plane, publish the first stats
+//! snapshot — on its caller's thread, so every start-up error is a plain
+//! `Err` returned before any `ccopt-net-*` thread exists: a failed
+//! `start` leaves no thread and no bound port behind. (The shard workers
+//! inside the database are named `ccopt-shard-<s>` by the engine crate,
+//! whichever thread spawns or respawns them, and are joined when it
+//! drops.) The per-connection threads — readers, drainers, subscription
+//! pumps — are registered as they spawn (finished ones are reaped at the
+//! next spawn), and [`Server::shutdown`], [`Server::kill`] and drop join
+//! every one: when they return, no `ccopt-net-*` thread of the server is
+//! left. Everything one pass drains — data operations, wire batches and
+//! commits, across transactions and connections — is submitted as one
 //! [`ShardedDb::submit_group`] call, so pipelining clients amortize the
 //! per-operation shard-mailbox round trip (a lone request is a group of
 //! one).
@@ -32,8 +36,9 @@
 //! socket — into which the engine encodes every response as it is
 //! decided, and which it flushes once per connection at the end of the
 //! pass with a single `write`: the responses to a pipelined burst share
-//! one syscall, and a round trip crosses no thread but the reader and
-//! the engine. The engine never waits on a client: that `write` is one
+//! one syscall, and a round trip crosses no thread but the reader that
+//! brought it (or the one holding the engine). The engine never waits on
+//! a client: that `write` is one
 //! attempt, bounded by a send timeout of a scheduler tick, and what a
 //! full socket would not take stays in the outbox for an on-demand
 //! **drainer** thread that blocks in the engine's stead until the buffer
@@ -56,8 +61,8 @@
 //!    undelivered responses, plus the one `Shed` its reader is blocked
 //!    delivering — a peer that does not read its responses stops being
 //!    read from.
-//! 2. **engine queue** — one bounded channel in front of the engine
-//!    thread; readers `try_send` and shed on overflow.
+//! 2. **engine queue** — one bounded channel in front of the engine;
+//!    readers `try_send` and shed on overflow.
 //! 3. **transaction cap** — `Begin` is shed when `max_txns`
 //!    transactions are live.
 //!
@@ -77,9 +82,9 @@
 //! plane:
 //!
 //! * [`Request::Stats`] / [`Request::Health`] answer a structured
-//!   [`ServerStats`] snapshot / [`HealthReport`] computed fresh on the
-//!   engine thread (read-only — no transaction state changes);
-//! * a **sampler** on the engine thread snapshots [`Metrics::diff`]
+//!   [`ServerStats`] snapshot / [`HealthReport`] computed fresh by the
+//!   engine (read-only — no transaction state changes);
+//! * a **sampler** run by the engine's passes snapshots [`Metrics::diff`]
 //!   every [`ServerConfig::sample_interval`] into a bounded time-series
 //!   ring of [`SamplePoint`]s (commits/s, shed rate, queue depth,
 //!   windowed p99), carried in every snapshot;
@@ -113,9 +118,9 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -162,7 +167,8 @@ pub struct ServerConfig {
     /// Bind address of the ops-plane HTTP listener (`/metrics`,
     /// `/healthz`); `None` (the default) serves no HTTP.
     pub metrics_addr: Option<String>,
-    /// Sampler period: every interval the engine thread snapshots
+    /// Sampler period: the first engine pass after each interval
+    /// boundary (the accept thread runs one every 5 ms) snapshots
     /// [`Metrics::diff`] into the time-series ring. `Duration::ZERO`
     /// disables the sampler (the true ops-off baseline).
     pub sample_interval: Duration,
@@ -245,7 +251,7 @@ struct ShedCounters {
 
 /// What the engine publishes for the ops-plane HTTP listener: the last
 /// sampler snapshot (for `/metrics`) plus health flags refreshed every
-/// engine-loop iteration (for `/healthz`, which must flip within
+/// engine pass (for `/healthz`, which must flip within
 /// milliseconds of a shard crash regardless of the sampler period).
 #[derive(Default)]
 struct OpsShared {
@@ -501,8 +507,187 @@ enum ToEngine {
     /// Fault injection: panic shard `s`'s worker (see
     /// [`Server::panic_shard`]).
     PanicShard(usize),
-    /// Exit immediately without syncing (simulated crash).
-    Kill,
+}
+
+// ------------------------------------------------------- combining lock
+
+/// The engine behind its combining lock, and the queue in front of it.
+///
+/// Whoever queues a message runs [`combine`](Core::combine) next, so the
+/// engine runs on the thread that brought the request whenever no other
+/// thread holds it. The one message that could be stranded is a
+/// sender's whose `try_lock` lost to a holder that was already letting
+/// go; `pending` closes that gap. A sender counts its message in before
+/// sending it, and a holder, once unlocked, reads the count again and
+/// takes the lock back while it is non-zero. A `SeqCst` fence on each
+/// side — the sender's between its count and its `try_lock`, the
+/// holder's between its unlock and its re-read — makes at least one of
+/// them see the other: the sender finds the lock free, or the holder
+/// finds the count.
+struct Core {
+    /// The engine and the receiving end of its queue; `None` once the
+    /// server has finished.
+    run: Mutex<Option<Running>>,
+    tx: SyncSender<ToEngine>,
+    /// Messages counted in by their senders that no pass has received.
+    pending: AtomicUsize,
+    /// [`Server::kill`]: the next pass stops without syncing.
+    kill: AtomicBool,
+}
+
+/// What the lock holder runs: the engine, its queue, and where the end
+/// of serving is reported.
+struct Running {
+    eng: Engine,
+    rx: Receiver<ToEngine>,
+    done_tx: mpsc::Sender<DrainStats>,
+    /// Every connection's outbox, so the end of serving can close them.
+    conns: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
+    /// The messages of the pass in progress.
+    batch: Vec<ToEngine>,
+}
+
+impl Core {
+    /// The sender protocol: count `msg` in, then queue it, refusing a
+    /// full queue; a refused message is counted out again. The caller
+    /// runs [`combine`](Core::combine) after a successful send.
+    fn try_send(&self, msg: ToEngine) -> Result<(), TrySendError<ToEngine>> {
+        self.pending.fetch_add(1, Ordering::SeqCst);
+        let sent = self.tx.try_send(msg);
+        if sent.is_err() {
+            self.pending.fetch_sub(1, Ordering::SeqCst);
+        }
+        sent
+    }
+
+    /// [`try_send`](Core::try_send), blocking while the queue is full
+    /// (a holder is then draining it: the queued messages are counted
+    /// in). `false` once the server has finished.
+    fn send(&self, msg: ToEngine) -> bool {
+        self.pending.fetch_add(1, Ordering::SeqCst);
+        let sent = self.tx.send(msg).is_ok();
+        if !sent {
+            self.pending.fetch_sub(1, Ordering::SeqCst);
+        }
+        sent
+    }
+
+    /// Run the engine if no other thread holds it: pass after pass
+    /// while messages are pending, then return. A taken lock returns at
+    /// once — its holder runs what was queued. A pass that panicked
+    /// leaves the lock poisoned: the engine is dropped, so readers see
+    /// a disconnected queue and [`Server::shutdown`] reports
+    /// [`ServerError::Stopped`].
+    fn combine(&self) {
+        fence(Ordering::SeqCst);
+        loop {
+            let mut held = match self.run.try_lock() {
+                Ok(held) => held,
+                Err(TryLockError::WouldBlock) => return,
+                Err(TryLockError::Poisoned(poisoned)) => {
+                    drop(poisoned.into_inner().take());
+                    return;
+                }
+            };
+            let Some(run) = held.as_mut() else {
+                return;
+            };
+            if run.pass(&self.pending, &self.kill) {
+                let run = held.take().expect("the engine ran this pass");
+                run.finish(self.kill.load(Ordering::SeqCst));
+                return;
+            }
+            if !self.let_go(held) {
+                return;
+            }
+        }
+    }
+
+    /// Unlock the engine, then say whether a message is pending: its
+    /// sender may have lost the `try_lock` to this holder, which then
+    /// takes the engine back.
+    fn let_go(&self, held: MutexGuard<'_, Option<Running>>) -> bool {
+        drop(held);
+        fence(Ordering::SeqCst);
+        self.pending.load(Ordering::SeqCst) > 0
+    }
+}
+
+impl Running {
+    /// One turn of the engine: drain up to 256 queued messages, process
+    /// them as one pass, publish health, sample. `true` when serving is
+    /// over: killed, or draining with no transaction left or the grace
+    /// expired.
+    fn pass(&mut self, pending: &AtomicUsize, kill: &AtomicBool) -> bool {
+        if kill.load(Ordering::SeqCst) {
+            return true;
+        }
+        while self.batch.len() < 256 {
+            match self.rx.try_recv() {
+                Ok(m) => self.batch.push(m),
+                Err(_) => break,
+            }
+        }
+        pending.fetch_sub(self.batch.len(), Ordering::SeqCst);
+        self.eng.process(&self.batch);
+        self.batch.clear();
+        self.eng.publish_health();
+        self.eng.maybe_sample();
+        let eng = &self.eng;
+        eng.draining && (eng.txns.is_empty() || eng.deadline.is_none_or(|d| Instant::now() >= d))
+    }
+
+    /// The end of serving: stop the pumps, abort the stragglers and sync
+    /// the logs (unless `killed`), close every connection and report.
+    fn finish(self, killed: bool) {
+        let Running {
+            mut eng,
+            done_tx,
+            conns,
+            ..
+        } = self;
+        // Stop every subscription pump before tearing the engine down.
+        for entries in eng.subs.values() {
+            for e in entries {
+                e.stop.store(true, Ordering::SeqCst);
+            }
+        }
+
+        let mut stats = DrainStats {
+            commits: eng.commits,
+            aborted_on_drain: 0,
+            sheds_pipeline: eng.sheds.pipeline.load(Ordering::Relaxed),
+            sheds_queue: eng.sheds.queue.load(Ordering::Relaxed),
+            sheds_txns: eng.sheds.txns.load(Ordering::Relaxed),
+        };
+        if !killed {
+            // Abort stragglers, sync the logs, close the books.
+            let leftovers: Vec<GlobalTxn> = eng.txns.values().map(|&(h, _)| h).collect();
+            stats.aborted_on_drain = leftovers.len();
+            for h in leftovers {
+                let _ = eng.db.abort(h);
+            }
+            eng.txns.clear();
+            eng.waits.clear();
+            let _ = eng.db.sync();
+            if eng.draining && eng.tracer.is_on() {
+                let t = eng.tick;
+                eng.tracer.emit(t, EventKind::DrainDone);
+            }
+            if let Some(hub) = eng.db.trace_hub() {
+                hub.flush();
+            }
+        }
+        // Wake every connection so its threads exit.
+        eng.stop.store(true, Ordering::SeqCst);
+        for (_, out) in conns.lock().unwrap().drain() {
+            let _ = out.stream.shutdown(Shutdown::Both);
+        }
+        let _ = done_tx.send(stats);
+        // `killed` drops the database without the sync above: the
+        // write-ahead logs close mid-stream, which is the crash the
+        // recovery path serves.
+    }
 }
 
 // --------------------------------------------------------------- server
@@ -512,13 +697,11 @@ enum ToEngine {
 pub struct Server {
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
-    tx: SyncSender<ToEngine>,
+    core: Arc<Core>,
     done_rx: Receiver<DrainStats>,
     stop: Arc<AtomicBool>,
-    kill: Arc<AtomicBool>,
     conns: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
     accept: Option<JoinHandle<()>>,
-    engine: Option<JoinHandle<()>>,
     ops_http: Option<JoinHandle<()>>,
     threads: Threads,
 }
@@ -556,7 +739,6 @@ impl Server {
         let (tx, rx) = mpsc::sync_channel::<ToEngine>(cfg.queue.max(1));
         let (done_tx, done_rx) = mpsc::channel::<DrainStats>();
         let stop = Arc::new(AtomicBool::new(false));
-        let kill = Arc::new(AtomicBool::new(false));
         let sheds = Arc::new(ShedCounters::default());
         let conns = Arc::new(Mutex::new(HashMap::new()));
         let queue_depth = Arc::new(AtomicUsize::new(0));
@@ -587,17 +769,21 @@ impl Server {
                 .expect("spawn ops http thread")
         });
 
-        let engine = {
-            let kill = Arc::clone(&kill);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("ccopt-net-engine".to_string())
-                .spawn(move || engine_thread(eng, rx, done_tx, kill, conns))
-                .expect("spawn engine thread")
-        };
+        let core = Arc::new(Core {
+            run: Mutex::new(Some(Running {
+                eng,
+                rx,
+                done_tx,
+                conns: Arc::clone(&conns),
+                batch: Vec::with_capacity(256),
+            })),
+            tx,
+            pending: AtomicUsize::new(0),
+            kill: AtomicBool::new(false),
+        });
 
         let accept = {
-            let tx = tx.clone();
+            let core = Arc::clone(&core);
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
             let queue_depth = Arc::clone(&queue_depth);
@@ -608,7 +794,7 @@ impl Server {
                 .spawn(move || {
                     accept_thread(
                         listener,
-                        tx,
+                        core,
                         stop,
                         sheds,
                         conns,
@@ -623,13 +809,11 @@ impl Server {
         Ok(Server {
             addr,
             metrics_addr,
-            tx,
+            core,
             done_rx,
             stop,
-            kill,
             conns,
             accept: Some(accept),
-            engine: Some(engine),
             ops_http,
             threads,
         })
@@ -646,20 +830,22 @@ impl Server {
         self.metrics_addr
     }
 
-    /// Fault injection (tests): panic shard `s`'s worker on the engine
-    /// thread, exactly as [`ShardedDb::panic_shard`] does in-process —
+    /// Fault injection (tests): panic shard `s`'s worker from the
+    /// engine, exactly as [`ShardedDb::panic_shard`] does in-process —
     /// the shard dies mid-flight and supervision kicks in at its next
     /// touch. This is how the ops-plane tests flip `/healthz` to
     /// degraded mid-run.
     pub fn panic_shard(&self, s: usize) {
-        let _ = self.tx.send(ToEngine::PanicShard(s));
+        self.core.send(ToEngine::PanicShard(s));
+        self.core.combine();
     }
 
     /// Gracefully drain and stop: refuse new transactions, give
     /// in-flight ones the configured grace, abort stragglers, sync the
     /// logs, close every connection.
     pub fn shutdown(mut self) -> Result<DrainStats, ServerError> {
-        let _ = self.tx.send(ToEngine::Drain);
+        self.core.send(ToEngine::Drain);
+        self.core.combine();
         let stats = self.done_rx.recv().map_err(|_| ServerError::Stopped)?;
         self.join();
         Ok(stats)
@@ -677,11 +863,8 @@ impl Server {
     /// Simulated crash: stop immediately **without** a final log sync —
     /// exactly the fate committed transactions must survive under
     /// [`DurabilityMode::Strict`]. In-flight work is abandoned.
-    pub fn kill(mut self) {
-        self.kill.store(true, Ordering::SeqCst);
-        let _ = self.tx.try_send(ToEngine::Kill);
-        let _ = self.done_rx.recv();
-        self.join();
+    pub fn kill(self) {
+        drop(self); // dropping a running server is the kill
     }
 
     /// Stop and join every server thread: once this returns, no
@@ -696,23 +879,24 @@ impl Server {
         for (_, out) in self.conns.lock().unwrap().drain() {
             let _ = out.stream.shutdown(Shutdown::Both);
         }
-        if let Some(h) = self.engine.take() {
-            let _ = h.join();
-        }
         if let Some(h) = self.ops_http.take() {
             let _ = h.join();
         }
         // Every socket is shut down and nothing spawns any more: the
-        // readers, drainers and pumps are on their way out.
+        // readers, drainers and pumps are on their way out (and the one
+        // that finished the engine has dropped it).
         self.threads.join_all();
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.engine.is_some() {
-            self.kill.store(true, Ordering::SeqCst);
-            let _ = self.tx.try_send(ToEngine::Kill);
+        if self.accept.is_some() {
+            // The pass this runs reads the flag; when another thread
+            // holds the engine, its next pass (or the accept thread's
+            // next turn) does.
+            self.core.kill.store(true, Ordering::SeqCst);
+            self.core.combine();
             let _ = self.done_rx.recv();
             self.join();
         }
@@ -724,7 +908,7 @@ impl Drop for Server {
 #[allow(clippy::too_many_arguments)]
 fn accept_thread(
     listener: TcpListener,
-    tx: SyncSender<ToEngine>,
+    core: Arc<Core>,
     stop: Arc<AtomicBool>,
     sheds: Arc<ShedCounters>,
     conns: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
@@ -734,6 +918,10 @@ fn accept_thread(
 ) {
     let mut next_id = 0u64;
     while !stop.load(Ordering::SeqCst) {
+        // The engine's clock: a pass per turn reads the kill flag, ends
+        // an expired drain, samples and refreshes `/healthz` even when
+        // no request arrives. A held engine is doing all that already.
+        core.combine();
         match listener.accept() {
             Ok((stream, _)) => {
                 next_id += 1;
@@ -750,16 +938,16 @@ fn accept_thread(
                     id,
                     out: Arc::clone(&out),
                 };
-                if tx.send(hello).is_err() {
+                if !core.send(hello) {
                     return; // engine gone; stop accepting
                 }
                 conns.lock().unwrap().insert(id, Arc::clone(&out));
-                let tx = tx.clone();
+                let core = Arc::clone(&core);
                 let sheds = Arc::clone(&sheds);
                 let conns = Arc::clone(&conns);
                 let queue_depth = Arc::clone(&queue_depth);
                 let _ = threads.spawn(format!("ccopt-net-r{id}"), move || {
-                    reader_thread(stream, id, tx, out, pipeline, sheds, queue_depth);
+                    reader_thread(stream, id, &core, out, pipeline, sheds, queue_depth);
                     conns.lock().unwrap().remove(&id);
                 });
             }
@@ -771,7 +959,8 @@ fn accept_thread(
     }
 }
 
-/// Decode frames, admission-check, forward. Every accepted request
+/// Decode frames, admission-check, forward — and run the engine over
+/// what is queued when no other thread holds it. Every accepted request
 /// produces exactly one response; the outbox's in-flight count goes up
 /// here and down when the kernel has accepted that response, so
 /// `pipeline` bounds both the engine's exposure to this connection and
@@ -781,7 +970,7 @@ fn accept_thread(
 fn reader_thread(
     stream: TcpStream,
     id: u64,
-    tx: SyncSender<ToEngine>,
+    core: &Core,
     out: Arc<Outbox>,
     pipeline: usize,
     sheds: Arc<ShedCounters>,
@@ -829,12 +1018,12 @@ fn reader_thread(
         // immediately, and add-after-send would let the gauge transiently
         // wrap below zero. A refused send undoes the increment.
         queue_depth.fetch_add(1, Ordering::Relaxed);
-        match tx.try_send(ToEngine::Req {
+        match core.try_send(ToEngine::Req {
             conn: id,
             req_id,
             req,
         }) {
-            Ok(()) => {}
+            Ok(()) => core.combine(),
             Err(TrySendError::Full(_)) => {
                 queue_depth.fetch_sub(1, Ordering::Relaxed);
                 sheds.queue.fetch_add(1, Ordering::Relaxed);
@@ -846,7 +1035,8 @@ fn reader_thread(
         }
     }
     let _ = stream.get_ref().shutdown(Shutdown::Both);
-    let _ = tx.send(ToEngine::Gone { id });
+    core.send(ToEngine::Gone { id });
+    core.combine();
 }
 
 // --------------------------------------------------------- engine plane
@@ -907,7 +1097,7 @@ struct Engine {
 }
 
 /// The engine is built by [`Server::start`] on its caller's thread and
-/// moved onto the engine thread whole.
+/// then run by whichever thread holds the combining lock.
 const _: () = {
     const fn assert_send<T: Send + 'static>() {}
     assert_send::<Engine>()
@@ -985,85 +1175,6 @@ impl Engine {
         eng.publish_health();
         Ok(eng)
     }
-}
-
-fn engine_thread(
-    mut eng: Engine,
-    rx: Receiver<ToEngine>,
-    done_tx: mpsc::Sender<DrainStats>,
-    kill: Arc<AtomicBool>,
-    conn_streams: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
-) {
-    let mut batch: Vec<ToEngine> = Vec::with_capacity(256);
-    let mut killed = false;
-    'serve: loop {
-        if kill.load(Ordering::SeqCst) {
-            killed = true;
-            break 'serve;
-        }
-        batch.clear();
-        match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(m) => batch.push(m),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break 'serve,
-        }
-        while batch.len() < 256 {
-            match rx.try_recv() {
-                Ok(m) => batch.push(m),
-                Err(_) => break,
-            }
-        }
-        eng.process(&batch);
-        eng.publish_health();
-        eng.maybe_sample();
-        if eng.draining {
-            let expired = eng.deadline.map(|d| Instant::now() >= d).unwrap_or(true);
-            if eng.txns.is_empty() || expired {
-                break 'serve;
-            }
-        }
-    }
-
-    // Stop every subscription pump before tearing the engine down.
-    for entries in eng.subs.values() {
-        for e in entries {
-            e.stop.store(true, Ordering::SeqCst);
-        }
-    }
-
-    let mut stats = DrainStats {
-        commits: eng.commits,
-        aborted_on_drain: 0,
-        sheds_pipeline: eng.sheds.pipeline.load(Ordering::Relaxed),
-        sheds_queue: eng.sheds.queue.load(Ordering::Relaxed),
-        sheds_txns: eng.sheds.txns.load(Ordering::Relaxed),
-    };
-    if !killed {
-        // Abort stragglers, sync the logs, close the books.
-        let leftovers: Vec<GlobalTxn> = eng.txns.values().map(|&(h, _)| h).collect();
-        stats.aborted_on_drain = leftovers.len();
-        for h in leftovers {
-            let _ = eng.db.abort(h);
-        }
-        eng.txns.clear();
-        eng.waits.clear();
-        let _ = eng.db.sync();
-        if eng.draining && eng.tracer.is_on() {
-            let t = eng.tick;
-            eng.tracer.emit(t, EventKind::DrainDone);
-        }
-        if let Some(hub) = eng.db.trace_hub() {
-            hub.flush();
-        }
-    }
-    // Wake every connection so its threads exit.
-    eng.stop.store(true, Ordering::SeqCst);
-    for (_, out) in conn_streams.lock().unwrap().drain() {
-        let _ = out.stream.shutdown(Shutdown::Both);
-    }
-    let _ = done_tx.send(stats);
-    // `killed` drops the database without the sync above: the write-ahead
-    // logs close mid-stream, which is the crash the recovery path serves.
 }
 
 /// One transaction's accumulated work inside a drain pass, on its way
@@ -1220,8 +1331,6 @@ impl Engine {
                         self.db.panic_shard(*s);
                     }
                 }
-                // The serve loop reads the kill flag itself.
-                ToEngine::Kill => self.flush_group(&mut pending),
             }
         }
         self.flush_group(&mut pending);
@@ -1636,9 +1745,10 @@ impl Engine {
         }
     }
 
-    /// Refresh the `/healthz` flags. Runs every engine-loop iteration
-    /// (a handful of atomic stores), so a shard crash flips the health
-    /// endpoint within ~25ms regardless of the sampler period.
+    /// Refresh the `/healthz` flags. Runs every engine pass (a handful
+    /// of atomic stores), and the accept thread runs a pass every 5 ms,
+    /// so a shard crash flips the health endpoint within ~5 ms
+    /// regardless of the sampler period.
     fn publish_health(&mut self) {
         let report = self.health();
         self.ops.degraded.store(report.degraded, Ordering::Relaxed);
@@ -1932,7 +2042,7 @@ fn subscription_pump(
 /// The dependency-free ops HTTP listener: `GET /metrics` serves the
 /// Prometheus text exposition of the last published snapshot,
 /// `GET /healthz` answers `200 ok` / `503 degraded` / `503 draining`
-/// from flags the engine refreshes every loop iteration.
+/// from flags the engine refreshes every pass.
 fn ops_http_thread(listener: TcpListener, ops: Arc<OpsShared>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -2092,6 +2202,71 @@ mod tests {
         let st = out.lock();
         assert!(!st.busy && st.buf.is_empty() && st.frames.is_empty());
         assert_eq!(st.inflight, 0);
+    }
+
+    #[test]
+    fn a_message_queued_while_the_engine_is_held_runs_before_the_holder_lets_go() {
+        // A core with no accept thread: no clock tick can rescue a
+        // stranded message.
+        let cfg = ServerConfig {
+            shards: 1,
+            ..ServerConfig::default()
+        };
+        let (tx, rx) = mpsc::sync_channel(cfg.queue);
+        let (done_tx, _done_rx) = mpsc::channel();
+        let eng = Engine::open(
+            &cfg,
+            CcKind::from_name(&cfg.cc).expect("a known mechanism"),
+            Arc::default(),
+            Arc::default(),
+            Arc::default(),
+            Arc::default(),
+            Threads::default(),
+        )
+        .expect("a volatile engine opens");
+        let core = Core {
+            run: Mutex::new(Some(Running {
+                eng,
+                rx,
+                done_tx,
+                conns: Arc::default(),
+                batch: Vec::new(),
+            })),
+            tx,
+            pending: AtomicUsize::new(0),
+            kill: AtomicBool::new(false),
+        };
+        let (out, peer) = outbox_and_peer();
+        assert!(out.admit(1), "the ping's pipeline credit");
+        assert!(core.send(ToEngine::Conn { id: 1, out }));
+        core.combine();
+        assert_eq!(core.pending.load(Ordering::SeqCst), 0);
+
+        // The test thread holds the engine. A reader queues a ping and
+        // finds the lock taken: it returns at once, having run nothing.
+        let held = core.run.lock().expect("not poisoned");
+        let ping = ToEngine::Req {
+            conn: 1,
+            req_id: 7,
+            req: Request::Ping,
+        };
+        assert!(core.try_send(ping).is_ok());
+        std::thread::scope(|s| s.spawn(|| core.combine()).join().expect("no panic"));
+        assert_eq!(core.pending.load(Ordering::SeqCst), 1, "nothing ran");
+        peer.set_nonblocking(true).unwrap();
+        let mut byte = [0u8; 1];
+        let silent = (&peer).read(&mut byte).map_err(|e| e.kind());
+        assert_eq!(silent, Err(std::io::ErrorKind::WouldBlock), "no answer yet");
+
+        // The holder lets go the way `combine` does: the re-check finds
+        // the ping, and the holder runs it before returning.
+        if core.let_go(held) {
+            core.combine();
+        }
+        assert_eq!(core.pending.load(Ordering::SeqCst), 0);
+        let payload = read_frame(&mut &peer).unwrap().expect("the pong is there");
+        let (req_id, resp) = decode_response(&payload).unwrap();
+        assert_eq!((req_id, resp), (7, Response::Pong));
     }
 
     #[test]

@@ -423,8 +423,9 @@ fn healthz_flips_degraded_on_shard_panic_and_recovers() {
     let samples = parse_prometheus(&body).expect("exposition parses");
     assert_eq!(sample(&samples, "ccopt_shard_up{shard=\"0\"}"), Some(1.0));
 
-    // Kill shard 0 mid-run: /healthz goes degraded within the engine's
-    // loop latency, no scrape or sample interval required.
+    // Kill shard 0 mid-run: /healthz goes degraded within one engine
+    // pass (the accept thread runs one every 5 ms), no scrape or sample
+    // interval required.
     server.panic_shard(0);
     let body = wait_status(503, "after shard panic");
     assert!(body.contains("degraded"), "reason is named: {body}");

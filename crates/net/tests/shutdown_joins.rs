@@ -1,6 +1,8 @@
 //! `Server::shutdown` returns only once every server thread has exited —
 //! the per-connection ones too: each reader, each drainer the engine
-//! started for a full socket, each subscription pump.
+//! started for a full socket, each subscription pump. And while it
+//! serves, those and the accept thread are all the threads it has: the
+//! engine has none of its own.
 //!
 //! Alone in its file on purpose: the thread check reads this process's
 //! own task list, which tests sharing the binary would populate.
@@ -52,6 +54,15 @@ fn shutdown_returns_after_every_connection_thread_has_exited() {
     sub.subscribe().expect("subscribe");
     let mut plain = Client::connect(addr).expect("connect plain client");
     plain.ping().expect("ping");
+    // No engine thread: the engine runs on whichever of these holds it.
+    // (`comm` is cut at 15 bytes.)
+    let threads = server_threads();
+    assert!(
+        matches!(threads.as_slice(), [accept, r1, r2, pump]
+            if accept == "ccopt-net-accep" && r1 == "ccopt-net-r1" && r2 == "ccopt-net-r2"
+                && pump.starts_with("ccopt-net-sub")),
+        "the accept thread, two readers and a pump, nothing else: {threads:?}"
+    );
 
     // A pipelining connection that never reads: more batch answers than
     // the socket buffers hold, all within the pipeline cap (so nothing is

@@ -9,8 +9,9 @@
 //! * every transaction moves value between two variables, so a final
 //!   read-all must find the sum conserved, and the server's drain report
 //!   must count exactly the commits the clients saw;
-//! * a connection costs the server one thread (its reader): responses
-//!   leave on the engine thread.
+//! * a connection costs the server one thread (its reader): the engine
+//!   runs on the reader that finds it free, and responses leave on the
+//!   thread that ran it.
 //!
 //! `crates/net/tests/` holds the full suites (differential, frame fuzz,
 //! ops plane, slow readers); this is the thin slice the Tier-1 command
@@ -28,11 +29,11 @@ const SYNC_TXNS: u32 = 20;
 const IN_FLIGHT: usize = 64;
 
 /// Live threads the server runs per connection (`ccopt-net-r<id>`
-/// readers, pumps, drainers): every thread it names except its three
+/// readers, pumps, drainers): every thread it names except its two
 /// singletons. (The shard workers are `ccopt-shard-<s>`, named by the
 /// engine crate, outside the prefix.) `None` off Linux.
 fn connection_threads() -> Option<usize> {
-    const SINGLETONS: [&str; 3] = ["ccopt-net-engin", "ccopt-net-accep", "ccopt-net-ops"];
+    const SINGLETONS: [&str; 2] = ["ccopt-net-accep", "ccopt-net-ops"];
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     Some(
         tasks
