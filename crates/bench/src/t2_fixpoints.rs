@@ -168,6 +168,30 @@ mod tests {
     }
 
     #[test]
+    fn rows_are_pinned() {
+        // |P| per scheduler, one column per system in table order.
+        let want: [(&str, [usize; 5]); 6] = [
+            ("serial", [2, 2, 2, 2, 2]),
+            ("LRS", [2, 2, 4, 11, 2]),
+            ("T/O", [2, 2, 4, 11, 2]),
+            ("OCC", [2, 2, 2, 2, 2]),
+            ("SGT", [2, 2, 6, 20, 2]),
+            ("weak-serialization", [3, 2, 6, 20, 6]),
+        ];
+        let rows = super::rows();
+        let systems: Vec<&str> = rows.iter().map(|(n, _, _)| n.as_str()).collect();
+        assert_eq!(
+            systems,
+            ["fig1", "fig3-pair", "rw-pair", "rw-pair", "hotspot"]
+        );
+        for (i, (name, _, per)) in rows.iter().enumerate() {
+            let got: Vec<(&str, usize)> = per.iter().map(|(s, p)| (s.as_str(), *p)).collect();
+            let expect: Vec<(&str, usize)> = want.iter().map(|(s, p)| (*s, p[i])).collect();
+            assert_eq!(got, expect, "{name} (column {i})");
+        }
+    }
+
+    #[test]
     fn fig1_shows_the_semantic_advantage() {
         let rows = super::rows();
         let fig1 = rows.iter().find(|(n, _, _)| n == "fig1").unwrap();

@@ -2,8 +2,12 @@
 //!
 //! Each implementation answers three questions: may this step run now, may
 //! this transaction commit, and what happens on abort. The five classical
-//! mechanisms are provided; each corresponds to one scheduler of
-//! `ccopt-schedulers`, but here with real abort/rollback/restart dynamics.
+//! mechanisms are provided, with real abort/rollback/restart dynamics.
+//! `ccopt-schedulers`' `EngineScheduler` runs each one as an order-model
+//! scheduler. Measured there, serial and OCC have exactly the fixpoint
+//! sets of the paper's strawman and of backward validation; SGT and T/O
+//! have those of the order-model SGT and T/O intersected with strictness;
+//! strict 2PL's is a subset of the lock-respecting 2PL's.
 //!
 //! All bookkeeping is kept in dense, index-keyed tables ([`crate::dense`]):
 //! `TxnId` and `VarId` are dense `u32` indices, so lock tables, stamps,

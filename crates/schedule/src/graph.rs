@@ -161,6 +161,41 @@ pub fn csr_verdict(syntax: &Syntax, h: &Schedule) -> SerializationVerdict {
     ConflictGraph::build(syntax, h).check()
 }
 
+/// Is `h` conflict serializable when every read takes effect at its own
+/// position and every write at its transaction's final step — the
+/// deferred write phase of optimistic concurrency control?
+pub fn is_csr_deferred(syntax: &Syntax, h: &Schedule) -> bool {
+    let n = syntax.num_txns();
+    let steps = h.steps();
+    let mut last = vec![0; n];
+    for (p, s) in steps.iter().enumerate() {
+        last[s.txn.index()] = p;
+    }
+    // (effective position, transaction, variable, writes)
+    let mut events = Vec::with_capacity(2 * steps.len());
+    for (p, &s) in steps.iter().enumerate() {
+        let syn = syntax.step(s);
+        if syn.kind.reads() {
+            events.push((p, s.txn, syn.var, false));
+        }
+        if syn.kind.writes() {
+            events.push((last[s.txn.index()], s.txn, syn.var, true));
+        }
+    }
+    // Events sharing a position belong to one transaction, so ties are
+    // harmless.
+    events.sort_by_key(|e| e.0);
+    let mut edges = vec![false; n * n];
+    for (k, a) in events.iter().enumerate() {
+        for b in &events[k + 1..] {
+            if a.1 != b.1 && a.2 == b.2 && (a.3 || b.3) {
+                edges[a.1.index() * n + b.1.index()] = true;
+            }
+        }
+    }
+    ConflictGraph { n, edges }.check().is_serializable()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +289,30 @@ mod tests {
         if let SerializationVerdict::Cyclic(c) = verdict {
             assert_eq!(c.len(), 3);
         }
+    }
+
+    #[test]
+    fn deferred_writes_serialize_an_in_place_cycle() {
+        // An OCC fixpoint: T1 = u1 w1 r1, T2 = w0, T3 = w2 r1. In place,
+        // T1's update of v1 precedes T3's read (T1 -> T3) and T3's read
+        // precedes T1's write (T3 -> T1). With T1's writes at its final
+        // step only T3 -> T1 remains.
+        let syn = SyntaxBuilder::new()
+            .vars(["v0", "v1", "v2"])
+            .txn("T1", |t| t.update("v1").write("v1").read("v1"))
+            .txn("T2", |t| t.write("v0"))
+            .txn("T3", |t| t.write("v2").read("v1"))
+            .build();
+        let h = Schedule::new_unchecked(vec![
+            sid(0, 0),
+            sid(1, 0),
+            sid(2, 0),
+            sid(2, 1),
+            sid(0, 1),
+            sid(0, 2),
+        ]);
+        assert!(!is_csr(&syn, &h));
+        assert!(is_csr_deferred(&syn, &h));
     }
 
     #[test]

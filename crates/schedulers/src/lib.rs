@@ -1,14 +1,18 @@
 //! # `ccopt-schedulers` — practical online schedulers
 //!
 //! The paper's framework evaluates *any* concurrency control as a scheduler
-//! `S : H → C(T)` with a fixpoint set `P`. This crate implements the
-//! classical scheduler families as [`OnlineScheduler`]s so they can be
-//! ranked on the paper's performance axis (`|P|/|H|`, experiment T2) and
-//! driven by the Section 6 simulator (experiment T3):
+//! `S : H → C(T)` with a fixpoint set `P`. This crate puts the classical
+//! scheduler families behind [`OnlineScheduler`] so they can be ranked on
+//! the paper's performance axis (`|P|/|H|`, experiment T2):
 //!
-//! * [`serial`] — the paper's introductory strawman: "delay all other user
-//!   requests until the first user logs out" (first-come whole-transaction
-//!   serialization). Fixpoints: the serial histories.
+//! * [`EngineScheduler`] — any of the engine's seven mechanisms
+//!   (`ccopt-engine`'s `CcKind`) driven step by step: the code that serves
+//!   traffic, under the paper's yardstick. The suite's serial and OCC
+//!   entries are the engine's. Serial is the paper's introductory
+//!   strawman, "delay all other user requests until the first user logs
+//!   out" (fixpoints: the serial histories); OCC is backward validation
+//!   with a deferred write phase (Kung & Robinson's later line of work),
+//!   where a failed validation restarts the transaction.
 //! * [`two_phase`] — 2PL entrusted to the lock-respecting scheduler
 //!   (re-exported from `ccopt-locking`). Fixpoints: histories whose lock
 //!   acquisitions never block.
@@ -17,9 +21,6 @@
 //!   histories — the best any syntactic scheduler can do efficiently.
 //! * [`timestamp`] — timestamp ordering: conflicts must occur in arrival-
 //!   timestamp order.
-//! * [`occ`] — optimistic concurrency control with backward validation
-//!   (Kung & Robinson's later line of work): everything is granted, but a
-//!   failed validation re-serializes the transaction's commit.
 //! * [`weak`] — the semantic (weak-serialization) scheduler: the Theorem 4
 //!   optimum packaged as a practical scheduler.
 //! * [`suite`] — one-call construction of the whole scheduler line-up for a
@@ -37,8 +38,7 @@
 //! }
 //! ```
 
-pub mod occ;
-pub mod serial;
+mod engine;
 pub mod sgt;
 pub mod suite;
 pub mod timestamp;
@@ -60,8 +60,7 @@ pub mod two_phase {
 }
 
 pub use ccopt_core::scheduler::OnlineScheduler;
-pub use occ::OccScheduler;
-pub use serial::SerialScheduler;
+pub use engine::EngineScheduler;
 pub use sgt::SgtScheduler;
 pub use timestamp::TimestampScheduler;
 pub use weak::WeakScheduler;

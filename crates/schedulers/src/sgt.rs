@@ -7,6 +7,12 @@
 //! of granted steps and grant a request iff it keeps the graph acyclic.
 //! Its fixpoint set is exactly CSR — the efficiently-decidable core of the
 //! Theorem 3 optimum `SR(T)`.
+//!
+//! The engine's SGT ([`EngineScheduler`](crate::EngineScheduler) over
+//! `CcKind::Sgt`) also waits on a live writer's uncommitted data
+//! (strictness), so `P(engine SGT) = P(this) ∩ strict = CSR ∩ strict`
+//! (`tests/engine_fixpoints.rs`). This scheduler is the paper's non-strict
+//! rung and T2's CSR frontier.
 
 use ccopt_core::info::InfoLevel;
 use ccopt_core::scheduler::OnlineScheduler;

@@ -1,29 +1,30 @@
 //! One-call construction of the scheduler line-up for a system.
 //!
-//! The T2/T3 experiments rank the same schedulers over and over; this
-//! module builds them consistently.
+//! Experiment T2, the order-level simulator and the examples rank the same
+//! schedulers over and over; this module builds them consistently.
 
-use crate::occ::OccScheduler;
-use crate::serial::SerialScheduler;
+use crate::engine::EngineScheduler;
 use crate::sgt::SgtScheduler;
 use crate::timestamp::TimestampScheduler;
 use crate::two_phase::two_phase_scheduler;
 use crate::weak::WeakScheduler;
 use ccopt_core::scheduler::OnlineScheduler;
+use ccopt_engine::CcKind;
 use ccopt_model::system::TransactionSystem;
 
 /// All practical schedulers for a system, coarsest information first:
-/// serial, 2PL, T/O, OCC, SGT.
+/// serial, 2PL, T/O, OCC, SGT. Serial and OCC are the engine's own
+/// mechanisms, run through [`EngineScheduler`].
 ///
 /// The weak-serialization scheduler is *not* included by default because
 /// building it enumerates `H` (exponential); add it explicitly via
 /// [`with_weak`] for small formats.
 pub fn scheduler_suite(sys: &TransactionSystem) -> Vec<Box<dyn OnlineScheduler>> {
     vec![
-        Box::new(SerialScheduler::new(&sys.format())),
+        Box::new(EngineScheduler::new(CcKind::Serial, sys.syntax.clone())),
         Box::new(two_phase_scheduler(sys)),
         Box::new(TimestampScheduler::new(sys.syntax.clone())),
-        Box::new(OccScheduler::new(sys.syntax.clone())),
+        Box::new(EngineScheduler::new(CcKind::Occ, sys.syntax.clone())),
         Box::new(SgtScheduler::new(sys.syntax.clone())),
     ]
 }

@@ -6,6 +6,12 @@
 //! conflictingly. Out-of-order requests wait until the owner transactions
 //! complete; at end-of-input the stragglers replay in arrival order
 //! (abort/restart in a real system — the run counts as delayed either way).
+//!
+//! The engine's T/O ([`EngineScheduler`](crate::EngineScheduler) over
+//! `CcKind::Timestamp`) also waits on a live writer's uncommitted data
+//! (strictness), so `P(engine T/O) = P(this) ∩ strict`
+//! (`tests/engine_fixpoints.rs`). This scheduler is the paper's non-strict
+//! rung.
 
 use ccopt_core::info::InfoLevel;
 use ccopt_core::scheduler::OnlineScheduler;

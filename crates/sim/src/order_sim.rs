@@ -54,18 +54,23 @@ pub fn delay_profile<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccopt_engine::CcKind;
+    use ccopt_model::system::TransactionSystem;
     use ccopt_model::systems;
     use ccopt_schedulers::suite::scheduler_suite;
-    use ccopt_schedulers::SerialScheduler;
+    use ccopt_schedulers::EngineScheduler;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    fn serial(sys: &TransactionSystem) -> EngineScheduler {
+        EngineScheduler::new(CcKind::Serial, sys.syntax.clone())
+    }
+
     #[test]
     fn serial_profile_matches_exact_ratio() {
-        let format = [2, 2];
-        let mut s = SerialScheduler::new(&format);
+        let sys = systems::fig3_pair(); // format (2, 2)
         let mut rng = SmallRng::seed_from_u64(1);
-        let p = delay_profile(&mut s, &format, 4000, &mut rng);
+        let p = delay_profile(&mut serial(&sys), &sys.format(), 4000, &mut rng);
         // Exact |P|/|H| = 2/6.
         assert!((p.fixpoint_rate - 1.0 / 3.0).abs() < 0.03, "{p:?}");
         assert!(p.avg_total_wait > 0.0);
@@ -88,14 +93,12 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let format = [2, 1];
-        let mut s1 = SerialScheduler::new(&format);
-        let mut s2 = SerialScheduler::new(&format);
+        let sys = systems::fig1(); // format (2, 1)
         let mut r1 = SmallRng::seed_from_u64(9);
         let mut r2 = SmallRng::seed_from_u64(9);
         assert_eq!(
-            delay_profile(&mut s1, &format, 500, &mut r1),
-            delay_profile(&mut s2, &format, 500, &mut r2)
+            delay_profile(&mut serial(&sys), &sys.format(), 500, &mut r1),
+            delay_profile(&mut serial(&sys), &sys.format(), 500, &mut r2)
         );
     }
 }

@@ -11,8 +11,9 @@
 //! * [`locking`] — locking policies (2PL, 2PL′, tree locking) and the
 //!   lock-respecting scheduler;
 //! * [`geometry`] — the geometry of locking (Section 5.3);
-//! * [`schedulers`] — practical online schedulers (serial, 2PL, SGT,
-//!   timestamp ordering, OCC);
+//! * [`schedulers`] — practical online schedulers (2PL, SGT, timestamp
+//!   ordering) and every engine mechanism as one through
+//!   `EngineScheduler` (the suite's serial and OCC);
 //! * [`engine`] — the in-memory database substrate;
 //! * [`sim`] — the discrete-event simulator of the Section 6 environment.
 

@@ -2,12 +2,14 @@
 //! systems and histories.
 
 use ccopt::core::scheduler::run_scheduler;
+use ccopt::engine::CcKind;
 use ccopt::model::random::{random_system, RandomConfig};
 use ccopt::schedule::enumerate::sample_schedule;
-use ccopt::schedule::graph::is_csr;
+use ccopt::schedule::graph::{is_csr, is_csr_deferred};
 use ccopt::schedule::herbrand::HerbrandCtx;
 use ccopt::schedule::sr::is_sr;
 use ccopt::schedulers::suite::scheduler_suite;
+use ccopt::schedulers::{EngineScheduler, OnlineScheduler};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -28,14 +30,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every scheduler's output is a legal schedule (each step once, in
-    /// program order), for random histories of random systems.
+    /// program order), for random histories of random systems: the suite
+    /// and the adapter over each of the engine's seven mechanisms.
     #[test]
     fn outputs_are_legal(seed in 0u64..500, hseed in 0u64..500) {
         let sys = random_system(&cfg(), seed);
         let format = sys.format();
         let mut rng = SmallRng::seed_from_u64(hseed);
         let h = sample_schedule(&format, &mut rng);
-        for mut s in scheduler_suite(&sys) {
+        let engines = CcKind::ALL.map(|k| {
+            Box::new(EngineScheduler::new(k, sys.syntax.clone())) as Box<dyn OnlineScheduler>
+        });
+        for mut s in scheduler_suite(&sys).into_iter().chain(engines) {
             let run = run_scheduler(s.as_mut(), &h);
             prop_assert!(
                 run.output.is_legal(&format),
@@ -46,7 +52,10 @@ proptest! {
     }
 
     /// When a run needed no forced flush, syntactic schedulers stay inside
-    /// CSR ⊆ SR — the correctness contract of delay-based operation.
+    /// CSR ⊆ SR — the correctness contract of delay-based operation. OCC's
+    /// writes take effect in its commit-time write phase, so its outputs
+    /// are conflict serializable with each write at its transaction's
+    /// final step.
     #[test]
     fn unforced_outputs_are_serializable(seed in 0u64..300, hseed in 0u64..300) {
         let sys = random_system(&cfg(), seed);
@@ -58,19 +67,15 @@ proptest! {
             if s.name() == "serial" {
                 continue; // serial outputs are serial: checked below
             }
-            if s.name() == "OCC" {
-                // OCC's validation models the Kung-Robinson *deferred*
-                // write phase; the grant order therefore does not claim
-                // serializability as an in-place execution order. The
-                // corresponding correctness property lives at the engine
-                // layer (tests/engine_serializability.rs), where writes
-                // really are deferred.
-                continue;
-            }
             let run = run_scheduler(s.as_mut(), &h);
             if run.forced == 0 {
+                let serializable = if s.name() == "OCC" {
+                    is_csr_deferred(&sys.syntax, &run.output)
+                } else {
+                    is_csr(&sys.syntax, &run.output) || is_sr(&ctx, &run.output)
+                };
                 prop_assert!(
-                    is_csr(&sys.syntax, &run.output) || is_sr(&ctx, &run.output),
+                    serializable,
                     "{} unforced output {} is not serializable (input {h})",
                     s.name(),
                     run.output
