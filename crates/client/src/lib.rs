@@ -12,9 +12,12 @@
 //! Two surfaces share one socket:
 //!
 //! * the **sync surface** (`begin`/`read`/`write`/`update`/`commit`/
-//!   `abort`) sends one request and blocks for its response — the
+//!   `batch`/`abort`) sends one request and blocks for its response — the
 //!   differential tests use it to pin wire semantics to the in-process
-//!   engine;
+//!   engine. Transaction work has one wire shape, [`Request::Batch`]:
+//!   `read`/`write`/`update` send a batch of one op and `commit` a batch
+//!   of none with the commit flag set, each unpacked back into its
+//!   `Op`;
 //! * the **pipelined surface** ([`Client::send`] / [`Client::recv`])
 //!   exposes raw request ids so a driver can keep many requests in
 //!   flight on one connection — the open-loop bench uses it to push a
@@ -30,6 +33,7 @@
 //! [`ClientError::Draining`] (the server is going away).
 
 use ccopt_engine::{BatchOp, Op};
+use ccopt_model::ids::VarId;
 use ccopt_model::value::Value;
 use ccopt_net::error::{FrameError, WireError};
 use ccopt_net::frame::{
@@ -186,7 +190,7 @@ impl Client {
 
     /// Observe variable `var`. [`Op`] semantics mirror the session API.
     pub fn read(&mut self, h: TxnHandle, var: u32) -> Result<Op<Value>, ClientError> {
-        self.op(&Request::Read { txn: h.token, var })
+        only_outcome(self.batch(h, &[BatchOp::Read(VarId(var))], false)?)
     }
 
     /// Blind-write `value` to `var`; the observed old value rides along.
@@ -196,11 +200,8 @@ impl Client {
         var: u32,
         value: Value,
     ) -> Result<Op<Value>, ClientError> {
-        self.op(&Request::Write {
-            txn: h.token,
-            var,
-            value,
-        })
+        let op = BatchOp::Write(VarId(var), value);
+        only_outcome(self.batch(h, &[op], false)?)
     }
 
     /// Read-modify-write `var ← a·var + c`
@@ -213,26 +214,25 @@ impl Client {
         a: i64,
         c: i64,
     ) -> Result<Op<Value>, ClientError> {
-        self.op(&Request::Update {
-            txn: h.token,
-            var,
+        let op = BatchOp::Affine {
+            var: VarId(var),
             a,
             c,
-        })
+        };
+        only_outcome(self.batch(h, &[op], false)?)
     }
 
     /// Commit. `Op::Done(())` means durable to the server's configured
     /// mode and the handle is finished; `Wait` = retry the commit;
     /// `Restarted` = validation failed, replay the program on the same
-    /// handle.
+    /// handle. On the wire this is a zero-op [`Client::batch`], whose
+    /// commit is always attempted.
     pub fn commit(&mut self, h: TxnHandle) -> Result<Op<()>, ClientError> {
-        match self.roundtrip(&Request::Commit { txn: h.token })? {
-            Response::Committed => Ok(Op::Done(())),
-            Response::Wait => Ok(Op::Wait),
-            Response::Restarted => Ok(Op::Restarted),
-            Response::Shed => Err(ClientError::Shed),
-            Response::Err { code, msg } => Err(ClientError::Server { code, msg }),
-            other => Err(unexpected("Commit", &other)),
+        match self.batch(h, &[], true)? {
+            (results, Some(c)) if results.is_empty() => Ok(c),
+            other => Err(ClientError::Protocol(format!(
+                "unexpected answer to Commit: {other:?}"
+            ))),
         }
     }
 
@@ -386,39 +386,19 @@ impl Client {
         }
         Ok(resp)
     }
-
-    fn op(&mut self, req: &Request) -> Result<Op<Value>, ClientError> {
-        match self.roundtrip(req)? {
-            Response::Done { value } => Ok(Op::Done(value)),
-            Response::Wait => Ok(Op::Wait),
-            Response::Restarted => Ok(Op::Restarted),
-            Response::Shed => Err(ClientError::Shed),
-            Response::Err { code, msg } => Err(ClientError::Server { code, msg }),
-            other => Err(unexpected("operation", &other)),
-        }
-    }
 }
 
 fn unexpected(what: &str, got: &Response) -> ClientError {
     ClientError::Protocol(format!("unexpected response to {what}: {got:?}"))
 }
 
-/// Map a pipelined [`Response`] back onto the session API's
-/// [`Op<Value>`] view, the same mapping the sync surface applies — for
-/// drivers using [`Client::send`]/[`Client::recv`] directly.
-pub fn response_to_op(resp: &Response) -> Result<Op<Value>, ClientError> {
-    match resp {
-        Response::Done { value } => Ok(Op::Done(*value)),
-        Response::Wait => Ok(Op::Wait),
-        Response::Restarted => Ok(Op::Restarted),
-        Response::Shed => Err(ClientError::Shed),
-        Response::Draining => Err(ClientError::Draining),
-        Response::Err { code, msg } => Err(ClientError::Server {
-            code: *code,
-            msg: msg.clone(),
-        }),
+/// The one outcome of a one-op batch without a commit: how `read`,
+/// `write` and `update` travel.
+fn only_outcome(reply: BatchReply) -> Result<Op<Value>, ClientError> {
+    match reply {
+        (results, None) if results.len() == 1 => Ok(results[0]),
         other => Err(ClientError::Protocol(format!(
-            "unexpected response {other:?}"
+            "unexpected answer to an operation: {other:?}"
         ))),
     }
 }

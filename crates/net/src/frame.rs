@@ -41,13 +41,10 @@ pub const MAX_FRAME: u32 = 64 * 1024;
 /// with the largest per-op encoding.
 pub const MAX_BATCH_OPS: usize = 1024;
 
-// Request opcodes.
+// Request opcodes. 3-6 (the retired per-op `Read`/`Write`/`Update` and
+// plain `Commit`) stay unassigned, so a stale client's frame is malformed.
 const OP_PING: u8 = 1;
 const OP_BEGIN: u8 = 2;
-const OP_READ: u8 = 3;
-const OP_WRITE: u8 = 4;
-const OP_UPDATE: u8 = 5;
-const OP_COMMIT: u8 = 6;
 const OP_ABORT: u8 = 7;
 const OP_SHUTDOWN: u8 = 8;
 const OP_STATS: u8 = 9;
@@ -55,13 +52,10 @@ const OP_HEALTH: u8 = 10;
 const OP_SUBSCRIBE: u8 = 11;
 const OP_BATCH: u8 = 12;
 
-// Response opcodes.
+// Response opcodes. 3-6 (the retired per-op answers `Done`/`Wait`/
+// `Restarted`/`Committed`) stay unassigned.
 const RESP_PONG: u8 = 1;
 const RESP_BEGAN: u8 = 2;
-const RESP_DONE: u8 = 3;
-const RESP_WAIT: u8 = 4;
-const RESP_RESTARTED: u8 = 5;
-const RESP_COMMITTED: u8 = 6;
 const RESP_ABORTED: u8 = 7;
 const RESP_SHED: u8 = 8;
 const RESP_DRAINING: u8 = 9;
@@ -83,10 +77,13 @@ const BOUT_WAIT: u8 = 1;
 const BOUT_RESTARTED: u8 = 2;
 
 /// A client request. Transactions are named by the server-issued token
-/// from [`Response::Began`]; operations mirror the session API's op
-/// surface, with the arbitrary update closure narrowed to the affine
-/// family `v ← a·v + c` ([`ccopt_engine::affine_eval`]) so an update is
-/// plain data on the wire.
+/// from [`Response::Began`]. All transaction work travels as
+/// [`Request::Batch`]: a run of `n ≥ 0` operations, optionally followed
+/// by the commit (a single operation is a batch of one, a plain commit a
+/// batch of none). Operations mirror the session API's op surface, with
+/// the arbitrary update closure narrowed to the affine family
+/// `v ← a·v + c` ([`ccopt_engine::affine_eval`]) so an update is plain
+/// data on the wire.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
     /// Liveness probe; answered [`Response::Pong`].
@@ -95,41 +92,6 @@ pub enum Request {
     /// [`Response::Shed`] / [`Response::Draining`] under admission
     /// control).
     Begin,
-    /// Observe a variable.
-    Read {
-        /// The transaction token.
-        txn: u64,
-        /// The global variable id.
-        var: u32,
-    },
-    /// Blind-write a value (the observed old value rides along in
-    /// [`Response::Done`]).
-    Write {
-        /// The transaction token.
-        txn: u64,
-        /// The global variable id.
-        var: u32,
-        /// The value to install.
-        value: Value,
-    },
-    /// Read-modify-write `v ← a·v + c`, atomic under the owning shard's
-    /// concurrency control.
-    Update {
-        /// The transaction token.
-        txn: u64,
-        /// The global variable id.
-        var: u32,
-        /// Multiplier.
-        a: i64,
-        /// Offset.
-        c: i64,
-    },
-    /// Commit the transaction (the token dies on
-    /// [`Response::Committed`], survives `Wait`/`Restarted`).
-    Commit {
-        /// The transaction token.
-        txn: u64,
-    },
     /// Abort the transaction (the token dies).
     Abort {
         /// The transaction token.
@@ -150,20 +112,21 @@ pub enum Request {
     /// The per-subscriber buffer is bounded: a slow reader loses events
     /// (counted in-stream), never slows the engine.
     Subscribe,
-    /// Many operations of **one transaction** in one frame — the wire
-    /// half of batched submission, killing the one-RTT-per-op tax the
-    /// way [`ccopt_engine::ShardedDb::submit_group`] kills the
-    /// one-message-per-op tax below. Answered by
-    /// exactly one [`Response::Batch`] (or a whole-request refusal:
-    /// `Err`, never per-op errors). At most [`MAX_BATCH_OPS`]
-    /// operations; more is malformed.
+    /// Operations of **one transaction** in one frame, the only request
+    /// that does transaction work: one RTT for a whole run, the way
+    /// [`ccopt_engine::ShardedDb::submit_group`] is one message per
+    /// shard below. Answered by exactly one [`Response::Batch`] (or a
+    /// whole-request refusal: `Err`, never per-op errors). At most
+    /// [`MAX_BATCH_OPS`] operations; more is malformed.
     Batch {
         /// The transaction token.
         txn: u64,
-        /// The operations, in program order.
+        /// The operations, in program order; empty for a plain commit.
         ops: Vec<BatchOp>,
-        /// Piggyback the transaction's commit after the last operation;
-        /// attempted only when every operation completes `Done`.
+        /// Commit the transaction after the last operation; attempted
+        /// only when every one of *this request's* operations completes
+        /// `Done` (always, for an empty run). The token dies on
+        /// [`BatchCommit::Committed`].
         commit: bool,
     },
 }
@@ -219,11 +182,12 @@ impl std::fmt::Display for ErrCode {
     }
 }
 
-/// One operation's outcome inside a [`Response::Batch`], mirroring the
-/// per-op responses: `Done` carries the observed value, a trailing
+/// One operation's outcome inside a [`Response::Batch`], the session
+/// layer's [`Op`](ccopt_engine::Op) values on the wire: `Done` carries
+/// the observed value (for a write, the overwritten one), a trailing
 /// `Wait` means resume the program **from that operation**, a trailing
-/// `Restarted` means the whole transaction restarted — replay its
-/// program on the same token.
+/// `Restarted` means the whole transaction restarted under a fresh
+/// timestamp — replay its program on the same token.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BatchOutcome {
     /// The operation executed; `value` is the observed value.
@@ -237,27 +201,24 @@ pub enum BatchOutcome {
     Restarted,
 }
 
-/// The piggybacked commit's outcome inside a [`Response::Batch`],
-/// mirroring [`Response::Committed`] / `Wait` / `Restarted`: the token
-/// dies on `Committed`, survives the other two (retry the commit /
-/// replay the program).
+/// The commit's outcome inside a [`Response::Batch`], the session
+/// layer's `Op<()>` on the wire: the token dies on `Committed`, survives
+/// the other two (retry the commit / replay the program).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchCommit {
     /// The commit is durable (to the configured durability mode).
     Committed,
-    /// The commit blocked; retry it (a commit-only [`Request::Batch`]
-    /// or a plain [`Request::Commit`]).
+    /// The commit blocked; retry it (a zero-op [`Request::Batch`] with
+    /// `commit` set).
     Wait,
     /// Commit-time validation failed and the transaction restarted;
     /// replay its program.
     Restarted,
 }
 
-/// A server response, echoing the request's id. `Wait` and `Restarted`
-/// carry the session layer's [`Op`](ccopt_engine::Op) semantics onto the
-/// wire: `Wait` = retry the same operation after a backoff, `Restarted` =
-/// the whole transaction restarted under a fresh timestamp, replay its
-/// program on the same token.
+/// A server response, echoing the request's id. Transaction work is
+/// answered by [`Response::Batch`], whose outcomes carry the session
+/// layer's [`Op`](ccopt_engine::Op) semantics onto the wire.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Response {
     /// The server is alive.
@@ -267,18 +228,6 @@ pub enum Response {
         /// Its token, the `txn` of every subsequent request.
         txn: u64,
     },
-    /// The operation executed; for reads and updates `value` is the
-    /// observed value, for writes the overwritten one.
-    Done {
-        /// The observed value.
-        value: Value,
-    },
-    /// The operation blocked; retry it.
-    Wait,
-    /// The transaction restarted; replay its program on the same token.
-    Restarted,
-    /// The commit is durable (to the configured durability mode).
-    Committed,
     /// The abort took effect.
     Aborted,
     /// Admission control refused the request: a bounded queue was full.
@@ -324,9 +273,9 @@ pub enum Response {
     /// The outcomes of a [`Request::Batch`] — the **partial-batch
     /// contract**: `results` comes back in submission order and stops
     /// at the first non-`Done` outcome (operations after it were not
-    /// attempted; the vector is short). `commit` is present only when
-    /// the request asked for one *and* every operation completed
-    /// `Done`.
+    /// attempted; the vector is short). `commit` is present exactly when
+    /// the request asked for one *and* every one of its operations
+    /// completed `Done` — so a zero-op commit is always answered.
     Batch {
         /// Per-operation outcomes, short at the first non-`Done`.
         results: Vec<BatchOutcome>,
@@ -409,10 +358,6 @@ pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
     let op = match req {
         Request::Ping => OP_PING,
         Request::Begin => OP_BEGIN,
-        Request::Read { .. } => OP_READ,
-        Request::Write { .. } => OP_WRITE,
-        Request::Update { .. } => OP_UPDATE,
-        Request::Commit { .. } => OP_COMMIT,
         Request::Abort { .. } => OP_ABORT,
         Request::Shutdown => OP_SHUTDOWN,
         Request::Stats => OP_STATS,
@@ -458,22 +403,7 @@ pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
                 }
             }
         }
-        Request::Read { txn, var } => {
-            b.extend_from_slice(&txn.to_le_bytes());
-            b.extend_from_slice(&var.to_le_bytes());
-        }
-        Request::Write { txn, var, value } => {
-            b.extend_from_slice(&txn.to_le_bytes());
-            b.extend_from_slice(&var.to_le_bytes());
-            encoding::put_value(&mut b, value);
-        }
-        Request::Update { txn, var, a, c } => {
-            b.extend_from_slice(&txn.to_le_bytes());
-            b.extend_from_slice(&var.to_le_bytes());
-            b.extend_from_slice(&a.to_le_bytes());
-            b.extend_from_slice(&c.to_le_bytes());
-        }
-        Request::Commit { txn } | Request::Abort { txn } => {
+        Request::Abort { txn } => {
             b.extend_from_slice(&txn.to_le_bytes());
         }
     }
@@ -489,24 +419,6 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), WireError> {
     let req = match op {
         OP_PING => Request::Ping,
         OP_BEGIN => Request::Begin,
-        OP_READ => Request::Read {
-            txn: c.take_u64().ok_or(WireError::Malformed)?,
-            var: c.take_u32().ok_or(WireError::Malformed)?,
-        },
-        OP_WRITE => Request::Write {
-            txn: c.take_u64().ok_or(WireError::Malformed)?,
-            var: c.take_u32().ok_or(WireError::Malformed)?,
-            value: c.take_value().ok_or(WireError::Malformed)?,
-        },
-        OP_UPDATE => Request::Update {
-            txn: c.take_u64().ok_or(WireError::Malformed)?,
-            var: c.take_u32().ok_or(WireError::Malformed)?,
-            a: c.take_u64().ok_or(WireError::Malformed)? as i64,
-            c: c.take_u64().ok_or(WireError::Malformed)? as i64,
-        },
-        OP_COMMIT => Request::Commit {
-            txn: c.take_u64().ok_or(WireError::Malformed)?,
-        },
         OP_ABORT => Request::Abort {
             txn: c.take_u64().ok_or(WireError::Malformed)?,
         },
@@ -571,10 +483,6 @@ fn encode_response_into(b: &mut Vec<u8>, req_id: u64, resp: &Response) {
     let op = match resp {
         Response::Pong => RESP_PONG,
         Response::Began { .. } => RESP_BEGAN,
-        Response::Done { .. } => RESP_DONE,
-        Response::Wait => RESP_WAIT,
-        Response::Restarted => RESP_RESTARTED,
-        Response::Committed => RESP_COMMITTED,
         Response::Aborted => RESP_ABORTED,
         Response::Shed => RESP_SHED,
         Response::Draining => RESP_DRAINING,
@@ -589,7 +497,6 @@ fn encode_response_into(b: &mut Vec<u8>, req_id: u64, resp: &Response) {
     b.extend_from_slice(&req_id.to_le_bytes());
     match resp {
         Response::Began { txn } => b.extend_from_slice(&txn.to_le_bytes()),
-        Response::Done { value } => encoding::put_value(b, *value),
         Response::Err { code, msg } => {
             b.push(code.to_byte());
             let bytes = msg.as_bytes();
@@ -645,12 +552,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
         RESP_BEGAN => Response::Began {
             txn: c.take_u64().ok_or(WireError::Malformed)?,
         },
-        RESP_DONE => Response::Done {
-            value: c.take_value().ok_or(WireError::Malformed)?,
-        },
-        RESP_WAIT => Response::Wait,
-        RESP_RESTARTED => Response::Restarted,
-        RESP_COMMITTED => Response::Committed,
         RESP_ABORTED => Response::Aborted,
         RESP_SHED => Response::Shed,
         RESP_DRAINING => Response::Draining,
@@ -728,19 +629,6 @@ mod tests {
         vec![
             Request::Ping,
             Request::Begin,
-            Request::Read { txn: 7, var: 3 },
-            Request::Write {
-                txn: 7,
-                var: 3,
-                value: Value::Int(-9),
-            },
-            Request::Update {
-                txn: 7,
-                var: 3,
-                a: -2,
-                c: i64::MAX,
-            },
-            Request::Commit { txn: 7 },
             Request::Abort { txn: 7 },
             Request::Shutdown,
             Request::Stats,
@@ -764,6 +652,11 @@ mod tests {
                 ops: vec![],
                 commit: false,
             },
+            Request::Batch {
+                txn: 9,
+                ops: vec![],
+                commit: true,
+            },
         ]
     }
 
@@ -771,12 +664,6 @@ mod tests {
         vec![
             Response::Pong,
             Response::Began { txn: 42 },
-            Response::Done {
-                value: Value::Bool(true),
-            },
-            Response::Wait,
-            Response::Restarted,
-            Response::Committed,
             Response::Aborted,
             Response::Shed,
             Response::Draining,
@@ -899,6 +786,39 @@ mod tests {
         // to a non-boolean value.
         p[1 + 8 + 8] = 2;
         assert_eq!(decode_request(&p), Err(WireError::Malformed));
+    }
+
+    #[test]
+    fn retired_per_op_opcodes_are_malformed() {
+        // Opcodes 3-6 once carried `Read`/`Write`/`Update`/`Commit` and
+        // their answers `Done`/`Wait`/`Restarted`/`Committed`; they stay
+        // unassigned. Each is tried bare and with the operand bytes a
+        // stale peer would have sent (a token, a variable, a value).
+        let mut value = Vec::new();
+        encoding::put_value(&mut value, Value::Int(5));
+        let bodies: [&[u8]; 4] = [
+            &[],
+            &7u64.to_le_bytes(),
+            &[7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0],
+            &value,
+        ];
+        for op in 3u8..=6 {
+            for body in bodies {
+                let mut p = vec![op];
+                p.extend_from_slice(&1u64.to_le_bytes());
+                p.extend_from_slice(body);
+                assert_eq!(
+                    decode_request(&p),
+                    Err(WireError::Malformed),
+                    "request {op}"
+                );
+                assert_eq!(
+                    decode_response(&p),
+                    Err(WireError::Malformed),
+                    "response {op}"
+                );
+            }
+        }
     }
 
     #[test]

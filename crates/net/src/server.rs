@@ -25,11 +25,12 @@
 //! pumps — are registered as they spawn (finished ones are reaped at the
 //! next spawn), and [`Server::shutdown`], [`Server::kill`] and drop join
 //! every one: when they return, no `ccopt-net-*` thread of the server is
-//! left. Everything one pass drains — data operations, wire batches and
-//! commits, across transactions and connections — is submitted as one
-//! [`ShardedDb::submit_group`] call, so pipelining clients amortize the
-//! per-operation shard-mailbox round trip (a lone request is a group of
-//! one).
+//! left. All transaction work arrives as [`Request::Batch`] frames (a
+//! single operation is a batch of one, a plain commit a batch of none),
+//! and everything one pass drains, across transactions and connections,
+//! is submitted as one [`ShardedDb::submit_group`] call, so pipelining
+//! clients amortize the per-operation shard-mailbox round trip (a lone
+//! request is a group of one).
 //!
 //! Responses leave on the thread that made them. Each connection has an
 //! **outbox** — a buffer of framed bytes plus the write half of the
@@ -111,7 +112,6 @@ use ccopt_durability::DurabilityMode;
 use ccopt_engine::{
     BatchOp, CcKind, GlobalTxn, GroupReq, GroupResp, Metrics, Op, SessionError, ShardedDb,
 };
-use ccopt_model::ids::VarId;
 use ccopt_model::state::GlobalState;
 use ccopt_trace::{EventKind, Histogram, TraceConfig, TraceSubscription, Tracer};
 use std::collections::{HashMap, VecDeque};
@@ -1179,58 +1179,18 @@ impl Engine {
 
 /// One transaction's accumulated work inside a drain pass, on its way
 /// into a [`ShardedDb::submit_group`] call: the ops of its pipelined
-/// per-op requests and wire batches, concatenated in arrival order, with
-/// per-request segment boundaries kept so each request gets its own
-/// answer back.
+/// `Batch` requests, concatenated in arrival order, with each request's
+/// run kept as `(req_id, n)` so it gets its own answer back.
 struct PendEntry {
     conn: u64,
     token: u64,
-    segs: Vec<Seg>,
+    runs: Vec<(u64, usize)>,
     ops: Vec<BatchOp>,
-    /// The request id of the commit-bearing request, if any; set by a
-    /// plain `Commit` or a wire `Batch { commit: true }`. An entry with
-    /// a commit is sealed — a later request on the same token flushes
-    /// the whole group first (its execution depends on this outcome).
+    /// The request id of the commit-bearing request, if any. An entry
+    /// with a commit is sealed — a later request on the same token
+    /// flushes the whole group first (its execution depends on this
+    /// outcome).
     commit_req: Option<u64>,
-    /// The commit came from a wire `Batch` (answer inside its
-    /// `Response::Batch`) rather than a plain `Commit`.
-    commit_is_batch: bool,
-}
-
-impl PendEntry {
-    /// The request id of a plain `Commit` (answered on its own, unlike a
-    /// commit piggybacked on a wire batch).
-    fn plain_commit(&self) -> Option<u64> {
-        self.commit_req.filter(|_| !self.commit_is_batch)
-    }
-
-    /// Every request of the entry that owes its own response.
-    fn req_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        let segs = self.segs.iter().map(|seg| match *seg {
-            Seg::Single { req_id } | Seg::Wire { req_id, .. } => req_id,
-        });
-        segs.chain(self.plain_commit())
-    }
-}
-
-/// One request's slice of a [`PendEntry`]'s concatenated ops.
-enum Seg {
-    /// A per-op request (`Read`/`Write`/`Update`): one op, one
-    /// single-op response.
-    Single { req_id: u64 },
-    /// A wire `Batch` covering the next `n` ops: one
-    /// [`Response::Batch`].
-    Wire { req_id: u64, n: usize },
-}
-
-/// Which groupable request a call to `Engine::enqueue` appends.
-enum Piece {
-    /// A per-op request (`Read`/`Write`/`Update`).
-    Op,
-    /// A wire `Batch`, its commit piggybacked or not.
-    Batch { commit: bool },
-    /// A plain `Commit`.
-    Commit,
 }
 
 /// The per-pass accumulator of [`PendEntry`]s, in first-arrival order.
@@ -1242,11 +1202,11 @@ struct Pending {
 
 impl Engine {
     fn process(&mut self, msgs: &[ToEngine]) {
-        // Group submit: accumulate every transaction's data ops, wire
-        // batches and commits across the whole drained pass — across
-        // connections — and hand them to the engine as ONE
-        // `submit_group` call per flush, so independent transactions
-        // share shard messages instead of paying a round trip each.
+        // Group submit: accumulate every transaction's batches across
+        // the whole drained pass — across connections — and hand them to
+        // the engine as ONE `submit_group` call per flush, so independent
+        // transactions share shard messages instead of paying a round
+        // trip each.
         // Requests that only read engine-adjacent state (`Ping`,
         // `Begin`, `Stats`, `Health`) interleave without flushing;
         // anything that mutates transaction or server lifecycle state
@@ -1262,29 +1222,12 @@ impl Engine {
                     // The reader counted this request into the
                     // queue-depth gauge before sending it.
                     self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    let at = (conn, req_id);
                     match *req {
-                        Request::Read { txn, var } => {
-                            let op = BatchOp::Read(VarId(var));
-                            self.enqueue(&mut pending, at, txn, &[op], Piece::Op);
-                        }
-                        Request::Write { txn, var, value } => {
-                            let op = BatchOp::Write(VarId(var), value);
-                            self.enqueue(&mut pending, at, txn, &[op], Piece::Op);
-                        }
-                        Request::Update { txn, var, a, c } => {
-                            let var = VarId(var);
-                            let op = BatchOp::Affine { var, a, c };
-                            self.enqueue(&mut pending, at, txn, &[op], Piece::Op);
-                        }
                         Request::Batch {
                             txn,
                             ref ops,
                             commit,
-                        } => self.enqueue(&mut pending, at, txn, ops, Piece::Batch { commit }),
-                        Request::Commit { txn } => {
-                            self.enqueue(&mut pending, at, txn, &[], Piece::Commit);
-                        }
+                        } => self.enqueue(&mut pending, (conn, req_id), txn, ops, commit),
                         Request::Ping => self.respond(conn, req_id, &Response::Pong),
                         Request::Begin => self.begin_txn(conn, req_id),
                         Request::Stats => {
@@ -1355,19 +1298,20 @@ impl Engine {
         }
     }
 
-    /// Append one groupable request — `ops` of transaction `token`, asked
-    /// by `(conn, req_id)` — to the pass's pending group.
+    /// Append one `Batch` — `ops` of transaction `token`, then its commit
+    /// if `commit`, asked by `(conn, req_id)` — to the pass's pending
+    /// group.
     fn enqueue(
         &mut self,
         pending: &mut Pending,
         (conn, req_id): (u64, u64),
         token: u64,
         ops: &[BatchOp],
-        piece: Piece,
+        commit: bool,
     ) {
         // Malformed variable ids are refused before anything reaches a
-        // shard; for a wire batch the whole request is refused (its
-        // contract: one response, never per-op errors).
+        // shard, for the whole request (its contract: one response,
+        // never per-op errors).
         if let Some(op) = ops.iter().find(|op| op.var().0 >= self.num_vars) {
             let msg = format!("variable {} outside 0..{}", op.var().0, self.num_vars);
             self.respond(
@@ -1394,10 +1338,9 @@ impl Engine {
                 pending.entries.push(PendEntry {
                     conn,
                     token,
-                    segs: Vec::new(),
+                    runs: Vec::new(),
                     ops: Vec::new(),
                     commit_req: None,
-                    commit_is_batch: false,
                 });
                 let ix = pending.entries.len() - 1;
                 pending.index.insert((conn, token), ix);
@@ -1406,22 +1349,9 @@ impl Engine {
         };
         let e = &mut pending.entries[ix];
         e.ops.extend_from_slice(ops);
-        match piece {
-            Piece::Op => e.segs.push(Seg::Single { req_id }),
-            Piece::Batch { commit } => {
-                e.segs.push(Seg::Wire {
-                    req_id,
-                    n: ops.len(),
-                });
-                if commit {
-                    e.commit_req = Some(req_id);
-                    e.commit_is_batch = true;
-                }
-            }
-            Piece::Commit => {
-                e.commit_req = Some(req_id);
-                e.commit_is_batch = false;
-            }
+        e.runs.push((req_id, ops.len()));
+        if commit {
+            e.commit_req = Some(req_id);
         }
     }
 
@@ -1437,7 +1367,7 @@ impl Engine {
         let mut live: Vec<(PendEntry, GlobalTxn)> = Vec::with_capacity(entries.len());
         for e in entries {
             let Some(h) = self.owned(e.conn, e.token) else {
-                for req_id in e.req_ids() {
+                for &(req_id, _) in &e.runs {
                     self.unknown(e.conn, req_id, e.token);
                 }
                 continue;
@@ -1465,110 +1395,86 @@ impl Engine {
                 // The whole entry failed before any op ran (stale
                 // handle, shard down, prepared): every request it
                 // carried gets the mapped error.
-                for req_id in e.req_ids() {
+                for &(req_id, _) in &e.runs {
                     self.session_error(conn, req_id, token, err);
                 }
                 return;
             }
         };
-        // Trailing analysis, once per entry: a trailing `Wait` feeds the
-        // distributed-deadlock valve, which may turn the whole answer
-        // into `Restarted`.
+        // What a request the run stopped in (or before) answers. Once per
+        // entry: a trailing `Wait` feeds the distributed-deadlock valve,
+        // which may turn the whole answer into `Restarted`.
         let trailing = match results.last() {
+            Some(Op::Wait) if self.waited(token, h) => BatchOutcome::Restarted,
+            Some(Op::Wait) => BatchOutcome::Wait,
             Some(Op::Restarted) => {
                 self.waits.remove(&token);
-                Some(Response::Restarted)
+                BatchOutcome::Restarted
             }
-            Some(Op::Wait) => Some(self.waited(token, h)),
             Some(Op::Done(_)) if results.len() == e.ops.len() => {
                 self.waits.remove(&token);
-                None
+                BatchOutcome::Wait
             }
-            _ => None,
-        };
-        let trailing_out = match &trailing {
-            Some(Response::Restarted) => BatchOutcome::Restarted,
             _ => BatchOutcome::Wait,
         };
         let mut pos = 0usize;
-        for seg in &e.segs {
-            match *seg {
-                Seg::Single { req_id } => {
-                    let resp = match results.get(pos) {
-                        Some(Op::Done(v)) => Response::Done { value: *v },
-                        _ => trailing.clone().unwrap_or(Response::Wait),
-                    };
-                    self.respond(conn, req_id, &resp);
-                    pos += 1;
-                }
-                Seg::Wire { req_id, n } => {
-                    let avail = results.len().saturating_sub(pos).min(n);
-                    let mut outs: Vec<BatchOutcome> = results[pos..pos + avail]
-                        .iter()
-                        .map(|r| match r {
-                            Op::Done(v) => BatchOutcome::Done { value: *v },
-                            Op::Wait => trailing_out.clone(),
-                            Op::Restarted => BatchOutcome::Restarted,
-                        })
-                        .collect();
-                    if avail < n
-                        && outs
-                            .last()
-                            .is_none_or(|o| matches!(o, BatchOutcome::Done { .. }))
-                    {
-                        // The run stopped before reaching (or finishing)
-                        // this batch: its next op answers the trailing
-                        // outcome — "resume here" keeps the client's
-                        // replay contract identical to the per-op path.
-                        outs.push(trailing_out.clone());
+        for &(req_id, n) in &e.runs {
+            // Past a stop, `pos` can run beyond the results.
+            let mine = &results[pos.min(results.len())..];
+            let avail = mine.len().min(n);
+            let mut outs: Vec<BatchOutcome> = mine[..avail]
+                .iter()
+                .map(|r| match r {
+                    Op::Done(v) => BatchOutcome::Done { value: *v },
+                    Op::Wait => trailing.clone(),
+                    Op::Restarted => BatchOutcome::Restarted,
+                })
+                .collect();
+            pos += n;
+            // Every op of this request that the run reached ran `Done`;
+            // with `done`, it reached them all.
+            let ran = outs
+                .last()
+                .is_none_or(|o| matches!(o, BatchOutcome::Done { .. }));
+            let done = ran && avail == n;
+            if ran && !done {
+                // The run stopped before reaching (or finishing) this
+                // request: its next op answers the trailing outcome —
+                // "resume here".
+                outs.push(trailing.clone());
+            }
+            // A request's commit is attempted if and only if its own ops
+            // all completed `Done`. `None` from the group then means an
+            // earlier request of the entry stopped the run — which only a
+            // zero-op request can follow — so the commit runs on its own,
+            // with sequential semantics: it commits whatever the
+            // transaction's current attempt holds.
+            let commit = if done && e.commit_req == Some(req_id) {
+                let c = resp.commit.unwrap_or_else(|| {
+                    let c = self.db.commit(h);
+                    if let Ok(Op::Done(())) = c {
+                        let _ = self.db.retire(h);
                     }
-                    pos += n;
-                    let commit = if e.commit_is_batch && e.commit_req == Some(req_id) {
-                        match resp.commit {
-                            Some(Ok(c)) => Some(self.commit_outcome(token, h, c)),
-                            Some(Err(err)) => {
-                                self.session_error(conn, req_id, token, err);
-                                continue;
-                            }
-                            None => None,
-                        }
-                    } else {
-                        None
-                    };
-                    self.respond(
-                        conn,
-                        req_id,
-                        &Response::Batch {
-                            results: outs,
-                            commit,
-                        },
-                    );
+                    c
+                });
+                match c {
+                    Ok(c) => Some(self.commit_outcome(token, h, c)),
+                    Err(err) => {
+                        self.session_error(conn, req_id, token, err);
+                        continue;
+                    }
                 }
-            }
-        }
-        if let Some(req_id) = e.plain_commit() {
-            // `None`: the run ended short, so the group never attempted
-            // this plain `Commit`. It still owes an answer with
-            // sequential semantics: commit whatever the transaction's
-            // current attempt holds.
-            let c = resp.commit.unwrap_or_else(|| {
-                let c = self.db.commit(h);
-                if let Ok(Op::Done(())) = c {
-                    let _ = self.db.retire(h);
-                }
-                c
-            });
-            match c {
-                Ok(c) => {
-                    let r = match self.commit_outcome(token, h, c) {
-                        BatchCommit::Committed => Response::Committed,
-                        BatchCommit::Wait => Response::Wait,
-                        BatchCommit::Restarted => Response::Restarted,
-                    };
-                    self.respond(conn, req_id, &r);
-                }
-                Err(err) => self.session_error(conn, req_id, token, err),
-            }
+            } else {
+                None
+            };
+            self.respond(
+                conn,
+                req_id,
+                &Response::Batch {
+                    results: outs,
+                    commit,
+                },
+            );
         }
     }
 
@@ -1584,10 +1490,8 @@ impl Engine {
                 self.commits += 1;
                 BatchCommit::Committed
             }
-            Op::Wait => match self.waited(token, h) {
-                Response::Restarted => BatchCommit::Restarted,
-                _ => BatchCommit::Wait,
-            },
+            Op::Wait if self.waited(token, h) => BatchCommit::Restarted,
+            Op::Wait => BatchCommit::Wait,
             Op::Restarted => {
                 self.waits.remove(&token);
                 BatchCommit::Restarted
@@ -1889,25 +1793,22 @@ impl Engine {
     /// clients in a cross-shard lock cycle would otherwise exchange
     /// `Wait` retries forever, because no shard-local deadlock detector
     /// can see the cycle. Firing force-restarts the transaction
-    /// ([`ShardedDb::restart`]) and answers `Restarted`, which the
-    /// client already handles by replaying its program on the same
-    /// token.
-    fn waited(&mut self, token: u64, h: GlobalTxn) -> Response {
+    /// ([`ShardedDb::restart`]) and returns `true`: the client is told
+    /// `Restarted`, which it already handles by replaying its program on
+    /// the same token.
+    fn waited(&mut self, token: u64, h: GlobalTxn) -> bool {
         if self.wait_valve == 0 {
-            return Response::Wait;
+            return false;
         }
         let n = self.waits.entry(token).or_insert(0);
         *n += 1;
         if *n < self.wait_valve {
-            return Response::Wait;
+            return false;
         }
         self.waits.remove(&token);
-        match self.db.restart(h) {
-            Ok(()) => Response::Restarted,
-            // Not restartable (already terminal); let the client's next
-            // request surface the real state.
-            Err(_) => Response::Wait,
-        }
+        // Not restartable (already terminal): answer `Wait` and let the
+        // client's next request surface the real state.
+        self.db.restart(h).is_ok()
     }
 
     fn session_error(&mut self, conn: u64, req_id: u64, token: u64, e: SessionError) {
@@ -2117,6 +2018,8 @@ fn serve_http(mut stream: TcpStream, ops: &OpsShared) {
 mod tests {
     use super::*;
     use crate::frame::decode_response;
+    use ccopt_model::ids::VarId;
+    use ccopt_model::value::Value;
 
     /// An outbox over one end of a loopback connection, and the peer.
     fn outbox_and_peer() -> (Arc<Outbox>, TcpStream) {
@@ -2267,6 +2170,134 @@ mod tests {
         let payload = read_frame(&mut &peer).unwrap().expect("the pong is there");
         let (req_id, resp) = decode_response(&payload).unwrap();
         assert_eq!((req_id, resp), (7, Response::Pong));
+    }
+
+    /// A volatile one-shard strict-2PL engine with one connection, and
+    /// that connection's peer.
+    fn engine_and_peer() -> (Engine, TcpStream) {
+        let cfg = ServerConfig {
+            shards: 1,
+            ..ServerConfig::default()
+        };
+        let kind = CcKind::from_name(&cfg.cc).expect("a known mechanism");
+        let mut eng = Engine::open(
+            &cfg,
+            kind,
+            Arc::default(),
+            Arc::default(),
+            Arc::default(),
+            Arc::default(),
+            Threads::default(),
+        )
+        .expect("a volatile engine opens");
+        let (out, peer) = outbox_and_peer();
+        eng.process(&[ToEngine::Conn { id: 1, out }]);
+        (eng, peer)
+    }
+
+    /// Run one engine pass over `reqs`, as the reader would queue them,
+    /// and read back its answers.
+    fn ask(eng: &mut Engine, peer: &TcpStream, reqs: Vec<Request>) -> Vec<Response> {
+        let n = reqs.len();
+        let msgs: Vec<ToEngine> = (0..)
+            .zip(reqs)
+            .map(|(req_id, req)| {
+                eng.conns[&1].admit(usize::MAX);
+                eng.queue_depth.fetch_add(1, Ordering::Relaxed);
+                ToEngine::Req {
+                    conn: 1,
+                    req_id,
+                    req,
+                }
+            })
+            .collect();
+        eng.process(&msgs);
+        (0..n as u64)
+            .map(|want| {
+                let payload = read_frame(&mut &*peer).unwrap().expect("an answer");
+                let (req_id, resp) = decode_response(&payload).unwrap();
+                assert_eq!(req_id, want, "answers keep request order");
+                resp
+            })
+            .collect()
+    }
+
+    fn begin(eng: &mut Engine, peer: &TcpStream) -> u64 {
+        match &ask(eng, peer, vec![Request::Begin])[..] {
+            [Response::Began { txn }] => *txn,
+            other => panic!("begin answered {other:?}"),
+        }
+    }
+
+    fn batch(txn: u64, ops: Vec<BatchOp>, commit: bool) -> Request {
+        Request::Batch { txn, ops, commit }
+    }
+
+    #[test]
+    fn a_zero_op_commit_behind_a_stopped_run_commits_on_its_own() {
+        let (mut eng, peer) = engine_and_peer();
+        let (t1, t2) = (begin(&mut eng, &peer), begin(&mut eng, &peer));
+        let write = |x| vec![BatchOp::Write(VarId(0), Value::Int(x))];
+        let held = ask(&mut eng, &peer, vec![batch(t1, write(1), false)]);
+        let done = vec![BatchOutcome::Done {
+            value: Value::Int(0),
+        }];
+        assert_eq!(
+            held,
+            [Response::Batch {
+                results: done,
+                commit: None
+            }]
+        );
+        // One pass: T2's write waits on T1's lock, which stops the
+        // entry's run, so the group never attempts the commit behind it.
+        // A zero-op request's own ops all ran, so its commit runs alone,
+        // as a sequential commit would: T2 holds nothing, and commits.
+        let answers = ask(
+            &mut eng,
+            &peer,
+            vec![batch(t2, write(2), false), batch(t2, vec![], true)],
+        );
+        assert_eq!(
+            answers,
+            [
+                Response::Batch {
+                    results: vec![BatchOutcome::Wait],
+                    commit: None,
+                },
+                Response::Batch {
+                    results: vec![],
+                    commit: Some(BatchCommit::Committed),
+                },
+            ]
+        );
+        assert_eq!(eng.commits, 1);
+    }
+
+    #[test]
+    fn a_run_stopped_early_answers_every_later_request() {
+        let (mut eng, peer) = engine_and_peer();
+        let (t1, t2) = (begin(&mut eng, &peer), begin(&mut eng, &peer));
+        let write = |var| BatchOp::Write(VarId(var), Value::Int(1));
+        ask(&mut eng, &peer, vec![batch(t1, vec![write(0)], false)]);
+        // T2's first batch waits at its first op; the two requests behind
+        // it in the same pass were never reached: each answers "resume
+        // here", and neither's commit is attempted.
+        let answers = ask(
+            &mut eng,
+            &peer,
+            vec![
+                batch(t2, vec![write(0), write(1)], false),
+                batch(t2, vec![write(2)], false),
+                batch(t2, vec![write(3)], true),
+            ],
+        );
+        let wait = Response::Batch {
+            results: vec![BatchOutcome::Wait],
+            commit: None,
+        };
+        assert_eq!(answers, [wait.clone(), wait.clone(), wait]);
+        assert_eq!(eng.commits, 0);
     }
 
     #[test]

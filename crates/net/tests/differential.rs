@@ -3,17 +3,18 @@
 //! equivalent in-process [`SessionDb`] run, for all seven mechanisms.
 //!
 //! The same deterministic program (seeded transactions of reads, blind
-//! writes, and affine updates) runs twice per mechanism — once through a
-//! wire [`Client`] against a sharded [`Server`], once directly against a
-//! `SessionDb` — and the final committed images are compared value by
-//! value. This pins three things at once: the wire codec round-trips
+//! writes, and affine updates) runs three times per mechanism — twice
+//! through a wire [`Client`] against a sharded [`Server`] (one op per
+//! call, then each transaction as one batch with its commit), once
+//! directly against a `SessionDb` — and the final committed images are
+//! compared value by value. This pins three things at once: the wire codec round-trips
 //! values exactly, the server's update semantics are
 //! [`affine_eval`](ccopt_engine::affine_eval) and nothing else, and the
 //! sharded engine behind the server computes what the unsharded session
 //! layer computes.
 
 use ccopt_client::{Client, TxnHandle};
-use ccopt_engine::{affine_eval, cc_by_name, Op, SessionDb, MECHANISM_NAMES};
+use ccopt_engine::{affine_eval, cc_by_name, BatchOp, Op, SessionDb, MECHANISM_NAMES};
 use ccopt_model::ids::VarId;
 use ccopt_model::state::GlobalState;
 use ccopt_model::value::Value;
@@ -80,6 +81,38 @@ fn run_wire(client: &mut Client, prog: &[Vec<ProgOp>]) {
     }
 }
 
+/// The same workload over the wire with each transaction as **one**
+/// `Client::batch(ops, commit: true)`: resume from a trailing `Wait`,
+/// replay everything after a `Restarted`, retry a waiting commit alone.
+fn run_wire_batched(client: &mut Client, prog: &[Vec<ProgOp>]) {
+    for txn in prog {
+        let ops: Vec<BatchOp> = txn
+            .iter()
+            .map(|op| match *op {
+                ProgOp::Read(v) => BatchOp::Read(VarId(v)),
+                ProgOp::Write(v, x) => BatchOp::Write(VarId(v), Value::Int(x)),
+                ProgOp::Update(v, a, c) => BatchOp::Affine {
+                    var: VarId(v),
+                    a,
+                    c,
+                },
+            })
+            .collect();
+        let h = client.begin().expect("begin");
+        let mut from = 0;
+        loop {
+            let (results, commit) = client.batch(h, &ops[from..], true).expect("batch");
+            match (results.last(), commit) {
+                (_, Some(Op::Done(()))) => break,
+                (Some(Op::Restarted), None) | (_, Some(Op::Restarted)) => from = 0,
+                (Some(Op::Wait), None) => from += results.len() - 1,
+                (_, Some(Op::Wait)) => from = ops.len(),
+                other => panic!("a batch answered {other:?}"),
+            }
+        }
+    }
+}
+
 /// The same workload, in process.
 fn run_session(db: &mut SessionDb, prog: &[Vec<ProgOp>]) {
     for txn in prog {
@@ -139,25 +172,29 @@ fn wire_state(client: &mut Client) -> Vec<Value> {
     out
 }
 
+/// Run `prog` with `replay` against a fresh sharded server running
+/// mechanism `name`, and read its committed state back.
+fn served(name: &str, prog: &[Vec<ProgOp>], replay: fn(&mut Client, &[Vec<ProgOp>])) -> Vec<Value> {
+    let server = Server::start(ServerConfig {
+        cc: name.to_string(),
+        num_vars: VARS,
+        shards: 3,
+        ..ServerConfig::default()
+    })
+    .unwrap_or_else(|e| panic!("{name}: server start: {e}"));
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    replay(&mut client, prog);
+    let state = wire_state(&mut client);
+    drop(client);
+    let stats = server.shutdown().expect("drain");
+    assert_eq!(stats.commits as usize, TXNS, "{name}: every txn committed");
+    state
+}
+
 #[test]
 fn serial_wire_workload_matches_in_process_session_for_all_mechanisms() {
     for (i, name) in MECHANISM_NAMES.iter().enumerate() {
         let prog = program(0xC0FFEE + i as u64);
-
-        // Over the wire, through a sharded server.
-        let server = Server::start(ServerConfig {
-            cc: name.to_string(),
-            num_vars: VARS,
-            shards: 3,
-            ..ServerConfig::default()
-        })
-        .unwrap_or_else(|e| panic!("{name}: server start: {e}"));
-        let mut client = Client::connect(server.local_addr()).expect("connect");
-        run_wire(&mut client, &prog);
-        let served = wire_state(&mut client);
-        drop(client);
-        let stats = server.shutdown().expect("drain");
-        assert_eq!(stats.commits as usize, TXNS, "{name}: every txn committed");
 
         // In process, unsharded.
         let mut db = SessionDb::with_capacity(
@@ -168,9 +205,17 @@ fn serial_wire_workload_matches_in_process_session_for_all_mechanisms() {
         run_session(&mut db, &prog);
         let local = db.committed_globals();
 
+        // Over the wire, through a sharded server: one op per call, and
+        // each transaction as one batch with its commit.
         assert_eq!(
-            served, local.0,
+            served(name, &prog, run_wire),
+            local.0,
             "{name}: served state diverged from the in-process session run"
+        );
+        assert_eq!(
+            served(name, &prog, run_wire_batched),
+            local.0,
+            "{name}: batched served state diverged from the in-process session run"
         );
     }
 }

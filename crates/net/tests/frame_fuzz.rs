@@ -10,8 +10,9 @@ use ccopt_engine::BatchOp;
 use ccopt_model::value::Value;
 use ccopt_model::VarId;
 use ccopt_net::{
-    decode_request, decode_response, encode_request, frame_into, read_frame, FrameError, Request,
-    Server, ServerConfig, WireError, MAX_BATCH_OPS, MAX_FRAME,
+    decode_request, decode_response, encode_request, frame_into, read_frame, BatchCommit,
+    BatchOutcome, ErrCode, FrameError, Request, Response, Server, ServerConfig, WireError,
+    MAX_BATCH_OPS, MAX_FRAME,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -59,22 +60,33 @@ fn sample_requests(rng: &mut SmallRng) -> Vec<Request> {
         Request::Stats,
         Request::Health,
         Request::Subscribe,
-        Request::Commit { txn: rng.gen() },
+        Request::Batch {
+            txn: rng.gen(),
+            ops: vec![],
+            commit: true,
+        },
         Request::Abort { txn: rng.gen() },
-        Request::Read {
+        Request::Batch {
             txn: rng.gen(),
-            var: rng.gen_range(0..128),
+            ops: vec![BatchOp::Read(VarId(rng.gen_range(0..128)))],
+            commit: false,
         },
-        Request::Write {
+        Request::Batch {
             txn: rng.gen(),
-            var: rng.gen_range(0..128),
-            value: Value::Int(rng.gen_range(-1000..1000)),
+            ops: vec![BatchOp::Write(
+                VarId(rng.gen_range(0..128)),
+                Value::Int(rng.gen_range(-1000..1000)),
+            )],
+            commit: false,
         },
-        Request::Update {
+        Request::Batch {
             txn: rng.gen(),
-            var: rng.gen_range(0..128),
-            a: rng.gen_range(-9..9),
-            c: rng.gen_range(-9..9),
+            ops: vec![BatchOp::Affine {
+                var: VarId(rng.gen_range(0..128)),
+                a: rng.gen_range(-9..9),
+                c: rng.gen_range(-9..9),
+            }],
+            commit: false,
         },
     ];
     reqs.truncate(rng.gen_range(3..=reqs.len()));
@@ -387,6 +399,67 @@ fn ops_opcodes_survive_truncation_and_flips_against_a_live_server() {
         good.health().expect("health still served");
     }
     server.shutdown().expect("drain");
+}
+
+/// A stale client's per-op frame — opcode 3, the retired `Read`, with
+/// the operands it used to carry — is answered `Err{Malformed}` under
+/// its request id, and the same connection then serves a `Batch`.
+#[test]
+fn retired_opcode_is_answered_malformed_and_the_connection_serves_on() {
+    let server = Server::start(ServerConfig {
+        num_vars: 8,
+        shards: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let mut s = TcpStream::connect(server.local_addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut roundtrip = |payload: &[u8]| {
+        let mut wire = Vec::new();
+        frame_into(&mut wire, payload);
+        s.write_all(&wire).unwrap();
+        let p = read_frame(&mut s).expect("frame").expect("answered");
+        decode_response(&p).expect("decodes")
+    };
+    let mut stale = vec![3u8];
+    stale.extend_from_slice(&41u64.to_le_bytes()); // req_id
+    stale.extend_from_slice(&1u64.to_le_bytes()); // txn
+    stale.extend_from_slice(&0u32.to_le_bytes()); // var
+    let (id, resp) = roundtrip(&stale);
+    assert_eq!(id, 41);
+    assert!(
+        matches!(
+            resp,
+            Response::Err {
+                code: ErrCode::Malformed,
+                ..
+            }
+        ),
+        "{resp:?}"
+    );
+    let txn = match roundtrip(&encode_request(42, &Request::Begin)) {
+        (42, Response::Began { txn }) => txn,
+        other => panic!("begin answered {other:?}"),
+    };
+    let batch = Request::Batch {
+        txn,
+        ops: vec![BatchOp::Write(VarId(0), Value::Int(7))],
+        commit: true,
+    };
+    assert_eq!(
+        roundtrip(&encode_request(43, &batch)),
+        (
+            43,
+            Response::Batch {
+                results: vec![BatchOutcome::Done {
+                    value: Value::Int(0)
+                }],
+                commit: Some(BatchCommit::Committed),
+            }
+        )
+    );
+    let stats = server.shutdown().expect("drain");
+    assert_eq!(stats.commits, 1);
 }
 
 /// A frame whose *payload* is malformed (good CRC, bad contents) gets an

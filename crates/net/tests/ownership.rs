@@ -13,7 +13,16 @@ use ccopt_client::Client;
 use ccopt_engine::{BatchOp, Op};
 use ccopt_model::ids::VarId;
 use ccopt_model::value::Value;
-use ccopt_net::{ErrCode, Request, Response, Server, ServerConfig};
+use ccopt_net::{BatchCommit, BatchOutcome, ErrCode, Request, Response, Server, ServerConfig};
+
+/// The wire form of `update(var, a, c)`.
+fn update(var: u32, a: i64, c: i64) -> BatchOp {
+    BatchOp::Affine {
+        var: VarId(var),
+        a,
+        c,
+    }
+}
 
 /// Send `req` on `c` and require an `UnknownTxn` refusal.
 fn refused(c: &mut Client, req: &Request) {
@@ -51,25 +60,13 @@ fn a_token_answers_only_to_the_connection_that_began_it() {
         a.write(h, 0, Value::Int(5)).expect("write"),
         Op::Done(Value::Int(0))
     );
+    let batch = |ops: Vec<BatchOp>, commit| Request::Batch { txn, ops, commit };
     for req in [
-        Request::Read { txn, var: 0 },
-        Request::Write {
-            txn,
-            var: 0,
-            value: Value::Int(99),
-        },
-        Request::Update {
-            txn,
-            var: 0,
-            a: 2,
-            c: 1,
-        },
-        Request::Batch {
-            txn,
-            ops: vec![BatchOp::Write(VarId(0), Value::Int(99))],
-            commit: true,
-        },
-        Request::Commit { txn },
+        batch(vec![BatchOp::Read(VarId(0))], false),
+        batch(vec![BatchOp::Write(VarId(0), Value::Int(99))], false),
+        batch(vec![update(0, 2, 1)], false),
+        batch(vec![BatchOp::Write(VarId(0), Value::Int(99))], true),
+        batch(vec![], true),
         Request::Abort { txn },
     ] {
         refused(&mut b, &req);
@@ -84,20 +81,31 @@ fn a_token_answers_only_to_the_connection_that_began_it() {
     for _ in 0..ROUNDS {
         let txn = a.begin().expect("begin").token();
         let reqs = [
-            Request::Update {
+            Request::Batch {
                 txn,
-                var: 1,
-                a: 1,
-                c: 1,
+                ops: vec![update(1, 1, 1)],
+                commit: false,
             },
-            Request::Commit { txn },
+            Request::Batch {
+                txn,
+                ops: vec![],
+                commit: true,
+            },
         ];
         for req in &reqs {
             a.send(req).expect("send a");
             b.send(req).expect("send b");
         }
-        assert!(matches!(a.recv().expect("recv a").1, Response::Done { .. }));
-        assert!(matches!(a.recv().expect("recv a").1, Response::Committed));
+        assert!(matches!(
+            a.recv().expect("recv a").1,
+            Response::Batch { results, commit: None }
+                if matches!(results[..], [BatchOutcome::Done { .. }])
+        ));
+        assert!(matches!(
+            a.recv().expect("recv a").1,
+            Response::Batch { results, commit: Some(BatchCommit::Committed) }
+                if results.is_empty()
+        ));
         for _ in &reqs {
             let (_, resp) = b.recv().expect("recv b");
             assert!(

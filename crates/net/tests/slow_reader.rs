@@ -38,11 +38,13 @@ const VARS: usize = 64;
 static ONE_SERVER_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// Live threads the server runs per connection (`ccopt-net-r<id>`
-/// readers, pumps, drainers): every thread it names except its three
-/// singletons. (The shard workers are `ccopt-shard-<s>`, named by the
-/// engine crate, outside the prefix.) `None` off Linux.
+/// readers, pumps, drainers): every thread it names except its two
+/// singletons, the accept thread and the ops HTTP listener. (The engine
+/// has no thread: it runs on whichever of these holds it. The shard
+/// workers are `ccopt-shard-<s>`, named by the engine crate, outside the
+/// prefix.) `None` off Linux.
 fn connection_threads() -> Option<usize> {
-    const SINGLETONS: [&str; 3] = ["ccopt-net-engin", "ccopt-net-accep", "ccopt-net-ops"];
+    const SINGLETONS: [&str; 2] = ["ccopt-net-accep", "ccopt-net-ops"];
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     Some(
         tasks

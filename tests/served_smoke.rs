@@ -21,7 +21,7 @@ use ccopt::engine::{BatchOp, Op};
 use ccopt::model::ids::VarId;
 use ccopt::model::value::Value;
 use ccopt_client::Client;
-use ccopt_net::{Request, Response, Server, ServerConfig};
+use ccopt_net::{BatchCommit, BatchOutcome, Request, Response, Server, ServerConfig};
 use std::time::{Duration, Instant};
 
 const VARS: u32 = 16;
@@ -96,23 +96,40 @@ fn served_round_trip_on_both_client_surfaces() {
     }
 
     // Pipelined surface: one transaction, 64 requests sent before the
-    // first answer is read.
+    // first answer is read — 63 one-op batches, then the commit as a
+    // zero-op batch.
     let txn = piped.begin().expect("begin").token();
+    let one = |op: BatchOp| Request::Batch {
+        txn,
+        ops: vec![op],
+        commit: false,
+    };
     let mut sent = Vec::with_capacity(IN_FLIGHT);
     for i in 0..(IN_FLIGHT as u32 - 2) {
-        let (var, c) = (i % VARS, if i % 2 == 0 { 7 } else { -7 });
-        let req = Request::Update { txn, var, a: 1, c };
+        let (var, c) = (VarId(i % VARS), if i % 2 == 0 { 7 } else { -7 });
+        let req = one(BatchOp::Affine { var, a: 1, c });
         sent.push(piped.send(&req).expect("send update"));
     }
-    sent.push(piped.send(&Request::Read { txn, var: 0 }).expect("send"));
-    sent.push(piped.send(&Request::Commit { txn }).expect("send commit"));
+    sent.push(piped.send(&one(BatchOp::Read(VarId(0)))).expect("send"));
+    let commit = Request::Batch {
+        txn,
+        ops: vec![],
+        commit: true,
+    };
+    sent.push(piped.send(&commit).expect("send commit"));
     assert_eq!(sent.len(), IN_FLIGHT);
     for (k, &want) in sent.iter().enumerate() {
         let (id, resp) = piped.recv().expect("every request is answered");
         assert_eq!(id, want, "answers keep request order");
         match resp {
-            Response::Done { .. } if k + 1 < IN_FLIGHT => {}
-            Response::Committed if k + 1 == IN_FLIGHT => commits += 1,
+            Response::Batch {
+                results,
+                commit: None,
+            } if k + 1 < IN_FLIGHT && matches!(results[..], [BatchOutcome::Done { .. }]) => {}
+            Response::Batch {
+                results,
+                commit: Some(BatchCommit::Committed),
+            } if k + 1 == IN_FLIGHT && results.is_empty() => commits += 1,
             other => panic!("request {k}: unexpected {other:?}"),
         }
     }
