@@ -69,10 +69,14 @@ fn bench_csr_test(c: &mut Criterion) {
 /// conflict-free `on_step`s per transaction + `on_commit`/`after_commit`,
 /// at multiprogramming levels n ∈ {4, 64, 256}. Transactions touch private
 /// variables so every decision is `Proceed` and the measured cost is pure
-/// bookkeeping — exactly the tables the dense-index overhaul targets.
+/// bookkeeping — exactly the tables the dense-index overhaul targets. The
+/// `cc_wait_answer` group prices the other common answer, a repeated
+/// `Wait`, under the three mechanisms that block on a step.
 fn bench_cc_hot_path(c: &mut Criterion) {
+    use ccopt_engine::{Op, SessionDb};
     use ccopt_model::ids::VarId;
     use ccopt_model::syntax::StepKind;
+    use ccopt_model::value::Value;
 
     const STEPS: u32 = 4;
     for &n in &[4u32, 64, 256] {
@@ -119,6 +123,27 @@ fn bench_cc_hot_path(c: &mut Criterion) {
         }
         g.finish();
     }
+
+    // A wait answer: the waiter's re-request of a lock (2PL) or of a
+    // dirty variable (SGT, T/O) whose holder has not finished, through the
+    // session layer, as a served or in-process driver re-asks it. The edge
+    // stands after the first answer, so this is the repeated-wait path.
+    let mut g = c.benchmark_group("cc_wait_answer");
+    for kind in [CcKind::Strict2pl, CcKind::Sgt, CcKind::Timestamp] {
+        g.bench_function(kind.name(), |b| {
+            let mut db = SessionDb::new(kind.build(), GlobalState::from_ints(&[0]));
+            let holder = db.begin();
+            let waiter = db.begin();
+            let bump = |v: Value| v;
+            assert!(matches!(db.update(holder, VarId(0), bump), Ok(Op::Done(_))));
+            b.iter(|| {
+                let answer = db.update(waiter, VarId(0), bump);
+                debug_assert_eq!(answer, Ok(Op::Wait));
+                black_box(answer)
+            })
+        });
+    }
+    g.finish();
 }
 
 /// The durable commit path's encoding cost, isolated: one write-set +

@@ -38,7 +38,9 @@ pub enum CcDecision {
 /// rule fired, over which variable, against whom. Recorded by every
 /// mechanism on its Wait/Abort paths (never on the Proceed hot path) and
 /// read back through [`ConcurrencyControl::last_conflict`] by the session
-/// layer, which feeds the contention tables and the trace plane.
+/// layer for every abort and commit wait, and for a step wait only when
+/// it traces: a step wait's variable is the step's own (the contract on
+/// `last_conflict`), so the contention table needs no read-back.
 ///
 /// `opponent` is the opponent's dense slot at decision time. For live
 /// opponents (lock holders, dirty writers, pending writers) the slot
@@ -143,6 +145,12 @@ pub trait ConcurrencyControl: Send {
     /// after the non-Proceed decision (the value is not cleared on later
     /// Proceeds, so read it right away). The default returns `None`;
     /// every in-tree mechanism overrides it.
+    ///
+    /// A `Wait` from [`on_step`](Self::on_step) is attributed to the
+    /// step's own variable: the session layer books it there without
+    /// calling this (it does for the trace, and asserts the contract in
+    /// debug builds). Aborts and commit waits may name any variable, or
+    /// none.
     fn last_conflict(&self) -> Option<CcConflict> {
         None
     }
@@ -215,31 +223,83 @@ pub trait ConcurrencyControl: Send {
     }
 }
 
-/// Follow a waits-for chain (`waits[w] = holder w waits on`) from `holder`,
-/// answering whether `waiter` is reachable — i.e. whether adding the edge
-/// `waiter -> holder` would close a cycle. Each transaction waits on at
-/// most one other, so this is a functional-graph walk; the epoch-cleared
-/// `visited` set terminates it on pre-existing cycles that do not involve
-/// `waiter`, no matter how long the chain is.
-fn wait_chain_reaches(
-    waits: &SlotMap<TxnId>,
-    visited: &mut EpochBitSet,
-    waiter: TxnId,
-    holder: TxnId,
-) -> bool {
-    visited.clear();
-    let mut cur = holder;
-    loop {
-        if cur == waiter {
-            return true;
+/// The waits-for graph of a blocking mechanism: `edges[w]` is the one
+/// transaction `w` waits on. An edge goes in only after a walk proved it
+/// closes no cycle, so the graph stays acyclic and every walk ends at a
+/// transaction that waits on nobody.
+#[derive(Default, Debug)]
+struct WaitsFor {
+    edges: SlotMap<TxnId>,
+}
+
+impl WaitsFor {
+    fn reserve(&mut self, num_txns: usize) {
+        self.edges.reserve_slots(num_txns);
+    }
+
+    /// `waiter` must wait on `holder` for the reason `why`. Answers
+    /// [`Wait`](CcDecision::Wait) and records `why`, or, when the edge
+    /// would close a cycle, drops the waiter's edge, records `why` as a
+    /// [`Deadlock`](ConflictRule::Deadlock) and answers
+    /// [`Abort`](CcDecision::Abort). An edge that already stands answers
+    /// at once: the acyclic graph holds it, so the walk would find no
+    /// cycle again.
+    fn wait(
+        &mut self,
+        waiter: TxnId,
+        holder: TxnId,
+        why: CcConflict,
+        conflict: &mut Option<CcConflict>,
+    ) -> CcDecision {
+        if self.edges.get_copied(waiter.index()) == Some(holder) {
+            debug_assert!(
+                !self.reaches(holder, waiter),
+                "a standing waits-for edge closes a cycle"
+            );
+        } else if self.reaches(holder, waiter) {
+            self.edges.remove(waiter.index());
+            *conflict = Some(CcConflict {
+                rule: ConflictRule::Deadlock,
+                ..why
+            });
+            return CcDecision::Abort;
+        } else {
+            self.edges.insert(waiter.index(), holder);
         }
-        if !visited.insert(cur.index()) {
-            return false; // walked into a cycle not involving `waiter`
+        *conflict = Some(why);
+        CcDecision::Wait
+    }
+
+    /// `t` waits on nobody (it proceeded, or is finishing).
+    fn unblock(&mut self, t: TxnId) {
+        self.edges.remove(t.index());
+    }
+
+    /// `t` finished: it waits on nobody and nobody waits on it (its
+    /// waiters retry and re-insert their edges).
+    fn finish(&mut self, t: TxnId) {
+        self.edges.remove(t.index());
+        self.edges.retain(|_, h| *h != t);
+    }
+
+    /// Does the chain from `from` reach `to`? Each transaction waits on at
+    /// most one other, so this is a functional-graph walk. An acyclic
+    /// chain visits at most every slot once; the hop bound only keeps a
+    /// broken invariant from spinning (it answers "no", as a walk into a
+    /// cycle that misses `to` would).
+    fn reaches(&self, from: TxnId, to: TxnId) -> bool {
+        let mut cur = from;
+        for _ in 0..=self.edges.capacity() {
+            if cur == to {
+                return true;
+            }
+            match self.edges.get_copied(cur.index()) {
+                Some(next) => cur = next,
+                None => return false,
+            }
         }
-        match waits.get_copied(cur.index()) {
-            Some(next) => cur = next,
-            None => return false,
-        }
+        debug_assert!(false, "the waits-for graph has a cycle");
+        false
     }
 }
 
@@ -308,32 +368,24 @@ impl ConcurrencyControl for SerialCc {
 pub struct Strict2plCc {
     /// Lock table: variable slot -> holder.
     locks: SlotMap<TxnId>,
-    /// Current waits: waiter slot -> holder.
-    waits: SlotMap<TxnId>,
+    /// Current waits: waiter -> holder.
+    waits: WaitsFor,
     /// Locks held per transaction (insertion order; no duplicates, because
     /// a lock is appended only on first acquisition).
     held: Vec<Vec<VarId>>,
-    /// Scratch for the deadlock walk (O(1) clear per check).
-    visited: EpochBitSet,
     /// Attribution of the last Wait/Abort.
     conflict: Option<CcConflict>,
-}
-
-impl Strict2plCc {
-    fn would_deadlock(&mut self, waiter: TxnId, holder: TxnId) -> bool {
-        wait_chain_reaches(&self.waits, &mut self.visited, waiter, holder)
-    }
 }
 
 impl ConcurrencyControl for Strict2plCc {
     fn prepare(&mut self, num_txns: usize, num_vars: usize) {
         self.locks.reserve_slots(num_vars);
-        self.waits.reserve_slots(num_txns);
+        self.waits.reserve(num_txns);
         ensure_index(&mut self.held, num_txns.saturating_sub(1));
     }
 
     fn begin(&mut self, t: TxnId, _tick: u64) {
-        self.waits.remove(t.index());
+        self.waits.unblock(t);
     }
 
     fn on_step(&mut self, t: TxnId, var: VarId, _kind: StepKind) -> CcDecision {
@@ -342,24 +394,19 @@ impl ConcurrencyControl for Strict2plCc {
                 self.locks.insert(var.index(), t);
                 ensure_index(&mut self.held, t.index());
                 self.held[t.index()].push(var);
-                self.waits.remove(t.index());
+                self.waits.unblock(t);
                 CcDecision::Proceed
             }
             Some(h) if h == t => {
-                self.waits.remove(t.index());
+                self.waits.unblock(t);
                 CcDecision::Proceed
             }
-            Some(h) => {
-                if self.would_deadlock(t, h) {
-                    self.waits.remove(t.index());
-                    self.conflict = Some(CcConflict::new(ConflictRule::Deadlock, var, h));
-                    CcDecision::Abort
-                } else {
-                    self.waits.insert(t.index(), h);
-                    self.conflict = Some(CcConflict::new(ConflictRule::LockWait, var, h));
-                    CcDecision::Wait
-                }
-            }
+            Some(h) => self.waits.wait(
+                t,
+                h,
+                CcConflict::new(ConflictRule::LockWait, var, h),
+                &mut self.conflict,
+            ),
         }
     }
 
@@ -391,9 +438,7 @@ impl Strict2plCc {
                 self.locks.remove(v.index());
             }
         }
-        self.waits.remove(t.index());
-        // Anyone who waited on t will retry and re-insert their edges.
-        self.waits.retain(|_, holder| *holder != t);
+        self.waits.finish(t);
     }
 }
 
@@ -429,8 +474,8 @@ pub struct SgtCc {
     live: DenseBitSet,
     /// Last uncommitted writer per variable.
     dirty: SlotMap<TxnId>,
-    /// Commit-waits: waiter slot -> live writer.
-    waits: SlotMap<TxnId>,
+    /// Step and commit waits: waiter -> live writer or predecessor.
+    waits: WaitsFor,
     /// Scratch: sources of the edges a step would add (O(1) clear).
     sources: EpochBitSet,
     /// Scratch: the same sources as a dedup'd list, so the edge-insertion
@@ -488,7 +533,7 @@ impl ConcurrencyControl for SgtCc {
         }
         ensure_index(&mut self.in_deg, num_txns.saturating_sub(1));
         self.dirty.reserve_slots(num_vars);
-        self.waits.reserve_slots(num_txns);
+        self.waits.reserve(num_txns);
     }
 
     fn begin(&mut self, t: TxnId, _tick: u64) {
@@ -500,14 +545,12 @@ impl ConcurrencyControl for SgtCc {
         // else touches the variable.
         if let Some(w) = self.dirty.get_copied(var.index()) {
             if w != t && self.live.contains(w.index()) {
-                if wait_chain_reaches(&self.waits, &mut self.visited, t, w) {
-                    self.waits.remove(t.index());
-                    self.conflict = Some(CcConflict::new(ConflictRule::Deadlock, var, w));
-                    return CcDecision::Abort;
-                }
-                self.waits.insert(t.index(), w);
-                self.conflict = Some(CcConflict::new(ConflictRule::DirtyWait, var, w));
-                return CcDecision::Wait;
+                return self.waits.wait(
+                    t,
+                    w,
+                    CcConflict::new(ConflictRule::DirtyWait, var, w),
+                    &mut self.conflict,
+                );
             }
         }
         // Edges this access would add: u -> t for every logged conflicting
@@ -546,7 +589,7 @@ impl ConcurrencyControl for SgtCc {
         if kind.writes() {
             self.dirty.insert(var.index(), t);
         }
-        self.waits.remove(t.index());
+        self.waits.unblock(t);
         CcDecision::Proceed
     }
 
@@ -564,24 +607,14 @@ impl ConcurrencyControl for SgtCc {
             });
             if let Some(u) = pred {
                 let holder = TxnId(u as u32);
-                if wait_chain_reaches(&self.waits, &mut self.visited, t, holder) {
-                    self.waits.remove(t.index());
-                    self.conflict = Some(CcConflict {
-                        rule: ConflictRule::Deadlock,
-                        var: None,
-                        opponent: Some(holder),
-                    });
-                    return CcDecision::Abort;
-                }
-                self.waits.insert(t.index(), holder);
-                self.conflict = Some(CcConflict {
+                let why = CcConflict {
                     rule: ConflictRule::CommitOrderWait,
                     var: None,
                     opponent: Some(holder),
-                });
-                return CcDecision::Wait;
+                };
+                return self.waits.wait(t, holder, why, &mut self.conflict);
             }
-            self.waits.remove(t.index());
+            self.waits.unblock(t);
         }
         CcDecision::Proceed
     }
@@ -599,8 +632,7 @@ impl ConcurrencyControl for SgtCc {
                 }
             }
         }
-        self.waits.remove(t.index());
-        self.waits.retain(|_, h| *h != t);
+        self.waits.finish(t);
     }
 
     fn on_abort(&mut self, t: TxnId) {
@@ -628,8 +660,7 @@ impl ConcurrencyControl for SgtCc {
         if let Some(d) = self.in_deg.get_mut(t.index()) {
             *d = 0;
         }
-        self.waits.remove(t.index());
-        self.waits.retain(|_, h| *h != t);
+        self.waits.finish(t);
     }
 
     fn name(&self) -> &str {
@@ -690,10 +721,8 @@ pub struct TimestampCc {
     /// Per transaction: variables it wrote (for O(footprint) dirty cleanup;
     /// may contain duplicates).
     wrote: Vec<Vec<VarId>>,
-    /// Commit-waits: waiter slot -> live writer.
-    waits: SlotMap<TxnId>,
-    /// Scratch for the deadlock walk.
-    visited: EpochBitSet,
+    /// Step waits: waiter -> live writer.
+    waits: WaitsFor,
     /// Attribution of the last Wait/Abort.
     conflict: Option<CcConflict>,
 }
@@ -710,8 +739,7 @@ impl TimestampCc {
                 }
             }
         }
-        self.waits.remove(t.index());
-        self.waits.retain(|_, h| *h != t);
+        self.waits.finish(t);
     }
 }
 
@@ -722,7 +750,7 @@ impl ConcurrencyControl for TimestampCc {
         ensure_index(&mut self.write_stamp, num_vars.saturating_sub(1));
         self.dirty.reserve_slots(num_vars);
         ensure_index(&mut self.wrote, num_txns.saturating_sub(1));
-        self.waits.reserve_slots(num_txns);
+        self.waits.reserve(num_txns);
     }
 
     fn begin(&mut self, t: TxnId, _tick: u64) {
@@ -773,14 +801,12 @@ impl ConcurrencyControl for TimestampCc {
         // value it produced.
         if let Some(w) = self.dirty.get_copied(var.index()) {
             if w != t && self.live.contains(w.index()) {
-                if wait_chain_reaches(&self.waits, &mut self.visited, t, w) {
-                    self.waits.remove(t.index());
-                    self.conflict = Some(CcConflict::new(ConflictRule::Deadlock, var, w));
-                    return CcDecision::Abort;
-                }
-                self.waits.insert(t.index(), w);
-                self.conflict = Some(CcConflict::new(ConflictRule::DirtyWait, var, w));
-                return CcDecision::Wait;
+                return self.waits.wait(
+                    t,
+                    w,
+                    CcConflict::new(ConflictRule::DirtyWait, var, w),
+                    &mut self.conflict,
+                );
             }
         }
         if kind.reads() {
@@ -794,7 +820,7 @@ impl ConcurrencyControl for TimestampCc {
             ensure_index(&mut self.wrote, t.index());
             self.wrote[t.index()].push(var);
         }
-        self.waits.remove(t.index());
+        self.waits.unblock(t);
         CcDecision::Proceed
     }
 
@@ -2075,6 +2101,108 @@ mod tests {
             );
             assert_eq!(cc.on_step(t(1), v(0), StepKind::Update), CcDecision::Wait);
         }
+    }
+
+    /// Three transactions hold `v0`, `v1`, `v2`. A wait asked again
+    /// stands on the same edge and answers the same attribution; a
+    /// standing edge answers only for its own holder; a request that
+    /// closes a cycle through a standing edge still aborts as the deadlock
+    /// victim; once a holder is gone, its waiter proceeds. All begin at
+    /// one stamp: T/O's waits otherwise point from younger to older and
+    /// never close a cycle, and the shared stamp (which the `begin_at`
+    /// contract rules out) is what lets its walk reach the abort.
+    fn standing_wait_answers_like_the_first(
+        mut cc: Box<dyn ConcurrencyControl>,
+        rule: ConflictRule,
+    ) {
+        let name = cc.name().to_owned();
+        let step = |cc: &mut Box<dyn ConcurrencyControl>, i: u32, x: u32| {
+            let d = cc.on_step(t(i), v(x), StepKind::Update);
+            (
+                d,
+                (d != CcDecision::Proceed)
+                    .then(|| cc.last_conflict())
+                    .flatten(),
+            )
+        };
+        for i in 0..3 {
+            cc.begin_at(t(i), 0, 7);
+            assert_eq!(step(&mut cc, i, i), (CcDecision::Proceed, None), "{name}");
+        }
+        let wait = |x, holder| {
+            (
+                CcDecision::Wait,
+                Some(CcConflict::new(rule, v(x), t(holder))),
+            )
+        };
+        let deadlock = |x, holder| {
+            let c = CcConflict::new(ConflictRule::Deadlock, v(x), t(holder));
+            (CcDecision::Abort, Some(c))
+        };
+        for _ in 0..100 {
+            assert_eq!(step(&mut cc, 1, 0), wait(0, 0), "{name}");
+        }
+        assert_eq!(step(&mut cc, 2, 1), wait(1, 1), "{name}");
+        // t1's standing edge points at t0, not at v2's holder t2, which
+        // waits on t1: the walk runs and finds the cycle.
+        assert_eq!(step(&mut cc, 1, 2), deadlock(2, 2), "{name}");
+        cc.on_abort(t(1));
+        assert_eq!(step(&mut cc, 2, 1), (CcDecision::Proceed, None), "{name}");
+        for _ in 0..100 {
+            assert_eq!(step(&mut cc, 0, 2), wait(2, 2), "{name}");
+        }
+        // t2's request for v0 closes t2 -> t0 -> t2 through the standing
+        // edge.
+        assert_eq!(step(&mut cc, 2, 0), deadlock(0, 0), "{name}");
+        cc.on_abort(t(2));
+        assert_eq!(step(&mut cc, 0, 2), (CcDecision::Proceed, None), "{name}");
+    }
+
+    #[test]
+    fn a_standing_wait_answers_like_the_first_under_2pl_sgt_and_to() {
+        standing_wait_answers_like_the_first(CcKind::Strict2pl.build(), ConflictRule::LockWait);
+        standing_wait_answers_like_the_first(CcKind::Sgt.build(), ConflictRule::DirtyWait);
+        standing_wait_answers_like_the_first(CcKind::Timestamp.build(), ConflictRule::DirtyWait);
+    }
+
+    #[test]
+    fn a_standing_commit_order_wait_answers_like_the_first() {
+        // t0 -> t1 in the conflict graph; t1's commit waits on the live t0
+        // and keeps waiting on the standing edge until t0 commits.
+        let mut cc = SgtCc::default();
+        cc.enable_commit_order();
+        cc.begin(t(0), 0);
+        cc.begin(t(1), 0);
+        assert_eq!(cc.on_step(t(0), v(0), StepKind::Read), CcDecision::Proceed);
+        assert_eq!(
+            cc.on_step(t(1), v(0), StepKind::Update),
+            CcDecision::Proceed
+        );
+        let first = Some(CcConflict {
+            rule: ConflictRule::CommitOrderWait,
+            var: None,
+            opponent: Some(t(0)),
+        });
+        for _ in 0..100 {
+            assert_eq!(cc.on_commit(t(1), 1), CcDecision::Wait);
+            assert_eq!(cc.last_conflict(), first);
+        }
+        assert_eq!(cc.on_commit(t(0), 2), CcDecision::Proceed);
+        cc.after_commit(t(0));
+        assert_eq!(cc.on_commit(t(1), 3), CcDecision::Proceed);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a standing waits-for edge closes a cycle")]
+    fn a_standing_edge_on_a_cycle_trips_the_debug_check() {
+        // Forge a cycle no walk would have admitted: the fast path must
+        // notice that the walk it skips would have reached the waiter.
+        let mut w = WaitsFor::default();
+        w.edges.insert(0, t(1));
+        w.edges.insert(1, t(0));
+        let why = CcConflict::new(ConflictRule::LockWait, v(0), t(1));
+        let _ = w.wait(t(0), t(1), why, &mut None);
     }
 
     #[test]

@@ -38,7 +38,9 @@
 //!
 //! Observability rides on `ccopt-trace` (re-exported as [`trace`]):
 //! every mechanism attributes its Wait/Abort decisions
-//! ([`ConcurrencyControl::last_conflict`]), the session layer emits
+//! ([`ConcurrencyControl::last_conflict`]; a step wait is attributed to
+//! the step's own variable, so the session layer reads it back only for
+//! aborts, commit waits and the trace), the session layer emits
 //! lifecycle events through an optional [`trace::Tracer`]
 //! ([`SessionDb::set_tracer`]) and keeps per-variable contention tables
 //! ([`SessionDb::top_contended`]) plus tick-based latency histograms

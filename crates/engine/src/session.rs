@@ -810,7 +810,11 @@ impl SessionDb {
         let t = TxnId(h.slot);
         match self.cc.on_step(t, var, kind) {
             CcDecision::Wait => {
-                self.note_wait(ti);
+                debug_assert!(
+                    self.cc.last_conflict().is_none_or(|c| c.var == Some(var)),
+                    "a step wait is attributed to the step's variable"
+                );
+                self.note_wait(ti, Some(var));
                 return Ok(Op::Wait);
             }
             CcDecision::Abort => {
@@ -1226,20 +1230,18 @@ impl SessionDb {
         rows
     }
 
-    /// Book a concurrency-control Wait decision: counters, per-variable
-    /// contention (when the mechanism attributed one) and the trace
-    /// event.
-    fn note_wait(&mut self, ti: usize) {
+    /// Book a concurrency-control Wait decision: counters, contention on
+    /// the attributed `var` (a step wait's own variable; a commit wait's,
+    /// when the mechanism named one) and the trace event, the only part
+    /// that reads the attribution back here.
+    fn note_wait(&mut self, ti: usize, var: Option<VarId>) {
         self.metrics.waits += 1;
         self.slots[ti].waits += 1;
-        let c = self.cc.last_conflict();
-        if let Some(var) = c.and_then(|c| c.var) {
-            if let Some(slot) = self.waits_by_var.get_mut(var.index()) {
-                *slot += 1;
-            }
+        if let Some(slot) = var.and_then(|v| self.waits_by_var.get_mut(v.index())) {
+            *slot += 1;
         }
         if self.tracer.is_on() {
-            let (rule, var, opponent) = self.conflict_parts(c);
+            let (rule, var, opponent) = self.conflict_parts(self.cc.last_conflict());
             let gsn = self.slots[ti].gsn;
             let tick = self.tick;
             self.tracer.emit(
@@ -1343,7 +1345,8 @@ impl SessionDb {
                 Op::Restarted
             }
             CcDecision::Wait => {
-                self.note_wait(ti);
+                let var = self.cc.last_conflict().and_then(|c| c.var);
+                self.note_wait(ti, var);
                 Op::Wait
             }
         }
