@@ -134,10 +134,10 @@ fn bench_cc_hot_path(c: &mut Criterion) {
             let mut db = SessionDb::new(kind.build(), GlobalState::from_ints(&[0]));
             let holder = db.begin();
             let waiter = db.begin();
-            let bump = |v: Value| v;
-            assert!(matches!(db.update(holder, VarId(0), bump), Ok(Op::Done(_))));
+            let keep = |v: Value| v;
+            assert!(matches!(db.update(holder, VarId(0), keep), Ok(Op::Done(_))));
             b.iter(|| {
-                let answer = db.update(waiter, VarId(0), bump);
+                let answer = db.update(waiter, VarId(0), keep);
                 debug_assert_eq!(answer, Ok(Op::Wait));
                 black_box(answer)
             })
