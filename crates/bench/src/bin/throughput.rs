@@ -43,9 +43,10 @@
 //!   `recovery_replayed`, the size of the supervised recovery in replayed
 //!   commits;
 //! * the **messaging count** (`batched.tax`): one conflict-free stream
-//!   submitted to a `ShardedDb` at `S = 1` per-op (every op, the commit
-//!   and the retire one mailbox round-trip each, the lazy begin riding
-//!   the first op's: `ops + 2` messages per transaction) and through
+//!   submitted to a `ShardedDb` at `S = 1` per-op (every op a one-op
+//!   request, the commit and the retire one mailbox round-trip each, the
+//!   lazy begin riding the first op's: `ops + 2` messages per
+//!   transaction) and through
 //!   [`ccopt_engine::ShardedDb::submit_group`] with whole transactions
 //!   grouped per message. The engine's own `shard_msgs` counters report
 //!   the round-trip collapse exactly and are **asserted** (grouped ≤ a
@@ -389,7 +390,7 @@ fn tax_program(i: usize) -> Vec<u32> {
 /// thread behind a mailbox in both, so the counts are the actual
 /// round-trips.
 fn batched_tax() -> Vec<BatchedTaxCell> {
-    use ccopt_engine::{affine_eval, BatchOp, GroupReq, Op, ShardedDb};
+    use ccopt_engine::{BatchOp, GroupReq, Op, ShardedDb};
     use ccopt_model::{GlobalState, VarId};
 
     let txns = 4_000;
@@ -402,20 +403,31 @@ fn batched_tax() -> Vec<BatchedTaxCell> {
         }
         let init = GlobalState::from_ints(&vec![0i64; vars]);
 
-        // `ShardedDb` at S = 1, one mailbox round-trip per op (the begin
-        // rides the first), plus commit and retire — messaging at its
-        // worst.
+        let bump = |v| BatchOp::Affine {
+            var: VarId(v),
+            a: 1,
+            c: 1,
+        };
+
+        // `ShardedDb` at S = 1, one mailbox round-trip per op — a one-op
+        // request each (the begin rides the first) — plus commit and
+        // retire: messaging at its worst.
         let per_op_msgs = {
             let mut db = ShardedDb::new(kind, init.clone(), 1);
             for i in 0..txns {
                 let h = db.begin();
                 for v in tax_program(i) {
-                    match db
-                        .update(h, VarId(v), |x| affine_eval(1, 1, x))
-                        .expect("per-op update")
-                    {
-                        Op::Done(_) => {}
-                        other => panic!("{name}: per-op tax stream must not conflict: {other:?}"),
+                    let req = GroupReq {
+                        h,
+                        ops: vec![bump(v)],
+                        commit: false,
+                    };
+                    let resp = db.submit_group(vec![req]).pop().expect("one response");
+                    match resp.results.expect("per-op update")[..] {
+                        [Op::Done(_)] => {}
+                        ref other => {
+                            panic!("{name}: per-op tax stream must not conflict: {other:?}")
+                        }
                     }
                 }
                 assert!(matches!(db.commit(h), Ok(Op::Done(()))), "{name}: commit");
@@ -434,14 +446,7 @@ fn batched_tax() -> Vec<BatchedTaxCell> {
                 let reqs: Vec<GroupReq> = (done..done + n)
                     .map(|i| GroupReq {
                         h: db.begin(),
-                        ops: tax_program(i)
-                            .into_iter()
-                            .map(|v| BatchOp::Affine {
-                                var: VarId(v),
-                                a: 1,
-                                c: 1,
-                            })
-                            .collect(),
+                        ops: tax_program(i).into_iter().map(bump).collect(),
                         commit: true,
                     })
                     .collect();

@@ -54,10 +54,12 @@ where
 
 /// One operation of a grouped submission ([`ShardedDb::submit_group`]).
 ///
-/// This is the closed set of step shapes the wire protocol can express:
-/// unlike [`ShardedDb::update`]'s arbitrary closure, an affine update is
-/// plain data, so a whole run of operations moves to a shard worker in
-/// one mailbox message.
+/// The closed set of step shapes a [`ShardedDb`] runs, and the ones the
+/// wire protocol expresses. Each is plain data — an update is affine, not
+/// a closure — so a whole run of operations moves to a shard worker in
+/// one mailbox message, and every transaction reaching a shard is a
+/// declared list of reads and writes. (Closures stay where the caller's
+/// own thread runs them: [`SessionDb`]'s `update`.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchOp {
     /// Observe a variable.
@@ -113,15 +115,6 @@ pub struct GroupResp {
     pub commit: Option<Result<Op<()>, SessionError>>,
 }
 
-/// One operation of a [`Job`]'s run.
-enum RunOp {
-    /// A wire-expressible step (plain data).
-    Data(BatchOp),
-    /// [`ShardedDb::apply`]'s arbitrary step closure, boxed so it travels
-    /// in the same message shape.
-    Call(StepKind, Box<dyn FnOnce(Value) -> Value + Send>),
-}
-
 /// What a [`Job`] does once its whole run completed [`Op::Done`].
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Finish {
@@ -144,7 +137,7 @@ struct Job {
     sub: Option<Txn>,
     gts: u64,
     /// Operations with their shard-local variable ids, in program order.
-    run: Vec<(VarId, RunOp)>,
+    run: Vec<(VarId, BatchOp)>,
     finish: Finish,
     /// The shard GC floor for the commit (read only when `finish`
     /// commits).
@@ -198,59 +191,6 @@ impl ShardedDb {
 
     // ----------------------------------------------------------- operations
 
-    /// Observe global variable `var` (a pure read).
-    pub fn read(&mut self, h: GlobalTxn, var: VarId) -> Result<Op<Value>, SessionError> {
-        self.apply(h, var, StepKind::Read, |v| v)
-    }
-
-    /// Blind-write `value` to `var`; the observed old value rides along.
-    pub fn write(
-        &mut self,
-        h: GlobalTxn,
-        var: VarId,
-        value: Value,
-    ) -> Result<Op<Value>, SessionError> {
-        self.apply(h, var, StepKind::Write, move |_| value)
-    }
-
-    /// Read-modify-write `var` through `f`, atomically with respect to
-    /// the owning shard's concurrency control.
-    pub fn update(
-        &mut self,
-        h: GlobalTxn,
-        var: VarId,
-        f: impl FnOnce(Value) -> Value + Send + 'static,
-    ) -> Result<Op<Value>, SessionError> {
-        self.apply(h, var, StepKind::Update, f)
-    }
-
-    /// The general access primitive: routes the step to the shard owning
-    /// `var` (translating to its local id) and runs it under that shard's
-    /// ownership token as a one-operation job of the shard-job executor —
-    /// so the transaction's lazy begin on a shard it had not touched rides
-    /// the same message. Semantics of the returned [`Op`] mirror
-    /// [`SessionDb::apply`]; a shard-level restart restarts the **whole**
-    /// global transaction (every shard's sub-transaction rolls back) and
-    /// the client replays its program against a fresh global timestamp.
-    pub fn apply(
-        &mut self,
-        h: GlobalTxn,
-        var: VarId,
-        kind: StepKind,
-        f: impl FnOnce(Value) -> Value + Send + 'static,
-    ) -> Result<Op<Value>, SessionError> {
-        let ti = self.running(h)?;
-        if self.is_prepared(ti) {
-            // A partially prepared commit is in flight (some shard's vote
-            // said wait): only the commit retry or an abort may proceed.
-            return Err(SessionError::Prepared);
-        }
-        let si = self.partition.shard_of(var);
-        let run = vec![(self.partition.local(var), RunOp::Call(kind, Box::new(f)))];
-        let (mut results, _) = self.shard_job(si, self.job(ti, si, run, Finish::None))?;
-        Ok(results.pop().expect("a one-operation run has one outcome"))
-    }
-
     /// Submit a group of **independent transactions'** runs in as few
     /// mailbox messages as possible (the server's engine collects
     /// requests from many connections into one group per pass; a lone
@@ -276,18 +216,22 @@ impl ShardedDb {
     /// program. The piggybacked commit is attempted only when every
     /// operation completed `Done` ([`GroupResp::commit`] is `None`
     /// otherwise). A committed request is also retired — its handle is
-    /// dead on return. Each handle may appear at most once per group.
+    /// dead on return. A request whose handle already appeared earlier in
+    /// the same call joins the sequential tail: it runs after the packed
+    /// messages, pre-flighted again, so it sees what the earlier request
+    /// left (a committed handle answers [`SessionError::Stale`]).
     ///
     /// **Equivalence contract** (proved by the batched differential
     /// suite): the outcomes are bit-identical to driving the same
-    /// requests sequentially through the per-operation API in the
-    /// canonical order above — both run on the one shard-job executor,
-    /// which consumes restart timestamps *lazily inside the shard*,
-    /// exactly the stamp sequence one message per operation issues. One
-    /// intentional divergence: the GC floor of a piggybacked commit is
-    /// computed at submission (pessimistically low), so multi-version
-    /// reclamation *timing* may differ; no concurrency decision reads the
-    /// floor, so outcomes and final state do not.
+    /// requests sequentially in the canonical order above, one call per
+    /// operation (a one-op request) and then a zero-op commit request —
+    /// the wire's per-operation shape. Both run on the one shard-job
+    /// executor, which consumes restart timestamps *lazily inside the
+    /// shard*, exactly the stamp sequence one message per operation
+    /// issues. One intentional divergence: the GC floor of a piggybacked
+    /// commit is computed at submission (pessimistically low), so
+    /// multi-version reclamation *timing* may differ; no concurrency
+    /// decision reads the floor, so outcomes and final state do not.
     pub fn submit_group(&mut self, reqs: Vec<GroupReq>) -> Vec<GroupResp> {
         let mut resps: Vec<GroupResp> = (0..reqs.len())
             .map(|_| GroupResp {
@@ -296,28 +240,27 @@ impl ShardedDb {
             })
             .collect();
         // Classify: pack single-shard requests per shard, keep the rest
-        // (cross-shard footprints, trivial no-touch commits) for the
-        // sequential tail. A refused request is in neither — its error
-        // already sits in its response.
+        // (cross-shard footprints, trivial no-touch commits, repeated
+        // handles) for the sequential tail. A refused request is in
+        // neither — its error already sits in its response.
         let mut packed: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.workers.len()];
         let mut shard_order: Vec<usize> = Vec::new();
         let mut tail: Vec<usize> = Vec::new();
+        self.groups += 1;
         for (k, req) in reqs.iter().enumerate() {
-            let ti = match self.running(req.h) {
+            let ti = match self.preflight(req) {
                 Ok(ti) => ti,
                 Err(e) => {
                     resps[k].results = Err(e);
                     continue;
                 }
             };
-            if self.is_prepared(ti) {
-                if req.ops.is_empty() && req.commit {
-                    // A cross-shard commit retry: the tail's generic
-                    // commit path resumes the two-phase protocol.
-                    tail.push(k);
-                } else {
-                    resps[k].results = Err(SessionError::Prepared);
-                }
+            // A handle seen earlier in this call, or a cross-shard commit
+            // retry (the tail's generic commit path resumes the two-phase
+            // protocol).
+            let seen = std::mem::replace(&mut self.slots[ti].group, self.groups) == self.groups;
+            if seen || self.is_prepared(ti) {
+                tail.push(k);
                 continue;
             }
             // The request's whole footprint: shards its ops touch plus
@@ -369,9 +312,10 @@ impl ShardedDb {
         for k in tail {
             let req = &reqs[k];
             // Pre-flighted again: a packed group above may have crashed a
-            // shard this transaction had state on.
+            // shard this transaction had state on, and an earlier request
+            // on the same handle may have ended or prepared it.
             let ran = self
-                .running(req.h)
+                .preflight(req)
                 .and_then(|ti| self.run_across(ti, &req.ops));
             let complete = matches!(&ran, Ok(rs) if rs.len() == req.ops.len()
                 && rs.iter().all(|r| matches!(r, Op::Done(_))));
@@ -385,6 +329,18 @@ impl ShardedDb {
             }
         }
         resps
+    }
+
+    /// The slot of a request's transaction when the request may run now:
+    /// the transaction is running and, while a partially prepared commit
+    /// is in flight (some shard's vote said wait), the request is the
+    /// commit retry — no operations.
+    fn preflight(&self, req: &GroupReq) -> Result<usize, SessionError> {
+        let ti = self.running(req.h)?;
+        if self.is_prepared(ti) && !(req.ops.is_empty() && req.commit) {
+            return Err(SessionError::Prepared);
+        }
+        Ok(ti)
     }
 
     /// Run a cross-shard request's operations for slot `ti`: one job per
@@ -410,15 +366,15 @@ impl ShardedDb {
     }
 
     /// A same-shard run of operations, each under its shard-local id.
-    fn localize(&self, ops: &[BatchOp]) -> Vec<(VarId, RunOp)> {
+    fn localize(&self, ops: &[BatchOp]) -> Vec<(VarId, BatchOp)> {
         ops.iter()
-            .map(|op| (self.partition.local(op.var()), RunOp::Data(*op)))
+            .map(|op| (self.partition.local(op.var()), *op))
             .collect()
     }
 
     /// Slot `ti`'s job on shard `si`. The caller has pre-flighted the
     /// transaction: running, with no vote outstanding.
-    fn job(&self, ti: usize, si: usize, run: Vec<(VarId, RunOp)>, finish: Finish) -> Job {
+    fn job(&self, ti: usize, si: usize, run: Vec<(VarId, BatchOp)>, finish: Finish) -> Job {
         let sl = &self.slots[ti];
         Job {
             ti,
@@ -484,14 +440,11 @@ impl ShardedDb {
                 db.set_restart_ts(cur + 1);
                 for (lv, op) in job.run {
                     let r = match op {
-                        RunOp::Data(BatchOp::Read(_)) => db.apply(sub, lv, StepKind::Read, |v| v),
-                        RunOp::Data(BatchOp::Write(_, val)) => {
-                            db.apply(sub, lv, StepKind::Write, move |_| val)
-                        }
-                        RunOp::Data(BatchOp::Affine { a, c, .. }) => {
+                        BatchOp::Read(_) => db.apply(sub, lv, StepKind::Read, |v| v),
+                        BatchOp::Write(_, val) => db.apply(sub, lv, StepKind::Write, move |_| val),
+                        BatchOp::Affine { a, c, .. } => {
                             db.apply(sub, lv, StepKind::Update, move |v| affine_eval(a, c, v))
                         }
-                        RunOp::Call(kind, f) => db.apply(sub, lv, kind, f),
                     }
                     .expect("sub is live");
                     results.push(r);

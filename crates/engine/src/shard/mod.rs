@@ -172,6 +172,9 @@ struct GSlot {
     subs: Vec<SubState>,
     /// Shards touched, in first-touch order.
     touched: Vec<u32>,
+    /// The [`ShardedDb::submit_group`] call that last saw this slot's
+    /// handle (a repeat within one call joins the sequential tail).
+    group: u64,
 }
 
 impl GSlot {
@@ -183,6 +186,7 @@ impl GSlot {
             attempts: 0,
             subs: vec![SubState::Absent; shards],
             touched: Vec::new(),
+            group: 0,
         }
     }
 }
@@ -210,11 +214,15 @@ pub struct ShardedRecoveryInfo {
 /// an independent [`SessionDb`], with single-shard fast-path commits and
 /// two-phase cross-shard commits. See the [module docs](self).
 ///
-/// The public API mirrors [`SessionDb`] (begin / per-operation access /
-/// commit / abort / retire, epoch-guarded handles, `Op`-shaped outcomes)
-/// and is driven by one coordinator at a time (`&mut self`); parallelism
-/// lives *inside* calls, where durable vote, `sync` and `checkpoint`
-/// rounds overlap their fsyncs on the shard threads.
+/// The lifecycle mirrors [`SessionDb`] (begin / commit / abort / retire,
+/// epoch-guarded handles, `Op`-shaped outcomes), but data operations take
+/// one shape: plain-data [`BatchOp`]s through
+/// [`submit_group`](Self::submit_group) — a single operation is a one-op
+/// [`GroupReq`]. A shard job may run on a shard thread, so no closure
+/// crosses into one. The database is driven by one coordinator at a time
+/// (`&mut self`); parallelism lives *inside* calls, where durable vote,
+/// `sync` and `checkpoint` rounds overlap their fsyncs on the shard
+/// threads.
 pub struct ShardedDb {
     workers: Vec<Worker<SessionDb>>,
     partition: Partition,
@@ -289,6 +297,9 @@ pub struct ShardedDb {
     /// Data operations those messages carried; the denominator of the
     /// messaging tax.
     batched_ops: usize,
+    /// [`submit_group`](Self::submit_group) calls so far: each call's
+    /// stamp for spotting a handle repeated within it.
+    groups: u64,
 }
 
 /// The point of owning the mechanism: the whole database moves between
@@ -488,6 +499,7 @@ impl ShardedDb {
             failover_fails: 0,
             shard_msgs: 0,
             batched_ops: 0,
+            groups: 0,
         }
     }
 

@@ -1,6 +1,7 @@
 use super::*;
 use crate::session::Op;
 use ccopt_durability::{Fault, RetryPolicy, StorageFaults};
+use BatchOp::{Affine, Read, Write};
 
 /// Hooks only these tests need, kept off the production type.
 impl ShardedDb {
@@ -24,12 +25,19 @@ impl ShardedDb {
         tx
     }
 
-    /// Spin until shard `s`'s mailbox is empty (a stalled or uncollected
-    /// job may still sit there), so the next lone message runs inline.
-    fn await_idle(&self, s: usize) {
-        while self.workers[s].queue_len() != 0 {
-            std::thread::yield_now();
-        }
+    /// One data operation as a one-op request, the wire's per-operation
+    /// shape: its single outcome, or what refused it.
+    fn step(&mut self, h: GlobalTxn, op: BatchOp) -> Result<Op<Value>, SessionError> {
+        let req = GroupReq {
+            h,
+            ops: vec![op],
+            commit: false,
+        };
+        let resp = self
+            .submit_group(vec![req])
+            .pop()
+            .expect("one request, one response");
+        Ok(resp.results?.pop().expect("a one-op run has one outcome"))
     }
 }
 
@@ -63,36 +71,26 @@ fn restarts(db: &ShardedDb) -> usize {
 /// A handle the supervisor failed answers `ShardDown` to every operation
 /// (`var` is any variable) until the client aborts it, which retires it.
 fn abort_failed(db: &mut ShardedDb, h: GlobalTxn, var: VarId) {
-    assert_eq!(db.read(h, var), Err(SessionError::ShardDown));
+    assert_eq!(db.step(h, Read(var)), Err(SessionError::ShardDown));
     assert_eq!(db.abort(h), Ok(()));
-    assert_eq!(db.read(h, var), Err(SessionError::Stale));
+    assert_eq!(db.step(h, Read(var)), Err(SessionError::Stale));
 }
 
 /// Drive one update-commit-retire transaction over `vars`.
 fn bump(db: &mut ShardedDb, vars: &[VarId]) {
     let h = db.begin();
-    for &var in vars {
-        loop {
-            match db.update(h, var, |x| int(x.as_int().unwrap() + 1)).unwrap() {
-                Op::Done(_) => break,
-                Op::Wait | Op::Restarted => {}
-            }
+    let run = |db: &mut ShardedDb| {
+        for &var in vars {
+            let inc = Affine { var, a: 1, c: 1 };
+            while !matches!(db.step(h, inc).unwrap(), Op::Done(_)) {}
         }
-    }
+    };
+    run(db);
     loop {
         match db.commit(h).unwrap() {
             Op::Done(()) => break,
             Op::Wait => {}
-            Op::Restarted => {
-                for &var in vars {
-                    loop {
-                        match db.update(h, var, |x| int(x.as_int().unwrap() + 1)).unwrap() {
-                            Op::Done(_) => break,
-                            Op::Wait | Op::Restarted => {}
-                        }
-                    }
-                }
-            }
+            Op::Restarted => run(db),
         }
     }
     db.retire(h).unwrap();
@@ -122,15 +120,15 @@ fn single_and_cross_shard_lifecycle() {
     // Cross-shard read-your-writes and 2PC commit.
     let h = db.begin();
     assert_eq!(
-        db.update(h, a, |x| int(x.as_int().unwrap() + 1)).unwrap(),
+        db.step(h, Affine { var: a, a: 1, c: 1 }).unwrap(),
         Op::Done(int(10))
     );
-    assert_eq!(db.write(h, b, int(77)).unwrap(), Op::Done(int(10)));
-    assert_eq!(db.read(h, a).unwrap(), Op::Done(int(11)));
+    assert_eq!(db.step(h, Write(b, int(77))).unwrap(), Op::Done(int(10)));
+    assert_eq!(db.step(h, Read(a)).unwrap(), Op::Done(int(11)));
     assert_eq!(db.commit(h).unwrap(), Op::Done(()));
-    assert_eq!(db.read(h, a), Err(SessionError::AlreadyCommitted));
+    assert_eq!(db.step(h, Read(a)), Err(SessionError::AlreadyCommitted));
     db.retire(h).unwrap();
-    assert_eq!(db.read(h, a), Err(SessionError::Stale));
+    assert_eq!(db.step(h, Read(a)), Err(SessionError::Stale));
     let g = db.globals();
     assert_eq!(g.0[a.index()], int(11));
     assert_eq!(g.0[b.index()], int(77));
@@ -146,12 +144,12 @@ fn single_and_cross_shard_lifecycle() {
 fn stale_handles_are_rejected() {
     let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 4]), 2);
     let h = db.begin();
-    let _ = db.write(h, v(0), int(1)).unwrap();
+    let _ = db.step(h, Write(v(0), int(1))).unwrap();
     assert_eq!(db.commit(h).unwrap(), Op::Done(()));
     db.retire(h).unwrap();
     let h2 = db.begin(); // recycles the slot under a new epoch
     assert_ne!(h, h2);
-    assert_eq!(db.read(h, v(0)), Err(SessionError::Stale));
+    assert_eq!(db.step(h, Read(v(0))), Err(SessionError::Stale));
     assert_eq!(db.commit(h), Err(SessionError::Stale));
     db.abort(h2).unwrap();
 }
@@ -178,6 +176,41 @@ fn streams_recycle_slots_across_all_shards() {
 }
 
 #[test]
+fn a_handle_repeated_in_one_group_runs_after_the_packed_messages() {
+    let inc = Affine {
+        var: v(0),
+        a: 1,
+        c: 1,
+    };
+    let req = |h, commit| GroupReq {
+        h,
+        ops: vec![inc],
+        commit,
+    };
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 4]), 1);
+    // Committed by its first request: the repeat finds the handle dead.
+    let h = db.begin();
+    let resps = db.submit_group(vec![req(h, true), req(h, false)]);
+    assert_eq!(resps[0].results, Ok(vec![Op::Done(int(0))]));
+    assert_eq!(resps[0].commit, Some(Ok(Op::Done(()))));
+    assert_eq!(resps[1].results, Err(SessionError::Stale));
+    assert_eq!(resps[1].commit, None);
+    // Committed by its repeat, which runs behind its own first request.
+    let h = db.begin();
+    let resps = db.submit_group(vec![req(h, false), req(h, true)]);
+    assert_eq!(resps[0].results, Ok(vec![Op::Done(int(1))]));
+    assert_eq!(resps[1].results, Ok(vec![Op::Done(int(2))]));
+    assert_eq!(resps[1].commit, Some(Ok(Op::Done(()))));
+    // The coordinator is whole: every slot is free again.
+    assert_eq!(db.open_sessions(), 0);
+    let h = db.begin();
+    assert_eq!(db.step(h, Read(v(0))), Ok(Op::Done(int(3))));
+    db.abort(h).unwrap();
+    let m = db.metrics();
+    assert_eq!((m.commits, m.aborts, m.waits), (2, 1, 0));
+}
+
+#[test]
 fn cross_shard_deadlock_is_broken_by_the_restart_valve() {
     // Serial CC: each shard is one token. Two transactions take one
     // token each, then want the other: both Wait forever — no local
@@ -186,20 +219,20 @@ fn cross_shard_deadlock_is_broken_by_the_restart_valve() {
     let (a, b) = split_pair(&db);
     let t1 = db.begin();
     let t2 = db.begin();
-    assert_eq!(db.write(t1, a, int(1)).unwrap(), Op::Done(int(0)));
-    assert_eq!(db.write(t2, b, int(2)).unwrap(), Op::Done(int(0)));
-    assert_eq!(db.write(t1, b, int(3)).unwrap(), Op::Wait);
-    assert_eq!(db.write(t2, a, int(4)).unwrap(), Op::Wait);
+    assert_eq!(db.step(t1, Write(a, int(1))).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.step(t2, Write(b, int(2))).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.step(t1, Write(b, int(3))).unwrap(), Op::Wait);
+    assert_eq!(db.step(t2, Write(a, int(4))).unwrap(), Op::Wait);
     // Still deadlocked on retry.
-    assert_eq!(db.write(t1, b, int(3)).unwrap(), Op::Wait);
+    assert_eq!(db.step(t1, Write(b, int(3))).unwrap(), Op::Wait);
     db.restart(t2).unwrap(); // the valve fires
     assert_eq!(db.attempts(t2), Ok(2));
     // t1 now runs to completion, then t2's replay does.
-    assert_eq!(db.write(t1, b, int(3)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.step(t1, Write(b, int(3))).unwrap(), Op::Done(int(0)));
     assert_eq!(db.commit(t1).unwrap(), Op::Done(()));
     db.retire(t1).unwrap();
-    assert_eq!(db.write(t2, b, int(2)).unwrap(), Op::Done(int(3)));
-    assert_eq!(db.write(t2, a, int(4)).unwrap(), Op::Done(int(1)));
+    assert_eq!(db.step(t2, Write(b, int(2))).unwrap(), Op::Done(int(3)));
+    assert_eq!(db.step(t2, Write(a, int(4))).unwrap(), Op::Done(int(1)));
     assert_eq!(db.commit(t2).unwrap(), Op::Done(()));
     db.retire(t2).unwrap();
     let g = db.globals();
@@ -217,14 +250,14 @@ fn global_timestamps_serialize_timestamp_mechanisms_across_shards() {
         let (a, b) = split_pair(&db);
         let t1 = db.begin(); // gts 1
         let t2 = db.begin(); // gts 2
-        assert_eq!(db.read(t1, a).unwrap(), Op::Done(int(0)));
-        assert_eq!(db.read(t2, b).unwrap(), Op::Done(int(0)));
+        assert_eq!(db.step(t1, Read(a)).unwrap(), Op::Done(int(0)));
+        assert_eq!(db.step(t2, Read(b)).unwrap(), Op::Done(int(0)));
         // t2 (younger) writes a: fine. t1 (older) writing b after
         // t2... wait: t2 read b at stamp 2, t1 writes b at stamp 1 —
         // late, restarts.
-        let r2 = db.write(t2, a, int(9)).unwrap();
+        let r2 = db.step(t2, Write(a, int(9))).unwrap();
         assert!(matches!(r2, Op::Done(_) | Op::Wait), "got {r2:?}");
-        assert_eq!(db.write(t1, b, int(9)).unwrap(), Op::Restarted);
+        assert_eq!(db.step(t1, Write(b, int(9))).unwrap(), Op::Restarted);
         db.abort(t1).unwrap();
         db.abort(t2).unwrap();
     }
@@ -255,8 +288,8 @@ fn durable_cross_shard_commits_survive_crashes_at_every_2pc_boundary() {
             let (a, b) = split_pair(&db);
             db.crash_after_2pc_actions(budget);
             let h = db.begin();
-            assert_eq!(db.write(h, a, int(5)).unwrap(), Op::Done(int(0)));
-            assert_eq!(db.write(h, b, int(6)).unwrap(), Op::Done(int(0)));
+            assert_eq!(db.step(h, Write(a, int(5))).unwrap(), Op::Done(int(0)));
+            assert_eq!(db.step(h, Write(b, int(6))).unwrap(), Op::Done(int(0)));
             // In-memory the commit always succeeds; durability of the
             // outcome is what the budget caps.
             assert_eq!(db.commit(h).unwrap(), Op::Done(()));
@@ -396,8 +429,8 @@ fn shard_panic_at_every_2pc_boundary_is_supervised() {
             let (a, b) = split_pair(&db);
             db.panic_after_2pc_jobs(n);
             let h = db.begin();
-            assert_eq!(db.write(h, a, int(5)).unwrap(), Op::Done(int(0)));
-            assert_eq!(db.write(h, b, int(6)).unwrap(), Op::Done(int(0)));
+            assert_eq!(db.step(h, Write(a, int(5))).unwrap(), Op::Done(int(0)));
+            assert_eq!(db.step(h, Write(b, int(6))).unwrap(), Op::Done(int(0)));
             let committed = match db.commit(h) {
                 Ok(Op::Done(())) => {
                     db.retire(h).unwrap();
@@ -470,10 +503,10 @@ fn volatile_shard_panic_loses_only_that_shard() {
     let sb = db.shard_of(b);
     // An in-flight transaction holding state on the doomed shard...
     let h = db.begin();
-    assert_eq!(db.write(h, b, int(9)).unwrap(), Op::Done(int(1)));
+    assert_eq!(db.step(h, Write(b, int(9))).unwrap(), Op::Done(int(1)));
     db.panic_shard(sb);
     // ...is failed by the supervisor at the next touch...
-    assert_eq!(db.read(h, b), Err(SessionError::ShardDown));
+    assert_eq!(db.step(h, Read(b)), Err(SessionError::ShardDown));
     abort_failed(&mut db, h, a);
     assert_eq!(restarts(&db), 1);
     // ...and the shard respawns over its initial projection (without
@@ -487,26 +520,15 @@ fn volatile_shard_panic_loses_only_that_shard() {
     assert_eq!((g.0[a.index()], g.0[b.index()]), (int(2), int(1)));
 }
 
-/// Panic inside a data operation on idle shard `sb` — the job runs, and
-/// dies, on this very thread — and check the fault contract: the caller
-/// gets `ShardDown`, the shard is supervised exactly once, and the
-/// coordinator's trace names it.
-fn panic_inline_on(db: &mut ShardedDb, h: GlobalTxn, var: VarId) {
+/// Kill `var`'s idle shard, then submit a data operation there, and check
+/// the fault contract: the caller gets `ShardDown`, the shard is
+/// supervised exactly once, and the coordinator's trace names it.
+fn crash_then_touch(db: &mut ShardedDb, h: GlobalTxn, var: VarId) {
     use ccopt_trace::EventKind;
     let sb = db.shard_of(var) as u32;
-    let ran_on = Arc::new(std::sync::Mutex::new(None));
-    let probe = ran_on.clone();
-    db.await_idle(sb as usize);
-    let r = db.update(h, var, move |_| {
-        *probe.lock().unwrap() = Some(std::thread::current().id());
-        panic!("injected step-closure panic")
-    });
+    db.panic_shard(sb as usize);
+    let r = db.step(h, Affine { var, a: 1, c: 1 });
     assert_eq!(r, Err(SessionError::ShardDown));
-    assert_eq!(
-        *ran_on.lock().unwrap(),
-        Some(std::thread::current().id()),
-        "the idle shard's job ran on the calling thread"
-    );
     assert_eq!(restarts(db), 1, "supervised once");
     let statuses = db.shard_statuses();
     assert!(statuses.iter().all(|st| st.alive && !st.down));
@@ -523,16 +545,16 @@ fn panic_inline_on(db: &mut ShardedDb, h: GlobalTxn, var: VarId) {
 }
 
 #[test]
-fn inline_panic_in_a_data_operation_is_a_crashed_shard() {
+fn a_data_operation_on_a_crashed_shard_is_shard_down() {
     let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 8]), 2);
     db.set_trace(&TraceConfig::ring(64)).unwrap();
     let (a, b) = split_pair(&db);
     bump(&mut db, &[a]);
     // The doomed transaction holds state on the surviving shard only:
-    // its begin on `b`'s shard rides the message that panics.
+    // its begin on `b`'s shard rides the message that finds it dead.
     let h = db.begin();
-    assert_eq!(db.write(h, a, int(7)).unwrap(), Op::Done(int(1)));
-    panic_inline_on(&mut db, h, b);
+    assert_eq!(db.step(h, Write(a, int(7))).unwrap(), Op::Done(int(1)));
+    crash_then_touch(&mut db, h, b);
     // This thread is alive, and so is the other shard: the survivor's
     // share of the transaction rolls back and both shards serve.
     db.abort(h).unwrap();
@@ -544,7 +566,7 @@ fn inline_panic_in_a_data_operation_is_a_crashed_shard() {
 }
 
 #[test]
-fn durable_inline_panic_recovers_the_exact_committed_prefix() {
+fn durable_shard_panic_recovers_the_exact_committed_prefix() {
     let dir = ccopt_durability::scratch_path("shard-inline-panic");
     let _ = std::fs::remove_dir_all(&dir);
     let init = GlobalState::from_ints(&[0; 8]);
@@ -560,8 +582,8 @@ fn durable_inline_panic_recovers_the_exact_committed_prefix() {
     }
     // An uncommitted write on the doomed shard dies with it.
     let h = db.begin();
-    assert_eq!(db.write(h, b, int(99)).unwrap(), Op::Done(int(3)));
-    panic_inline_on(&mut db, h, b);
+    assert_eq!(db.step(h, Write(b, int(99))).unwrap(), Op::Done(int(3)));
+    crash_then_touch(&mut db, h, b);
     // The transaction had state on the shard: the supervisor failed it.
     abort_failed(&mut db, h, a);
     assert_eq!(db.last_recovery_replayed(), Some(3));
@@ -604,7 +626,7 @@ fn unrecoverable_storage_marks_the_shard_down_and_the_rest_serve() {
     assert_eq!(restarts(&db), 1, "marking a shard down counts as handled");
     // Operations routed there fail cleanly; the other shard serves.
     let h = db.begin();
-    assert_eq!(db.read(h, b), Err(SessionError::ShardDown));
+    assert_eq!(db.step(h, Read(b)), Err(SessionError::ShardDown));
     db.abort(h).unwrap();
     bump(&mut db, &[a]);
     // Degraded reads: the down shard reports its initial projection.
@@ -659,11 +681,11 @@ fn sgt_commit_order_composes_across_shards() {
     let t1 = db.begin();
     let t2 = db.begin();
     // Shard A: t1 reads a, t2 overwrites it (edge t1 -> t2).
-    assert_eq!(db.read(t1, a).unwrap(), Op::Done(int(0)));
-    assert_eq!(db.write(t2, a, int(1)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.step(t1, Read(a)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.step(t2, Write(a, int(1))).unwrap(), Op::Done(int(0)));
     // Shard B: t2 reads b, t1 overwrites it (edge t2 -> t1).
-    assert_eq!(db.read(t2, b).unwrap(), Op::Done(int(0)));
-    assert_eq!(db.write(t1, b, int(2)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.step(t2, Read(b)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.step(t1, Write(b, int(2))).unwrap(), Op::Done(int(0)));
     // Each commit now waits on its live predecessor on one shard: a
     // cross-shard wait cycle — the valve restarts one and the other
     // completes.
@@ -673,8 +695,8 @@ fn sgt_commit_order_composes_across_shards() {
     assert_eq!(db.commit(t2).unwrap(), Op::Done(()));
     db.retire(t2).unwrap();
     // t1's replay commits after t2 — serializable order t1' after t2.
-    assert_eq!(db.read(t1, a).unwrap(), Op::Done(int(1)));
-    assert_eq!(db.write(t1, b, int(2)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.step(t1, Read(a)).unwrap(), Op::Done(int(1)));
+    assert_eq!(db.step(t1, Write(b, int(2))).unwrap(), Op::Done(int(0)));
     assert_eq!(db.commit(t1).unwrap(), Op::Done(()));
     db.retire(t1).unwrap();
 }
@@ -856,8 +878,8 @@ fn lone_fan_out_2pc_panic_unwinds_on_the_calling_thread() {
     // coordinator resolve is job 2 — a fan-out of one, on this thread.
     db.panic_after_2pc_jobs(2);
     let h = db.begin();
-    assert_eq!(db.write(h, a, int(5)).unwrap(), Op::Done(int(0)));
-    assert_eq!(db.write(h, b, int(6)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.step(h, Write(a, int(5))).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.step(h, Write(b, int(6))).unwrap(), Op::Done(int(0)));
     assert_eq!(db.commit(h), Err(SessionError::ShardDown));
     assert!(
         bomb_threads().lock().unwrap().contains(&here),
@@ -891,8 +913,8 @@ fn volatile_2pc_fan_out_panic_unwinds_on_the_calling_thread() {
     // overlap, so both run on this thread, in shard order.
     db.panic_after_2pc_jobs(0);
     let h = db.begin();
-    assert_eq!(db.write(h, a, int(5)).unwrap(), Op::Done(int(0)));
-    assert_eq!(db.write(h, b, int(6)).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.step(h, Write(a, int(5))).unwrap(), Op::Done(int(0)));
+    assert_eq!(db.step(h, Write(b, int(6))).unwrap(), Op::Done(int(0)));
     assert_eq!(db.commit(h), Err(SessionError::ShardDown));
     assert!(
         bomb_threads().lock().unwrap().contains(&here),
@@ -928,8 +950,8 @@ fn durable_vote_fan_out_overlaps_all_but_the_last() {
     for (job, thread) in [(0, shard0), (1, here.clone())] {
         db.panic_after_2pc_jobs(job);
         let h = db.begin();
-        assert_eq!(db.write(h, a, int(5)).unwrap(), Op::Done(int(1)));
-        assert_eq!(db.write(h, b, int(6)).unwrap(), Op::Done(int(1)));
+        assert_eq!(db.step(h, Write(a, int(5))).unwrap(), Op::Done(int(1)));
+        assert_eq!(db.step(h, Write(b, int(6))).unwrap(), Op::Done(int(1)));
         assert_eq!(db.commit(h), Err(SessionError::ShardDown));
         let bombs = bomb_threads().lock().unwrap().clone();
         assert!(bombs.contains(&thread), "job {job} went off on {thread:?}");
@@ -1005,12 +1027,12 @@ fn fan_out_leaves_every_mailbox_empty_between_calls() {
         };
         let (a, b) = split_pair(&db);
         let h = db.begin();
-        assert_eq!(db.read(h, a).unwrap(), Op::Done(int(0)));
+        assert_eq!(db.step(h, Read(a)).unwrap(), Op::Done(int(0)));
         empty(&db, "read");
-        assert_eq!(db.write(h, b, int(1)).unwrap(), Op::Done(int(0)));
+        assert_eq!(db.step(h, Write(b, int(1))).unwrap(), Op::Done(int(0)));
         empty(&db, "write");
-        let inc = |x: Value| int(x.as_int().unwrap() + 1);
-        assert_eq!(db.update(h, a, inc).unwrap(), Op::Done(int(0)));
+        let inc = Affine { var: a, a: 1, c: 1 };
+        assert_eq!(db.step(h, inc).unwrap(), Op::Done(int(0)));
         empty(&db, "update");
         assert_eq!(db.commit(h).unwrap(), Op::Done(()));
         empty(&db, "two-phase commit");
@@ -1020,12 +1042,12 @@ fn fan_out_leaves_every_mailbox_empty_between_calls() {
         let resps = db.submit_group(vec![
             GroupReq {
                 h: packed,
-                ops: vec![BatchOp::Write(a, int(5))],
+                ops: vec![Write(a, int(5))],
                 commit: true,
             },
             GroupReq {
                 h: cross,
-                ops: vec![BatchOp::Affine { var: a, a: 1, c: 1 }, BatchOp::Read(b)],
+                ops: vec![Affine { var: a, a: 1, c: 1 }, Read(b)],
                 commit: true,
             },
         ]);
@@ -1033,8 +1055,8 @@ fn fan_out_leaves_every_mailbox_empty_between_calls() {
         assert_eq!(commits, vec![Some(Ok(Op::Done(()))); 2]);
         empty(&db, "submit_group");
         let h = db.begin();
-        assert_eq!(db.write(h, a, int(9)).unwrap(), Op::Done(int(6)));
-        assert_eq!(db.write(h, b, int(9)).unwrap(), Op::Done(int(1)));
+        assert_eq!(db.step(h, Write(a, int(9))).unwrap(), Op::Done(int(6)));
+        assert_eq!(db.step(h, Write(b, int(9))).unwrap(), Op::Done(int(1)));
         db.abort(h).unwrap();
         empty(&db, "abort");
         db.sync().unwrap();

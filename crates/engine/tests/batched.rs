@@ -7,9 +7,9 @@
 //! same deterministic schedule — through three packagings of the same
 //! requests:
 //!
-//! * **per-op**: every operation is its own `read`/`write`/`update`
-//!   call (one mailbox round-trip each), commits and retires their own
-//!   calls;
+//! * **per-op**: every operation is its own one-op `submit_group`
+//!   request (one mailbox round-trip each), and the commit a zero-op
+//!   request after them — the wire's per-operation shape;
 //! * **group of one**: each transaction's remaining run and its commit
 //!   are their own `submit_group(vec![one])` call — the degenerate group
 //!   the server sends for a lone interactive request;
@@ -39,9 +39,7 @@
 //! global operation sequence — and the engine's lazy restart-stamp rule
 //! guarantees the same timestamps.
 
-use ccopt_engine::{
-    affine_eval, BatchOp, CcKind, GlobalTxn, GroupReq, Metrics, Op, SessionError, ShardedDb,
-};
+use ccopt_engine::{BatchOp, CcKind, GlobalTxn, GroupReq, Metrics, Op, ShardedDb};
 use ccopt_model::{GlobalState, Value, VarId};
 
 const NUM_VARS: usize = 16;
@@ -187,15 +185,13 @@ fn canonical_order(
 /// Apply one settled request's outcomes to the driver state, mirroring
 /// exactly what the engine did: advance the cursor over `Done`s, track
 /// touched shards of attempted ops, reset on `Restarted`, and run the
-/// wait valve. Returns true when the transaction finished.
-#[allow(clippy::too_many_arguments)]
+/// wait valve.
 fn settle(
     db: &mut ShardedDb,
     st: &mut TxnState,
     chunk: &[BatchOp],
     outs: &[Op<Value>],
     commit: Option<Op<()>>,
-    mode: Mode,
 ) {
     // Every attempted op engaged its shard (the begin rides the op's
     // message), including the trailing non-`Done` one.
@@ -227,14 +223,8 @@ fn settle(
         }
     }
     match commit {
-        Some(Op::Done(())) => {
-            // The group paths retire inside the engine; per-op retires
-            // explicitly to keep the lifecycles identical.
-            if mode == Mode::PerOp {
-                db.retire(st.h).expect("committed");
-            }
-            st.committed = true;
-        }
+        // A committed request was also retired, inside the engine.
+        Some(Op::Done(())) => st.committed = true,
         Some(Op::Wait) => {
             st.wait_streak += 1;
             if st.wait_streak >= WAIT_VALVE {
@@ -301,7 +291,7 @@ fn replay(
                 for ((ti, chunk), resp) in reqs.iter().zip(resps) {
                     let outs = resp.results.expect("live handle");
                     let commit = resp.commit.map(|c| c.expect("live handle"));
-                    settle(&mut db, &mut states[*ti], chunk, &outs, commit, mode);
+                    settle(&mut db, &mut states[*ti], chunk, &outs, commit);
                 }
             }
             Mode::PerOp | Mode::GroupOfOne => {
@@ -310,34 +300,25 @@ fn replay(
                     let (ti, chunk) = &reqs[k];
                     let h = states[*ti].h;
                     let (outs, commit) = if mode == Mode::GroupOfOne {
-                        let resp = db
-                            .submit_group(vec![GroupReq {
-                                h,
-                                ops: chunk.clone(),
-                                commit: true,
-                            }])
-                            .pop()
-                            .expect("one request, one response");
-                        (
-                            resp.results.expect("live handle"),
-                            resp.commit.map(|c| c.expect("live handle")),
-                        )
+                        request(&mut db, h, chunk.clone(), true)
                     } else {
                         let mut outs = Vec::new();
                         for op in chunk {
-                            let r = run_one(&mut db, h, op).expect("live handle");
-                            let done = matches!(r, Op::Done(_));
+                            let r = one_op(&mut db, h, *op);
                             outs.push(r);
-                            if !done {
+                            if !matches!(r, Op::Done(_)) {
                                 break;
                             }
                         }
                         let all_done = outs.len() == chunk.len()
                             && outs.iter().all(|r| matches!(r, Op::Done(_)));
-                        let commit = all_done.then(|| db.commit(h).expect("live handle"));
+                        let commit = all_done.then(|| {
+                            let (_, commit) = request(&mut db, h, Vec::new(), true);
+                            commit.expect("a zero-op run is all done, so it commits")
+                        });
                         (outs, commit)
                     };
-                    settle(&mut db, &mut states[*ti], chunk, &outs, commit, mode);
+                    settle(&mut db, &mut states[*ti], chunk, &outs, commit);
                 }
             }
         }
@@ -354,12 +335,28 @@ fn replay(
     (commits, g, c, m)
 }
 
-fn run_one(db: &mut ShardedDb, h: GlobalTxn, op: &BatchOp) -> Result<Op<Value>, SessionError> {
-    match *op {
-        BatchOp::Read(var) => db.read(h, var),
-        BatchOp::Write(var, value) => db.write(h, var, value),
-        BatchOp::Affine { var, a, c } => db.update(h, var, move |v| affine_eval(a, c, v)),
-    }
+/// One request alone in its `submit_group` call: its run's outcomes and
+/// its commit's, when one was attempted.
+fn request(
+    db: &mut ShardedDb,
+    h: GlobalTxn,
+    ops: Vec<BatchOp>,
+    commit: bool,
+) -> (Vec<Op<Value>>, Option<Op<()>>) {
+    let resp = db
+        .submit_group(vec![GroupReq { h, ops, commit }])
+        .pop()
+        .expect("one request, one response");
+    (
+        resp.results.expect("live handle"),
+        resp.commit.map(|c| c.expect("live handle")),
+    )
+}
+
+/// One data operation as a one-op request.
+fn one_op(db: &mut ShardedDb, h: GlobalTxn, op: BatchOp) -> Op<Value> {
+    let (mut outs, _) = request(db, h, vec![op], false);
+    outs.pop().expect("a one-op run has one outcome")
 }
 
 /// The metrics that must agree bit-for-bit between submission paths:
@@ -437,9 +434,9 @@ fn group_submission_kills_the_messaging_tax() {
         }
     }
     // The exact price list, on a conflict-free n-op single-shard
-    // transaction: per-op pays one message per operation (the lazy begin
-    // rides the first), one for the commit and one for the retire; a
-    // group carries the whole lifecycle in one.
+    // transaction: one-op requests pay one message per operation (the
+    // lazy begin rides the first), a separate commit and retire one
+    // each; a group carries the whole lifecycle in one.
     let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[7; NUM_VARS]), 2);
     let vars: Vec<VarId> = db.shard_vars(0).to_vec();
     let n = vars.len();
@@ -447,8 +444,8 @@ fn group_submission_kills_the_messaging_tax() {
     let before = db.metrics().shard_msgs;
     let h = db.begin();
     for &var in &vars {
-        let r = db.update(h, var, |v| affine_eval(1, 1, v));
-        assert!(matches!(r, Ok(Op::Done(_))));
+        let r = one_op(&mut db, h, BatchOp::Affine { var, a: 1, c: 1 });
+        assert!(matches!(r, Op::Done(_)));
     }
     assert_eq!(db.commit(h), Ok(Op::Done(())));
     db.retire(h).expect("committed");

@@ -39,6 +39,7 @@ pub use crate::oracle::{check_serializable, check_strict};
 use crate::stats::Summary;
 use ccopt_engine::cc::CcKind;
 use ccopt_engine::session::{Op, SessionDb, SessionError, Txn, VarContention};
+use ccopt_engine::shard::affine_eval;
 use ccopt_engine::{ConflictRule, DurabilityMode, Histogram, Metrics, TraceConfig, TraceHub};
 use ccopt_model::ids::VarId;
 use ccopt_model::state::GlobalState;
@@ -49,10 +50,6 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::path::PathBuf;
-
-/// Values live in `Z_MOD` so affine update chains stay bounded over
-/// arbitrarily long streams (no overflow, exact replay).
-const MOD: i64 = 1_000_003;
 
 /// Open-world simulation parameters (times in abstract milliseconds).
 #[derive(Clone, Copy, Debug)]
@@ -121,7 +118,9 @@ pub struct OpSpec {
     pub var: VarId,
     /// Declared access kind.
     pub kind: StepKind,
-    /// Multiplier of the affine update `v <- (a*v + c) mod M`.
+    /// Multiplier of the affine update `v <- a*v + c` ([`affine_eval`]:
+    /// wrapping, so chains of any length never overflow and replay
+    /// exactly).
     pub a: i64,
     /// Offset; a blind `Write` stores `c` alone.
     pub c: i64,
@@ -133,8 +132,10 @@ impl OpSpec {
     pub fn eval(&self, observed: i64) -> i64 {
         match self.kind {
             StepKind::Read => observed,
-            StepKind::Write => self.c.rem_euclid(MOD),
-            StepKind::Update => (self.a * observed + self.c).rem_euclid(MOD),
+            StepKind::Write => self.c,
+            StepKind::Update => affine_eval(self.a, self.c, Value::Int(observed))
+                .as_int()
+                .expect("an affine step yields an int"),
         }
     }
 }
@@ -893,17 +894,29 @@ mod tests {
     }
 
     #[test]
-    fn op_spec_eval_is_bounded() {
-        let op = OpSpec {
+    fn op_spec_eval_is_the_engines_affine_step() {
+        let op = |kind, a, c| OpSpec {
             var: VarId(0),
-            kind: StepKind::Update,
-            a: 2,
-            c: -2,
+            kind,
+            a,
+            c,
         };
-        let mut v = 0i64;
+        for observed in [-7i64, 0, 3] {
+            for (a, c) in [(1, 2), (2, -2), (-1, 0)] {
+                assert_eq!(op(StepKind::Read, a, c).eval(observed), observed);
+                assert_eq!(op(StepKind::Write, a, c).eval(observed), c);
+                let update = op(StepKind::Update, a, c).eval(observed);
+                assert_eq!(Value::Int(update), affine_eval(a, c, Value::Int(observed)));
+            }
+        }
+        // A doubling chain from near the top wraps, step for step with
+        // the engine, where unchecked `*` would panic a debug build.
+        let double = op(StepKind::Update, 2, 1);
+        let mut v = i64::MAX - 3;
         for _ in 0..1000 {
-            v = op.eval(v);
-            assert!((0..MOD).contains(&v));
+            let next = double.eval(v);
+            assert_eq!(Value::Int(next), affine_eval(2, 1, Value::Int(v)));
+            v = next;
         }
     }
 }

@@ -55,7 +55,7 @@ use crate::open_sim::{
 use ccopt_engine::cc::CcKind;
 use ccopt_engine::durability::{Fault, StorageFaults};
 use ccopt_engine::session::{Op, SessionError};
-use ccopt_engine::shard::{GlobalTxn, ShardedDb};
+use ccopt_engine::shard::{BatchOp, GlobalTxn, GroupReq, ShardedDb};
 use ccopt_engine::{DurabilityMode, Metrics, TraceConfig};
 use ccopt_model::ids::VarId;
 use ccopt_model::state::GlobalState;
@@ -321,13 +321,22 @@ impl Driver for ShardedDriver<'_> {
     }
 
     fn submit(&mut self, h: GlobalTxn, op: OpSpec) -> Result<Op<Value>, SessionError> {
-        match op.kind {
-            StepKind::Read => self.db.read(h, op.var),
-            StepKind::Write => self.db.write(h, op.var, Value::Int(op.eval(0))),
-            StepKind::Update => self.db.update(h, op.var, move |v| {
-                Value::Int(op.eval(v.as_int().expect("sharded stores hold ints")))
-            }),
-        }
+        let op = match op.kind {
+            StepKind::Read => BatchOp::Read(op.var),
+            StepKind::Write => BatchOp::Write(op.var, Value::Int(op.c)),
+            StepKind::Update => BatchOp::Affine {
+                var: op.var,
+                a: op.a,
+                c: op.c,
+            },
+        };
+        let req = GroupReq {
+            h,
+            ops: vec![op],
+            commit: false,
+        };
+        let resp = self.db.submit_group(vec![req]).pop().expect("one response");
+        Ok(resp.results?.pop().expect("a one-op run has one outcome"))
     }
 
     fn commit(&mut self, h: GlobalTxn) -> Result<Op<Committed>, SessionError> {

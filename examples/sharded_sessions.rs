@@ -2,18 +2,43 @@
 //! threads, single-shard fast-path commits, cross-shard two-phase
 //! commits, a coordinator crash in the middle of one — and recovery
 //! settling the in-doubt vote by consulting the coordinator shard's log.
+//! Each transfer is one batch of plain-data operations that carries its
+//! own commit.
 //!
 //! ```sh
 //! cargo run --release --example sharded_sessions
 //! ```
 
-use ccopt::engine::shard::ShardedDb;
-use ccopt::engine::{CcKind, DurabilityMode, Op};
+use ccopt::engine::shard::{BatchOp, GroupReq, ShardedDb};
+use ccopt::engine::{CcKind, DurabilityMode, Op, SessionError};
 use ccopt::model::ids::VarId;
 use ccopt::model::state::GlobalState;
 use ccopt::model::value::Value;
 
 const CC: CcKind = CcKind::Strict2pl;
+
+/// Move `amount` from `from` to `to` in one transaction, sent as one
+/// batch carrying its commit; returns the commit's outcome.
+fn transfer(
+    db: &mut ShardedDb,
+    from: VarId,
+    to: VarId,
+    amount: i64,
+) -> Result<Op<()>, SessionError> {
+    let add = |var, c| BatchOp::Affine { var, a: 1, c };
+    let req = GroupReq {
+        h: db.begin(),
+        ops: vec![add(from, -amount), add(to, amount)],
+        commit: true,
+    };
+    let resp = db.submit_group(vec![req]).pop().expect("one response");
+    let ran = resp.results?;
+    assert!(
+        ran.iter().all(|r| matches!(r, Op::Done(_))),
+        "uncontended accesses proceed"
+    );
+    resp.commit.expect("an all-done run attempts its commit")
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = ccopt::engine::durability::scratch_path("example-sharded");
@@ -35,15 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // A cross-shard transfer: commits atomically through two-phase commit.
-    let h = db.begin();
-    let Op::Done(_) = db.update(h, a, |v| Value::Int(v.as_int().unwrap() - 30))? else {
-        panic!("uncontended access proceeds")
-    };
-    let Op::Done(_) = db.update(h, b, |v| Value::Int(v.as_int().unwrap() + 30))? else {
-        panic!("uncontended access proceeds")
-    };
-    assert_eq!(db.commit(h)?, Op::Done(()));
-    db.retire(h)?;
+    assert_eq!(transfer(&mut db, a, b, 30)?, Op::Done(()));
     println!(
         "after the transfer: v{} = {:?}, v{} = {:?} (cross-shard commits: {})",
         a.0,
@@ -57,10 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the decision is logged: the prepares are durable, the outcome is
     // not — both shards recover in doubt and must agree to roll back.
     db.crash_after_2pc_actions(2);
-    let h = db.begin();
-    let _ = db.update(h, a, |v| Value::Int(v.as_int().unwrap() - 999))?;
-    let _ = db.update(h, b, |v| Value::Int(v.as_int().unwrap() + 999))?;
-    let _ = db.commit(h)?; // in memory it "commits" — durably it cannot
+    let _ = transfer(&mut db, a, b, 999)?; // in memory it "commits" — durably it cannot
     drop(db); // the crash
 
     let mut db = ShardedDb::open(CC, init.clone(), &dir, DurabilityMode::Strict, 4, 8)?;
@@ -80,10 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Crash after the coordinator's decision instead: the participant's
     // resolve record is lost, but consultation re-derives COMMIT.
     db.crash_after_2pc_actions(3);
-    let h = db.begin();
-    let _ = db.update(h, a, |v| Value::Int(v.as_int().unwrap() - 30))?;
-    let _ = db.update(h, b, |v| Value::Int(v.as_int().unwrap() + 30))?;
-    let _ = db.commit(h)?;
+    let _ = transfer(&mut db, a, b, 30)?;
     drop(db); // crash with the participant resolve still buffered
 
     let mut db = ShardedDb::open(CC, init, &dir, DurabilityMode::Strict, 4, 8)?;

@@ -24,7 +24,9 @@
 //! the Tier-1 command runs.
 
 use ccopt::engine::durability::scratch_path;
-use ccopt::engine::{CcKind, DurabilityMode, Op, SessionError, ShardedDb};
+use ccopt::engine::{
+    BatchOp, CcKind, DurabilityMode, GlobalTxn, GroupReq, Op, SessionError, ShardedDb,
+};
 use ccopt::model::ids::VarId;
 use ccopt::model::state::GlobalState;
 use ccopt::model::value::Value;
@@ -58,6 +60,18 @@ fn restarts(db: &ShardedDb) -> usize {
     total
 }
 
+/// One data operation as a one-op request, the wire's per-operation
+/// shape.
+fn step(db: &mut ShardedDb, h: GlobalTxn, op: BatchOp) -> Result<Op<Value>, SessionError> {
+    let req = GroupReq {
+        h,
+        ops: vec![op],
+        commit: false,
+    };
+    let resp = db.submit_group(vec![req]).pop().expect("one response");
+    Ok(resp.results?.pop().expect("a one-op run has one outcome"))
+}
+
 /// Add one to each of `vars` in one transaction. `Ok` once it committed
 /// (and retired); `Err` when a crashed shard failed it — the handle is
 /// aborted, nothing of it may survive.
@@ -70,7 +84,7 @@ fn bump(db: &mut ShardedDb, vars: &[VarId]) -> Result<(), SessionError> {
     'attempt: loop {
         for &var in vars {
             loop {
-                match db.update(h, var, |x| Value::Int(x.as_int().unwrap() + 1)) {
+                match step(db, h, BatchOp::Affine { var, a: 1, c: 1 }) {
                     Ok(Op::Done(_)) => break,
                     Ok(Op::Wait) => {}
                     Ok(Op::Restarted) => continue 'attempt,
@@ -213,7 +227,7 @@ fn engine_moves_between_threads() {
         bump(&mut db, &[a, b]).unwrap();
         let h = db.begin();
         for var in [a, b] {
-            let wrote = db.write(h, var, Value::Int(40));
+            let wrote = step(&mut db, h, BatchOp::Write(var, Value::Int(40)));
             assert_eq!(wrote, Ok(Op::Done(Value::Int(1))));
         }
         (db, h, a, b)

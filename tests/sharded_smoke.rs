@@ -3,17 +3,18 @@
 //!
 //! One recorded workload — eight interleaved transactions over two
 //! shards, half pinned to one shard, half spanning both — is replayed
-//! through the per-operation API (`read`/`write`/`update`, `commit`,
-//! `retire`: one shard message each) and through `submit_group` (whole
-//! runs, commits piggybacked, one message per shard per round), for all
-//! seven mechanisms. Both land on the one shard-job executor in
-//! `shard.rs`; the commit vector, the final state and every decision
+//! as one-op requests (one `submit_group` call and one shard message
+//! per operation, then a zero-op commit request: the wire's
+//! per-operation shape) and as whole groups (every live transaction's
+//! run with its commit piggybacked, one message per shard per round),
+//! for all seven mechanisms. Both land on the one shard-job executor in
+//! `shard/jobs.rs`; the commit vector, the final state and every decision
 //! metric must come out equal. `crates/engine/tests/batched.rs` is the
 //! full differential (three packagings × three shard counts); this is the
 //! thin slice of it the Tier-1 command runs, plus one cross-shard
 //! two-phase commit / abort round trip.
 
-use ccopt::engine::{affine_eval, BatchOp, CcKind, GlobalTxn, GroupReq, Metrics, Op, ShardedDb};
+use ccopt::engine::{BatchOp, CcKind, GlobalTxn, GroupReq, Metrics, Op, SessionError, ShardedDb};
 use ccopt::model::ids::VarId;
 use ccopt::model::state::GlobalState;
 use ccopt::model::value::Value;
@@ -95,6 +96,18 @@ fn canonical_order(live: &[usize], programs: &[Program]) -> Vec<usize> {
     pinned.chain(cross).collect()
 }
 
+/// One request alone in its `submit_group` call.
+fn request(
+    db: &mut ShardedDb,
+    h: GlobalTxn,
+    ops: Vec<BatchOp>,
+    commit: bool,
+) -> Result<Answer, SessionError> {
+    let req = GroupReq { h, ops, commit };
+    let resp = db.submit_group(vec![req]).pop().expect("one response");
+    Ok((resp.results?, resp.commit.transpose()?))
+}
+
 /// Fold one request's outcomes into the driver state (the same rules on
 /// both paths: advance over `Done`s, replay after `Restarted`, valve
 /// after too many `Wait`s).
@@ -170,27 +183,20 @@ fn replay(cc: CcKind, grouped: bool) -> (Vec<bool>, GlobalState, Metrics, usize)
             for t in canonical_order(&live, &programs) {
                 let h = states[t].h;
                 let mut outs = Vec::new();
-                for op in &programs[t].1[states[t].cursor..] {
-                    let r = match *op {
-                        BatchOp::Read(var) => db.read(h, var),
-                        BatchOp::Write(var, value) => db.write(h, var, value),
-                        BatchOp::Affine { var, a, c } => {
-                            db.update(h, var, move |v| affine_eval(a, c, v))
-                        }
-                    }
-                    .expect("live handle");
-                    outs.push(r);
-                    if !matches!(r, Op::Done(_)) {
+                for &op in &programs[t].1[states[t].cursor..] {
+                    let (run, _) = request(&mut db, h, vec![op], false).expect("live handle");
+                    outs.extend(run);
+                    if !matches!(outs.last(), Some(Op::Done(_))) {
                         break;
                     }
                 }
-                // The run stops at its first non-`Done` outcome.
+                // The run stops at its first non-`Done` outcome; the
+                // commit (and, when it lands, the retire) follows alone.
                 let all_done = outs.iter().all(|r| matches!(r, Op::Done(_)));
-                let commit = all_done.then(|| db.commit(h).expect("live handle"));
-                if commit == Some(Op::Done(())) {
-                    // The grouped path retires inside the engine.
-                    db.retire(h).expect("committed");
-                }
+                let commit = all_done.then(|| {
+                    let (_, commit) = request(&mut db, h, Vec::new(), true).expect("live handle");
+                    commit.expect("a zero-op run is all done, so it commits")
+                });
                 answers[t] = (outs, commit);
             }
         }
@@ -262,9 +268,14 @@ fn cross_shard_two_phase_commit_and_abort_round_trip() {
     let (a, b) = (db.shard_vars(0)[0], db.shard_vars(1)[0]);
     let read = |db: &mut ShardedDb, v: VarId| db.globals().0[v.index()];
 
+    let write = |db: &mut ShardedDb, h, var, v| {
+        let (run, _) = request(db, h, vec![BatchOp::Write(var, Value::Int(v))], false)?;
+        Ok::<_, SessionError>(run)
+    };
+
     let h = db.begin();
-    assert_eq!(db.write(h, a, Value::Int(5)), Ok(Op::Done(Value::Int(0))));
-    assert_eq!(db.write(h, b, Value::Int(6)), Ok(Op::Done(Value::Int(0))));
+    assert_eq!(write(&mut db, h, a, 5), Ok(vec![Op::Done(Value::Int(0))]));
+    assert_eq!(write(&mut db, h, b, 6), Ok(vec![Op::Done(Value::Int(0))]));
     assert_eq!(db.commit(h), Ok(Op::Done(())));
     db.retire(h).expect("committed");
     assert_eq!(db.cross_shard_commits(), 1);
@@ -274,8 +285,8 @@ fn cross_shard_two_phase_commit_and_abort_round_trip() {
     );
 
     let h = db.begin();
-    assert_eq!(db.write(h, a, Value::Int(50)), Ok(Op::Done(Value::Int(5))));
-    assert_eq!(db.write(h, b, Value::Int(60)), Ok(Op::Done(Value::Int(6))));
+    assert_eq!(write(&mut db, h, a, 50), Ok(vec![Op::Done(Value::Int(5))]));
+    assert_eq!(write(&mut db, h, b, 60), Ok(vec![Op::Done(Value::Int(6))]));
     db.abort(h).expect("running");
     assert_eq!(db.cross_shard_commits(), 1);
     assert_eq!(
