@@ -12,7 +12,7 @@ use ccopt_schedule::herbrand::HerbrandCtx;
 use ccopt_schedule::schedule::Schedule;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn bench_model_execution(c: &mut Criterion) {
@@ -71,9 +71,10 @@ fn bench_csr_test(c: &mut Criterion) {
 /// variables so every decision is `Proceed` and the measured cost is pure
 /// bookkeeping — exactly the tables the dense-index overhaul targets. The
 /// `cc_wait_answer` group prices the other common answer, a repeated
-/// `Wait`, under the three mechanisms that block on a step.
+/// `Wait`, under the three mechanisms that block on a step, and
+/// `cc_release_with_waiters` a strict-2PL commit that frees waiters.
 fn bench_cc_hot_path(c: &mut Criterion) {
-    use ccopt_engine::{Op, SessionDb};
+    use ccopt_engine::{CcDecision, Op, SessionDb};
     use ccopt_model::ids::VarId;
     use ccopt_model::syntax::StepKind;
     use ccopt_model::value::Value;
@@ -140,6 +141,48 @@ fn bench_cc_hot_path(c: &mut Criterion) {
                 let answer = db.update(waiter, VarId(0), keep);
                 debug_assert_eq!(answer, Ok(Op::Wait));
                 black_box(answer)
+            })
+        });
+    }
+    g.finish();
+
+    // A lock holder's release with waiters: strict 2PL's `after_commit`
+    // frees the holder's lock and every waits-for edge that points at it.
+    // One iteration commits the holder, re-takes its lock and has the next
+    // round's waiters ask for it again (each a one-hop `Wait`), so the
+    // waits are part of the price. Rounds cycle through 64 seeded waiter
+    // subsets, so the slots waiting on the holder differ from one release
+    // to the next, as they do when sessions wait on random holders.
+    let mut g = c.benchmark_group("cc_release_with_waiters");
+    for (slots, waiters) in [(32u32, 0usize), (32, 8), (32, 24), (256, 64)] {
+        let mut rng = SmallRng::seed_from_u64(u64::from(slots) << 8 | waiters as u64);
+        let rounds: Vec<Vec<TxnId>> = (0..64)
+            .map(|_| {
+                // A partial Fisher-Yates draw of `waiters` slots besides
+                // the holder's slot 0.
+                let mut pool: Vec<u32> = (1..slots).collect();
+                for i in 0..waiters {
+                    let j = rng.gen_range(i..pool.len());
+                    pool.swap(i, j);
+                }
+                pool[..waiters].iter().map(|&w| TxnId(w)).collect()
+            })
+            .collect();
+        g.bench_function(format!("slots{slots}_waiters{waiters}"), |b| {
+            let mut cc = CcKind::Strict2pl.build();
+            cc.prepare(slots as usize, 1);
+            let holder = TxnId(0);
+            let mut round = 0;
+            b.iter(|| {
+                cc.after_commit(holder);
+                round = (round + 1) % rounds.len();
+                cc.begin(holder, 0);
+                let _ = cc.on_step(holder, VarId(0), StepKind::Update);
+                for &w in &rounds[round] {
+                    let answer = cc.on_step(w, VarId(0), StepKind::Update);
+                    debug_assert_eq!(answer, CcDecision::Wait);
+                }
+                round
             })
         });
     }

@@ -11,8 +11,12 @@
 //! * [`EpochBitSet`] — a bitset whose `clear` is O(1) by bumping an epoch
 //!   stamp instead of zeroing words (per-transaction scratch that resets on
 //!   every `begin`/`abort`);
-//! * [`SlotMap<T>`] — a `Vec<Option<T>>` with grow-on-demand indexing
-//!   (lock tables, waits-for edges, dirty-writer tables).
+//! * [`SlotMap<T>`] — a plain `Vec<T>` with grow-on-demand indexing, in
+//!   which one reserved value (`u32::MAX` for a `TxnId`, `u64::MAX` for a
+//!   stamp) marks an empty slot: lock tables, waits-for edges,
+//!   dirty-writer tables and stamp maps. A `TxnId` slot is 4 B, not the
+//!   8 B of an `Option<TxnId>`, and clearing every slot that holds one
+//!   value is a branch-free pass.
 //!
 //! All structures grow on demand so the mechanisms keep working without a
 //! [`prepare`](crate::cc::ConcurrencyControl::prepare) call (unit tests
@@ -174,11 +178,35 @@ impl EpochBitSet {
     }
 }
 
-/// A `Vec<Option<T>>` keyed by dense index, growing on demand — the dense
-/// replacement for `BTreeMap<Id, T>` point lookups.
+mod reserved {
+    /// A slot value with one bit pattern set aside to mean "empty", so a
+    /// [`SlotMap`](super::SlotMap) slot needs no `Option` tag. Sealed: the
+    /// trait is nameable only in this module, and the types below are the
+    /// only ones a `SlotMap` holds.
+    pub trait Reserved: Copy + PartialEq {
+        /// The value an empty slot holds; never stored as an entry.
+        const EMPTY: Self;
+    }
+
+    impl Reserved for ccopt_model::ids::TxnId {
+        const EMPTY: Self = ccopt_model::ids::TxnId(u32::MAX);
+    }
+
+    impl Reserved for u64 {
+        const EMPTY: Self = u64::MAX;
+    }
+}
+
+use reserved::Reserved;
+
+/// A `Vec<T>` keyed by dense index, growing on demand, in which the
+/// reserved value `T::EMPTY` marks an empty slot — the dense replacement
+/// for `BTreeMap<Id, T>` point lookups. With no `Option` tag a `TxnId`
+/// slot is 4 B, and [`remove_value`](Self::remove_value) is one
+/// unconditional store per slot.
 #[derive(Clone, Debug)]
 pub struct SlotMap<T> {
-    slots: Vec<Option<T>>,
+    slots: Vec<T>,
 }
 
 impl<T> Default for SlotMap<T> {
@@ -187,40 +215,60 @@ impl<T> Default for SlotMap<T> {
     }
 }
 
-impl<T> SlotMap<T> {
+impl<T: Reserved> SlotMap<T> {
     /// A map pre-sized for indices `< n`.
     pub fn with_capacity(n: usize) -> Self {
-        let mut slots = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        SlotMap { slots }
+        SlotMap {
+            slots: vec![T::EMPTY; n],
+        }
     }
 
     /// Pre-size for indices `< n` (no-op when already large enough).
     pub fn reserve_slots(&mut self, n: usize) {
         if self.slots.len() < n {
-            self.slots.resize_with(n, || None);
+            self.slots.resize(n, T::EMPTY);
         }
     }
 
     /// Value at `i`, if set.
     #[inline]
     pub fn get(&self, i: usize) -> Option<&T> {
-        self.slots.get(i).and_then(Option::as_ref)
+        self.slots.get(i).filter(|v| **v != T::EMPTY)
     }
 
-    /// Set slot `i`, returning the previous value.
+    /// Copy of the value at `i`, if set.
+    #[inline]
+    pub fn get_copied(&self, i: usize) -> Option<T> {
+        self.get(i).copied()
+    }
+
+    /// Set slot `i`, returning the previous value. `value` must not be
+    /// the reserved `T::EMPTY`.
     #[inline]
     pub fn insert(&mut self, i: usize, value: T) -> Option<T> {
+        debug_assert!(
+            value != T::EMPTY,
+            "SlotMap::insert of the reserved empty value"
+        );
         if self.slots.len() <= i {
-            self.slots.resize_with(i + 1, || None);
+            self.grow_for(i);
         }
-        self.slots[i].replace(value)
+        Self::occupied(std::mem::replace(&mut self.slots[i], value))
     }
 
     /// Clear slot `i`, returning the previous value.
     #[inline]
     pub fn remove(&mut self, i: usize) -> Option<T> {
-        self.slots.get_mut(i).and_then(Option::take)
+        let slot = self.slots.get_mut(i)?;
+        Self::occupied(std::mem::replace(slot, T::EMPTY))
+    }
+
+    /// Clear every slot that holds `v`. One pass that stores to every
+    /// slot whatever it holds, so the loop has no branch and vectorises.
+    pub fn remove_value(&mut self, v: T) {
+        for s in &mut self.slots {
+            *s = if *s == v { T::EMPTY } else { *s };
+        }
     }
 
     /// Iterate over set slots as `(index, &value)`.
@@ -228,29 +276,27 @@ impl<T> SlotMap<T> {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, v)| v.as_ref().map(|v| (i, v)))
-    }
-
-    /// Drop every entry whose value fails the predicate.
-    pub fn retain(&mut self, mut keep: impl FnMut(usize, &T) -> bool) {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if matches!(slot, Some(v) if !keep(i, v)) {
-                *slot = None;
-            }
-        }
+            .filter(|(_, v)| **v != T::EMPTY)
     }
 
     /// Number of addressable slots (not the number of set entries).
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
-}
 
-impl<T: Copy> SlotMap<T> {
-    /// Copy of the value at `i`, if set.
+    /// Make index `i` addressable. Out of line: after `prepare` the hot
+    /// path never grows, and a resize inlined into every `insert` kept
+    /// the waits-for answer from being inlined into the mechanisms' step
+    /// functions (about 4 ns more per wait answer in `microbench`).
+    #[cold]
+    #[inline(never)]
+    fn grow_for(&mut self, i: usize) {
+        self.slots.resize(i + 1, T::EMPTY);
+    }
+
     #[inline]
-    pub fn get_copied(&self, i: usize) -> Option<T> {
-        self.slots.get(i).copied().flatten()
+    fn occupied(v: T) -> Option<T> {
+        (v != T::EMPTY).then_some(v)
     }
 }
 
@@ -327,16 +373,84 @@ mod tests {
 
     #[test]
     fn slot_map_round_trip() {
-        let mut m: SlotMap<u32> = SlotMap::with_capacity(2);
+        let mut m: SlotMap<u64> = SlotMap::with_capacity(2);
         assert_eq!(m.insert(1, 10), None);
         assert_eq!(m.insert(1, 11), Some(10));
         assert_eq!(m.insert(9, 90), None); // grows
+        assert_eq!(m.insert(5, 11), None);
         assert_eq!(m.get_copied(1), Some(11));
         assert_eq!(m.get(4), None);
-        assert_eq!(m.iter().collect::<Vec<_>>(), vec![(1, &11), (9, &90)]);
-        m.retain(|i, _| i != 1);
+        assert_eq!(m.get(40), None);
+        assert_eq!(
+            m.iter().collect::<Vec<_>>(),
+            vec![(1, &11), (5, &11), (9, &90)]
+        );
+        m.remove_value(11);
         assert_eq!(m.get(1), None);
+        assert_eq!(m.get(5), None);
         assert_eq!(m.remove(9), Some(90));
         assert_eq!(m.remove(9), None);
+        assert_eq!(m.remove(40), None);
+        assert_eq!(m.iter().count(), 0);
+        assert_eq!(m.capacity(), 10);
+    }
+
+    /// `remove_value` against a `Vec<Option<T>>` reference at every length
+    /// 0..=70, so every vector tail the compiler may split the pass into
+    /// is covered. Slots hold one of `vals` or nothing, in a pattern that
+    /// varies with the length.
+    fn remove_value_matches_option_reference<T: Reserved + std::fmt::Debug>(vals: [T; 3]) {
+        for len in 0..=70usize {
+            for target in vals {
+                let mut m = SlotMap::default();
+                let mut reference: Vec<Option<T>> = vec![None; len];
+                for (i, r) in reference.iter_mut().enumerate() {
+                    // 0 leaves the slot empty; 1..=3 pick a value.
+                    match (i * 7 + len * 3) % 4 {
+                        0 => {}
+                        k => {
+                            *r = Some(vals[k - 1]);
+                            m.insert(i, vals[k - 1]);
+                        }
+                    }
+                }
+                m.reserve_slots(len);
+                m.remove_value(target);
+                for r in &mut reference {
+                    if *r == Some(target) {
+                        *r = None;
+                    }
+                }
+                assert_eq!(m.capacity(), len);
+                let got: Vec<Option<T>> = (0..len).map(|i| m.get_copied(i)).collect();
+                assert_eq!(got, reference, "len {len}, removing {target:?}");
+                let set: Vec<(usize, T)> = m.iter().map(|(i, &v)| (i, v)).collect();
+                let want: Vec<(usize, T)> = reference
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, r)| r.map(|v| (i, v)))
+                    .collect();
+                assert_eq!(set, want, "len {len}, removing {target:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn remove_value_matches_an_option_reference_for_txn_ids() {
+        use ccopt_model::ids::TxnId;
+        remove_value_matches_option_reference([TxnId(0), TxnId(7), TxnId(u32::MAX - 1)]);
+    }
+
+    #[test]
+    fn remove_value_matches_an_option_reference_for_stamps() {
+        remove_value_matches_option_reference([0u64, 42, u64::MAX - 1]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "SlotMap::insert of the reserved empty value")]
+    fn inserting_the_reserved_value_trips_the_debug_check() {
+        let mut m: SlotMap<u64> = SlotMap::default();
+        m.insert(0, u64::MAX);
     }
 }
