@@ -44,12 +44,12 @@
 //!   commits;
 //! * the **messaging count** (`batched.tax`): one conflict-free stream
 //!   submitted to a `ShardedDb` at `S = 1` per-op (every op a one-op
-//!   request, the commit and the retire one mailbox round-trip each, the
+//!   request, the commit and the retire one shard message each, the
 //!   lazy begin riding the first op's: `ops + 2` messages per
 //!   transaction) and through
 //!   [`ccopt_engine::ShardedDb::submit_group`] with whole transactions
 //!   grouped per message. The engine's own `shard_msgs` counters report
-//!   the round-trip collapse exactly and are **asserted** (grouped ≤ a
+//!   the message collapse exactly and are **asserted** (grouped ≤ a
 //!   tenth of per-op); what a message costs is `benchmark/`'s
 //!   `shard.msgs_per_txn_*` and `shard.*_us_per_txn` rungs.
 //!
@@ -386,9 +386,8 @@ fn tax_program(i: usize) -> Vec<u32> {
 
 /// The engine-level messaging count: one pass of the tax stream through
 /// each `S = 1` submission path (see the module docs), reading the
-/// engine's `shard_msgs` counter behind each. The shard worker is a real
-/// thread behind a mailbox in both, so the counts are the actual
-/// round-trips.
+/// engine's `shard_msgs` counter behind each: one count per job the
+/// executor runs under the shard's token, in both.
 fn batched_tax() -> Vec<BatchedTaxCell> {
     use ccopt_engine::{BatchOp, GroupReq, Op, ShardedDb};
     use ccopt_model::{GlobalState, VarId};
@@ -409,7 +408,7 @@ fn batched_tax() -> Vec<BatchedTaxCell> {
             c: 1,
         };
 
-        // `ShardedDb` at S = 1, one mailbox round-trip per op — a one-op
+        // `ShardedDb` at S = 1, one shard message per op — a one-op
         // request each (the begin rides the first) — plus commit and
         // retire: messaging at its worst.
         let per_op_msgs = {
@@ -468,7 +467,7 @@ fn batched_tax() -> Vec<BatchedTaxCell> {
             db.metrics().shard_msgs
         };
 
-        // The acceptance gate: grouping must collapse the round-trips
+        // The acceptance gate: grouping must collapse the shard messages
         // by an order of magnitude.
         assert!(
             grouped_msgs * 10 <= per_op_msgs,
@@ -610,7 +609,7 @@ fn main() {
     }
 
     let mut tax_table = Table::new(
-        "batched messaging (S=1 mailbox round-trips, per-op vs grouped)",
+        "batched messaging (S=1 shard messages, per-op vs grouped)",
         &["cc", "txns", "ops", "per-op-msgs", "grouped-msgs"],
     );
     for c in &tax_cells {

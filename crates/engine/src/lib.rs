@@ -27,7 +27,7 @@
 //!   commit, checkpoints and crash recovery (`ccopt-durability`);
 //! * [`shard`] — sharded execution: [`ShardedDb`] hash-partitions the
 //!   variable universe across independent [`SessionDb`] shards, each
-//!   behind its own worker, with single-shard fast-path commits and
+//!   behind its own fault domain, with single-shard fast-path commits and
 //!   two-phase cross-shard commits (prepare votes + coordinator resolve,
 //!   in-doubt recovery by consulting the coordinator shard's log);
 //! * [`db`] — the closed-world [`Database`]: the paper's fixed transaction

@@ -1,15 +1,16 @@
 //! Fault injection (tests): the one struct holding the crash and panic
-//! scripts, consulted at the one 2PC submit site
+//! scripts, resolved once per round at the one 2PC submit site
 //! (`ShardedDb::twopc_scatter`), plus the direct shard-kill and
 //! storage-fault hooks. `docs/FAULTS.md` lists the whole surface.
 //!
 //! A script changes no thread assignment: a durable vote round stays
-//! **concurrent** while one is armed. The coordinator hands a round's
-//! jobs over in shard order and consults the script as each one is
-//! handed over, so "kill every log before action `n`" and "panic job
-//! `n`" land at a fixed position in every shard's FIFO mailbox — behind
-//! the jobs handed over before the boundary, ahead of those after it —
-//! whatever the threads' relative speed. Every job that runs on the
+//! **concurrent** while one is armed. The script is resolved for the
+//! whole round before any job starts, and each job carries its own
+//! shard's part of it (`ShardedDb::arm_round`): "kill every log
+//! before action `n`" runs on each shard *after* its job when that job
+//! comes before the boundary, *before* it otherwise, and "panic job `n`"
+//! replaces that job. Both land at the same point of every shard's work
+//! whatever the threads' relative speed. A job that runs on the
 //! coordinator's thread (the last vote of a durable round, every job of
 //! a volatile round, every resolve) unwinds its scripted panic there,
 //! where it is caught at the shard's fault boundary — the coordinator
@@ -19,7 +20,6 @@ use super::jobs::gather;
 use super::ShardedDb;
 use crate::session::SessionDb;
 use ccopt_durability::StorageFaults;
-use ccopt_par::Worker;
 
 /// The armed injection scripts and their progress counters.
 #[derive(Default)]
@@ -36,37 +36,80 @@ pub(super) struct Inject {
     twopc_jobs: u64,
 }
 
-impl Inject {
-    /// Consulted once per two-phase-commit job, as it is handed over.
-    /// `durable` jobs (votes, the coordinator resolve) count against the
-    /// crash budget, and the job at the boundary first kills every shard
-    /// log. Returns whether this job is the scripted panic.
-    pub(super) fn consult(&mut self, durable: bool, workers: &[Worker<SessionDb>]) -> bool {
-        if durable {
-            if !self.dead && self.crash_budget.is_some_and(|n| self.twopc_actions >= n) {
-                self.dead = true;
-                let kill = |db: &mut SessionDb| db.wal_crash_after_records(0);
-                gather(workers, false, (0..workers.len()).map(|s| (s, kill)));
-            }
-            self.twopc_actions += 1;
-        }
-        let Some(n) = self.panic_at_2pc_job else {
-            return false;
-        };
-        self.twopc_jobs += 1;
-        self.twopc_jobs - 1 == n
-    }
+/// Kill a shard's log: it silently drops every later record.
+fn kill_log(db: &mut SessionDb) {
+    db.wal_crash_after_records(0);
 }
 
 impl ShardedDb {
+    /// Resolve the scripts for one round of two-phase-commit jobs, in job
+    /// order, and arm each job with its own shard's part. `durable` jobs
+    /// (votes, the coordinator resolve) count against the crash budget;
+    /// when the budget runs out before job `k`, jobs before `k` kill
+    /// their shard's log right after running, the rest right before. A
+    /// shard with no job in the round has no position in it to keep: its
+    /// log dies here, on this thread. The scripted panic replaces its job.
+    pub(super) fn arm_round<R, F>(
+        &mut self,
+        durable: bool,
+        jobs: Vec<(usize, F)>,
+    ) -> impl Iterator<Item = (usize, impl FnOnce(&mut SessionDb) -> R + Send)>
+    where
+        F: FnOnce(&mut SessionDb) -> R + Send,
+    {
+        let (inject, mut kill_before, mut bomb) = (&mut self.inject, None, None);
+        for i in 0..jobs.len() {
+            if durable {
+                let spent = inject
+                    .crash_budget
+                    .is_some_and(|n| inject.twopc_actions >= n);
+                if spent && !inject.dead {
+                    inject.dead = true;
+                    kill_before = Some(i);
+                }
+                inject.twopc_actions += 1;
+            }
+            if let Some(n) = inject.panic_at_2pc_job {
+                if inject.twopc_jobs == n {
+                    bomb = Some(i);
+                }
+                inject.twopc_jobs += 1;
+            }
+        }
+        if kill_before.is_some() {
+            let idle = (0..self.workers.len()).filter(|&s| jobs.iter().all(|&(t, _)| t != s));
+            gather(&self.workers, false, idle.map(|s| (s, kill_log)));
+        }
+        jobs.into_iter().enumerate().map(move |(i, (s, job))| {
+            let kill_first = kill_before.map(|k| i >= k);
+            let job = move |db: &mut SessionDb| {
+                if kill_first == Some(true) {
+                    kill_log(db);
+                }
+                if bomb == Some(i) {
+                    // The worker dies AT this protocol boundary, in place
+                    // of performing the action — the sharpest version of
+                    // a shard failing mid-protocol.
+                    panic!("injected shard-worker panic at a 2PC boundary");
+                }
+                let out = job(db);
+                if kill_first == Some(false) {
+                    kill_log(db);
+                }
+                out
+            };
+            (s, job)
+        })
+    }
+
     /// Crash injection (tests): allow `n` durable two-phase-commit
     /// actions **from this call on** — each participant's prepare fsync
     /// and each coordinator resolve fsync counts one, in shard order —
     /// then kill **every** shard log at that boundary, as a coordinator
-    /// process crash would. The vote round keeps its threads: the kill is
-    /// handed to every shard between the jobs of actions `n - 1` and `n`
-    /// (behind a vote still queued there), so each shard runs it in
-    /// exactly that position.
+    /// process crash would. The vote round keeps its threads: each shard
+    /// whose job comes before action `n` kills its log right after that
+    /// job, the others right before theirs, so each shard runs the kill
+    /// in exactly that position.
     pub fn crash_after_2pc_actions(&mut self, n: u64) {
         self.inject.crash_budget = Some(n);
         self.inject.twopc_actions = 0;
@@ -77,8 +120,8 @@ impl ShardedDb {
     /// shard order within a round) run **from this call on**, then hand
     /// over a panic in place of the next one. The other jobs of its round
     /// still run, on the threads they would have run on: a durable vote
-    /// round's all-but-last on their shards, everything else on the
-    /// coordinator's thread.
+    /// round's all-but-last on scoped shard threads, everything else on
+    /// the coordinator's thread.
     pub fn panic_after_2pc_jobs(&mut self, n: u64) {
         self.inject.panic_at_2pc_job = Some(n);
         self.inject.twopc_jobs = 0;
@@ -87,15 +130,11 @@ impl ShardedDb {
     /// Fault injection (tests): kill shard `s`'s worker now, exactly as a
     /// shard-local bug would — the bomb job panics under the shard's
     /// ownership token, which drops the shard state mid-flight (its log
-    /// closes without a final flush: crash semantics). Returns once the
-    /// worker is dead;
-    /// supervision happens at the next touch, or via
+    /// closes without a final flush: crash semantics) before this
+    /// returns; supervision happens at the next touch, or via
     /// [`check_shards`](Self::check_shards).
     pub fn panic_shard(&mut self, s: usize) {
         let _ = self.workers[s].call(|_db: &mut SessionDb| panic!("injected shard-worker panic"));
-        while self.workers[s].is_alive() {
-            std::thread::yield_now();
-        }
     }
 
     /// Install a storage-fault script on shard `s`'s write-ahead log

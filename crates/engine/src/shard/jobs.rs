@@ -7,59 +7,64 @@ use crate::session::{Op, SessionDb, SessionError, Txn};
 use ccopt_model::ids::VarId;
 use ccopt_model::syntax::StepKind;
 use ccopt_model::value::Value;
-use ccopt_par::{Reply, Worker, WorkerError};
+use ccopt_par::{Worker, WorkerError};
 
-/// One reply per scattered job, tagged with its shard, in submission
-/// order (`Err`: the worker was dead, or died before answering).
+/// One reply per job, tagged with its shard, in job order (`Err`: the
+/// shard's worker was dead, or died running the job).
 pub(super) type Replies<R> = Vec<(usize, Result<R, WorkerError>)>;
 
 /// The scatter/gather primitive — the one place that decides which
-/// thread runs a shard job. A job goes to another thread only when that
-/// thread can overlap an fsync with the coordinator's: with `overlap` (a
-/// round whose jobs force a log write, on a database with logs) every job
-/// but the last is submitted to its shard's mailbox and runs on that
-/// shard's thread, the last runs here, and the replies are collected in
-/// iteration order. Without `overlap` every job runs here, in iteration
-/// order. "Here" is a [`Worker::call`]: under the shard's ownership token
-/// when that mailbox is empty, behind the queued jobs otherwise. `jobs`
-/// is pulled as each job is handed over, so whatever producing a later
-/// job does to other mailboxes lands behind the jobs already handed over
-/// there — per-shard FIFO mailboxes make every such boundary
-/// deterministic.
+/// thread runs a shard job. Without `overlap` every job is a
+/// [`Worker::call`] on this thread, in order. With `overlap` (a round
+/// whose jobs force a log write, on a database with logs) every job but
+/// the last runs on a scoped thread named `ccopt-shard-<s>`, so the
+/// shards' fsyncs overlap; the last runs here, and the threads are
+/// joined, in order, before this returns.
 pub(super) fn gather<R, F>(
     workers: &[Worker<SessionDb>],
     overlap: bool,
-    jobs: impl IntoIterator<Item = (usize, F), IntoIter: ExactSizeIterator>,
+    jobs: impl IntoIterator<Item = (usize, F)>,
 ) -> Replies<R>
 where
-    R: Send + 'static,
-    F: FnOnce(&mut SessionDb) -> R + Send + 'static,
+    R: Send,
+    F: FnOnce(&mut SessionDb) -> R + Send,
 {
-    let mut jobs = jobs.into_iter();
+    let jobs = jobs.into_iter();
     if !overlap {
         return jobs.map(|(s, job)| (s, workers[s].call(job))).collect();
     }
-    let queued = jobs.len().saturating_sub(1);
-    let pending: Vec<_> = (&mut jobs)
-        .take(queued)
-        .map(|(s, job)| (s, workers[s].submit(job)))
-        .collect();
-    let last = jobs.next().map(|(s, job)| (s, workers[s].call(job)));
-    pending
-        .into_iter()
-        .map(|(s, reply)| (s, reply.and_then(Reply::wait)))
-        .chain(last)
-        .collect()
+    let mut jobs: Vec<_> = jobs.collect();
+    let last = jobs.pop();
+    std::thread::scope(|scope| {
+        let overlapped: Vec<_> = jobs
+            .into_iter()
+            .map(|(s, job)| {
+                let worker = &workers[s];
+                let thread = std::thread::Builder::new().name(format!("ccopt-shard-{s}"));
+                // Failing to start a thread is an unrecoverable resource
+                // failure, as it is for every spawn in std.
+                let handle = thread
+                    .spawn_scoped(scope, move || worker.call(job))
+                    .expect("failed to spawn a shard thread");
+                (s, handle)
+            })
+            .collect();
+        let last = last.map(|(s, job)| (s, workers[s].call(job)));
+        let joined = overlapped
+            .into_iter()
+            .map(|(s, handle)| (s, handle.join().expect("call catches a job's panic")));
+        joined.chain(last).collect()
+    })
 }
 
 /// One operation of a grouped submission ([`ShardedDb::submit_group`]).
 ///
 /// The closed set of step shapes a [`ShardedDb`] runs, and the ones the
 /// wire protocol expresses. Each is plain data — an update is affine, not
-/// a closure — so a whole run of operations moves to a shard worker in
-/// one mailbox message, and every transaction reaching a shard is a
-/// declared list of reads and writes. (Closures stay where the caller's
-/// own thread runs them: [`SessionDb`]'s `update`.)
+/// a closure — so a whole run of operations is one shard message (one
+/// job under the shard's token), and every transaction reaching a shard
+/// is a declared list of reads and writes. ([`SessionDb`]'s `update`
+/// keeps its closure.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchOp {
     /// Observe a variable.
@@ -174,15 +179,15 @@ pub fn affine_eval(a: i64, c: i64, observed: Value) -> Value {
 impl ShardedDb {
     /// [`gather`], then supervise every shard whose worker turned out
     /// dead — only once the last reply is in, so a restart never runs
-    /// under a fan-out still in flight.
+    /// under a round still in flight.
     pub(super) fn scatter<R, F>(
         &mut self,
         overlap: bool,
-        jobs: impl IntoIterator<Item = (usize, F), IntoIter: ExactSizeIterator>,
+        jobs: impl IntoIterator<Item = (usize, F)>,
     ) -> Replies<R>
     where
-        R: Send + 'static,
-        F: FnOnce(&mut SessionDb) -> R + Send + 'static,
+        R: Send,
+        F: FnOnce(&mut SessionDb) -> R + Send,
     {
         let replies = gather(&self.workers, overlap, jobs);
         self.supervise_dead(&replies);
@@ -192,7 +197,7 @@ impl ShardedDb {
     // ----------------------------------------------------------- operations
 
     /// Submit a group of **independent transactions'** runs in as few
-    /// mailbox messages as possible (the server's engine collects
+    /// shard messages as possible (the server's engine collects
     /// requests from many connections into one group per pass; a lone
     /// request is a group of one).
     ///
@@ -485,10 +490,10 @@ impl ShardedDb {
             outs
         };
         let Some((_, Ok(outs))) = self.scatter(false, [(si, job)]).pop() else {
-            // The shard worker died running (or queued behind) this
-            // message, and the scatter supervised the crash — restarted
-            // the shard from its log, failed every transaction with state
-            // there. Report the loss. A commit in the message was never
+            // The shard's worker died running this message (or before),
+            // and the scatter supervised the crash — restarted the shard
+            // from its log, failed every transaction with state there.
+            // Report the loss. A commit in the message was never
             // acknowledged; the recovered log decides it (as after any
             // crash, an unacknowledged commit may legitimately have
             // landed). A transaction whose begin was in the message holds

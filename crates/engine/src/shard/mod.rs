@@ -3,17 +3,15 @@
 //!
 //! [`ShardedDb`] splits the variable universe across `S` independent
 //! [`SessionDb`] shards — each with its own concurrency-control instance,
-//! store, and (optionally) write-ahead log — and puts every shard behind
-//! its own [`ccopt_par::Worker`]. A shard job goes to the shard's **own
-//! OS thread** only when that thread can overlap an fsync with the
+//! store, and (optionally) write-ahead log — and holds every shard as a
+//! plain value behind its own thread-free fault domain
+//! ([`ccopt_par::Worker`]). Every shard job runs on the calling thread,
+//! in order, except where a thread can overlap an fsync with the
 //! coordinator's: on a database with logs, every job but the last of a
-//! prepare-vote round, a `sync` or a `checkpoint` goes through the
-//! shard's mailbox, and the shards force their logs concurrently — the
-//! engine's one parallel execution path. Every other job (data
-//! operations, lazy begins, single-shard commits, resolves, retires,
-//! rollbacks, statistics, and a volatile database's votes) is a call: it
-//! runs on the calling thread under the shard's ownership token whenever
-//! that shard's mailbox is empty, in order. A transaction
+//! prepare-vote round, a `sync` or a `checkpoint` runs on a scoped
+//! thread named `ccopt-shard-<s>`, joined before the round returns, so
+//! the shards force their logs concurrently — the engine's one parallel
+//! execution path. No shard owns a thread between calls. A transaction
 //! whose footprint stays inside one shard runs entirely locally (the
 //! common case a good partitioning maximizes); a cross-shard transaction
 //! commits through a **two-phase commit**:
@@ -21,7 +19,7 @@
 //! 1. *Prepare*: every touched shard runs its ordinary concurrency-control
 //!    commit decision ([`SessionDb::prepare_commit`]) and forces a prepare
 //!    record — the write-set under the global transaction id — to its own
-//!    log. With logs, the votes' fsyncs overlap across the shard threads.
+//!    log. With logs, the votes' fsyncs overlap on scoped threads.
 //! 2. *Resolve*: once every shard voted yes, the **coordinator shard**
 //!    (the lowest touched index) logs and fsyncs a resolve record — the
 //!    atomic commit point — after which the remaining shards apply their
@@ -65,7 +63,7 @@
 //! ## Fault domains
 //!
 //! Each shard worker is a **fault domain** (`ccopt-par`): a panic in a
-//! shard job — on the shard's thread or inline on the caller's — kills
+//! shard job — on the caller's thread or a round's scoped one — kills
 //! that shard, never the process or the caller, and drops its
 //! [`SessionDb`] mid-flight — the write-ahead log closes without a final
 //! flush, which is crash semantics. The coordinator **supervises**: any
@@ -210,18 +208,17 @@ pub struct ShardedRecoveryInfo {
     pub in_doubt_aborted: u64,
 }
 
-/// An in-memory database hash-partitioned across `S` shard threads, each
-/// an independent [`SessionDb`], with single-shard fast-path commits and
+/// An in-memory database hash-partitioned across `S` shards, each an
+/// independent [`SessionDb`], with single-shard fast-path commits and
 /// two-phase cross-shard commits. See the [module docs](self).
 ///
 /// The lifecycle mirrors [`SessionDb`] (begin / commit / abort / retire,
 /// epoch-guarded handles, `Op`-shaped outcomes), but data operations take
 /// one shape: plain-data [`BatchOp`]s through
 /// [`submit_group`](Self::submit_group) — a single operation is a one-op
-/// [`GroupReq`]. A shard job may run on a shard thread, so no closure
-/// crosses into one. The database is driven by one coordinator at a time
+/// [`GroupReq`]. The database is driven by one coordinator at a time
 /// (`&mut self`); parallelism lives *inside* calls, where durable vote,
-/// `sync` and `checkpoint` rounds overlap their fsyncs on the shard
+/// `sync` and `checkpoint` rounds overlap their fsyncs on scoped
 /// threads.
 pub struct ShardedDb {
     workers: Vec<Worker<SessionDb>>,
@@ -302,8 +299,8 @@ pub struct ShardedDb {
     groups: u64,
 }
 
-/// The point of owning the mechanism: the whole database moves between
-/// threads (its shard workers stay where they are).
+/// The point of owning the mechanism: the whole database, shards
+/// included, moves between threads.
 const _: () = {
     const fn assert_send<T: Send + 'static>() {}
     assert_send::<ShardedDb>()
@@ -335,7 +332,7 @@ impl ShardedDb {
                     partition.project(&init, s),
                     expected_txns,
                 );
-                Self::spawn_shard(s, db)
+                Worker::spawn(db)
             })
             .collect();
         Self::build(
@@ -422,7 +419,7 @@ impl ShardedDb {
                 info.in_doubt_committed += ri.in_doubt_committed;
                 info.in_doubt_aborted += ri.in_doubt_aborted;
             }
-            workers.push(Self::spawn_shard(s, db));
+            workers.push(Worker::spawn(db));
         }
         // Every shard's durable decisions seed the in-process table the
         // supervisor consults when it recovers a crashed shard later.
@@ -446,12 +443,6 @@ impl ShardedDb {
     /// The per-shard log path convention of [`open`](Self::open).
     fn shard_path(dir: &Path, shard: usize) -> PathBuf {
         dir.join(format!("shard-{shard}.wal"))
-    }
-
-    /// Start shard `s`'s worker thread over `db`, named so `top -H` shows
-    /// it as a shard whichever thread built (or respawned) it.
-    fn spawn_shard(s: usize, db: SessionDb) -> Worker<SessionDb> {
-        Worker::spawn_named(format!("ccopt-shard-{s}"), db)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -746,7 +737,7 @@ impl ShardedDb {
     /// Ask every shard the same read-only question, in shard order, on
     /// this thread; a dead or down shard answers nothing (and, behind
     /// `&self`, is left for the next mutating call to supervise).
-    fn ask<R: Send + 'static>(&self, question: fn(&mut SessionDb) -> R) -> impl Iterator<Item = R> {
+    fn ask<R: Send>(&self, question: fn(&mut SessionDb) -> R) -> impl Iterator<Item = R> {
         let shards = 0..self.workers.len();
         gather(&self.workers, false, shards.map(|s| (s, question)))
             .into_iter()
@@ -755,9 +746,9 @@ impl ShardedDb {
 
     /// [`scatter`](Self::scatter) the same log job (`sync`, `checkpoint`)
     /// to every shard, overlapping the shards' fsyncs when there are logs
-    /// (a permanently down shard's worker is shut down: it answers `Err`
-    /// and its supervision is a no-op).
-    fn scatter_all<R: Send + 'static>(&mut self, job: fn(&mut SessionDb) -> R) -> jobs::Replies<R> {
+    /// (a permanently down shard's worker is dead: it answers `Err` and
+    /// its supervision is a no-op).
+    fn scatter_all<R: Send>(&mut self, job: fn(&mut SessionDb) -> R) -> jobs::Replies<R> {
         let shards = 0..self.workers.len();
         self.scatter(self.durable.is_some(), shards.map(|s| (s, job)))
     }
@@ -849,12 +840,10 @@ impl ShardedDb {
     pub fn set_trace(&mut self, cfg: &TraceConfig) -> std::io::Result<()> {
         let hub = Arc::new(TraceHub::new(cfg)?);
         let live = (0..self.workers.len()).filter(|&s| !self.down[s]);
-        let attach: Vec<_> = live
-            .map(|s| {
-                let tracer = hub.tracer(s as u32);
-                (s, move |db: &mut SessionDb| db.set_tracer(tracer))
-            })
-            .collect();
+        let attach = live.map(|s| {
+            let tracer = hub.tracer(s as u32);
+            (s, move |db: &mut SessionDb| db.set_tracer(tracer))
+        });
         gather(&self.workers, false, attach);
         self.coord_tracer = hub.tracer(self.workers.len() as u32);
         self.trace_hub = Some(hub);

@@ -6,11 +6,13 @@ use super::jobs::{gather, Replies};
 use super::{shard_cc, GStatus, ShardedDb, SubState};
 use crate::session::{SessionDb, SessionStatus};
 use ccopt_durability::recovery;
+use ccopt_par::Worker;
 use ccopt_trace::{ConflictRule, EventKind};
 
 /// One shard's liveness, as the supervisor sees it without touching the
-/// worker ([`ShardedDb::shard_statuses`]): atomic flag reads only, so a
-/// health probe costs the data plane nothing.
+/// shard's state ([`ShardedDb::shard_statuses`]): the fault domain's
+/// liveness flag and the coordinator's own counters, so a health probe
+/// costs the data plane nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardStatus {
     /// The worker is serving (its panic flag is clear). A crashed
@@ -57,8 +59,8 @@ impl ShardedDb {
     }
 
     /// Per-shard liveness: alive/down flags and supervised restart
-    /// counts. Atomic reads only — no worker round-trips — so this is
-    /// safe to call from a health probe at any rate.
+    /// counts. Flag reads only — no shard job runs — so this is safe to
+    /// call from a health probe at any rate.
     pub fn shard_statuses(&self) -> Vec<ShardStatus> {
         (0..self.workers.len())
             .map(|s| ShardStatus {
@@ -135,20 +137,18 @@ impl ShardedDb {
         self.last_recovery_replayed = Some(replayed);
     }
 
-    /// Tear down a crashed shard worker and start a replacement in place:
-    /// over its recovered write-ahead log when durable (in-doubt prepares
-    /// settle against the in-process decision table), over the initial
-    /// projection otherwise — volatile shards have nothing to recover, a
-    /// documented data loss. Unrecoverable storage marks the shard
+    /// Replace a crashed shard worker in place: over its recovered
+    /// write-ahead log when durable (in-doubt prepares settle against the
+    /// in-process decision table), over the initial projection otherwise
+    /// — volatile shards have nothing to recover, a documented data loss. Unrecoverable storage marks the shard
     /// permanently down instead; the other shards keep serving either
     /// way. Returns the deterministic size of the recovery: committed
     /// sub-transactions replayed from the recovered log (0 when volatile
     /// or down).
     fn respawn_shard(&mut self, s: usize) -> u64 {
-        // Join the dead worker first so its SessionDb — and the log file
-        // handle it owns — is fully dropped before recovery reopens the
-        // file.
-        self.workers[s].shutdown();
+        // The dead worker's SessionDb — and the log file handle it owns —
+        // was dropped in place when its job panicked, so recovery below
+        // reopens a closed file.
         let proj = self.partition.project(&self.init, s);
         let cc = shard_cc(self.kind, self.workers.len());
         let mut db = if let Some((dir, mode)) = self.durable.clone() {
@@ -192,7 +192,7 @@ impl ShardedDb {
         if let Some(hub) = &self.trace_hub {
             db.set_tracer(hub.tracer(s as u32));
         }
-        self.workers[s] = Self::spawn_shard(s, db);
+        self.workers[s] = Worker::spawn(db);
         replayed
     }
 
@@ -203,19 +203,17 @@ impl ShardedDb {
         let floor = self.min_active_gts(ti);
         self.slots[ti].subs[crashed] = SubState::Absent;
         let subs = self.slots[ti].subs.iter().enumerate();
-        let resolves: Vec<_> = subs
-            .filter_map(|(s, &state)| {
-                let SubState::Prepared(sub) = state else {
-                    return None;
-                };
-                let resolve = move |db: &mut SessionDb| {
-                    db.set_gc_floor(floor);
-                    db.resolve_commit(sub, true, false)
-                        .expect("participant sub is prepared")
-                };
-                Some((s, resolve))
-            })
-            .collect();
+        let resolves = subs.filter_map(|(s, &state)| {
+            let SubState::Prepared(sub) = state else {
+                return None;
+            };
+            let resolve = move |db: &mut SessionDb| {
+                db.set_gc_floor(floor);
+                db.resolve_commit(sub, true, false)
+                    .expect("participant sub is prepared")
+            };
+            Some((s, resolve))
+        });
         // Not supervised (this *is* the supervisor): a survivor that dies
         // here is found by its own next interaction.
         gather(&self.workers, false, resolves);
@@ -247,24 +245,22 @@ impl ShardedDb {
             self.decided.entry(gts).or_insert(false);
         }
         let subs = self.slots[ti].subs.iter().enumerate();
-        let rollbacks: Vec<_> = subs
-            .filter_map(|(s, state)| {
-                let sub = state.txn()?;
-                // Defensive rollback: mid-crash, the shard's view of the
-                // sub may legitimately differ from the coordinator's, so
-                // the job re-checks instead of asserting.
-                let rollback = move |db: &mut SessionDb| match db.status(sub) {
-                    SessionStatus::Running => {
-                        let _ = db.abort(sub);
-                    }
-                    SessionStatus::Prepared => {
-                        let _ = db.resolve_commit(sub, false, false);
-                    }
-                    _ => {}
-                };
-                (s != crashed).then_some((s, rollback))
-            })
-            .collect();
+        let rollbacks = subs.filter_map(|(s, state)| {
+            let sub = state.txn()?;
+            // Defensive rollback: mid-crash, the shard's view of the
+            // sub may legitimately differ from the coordinator's, so
+            // the job re-checks instead of asserting.
+            let rollback = move |db: &mut SessionDb| match db.status(sub) {
+                SessionStatus::Running => {
+                    let _ = db.abort(sub);
+                }
+                SessionStatus::Prepared => {
+                    let _ = db.resolve_commit(sub, false, false);
+                }
+                _ => {}
+            };
+            (s != crashed).then_some((s, rollback))
+        });
         gather(&self.workers, false, rollbacks);
         let sl = &mut self.slots[ti];
         sl.subs.fill(SubState::Absent);

@@ -14,17 +14,6 @@ impl ShardedDb {
         );
     }
 
-    /// Block shard `s`'s worker on a gate until the returned sender
-    /// transmits (or drops), so later jobs queue behind the stall and
-    /// per-shard FIFO can be observed deterministically.
-    fn stall_shard(&mut self, s: usize) -> std::sync::mpsc::Sender<()> {
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let _ = self.workers[s].submit(move |_db| {
-            let _ = rx.recv();
-        });
-        tx
-    }
-
     /// One data operation as a one-op request, the wire's per-operation
     /// shape: its single outcome, or what refused it.
     fn step(&mut self, h: GlobalTxn, op: BatchOp) -> Result<Op<Value>, SessionError> {
@@ -755,24 +744,6 @@ fn thread_name() -> Option<String> {
 }
 
 #[test]
-fn shard_workers_are_named_at_construction_and_at_respawn() {
-    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 4]), 2);
-    // A queued job runs on the shard's own thread.
-    let names = |db: &ShardedDb| -> Vec<Option<String>> {
-        let queued = db.workers.iter().map(|w| w.submit(|_| thread_name()));
-        queued.map(|r| r.unwrap().wait().unwrap()).collect()
-    };
-    let expect = vec![
-        Some("ccopt-shard-0".to_string()),
-        Some("ccopt-shard-1".to_string()),
-    ];
-    assert_eq!(names(&db), expect);
-    db.panic_shard(1);
-    assert_eq!(db.check_shards(), 1);
-    assert_eq!(names(&db), expect);
-}
-
-#[test]
 fn volatile_fan_out_runs_in_order_on_the_calling_thread() {
     thread_local!(static RAN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
     let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 6]), 3);
@@ -784,14 +755,10 @@ fn volatile_fan_out_runs_in_order_on_the_calling_thread() {
     let replies = db.scatter_all(probe);
     let expect: Vec<_> = (0..3).map(|s| (s, Ok((here.clone(), s)))).collect();
     assert_eq!(replies, expect);
-    assert!(
-        db.workers.iter().all(|w| w.queue_len() == 0),
-        "nothing queued"
-    );
 }
 
 #[test]
-fn lone_fan_out_runs_on_the_calling_thread_of_an_idle_shard() {
+fn lone_fan_out_runs_on_the_calling_thread() {
     let dir = ccopt_durability::scratch_path("shard-lone-fan-out");
     let _ = std::fs::remove_dir_all(&dir);
     let init = GlobalState::from_ints(&[0; 4]);
@@ -801,47 +768,14 @@ fn lone_fan_out_runs_on_the_calling_thread_of_an_idle_shard() {
     let here = thread_name();
     assert!(here.is_some(), "the test harness names its threads");
     // An overlapping fan-out first (a durable `sync` round): shard 0's
-    // job is queued and its collected reply has left the mailbox, so the
-    // shard is idle again.
+    // job runs on a scoped shard thread, the last one here.
     let shard0 = Some("ccopt-shard-0".to_string());
     let overlapped = vec![(0, Ok(shard0)), (1, Ok(here.clone()))];
     assert_eq!(db.scatter_all(name), overlapped);
     // A lone job, even of an overlapping round, is the last: a call.
     assert_eq!(db.scatter(true, [(0, name)]), vec![(0, Ok(here))]);
-    assert_eq!(db.workers[0].queue_len(), 0, "the lone job never queued");
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn lone_fan_out_behind_a_stalled_job_runs_queued_after_it() {
-    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 4]), 2);
-    let gate = db.stall_shard(1);
-    // The stalled work leaves an effect the lone job must see.
-    let _begun = db.workers[1].submit(|db: &mut SessionDb| db.begin());
-    let workers = &db.workers;
-    let (thread, open) = std::thread::scope(|scope| {
-        // Open the gate only once the lone job sits in the mailbox
-        // behind the stalled work.
-        scope.spawn(move || {
-            while workers[1].queue_len() < 3 {
-                std::thread::yield_now();
-            }
-            gate.send(()).unwrap();
-        });
-        let lone = |db: &mut SessionDb| (thread_name(), db.open_sessions());
-        let (s, reply) = gather(workers, false, [(1, lone)])
-            .pop()
-            .expect("one reply");
-        assert_eq!(s, 1);
-        reply.expect("the shard is alive")
-    });
-    assert_eq!(
-        thread.as_deref(),
-        Some("ccopt-shard-1"),
-        "queued, not inline"
-    );
-    assert_eq!(open, 1, "it ran after the stalled work and sees its begin");
 }
 
 /// The threads an injected 2PC-boundary panic went off on, recorded by a
@@ -944,8 +878,8 @@ fn durable_vote_fan_out_overlaps_all_but_the_last() {
     assert!(here.is_some(), "the test harness names its threads");
     bomb_threads();
     bump(&mut db, &[a, b]);
-    // Each vote forces an fsync: job 0 (shard 0's vote) is queued on its
-    // shard's thread, job 1 (the last vote) runs on this one.
+    // Each vote forces an fsync: job 0 (shard 0's vote) runs on a scoped
+    // thread named for its shard, job 1 (the last vote) on this one.
     let shard0 = Some("ccopt-shard-0".to_string());
     for (job, thread) in [(0, shard0), (1, here.clone())] {
         db.panic_after_2pc_jobs(job);
@@ -1006,67 +940,5 @@ fn sync_flushes_every_live_shard_before_reporting_a_failing_one() {
         "shard 1 was synced although shard 0, asked first, failed"
     );
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn fan_out_leaves_every_mailbox_empty_between_calls() {
-    // A queued job lives only inside a durable round, which collects it
-    // before returning: between public calls every mailbox is empty, on
-    // a volatile database and on a strict durable one alike.
-    let dir = ccopt_durability::scratch_path("shard-mailboxes-empty");
-    let _ = std::fs::remove_dir_all(&dir);
-    let init = GlobalState::from_ints(&[0; 8]);
-    let mode = DurabilityMode::Strict;
-    let volatile = ShardedDb::new(CcKind::Strict2pl, init.clone(), 2);
-    let durable = ShardedDb::open(CcKind::Strict2pl, init, &dir, mode, 2, 0).unwrap();
-    for mut db in [volatile, durable] {
-        let empty = |db: &ShardedDb, after: &str| {
-            let depths: Vec<usize> = db.workers.iter().map(|w| w.queue_len()).collect();
-            assert_eq!(depths, vec![0, 0], "mailbox depths after {after}");
-        };
-        let (a, b) = split_pair(&db);
-        let h = db.begin();
-        assert_eq!(db.step(h, Read(a)).unwrap(), Op::Done(int(0)));
-        empty(&db, "read");
-        assert_eq!(db.step(h, Write(b, int(1))).unwrap(), Op::Done(int(0)));
-        empty(&db, "write");
-        let inc = Affine { var: a, a: 1, c: 1 };
-        assert_eq!(db.step(h, inc).unwrap(), Op::Done(int(0)));
-        empty(&db, "update");
-        assert_eq!(db.commit(h).unwrap(), Op::Done(()));
-        empty(&db, "two-phase commit");
-        db.retire(h).unwrap();
-        empty(&db, "retire");
-        let (packed, cross) = (db.begin(), db.begin());
-        let resps = db.submit_group(vec![
-            GroupReq {
-                h: packed,
-                ops: vec![Write(a, int(5))],
-                commit: true,
-            },
-            GroupReq {
-                h: cross,
-                ops: vec![Affine { var: a, a: 1, c: 1 }, Read(b)],
-                commit: true,
-            },
-        ]);
-        let commits: Vec<_> = resps.into_iter().map(|r| r.commit).collect();
-        assert_eq!(commits, vec![Some(Ok(Op::Done(()))); 2]);
-        empty(&db, "submit_group");
-        let h = db.begin();
-        assert_eq!(db.step(h, Write(a, int(9))).unwrap(), Op::Done(int(6)));
-        assert_eq!(db.step(h, Write(b, int(9))).unwrap(), Op::Done(int(1)));
-        db.abort(h).unwrap();
-        empty(&db, "abort");
-        db.sync().unwrap();
-        empty(&db, "sync");
-        db.checkpoint().unwrap();
-        empty(&db, "checkpoint");
-        db.panic_shard(1);
-        empty(&db, "panic_shard");
-        assert_eq!(db.check_shards(), 1);
-        empty(&db, "check_shards");
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }

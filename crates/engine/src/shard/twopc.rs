@@ -37,9 +37,10 @@ impl ShardedDb {
         let coord = shards[0] as u32;
         // Phase 1 — collect the outstanding votes (concurrency-control
         // validation + prepare record). With logs, each vote forces an
-        // fsync, so the votes overlap: every one but the last runs on its
-        // shard's thread while the last runs here. Without logs there is
-        // nothing to overlap and they all run here, in shard order.
+        // fsync, so the votes overlap: every one but the last runs on a
+        // scoped shard thread while the last runs here. Without logs
+        // there is nothing to overlap and they all run here, in shard
+        // order.
         // Already-prepared shards (from a Wait-ed earlier attempt) keep
         // their vote. Each vote reserves its own restart timestamp (a
         // shard whose validation fails restarts its sub in place at that
@@ -159,38 +160,22 @@ impl ShardedDb {
 
     /// The single 2PC submit site: [`scatter`](Self::scatter) one protocol
     /// round's jobs — votes, the coordinator resolve, or participant
-    /// resolves — consulting the fault-injection script
-    /// ([`Inject::consult`](super::inject::Inject::consult)) as each job
-    /// is handed over. `durable` marks a round of durable protocol
-    /// actions (prepare and coordinator-resolve fsyncs); on a database
-    /// with logs its jobs overlap their fsyncs ([`gather`]).
+    /// resolves — under the fault-injection scripts, resolved for the
+    /// whole round before any job runs ([`arm_round`](Self::arm_round)).
+    /// `durable` marks a round of durable protocol actions (prepare and
+    /// coordinator-resolve fsyncs); on a database with logs its jobs
+    /// overlap their fsyncs ([`gather`]).
     fn twopc_scatter<R, F>(
         &mut self,
         durable: bool,
-        jobs: impl IntoIterator<Item = (usize, F), IntoIter: ExactSizeIterator>,
+        jobs: impl IntoIterator<Item = (usize, F)>,
     ) -> Replies<R>
     where
-        R: Send + 'static,
-        F: FnOnce(&mut SessionDb) -> R + Send + 'static,
+        R: Send,
+        F: FnOnce(&mut SessionDb) -> R + Send,
     {
-        let (workers, inject) = (&self.workers, &mut self.inject);
-        let replies = gather(
-            workers,
-            durable && self.durable.is_some(),
-            jobs.into_iter().map(|(s, job)| {
-                let bomb = inject.consult(durable, workers);
-                let job = move |db: &mut SessionDb| {
-                    if bomb {
-                        // The worker dies AT this protocol boundary, in
-                        // place of performing the action — the sharpest
-                        // version of a shard failing mid-protocol.
-                        panic!("injected shard-worker panic at a 2PC boundary");
-                    }
-                    job(db)
-                };
-                (s, job)
-            }),
-        );
+        let armed = self.arm_round(durable, jobs.into_iter().collect());
+        let replies = gather(&self.workers, durable && self.durable.is_some(), armed);
         self.supervise_dead(&replies);
         replies
     }

@@ -1,14 +1,14 @@
 //! Batched vs per-op submission: the bit-identical differential.
 //!
 //! Grouped submission ([`ShardedDb::submit_group`]) exists purely to
-//! amortize coordinator→shard mailbox round-trips; it must change
+//! amortize coordinator→shard messages; it must change
 //! NOTHING about what the engine decides. This suite replays one
 //! recorded workload — the same transactions, the same operations, the
 //! same deterministic schedule — through three packagings of the same
 //! requests:
 //!
 //! * **per-op**: every operation is its own one-op `submit_group`
-//!   request (one mailbox round-trip each), and the commit a zero-op
+//!   request (one shard message each), and the commit a zero-op
 //!   request after them — the wire's per-operation shape;
 //! * **group of one**: each transaction's remaining run and its commit
 //!   are their own `submit_group(vec![one])` call — the degenerate group

@@ -18,10 +18,10 @@
 //! recover the logs, attach the trace plane, publish the first stats
 //! snapshot — on its caller's thread, so every start-up error is a plain
 //! `Err` returned before any `ccopt-net-*` thread exists: a failed
-//! `start` leaves no thread and no bound port behind. (The shard workers
-//! inside the database are named `ccopt-shard-<s>` by the engine crate,
-//! whichever thread spawns or respawns them, and are joined when it
-//! drops.) The per-connection threads — readers, drainers, subscription
+//! `start` leaves no thread and no bound port behind. (The database's
+//! shards own no thread: a durable round's scoped `ccopt-shard-<s>`
+//! threads are joined before the engine call that started them
+//! returns.) The per-connection threads — readers, drainers, subscription
 //! pumps — are registered as they spawn (finished ones are reaped at the
 //! next spawn), and [`Server::shutdown`], [`Server::kill`] and drop join
 //! every one: when they return, no `ccopt-net-*` thread of the server is
@@ -29,8 +29,8 @@
 //! single operation is a batch of one, a plain commit a batch of none),
 //! and everything one pass drains, across transactions and connections,
 //! is submitted as one [`ShardedDb::submit_group`] call, so pipelining
-//! clients amortize the per-operation shard-mailbox round trip (a lone
-//! request is a group of one).
+//! clients amortize the per-operation shard message (a lone request is
+//! a group of one).
 //!
 //! Responses leave on the thread that made them. Each connection has an
 //! **outbox** — a buffer of framed bytes plus the write half of the

@@ -40,9 +40,9 @@ static ONE_SERVER_AT_A_TIME: Mutex<()> = Mutex::new(());
 /// Live threads the server runs per connection (`ccopt-net-r<id>`
 /// readers, pumps, drainers): every thread it names except its two
 /// singletons, the accept thread and the ops HTTP listener. (The engine
-/// has no thread: it runs on whichever of these holds it. The shard
-/// workers are `ccopt-shard-<s>`, named by the engine crate, outside the
-/// prefix.) `None` off Linux.
+/// has no thread: it runs on whichever of these holds it, and so do the
+/// shards, whose durable rounds' scoped `ccopt-shard-<s>` threads lie
+/// outside the prefix.) `None` off Linux.
 fn connection_threads() -> Option<usize> {
     const SINGLETONS: [&str; 2] = ["ccopt-net-accep", "ccopt-net-ops"];
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
@@ -103,7 +103,7 @@ fn a_client_that_never_reads_stalls_only_itself() {
         let stream = stalled.try_clone().expect("clone stalled socket");
         let sent = Arc::clone(&sent);
         std::thread::spawn(move || {
-            // One variable, so one shard: the batch is one mailbox
+            // One variable, so one shard: the batch is one shard
             // message, not a thousand.
             let ops = vec![BatchOp::Read(VarId(0)); MAX_BATCH_OPS];
             let batch = Request::Batch {
