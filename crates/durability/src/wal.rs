@@ -22,6 +22,14 @@
 //! only document the stream and let recovery discard superseded
 //! write-sets.
 //!
+//! A caller that forces several logs at once overlaps their fsyncs with
+//! a deferred-sync window ([`Wal::defer_syncs`] … [`Wal::finish_syncs`]):
+//! the fsync the window forces runs on the log's own syncer thread
+//! (`ccopt-wal-sync`, started on first use and joined when the log
+//! drops) while the caller writes the next log, and is waited for and
+//! accounted for, faults and crash boundary included, at the window's
+//! end. A log never deferred starts no thread.
+//!
 //! Crash injection (`crash_after_records` / `crash_after_syncs`) kills
 //! the log at a configurable append or fsync boundary: once the boundary
 //! is crossed, the `Wal` silently drops everything — exactly what a
@@ -49,6 +57,9 @@ use ccopt_trace::Histogram;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// A decoded log record (the read-side mirror of what the encoder
@@ -190,7 +201,9 @@ pub struct WalHistograms {
 /// The write-ahead log of one database.
 pub struct Wal {
     path: PathBuf,
-    file: File,
+    /// Shared with the syncer thread, which fsyncs whichever file is the
+    /// log when a sync is posted.
+    file: Arc<File>,
     mode: DurabilityMode,
     enc: RecordEncoder,
     /// Framed records not yet written to the file.
@@ -218,6 +231,63 @@ pub struct Wal {
     /// Fail-stop: an unretryable or torn write left the on-disk suffix
     /// unknowable; every further operation errors.
     poisoned: bool,
+    /// Inside a [`defer_syncs`](Wal::defer_syncs) window: the next fsync
+    /// goes to the syncer thread.
+    deferring: bool,
+    /// An fsync was posted to the syncer and not yet collected.
+    posted: bool,
+    /// Started by the first deferred fsync; joined when the log drops.
+    syncer: Option<Syncer>,
+}
+
+/// An fsync's outcome and its duration in nanoseconds.
+type Synced = (std::io::Result<()>, u64);
+
+fn timed_sync(file: &File) -> Synced {
+    let t0 = Instant::now();
+    let res = file.sync_data();
+    (res, t0.elapsed().as_nanos() as u64)
+}
+
+/// A log's syncer thread: it runs each fsync posted to it and reports
+/// the outcome, so the poster can go on writing another log meanwhile.
+struct Syncer {
+    /// `None` once dropping: closing the channel ends the thread.
+    post: Option<Sender<Arc<File>>>,
+    done: Receiver<Synced>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Syncer {
+    fn start() -> std::io::Result<Syncer> {
+        let (post, posted) = channel::<Arc<File>>();
+        let (report, done) = channel();
+        let thread = std::thread::Builder::new()
+            .name("ccopt-wal-sync".into())
+            .spawn(move || {
+                for file in posted {
+                    if report.send(timed_sync(&file)).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(Syncer {
+            post: Some(post),
+            done,
+            thread: Some(thread),
+        })
+    }
+}
+
+impl Drop for Syncer {
+    fn drop(&mut self) {
+        // The thread ends once its channel closes (after any fsync in
+        // flight), so joining it releases its handle on the file.
+        drop(self.post.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 impl Wal {
@@ -236,7 +306,7 @@ impl Wal {
             .open(path)?;
         let mut wal = Wal {
             path: path.to_path_buf(),
-            file,
+            file: Arc::new(file),
             mode,
             enc: RecordEncoder::new(),
             pending: Vec::new(),
@@ -252,9 +322,12 @@ impl Wal {
             faults: StorageFaults::default(),
             retry: RetryPolicy::default(),
             poisoned: false,
+            deferring: false,
+            posted: false,
+            syncer: None,
         };
         let header = encode_header(wal.store_kind, wal.num_vars);
-        wal.file.write_all(&header)?;
+        (&*wal.file).write_all(&header)?;
         wal.stats.bytes += header.len() as u64;
         wal.enc.checkpoint(floor, image);
         wal.enc.frame_into(&mut wal.pending);
@@ -278,7 +351,7 @@ impl Wal {
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Wal {
             path: path.to_path_buf(),
-            file,
+            file: Arc::new(file),
             mode,
             enc: RecordEncoder::new(),
             pending: Vec::new(),
@@ -294,6 +367,9 @@ impl Wal {
             faults: StorageFaults::default(),
             retry: RetryPolicy::default(),
             poisoned: false,
+            deferring: false,
+            posted: false,
+            syncer: None,
         })
     }
 
@@ -494,9 +570,51 @@ impl Wal {
                 .record(self.pending_commits as u64);
             self.write_pending()?;
         }
-        self.sync_file()?;
+        if self.deferring && !self.posted && self.post_sync() {
+            return Ok(());
+        }
+        self.sync_file(None)?;
         self.check_crash();
         Ok(())
+    }
+
+    /// Open a deferred-sync window: the next fsync this log forces (a
+    /// [`flush_sync`](Self::flush_sync), a prepare, a forced resolve)
+    /// runs on the log's syncer thread, started on first use, and the
+    /// call that forced it returns once its records are written.
+    /// [`finish_syncs`](Self::finish_syncs) closes the window and waits
+    /// for that fsync, so several logs' fsyncs can be in flight at once.
+    /// Nothing written in the window counts as durable until then.
+    pub fn defer_syncs(&mut self) {
+        self.deferring = true;
+    }
+
+    /// Close the [`defer_syncs`](Self::defer_syncs) window: wait for the
+    /// fsync posted in it, if any, and account for it exactly as for an
+    /// inline one (scripted sync faults, retries, statistics, the
+    /// `crash_after_syncs` boundary). Its failure surfaces here.
+    pub fn finish_syncs(&mut self) -> Result<(), WalError> {
+        self.deferring = false;
+        if !std::mem::take(&mut self.posted) {
+            return Ok(());
+        }
+        // No reply means the syncer thread is gone: sync here instead.
+        let ran = self.syncer.as_ref().and_then(|s| s.done.recv().ok());
+        self.sync_file(ran)?;
+        self.check_crash();
+        Ok(())
+    }
+
+    /// Hand the next fsync to the syncer thread. `false` when no syncer
+    /// thread can be had (the system refused one): the caller syncs
+    /// inline, losing only the overlap.
+    fn post_sync(&mut self) -> bool {
+        if self.syncer.is_none() {
+            self.syncer = Syncer::start().ok();
+        }
+        let post = self.syncer.as_ref().and_then(|s| s.post.as_ref());
+        self.posted = post.is_some_and(|p| p.send(Arc::clone(&self.file)).is_ok());
+        self.posted
     }
 
     /// Sleep before retry `attempt` (linear backoff; no-op at zero).
@@ -525,12 +643,12 @@ impl Wal {
                     // scan truncates this tail, so the durable prefix is
                     // exactly the previously-synced commits.
                     let cut = self.pending.len() / 2;
-                    let _ = self.file.write_all(&self.pending[..cut]);
+                    let _ = (&*self.file).write_all(&self.pending[..cut]);
                     self.stats.bytes += cut as u64;
                     self.poisoned = true;
                     return Err(WalError::Io(permanent_error()));
                 }
-                None => self.file.write_all(&self.pending),
+                None => (&*self.file).write_all(&self.pending),
             };
             match res {
                 Ok(()) => {
@@ -562,21 +680,21 @@ impl Wal {
         }
     }
 
-    /// Sync the live log file, retrying transient failures. Nothing is
-    /// acknowledged until this returns `Ok`, so a surfaced error never
-    /// strands an acknowledged commit.
-    fn sync_file(&mut self) -> Result<(), WalError> {
+    /// Sync the live log file, retrying transient failures. `ran` is an
+    /// fsync the syncer thread already ran, which stands in for the next
+    /// real attempt. Nothing is acknowledged until this returns `Ok`, so
+    /// a surfaced error never strands an acknowledged commit.
+    fn sync_file(&mut self, mut ran: Option<Synced>) -> Result<(), WalError> {
         let mut attempt = 0u32;
         loop {
-            let t0 = Instant::now();
-            let res: std::io::Result<()> = match self.faults.fire(FaultPoint::Sync) {
-                Some(Fired::Transient) => Err(transient_error()),
-                Some(Fired::Permanent | Fired::Torn) => Err(permanent_error()),
-                None => self.file.sync_data(),
+            let (res, nanos) = match self.faults.fire(FaultPoint::Sync) {
+                Some(Fired::Transient) => (Err(transient_error()), 0),
+                Some(Fired::Permanent | Fired::Torn) => (Err(permanent_error()), 0),
+                None => ran.take().unwrap_or_else(|| timed_sync(&self.file)),
             };
             match res {
                 Ok(()) => {
-                    self.hist.fsync_nanos.record(t0.elapsed().as_nanos() as u64);
+                    self.hist.fsync_nanos.record(nanos);
                     self.stats.syncs += 1;
                     self.faults.advance(FaultPoint::Sync);
                     return Ok(());
@@ -633,7 +751,7 @@ impl Wal {
         // swap happened, or acknowledged commits would flow into a dead
         // file.
         match OpenOptions::new().append(true).open(&self.path) {
-            Ok(f) => self.file = f,
+            Ok(f) => self.file = Arc::new(f),
             Err(e) => {
                 self.poisoned = true;
                 return Err(e.into());
@@ -777,6 +895,43 @@ mod tests {
             rec.image.latest(),
             ccopt_model::state::GlobalState::from_ints(&[3, 0])
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_deferred_sync_is_accounted_when_finished_and_faults_as_an_inline_one() {
+        let path = scratch_path("wal-deferred");
+        let faults =
+            StorageFaults::new().fail_sync(1, crate::faults::Fault::Transient { times: 1 });
+        let mut wal =
+            Wal::create(&path, DurabilityMode::Strict, 0, &single_image(&[0, 0])).unwrap();
+        wal.set_faults(faults);
+        wal.set_retry(RetryPolicy::immediate(1));
+        let base = wal.stats();
+        for gsn in 0..2u64 {
+            wal.defer_syncs();
+            wal.start_commit(gsn, 0);
+            wal.push_write(VarId(0), int(gsn as i64 + 1));
+            assert!(wal.finish_commit(gsn, gsn).unwrap());
+            // Written, handed to the syncer, not yet counted.
+            assert_eq!(wal.stats().syncs, base.syncs + gsn);
+            // The second sync meets the scripted transient fault at the
+            // wait, and is retried there.
+            wal.finish_syncs().unwrap();
+            assert_eq!(wal.stats().syncs, base.syncs + gsn + 1);
+        }
+        assert_eq!(wal.stats().retries, base.retries + 1);
+        // Outside a window nothing is deferred; a window that forced no
+        // fsync finishes at once.
+        wal.start_commit(9, 0);
+        wal.push_write(VarId(1), int(9));
+        assert!(wal.finish_commit(9, 9).unwrap());
+        assert_eq!(wal.stats().syncs, base.syncs + 3);
+        wal.defer_syncs();
+        wal.finish_syncs().unwrap();
+        drop(wal);
+        let rec = recover(&path).unwrap().expect("log recovers");
+        assert_eq!(rec.committed, 3);
         let _ = std::fs::remove_file(&path);
     }
 

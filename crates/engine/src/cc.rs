@@ -79,11 +79,10 @@ impl CcConflict {
 /// A concurrency-control mechanism.
 ///
 /// `Send` is a supertrait so a boxed mechanism can move between threads
-/// with its database: a `ShardedDb` moves whole, and a durable round
-/// runs a shard's job on a scoped thread ([`ccopt-par`'s
-/// `Worker`](ccopt_par::Worker) owns one `SessionDb` — and therefore one
-/// mechanism — per shard); every implementation is plain owned data, so
-/// this costs nothing.
+/// with its database: a `ShardedDb` moves whole, with one `SessionDb` —
+/// and therefore one mechanism — behind each shard's
+/// [`ccopt-par` `Worker`](ccopt_par::Worker); every implementation is
+/// plain owned data, so this costs nothing.
 pub trait ConcurrencyControl: Send {
     /// Announce the table dimensions before the first `begin`: at most
     /// `num_txns` concurrent transactions (dense ids `0..num_txns`) over

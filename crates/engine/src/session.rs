@@ -645,6 +645,29 @@ impl SessionDb {
         Ok(())
     }
 
+    /// Let the next fsync the log forces run on the log's syncer thread
+    /// ([`Wal::defer_syncs`]) until
+    /// [`finish_log_syncs`](Self::finish_log_syncs), so the sharded
+    /// coordinator can go on to another shard while it is in flight.
+    /// No-op without durability.
+    pub(crate) fn defer_log_syncs(&mut self) {
+        if let Some(wal) = &mut self.wal {
+            wal.defer_syncs();
+        }
+    }
+
+    /// Wait for the fsync deferred since
+    /// [`defer_log_syncs`](Self::defer_log_syncs), if any; only then is
+    /// what it covers durable. Its failure surfaces here.
+    pub(crate) fn finish_log_syncs(&mut self) -> Result<(), WalError> {
+        if let Some(wal) = &mut self.wal {
+            let synced = wal.finish_syncs();
+            self.refresh_wal_metrics();
+            synced?;
+        }
+        Ok(())
+    }
+
     /// What crash recovery found, when this database was opened over an
     /// existing log.
     pub fn recovery_info(&self) -> Option<RecoveryInfo> {

@@ -3,18 +3,16 @@
 //! (`ShardedDb::twopc_scatter`), plus the direct shard-kill and
 //! storage-fault hooks. `docs/FAULTS.md` lists the whole surface.
 //!
-//! A script changes no thread assignment: a durable vote round stays
-//! **concurrent** while one is armed. The script is resolved for the
-//! whole round before any job starts, and each job carries its own
-//! shard's part of it (`ShardedDb::arm_round`): "kill every log
+//! A script changes nothing about how a round runs: a durable vote round
+//! still overlaps its fsyncs while one is armed. The script is resolved
+//! for the whole round before any job starts, and each job carries its
+//! own shard's part of it (`ShardedDb::arm_round`): "kill every log
 //! before action `n`" runs on each shard *after* its job when that job
 //! comes before the boundary, *before* it otherwise, and "panic job `n`"
 //! replaces that job. Both land at the same point of every shard's work
-//! whatever the threads' relative speed. A job that runs on the
-//! coordinator's thread (the last vote of a durable round, every job of
-//! a volatile round, every resolve) unwinds its scripted panic there,
-//! where it is caught at the shard's fault boundary — the coordinator
-//! survives it.
+//! by construction. Every job runs on the coordinator's thread, so a
+//! scripted panic unwinds there, where it is caught at the shard's fault
+//! boundary — the coordinator survives it.
 
 use super::jobs::gather;
 use super::ShardedDb;
@@ -53,9 +51,9 @@ impl ShardedDb {
         &mut self,
         durable: bool,
         jobs: Vec<(usize, F)>,
-    ) -> impl Iterator<Item = (usize, impl FnOnce(&mut SessionDb) -> R + Send)>
+    ) -> impl Iterator<Item = (usize, impl FnOnce(&mut SessionDb) -> R)>
     where
-        F: FnOnce(&mut SessionDb) -> R + Send,
+        F: FnOnce(&mut SessionDb) -> R,
     {
         let (inject, mut kill_before, mut bomb) = (&mut self.inject, None, None);
         for i in 0..jobs.len() {
@@ -78,7 +76,7 @@ impl ShardedDb {
         }
         if kill_before.is_some() {
             let idle = (0..self.workers.len()).filter(|&s| jobs.iter().all(|&(t, _)| t != s));
-            gather(&self.workers, false, idle.map(|s| (s, kill_log)));
+            gather(&self.workers, None, idle.map(|s| (s, kill_log)));
         }
         jobs.into_iter().enumerate().map(move |(i, (s, job))| {
             let kill_first = kill_before.map(|k| i >= k);
@@ -106,10 +104,10 @@ impl ShardedDb {
     /// actions **from this call on** — each participant's prepare fsync
     /// and each coordinator resolve fsync counts one, in shard order —
     /// then kill **every** shard log at that boundary, as a coordinator
-    /// process crash would. The vote round keeps its threads: each shard
+    /// process crash would. The vote round keeps its overlap: each shard
     /// whose job comes before action `n` kills its log right after that
-    /// job, the others right before theirs, so each shard runs the kill
-    /// in exactly that position.
+    /// job (its prepare written, its deferred fsync still collected), the
+    /// others right before theirs.
     pub fn crash_after_2pc_actions(&mut self, n: u64) {
         self.inject.crash_budget = Some(n);
         self.inject.twopc_actions = 0;
@@ -118,10 +116,9 @@ impl ShardedDb {
     /// Fault injection (tests): let `n` two-phase-commit jobs (votes,
     /// coordinator resolve, participant resolves — in protocol order,
     /// shard order within a round) run **from this call on**, then hand
-    /// over a panic in place of the next one. The other jobs of its round
-    /// still run, on the threads they would have run on: a durable vote
-    /// round's all-but-last on scoped shard threads, everything else on
-    /// the coordinator's thread.
+    /// over a panic in place of the next one, on the coordinator's thread
+    /// like every job. The other jobs of its round still run, and a
+    /// durable round still overlaps their fsyncs.
     pub fn panic_after_2pc_jobs(&mut self, n: u64) {
         self.inject.panic_at_2pc_job = Some(n);
         self.inject.twopc_jobs = 0;

@@ -4,6 +4,7 @@
 
 use super::{GlobalTxn, ShardedDb, SubState};
 use crate::session::{Op, SessionDb, SessionError, Txn};
+use ccopt_durability::WalError;
 use ccopt_model::ids::VarId;
 use ccopt_model::syntax::StepKind;
 use ccopt_model::value::Value;
@@ -13,48 +14,50 @@ use ccopt_par::{Worker, WorkerError};
 /// shard's worker was dead, or died running the job).
 pub(super) type Replies<R> = Vec<(usize, Result<R, WorkerError>)>;
 
-/// The scatter/gather primitive — the one place that decides which
-/// thread runs a shard job. Without `overlap` every job is a
-/// [`Worker::call`] on this thread, in order. With `overlap` (a round
-/// whose jobs force a log write, on a database with logs) every job but
-/// the last runs on a scoped thread named `ccopt-shard-<s>`, so the
-/// shards' fsyncs overlap; the last runs here, and the threads are
-/// joined, in order, before this returns.
+/// Whether a round overlaps its shards' fsyncs, and if so how the
+/// outcome of a job's deferred fsync enters the job's reply: the merge
+/// returns the reply, an error in it, or panics (killing the shard) when
+/// the job's contract makes a log failure fatal.
+pub(super) type Overlap<R> = Option<fn(R, Result<(), WalError>) -> R>;
+
+/// The scatter/gather primitive — the one place that runs shard jobs.
+/// Every job is a [`Worker::call`] on this thread, in order. With an
+/// [`Overlap`] (a round whose jobs force a log fsync, on a database with
+/// logs) every job but the last hands the fsync it forces to its log's
+/// syncer thread and returns once its records are written
+/// ([`SessionDb::defer_log_syncs`]); the last syncs here, and then each
+/// deferred fsync is waited for, in order, and merged into its job's
+/// reply. So the shards' fsyncs are in flight together.
 pub(super) fn gather<R, F>(
     workers: &[Worker<SessionDb>],
-    overlap: bool,
+    overlap: Overlap<R>,
     jobs: impl IntoIterator<Item = (usize, F)>,
 ) -> Replies<R>
 where
-    R: Send,
-    F: FnOnce(&mut SessionDb) -> R + Send,
+    F: FnOnce(&mut SessionDb) -> R,
 {
-    let jobs = jobs.into_iter();
-    if !overlap {
-        return jobs.map(|(s, job)| (s, workers[s].call(job))).collect();
-    }
-    let mut jobs: Vec<_> = jobs.collect();
+    let call = |(s, job): (usize, F)| (s, workers[s].call(job));
+    let Some(merge) = overlap else {
+        return jobs.into_iter().map(call).collect();
+    };
+    let mut jobs: Vec<_> = jobs.into_iter().collect();
     let last = jobs.pop();
-    std::thread::scope(|scope| {
-        let overlapped: Vec<_> = jobs
-            .into_iter()
-            .map(|(s, job)| {
-                let worker = &workers[s];
-                let thread = std::thread::Builder::new().name(format!("ccopt-shard-{s}"));
-                // Failing to start a thread is an unrecoverable resource
-                // failure, as it is for every spawn in std.
-                let handle = thread
-                    .spawn_scoped(scope, move || worker.call(job))
-                    .expect("failed to spawn a shard thread");
-                (s, handle)
-            })
-            .collect();
-        let last = last.map(|(s, job)| (s, workers[s].call(job)));
-        let joined = overlapped
-            .into_iter()
-            .map(|(s, handle)| (s, handle.join().expect("call catches a job's panic")));
-        joined.chain(last).collect()
-    })
+    let deferred: Vec<_> = jobs
+        .into_iter()
+        .map(|(s, job)| {
+            let reply = workers[s].call(|db: &mut SessionDb| {
+                db.defer_log_syncs();
+                job(db)
+            });
+            (s, reply)
+        })
+        .collect();
+    let last = last.map(call);
+    let waited = deferred.into_iter().map(|(s, reply)| {
+        let finish = |out| workers[s].call(|db: &mut SessionDb| merge(out, db.finish_log_syncs()));
+        (s, reply.and_then(finish))
+    });
+    waited.chain(last).collect()
 }
 
 /// One operation of a grouped submission ([`ShardedDb::submit_group`]).
@@ -182,12 +185,11 @@ impl ShardedDb {
     /// under a round still in flight.
     pub(super) fn scatter<R, F>(
         &mut self,
-        overlap: bool,
+        overlap: Overlap<R>,
         jobs: impl IntoIterator<Item = (usize, F)>,
     ) -> Replies<R>
     where
-        R: Send,
-        F: FnOnce(&mut SessionDb) -> R + Send,
+        F: FnOnce(&mut SessionDb) -> R,
     {
         let replies = gather(&self.workers, overlap, jobs);
         self.supervise_dead(&replies);
@@ -489,7 +491,7 @@ impl ShardedDb {
             }
             outs
         };
-        let Some((_, Ok(outs))) = self.scatter(false, [(si, job)]).pop() else {
+        let Some((_, Ok(outs))) = self.scatter(None, [(si, job)]).pop() else {
             // The shard's worker died running this message (or before),
             // and the scatter supervised the crash — restarted the shard
             // from its log, failed every transaction with state there.

@@ -6,12 +6,12 @@
 //! store, and (optionally) write-ahead log — and holds every shard as a
 //! plain value behind its own thread-free fault domain
 //! ([`ccopt_par::Worker`]). Every shard job runs on the calling thread,
-//! in order, except where a thread can overlap an fsync with the
-//! coordinator's: on a database with logs, every job but the last of a
-//! prepare-vote round, a `sync` or a `checkpoint` runs on a scoped
-//! thread named `ccopt-shard-<s>`, joined before the round returns, so
-//! the shards force their logs concurrently — the engine's one parallel
-//! execution path. No shard owns a thread between calls. A transaction
+//! in order. Only fsyncs leave it: on a database with logs, every job
+//! but the last of a prepare-vote or `sync` round hands the fsync it
+//! forces to its log's syncer thread (`ccopt-wal-sync`, one per log,
+//! started on first use), and the round waits for them before it
+//! returns, so the shards force their logs concurrently. No shard owns a
+//! thread. A transaction
 //! whose footprint stays inside one shard runs entirely locally (the
 //! common case a good partitioning maximizes); a cross-shard transaction
 //! commits through a **two-phase commit**:
@@ -19,7 +19,7 @@
 //! 1. *Prepare*: every touched shard runs its ordinary concurrency-control
 //!    commit decision ([`SessionDb::prepare_commit`]) and forces a prepare
 //!    record — the write-set under the global transaction id — to its own
-//!    log. With logs, the votes' fsyncs overlap on scoped threads.
+//!    log. With logs, the votes' fsyncs overlap on the logs' syncers.
 //! 2. *Resolve*: once every shard voted yes, the **coordinator shard**
 //!    (the lowest touched index) logs and fsyncs a resolve record — the
 //!    atomic commit point — after which the remaining shards apply their
@@ -63,8 +63,7 @@
 //! ## Fault domains
 //!
 //! Each shard worker is a **fault domain** (`ccopt-par`): a panic in a
-//! shard job — on the caller's thread or a round's scoped one — kills
-//! that shard, never the process or the caller, and drops its
+//! shard job — or in the wait for its deferred fsync — kills that shard, never the process or the caller, and drops its
 //! [`SessionDb`] mid-flight — the write-ahead log closes without a final
 //! flush, which is crash semantics. The coordinator **supervises**: any
 //! interaction returning a worker error triggers an in-place restart of
@@ -217,9 +216,9 @@ pub struct ShardedRecoveryInfo {
 /// one shape: plain-data [`BatchOp`]s through
 /// [`submit_group`](Self::submit_group) — a single operation is a one-op
 /// [`GroupReq`]. The database is driven by one coordinator at a time
-/// (`&mut self`); parallelism lives *inside* calls, where durable vote,
-/// `sync` and `checkpoint` rounds overlap their fsyncs on scoped
-/// threads.
+/// (`&mut self`) on its own thread; the only parallelism is inside
+/// durable vote and `sync` rounds, whose fsyncs overlap on the logs'
+/// syncer threads.
 pub struct ShardedDb {
     workers: Vec<Worker<SessionDb>>,
     partition: Partition,
@@ -300,7 +299,8 @@ pub struct ShardedDb {
 }
 
 /// The point of owning the mechanism: the whole database, shards
-/// included, moves between threads.
+/// included, moves between threads (the server's engine runs on whichever
+/// thread holds it).
 const _: () = {
     const fn assert_send<T: Send + 'static>() {}
     assert_send::<ShardedDb>()
@@ -541,7 +541,7 @@ impl ShardedDb {
                 Some((s, retire))
             })
             .collect();
-        let retired = self.scatter(false, jobs);
+        let retired = self.scatter(None, jobs);
         self.shard_msgs += retired.iter().filter(|(_, r)| r.is_ok()).count();
         self.retires += 1;
         self.free_slot(ti);
@@ -699,10 +699,12 @@ impl ShardedDb {
     /// leave another's acknowledged group-commit batch unflushed — and
     /// the first log error, in shard order, is reported.
     pub fn sync(&mut self) -> Result<(), WalError> {
-        // A shard that died before (or while) syncing is restarted from
-        // its durable prefix by the scatter; nothing buffered survives
-        // to sync.
-        let synced = self.scatter_all(|db| db.sync());
+        // With logs the shards' fsyncs overlap; a deferred fsync's
+        // failure is its shard's answer. A shard that died before (or
+        // while) syncing is restarted from its durable prefix by the
+        // scatter; nothing buffered survives to sync.
+        let overlap = self.durable.is_some().then_some(Result::and as _);
+        let synced = self.scatter_all(overlap, |db| db.sync());
         synced.into_iter().filter_map(|(_, r)| r.ok()).collect()
     }
 
@@ -713,10 +715,12 @@ impl ShardedDb {
     /// `docs/SHARDING.md`) — then compact each shard's log. A failed
     /// checkpoint (e.g. an injected ENOSPC) leaves that shard's prior log
     /// fully intact; the first such error is reported once every live
-    /// shard was asked.
+    /// shard was asked. The compactions run one shard after another (each
+    /// is a file write, two fsyncs and a rename, nothing a syncer can
+    /// take over); only the `sync` before them overlaps.
     pub fn checkpoint(&mut self) -> Result<(), WalError> {
         self.sync()?;
-        let compacted = self.scatter_all(|db| db.checkpoint());
+        let compacted = self.scatter_all(None, |db| db.checkpoint());
         let all = compacted.iter().all(|(_, r)| r.is_ok());
         compacted
             .into_iter()
@@ -737,20 +741,23 @@ impl ShardedDb {
     /// Ask every shard the same read-only question, in shard order, on
     /// this thread; a dead or down shard answers nothing (and, behind
     /// `&self`, is left for the next mutating call to supervise).
-    fn ask<R: Send>(&self, question: fn(&mut SessionDb) -> R) -> impl Iterator<Item = R> {
+    fn ask<R>(&self, question: fn(&mut SessionDb) -> R) -> impl Iterator<Item = R> {
         let shards = 0..self.workers.len();
-        gather(&self.workers, false, shards.map(|s| (s, question)))
+        gather(&self.workers, None, shards.map(|s| (s, question)))
             .into_iter()
             .filter_map(|(_, reply)| reply.ok())
     }
 
     /// [`scatter`](Self::scatter) the same log job (`sync`, `checkpoint`)
-    /// to every shard, overlapping the shards' fsyncs when there are logs
-    /// (a permanently down shard's worker is dead: it answers `Err` and
-    /// its supervision is a no-op).
-    fn scatter_all<R: Send>(&mut self, job: fn(&mut SessionDb) -> R) -> jobs::Replies<R> {
+    /// to every shard (a permanently down shard's worker is dead: it
+    /// answers `Err` and its supervision is a no-op).
+    fn scatter_all<R>(
+        &mut self,
+        overlap: jobs::Overlap<R>,
+        job: fn(&mut SessionDb) -> R,
+    ) -> jobs::Replies<R> {
         let shards = 0..self.workers.len();
-        self.scatter(self.durable.is_some(), shards.map(|s| (s, job)))
+        self.scatter(overlap, shards.map(|s| (s, job)))
     }
 
     fn slot_of(&self, h: GlobalTxn) -> Result<usize, SessionError> {
@@ -814,7 +821,7 @@ impl ShardedDb {
                 .filter(|&s| locals[s].is_none() && !self.down[s])
                 .collect();
             let ask = move |db: &mut SessionDb| f(db);
-            for (s, local) in self.scatter(false, missing.into_iter().map(|s| (s, ask))) {
+            for (s, local) in self.scatter(None, missing.into_iter().map(|s| (s, ask))) {
                 locals[s] = local.ok();
             }
         }
@@ -844,7 +851,7 @@ impl ShardedDb {
             let tracer = hub.tracer(s as u32);
             (s, move |db: &mut SessionDb| db.set_tracer(tracer))
         });
-        gather(&self.workers, false, attach);
+        gather(&self.workers, None, attach);
         self.coord_tracer = hub.tracer(self.workers.len() as u32);
         self.trace_hub = Some(hub);
         Ok(())
@@ -879,7 +886,7 @@ impl ShardedDb {
         // global top-n.
         let local = move |db: &mut SessionDb| db.top_contended(n);
         let shards = 0..self.workers.len();
-        let mut rows: Vec<VarContention> = gather(&self.workers, false, shards.map(|s| (s, local)))
+        let mut rows: Vec<VarContention> = gather(&self.workers, None, shards.map(|s| (s, local)))
             .into_iter()
             .flat_map(|(s, rows)| {
                 let owned = self.partition.shard_vars(s);

@@ -216,7 +216,7 @@ impl ShardedDb {
         });
         // Not supervised (this *is* the supervisor): a survivor that dies
         // here is found by its own next interaction.
-        gather(&self.workers, false, resolves);
+        gather(&self.workers, None, resolves);
         self.land(ti, true);
     }
 
@@ -261,7 +261,7 @@ impl ShardedDb {
             };
             (s != crashed).then_some((s, rollback))
         });
-        gather(&self.workers, false, rollbacks);
+        gather(&self.workers, None, rollbacks);
         let sl = &mut self.slots[ti];
         sl.subs.fill(SubState::Absent);
         sl.touched.clear();

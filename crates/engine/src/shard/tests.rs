@@ -9,7 +9,7 @@ impl ShardedDb {
     fn set_retry_policy(&mut self, retry: RetryPolicy) {
         gather(
             &self.workers,
-            false,
+            None,
             (0..self.workers.len()).map(|s| (s, move |db: &mut SessionDb| db.wal_set_retry(retry))),
         );
     }
@@ -701,7 +701,7 @@ fn scatter_collects_live_replies_and_supervises_the_dead_after_the_gather() {
     db.panic_shard(1); // the dead shard sits between the two live targets
     assert_eq!(restarts(&db), 0, "nothing touched the dead shard yet");
     let replies = db.scatter(
-        false,
+        None,
         (0..3).map(|s| {
             (s, move |db: &mut SessionDb| {
                 db.begin();
@@ -731,7 +731,7 @@ fn scatter_collects_live_replies_and_supervises_the_dead_after_the_gather() {
     }
     // The respawned worker answers the next scatter.
     let replies = db.scatter(
-        false,
+        None,
         (0..3).map(|s| (s, |db: &mut SessionDb| db.num_slots())),
     );
     assert!(replies.iter().all(|(_, r)| r.is_ok()), "got {replies:?}");
@@ -752,28 +752,46 @@ fn volatile_fan_out_runs_in_order_on_the_calling_thread() {
     // Without logs a `sync` round has no fsync to overlap: each probe
     // runs here, and counts on this thread's counter, in shard order.
     let probe = |_: &mut SessionDb| (thread_name(), RAN.with(|n| n.replace(n.get() + 1)));
-    let replies = db.scatter_all(probe);
+    let replies = db.scatter_all(None, probe);
     let expect: Vec<_> = (0..3).map(|s| (s, Ok((here.clone(), s)))).collect();
     assert_eq!(replies, expect);
 }
 
 #[test]
-fn lone_fan_out_runs_on_the_calling_thread() {
-    let dir = ccopt_durability::scratch_path("shard-lone-fan-out");
+fn overlapped_fan_out_runs_here_and_collects_every_deferred_fsync() {
+    let dir = ccopt_durability::scratch_path("shard-overlapped-fan-out");
     let _ = std::fs::remove_dir_all(&dir);
-    let init = GlobalState::from_ints(&[0; 4]);
-    let mode = DurabilityMode::Strict;
-    let mut db = ShardedDb::open(CcKind::Strict2pl, init, &dir, mode, 2, 0).unwrap();
-    let name = |_: &mut SessionDb| thread_name();
+    let init = GlobalState::from_ints(&[0; 12]);
+    let mode = DurabilityMode::group(64);
+    let mut db = ShardedDb::open(CcKind::Strict2pl, init, &dir, mode, 3, 0).unwrap();
     let here = thread_name();
     assert!(here.is_some(), "the test harness names its threads");
-    // An overlapping fan-out first (a durable `sync` round): shard 0's
-    // job runs on a scoped shard thread, the last one here.
-    let shard0 = Some("ccopt-shard-0".to_string());
-    let overlapped = vec![(0, Ok(shard0)), (1, Ok(here.clone()))];
-    assert_eq!(db.scatter_all(name), overlapped);
-    // A lone job, even of an overlapping round, is the last: a call.
-    assert_eq!(db.scatter(true, [(0, name)]), vec![(0, Ok(here))]);
+    // Every shard holds a group-commit batch that no fsync covered yet.
+    let vars: Vec<VarId> = (0..3)
+        .map(|s| (0..12).map(v).find(|&x| db.shard_of(x) == s).unwrap())
+        .collect();
+    for &x in &vars {
+        bump(&mut db, &[x]);
+    }
+    let before = db.metrics().wal_syncs;
+    // An overlapped `sync` round: every job runs here, in shard order;
+    // shards 0 and 1 defer their fsyncs to their logs' syncer threads,
+    // shard 2 syncs inline, and the round waits for and accounts every
+    // deferred fsync before it returns.
+    let named = |db: &mut SessionDb| (thread_name(), db.sync().is_ok());
+    let keep: jobs::Overlap<_> = Some(|out, synced| {
+        assert!(synced.is_ok());
+        out
+    });
+    let replies = db.scatter_all(keep, named);
+    let expect: Vec<_> = (0..3).map(|s| (s, Ok((here.clone(), true)))).collect();
+    assert_eq!(replies, expect);
+    assert_eq!(db.metrics().wal_syncs, before + 3, "one fsync per shard");
+    // A lone job, even of an overlapping round, is the last: a call
+    // that defers nothing.
+    let name = |_: &mut SessionDb| thread_name();
+    let keep: jobs::Overlap<_> = Some(|out, _| out);
+    assert_eq!(db.scatter(keep, [(0, name)]), vec![(0, Ok(here))]);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -867,7 +885,7 @@ fn volatile_2pc_fan_out_panic_unwinds_on_the_calling_thread() {
 }
 
 #[test]
-fn durable_vote_fan_out_overlaps_all_but_the_last() {
+fn durable_vote_fan_out_runs_every_vote_on_the_calling_thread() {
     let dir = ccopt_durability::scratch_path("shard-durable-vote-overlap");
     let _ = std::fs::remove_dir_all(&dir);
     let init = GlobalState::from_ints(&[0; 8]);
@@ -878,20 +896,17 @@ fn durable_vote_fan_out_overlaps_all_but_the_last() {
     assert!(here.is_some(), "the test harness names its threads");
     bomb_threads();
     bump(&mut db, &[a, b]);
-    // Each vote forces an fsync: job 0 (shard 0's vote) runs on a scoped
-    // thread named for its shard, job 1 (the last vote) on this one.
-    let shard0 = Some("ccopt-shard-0".to_string());
-    for (job, thread) in [(0, shard0), (1, here.clone())] {
+    // Each vote forces an fsync. Job 0 (shard 0's vote) would hand its
+    // fsync to its log's syncer thread, job 1 (the last vote) syncs
+    // inline: both run here, and a panic in either kills only its shard.
+    for job in [0, 1] {
         db.panic_after_2pc_jobs(job);
         let h = db.begin();
         assert_eq!(db.step(h, Write(a, int(5))).unwrap(), Op::Done(int(1)));
         assert_eq!(db.step(h, Write(b, int(6))).unwrap(), Op::Done(int(1)));
         assert_eq!(db.commit(h), Err(SessionError::ShardDown));
         let bombs = bomb_threads().lock().unwrap().clone();
-        assert!(bombs.contains(&thread), "job {job} went off on {thread:?}");
-        if job == 0 {
-            assert!(!bombs.contains(&here), "job 0 did not run on this thread");
-        }
+        assert!(bombs.contains(&here), "job {job} went off on this thread");
         abort_failed(&mut db, h, a);
         let g = db.globals();
         assert_eq!(

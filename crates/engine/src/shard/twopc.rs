@@ -5,6 +5,7 @@
 use super::jobs::{gather, Replies};
 use super::{GStatus, GlobalTxn, ShardedDb, SubState};
 use crate::session::{Op, SessionDb, SessionError, Txn};
+use ccopt_durability::WalError;
 
 impl ShardedDb {
     // --------------------------------------------------------------- finish
@@ -36,11 +37,10 @@ impl ShardedDb {
         let gtid = self.slots[ti].gts;
         let coord = shards[0] as u32;
         // Phase 1 — collect the outstanding votes (concurrency-control
-        // validation + prepare record). With logs, each vote forces an
-        // fsync, so the votes overlap: every one but the last runs on a
-        // scoped shard thread while the last runs here. Without logs
-        // there is nothing to overlap and they all run here, in shard
-        // order.
+        // validation + prepare record), here, in shard order. With logs,
+        // each vote forces an fsync, so the votes overlap: every one but
+        // the last hands its fsync to its log's syncer thread, and the
+        // round waits for them once the last vote synced here.
         // Already-prepared shards (from a Wait-ed earlier attempt) keep
         // their vote. Each vote reserves its own restart timestamp (a
         // shard whose validation fails restarts its sub in place at that
@@ -164,18 +164,19 @@ impl ShardedDb {
     /// whole round before any job runs ([`arm_round`](Self::arm_round)).
     /// `durable` marks a round of durable protocol actions (prepare and
     /// coordinator-resolve fsyncs); on a database with logs its jobs
-    /// overlap their fsyncs ([`gather`]).
+    /// overlap their fsyncs ([`gather`]), and a deferred fsync's failure
+    /// kills its shard, as the failed fsync inside the job would have.
     fn twopc_scatter<R, F>(
         &mut self,
         durable: bool,
         jobs: impl IntoIterator<Item = (usize, F)>,
     ) -> Replies<R>
     where
-        R: Send,
-        F: FnOnce(&mut SessionDb) -> R + Send,
+        F: FnOnce(&mut SessionDb) -> R,
     {
         let armed = self.arm_round(durable, jobs.into_iter().collect());
-        let replies = gather(&self.workers, durable && self.durable.is_some(), armed);
+        let overlap = durable && self.durable.is_some();
+        let replies = gather(&self.workers, overlap.then_some(fatal_log_failure), armed);
         self.supervise_dead(&replies);
         replies
     }
@@ -249,7 +250,7 @@ impl ShardedDb {
         sl.touched.clear();
         sl.touched.extend(keep.map(|s| s as u32));
         self.scatter(
-            false,
+            None,
             subs.into_iter().map(|(s, sub, prepared)| {
                 let rollback = move |db: &mut SessionDb| {
                     if prepared {
@@ -263,4 +264,14 @@ impl ShardedDb {
             }),
         );
     }
+}
+
+/// The [`Overlap`](super::jobs::Overlap) merge of a 2PC round: like the
+/// prepare or resolve that deferred it, a failed fsync panics the job's
+/// shard ("Panics when the write-ahead log fails").
+fn fatal_log_failure<R>(out: R, synced: Result<(), WalError>) -> R {
+    if let Err(e) = synced {
+        panic!("write-ahead log failed at a deferred fsync: {e}");
+    }
+    out
 }

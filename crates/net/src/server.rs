@@ -19,9 +19,9 @@
 //! snapshot — on its caller's thread, so every start-up error is a plain
 //! `Err` returned before any `ccopt-net-*` thread exists: a failed
 //! `start` leaves no thread and no bound port behind. (The database's
-//! shards own no thread: a durable round's scoped `ccopt-shard-<s>`
-//! threads are joined before the engine call that started them
-//! returns.) The per-connection threads — readers, drainers, subscription
+//! shards own no thread; a durable database's logs each start at most one
+//! `ccopt-wal-sync` thread, at their first overlapped fsync, joined when
+//! the engine drops.) The per-connection threads — readers, drainers, subscription
 //! pumps — are registered as they spawn (finished ones are reaped at the
 //! next spawn), and [`Server::shutdown`], [`Server::kill`] and drop join
 //! every one: when they return, no `ccopt-net-*` thread of the server is

@@ -41,8 +41,8 @@ static ONE_SERVER_AT_A_TIME: Mutex<()> = Mutex::new(());
 /// readers, pumps, drainers): every thread it names except its two
 /// singletons, the accept thread and the ops HTTP listener. (The engine
 /// has no thread: it runs on whichever of these holds it, and so do the
-/// shards, whose durable rounds' scoped `ccopt-shard-<s>` threads lie
-/// outside the prefix.) `None` off Linux.
+/// shards; a durable database's `ccopt-wal-sync` log syncers lie outside
+/// the prefix.) `None` off Linux.
 fn connection_threads() -> Option<usize> {
     const SINGLETONS: [&str; 2] = ["ccopt-net-accep", "ccopt-net-ops"];
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;

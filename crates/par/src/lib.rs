@@ -4,9 +4,9 @@
 //! piece of state owned by one *token* and reached only through
 //! [`Worker::call`], which runs a `FnOnce(&mut T)` job on the calling
 //! thread with exclusive `&mut T`. The engine's sharded database holds
-//! one per shard (`ccopt-engine::shard`); where it overlaps the fsyncs of
-//! several shards, it calls them from scoped threads of its own. The
-//! worker starts no thread.
+//! one per shard (`ccopt-engine::shard`) and calls every shard job on its
+//! own thread; the fsyncs of a durable round overlap on the logs' syncer
+//! threads (`ccopt-durability`), not here. The worker starts no thread.
 //!
 //! ## Fault containment
 //!
@@ -113,6 +113,15 @@ mod tests {
         }
         let out = w.call(|v| v.clone()).unwrap();
         assert_eq!(out, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn drop_joins_and_releases_state() {
+        let flag = Arc::new(AtomicBool::new(false));
+        let w = Worker::spawn(Flagged(flag.clone()));
+        w.call(|_| ()).unwrap();
+        drop(w);
+        assert!(flag.load(Ordering::SeqCst), "state must drop before join");
     }
 
     #[test]

@@ -30,8 +30,8 @@ const IN_FLIGHT: usize = 64;
 
 /// Live threads the server runs per connection (`ccopt-net-r<id>`
 /// readers, pumps, drainers): every thread it names except its two
-/// singletons. (A durable round's scoped `ccopt-shard-<s>` threads,
-/// named by the engine crate, lie outside the prefix.) `None` off Linux.
+/// singletons. (A durable database's `ccopt-wal-sync` log syncers, named
+/// by the durability crate, lie outside the prefix.) `None` off Linux.
 fn connection_threads() -> Option<usize> {
     const SINGLETONS: [&str; 2] = ["ccopt-net-accep", "ccopt-net-ops"];
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
