@@ -304,28 +304,7 @@ impl Wal {
             .write(true)
             .truncate(true)
             .open(path)?;
-        let mut wal = Wal {
-            path: path.to_path_buf(),
-            file: Arc::new(file),
-            mode,
-            enc: RecordEncoder::new(),
-            pending: Vec::new(),
-            pending_commits: 0,
-            oldest_pending_commit: 0,
-            store_kind: image.kind(),
-            num_vars: image.num_vars() as u32,
-            stats: WalStats::default(),
-            hist: WalHistograms::default(),
-            crash_after_records: None,
-            crash_after_syncs: None,
-            dead: false,
-            faults: StorageFaults::default(),
-            retry: RetryPolicy::default(),
-            poisoned: false,
-            deferring: false,
-            posted: false,
-            syncer: None,
-        };
+        let mut wal = Wal::over(path, file, mode, image.kind(), image.num_vars() as u32);
         let header = encode_header(wal.store_kind, wal.num_vars);
         (&*wal.file).write_all(&header)?;
         wal.stats.bytes += header.len() as u64;
@@ -349,7 +328,19 @@ impl Wal {
         num_vars: u32,
     ) -> Result<Wal, WalError> {
         let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Wal {
+        Ok(Wal::over(path, file, mode, store_kind, num_vars))
+    }
+
+    /// A log over the opened `file` at `path`, with nothing pending,
+    /// zeroed counters and no fault armed.
+    fn over(
+        path: &Path,
+        file: File,
+        mode: DurabilityMode,
+        store_kind: StoreKind,
+        num_vars: u32,
+    ) -> Wal {
+        Wal {
             path: path.to_path_buf(),
             file: Arc::new(file),
             mode,
@@ -370,7 +361,7 @@ impl Wal {
             deferring: false,
             posted: false,
             syncer: None,
-        })
+        }
     }
 
     /// Append-side counters.

@@ -9,7 +9,7 @@
 //! have those of the order-model SGT and T/O intersected with strictness;
 //! strict 2PL's is a subset of the lock-respecting 2PL's.
 //!
-//! All bookkeeping is kept in dense, index-keyed tables ([`crate::dense`]):
+//! All bookkeeping is kept in dense, index-keyed tables (`dense.rs`):
 //! `TxnId` and `VarId` are dense `u32` indices, so lock tables, stamps,
 //! footprints and waits-for edges are flat `Vec` slots with O(1) access
 //! instead of O(log n) tree walks. [`ConcurrencyControl::prepare`] pre-sizes
@@ -456,7 +456,7 @@ impl Strict2plCc {
 /// whose last writer is still live makes the requester wait for the commit
 /// (a wait cycle aborts the requester).
 ///
-/// The conflict graph is an adjacency matrix of [`DenseBitSet`] rows. The
+/// The conflict graph is an adjacency matrix of dense bitset rows. The
 /// graph is acyclic by construction (cycle-closing accesses abort before
 /// their edges are inserted), so the cycle test for a batch of new edges
 /// `u -> t` reduces to one DFS: does `t` reach any such `u`?
@@ -866,7 +866,7 @@ impl ConcurrencyControl for TimestampCc {
 /// commit the transaction validates against the write sets of transactions
 /// that committed after it began.
 ///
-/// Footprints are [`DenseBitSet`]s, so validation is a word-wise
+/// Footprints are dense bitsets, so validation is a word-wise
 /// intersection per committed writer instead of a set walk; the committed
 /// list is pruned to entries some live transaction could still conflict
 /// with, keeping long runs with many restarts bounded.

@@ -28,7 +28,7 @@
 /// mechanisms use it wherever a plain `Vec<T>` stands in for a map keyed by
 /// `TxnId`/`VarId`.
 #[inline]
-pub fn ensure_index<T: Default>(v: &mut Vec<T>, i: usize) {
+pub(crate) fn ensure_index<T: Default>(v: &mut Vec<T>, i: usize) {
     if v.len() <= i {
         v.resize_with(i + 1, T::default);
     }
@@ -36,13 +36,13 @@ pub fn ensure_index<T: Default>(v: &mut Vec<T>, i: usize) {
 
 /// A fixed-capacity bitset over `u64` blocks, growing on demand.
 #[derive(Clone, Debug, Default)]
-pub struct DenseBitSet {
+pub(crate) struct DenseBitSet {
     blocks: Vec<u64>,
 }
 
 impl DenseBitSet {
     /// A bitset pre-sized for indices `< n`.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         DenseBitSet {
             blocks: vec![0; n.div_ceil(64)],
         }
@@ -59,7 +59,7 @@ impl DenseBitSet {
 
     /// Set bit `i`; returns true when the bit was newly set.
     #[inline]
-    pub fn insert(&mut self, i: usize) -> bool {
+    pub(crate) fn insert(&mut self, i: usize) -> bool {
         self.grow_for(i);
         let (b, m) = (i / 64, 1u64 << (i % 64));
         let was = self.blocks[b] & m != 0;
@@ -69,7 +69,7 @@ impl DenseBitSet {
 
     /// Clear bit `i`.
     #[inline]
-    pub fn remove(&mut self, i: usize) {
+    pub(crate) fn remove(&mut self, i: usize) {
         if let Some(b) = self.blocks.get_mut(i / 64) {
             *b &= !(1u64 << (i % 64));
         }
@@ -77,37 +77,27 @@ impl DenseBitSet {
 
     /// Is bit `i` set?
     #[inline]
-    pub fn contains(&self, i: usize) -> bool {
+    pub(crate) fn contains(&self, i: usize) -> bool {
         self.blocks
             .get(i / 64)
             .is_some_and(|b| b & (1u64 << (i % 64)) != 0)
     }
 
     /// Clear every bit (O(blocks); for O(1) clearing use [`EpochBitSet`]).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.blocks.fill(0);
     }
 
     /// Do the two sets share any member? O(blocks), no allocation.
-    pub fn intersects(&self, other: &DenseBitSet) -> bool {
+    pub(crate) fn intersects(&self, other: &DenseBitSet) -> bool {
         self.blocks
             .iter()
             .zip(&other.blocks)
             .any(|(a, b)| a & b != 0)
     }
 
-    /// Number of set bits.
-    pub fn len(&self) -> usize {
-        self.blocks.iter().map(|b| b.count_ones() as usize).sum()
-    }
-
-    /// True when no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.iter().all(|&b| b == 0)
-    }
-
     /// Iterate set bits in increasing order.
-    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.blocks.iter().enumerate().flat_map(|(bi, &block)| {
             let mut rest = block;
             std::iter::from_fn(move || {
@@ -126,20 +116,12 @@ impl DenseBitSet {
 /// was last set, and `clear` bumps the current epoch. The backing stamp
 /// array is zeroed only on the (effectively unreachable) epoch wraparound.
 #[derive(Clone, Debug, Default)]
-pub struct EpochBitSet {
+pub(crate) struct EpochBitSet {
     stamps: Vec<u32>,
     epoch: u32,
 }
 
 impl EpochBitSet {
-    /// An epoch set pre-sized for indices `< n`.
-    pub fn with_capacity(n: usize) -> Self {
-        EpochBitSet {
-            stamps: vec![0; n],
-            epoch: 1,
-        }
-    }
-
     #[inline]
     fn grow_for(&mut self, i: usize) {
         if self.stamps.len() <= i {
@@ -152,7 +134,7 @@ impl EpochBitSet {
 
     /// Set member `i`; returns true when newly set this epoch.
     #[inline]
-    pub fn insert(&mut self, i: usize) -> bool {
+    pub(crate) fn insert(&mut self, i: usize) -> bool {
         self.grow_for(i);
         let was = self.stamps[i] == self.epoch;
         self.stamps[i] = self.epoch;
@@ -161,13 +143,13 @@ impl EpochBitSet {
 
     /// Is `i` a member this epoch?
     #[inline]
-    pub fn contains(&self, i: usize) -> bool {
+    pub(crate) fn contains(&self, i: usize) -> bool {
         self.epoch != 0 && self.stamps.get(i).copied() == Some(self.epoch)
     }
 
     /// Drop every member in O(1) (epoch bump).
     #[inline]
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         let (next, overflow) = self.epoch.overflowing_add(1);
         if overflow {
             self.stamps.fill(0);
@@ -183,7 +165,7 @@ mod reserved {
     /// [`SlotMap`](super::SlotMap) slot needs no `Option` tag. Sealed: the
     /// trait is nameable only in this module, and the types below are the
     /// only ones a `SlotMap` holds.
-    pub trait Reserved: Copy + PartialEq {
+    pub(crate) trait Reserved: Copy + PartialEq {
         /// The value an empty slot holds; never stored as an entry.
         const EMPTY: Self;
     }
@@ -205,7 +187,7 @@ use reserved::Reserved;
 /// slot is 4 B, and [`remove_value`](Self::remove_value) is one
 /// unconditional store per slot.
 #[derive(Clone, Debug)]
-pub struct SlotMap<T> {
+pub(crate) struct SlotMap<T> {
     slots: Vec<T>,
 }
 
@@ -216,15 +198,8 @@ impl<T> Default for SlotMap<T> {
 }
 
 impl<T: Reserved> SlotMap<T> {
-    /// A map pre-sized for indices `< n`.
-    pub fn with_capacity(n: usize) -> Self {
-        SlotMap {
-            slots: vec![T::EMPTY; n],
-        }
-    }
-
     /// Pre-size for indices `< n` (no-op when already large enough).
-    pub fn reserve_slots(&mut self, n: usize) {
+    pub(crate) fn reserve_slots(&mut self, n: usize) {
         if self.slots.len() < n {
             self.slots.resize(n, T::EMPTY);
         }
@@ -232,20 +207,20 @@ impl<T: Reserved> SlotMap<T> {
 
     /// Value at `i`, if set.
     #[inline]
-    pub fn get(&self, i: usize) -> Option<&T> {
+    pub(crate) fn get(&self, i: usize) -> Option<&T> {
         self.slots.get(i).filter(|v| **v != T::EMPTY)
     }
 
     /// Copy of the value at `i`, if set.
     #[inline]
-    pub fn get_copied(&self, i: usize) -> Option<T> {
+    pub(crate) fn get_copied(&self, i: usize) -> Option<T> {
         self.get(i).copied()
     }
 
     /// Set slot `i`, returning the previous value. `value` must not be
     /// the reserved `T::EMPTY`.
     #[inline]
-    pub fn insert(&mut self, i: usize, value: T) -> Option<T> {
+    pub(crate) fn insert(&mut self, i: usize, value: T) -> Option<T> {
         debug_assert!(
             value != T::EMPTY,
             "SlotMap::insert of the reserved empty value"
@@ -258,21 +233,21 @@ impl<T: Reserved> SlotMap<T> {
 
     /// Clear slot `i`, returning the previous value.
     #[inline]
-    pub fn remove(&mut self, i: usize) -> Option<T> {
+    pub(crate) fn remove(&mut self, i: usize) -> Option<T> {
         let slot = self.slots.get_mut(i)?;
         Self::occupied(std::mem::replace(slot, T::EMPTY))
     }
 
     /// Clear every slot that holds `v`. One pass that stores to every
     /// slot whatever it holds, so the loop has no branch and vectorises.
-    pub fn remove_value(&mut self, v: T) {
+    pub(crate) fn remove_value(&mut self, v: T) {
         for s in &mut self.slots {
             *s = if *s == v { T::EMPTY } else { *s };
         }
     }
 
     /// Iterate over set slots as `(index, &value)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
         self.slots
             .iter()
             .enumerate()
@@ -280,7 +255,7 @@ impl<T: Reserved> SlotMap<T> {
     }
 
     /// Number of addressable slots (not the number of set entries).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
@@ -323,11 +298,11 @@ mod tests {
         assert!(s.insert(200)); // grows on demand
         assert!(s.contains(3) && s.contains(200) && !s.contains(4));
         assert_eq!(s.ones().collect::<Vec<_>>(), vec![3, 200]);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.ones().count(), 2);
         s.remove(3);
         assert!(!s.contains(3));
         s.clear();
-        assert!(s.is_empty());
+        assert_eq!(s.ones().next(), None);
     }
 
     #[test]
@@ -348,7 +323,7 @@ mod tests {
 
     #[test]
     fn epoch_set_clears_in_constant_time() {
-        let mut s = EpochBitSet::with_capacity(4);
+        let mut s = EpochBitSet::default();
         assert!(s.insert(1));
         assert!(s.contains(1));
         s.clear();
@@ -361,8 +336,10 @@ mod tests {
 
     #[test]
     fn epoch_wraparound_resets_stamps() {
-        let mut s = EpochBitSet::with_capacity(2);
-        s.epoch = u32::MAX;
+        let mut s = EpochBitSet {
+            epoch: u32::MAX,
+            ..EpochBitSet::default()
+        };
         s.insert(0);
         assert!(s.contains(0));
         s.clear(); // wraps: stamps zeroed, epoch restarts at 1
@@ -373,7 +350,8 @@ mod tests {
 
     #[test]
     fn slot_map_round_trip() {
-        let mut m: SlotMap<u64> = SlotMap::with_capacity(2);
+        let mut m: SlotMap<u64> = SlotMap::default();
+        m.reserve_slots(2);
         assert_eq!(m.insert(1, 10), None);
         assert_eq!(m.insert(1, 11), Some(10));
         assert_eq!(m.insert(9, 90), None); // grows

@@ -7,8 +7,8 @@
 //! the order-theoretic scheduler view abstracts away and the Section 6
 //! simulator needs back.
 //!
-//! * [`dense`] — dense index-keyed tables (bitsets, epoch-cleared sets,
-//!   slot maps) backing the O(1) CC hot path;
+//! * `dense` (crate-internal) — dense index-keyed tables (bitsets,
+//!   epoch-cleared sets, slot maps) backing the O(1) CC hot path;
 //! * [`storage`] — the single-version value store with undo support;
 //! * [`mvstore`] — the multi-version value store: per-variable version
 //!   chains with watermark-driven garbage collection;
@@ -48,9 +48,11 @@
 //! dumps per-shard flight-recorder rings when a worker dies
 //! (`docs/OBSERVABILITY.md`).
 
+#![deny(unreachable_pub)]
+
 pub mod cc;
 pub mod db;
-pub mod dense;
+mod dense;
 pub mod metrics;
 pub mod mvstore;
 pub mod session;
@@ -68,5 +70,5 @@ pub use mvstore::MvStore;
 pub use session::{Op, RecoveryInfo, SessionDb, SessionError, SessionStatus, Txn, VarContention};
 pub use shard::{
     affine_eval, BatchOp, GlobalTxn, GroupReq, GroupResp, Partition, ShardStatus, ShardedDb,
-    ShardedRecoveryInfo,
+    ShardedGauges, ShardedRecoveryInfo,
 };

@@ -16,7 +16,7 @@
 //! Layout. Almost every variable holds exactly one version almost all of
 //! the time, so a chain is split in two: its newest version — the *head* —
 //! lives inline in one flat `Vec<Version>` dense-indexed by [`VarId`] like
-//! the rest of the engine's tables ([`crate::dense`]), and the versions
+//! the rest of the engine's tables (`dense.rs`), and the versions
 //! behind the head exist only for the variables on the **worklist**. The
 //! invariant every method maintains:
 //!

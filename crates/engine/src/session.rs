@@ -222,12 +222,12 @@ pub enum SessionError {
     /// still running (commit it first, or [`SessionDb::abort`] it — an
     /// abort retires the slot on its own).
     StillRunning,
-    /// The transaction is prepared in a two-phase commit: its fate
-    /// belongs to the coordinator ([`SessionDb::resolve_commit`]); no
-    /// operation, commit or client abort may touch it meanwhile.
+    /// The transaction is prepared in a sharded two-phase commit: its
+    /// fate belongs to the coordinator's resolve; no operation, commit
+    /// or client abort may touch it meanwhile.
     Prepared,
-    /// [`SessionDb::resolve_commit`] needs a prepared transaction; this
-    /// one never voted (call [`SessionDb::prepare_commit`] first).
+    /// A two-phase-commit resolve needs a prepared transaction; this one
+    /// never voted.
     NotPrepared,
     /// The shard that owned this transaction's state crashed (a worker
     /// panic — typically the fail-stop reaction to an unretryable log
@@ -511,7 +511,7 @@ impl SessionDb {
     /// each shard's in-doubt transactions against the coordinator shard's
     /// recovered decisions — the consultation that makes cross-shard
     /// commits atomic across crashes (`docs/SHARDING.md`).
-    pub fn from_recovered(
+    pub(crate) fn from_recovered(
         mut cc: Box<dyn ConcurrencyControl>,
         init: GlobalState,
         path: &Path,
@@ -692,7 +692,7 @@ impl SessionDb {
 
     /// Fault injection: install a storage-fault script on the log (see
     /// [`ccopt_durability::StorageFaults`]). No-op without durability.
-    pub fn wal_set_faults(&mut self, faults: ccopt_durability::StorageFaults) {
+    pub(crate) fn wal_set_faults(&mut self, faults: ccopt_durability::StorageFaults) {
         if let Some(wal) = &mut self.wal {
             wal.set_faults(faults);
         }
@@ -700,7 +700,8 @@ impl SessionDb {
 
     /// Set the log's bounded retry policy for transient storage faults.
     /// No-op without durability.
-    pub fn wal_set_retry(&mut self, retry: ccopt_durability::RetryPolicy) {
+    #[cfg(test)]
+    pub(crate) fn wal_set_retry(&mut self, retry: ccopt_durability::RetryPolicy) {
         if let Some(wal) = &mut self.wal {
             wal.set_retry(retry);
         }
@@ -741,7 +742,7 @@ impl SessionDb {
     /// global transaction with one global `ts` on each shard it touches,
     /// aligning the per-shard timestamp orders. `ts` values must be
     /// strictly increasing across calls and never reused.
-    pub fn begin_with_ts(&mut self, ts: u64) -> Txn {
+    pub(crate) fn begin_with_ts(&mut self, ts: u64) -> Txn {
         self.begin_impl(Some(ts))
     }
 
@@ -942,7 +943,7 @@ impl SessionDb {
     /// # Panics
     /// Panics when the write-ahead log fails at the I/O layer (same
     /// contract as [`commit`](Self::commit)).
-    pub fn prepare_commit(
+    pub(crate) fn prepare_commit(
         &mut self,
         h: Txn,
         gtid: u64,
@@ -975,7 +976,7 @@ impl SessionDb {
     ///
     /// # Panics
     /// Panics when the write-ahead log fails at the I/O layer.
-    pub fn resolve_commit(
+    pub(crate) fn resolve_commit(
         &mut self,
         h: Txn,
         commit: bool,
@@ -1118,15 +1119,6 @@ impl SessionDb {
         Ok(self.cc.read_view(TxnId(ti as u32)))
     }
 
-    /// Version timestamp the session's buffered writes were (or will be)
-    /// installed at — meaningful for multi-version mechanisms once the
-    /// commit succeeded; 0 otherwise. The durability differential tests
-    /// sample it to rebuild expected version chains.
-    pub fn commit_view(&self, h: Txn) -> Result<u64, SessionError> {
-        let ti = self.slot_of(h)?;
-        Ok(self.cc.commit_view(TxnId(ti as u32)))
-    }
-
     /// Does the mechanism buffer writes until commit? (Mirrors
     /// [`ConcurrencyControl::defers_writes`]; the open-world checker needs
     /// it to place write conflicts at commit time.)
@@ -1148,7 +1140,7 @@ impl SessionDb {
     /// reached it yet, and without the clamp its GC could collect
     /// versions that late-arriving snapshot still needs. `u64::MAX`
     /// removes the clamp (the default).
-    pub fn set_gc_floor(&mut self, floor: u64) {
+    pub(crate) fn set_gc_floor(&mut self, floor: u64) {
         self.gc_floor = floor;
     }
 
@@ -1160,7 +1152,7 @@ impl SessionDb {
     /// stamps the new attempt from the global clock. Unconsumed values
     /// are simply overwritten by the next call; plain sessions never arm
     /// it.
-    pub fn set_restart_ts(&mut self, ts: u64) {
+    pub(crate) fn set_restart_ts(&mut self, ts: u64) {
         self.restart_ts = Some(ts);
     }
 
@@ -1181,11 +1173,6 @@ impl SessionDb {
         self.slots.len()
     }
 
-    /// Slots on the free list, ready for reuse.
-    pub fn free_slots(&self) -> usize {
-        self.free.len()
-    }
-
     /// Retired slots the concurrency control has not forgotten yet.
     pub fn pending_retires(&self) -> usize {
         self.deferred.len()
@@ -1196,12 +1183,6 @@ impl SessionDb {
         self.slots.len() - self.free.len() - self.deferred.len()
     }
 
-    /// The monotone engine clock (one tick per executed operation or
-    /// abort).
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
     // -------------------------------------------------------- observability
 
     /// Attach a lifecycle tracer (minted by a
@@ -1210,11 +1191,6 @@ impl SessionDb {
     /// allocation, no I/O — so untraced runs are unchanged.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Whether a tracer is attached and recording.
-    pub fn tracing(&self) -> bool {
-        self.tracer.is_on()
     }
 
     /// Commit latency (session begin, first attempt, to commit decision)
@@ -1669,7 +1645,7 @@ mod tests {
         assert_eq!(db.status(h), SessionStatus::Retired);
         let d = db.metrics.diff(&before);
         assert_eq!((d.aborts, d.retires), (1, 1));
-        assert_eq!(db.free_slots(), 1);
+        assert_eq!(db.free.len(), 1);
     }
 
     #[test]
@@ -1740,7 +1716,7 @@ mod tests {
         // conflict graph, so a cycle through it is still possible.
         db.retire(writer).unwrap();
         assert_eq!(db.pending_retires(), 1);
-        assert_eq!(db.free_slots(), 0);
+        assert_eq!(db.free.len(), 0);
         // A new session must NOT reuse the pinned slot.
         let third = db.begin();
         assert_eq!(third.id().index(), 2);
@@ -1748,7 +1724,7 @@ mod tests {
         assert_eq!(db.commit(reader), Ok(Op::Done(())));
         db.retire(reader).unwrap();
         assert_eq!(db.pending_retires(), 0);
-        assert_eq!(db.free_slots(), 2);
+        assert_eq!(db.free.len(), 2);
         db.abort(third).unwrap();
     }
 

@@ -100,6 +100,23 @@ impl ShardedDb {
         })
     }
 
+    /// Fault injection (tests): let `n` two-phase-commit jobs (votes,
+    /// coordinator resolve, participant resolves — in protocol order,
+    /// shard order within a round) run **from this call on**, then hand
+    /// over a panic in place of the next one, on the coordinator's thread
+    /// like every job. The other jobs of its round still run, and a
+    /// durable round still overlaps their fsyncs.
+    #[cfg(test)]
+    pub(crate) fn panic_after_2pc_jobs(&mut self, n: u64) {
+        self.inject.panic_at_2pc_job = Some(n);
+        self.inject.twopc_jobs = 0;
+    }
+}
+
+/// The injection hooks tests and the fault simulator arm from outside
+/// the crate: not part of the database's documented surface.
+#[doc(hidden)]
+impl ShardedDb {
     /// Crash injection (tests): allow `n` durable two-phase-commit
     /// actions **from this call on** — each participant's prepare fsync
     /// and each coordinator resolve fsync counts one, in shard order —
@@ -111,17 +128,6 @@ impl ShardedDb {
     pub fn crash_after_2pc_actions(&mut self, n: u64) {
         self.inject.crash_budget = Some(n);
         self.inject.twopc_actions = 0;
-    }
-
-    /// Fault injection (tests): let `n` two-phase-commit jobs (votes,
-    /// coordinator resolve, participant resolves — in protocol order,
-    /// shard order within a round) run **from this call on**, then hand
-    /// over a panic in place of the next one, on the coordinator's thread
-    /// like every job. The other jobs of its round still run, and a
-    /// durable round still overlaps their fsyncs.
-    pub fn panic_after_2pc_jobs(&mut self, n: u64) {
-        self.inject.panic_at_2pc_job = Some(n);
-        self.inject.twopc_jobs = 0;
     }
 
     /// Fault injection (tests): kill shard `s`'s worker now, exactly as a

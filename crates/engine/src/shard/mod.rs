@@ -17,14 +17,15 @@
 //! commits through a **two-phase commit**:
 //!
 //! 1. *Prepare*: every touched shard runs its ordinary concurrency-control
-//!    commit decision ([`SessionDb::prepare_commit`]) and forces a prepare
-//!    record — the write-set under the global transaction id — to its own
-//!    log. With logs, the votes' fsyncs overlap on the logs' syncers.
+//!    commit decision (the crate-internal `SessionDb::prepare_commit`)
+//!    and forces a prepare record — the write-set under the global
+//!    transaction id — to its own log. With logs, the votes' fsyncs
+//!    overlap on the logs' syncers.
 //! 2. *Resolve*: once every shard voted yes, the **coordinator shard**
 //!    (the lowest touched index) logs and fsyncs a resolve record — the
 //!    atomic commit point — after which the remaining shards apply their
-//!    write phases with buffered resolve records ([`SessionDb::
-//!    resolve_commit`]).
+//!    write phases with buffered resolve records
+//!    (`SessionDb::resolve_commit`).
 //!
 //! Crash recovery ([`ShardedDb::open`]) recovers every shard log, then
 //! settles each shard's **in-doubt** transactions (prepared, no local
@@ -41,7 +42,7 @@
 //!
 //! * timestamp mechanisms (T/O, MVTO) stamp every global transaction with
 //!   one coordinator-issued global timestamp on every shard it touches
-//!   ([`SessionDb::begin_with_ts`]), so all per-shard timestamp orders
+//!   (`SessionDb::begin_with_ts`), so all per-shard timestamp orders
 //!   equal the global timestamp order;
 //! * commit-ordered mechanisms (serial, strict 2PL, OCC) serialize in
 //!   commit order, which the single coordinator makes globally total;
@@ -74,7 +75,7 @@
 //! and *complete* any transaction whose commit point (the coordinator's
 //! fsynced resolve) already survived. The other shards keep serving
 //! throughout; unrecoverable storage degrades to a permanently
-//! [down](ShardedDb::shard_is_down) shard rather than an outage. Injected
+//! [down](ShardStatus::down) shard rather than an outage. Injected
 //! storage faults ([`ShardedDb::set_shard_faults`]) exercise the logs'
 //! retry-or-poison paths. `docs/FAULTS.md` has the full fault model.
 
@@ -95,7 +96,6 @@ use crate::metrics::Metrics;
 use crate::session::{SessionDb, SessionError, Txn, VarContention};
 use ccopt_durability::recovery::{self, Recovered};
 use ccopt_durability::{DurabilityMode, WalError};
-use ccopt_model::ids::VarId;
 use ccopt_model::state::GlobalState;
 use ccopt_model::value::Value;
 use ccopt_par::Worker;
@@ -222,7 +222,6 @@ pub struct ShardedRecoveryInfo {
 pub struct ShardedDb {
     workers: Vec<Worker<SessionDb>>,
     partition: Partition,
-    num_vars: usize,
     slots: Vec<GSlot>,
     free: Vec<u32>,
     /// Global timestamp authority: stamps, in issue order, every
@@ -463,7 +462,6 @@ impl ShardedDb {
         ShardedDb {
             workers,
             partition,
-            num_vars: init.0.len(),
             slots: Vec::new(),
             free: Vec::new(),
             next_gts,
@@ -555,24 +553,10 @@ impl ShardedDb {
         self.kind.name()
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Number of global variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// The shard owning global variable `v`.
-    pub fn shard_of(&self, v: VarId) -> usize {
-        self.partition.shard_of(v)
-    }
-
-    /// Global variable ids owned by shard `s`.
-    pub fn shard_vars(&self, s: usize) -> &[VarId] {
-        self.partition.shard_vars(s)
+    /// How the variables are split: the shard count, each global
+    /// variable's shard, and each shard's variables.
+    pub fn partition(&self) -> &Partition {
+        &self.partition
     }
 
     /// Is the store multi-version?
@@ -643,19 +627,6 @@ impl ShardedDb {
         let attributed: usize = m.aborts_by_rule.iter().sum();
         m.aborts_by_rule[client] = m.aborts.saturating_sub(attributed);
         m
-    }
-
-    /// Cross-shard transactions committed through the two-phase protocol.
-    pub fn cross_shard_commits(&self) -> usize {
-        self.cross_commits
-    }
-
-    /// Dense-table capacity across all shards: slots ever allocated,
-    /// summed (monotone — never shrinks — so the final value is the
-    /// peak). The recycling claim is that it stays a small multiple of
-    /// `terminals * shards` no matter the stream length.
-    pub fn num_slots(&self) -> usize {
-        self.ask(|db| db.num_slots()).sum()
     }
 
     /// Global transactions currently open (running or
@@ -825,7 +796,7 @@ impl ShardedDb {
                 locals[s] = local.ok();
             }
         }
-        let mut out = vec![Value::Int(0); self.num_vars];
+        let mut out = vec![Value::Int(0); self.partition.num_vars()];
         for (s, local) in locals.into_iter().enumerate() {
             let local = local.unwrap_or_else(|| self.partition.project(&self.init, s));
             for (i, &v) in self.partition.shard_vars(s).iter().enumerate() {
@@ -864,41 +835,70 @@ impl ShardedDb {
         self.trace_hub.as_ref()
     }
 
+    /// The close-out gauges, read from every shard in one walk: a shard
+    /// job per shard, so a health probe should read
+    /// [`shard_statuses`](Self::shard_statuses) instead. A dead or down
+    /// shard contributes nothing.
+    pub fn gauges(&self, top: usize) -> ShardedGauges {
+        // Each shard owns disjoint variables, so contention rows never
+        // merge; asking each shard for its own top `top` keeps the union
+        // a superset of the global top `top`.
+        let read = move |db: &mut SessionDb| {
+            let hist = db.commit_latency_ticks().clone();
+            (db.num_slots(), hist, db.top_contended(top))
+        };
+        let mut g = ShardedGauges {
+            cross_shard_commits: self.cross_commits,
+            last_recovery_replayed: self.last_recovery_replayed,
+            ..ShardedGauges::default()
+        };
+        let shards = 0..self.workers.len();
+        for (s, reply) in gather(&self.workers, None, shards.map(|s| (s, read))) {
+            let Ok((slots, hist, rows)) = reply else {
+                continue;
+            };
+            g.num_slots += slots;
+            g.commit_latency_ticks.merge(&hist);
+            let owned = self.partition.shard_vars(s);
+            let global = |r: VarContention| VarContention {
+                var: owned[r.var.index()],
+                ..r
+            };
+            g.top_contended.extend(rows.into_iter().map(global));
+        }
+        g.top_contended
+            .sort_by_key(|r| (std::cmp::Reverse(r.total()), r.var.0));
+        g.top_contended.truncate(top);
+        g
+    }
+}
+
+/// What [`ShardedDb::gauges`] reads from the shards in one walk: the
+/// close-out figures of a run, and the ops plane's latency and
+/// contention.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ShardedGauges {
+    /// Dense-table capacity (slots ever allocated) summed over the
+    /// shards' current incarnations. A shard never gives a slot back, but
+    /// a supervised restart replaces the shard with a fresh
+    /// [`SessionDb`] whose count starts again, so after a restart this
+    /// is not the peak.
+    pub num_slots: usize,
     /// Commit latency in engine ticks, merged over the shards (see
     /// [`SessionDb::commit_latency_ticks`]); tick-based, so deterministic
-    /// runs reproduce it bit-for-bit. A dead or down shard contributes
-    /// nothing.
-    pub fn commit_latency_ticks(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for sh in self.ask(|db| db.commit_latency_ticks().clone()) {
-            h.merge(&sh);
-        }
-        h
-    }
-
-    /// The `n` most contended **global** variables: every shard's
+    /// runs reproduce it bit-for-bit.
+    pub commit_latency_ticks: Histogram,
+    /// The `top` most contended **global** variables: every shard's
     /// attribution table ([`SessionDb::top_contended`]) translated back
     /// to global ids and re-ranked (waits plus aborts descending, ties by
     /// variable id — deterministic).
-    pub fn top_contended(&self, n: usize) -> Vec<VarContention> {
-        // Each shard owns disjoint variables, so rows never merge; asking
-        // each shard for its own top-n keeps the union a superset of the
-        // global top-n.
-        let local = move |db: &mut SessionDb| db.top_contended(n);
-        let shards = 0..self.workers.len();
-        let mut rows: Vec<VarContention> = gather(&self.workers, None, shards.map(|s| (s, local)))
-            .into_iter()
-            .flat_map(|(s, rows)| {
-                let owned = self.partition.shard_vars(s);
-                let global = move |r: VarContention| VarContention {
-                    var: owned[r.var.index()],
-                    ..r
-                };
-                rows.unwrap_or_default().into_iter().map(global)
-            })
-            .collect();
-        rows.sort_by_key(|r| (std::cmp::Reverse(r.total()), r.var.0));
-        rows.truncate(n);
-        rows
-    }
+    pub top_contended: Vec<VarContention>,
+    /// Cross-shard transactions committed through the two-phase protocol.
+    pub cross_shard_commits: usize,
+    /// Committed sub-transactions replayed by the most recent supervised
+    /// shard restart (0 for a volatile shard, which respawns empty;
+    /// `None` before any restart) — the size of that recovery: a
+    /// function of the log contents alone, so identical runs report it
+    /// identically.
+    pub last_recovery_replayed: Option<u64>,
 }

@@ -32,6 +32,11 @@ impl Partition {
         Partition { map, owned }
     }
 
+    /// Number of global variables.
+    pub fn num_vars(&self) -> usize {
+        self.map.len()
+    }
+
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.owned.len()

@@ -28,22 +28,6 @@ pub struct ShardStatus {
 }
 
 impl ShardedDb {
-    /// Whether shard `s` is permanently down: its storage could not be
-    /// recovered after a crash, and every operation routed there returns
-    /// [`ShardDown`](crate::session::SessionError::ShardDown) while the
-    /// other shards keep serving.
-    pub fn shard_is_down(&self, s: usize) -> bool {
-        self.down[s]
-    }
-
-    /// Committed sub-transactions replayed by the most recent supervised
-    /// shard restart (0 for a volatile shard, which respawns empty) — the
-    /// size of that recovery: a function of the log contents alone, so
-    /// identical runs report it identically.
-    pub fn last_recovery_replayed(&self) -> Option<u64> {
-        self.last_recovery_replayed
-    }
-
     /// Detect and supervise crashed shard workers *now*; they are
     /// otherwise supervised lazily, at the next operation that touches
     /// them. Returns how many this call restarted or marked down.

@@ -1,6 +1,7 @@
 use super::*;
 use crate::session::Op;
 use ccopt_durability::{Fault, RetryPolicy, StorageFaults};
+use ccopt_model::ids::VarId;
 use BatchOp::{Affine, Read, Write};
 
 /// Hooks only these tests need, kept off the production type.
@@ -41,9 +42,9 @@ fn int(i: i64) -> Value {
 /// Two global variables guaranteed to live on different shards.
 fn split_pair(db: &ShardedDb) -> (VarId, VarId) {
     let a = v(0);
-    let b = (1..db.num_vars() as u32)
+    let b = (1..db.partition().num_vars() as u32)
         .map(v)
-        .find(|&x| db.shard_of(x) != db.shard_of(a))
+        .find(|&x| db.partition().shard_of(x) != db.partition().shard_of(a))
         .expect("at least two shards own variables");
     (a, b)
 }
@@ -121,12 +122,107 @@ fn single_and_cross_shard_lifecycle() {
     let g = db.globals();
     assert_eq!(g.0[a.index()], int(11));
     assert_eq!(g.0[b.index()], int(77));
-    assert_eq!(db.cross_shard_commits(), 1);
+    assert_eq!(db.gauges(0).cross_shard_commits, 1);
     assert!(db.decided.is_empty(), "no logs: no decision is recorded");
     // Single-shard transactions stay on the fast path.
     bump(&mut db, &[a]);
-    assert_eq!(db.cross_shard_commits(), 1);
+    assert_eq!(db.gauges(0).cross_shard_commits, 1);
     assert_eq!(db.metrics().commits, 2);
+}
+
+/// Each shard's slot count (a dead shard answers nothing).
+fn slots_by_shard(db: &ShardedDb) -> Vec<usize> {
+    let ask = |db: &mut SessionDb| db.num_slots();
+    let replies = gather(&db.workers, None, (0..db.workers.len()).map(|s| (s, ask)));
+    replies.into_iter().filter_map(|(_, r)| r.ok()).collect()
+}
+
+/// The gauges as the five per-figure readers `gauges` replaced computed
+/// them, one walk over the shards per figure: the reference the one-walk
+/// snapshot must match.
+fn gauges_figure_by_figure(db: &ShardedDb, top: usize) -> ShardedGauges {
+    let shards = || 0..db.workers.len();
+    let hist = |db: &mut SessionDb| db.commit_latency_ticks().clone();
+    let mut commit_latency_ticks = Histogram::new();
+    for (_, h) in gather(&db.workers, None, shards().map(|s| (s, hist))) {
+        if let Ok(h) = h {
+            commit_latency_ticks.merge(&h);
+        }
+    }
+    let rows = move |db: &mut SessionDb| db.top_contended(top);
+    let mut top_contended: Vec<VarContention> =
+        gather(&db.workers, None, shards().map(|s| (s, rows)))
+            .into_iter()
+            .flat_map(|(s, rows)| {
+                let owned = db.partition.shard_vars(s);
+                rows.unwrap_or_default().into_iter().map(|r| VarContention {
+                    var: owned[r.var.index()],
+                    ..r
+                })
+            })
+            .collect();
+    top_contended.sort_by_key(|r| (std::cmp::Reverse(r.total()), r.var.0));
+    top_contended.truncate(top);
+    ShardedGauges {
+        num_slots: slots_by_shard(db).iter().sum(),
+        commit_latency_ticks,
+        top_contended,
+        cross_shard_commits: db.cross_commits,
+        last_recovery_replayed: db.last_recovery_replayed,
+    }
+}
+
+#[test]
+fn gauges_read_in_one_walk_what_the_per_figure_readers_read() {
+    let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[0; 12]), 3);
+    let (a, b) = split_pair(&db);
+    for i in 0..12 {
+        if i % 4 == 0 {
+            bump(&mut db, &[a, b]); // cross-shard
+        } else {
+            bump(&mut db, &[v(i)]);
+        }
+    }
+    // Lock waits for the contention table: variable `x` is waited on
+    // `x + 1` times, so the ranking has no ties to break.
+    for x in 0..6 {
+        let holder = db.begin();
+        let wrote = db.step(holder, Write(v(x), int(-1))).unwrap();
+        assert!(matches!(wrote, Op::Done(_)));
+        let waiter = db.begin();
+        for _ in 0..=x {
+            assert_eq!(db.step(waiter, Read(v(x))).unwrap(), Op::Wait);
+        }
+        assert_eq!(db.commit(holder).unwrap(), Op::Done(()));
+        db.retire(holder).unwrap();
+        assert_eq!(db.step(waiter, Read(v(x))).unwrap(), Op::Done(int(-1)));
+        assert_eq!(db.commit(waiter).unwrap(), Op::Done(()));
+        db.retire(waiter).unwrap();
+    }
+    let g = db.gauges(4);
+    assert_eq!(g, gauges_figure_by_figure(&db, 4));
+    assert_eq!(g.cross_shard_commits, 3);
+    let ranked: Vec<(u32, usize)> = g.top_contended.iter().map(|r| (r.var.0, r.waits)).collect();
+    assert_eq!(ranked, [(5, 6), (4, 5), (3, 4), (2, 3)]);
+    // One sample per shard a commit landed on: 21 local, 3 cross x 2.
+    assert_eq!(g.commit_latency_ticks.count(), 27);
+    assert_eq!(g.last_recovery_replayed, None);
+    // A supervised restart replaces shard 1 with a fresh `SessionDb`: its
+    // slot count starts again, so the sum is no longer the peak.
+    let before = slots_by_shard(&db);
+    assert!(before[1] > 0);
+    db.panic_shard(1);
+    assert_eq!(db.check_shards(), 1);
+    let g = db.gauges(4);
+    assert_eq!(g, gauges_figure_by_figure(&db, 4));
+    assert_eq!(
+        g.last_recovery_replayed,
+        Some(0),
+        "a volatile shard respawns empty"
+    );
+    let after = slots_by_shard(&db);
+    assert_eq!((after[0], after[1], after[2]), (before[0], 0, before[2]));
+    assert!(g.num_slots < before.iter().sum());
 }
 
 #[test]
@@ -158,9 +254,9 @@ fn streams_recycle_slots_across_all_shards() {
     let d = db.metrics().diff(&before);
     assert_eq!((d.commits, d.retires), (60, 60));
     assert!(
-        db.num_slots() <= 2 * db.shards(),
+        db.gauges(0).num_slots <= 2 * db.partition().shards(),
         "sequential streams must recycle shard slots (got {})",
-        db.num_slots()
+        db.gauges(0).num_slots
     );
 }
 
@@ -489,7 +585,7 @@ fn volatile_shard_panic_loses_only_that_shard() {
     let (a, b) = split_pair(&db);
     bump(&mut db, &[a]);
     bump(&mut db, &[b]);
-    let sb = db.shard_of(b);
+    let sb = db.partition().shard_of(b);
     // An in-flight transaction holding state on the doomed shard...
     let h = db.begin();
     assert_eq!(db.step(h, Write(b, int(9))).unwrap(), Op::Done(int(1)));
@@ -514,7 +610,7 @@ fn volatile_shard_panic_loses_only_that_shard() {
 /// supervised exactly once, and the coordinator's trace names it.
 fn crash_then_touch(db: &mut ShardedDb, h: GlobalTxn, var: VarId) {
     use ccopt_trace::EventKind;
-    let sb = db.shard_of(var) as u32;
+    let sb = db.partition().shard_of(var) as u32;
     db.panic_shard(sb as usize);
     let r = db.step(h, Affine { var, a: 1, c: 1 });
     assert_eq!(r, Err(SessionError::ShardDown));
@@ -522,7 +618,7 @@ fn crash_then_touch(db: &mut ShardedDb, h: GlobalTxn, var: VarId) {
     let statuses = db.shard_statuses();
     assert!(statuses.iter().all(|st| st.alive && !st.down));
     assert_eq!(statuses[sb as usize].restarts, 1);
-    let coordinator = db.shards() as u32;
+    let coordinator = db.partition().shards() as u32;
     let events = db.trace_hub().unwrap().merged_events();
     let count = |kind: EventKind| {
         let on_coord = events.iter().filter(|e| e.shard == coordinator);
@@ -575,7 +671,7 @@ fn durable_shard_panic_recovers_the_exact_committed_prefix() {
     crash_then_touch(&mut db, h, b);
     // The transaction had state on the shard: the supervisor failed it.
     abort_failed(&mut db, h, a);
-    assert_eq!(db.last_recovery_replayed(), Some(3));
+    assert_eq!(db.gauges(0).last_recovery_replayed, Some(3));
     let g = db.globals();
     assert_eq!((g.0[a.index()], g.0[b.index()]), (int(2), int(3)));
     bump(&mut db, &[b]);
@@ -603,7 +699,7 @@ fn unrecoverable_storage_marks_the_shard_down_and_the_rest_serve() {
     let (a, b) = split_pair(&db);
     bump(&mut db, &[a]);
     bump(&mut db, &[b]);
-    let sb = db.shard_of(b);
+    let sb = db.partition().shard_of(b);
     db.panic_shard(sb);
     // Make the shard's log unreadable (a directory where the file
     // was): recovery cannot even open it.
@@ -611,7 +707,7 @@ fn unrecoverable_storage_marks_the_shard_down_and_the_rest_serve() {
     std::fs::remove_file(&p).unwrap();
     std::fs::create_dir(&p).unwrap();
     assert_eq!(db.check_shards(), 1);
-    assert!(db.shard_is_down(sb));
+    assert!(db.shard_statuses()[sb].down);
     assert_eq!(restarts(&db), 1, "marking a shard down counts as handled");
     // Operations routed there fail cleanly; the other shard serves.
     let h = db.begin();
@@ -639,7 +735,7 @@ fn transient_shard_io_faults_retry_and_surface_in_metrics() {
     )
     .unwrap();
     let (a, b) = split_pair(&db);
-    let sa = db.shard_of(a);
+    let sa = db.partition().shard_of(a);
     db.set_retry_policy(RetryPolicy::immediate(4));
     // The second fsync on a's shard (counting from installation)
     // fails transiently twice, then goes through under the retry
@@ -768,7 +864,12 @@ fn overlapped_fan_out_runs_here_and_collects_every_deferred_fsync() {
     assert!(here.is_some(), "the test harness names its threads");
     // Every shard holds a group-commit batch that no fsync covered yet.
     let vars: Vec<VarId> = (0..3)
-        .map(|s| (0..12).map(v).find(|&x| db.shard_of(x) == s).unwrap())
+        .map(|s| {
+            (0..12)
+                .map(v)
+                .find(|&x| db.partition().shard_of(x) == s)
+                .unwrap()
+        })
         .collect();
     for &x in &vars {
         bump(&mut db, &[x]);
@@ -941,7 +1042,10 @@ fn sync_flushes_every_live_shard_before_reporting_a_failing_one() {
     let init = GlobalState::from_ints(&[0; 8]);
     let mode = DurabilityMode::group(64);
     let mut db = ShardedDb::open(CcKind::Strict2pl, init.clone(), &dir, mode, 2, 0).unwrap();
-    let b = (0..8).map(v).find(|&x| db.shard_of(x) == 1).unwrap();
+    let b = (0..8)
+        .map(v)
+        .find(|&x| db.partition().shard_of(x) == 1)
+        .unwrap();
     // Shard 0's log fails its next fsync for good; shard 1 holds an
     // acknowledged commit that group mode has not flushed yet.
     db.set_shard_faults(0, StorageFaults::new().fail_sync(0, Fault::Permanent));

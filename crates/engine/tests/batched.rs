@@ -83,7 +83,7 @@ fn record_programs(db: &mut ShardedDb, shards: usize, seed: u64) -> Vec<Vec<Batc
     let by_shard: Vec<Vec<u32>> = (0..shards)
         .map(|s| {
             (0..NUM_VARS as u32)
-                .filter(|&v| db.shard_of(VarId(v)) == s)
+                .filter(|&v| db.partition().shard_of(VarId(v)) == s)
                 .collect()
         })
         .collect();
@@ -148,12 +148,12 @@ fn canonical_order(
     db: &ShardedDb,
 ) -> Vec<usize> {
     let mut shard_order: Vec<usize> = Vec::new();
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); db.shards()];
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); db.partition().shards()];
     let mut tail: Vec<usize> = Vec::new();
     for (k, (ti, chunk)) in reqs.iter().enumerate() {
         let mut set: Vec<usize> = Vec::new();
         for op in chunk {
-            let s = db.shard_of(op.var());
+            let s = db.partition().shard_of(op.var());
             if !set.contains(&s) {
                 set.push(s);
             }
@@ -196,7 +196,7 @@ fn settle(
     // Every attempted op engaged its shard (the begin rides the op's
     // message), including the trailing non-`Done` one.
     for op in &chunk[..outs.len()] {
-        let s = db.shard_of(op.var());
+        let s = db.partition().shard_of(op.var());
         st.touch(s);
     }
     match outs.last() {
@@ -438,7 +438,7 @@ fn group_submission_kills_the_messaging_tax() {
     // lazy begin rides the first), a separate commit and retire one
     // each; a group carries the whole lifecycle in one.
     let mut db = ShardedDb::new(CcKind::Strict2pl, GlobalState::from_ints(&[7; NUM_VARS]), 2);
-    let vars: Vec<VarId> = db.shard_vars(0).to_vec();
+    let vars: Vec<VarId> = db.partition().shard_vars(0).to_vec();
     let n = vars.len();
     assert!(n >= 2, "shard 0 owns several of the {NUM_VARS} variables");
     let before = db.metrics().shard_msgs;

@@ -42,9 +42,9 @@ fn assert_syncers_settle_at(after: &str, syncers: usize) {
 /// Two variables on different shards.
 fn split_pair(db: &ShardedDb) -> (BatchOp, BatchOp) {
     let a = VarId(0);
-    let b = (1..db.num_vars() as u32)
+    let b = (1..db.partition().num_vars() as u32)
         .map(VarId)
-        .find(|&x| db.shard_of(x) != db.shard_of(a))
+        .find(|&x| db.partition().shard_of(x) != db.partition().shard_of(a))
         .expect("at least two shards own variables");
     let bump = |var| BatchOp::Affine { var, a: 1, c: 1 };
     (bump(a), bump(b))

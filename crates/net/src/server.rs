@@ -124,6 +124,17 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Capacity of the sampler's time-series ring (oldest points are evicted
+/// first): six minutes at the default one-second interval.
+const SAMPLE_RING: usize = 360;
+
+/// Ceiling on trace events delivered per second per subscriber. The
+/// subscription is a sampled observability stream, not a replication
+/// log: pacing the pump bounds the CPU the ops plane can take from the
+/// data plane on a saturated box, and the overflow shows up honestly in
+/// the in-stream dropped count.
+const SUBSCRIBER_RATE: usize = 10_000;
+
 /// Server configuration. `Default` is a volatile single-machine setup
 /// bound to an ephemeral localhost port.
 #[derive(Clone, Debug)]
@@ -172,19 +183,10 @@ pub struct ServerConfig {
     /// [`Metrics::diff`] into the time-series ring. `Duration::ZERO`
     /// disables the sampler (the true ops-off baseline).
     pub sample_interval: Duration,
-    /// Capacity of the sampler's time-series ring (oldest points are
-    /// evicted first).
-    pub sample_ring: usize,
     /// Capacity of each trace subscriber's ring. When a subscriber's
     /// connection cannot keep up, events beyond this bound are dropped
     /// and counted — never queued against the engine.
     pub subscriber_ring: usize,
-    /// Ceiling on events delivered per second per subscriber (0 =
-    /// unpaced). The subscription is a sampled observability stream,
-    /// not a replication log: pacing the pump bounds the CPU the ops
-    /// plane can take from the data plane on a saturated box, and the
-    /// overflow shows up honestly in the in-stream dropped count.
-    pub subscriber_rate: usize,
     /// Print a machine-parseable `stats ...` line on stdout at every
     /// sampler tick (the `--stats-interval` flag; off by default).
     pub stats_line: bool,
@@ -207,9 +209,7 @@ impl Default for ServerConfig {
             wait_valve: 24,
             metrics_addr: None,
             sample_interval: Duration::from_secs(1),
-            sample_ring: 360,
             subscriber_ring: 4096,
-            subscriber_rate: 10_000,
             stats_line: false,
         }
     }
@@ -1079,7 +1079,6 @@ struct Engine {
     /// Live trace subscriptions by owning connection.
     subs: HashMap<u64, Vec<SubEntry>>,
     subscriber_ring: usize,
-    subscriber_rate: usize,
     /// Global stop flag, shared with pump threads.
     stop: Arc<AtomicBool>,
     ops: Arc<OpsShared>,
@@ -1092,7 +1091,6 @@ struct Engine {
     prev_hist: Histogram,
     prev_wire_sheds: u64,
     series: VecDeque<SamplePoint>,
-    sample_ring: usize,
     stats_line: bool,
 }
 
@@ -1153,7 +1151,6 @@ impl Engine {
             started: now,
             subs: HashMap::new(),
             subscriber_ring: cfg.subscriber_ring.max(1),
-            subscriber_rate: cfg.subscriber_rate,
             stop,
             ops,
             queue_depth,
@@ -1164,7 +1161,6 @@ impl Engine {
             prev_hist: Histogram::new(),
             prev_wire_sheds: 0,
             series: VecDeque::new(),
-            sample_ring: cfg.sample_ring.max(1),
             stats_line: cfg.stats_line,
         };
         // The first sample point diffs against startup, not zero.
@@ -1592,7 +1588,8 @@ impl Engine {
     /// ask every shard for it a second time.
     fn snapshot(&mut self) -> (ServerStats, Histogram) {
         let metrics = self.db.metrics();
-        let hist = self.db.commit_latency_ticks();
+        let gauges = self.db.gauges(8);
+        let hist = gauges.commit_latency_ticks;
         let (subscribers, sub_dropped) = match self.db.trace_hub() {
             Some(hub) => (hub.subscriber_count() as u32, hub.subscribers_dropped()),
             None => (0, 0),
@@ -1618,9 +1615,8 @@ impl Engine {
             metrics,
             commit_p50_ticks: hist.quantile(0.5),
             commit_p99_ticks: hist.quantile(0.99),
-            top_contended: self
-                .db
-                .top_contended(8)
+            top_contended: gauges
+                .top_contended
                 .iter()
                 .map(|v| ContendedVar {
                     var: v.var.0,
@@ -1697,7 +1693,7 @@ impl Engine {
         self.prev_metrics = snap.metrics;
         self.prev_hist = hist;
         self.prev_wire_sheds = wire_sheds;
-        if self.series.len() >= self.sample_ring {
+        if self.series.len() >= SAMPLE_RING {
             self.series.pop_front();
         }
         self.series.push_back(point);
@@ -1769,11 +1765,10 @@ impl Engine {
         }
         self.respond(conn, req_id, &Response::Subscribed);
         let global_stop = Arc::clone(&self.stop);
-        let rate = self.subscriber_rate;
         let _ = self
             .threads
             .spawn(format!("ccopt-net-sub{hub_id}"), move || {
-                subscription_pump(sub, out, req_id, rate, stop, global_stop)
+                subscription_pump(sub, out, req_id, stop, global_stop)
             });
     }
 
@@ -1884,27 +1879,20 @@ impl Engine {
 /// one — the difference between an ops plane that perturbs a
 /// single-core box and one that does not.
 ///
-/// `rate` ([`ServerConfig::subscriber_rate`]) caps delivery: at most
-/// `rate / 100` lines per 10 ms round, the rest left to the ring's
-/// drop-and-count. Zero runs the pump unpaced.
+/// [`SUBSCRIBER_RATE`] caps delivery: at most a hundredth of it per
+/// 10 ms round, the rest left to the ring's drop-and-count.
 fn subscription_pump(
     sub: TraceSubscription,
     out: Arc<Outbox>,
     req_id: u64,
-    rate: usize,
     stop: Arc<AtomicBool>,
     global_stop: Arc<AtomicBool>,
 ) {
-    // Lines drained per unpaced round, and a payload cap keeping every
-    // frame well under `MAX_FRAME` even with maximum-length lines.
-    const ROUND_LINES: usize = 256;
+    // A payload cap keeping every frame well under `MAX_FRAME` even with
+    // maximum-length lines.
     const BATCH_BYTES: usize = 32 * 1024;
     const ROUND: Duration = Duration::from_millis(10);
-    let per_round = if rate == 0 {
-        ROUND_LINES
-    } else {
-        (rate / 100).max(1)
-    };
+    let per_round = SUBSCRIBER_RATE / 100;
     loop {
         if stop.load(Ordering::SeqCst) || global_stop.load(Ordering::SeqCst) {
             return;
@@ -1934,9 +1922,7 @@ fn subscription_pump(
         if !out.send(req_id, &last, false) {
             return; // connection gone
         }
-        if rate != 0 {
-            std::thread::sleep(ROUND);
-        }
+        std::thread::sleep(ROUND);
     }
 }
 

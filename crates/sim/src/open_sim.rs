@@ -180,8 +180,11 @@ pub struct OpenSimResult {
     pub latency: Summary,
     /// Restarts per commit.
     pub abort_rate: f64,
-    /// Dense-table capacity high-water mark: slots ever allocated. The
-    /// recycling claim is `peak_slots << committed`.
+    /// Dense-table capacity at the end of the run: slots ever allocated,
+    /// summed over the shards' current incarnations on sharded runs. A
+    /// table never shrinks, so without a supervised shard restart this
+    /// is the peak; a restarted shard's count starts again, and then it
+    /// is not. The recycling claim is `peak_slots << committed`.
     pub peak_slots: usize,
     /// Most sessions simultaneously open (running or commit-pending).
     pub peak_open_sessions: usize,
@@ -487,7 +490,7 @@ pub(crate) struct Closing {
     pub(crate) commit_latency_ticks: Histogram,
     pub(crate) top_contended: Vec<VarContention>,
     pub(crate) final_state: GlobalState,
-    /// Slots ever allocated — monotone, so the final value is the peak.
+    /// Slots ever allocated (see [`OpenSimResult::peak_slots`]).
     pub(crate) peak_slots: usize,
     pub(crate) recovery_replayed: u64,
 }

@@ -22,10 +22,9 @@
 //! see: wait cycles *across* shards (2PL lock cycles spanning shards, the
 //! serial token, SGT's commit-order gate). The driver therefore carries a
 //! **wait-bound restart valve**: a transaction that answers `Wait` more
-//! than [`wait_restart_after`](ShardSimConfig::wait_restart_after) times
-//! in a row is force-restarted ([`ShardedDb::restart`]) — the standard
-//! timeout resolution for distributed deadlock, always safe, and off on
-//! `S = 1` (where shard-local detectors are complete).
+//! than 24 times in a row is force-restarted ([`ShardedDb::restart`]) —
+//! the standard timeout resolution for distributed deadlock, always
+//! safe, and off on `S = 1` (where shard-local detectors are complete).
 //!
 //! The committed history is recorded in global sequence order with global
 //! commit points and global begin timestamps, so the ordinary
@@ -77,21 +76,21 @@ pub struct ShardSimConfig {
     /// Probability that an arriving transaction spans two shards (its
     /// commit then runs the two-phase protocol). Ignored on `shards = 1`.
     pub cross_ratio: f64,
-    /// Consecutive `Wait` answers before the driver force-restarts the
-    /// transaction (the distributed-deadlock valve). Only active on
-    /// `shards > 1`.
-    pub wait_restart_after: u32,
 }
+
+/// Consecutive `Wait` answers before the driver force-restarts the
+/// transaction (the distributed-deadlock valve). Only active on
+/// `shards > 1`.
+const WAIT_RESTART_AFTER: u32 = 24;
 
 impl ShardSimConfig {
     /// A sharded configuration over `base` with `shards` shards and the
-    /// given cross-shard ratio (valve at its default of 24).
+    /// given cross-shard ratio.
     pub fn new(base: OpenSimConfig, shards: usize, cross_ratio: f64) -> ShardSimConfig {
         ShardSimConfig {
             base,
             shards,
             cross_ratio,
-            wait_restart_after: 24,
         }
     }
 }
@@ -274,7 +273,7 @@ fn simulate_sharded_impl(
     // the database's own partition (shards that own no variables are
     // never a home or away shard).
     let shard_vars: Vec<Vec<VarId>> = (0..scfg.shards)
-        .map(|s| db.shard_vars(s).to_vec())
+        .map(|s| db.partition().shard_vars(s).to_vec())
         .collect();
     let nonempty = (0..scfg.shards)
         .filter(|&s| !shard_vars[s].is_empty())
@@ -366,7 +365,7 @@ impl Driver for ShardedDriver<'_> {
 
     fn wait_bound(&self) -> Option<u32> {
         // Off on one shard, where shard-local detectors are complete.
-        (self.scfg.shards > 1).then_some(self.scfg.wait_restart_after)
+        (self.scfg.shards > 1).then_some(WAIT_RESTART_AFTER)
     }
 
     fn committed_globals(&mut self) -> GlobalState {
@@ -384,7 +383,7 @@ impl Driver for ShardedDriver<'_> {
             if committed < at {
                 return true;
             }
-            if !db.shard_is_down(s) {
+            if !db.shard_statuses()[s].down {
                 db.panic_shard(s);
             }
             panicked = true;
@@ -436,12 +435,16 @@ impl Driver for ShardedDriver<'_> {
         if let Some(hub) = self.db.trace_hub() {
             hub.flush();
         }
+        // `globals` supervises a shard found dead; the gauges read after
+        // it, so they see what it restarted.
+        let final_state = self.db.globals();
+        let g = self.db.gauges(TOP_CONTENDED);
         Closing {
-            commit_latency_ticks: self.db.commit_latency_ticks(),
-            top_contended: self.db.top_contended(TOP_CONTENDED),
-            final_state: self.db.globals(),
-            peak_slots: self.db.num_slots(),
-            recovery_replayed: self.db.last_recovery_replayed().unwrap_or(0),
+            commit_latency_ticks: g.commit_latency_ticks,
+            top_contended: g.top_contended,
+            final_state,
+            peak_slots: g.num_slots,
+            recovery_replayed: g.last_recovery_replayed.unwrap_or(0),
         }
     }
 }

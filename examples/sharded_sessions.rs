@@ -49,14 +49,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a = VarId(0);
     let b = (1..16)
         .map(VarId)
-        .find(|&v| db.shard_of(v) != db.shard_of(a))
+        .find(|&v| db.partition().shard_of(v) != db.partition().shard_of(a))
         .expect("two shards own variables");
     println!(
         "16 variables over 4 shards; moving 30 from v{} (shard {}) to v{} (shard {})",
         a.0,
-        db.shard_of(a),
+        db.partition().shard_of(a),
         b.0,
-        db.shard_of(b)
+        db.partition().shard_of(b)
     );
 
     // A cross-shard transfer: commits atomically through two-phase commit.
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         db.globals().0[a.index()],
         b.0,
         db.globals().0[b.index()],
-        db.cross_shard_commits()
+        db.gauges(0).cross_shard_commits
     );
 
     // Crash the coordinator right after both shards voted yes but before

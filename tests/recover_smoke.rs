@@ -45,7 +45,7 @@ fn split_pair(db: &ShardedDb) -> (VarId, VarId) {
     let on = |shard| {
         (0..NUM_VARS as u32)
             .map(VarId)
-            .find(|&v| db.shard_of(v) == shard)
+            .find(|&v| db.partition().shard_of(v) == shard)
             .expect("both shards own variables")
     };
     (on(0), on(1))

@@ -36,7 +36,7 @@ type Program = (Option<usize>, Vec<BatchOp>);
 fn record_programs(db: &ShardedDb) -> Vec<Program> {
     let mut rng = SmallRng::seed_from_u64(0x5AAD_0002);
     let mut draw = |shard: usize| {
-        let vars = db.shard_vars(shard);
+        let vars = db.partition().shard_vars(shard);
         let var = vars[rng.gen_range(0..vars.len())];
         match rng.gen_range(0..3u32) {
             0 => BatchOp::Read(var),
@@ -213,7 +213,7 @@ fn replay(cc: CcKind, grouped: bool) -> (Vec<bool>, GlobalState, Metrics, usize)
             let _ = db.abort(st.h);
         }
     }
-    let cross = db.cross_shard_commits();
+    let cross = db.gauges(0).cross_shard_commits;
     (commits, db.globals(), db.metrics(), cross)
 }
 
@@ -265,7 +265,10 @@ fn cross_shard_two_phase_commit_and_abort_round_trip() {
         GlobalState::from_ints(&[0; NUM_VARS]),
         SHARDS,
     );
-    let (a, b) = (db.shard_vars(0)[0], db.shard_vars(1)[0]);
+    let (a, b) = (
+        db.partition().shard_vars(0)[0],
+        db.partition().shard_vars(1)[0],
+    );
     let read = |db: &mut ShardedDb, v: VarId| db.globals().0[v.index()];
 
     let write = |db: &mut ShardedDb, h, var, v| {
@@ -278,7 +281,7 @@ fn cross_shard_two_phase_commit_and_abort_round_trip() {
     assert_eq!(write(&mut db, h, b, 6), Ok(vec![Op::Done(Value::Int(0))]));
     assert_eq!(db.commit(h), Ok(Op::Done(())));
     db.retire(h).expect("committed");
-    assert_eq!(db.cross_shard_commits(), 1);
+    assert_eq!(db.gauges(0).cross_shard_commits, 1);
     assert_eq!(
         (read(&mut db, a), read(&mut db, b)),
         (Value::Int(5), Value::Int(6))
@@ -288,7 +291,7 @@ fn cross_shard_two_phase_commit_and_abort_round_trip() {
     assert_eq!(write(&mut db, h, a, 50), Ok(vec![Op::Done(Value::Int(5))]));
     assert_eq!(write(&mut db, h, b, 60), Ok(vec![Op::Done(Value::Int(6))]));
     db.abort(h).expect("running");
-    assert_eq!(db.cross_shard_commits(), 1);
+    assert_eq!(db.gauges(0).cross_shard_commits, 1);
     assert_eq!(
         (read(&mut db, a), read(&mut db, b)),
         (Value::Int(5), Value::Int(6))
