@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the core building blocks.
 
 use ccopt_engine::db::Database;
-use ccopt_engine::CcKind;
+use ccopt_engine::{CcKind, ConcurrencyControl};
 use ccopt_model::ids::TxnId;
 use ccopt_model::state::GlobalState;
 use ccopt_model::systems;

@@ -12,6 +12,7 @@
 //! `globals`, `cc_name`, `live_versions`, ...) come from the session layer
 //! through `Deref`.
 
+use crate::cc::Cc;
 use crate::metrics::Metrics;
 use crate::session::{Op, SessionDb, SessionStatus, Txn};
 use ccopt_model::ids::{StepId, TxnId};
@@ -68,11 +69,7 @@ impl Deref for Database {
 
 impl Database {
     /// Create a database over `sys` starting from `init`, using `cc`.
-    pub fn new(
-        sys: TransactionSystem,
-        cc: Box<dyn crate::cc::ConcurrencyControl>,
-        init: GlobalState,
-    ) -> Self {
+    pub fn new(sys: TransactionSystem, cc: Cc, init: GlobalState) -> Self {
         let format = sys.format();
         let mut session = SessionDb::with_capacity(cc, init, format.len());
         let progs = format
@@ -324,7 +321,7 @@ mod tests {
     fn strict_2pl_resolves_the_fig3_deadlock_by_abort() {
         let sys = systems::fig3_pair();
         let init = sys.space.initial_states[0].clone();
-        let mut db = Database::new(sys, Box::new(Strict2plCc::default()), init);
+        let mut db = Database::new(sys, Cc::Strict2pl(Strict2plCc::default()), init);
         // Interleave so both take their first lock: T1 x, T2 y, then cross.
         let _ = db.step(TxnId(0)); // T1: x
         let _ = db.step(TxnId(1)); // T2: y
@@ -342,7 +339,11 @@ mod tests {
     fn aborted_transaction_leaves_no_trace() {
         let sys = systems::fig3_pair();
         let init = sys.space.initial_states[0].clone();
-        let mut db = Database::new(sys.clone(), Box::new(Strict2plCc::default()), init.clone());
+        let mut db = Database::new(
+            sys.clone(),
+            Cc::Strict2pl(Strict2plCc::default()),
+            init.clone(),
+        );
         let _ = db.step(TxnId(0));
         let _ = db.step(TxnId(1));
         let _ = db.step(TxnId(0));
@@ -417,7 +418,7 @@ mod tests {
         // waits, never aborts, and its committed sum pins the old values.
         let sys = snapshot_pair();
         let init = sys.space.initial_states[0].clone();
-        let mut db = Database::new(sys, Box::new(MvtoCc::default()), init);
+        let mut db = Database::new(sys, Cc::Mvto(MvtoCc::default()), init);
         let reader = TxnId(0);
         let writer = TxnId(1);
         assert_eq!(db.step(reader), StepOutcome::Executed { committed: false }); // r(x) = 10
@@ -439,7 +440,7 @@ mod tests {
         // reader's lock — the contrast the multi-version store removes.
         let sys = snapshot_pair();
         let init = sys.space.initial_states[0].clone();
-        let mut db = Database::new(sys, Box::new(Strict2plCc::default()), init);
+        let mut db = Database::new(sys, Cc::Strict2pl(Strict2plCc::default()), init);
         assert_eq!(
             db.step(TxnId(0)),
             StepOutcome::Executed { committed: false }
@@ -485,7 +486,7 @@ mod tests {
         let sys = systems::hotspot(4, 3);
         let ids: Vec<TxnId> = (0..4u32).map(TxnId).collect();
         let init = GlobalState::from_ints(&[0]);
-        let mut db = Database::new(sys, Box::new(MvtoCc::default()), init);
+        let mut db = Database::new(sys, Cc::Mvto(MvtoCc::default()), init);
         db.run_round_robin(&ids, 10_000).expect("completes");
         assert_eq!(db.globals().get(VarId(0)), Some(Value::Int(12)));
         // Every committed writer installed a version; with no snapshot left
@@ -498,7 +499,7 @@ mod tests {
         let sys = systems::hotspot(2, 1);
         let db = Database::new(
             sys,
-            Box::new(SerialCc::default()),
+            Cc::Serial(SerialCc::default()),
             GlobalState::from_ints(&[0]),
         );
         assert_eq!(db.live_versions(), None);
@@ -508,7 +509,7 @@ mod tests {
     fn si_counts_write_write_aborts() {
         let sys = systems::hotspot(3, 2);
         let ids: Vec<TxnId> = (0..3u32).map(TxnId).collect();
-        let mut db = Database::new(sys, Box::new(SiCc::default()), GlobalState::from_ints(&[0]));
+        let mut db = Database::new(sys, Cc::Si(SiCc::default()), GlobalState::from_ints(&[0]));
         db.run_round_robin(&ids, 10_000).expect("completes");
         // First-committer-wins forces the concurrent updaters to retry; the
         // hotspot increments still all land.
@@ -521,7 +522,7 @@ mod tests {
     fn round_robin_reports_stall_with_tiny_budget() {
         let sys = systems::fig3_pair();
         let init = sys.space.initial_states[0].clone();
-        let mut db = Database::new(sys, Box::new(SerialCc::default()), init);
+        let mut db = Database::new(sys, Cc::Serial(SerialCc::default()), init);
         assert!(db.run_round_robin(&[TxnId(0), TxnId(1)], 0).is_none());
     }
 }

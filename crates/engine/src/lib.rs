@@ -12,8 +12,9 @@
 //! * [`storage`] — the single-version value store with undo support;
 //! * [`mvstore`] — the multi-version value store: per-variable version
 //!   chains with watermark-driven garbage collection;
-//! * [`cc`] — the [`ConcurrencyControl`] trait and
-//!   its implementations: global-token serial execution, strict 2PL with
+//! * [`cc`] — the [`ConcurrencyControl`] trait, [`Cc`] (the seven
+//!   mechanisms as one enum, what the engine holds) and the
+//!   implementations: global-token serial execution, strict 2PL with
 //!   deadlock-cycle victim abort, SGT (abort on serialization-graph cycle),
 //!   timestamp ordering (abort on late conflict), OCC with backward
 //!   validation, MVTO (multi-version timestamp ordering: snapshot reads,
@@ -59,7 +60,7 @@ pub mod session;
 pub mod shard;
 pub mod storage;
 
-pub use cc::{cc_by_name, CcConflict, CcDecision, CcKind, ConcurrencyControl, MECHANISM_NAMES};
+pub use cc::{cc_by_name, Cc, CcConflict, CcDecision, CcKind, ConcurrencyControl, MECHANISM_NAMES};
 pub use ccopt_durability as durability;
 pub use ccopt_durability::{DurabilityMode, StoreImage, WalError};
 pub use ccopt_trace as trace;

@@ -50,7 +50,7 @@
 //! fresh recycled slots. [`SessionDb::checkpoint`] compacts the log to a
 //! snapshot record.
 
-use crate::cc::{CcConflict, CcDecision, ConcurrencyControl};
+use crate::cc::{Cc, CcConflict, CcDecision, ConcurrencyControl};
 use crate::metrics::Metrics;
 use crate::mvstore::MvStore;
 use crate::storage::Storage;
@@ -226,9 +226,6 @@ pub enum SessionError {
     /// fate belongs to the coordinator's resolve; no operation, commit
     /// or client abort may touch it meanwhile.
     Prepared,
-    /// A two-phase-commit resolve needs a prepared transaction; this one
-    /// never voted.
-    NotPrepared,
     /// The shard that owned this transaction's state crashed (a worker
     /// panic — typically the fail-stop reaction to an unretryable log
     /// fault) and its in-flight work was failed by the supervisor while
@@ -247,7 +244,6 @@ impl fmt::Display for SessionError {
             SessionError::Prepared => {
                 write!(f, "the transaction is prepared: awaiting the 2PC decision")
             }
-            SessionError::NotPrepared => write!(f, "the transaction is not prepared"),
             SessionError::ShardDown => {
                 write!(
                     f,
@@ -259,6 +255,12 @@ impl fmt::Display for SessionError {
 }
 
 impl std::error::Error for SessionError {}
+
+/// A two-phase-commit resolve named a transaction that is not prepared
+/// ([`SessionDb::resolve_commit`]): an invariant of the sharded
+/// coordinator broke. Crate-internal; no client can cause it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct NotPrepared;
 
 /// Concurrency outcome of one session operation.
 #[must_use = "an Op not inspected loses waits and restarts"]
@@ -346,7 +348,7 @@ impl VarContention {
 /// tables stay sized to the *concurrency level*, not the stream length.
 pub struct SessionDb {
     store: Store,
-    cc: Box<dyn ConcurrencyControl>,
+    cc: Cc,
     slots: Vec<Slot>,
     /// Slots ready for reuse.
     free: Vec<u32>,
@@ -392,18 +394,14 @@ pub struct SessionDb {
 
 impl SessionDb {
     /// Create a session database over the variables of `init`, using `cc`.
-    pub fn new(cc: Box<dyn ConcurrencyControl>, init: GlobalState) -> Self {
+    pub fn new(cc: Cc, init: GlobalState) -> Self {
         Self::with_capacity(cc, init, 0)
     }
 
     /// Like [`new`](Self::new), pre-sizing the concurrency-control tables
     /// for `expected_txns` simultaneously open sessions (an optimization:
     /// the tables also grow on demand).
-    pub fn with_capacity(
-        cc: Box<dyn ConcurrencyControl>,
-        init: GlobalState,
-        expected_txns: usize,
-    ) -> Self {
+    pub fn with_capacity(cc: Cc, init: GlobalState, expected_txns: usize) -> Self {
         let multiversion = cc.multiversion();
         let store = if multiversion {
             Store::Multi(MvStore::new(init))
@@ -413,7 +411,7 @@ impl SessionDb {
         Self::build(cc, store, expected_txns)
     }
 
-    fn build(mut cc: Box<dyn ConcurrencyControl>, store: Store, expected_txns: usize) -> Self {
+    fn build(mut cc: Cc, store: Store, expected_txns: usize) -> Self {
         let num_vars = match &store {
             Store::Single(s) => s.len(),
             Store::Multi(mv) => mv.num_vars(),
@@ -468,7 +466,7 @@ impl SessionDb {
     /// `Group` mode, acknowledged-but-unflushed commits are lost, exactly
     /// as a power failure would lose them.
     pub fn open(
-        cc: Box<dyn ConcurrencyControl>,
+        cc: Cc,
         init: GlobalState,
         path: impl AsRef<Path>,
         mode: DurabilityMode,
@@ -479,7 +477,7 @@ impl SessionDb {
     /// [`open`](Self::open) with pre-sized concurrency-control tables
     /// (the durable analogue of [`with_capacity`](Self::with_capacity)).
     pub fn open_with_capacity(
-        cc: Box<dyn ConcurrencyControl>,
+        cc: Cc,
         init: GlobalState,
         path: impl AsRef<Path>,
         mode: DurabilityMode,
@@ -512,7 +510,7 @@ impl SessionDb {
     /// recovered decisions — the consultation that makes cross-shard
     /// commits atomic across crashes (`docs/SHARDING.md`).
     pub(crate) fn from_recovered(
-        mut cc: Box<dyn ConcurrencyControl>,
+        mut cc: Cc,
         init: GlobalState,
         path: &Path,
         mode: DurabilityMode,
@@ -731,6 +729,7 @@ impl SessionDb {
     /// Open a new transaction: recycle a free dense slot (or grow the
     /// table), register the first attempt with the concurrency control and
     /// return the epoch-guarded handle.
+    #[inline]
     pub fn begin(&mut self) -> Txn {
         self.begin_impl(None)
     }
@@ -792,6 +791,7 @@ impl SessionDb {
     // ----------------------------------------------------------- operations
 
     /// Observe `var` (a pure read).
+    #[inline]
     pub fn read(&mut self, h: Txn, var: VarId) -> Result<Op<Value>, SessionError> {
         self.apply(h, var, StepKind::Read, |v| v)
     }
@@ -804,6 +804,7 @@ impl SessionDb {
 
     /// Read-modify-write `var` through `f`, atomically with respect to the
     /// concurrency control (one `Update` access).
+    #[inline]
     pub fn update(
         &mut self,
         h: Txn,
@@ -823,6 +824,7 @@ impl SessionDb {
     /// Reads see the transaction's own buffered writes first when the
     /// mechanism defers writes; multi-version reads address the snapshot
     /// the CC assigned at begin.
+    #[inline]
     pub fn apply(
         &mut self,
         h: Txn,
@@ -917,6 +919,7 @@ impl SessionDb {
     /// Panics when the write-ahead log fails at the I/O layer: an
     /// in-memory database that cannot reach its log can no longer honor
     /// the durability contract it was opened with.
+    #[inline]
     pub fn commit(&mut self, h: Txn) -> Result<Op<()>, SessionError> {
         let ti = self.running(h)?;
         Ok(self.decide(ti).map_done(|cts| {
@@ -974,6 +977,11 @@ impl SessionDb {
     /// leave it buffered: if a crash loses it, their recovery re-derives
     /// the decision from the coordinator's log.
     ///
+    /// Only the sharded coordinator resolves, and only a sub-transaction
+    /// it saw vote yes: a handle that is not prepared (stale, running or
+    /// committed) is a coordinator bug, which debug builds assert and
+    /// release builds answer with [`NotPrepared`], touching nothing.
+    ///
     /// # Panics
     /// Panics when the write-ahead log fails at the I/O layer.
     pub(crate) fn resolve_commit(
@@ -981,14 +989,11 @@ impl SessionDb {
         h: Txn,
         commit: bool,
         force_sync: bool,
-    ) -> Result<(), SessionError> {
-        let ti = self.slot_of(h)?;
-        match self.slots[ti].status {
-            Status::Prepared => {}
-            Status::Running => return Err(SessionError::NotPrepared),
-            Status::Committed => return Err(SessionError::AlreadyCommitted),
-            Status::Free => unreachable!("stale handles were rejected"),
-        }
+    ) -> Result<(), NotPrepared> {
+        let ti = self.slot_of(h).ok();
+        let ti = ti.filter(|&ti| self.slots[ti].status == Status::Prepared);
+        debug_assert!(ti.is_some(), "a 2PC resolve names a prepared transaction");
+        let ti = ti.ok_or(NotPrepared)?;
         let gtid = self.slots[ti].gtid;
         self.tracer
             .emit(self.tick, EventKind::Resolve { gtid, commit });
@@ -1015,6 +1020,7 @@ impl SessionDb {
     /// Client-initiated abort: roll the running transaction back, notify
     /// the concurrency control, and retire the slot (every handle to this
     /// session goes stale).
+    #[inline]
     pub fn abort(&mut self, h: Txn) -> Result<(), SessionError> {
         let ti = self.running(h)?;
         if let Some(wal) = &mut self.wal {
@@ -1041,6 +1047,7 @@ impl SessionDb {
     /// Retire a committed session: bump the slot epoch (stale-ing every
     /// handle) and hand the dense slot back for recycling — immediately,
     /// or deferred until the concurrency control can forget it.
+    #[inline]
     pub fn retire(&mut self, h: Txn) -> Result<(), SessionError> {
         let ti = self.slot_of(h)?;
         match self.slots[ti].status {
@@ -1231,8 +1238,10 @@ impl SessionDb {
 
     /// Book a concurrency-control Wait decision: counters, contention on
     /// the attributed `var` (a step wait's own variable; a commit wait's,
-    /// when the mechanism named one) and the trace event, the only part
-    /// that reads the attribution back here.
+    /// when the mechanism named one) and, when tracing, the trace event,
+    /// the only part that reads the attribution back here. The counters
+    /// stay inline on the wait path; the emission is out of line.
+    #[inline]
     fn note_wait(&mut self, ti: usize, var: Option<VarId>) {
         self.metrics.waits += 1;
         self.slots[ti].waits += 1;
@@ -1240,18 +1249,7 @@ impl SessionDb {
             *slot += 1;
         }
         if self.tracer.is_on() {
-            let (rule, var, opponent) = self.conflict_parts(self.cc.last_conflict());
-            let gsn = self.slots[ti].gsn;
-            let tick = self.tick;
-            self.tracer.emit(
-                tick,
-                EventKind::Wait {
-                    txn: gsn,
-                    rule,
-                    var,
-                    opponent,
-                },
-            );
+            self.trace_decision(ti, self.cc.last_conflict(), CcDecision::Wait);
         }
     }
 
@@ -1268,27 +1266,18 @@ impl SessionDb {
             }
         }
         if self.tracer.is_on() {
-            let (rule, var, opponent) = self.conflict_parts(c);
-            let gsn = self.slots[ti].gsn;
-            let tick = self.tick;
-            self.tracer.emit(
-                tick,
-                EventKind::Abort {
-                    txn: gsn,
-                    rule,
-                    var,
-                    opponent,
-                },
-            );
+            self.trace_decision(ti, c, CcDecision::Abort);
         }
     }
 
-    /// Translate a mechanism conflict into event fields: the opponent's
-    /// dense slot becomes its global sequence number (exact while the
-    /// opponent's slot is un-recycled — always true at the moment of the
-    /// decision).
-    fn conflict_parts(&self, c: Option<CcConflict>) -> (ConflictRule, Option<u32>, Option<u64>) {
-        match c {
+    /// Emit the trace event of a Wait or Abort `decision` attributed to
+    /// `c`. The opponent's dense slot becomes its global sequence number
+    /// (exact while the opponent's slot is un-recycled — always true at
+    /// the moment of the decision). Only a traced run gets here.
+    #[cold]
+    #[inline(never)]
+    fn trace_decision(&mut self, ti: usize, c: Option<CcConflict>, decision: CcDecision) {
+        let (rule, var, opponent) = match c {
             None => (ConflictRule::Unattributed, None, None),
             Some(c) => (
                 c.rule,
@@ -1296,11 +1285,28 @@ impl SessionDb {
                 c.opponent
                     .and_then(|o| self.slots.get(o.index()).map(|sl| sl.gsn)),
             ),
-        }
+        };
+        let txn = self.slots[ti].gsn;
+        let ev = match decision {
+            CcDecision::Wait => EventKind::Wait {
+                txn,
+                rule,
+                var,
+                opponent,
+            },
+            _ => EventKind::Abort {
+                txn,
+                rule,
+                var,
+                opponent,
+            },
+        };
+        self.tracer.emit(self.tick, ev);
     }
 
     // ------------------------------------------------------------ internals
 
+    #[inline]
     fn slot_of(&self, h: Txn) -> Result<usize, SessionError> {
         match self.slots.get(h.slot as usize) {
             Some(sl) if sl.epoch == h.epoch => Ok(h.slot as usize),
@@ -1308,6 +1314,7 @@ impl SessionDb {
         }
     }
 
+    #[inline]
     fn running(&self, h: Txn) -> Result<usize, SessionError> {
         let ti = self.slot_of(h)?;
         match self.slots[ti].status {
@@ -1571,7 +1578,7 @@ mod tests {
 
     fn db_2pl(init: &[i64]) -> SessionDb {
         SessionDb::new(
-            Box::new(Strict2plCc::default()),
+            Cc::Strict2pl(Strict2plCc::default()),
             GlobalState::from_ints(init),
         )
     }
@@ -1685,10 +1692,7 @@ mod tests {
 
     #[test]
     fn mv_stream_stays_gc_bounded() {
-        for cc in [
-            Box::new(MvtoCc::default()) as Box<dyn ConcurrencyControl>,
-            Box::new(SiCc::default()),
-        ] {
+        for cc in [Cc::Mvto(MvtoCc::default()), Cc::Si(SiCc::default())] {
             let mut db = SessionDb::new(cc, GlobalState::from_ints(&[0, 0]));
             for i in 0..200 {
                 bump(&mut db, v(i % 2));
@@ -1706,7 +1710,7 @@ mod tests {
 
     #[test]
     fn sgt_pins_retired_slots_until_predecessors_finish() {
-        let mut db = SessionDb::new(Box::new(SgtCc::default()), GlobalState::from_ints(&[0, 1]));
+        let mut db = SessionDb::new(Cc::Sgt(SgtCc::default()), GlobalState::from_ints(&[0, 1]));
         let reader = db.begin();
         let writer = db.begin();
         assert_eq!(db.read(reader, v(0)).unwrap(), Op::Done(int(0)));
@@ -1735,7 +1739,7 @@ mod tests {
         let path = ccopt_durability::scratch_path("session-strict");
         {
             let mut db = SessionDb::open(
-                Box::new(Strict2plCc::default()),
+                Cc::Strict2pl(Strict2plCc::default()),
                 GlobalState::from_ints(&[0, 0]),
                 &path,
                 DurabilityMode::Strict,
@@ -1749,7 +1753,7 @@ mod tests {
             assert!(db.metrics.wal_records > 0 && db.metrics.wal_bytes > 0);
         } // crash
         let mut db = SessionDb::open(
-            Box::new(Strict2plCc::default()),
+            Cc::Strict2pl(Strict2plCc::default()),
             GlobalState::from_ints(&[0, 0]),
             &path,
             DurabilityMode::Strict,
@@ -1774,7 +1778,7 @@ mod tests {
         };
         {
             let mut db = SessionDb::open(
-                Box::new(Strict2plCc::default()),
+                Cc::Strict2pl(Strict2plCc::default()),
                 GlobalState::from_ints(&[0]),
                 &path,
                 mode,
@@ -1789,7 +1793,7 @@ mod tests {
             assert_eq!(db.metrics.diff(&before).wal_syncs, 2);
         } // crash with 2 acknowledged commits still buffered
         let db = SessionDb::open(
-            Box::new(Strict2plCc::default()),
+            Cc::Strict2pl(Strict2plCc::default()),
             GlobalState::from_ints(&[0]),
             &path,
             mode,
@@ -1805,7 +1809,7 @@ mod tests {
         let path = ccopt_durability::scratch_path("session-sync");
         {
             let mut db = SessionDb::open(
-                Box::new(Strict2plCc::default()),
+                Cc::Strict2pl(Strict2plCc::default()),
                 GlobalState::from_ints(&[0]),
                 &path,
                 DurabilityMode::group(64),
@@ -1817,7 +1821,7 @@ mod tests {
             db.sync().unwrap(); // graceful shutdown
         }
         let db = SessionDb::open(
-            Box::new(Strict2plCc::default()),
+            Cc::Strict2pl(Strict2plCc::default()),
             GlobalState::from_ints(&[0]),
             &path,
             DurabilityMode::group(64),
@@ -1830,11 +1834,9 @@ mod tests {
 
     #[test]
     fn recovered_mv_streams_resume_above_the_recovered_history() {
-        for cc in [
-            (|| Box::new(MvtoCc::default()) as Box<dyn ConcurrencyControl>)
-                as fn() -> Box<dyn ConcurrencyControl>,
-            || Box::new(SiCc::default()),
-        ] {
+        for cc in [(|| Cc::Mvto(MvtoCc::default())) as fn() -> Cc, || {
+            Cc::Si(SiCc::default())
+        }] {
             let path = ccopt_durability::scratch_path("session-mv");
             {
                 let mut db = SessionDb::open(
@@ -1883,7 +1885,7 @@ mod tests {
         let path = ccopt_durability::scratch_path("session-ckpt");
         {
             let mut db = SessionDb::open(
-                Box::new(MvtoCc::default()),
+                Cc::Mvto(MvtoCc::default()),
                 GlobalState::from_ints(&[0]),
                 &path,
                 DurabilityMode::Strict,
@@ -1902,7 +1904,7 @@ mod tests {
             bump(&mut db, v(0)); // one commit on top of the checkpoint
         }
         let db = SessionDb::open(
-            Box::new(MvtoCc::default()),
+            Cc::Mvto(MvtoCc::default()),
             GlobalState::from_ints(&[0]),
             &path,
             DurabilityMode::Strict,
@@ -1919,7 +1921,7 @@ mod tests {
         let path = ccopt_durability::scratch_path("session-live");
         {
             let mut db = SessionDb::open(
-                Box::new(Strict2plCc::default()),
+                Cc::Strict2pl(Strict2plCc::default()),
                 GlobalState::from_ints(&[7, 7]),
                 &path,
                 DurabilityMode::Strict,
@@ -1934,7 +1936,7 @@ mod tests {
             db.checkpoint().unwrap();
         } // crash with the writer still running
         let db = SessionDb::open(
-            Box::new(Strict2plCc::default()),
+            Cc::Strict2pl(Strict2plCc::default()),
             GlobalState::from_ints(&[7, 7]),
             &path,
             DurabilityMode::Strict,
@@ -1948,7 +1950,7 @@ mod tests {
     fn durability_mode_none_is_plain_in_memory() {
         let path = ccopt_durability::scratch_path("session-none");
         let mut db = SessionDb::open(
-            Box::new(Strict2plCc::default()),
+            Cc::Strict2pl(Strict2plCc::default()),
             GlobalState::from_ints(&[0]),
             &path,
             DurabilityMode::None,
@@ -1968,7 +1970,7 @@ mod tests {
         let path = ccopt_durability::scratch_path("session-shape");
         {
             let mut db = SessionDb::open(
-                Box::new(Strict2plCc::default()),
+                Cc::Strict2pl(Strict2plCc::default()),
                 GlobalState::from_ints(&[0, 0]),
                 &path,
                 DurabilityMode::Strict,
@@ -1979,7 +1981,7 @@ mod tests {
         // Wrong store kind.
         assert!(matches!(
             SessionDb::open(
-                Box::new(MvtoCc::default()),
+                Cc::Mvto(MvtoCc::default()),
                 GlobalState::from_ints(&[0, 0]),
                 &path,
                 DurabilityMode::Strict,
@@ -1989,7 +1991,7 @@ mod tests {
         // Wrong arity.
         assert!(matches!(
             SessionDb::open(
-                Box::new(Strict2plCc::default()),
+                Cc::Strict2pl(Strict2plCc::default()),
                 GlobalState::from_ints(&[0, 0, 0]),
                 &path,
                 DurabilityMode::Strict,
@@ -2005,7 +2007,7 @@ mod tests {
         // than every retired predecessor: the late-write abort rule keeps
         // holding with recycled ids.
         let mut db = SessionDb::new(
-            Box::new(TimestampCc::default()),
+            Cc::Timestamp(TimestampCc::default()),
             GlobalState::from_ints(&[0]),
         );
         let before = db.metrics.snapshot();

@@ -30,8 +30,23 @@ pub(super) struct Inject {
     dead: bool,
     /// 2PC job index (votes, coordinator resolve, participant resolves,
     /// counted from arming) replaced with a panic.
+    #[cfg(test)]
     panic_at_2pc_job: Option<u64>,
+    #[cfg(test)]
     twopc_jobs: u64,
+}
+
+#[cfg(test)]
+impl Inject {
+    /// The position, in a round of `jobs` two-phase-commit jobs, of the
+    /// one the scripted panic replaces, if it falls in this round; counts
+    /// the round's jobs.
+    fn bomb(&mut self, jobs: usize) -> Option<usize> {
+        let n = self.panic_at_2pc_job?;
+        let at = n.checked_sub(self.twopc_jobs).filter(|&k| k < jobs as u64);
+        self.twopc_jobs += jobs as u64;
+        at.map(|k| k as usize)
+    }
 }
 
 /// Kill a shard's log: it silently drops every later record.
@@ -55,7 +70,7 @@ impl ShardedDb {
     where
         F: FnOnce(&mut SessionDb) -> R,
     {
-        let (inject, mut kill_before, mut bomb) = (&mut self.inject, None, None);
+        let (inject, mut kill_before) = (&mut self.inject, None);
         for i in 0..jobs.len() {
             if durable {
                 let spent = inject
@@ -67,13 +82,12 @@ impl ShardedDb {
                 }
                 inject.twopc_actions += 1;
             }
-            if let Some(n) = inject.panic_at_2pc_job {
-                if inject.twopc_jobs == n {
-                    bomb = Some(i);
-                }
-                inject.twopc_jobs += 1;
-            }
         }
+        // Only a test can script a panic (`panic_after_2pc_jobs`).
+        #[cfg(test)]
+        let bomb = inject.bomb(jobs.len());
+        #[cfg(not(test))]
+        let bomb: Option<usize> = None;
         if kill_before.is_some() {
             let idle = (0..self.workers.len()).filter(|&s| jobs.iter().all(|&(t, _)| t != s));
             gather(&self.workers, None, idle.map(|s| (s, kill_log)));

@@ -91,7 +91,7 @@ pub use jobs::{affine_eval, BatchOp, GroupReq, GroupResp};
 pub use partition::Partition;
 pub use supervise::ShardStatus;
 
-use crate::cc::{CcKind, ConcurrencyControl};
+use crate::cc::{Cc, CcKind, ConcurrencyControl};
 use crate::metrics::Metrics;
 use crate::session::{SessionDb, SessionError, Txn, VarContention};
 use ccopt_durability::recovery::{self, Recovered};
@@ -108,7 +108,7 @@ use std::sync::Arc;
 
 /// One shard's concurrency control: a fresh instance of `kind`, in
 /// commit-order mode whenever the database has more than one shard.
-fn shard_cc(kind: CcKind, shards: usize) -> Box<dyn ConcurrencyControl> {
+fn shard_cc(kind: CcKind, shards: usize) -> Cc {
     let mut cc = kind.build();
     if shards > 1 {
         cc.enable_commit_order();

@@ -7,9 +7,9 @@
 //! table ([`SessionDb::contention`]), and the flight-recorder event the
 //! decision emitted.
 
-use ccopt_engine::cc::{MvtoCc, OccCc, SerialCc, SgtCc, SiCc, Strict2plCc, TimestampCc};
+use ccopt_engine::cc::{Cc, MvtoCc, OccCc, SerialCc, SgtCc, SiCc, Strict2plCc, TimestampCc};
 use ccopt_engine::trace::EventKind;
-use ccopt_engine::{ConcurrencyControl, ConflictRule, Op, SessionDb, TraceConfig, TraceHub};
+use ccopt_engine::{ConflictRule, Op, SessionDb, TraceConfig, TraceHub};
 use ccopt_model::{GlobalState, Value, VarId};
 
 fn v(i: u32) -> VarId {
@@ -22,7 +22,7 @@ fn int(i: i64) -> Value {
 
 /// A traced database over `init` integers: the ring captures every
 /// lifecycle event for the assertions below.
-fn traced_db(cc: Box<dyn ConcurrencyControl>, init: &[i64]) -> (SessionDb, TraceHub) {
+fn traced_db(cc: Cc, init: &[i64]) -> (SessionDb, TraceHub) {
     let hub = TraceHub::new(&TraceConfig::ring(256)).expect("ring-only hub");
     let mut db = SessionDb::new(cc, GlobalState::from_ints(init));
     db.set_tracer(hub.tracer(0));
@@ -67,7 +67,7 @@ fn waits(hub: &TraceHub) -> Vec<(u64, ConflictRule, Option<u32>, Option<u64>)> {
 
 #[test]
 fn serial_attributes_lock_wait_and_never_aborts() {
-    let (mut db, hub) = traced_db(Box::new(SerialCc::default()), &[0, 0]);
+    let (mut db, hub) = traced_db(Cc::Serial(SerialCc::default()), &[0, 0]);
     let t1 = db.begin(); // gsn 0: takes the token at its first step
     let t2 = db.begin(); // gsn 1
     assert_eq!(db.write(t1, v(0), int(1)), Ok(Op::Done(int(0))));
@@ -89,7 +89,7 @@ fn serial_attributes_lock_wait_and_never_aborts() {
 
 #[test]
 fn two_pl_attributes_deadlock_victim_variable_and_opponent() {
-    let (mut db, hub) = traced_db(Box::new(Strict2plCc::default()), &[0, 0]);
+    let (mut db, hub) = traced_db(Cc::Strict2pl(Strict2plCc::default()), &[0, 0]);
     let t1 = db.begin(); // gsn 0
     let t2 = db.begin(); // gsn 1
     assert_eq!(db.write(t1, v(0), int(1)), Ok(Op::Done(int(0))));
@@ -115,7 +115,7 @@ fn two_pl_attributes_deadlock_victim_variable_and_opponent() {
 
 #[test]
 fn sgt_attributes_the_cycle_closing_variable() {
-    let (mut db, hub) = traced_db(Box::new(SgtCc::default()), &[0, 0]);
+    let (mut db, hub) = traced_db(Cc::Sgt(SgtCc::default()), &[0, 0]);
     let t1 = db.begin(); // gsn 0
     let t2 = db.begin(); // gsn 1
     assert_eq!(db.read(t1, v(0)), Ok(Op::Done(int(0)))); // edge source
@@ -134,7 +134,7 @@ fn sgt_attributes_the_cycle_closing_variable() {
 
 #[test]
 fn timestamp_attributes_late_reads_and_late_writes() {
-    let (mut db, hub) = traced_db(Box::new(TimestampCc::default()), &[0, 0]);
+    let (mut db, hub) = traced_db(Cc::Timestamp(TimestampCc::default()), &[0, 0]);
     // A younger writer commits var 0 first: the older reader is too late.
     let t1 = db.begin(); // gsn 0, ts 1
     let t2 = db.begin(); // gsn 1, ts 2
@@ -165,7 +165,7 @@ fn timestamp_attributes_late_reads_and_late_writes() {
 
 #[test]
 fn occ_attributes_validation_to_the_intersecting_committer() {
-    let (mut db, hub) = traced_db(Box::new(OccCc::default()), &[0, 0]);
+    let (mut db, hub) = traced_db(Cc::Occ(OccCc::default()), &[0, 0]);
     let t1 = db.begin(); // gsn 0
     assert_eq!(db.read(t1, v(0)), Ok(Op::Done(int(0))));
     let t2 = db.begin(); // gsn 1
@@ -185,7 +185,7 @@ fn occ_attributes_validation_to_the_intersecting_committer() {
 
 #[test]
 fn mvto_attributes_late_writes_and_pending_write_waits() {
-    let (mut db, hub) = traced_db(Box::new(MvtoCc::default()), &[0, 0]);
+    let (mut db, hub) = traced_db(Cc::Mvto(MvtoCc::default()), &[0, 0]);
     // A younger transaction commits a version of var 0; an older write
     // can no longer be installed below it.
     let t1 = db.begin(); // gsn 0, ts 1
@@ -216,7 +216,7 @@ fn mvto_attributes_late_writes_and_pending_write_waits() {
 
 #[test]
 fn si_attributes_first_updater_at_the_write_step() {
-    let (mut db, hub) = traced_db(Box::new(SiCc::default()), &[0]);
+    let (mut db, hub) = traced_db(Cc::Si(SiCc::default()), &[0]);
     let t1 = db.begin(); // gsn 0, snapshot 0
     let t2 = db.begin(); // gsn 1, snapshot 0
     assert_eq!(db.write(t2, v(0), int(1)), Ok(Op::Done(int(0))));
@@ -235,7 +235,7 @@ fn si_attributes_first_updater_at_the_write_step() {
 
 #[test]
 fn si_attributes_first_committer_at_commit() {
-    let (mut db, hub) = traced_db(Box::new(SiCc::default()), &[0]);
+    let (mut db, hub) = traced_db(Cc::Si(SiCc::default()), &[0]);
     let t1 = db.begin(); // gsn 0
     let t2 = db.begin(); // gsn 1
                          // Both buffer a write on var 0 (SI defers writes, so neither step
@@ -257,7 +257,7 @@ fn si_attributes_first_committer_at_commit() {
 fn attribution_rows_sum_to_the_abort_counter() {
     // Drive a contended 2PL workload and check the ledger invariant the
     // sim reports rely on: per-rule rows account for every abort.
-    let (mut db, _hub) = traced_db(Box::new(Strict2plCc::default()), &[0, 0, 0]);
+    let (mut db, _hub) = traced_db(Cc::Strict2pl(Strict2plCc::default()), &[0, 0, 0]);
     let mut handles = Vec::new();
     for _ in 0..3 {
         handles.push(db.begin());

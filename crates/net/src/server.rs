@@ -1829,8 +1829,7 @@ impl Engine {
             }
             SessionError::AlreadyCommitted
             | SessionError::StillRunning
-            | SessionError::Prepared
-            | SessionError::NotPrepared => Response::Err {
+            | SessionError::Prepared => Response::Err {
                 code: ErrCode::BadState,
                 msg: e.to_string(),
             },

@@ -17,7 +17,7 @@
 
 use ccopt_core::info::InfoLevel;
 use ccopt_core::scheduler::OnlineScheduler;
-use ccopt_engine::{CcDecision, CcKind, ConcurrencyControl};
+use ccopt_engine::{Cc, CcDecision, CcKind, ConcurrencyControl};
 use ccopt_model::ids::StepId;
 use ccopt_model::syntax::Syntax;
 
@@ -34,7 +34,7 @@ enum Offer {
 pub struct EngineScheduler {
     kind: CcKind,
     syntax: Syntax,
-    cc: Box<dyn ConcurrencyControl>,
+    cc: Cc,
     /// Monotone clock handed to `begin` and `on_commit`.
     tick: u64,
     /// Per transaction: steps granted so far.

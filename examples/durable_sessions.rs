@@ -13,7 +13,7 @@
 //! commit offers in exchange for one fsync per batch instead of one per
 //! commit.
 
-use ccopt::engine::cc::{MvtoCc, Strict2plCc};
+use ccopt::engine::cc::{Cc, MvtoCc, Strict2plCc};
 use ccopt::engine::durability::scratch_path;
 use ccopt::engine::session::{Op, SessionDb};
 use ccopt::engine::DurabilityMode;
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("== strict durability: every commit fsynced ==");
     {
         let mut db = SessionDb::open(
-            Box::new(Strict2plCc::default()),
+            Cc::Strict2pl(Strict2plCc::default()),
             init.clone(),
             &path,
             DurabilityMode::Strict,
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         // durable database dying here is exactly a power failure.
     }
     let mut db = SessionDb::open(
-        Box::new(Strict2plCc::default()),
+        Cc::Strict2pl(Strict2plCc::default()),
         init.clone(),
         &path,
         DurabilityMode::Strict,
@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let gpath = scratch_path("durable-sessions-group");
     {
         let mut db = SessionDb::open(
-            Box::new(MvtoCc::default()),
+            Cc::Mvto(MvtoCc::default()),
             init.clone(),
             &gpath,
             DurabilityMode::group(8),
@@ -106,7 +106,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         // CRASH with up to one batch of acknowledged commits buffered.
     }
     let db = SessionDb::open(
-        Box::new(MvtoCc::default()),
+        Cc::Mvto(MvtoCc::default()),
         init,
         &gpath,
         DurabilityMode::group(8),

@@ -14,7 +14,7 @@
 //! Session errors implement `std::error::Error`, so the example threads
 //! them with `?` instead of unwrapping.
 
-use ccopt::engine::cc::{MvtoCc, Strict2plCc};
+use ccopt::engine::cc::{Cc, MvtoCc, Strict2plCc};
 use ccopt::engine::session::{Op, SessionDb, SessionError, Txn};
 use ccopt::model::ids::VarId;
 use ccopt::model::state::GlobalState;
@@ -44,7 +44,7 @@ fn transfer(
 fn main() -> Result<(), Box<dyn Error>> {
     println!("== the session lifecycle (strict 2PL) ==");
     let mut db = SessionDb::new(
-        Box::new(Strict2plCc::default()),
+        Cc::Strict2pl(Strict2plCc::default()),
         GlobalState::from_ints(&[100, 50]),
     );
     let (a, b) = (VarId(0), VarId(1));
@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("both eventually commit: {}", db.globals());
 
     println!("\n== an unbounded MVTO stream stays bounded ==");
-    let mut db = SessionDb::new(Box::new(MvtoCc::default()), GlobalState::from_ints(&[0, 0]));
+    let mut db = SessionDb::new(Cc::Mvto(MvtoCc::default()), GlobalState::from_ints(&[0, 0]));
     for i in 0..1000u32 {
         let h = db.begin();
         let var = VarId(i % 2);

@@ -14,7 +14,7 @@
 //! `(1, 1)`. Run concurrently under SI, both transactions read the initial
 //! snapshot and commit `(1, 0)` — a state no serial execution reaches.
 
-use ccopt::engine::cc::{ConcurrencyControl, MvtoCc, SgtCc, SiCc, Strict2plCc};
+use ccopt::engine::cc::{Cc, ConcurrencyControl, MvtoCc, SgtCc, SiCc, Strict2plCc};
 use ccopt::engine::db::Database;
 use ccopt::model::expr::Expr;
 use ccopt::model::ic::TrueIc;
@@ -54,7 +54,7 @@ fn serial_states() -> [GlobalState; 2] {
 
 /// Drive the crossing interleaving: both transactions read before either
 /// writes. Returns the final state once everything committed.
-fn run_crossed(cc: Box<dyn ConcurrencyControl>) -> (GlobalState, usize) {
+fn run_crossed(cc: Cc) -> (GlobalState, usize) {
     let sys = skew_pair();
     let init = sys.space.initial_states[0].clone();
     let mut db = Database::new(sys, cc, init);
@@ -71,7 +71,7 @@ fn run_crossed(cc: Box<dyn ConcurrencyControl>) -> (GlobalState, usize) {
 
 #[test]
 fn snapshot_isolation_admits_write_skew() {
-    let (fin, aborts) = run_crossed(Box::new(SiCc::default()));
+    let (fin, aborts) = run_crossed(Cc::Si(SiCc::default()));
     // Disjoint write sets: first-committer-wins passes both, no aborts.
     assert_eq!(aborts, 0, "SI must admit the skew without restarts");
     // Both read the (0, 1) snapshot: x <- old y = 1, y <- old x = 0.
@@ -89,9 +89,9 @@ fn snapshot_isolation_admits_write_skew() {
 #[test]
 fn serializable_mechanisms_refuse_write_skew() {
     for cc in [
-        Box::new(MvtoCc::default()) as Box<dyn ConcurrencyControl>,
-        Box::new(Strict2plCc::default()),
-        Box::new(SgtCc::default()),
+        Cc::Mvto(MvtoCc::default()),
+        Cc::Strict2pl(Strict2plCc::default()),
+        Cc::Sgt(SgtCc::default()),
     ] {
         let name = cc.name().to_string();
         let (fin, _) = run_crossed(cc);

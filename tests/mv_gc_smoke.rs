@@ -8,7 +8,7 @@
 //! installed version accounted for as reclaimed. Transfers conserve the
 //! sum of all variables under both mechanisms (neither loses an update).
 
-use ccopt::engine::cc::{ConcurrencyControl, MvtoCc, SiCc};
+use ccopt::engine::cc::{Cc, MvtoCc, SiCc};
 use ccopt::engine::session::{Op, SessionDb, Txn};
 use ccopt::model::ids::VarId;
 use ccopt::model::state::GlobalState;
@@ -111,7 +111,7 @@ fn run(db: &mut SessionDb, rng: &mut SmallRng, txns: usize) {
     }
 }
 
-fn smoke(cc: Box<dyn ConcurrencyControl>) {
+fn smoke(cc: Cc) {
     let mut db = SessionDb::with_capacity(cc, GlobalState::from_ints(&[INITIAL; VARS]), SESSIONS);
     let name = db.cc_name().to_string();
     let mut rng = SmallRng::seed_from_u64(0x6c_5eed);
@@ -168,10 +168,10 @@ fn smoke(cc: Box<dyn ConcurrencyControl>) {
 
 #[test]
 fn si_reclaims_everything_once_snapshots_retire() {
-    smoke(Box::new(SiCc::default()));
+    smoke(Cc::Si(SiCc::default()));
 }
 
 #[test]
 fn mvto_reclaims_everything_once_snapshots_retire() {
-    smoke(Box::new(MvtoCc::default()));
+    smoke(Cc::Mvto(MvtoCc::default()));
 }
