@@ -57,7 +57,7 @@
 //! Waits can now cross shards where no local detector sees them (2PL lock
 //! cycles spanning shards, the serial token, SGT commit-order gates), so
 //! drivers must pair the session loop with a **wait-bound restart valve**:
-//! after too many consecutive waits, [`ShardedDb::restart`] aborts the
+//! after [`WAIT_VALVE`] consecutive waits, [`ShardedDb::restart`] aborts the
 //! global transaction everywhere and replays it — always safe, and the
 //! standard timeout resolution for distributed deadlocks.
 //!
@@ -105,6 +105,14 @@ use jobs::gather;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// The distributed-deadlock valve: whoever drives a sharded database
+/// force-restarts a transaction ([`ShardedDb::restart`]) after this many
+/// consecutive `Wait` answers. A cross-shard wait cycle is invisible to
+/// every shard-local deadlock detector, so without the valve the
+/// transactions in one would retry forever. The server and the sharded
+/// simulator both fire it.
+pub const WAIT_VALVE: u32 = 24;
 
 /// One shard's concurrency control: a fresh instance of `kind`, in
 /// commit-order mode whenever the database has more than one shard.

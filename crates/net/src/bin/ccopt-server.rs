@@ -4,8 +4,8 @@
 //! ccopt-server [--addr 127.0.0.1:0] [--cc strict-2PL] [--shards 4]
 //!              [--vars 64] [--data-dir PATH] [--durability strict|group:N|none]
 //!              [--max-txns 256] [--pipeline 64] [--queue 1024]
-//!              [--grace-ms 2000] [--trace PATH] [--wait-valve 24]
-//!              [--metrics-addr A] [--stats-interval-ms N]
+//!              [--grace-ms 2000] [--trace PATH] [--metrics-addr A]
+//!              [--stats-interval-ms N]
 //! ```
 //!
 //! Prints `listening on <addr>` (machine-parseable — the smoke tests
@@ -29,7 +29,7 @@ fn usage() -> ! {
         "usage: ccopt-server [--addr A] [--cc NAME] [--shards N] [--vars N] \
          [--data-dir PATH] [--durability strict|group:N|none] [--max-txns N] \
          [--pipeline N] [--queue N] [--grace-ms N] [--trace PATH] \
-         [--wait-valve N] [--metrics-addr A] [--stats-interval-ms N]"
+         [--metrics-addr A] [--stats-interval-ms N]"
     );
     eprintln!("mechanisms: {}", ccopt_engine::MECHANISM_NAMES.join(", "));
     std::process::exit(2);
@@ -61,7 +61,6 @@ fn main() {
             "--pipeline" => cfg.pipeline = parse(&val()),
             "--queue" => cfg.queue = parse(&val()),
             "--grace-ms" => cfg.drain_grace = Duration::from_millis(parse::<u64>(&val())),
-            "--wait-valve" => cfg.wait_valve = parse(&val()),
             "--trace" => cfg.trace = Some(TraceConfig::to_sink(val())),
             "--metrics-addr" => cfg.metrics_addr = Some(val()),
             "--stats-interval-ms" => {

@@ -11,14 +11,18 @@
 //!   convention (`[len][crc32][payload]`, [`ccopt_durability::encoding`])
 //!   carrying request/response payloads with client-chosen request ids
 //!   for pipelining; decoding is total (never panics on wire input);
+//! * `engine` (private) — the engine, with no socket and no thread: it
+//!   owns a [`ccopt_engine::ShardedDb`], maps each pass of decoded
+//!   messages to answers (submitting the pass's transaction work as one
+//!   [`ccopt_engine::ShardedDb::submit_group`] call), and hands every
+//!   answer to a reply sink taken as a generic parameter; its unit tests
+//!   drive it with a `Vec` for a sink;
 //! * [`server`] — the [`Server`]: an accept thread and one reader
-//!   thread per connection around one engine behind a combining lock
-//!   (run by whichever of them finds it free) that owns a
-//!   [`ccopt_engine::ShardedDb`], submits each drain pass of its queue
-//!   as one [`ccopt_engine::ShardedDb::submit_group`] call, writes each
-//!   connection's responses itself (one coalesced, bounded `write` per
-//!   pass), sheds load at three bounded layers, and drains gracefully on
-//!   shutdown;
+//!   thread per connection around the engine behind a combining lock
+//!   (run by whichever of them finds it free), whose holder is the
+//!   engine's sink over the connections' outboxes (one coalesced, bounded
+//!   `write` per connection per pass); it sheds load at three bounded
+//!   layers and drains gracefully on shutdown;
 //! * [`stats`] — the ops plane's data model: [`ServerStats`] snapshots
 //!   (answering [`Request::Stats`]), the sampler's [`SamplePoint`]
 //!   time-series, [`HealthReport`], their total wire codecs, and the
@@ -32,6 +36,7 @@
 //! mirror-image client crate; `docs/SERVER.md` specifies the protocol,
 //! admission control, and drain semantics.
 
+mod engine;
 pub mod error;
 pub mod frame;
 pub mod server;

@@ -5,13 +5,14 @@
 //!
 //! One **accept** thread polls the listener; each connection gets one
 //! **reader** thread (decode frames, admission-check, forward to the
-//! engine). The engine has no thread of its own. It sits, with the
-//! receiving end of its one bounded request queue, behind a **combining
-//! lock** (`Core`): a thread that has just queued a message takes the
-//! lock if it is free, drains the queue, runs one pass over what it
-//! holds, lets go, and checks the queue again; a thread that finds the
-//! lock taken goes straight back to `read`, and the holder runs its
-//! message. The accept thread's 5 ms poll is the engine's clock: each
+//! engine). The engine (`engine.rs`: decoded messages in, answers out
+//! through a reply sink, no socket) has no thread of its own. It sits,
+//! with the receiving end of its one bounded request queue, behind a
+//! **combining lock** (`Core`): a thread that has just queued a message
+//! takes the lock if it is free, drains the queue, runs one pass over
+//! what it holds, lets go, and checks the queue again; a thread that
+//! finds the lock taken goes straight back to `read`, and the holder runs
+//! its message. The accept thread's 5 ms poll is the engine's clock: each
 //! turn runs a pass too, which reads the kill flag, ends a drain whose
 //! grace expired, feeds the sampler and refreshes the `/healthz` flags.
 //! [`Server::start`] builds the engine — parse the mechanism, open or
@@ -34,12 +35,12 @@
 //!
 //! Responses leave on the thread that made them. Each connection has an
 //! **outbox** — a buffer of framed bytes plus the write half of the
-//! socket — into which the engine encodes every response as it is
-//! decided, and which it flushes once per connection at the end of the
-//! pass with a single `write`: the responses to a pipelined burst share
-//! one syscall, and a round trip crosses no thread but the reader that
-//! brought it (or the one holding the engine). The engine never waits on
-//! a client: that `write` is one
+//! socket — into which the lock holder's reply sink (`Outboxes`) encodes
+//! every response as the engine decides it, and which the holder flushes
+//! once per connection at the end of the pass with a single `write`: the
+//! responses to a pipelined burst share one syscall, and a round trip
+//! crosses no thread but the reader that brought it (or the one holding
+//! the engine). The engine never waits on a client: that `write` is one
 //! attempt, bounded by a send timeout of a scheduler tick, and what a
 //! full socket would not take stays in the outbox for an on-demand
 //! **drainer** thread that blocks in the engine's stead until the buffer
@@ -99,21 +100,25 @@
 //!   one bounded round of events at a time and blocks until the kernel
 //!   has taken it, so a subscriber that never reads costs the engine one
 //!   failed length check per event.
+//!
+//! [`ShardedDb`]: ccopt_engine::ShardedDb
+//! [`ShardedDb::submit_group`]: ccopt_engine::ShardedDb::submit_group
+//! [`Request::Batch`]: crate::Request::Batch
+//! [`Request::Shutdown`]: crate::Request::Shutdown
+//! [`Request::Stats`]: crate::Request::Stats
+//! [`Request::Health`]: crate::Request::Health
+//! [`Request::Subscribe`]: crate::Request::Subscribe
+//! [`HealthReport`]: crate::HealthReport
+//! [`Metrics::diff`]: ccopt_engine::Metrics::diff
+//! [`SamplePoint`]: crate::SamplePoint
 
+use crate::engine::{Engine, Sink, ToEngine};
 use crate::error::{FrameError, ServerError};
-use crate::frame::{
-    decode_request, frame_response_into, read_frame, BatchCommit, BatchOutcome, ErrCode, Request,
-    Response,
-};
-use crate::stats::{
-    render_prometheus, ContendedVar, HealthReport, SamplePoint, ServerStats, ShardHealth,
-};
+use crate::frame::{decode_request, frame_response_into, read_frame, ErrCode, Response};
+use crate::stats::{render_prometheus, ServerStats};
 use ccopt_durability::DurabilityMode;
-use ccopt_engine::{
-    BatchOp, CcKind, GlobalTxn, GroupReq, GroupResp, Metrics, Op, SessionError, ShardedDb,
-};
-use ccopt_model::state::GlobalState;
-use ccopt_trace::{EventKind, Histogram, TraceConfig, TraceSubscription, Tracer};
+use ccopt_engine::CcKind;
+use ccopt_trace::{TraceConfig, TraceSubscription};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -122,11 +127,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Or
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Capacity of the sampler's time-series ring (oldest points are evicted
-/// first): six minutes at the default one-second interval.
-const SAMPLE_RING: usize = 360;
+use std::time::Duration;
 
 /// Ceiling on trace events delivered per second per subscriber. The
 /// subscription is a sampled observability stream, not a replication
@@ -168,20 +169,14 @@ pub struct ServerConfig {
     /// How long a drain waits for in-flight transactions before aborting
     /// the stragglers.
     pub drain_grace: Duration,
-    /// The distributed-deadlock valve: after this many *consecutive*
-    /// `Wait` answers, the transaction is force-restarted
-    /// ([`ShardedDb::restart`]) and the client told [`Response::
-    /// Restarted`]. Cross-shard wait cycles are invisible to every
-    /// shard-local deadlock detector, so without this a pair of wire
-    /// clients can ping-pong `Wait` retries forever. 0 disables it.
-    pub wait_valve: u32,
     /// Bind address of the ops-plane HTTP listener (`/metrics`,
     /// `/healthz`); `None` (the default) serves no HTTP.
     pub metrics_addr: Option<String>,
     /// Sampler period: the first engine pass after each interval
     /// boundary (the accept thread runs one every 5 ms) snapshots
-    /// [`Metrics::diff`] into the time-series ring. `Duration::ZERO`
-    /// disables the sampler (the true ops-off baseline).
+    /// [`Metrics::diff`](ccopt_engine::Metrics::diff) into the
+    /// time-series ring. `Duration::ZERO` disables the sampler (the true
+    /// ops-off baseline).
     pub sample_interval: Duration,
     /// Capacity of each trace subscriber's ring. When a subscriber's
     /// connection cannot keep up, events beyond this bound are dropped
@@ -206,7 +201,6 @@ impl Default for ServerConfig {
             queue: 1024,
             trace: None,
             drain_grace: Duration::from_secs(2),
-            wait_valve: 24,
             metrics_addr: None,
             sample_interval: Duration::from_secs(1),
             subscriber_ring: 4096,
@@ -243,23 +237,28 @@ impl DrainStats {
 /// The ledger invariant `pipeline + queue + txns == total` holds by
 /// construction: there is no combined counter to drift.
 #[derive(Debug, Default)]
-struct ShedCounters {
-    pipeline: AtomicU64,
-    queue: AtomicU64,
-    txns: AtomicU64,
+pub(crate) struct ShedCounters {
+    pub(crate) pipeline: AtomicU64,
+    pub(crate) queue: AtomicU64,
+    pub(crate) txns: AtomicU64,
 }
 
-/// What the engine publishes for the ops-plane HTTP listener: the last
+/// What the engine shares with the reader threads and the ops-plane HTTP
+/// listener: the shed ledger and the queue-depth gauge, which the readers
+/// feed too, and what the engine publishes for the listener — the last
 /// sampler snapshot (for `/metrics`) plus health flags refreshed every
-/// engine pass (for `/healthz`, which must flip within
-/// milliseconds of a shard crash regardless of the sampler period).
+/// engine pass (for `/healthz`, which must flip within milliseconds of a
+/// shard crash regardless of the sampler period).
 #[derive(Default)]
-struct OpsShared {
-    published: Mutex<Option<ServerStats>>,
-    degraded: AtomicBool,
-    draining: AtomicBool,
-    shards: AtomicU32,
-    shards_down: AtomicU32,
+pub(crate) struct Shared {
+    pub(crate) sheds: ShedCounters,
+    /// Requests queued for the engine that no pass has processed yet.
+    pub(crate) queue_depth: AtomicUsize,
+    pub(crate) published: Mutex<Option<ServerStats>>,
+    pub(crate) degraded: AtomicBool,
+    pub(crate) draining: AtomicBool,
+    pub(crate) shards: AtomicU32,
+    pub(crate) shards_down: AtomicU32,
 }
 
 /// How long one `write` may wait on a full socket before returning a
@@ -489,26 +488,6 @@ impl Threads {
     }
 }
 
-// ------------------------------------------------------------- messages
-
-enum ToEngine {
-    /// A connection opened; `out` is its response outbox.
-    Conn { id: u64, out: Arc<Outbox> },
-    /// A connection closed; abort its transactions.
-    Gone { id: u64 },
-    /// One decoded request.
-    Req {
-        conn: u64,
-        req_id: u64,
-        req: Request,
-    },
-    /// Start a graceful drain (same effect as a wire `Shutdown`).
-    Drain,
-    /// Fault injection: panic shard `s`'s worker (see
-    /// [`Server::panic_shard`]).
-    PanicShard(usize),
-}
-
 // ------------------------------------------------------- combining lock
 
 /// The engine behind its combining lock, and the queue in front of it.
@@ -533,18 +512,70 @@ struct Core {
     pending: AtomicUsize,
     /// [`Server::kill`]: the next pass stops without syncing.
     kill: AtomicBool,
+    /// The shed ledger and queue-depth gauge the readers feed.
+    shared: Arc<Shared>,
 }
 
-/// What the lock holder runs: the engine, its queue, and where the end
-/// of serving is reported.
+/// What the lock holder runs: the engine, its queue, where its answers
+/// go, and where the end of serving is reported.
 struct Running {
     eng: Engine,
     rx: Receiver<ToEngine>,
     done_tx: mpsc::Sender<DrainStats>,
-    /// Every connection's outbox, so the end of serving can close them.
+    /// Every connection's outbox, registered before the engine hears of
+    /// the connection: where its answers go, and what the end of serving
+    /// closes.
     conns: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
+    /// Outboxes this pass put their first pending bytes into: each is
+    /// owed one flush when the pass ends.
+    unflushed: Vec<Arc<Outbox>>,
+    /// Where drainers and subscription pumps are registered.
+    threads: Threads,
+    /// The server's stop flag, which subscription pumps poll.
+    stop: Arc<AtomicBool>,
     /// The messages of the pass in progress.
     batch: Vec<ToEngine>,
+}
+
+/// The engine's sink for one pass: the outboxes, each response framed
+/// into its connection's as it is decided.
+struct Outboxes<'a> {
+    conns: &'a HashMap<u64, Arc<Outbox>>,
+    unflushed: &'a mut Vec<Arc<Outbox>>,
+    threads: &'a Threads,
+    stop: &'a Arc<AtomicBool>,
+}
+
+impl Sink for Outboxes<'_> {
+    fn reply(&mut self, conn: u64, req_id: u64, resp: &Response) {
+        // A closed connection's outbox drops the response.
+        if let Some(out) = self.conns.get(&conn) {
+            if out.push(req_id, resp, true) {
+                self.unflushed.push(Arc::clone(out));
+            }
+        }
+    }
+
+    /// Spawn the subscription's pump ([`subscription_pump`]), which blocks
+    /// in [`Outbox::send`] — never the engine — while the subscriber is
+    /// slow.
+    fn subscribed(
+        &mut self,
+        conn: u64,
+        req_id: u64,
+        sub: TraceSubscription,
+        stop: Arc<AtomicBool>,
+    ) {
+        let Some(out) = self.conns.get(&conn).cloned() else {
+            return;
+        };
+        let global_stop = Arc::clone(self.stop);
+        let _ = self
+            .threads
+            .spawn(format!("ccopt-net-sub{}", sub.id()), move || {
+                subscription_pump(sub, out, req_id, stop, global_stop)
+            });
+    }
 }
 
 impl Core {
@@ -629,12 +660,40 @@ impl Running {
             }
         }
         pending.fetch_sub(self.batch.len(), Ordering::SeqCst);
-        self.eng.process(&self.batch);
+        {
+            // Held for the pass: an accept or a reader's exit waits for it.
+            let conns = self.conns.lock().expect("no registry update panics");
+            let mut sink = Outboxes {
+                conns: &conns,
+                unflushed: &mut self.unflushed,
+                threads: &self.threads,
+                stop: &self.stop,
+            };
+            self.eng.process(&self.batch, &mut sink);
+        }
+        self.flush_outboxes();
         self.batch.clear();
         self.eng.publish_health();
         self.eng.maybe_sample();
-        let eng = &self.eng;
-        eng.draining && (eng.txns.is_empty() || eng.deadline.is_none_or(|d| Instant::now() >= d))
+        self.eng.drained()
+    }
+
+    /// End of a pass: every connection answered during it gets its
+    /// responses in one coalesced `write`. The engine never waits on a
+    /// client — what a full socket would not take is left to a drainer
+    /// thread that lives until the outbox is empty.
+    fn flush_outboxes(&mut self) {
+        for out in self.unflushed.drain(..) {
+            if out.flush_once() {
+                let owned = Arc::clone(&out);
+                let spawned = self.threads.spawn("ccopt-net-drain".to_string(), move || {
+                    owned.drain_owned();
+                });
+                if spawned.is_err() {
+                    out.die(&mut out.lock());
+                }
+            }
+        }
     }
 
     /// The end of serving: stop the pumps, abort the stragglers and sync
@@ -644,42 +703,12 @@ impl Running {
             mut eng,
             done_tx,
             conns,
+            stop,
             ..
         } = self;
-        // Stop every subscription pump before tearing the engine down.
-        for entries in eng.subs.values() {
-            for e in entries {
-                e.stop.store(true, Ordering::SeqCst);
-            }
-        }
-
-        let mut stats = DrainStats {
-            commits: eng.commits,
-            aborted_on_drain: 0,
-            sheds_pipeline: eng.sheds.pipeline.load(Ordering::Relaxed),
-            sheds_queue: eng.sheds.queue.load(Ordering::Relaxed),
-            sheds_txns: eng.sheds.txns.load(Ordering::Relaxed),
-        };
-        if !killed {
-            // Abort stragglers, sync the logs, close the books.
-            let leftovers: Vec<GlobalTxn> = eng.txns.values().map(|&(h, _)| h).collect();
-            stats.aborted_on_drain = leftovers.len();
-            for h in leftovers {
-                let _ = eng.db.abort(h);
-            }
-            eng.txns.clear();
-            eng.waits.clear();
-            let _ = eng.db.sync();
-            if eng.draining && eng.tracer.is_on() {
-                let t = eng.tick;
-                eng.tracer.emit(t, EventKind::DrainDone);
-            }
-            if let Some(hub) = eng.db.trace_hub() {
-                hub.flush();
-            }
-        }
+        let stats = eng.close(killed);
         // Wake every connection so its threads exit.
-        eng.stop.store(true, Ordering::SeqCst);
+        stop.store(true, Ordering::SeqCst);
         for (_, out) in conns.lock().unwrap().drain() {
             let _ = out.stream.shutdown(Shutdown::Both);
         }
@@ -739,33 +768,20 @@ impl Server {
         let (tx, rx) = mpsc::sync_channel::<ToEngine>(cfg.queue.max(1));
         let (done_tx, done_rx) = mpsc::channel::<DrainStats>();
         let stop = Arc::new(AtomicBool::new(false));
-        let sheds = Arc::new(ShedCounters::default());
         let conns = Arc::new(Mutex::new(HashMap::new()));
-        let queue_depth = Arc::new(AtomicUsize::new(0));
         let threads = Threads::default();
-        let ops = Arc::new(OpsShared {
-            shards: AtomicU32::new(cfg.shards as u32),
-            ..OpsShared::default()
-        });
+        let shared = Arc::new(Shared::default());
 
         // Engine startup (recovery included) happens here, on the
         // caller's thread: a log that does not open fails `start`, not
         // the first request. This is the last fallible step.
-        let eng = Engine::open(
-            &cfg,
-            kind,
-            Arc::clone(&sheds),
-            Arc::clone(&stop),
-            Arc::clone(&ops),
-            Arc::clone(&queue_depth),
-            threads.clone(),
-        )?;
+        let eng = Engine::open(&cfg, kind, Arc::clone(&shared))?;
 
         let ops_http = ops_listener.map(|l| {
-            let stop = Arc::clone(&stop);
+            let (shared, stop) = (Arc::clone(&shared), Arc::clone(&stop));
             std::thread::Builder::new()
                 .name("ccopt-net-ops".to_string())
-                .spawn(move || ops_http_thread(l, ops, stop))
+                .spawn(move || ops_http_thread(l, shared, stop))
                 .expect("spawn ops http thread")
         });
 
@@ -775,34 +791,26 @@ impl Server {
                 rx,
                 done_tx,
                 conns: Arc::clone(&conns),
+                unflushed: Vec::new(),
+                threads: threads.clone(),
+                stop: Arc::clone(&stop),
                 batch: Vec::with_capacity(256),
             })),
             tx,
             pending: AtomicUsize::new(0),
             kill: AtomicBool::new(false),
+            shared,
         });
 
         let accept = {
             let core = Arc::clone(&core);
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
-            let queue_depth = Arc::clone(&queue_depth);
             let threads = threads.clone();
             let pipeline = cfg.pipeline.max(1);
             std::thread::Builder::new()
                 .name("ccopt-net-accept".to_string())
-                .spawn(move || {
-                    accept_thread(
-                        listener,
-                        core,
-                        stop,
-                        sheds,
-                        conns,
-                        pipeline,
-                        queue_depth,
-                        threads,
-                    )
-                })
+                .spawn(move || accept_thread(listener, core, stop, conns, pipeline, threads))
                 .expect("spawn accept thread")
         };
 
@@ -831,10 +839,11 @@ impl Server {
     }
 
     /// Fault injection (tests): panic shard `s`'s worker from the
-    /// engine, exactly as [`ShardedDb::panic_shard`] does in-process —
-    /// the shard dies mid-flight and supervision kicks in at its next
-    /// touch. This is how the ops-plane tests flip `/healthz` to
-    /// degraded mid-run.
+    /// engine, exactly as
+    /// [`ShardedDb::panic_shard`](ccopt_engine::ShardedDb::panic_shard)
+    /// does in-process — the shard dies mid-flight and supervision kicks
+    /// in at its next touch. This is how the ops-plane tests flip
+    /// `/healthz` to degraded mid-run.
     pub fn panic_shard(&self, s: usize) {
         self.core.send(ToEngine::PanicShard(s));
         self.core.combine();
@@ -852,8 +861,8 @@ impl Server {
     }
 
     /// Block until the server stops on its own (a wire
-    /// [`Request::Shutdown`] drained it). This is what the `ccopt-server`
-    /// binary parks on.
+    /// [`Request::Shutdown`](crate::Request::Shutdown) drained it). This
+    /// is what the `ccopt-server` binary parks on.
     pub fn wait(mut self) -> Result<DrainStats, ServerError> {
         let stats = self.done_rx.recv().map_err(|_| ServerError::Stopped)?;
         self.join();
@@ -905,15 +914,12 @@ impl Drop for Server {
 
 // --------------------------------------------------------- accept plane
 
-#[allow(clippy::too_many_arguments)]
 fn accept_thread(
     listener: TcpListener,
     core: Arc<Core>,
     stop: Arc<AtomicBool>,
-    sheds: Arc<ShedCounters>,
     conns: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
     pipeline: usize,
-    queue_depth: Arc<AtomicUsize>,
     threads: Threads,
 ) {
     let mut next_id = 0u64;
@@ -932,22 +938,20 @@ fn accept_thread(
                     continue;
                 };
                 let out = Arc::new(Outbox::new(write_half));
-                // Registration order matters: the engine must learn of
-                // the connection before any of its requests.
-                let hello = ToEngine::Conn {
-                    id,
-                    out: Arc::clone(&out),
-                };
-                if !core.send(hello) {
+                // Registration order matters: the outbox is in place
+                // before the engine learns of the connection, and the
+                // engine learns of it before any of its requests.
+                conns
+                    .lock()
+                    .expect("no registry update panics")
+                    .insert(id, Arc::clone(&out));
+                if !core.send(ToEngine::Conn { id }) {
                     return; // engine gone; stop accepting
                 }
-                conns.lock().unwrap().insert(id, Arc::clone(&out));
                 let core = Arc::clone(&core);
-                let sheds = Arc::clone(&sheds);
                 let conns = Arc::clone(&conns);
-                let queue_depth = Arc::clone(&queue_depth);
                 let _ = threads.spawn(format!("ccopt-net-r{id}"), move || {
-                    reader_thread(stream, id, &core, out, pipeline, sheds, queue_depth);
+                    reader_thread(stream, id, &core, out, pipeline);
                     conns.lock().unwrap().remove(&id);
                 });
             }
@@ -967,15 +971,10 @@ fn accept_thread(
 /// the outbox length. The reader's own answers (`Shed`, `Malformed`) are
 /// sent blocking: a peer that will not read its responses stops being
 /// read from.
-fn reader_thread(
-    stream: TcpStream,
-    id: u64,
-    core: &Core,
-    out: Arc<Outbox>,
-    pipeline: usize,
-    sheds: Arc<ShedCounters>,
-    queue_depth: Arc<AtomicUsize>,
-) {
+fn reader_thread(stream: TcpStream, id: u64, core: &Core, out: Arc<Outbox>, pipeline: usize) {
+    let Shared {
+        sheds, queue_depth, ..
+    } = &*core.shared;
     // One `read` per frame, and per pipelined burst, instead of a header
     // read plus a payload read.
     let mut stream = BufReader::new(stream);
@@ -1037,826 +1036,6 @@ fn reader_thread(
     let _ = stream.get_ref().shutdown(Shutdown::Both);
     core.send(ToEngine::Gone { id });
     core.combine();
-}
-
-// --------------------------------------------------------- engine plane
-
-/// One live trace subscription owned by a connection: the hub-side id
-/// (to unsubscribe) and the stop flag its pump thread polls.
-struct SubEntry {
-    hub_id: u64,
-    stop: Arc<AtomicBool>,
-}
-
-struct Engine {
-    db: ShardedDb,
-    tracer: Tracer,
-    conns: HashMap<u64, Arc<Outbox>>,
-    /// Outboxes this pass put their first pending bytes into: each is
-    /// owed one flush when the pass ends.
-    unflushed: Vec<Arc<Outbox>>,
-    /// token -> (engine handle, owning connection)
-    txns: HashMap<u64, (GlobalTxn, u64)>,
-    /// token -> consecutive `Wait` answers (valve input; reset by any
-    /// other outcome, fires [`ShardedDb::restart`] at `wait_valve`).
-    waits: HashMap<u64, u32>,
-    /// See [`ServerConfig::wait_valve`].
-    wait_valve: u32,
-    next_token: u64,
-    max_txns: usize,
-    num_vars: u32,
-    sheds: Arc<ShedCounters>,
-    commits: u64,
-    /// Engine "tick" for trace timestamps: one per processed message.
-    tick: u64,
-    draining: bool,
-    deadline: Option<Instant>,
-    grace: Duration,
-    // ---- ops plane ----
-    cc_name: String,
-    shards: usize,
-    started: Instant,
-    /// Live trace subscriptions by owning connection.
-    subs: HashMap<u64, Vec<SubEntry>>,
-    subscriber_ring: usize,
-    /// Global stop flag, shared with pump threads.
-    stop: Arc<AtomicBool>,
-    ops: Arc<OpsShared>,
-    queue_depth: Arc<AtomicUsize>,
-    /// Where drainers and subscription pumps are registered.
-    threads: Threads,
-    sample_interval: Duration,
-    next_sample: Instant,
-    prev_metrics: Metrics,
-    prev_hist: Histogram,
-    prev_wire_sheds: u64,
-    series: VecDeque<SamplePoint>,
-    stats_line: bool,
-}
-
-/// The engine is built by [`Server::start`] on its caller's thread and
-/// then run by whichever thread holds the combining lock.
-const _: () = {
-    const fn assert_send<T: Send + 'static>() {}
-    assert_send::<Engine>()
-};
-
-impl Engine {
-    /// Open (or recover) the database, attach the trace plane and build
-    /// the engine around it, with a baseline snapshot already published
-    /// so `/metrics` answers from the first scrape.
-    fn open(
-        cfg: &ServerConfig,
-        kind: CcKind,
-        sheds: Arc<ShedCounters>,
-        stop: Arc<AtomicBool>,
-        ops: Arc<OpsShared>,
-        queue_depth: Arc<AtomicUsize>,
-        threads: Threads,
-    ) -> Result<Engine, ServerError> {
-        let init = GlobalState::from_ints(&vec![0; cfg.num_vars]);
-        let mut db = match &cfg.dir {
-            Some(dir) => ShardedDb::open(kind, init, dir, cfg.mode, cfg.shards, cfg.max_txns)?,
-            None => ShardedDb::with_capacity(kind, init, cfg.shards, cfg.max_txns),
-        };
-        let mut tracer = Tracer::off();
-        if let Some(tc) = &cfg.trace {
-            db.set_trace(tc)?;
-            // The server plane emits as shard id S+1 (one past the
-            // coordinator's S), so merged traces stay totally ordered.
-            if let Some(hub) = db.trace_hub() {
-                tracer = hub.tracer(cfg.shards as u32 + 1);
-            }
-        }
-        let now = Instant::now();
-        let mut eng = Engine {
-            db,
-            tracer,
-            conns: HashMap::new(),
-            unflushed: Vec::new(),
-            txns: HashMap::new(),
-            waits: HashMap::new(),
-            wait_valve: cfg.wait_valve,
-            next_token: 0,
-            max_txns: cfg.max_txns.max(1),
-            num_vars: cfg.num_vars as u32,
-            sheds,
-            commits: 0,
-            tick: 0,
-            draining: false,
-            deadline: None,
-            grace: cfg.drain_grace,
-            cc_name: cfg.cc.clone(),
-            shards: cfg.shards,
-            started: now,
-            subs: HashMap::new(),
-            subscriber_ring: cfg.subscriber_ring.max(1),
-            stop,
-            ops,
-            queue_depth,
-            threads,
-            sample_interval: cfg.sample_interval,
-            next_sample: now + cfg.sample_interval,
-            prev_metrics: Metrics::default(),
-            prev_hist: Histogram::new(),
-            prev_wire_sheds: 0,
-            series: VecDeque::new(),
-            stats_line: cfg.stats_line,
-        };
-        // The first sample point diffs against startup, not zero.
-        let (first, hist) = eng.snapshot();
-        eng.prev_metrics = first.metrics;
-        eng.prev_hist = hist;
-        *eng.ops.published.lock().unwrap() = Some(first);
-        eng.publish_health();
-        Ok(eng)
-    }
-}
-
-/// One transaction's accumulated work inside a drain pass, on its way
-/// into a [`ShardedDb::submit_group`] call: the ops of its pipelined
-/// `Batch` requests, concatenated in arrival order, with each request's
-/// run kept as `(req_id, n)` so it gets its own answer back.
-struct PendEntry {
-    conn: u64,
-    token: u64,
-    runs: Vec<(u64, usize)>,
-    ops: Vec<BatchOp>,
-    /// The request id of the commit-bearing request, if any. An entry
-    /// with a commit is sealed — a later request on the same token
-    /// flushes the whole group first (its execution depends on this
-    /// outcome).
-    commit_req: Option<u64>,
-}
-
-/// The per-pass accumulator of [`PendEntry`]s, in first-arrival order.
-#[derive(Default)]
-struct Pending {
-    entries: Vec<PendEntry>,
-    index: HashMap<(u64, u64), usize>,
-}
-
-impl Engine {
-    fn process(&mut self, msgs: &[ToEngine]) {
-        // Group submit: accumulate every transaction's batches across
-        // the whole drained pass — across connections — and hand them to
-        // the engine as ONE `submit_group` call per flush, so independent
-        // transactions share shard messages instead of paying a round
-        // trip each.
-        // Requests that only read engine-adjacent state (`Ping`,
-        // `Begin`, `Stats`, `Health`) interleave without flushing;
-        // anything that mutates transaction or server lifecycle state
-        // (aborts, drains, faults, subscriptions, dead connections) is a
-        // barrier: the pending group flushes first, preserving arrival
-        // order where it is observable.
-        let mut pending = Pending::default();
-        for m in msgs {
-            self.tick += 1;
-            match m {
-                ToEngine::Req { conn, req_id, req } => {
-                    let (conn, req_id) = (*conn, *req_id);
-                    // The reader counted this request into the
-                    // queue-depth gauge before sending it.
-                    self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    match *req {
-                        Request::Batch {
-                            txn,
-                            ref ops,
-                            commit,
-                        } => self.enqueue(&mut pending, (conn, req_id), txn, ops, commit),
-                        Request::Ping => self.respond(conn, req_id, &Response::Pong),
-                        Request::Begin => self.begin_txn(conn, req_id),
-                        Request::Stats => {
-                            let stats = Box::new(self.snapshot().0);
-                            self.respond(conn, req_id, &Response::Stats { stats });
-                        }
-                        Request::Health => {
-                            let report = self.health();
-                            self.respond(conn, req_id, &Response::Health { report });
-                        }
-                        Request::Abort { txn } => {
-                            self.flush_group(&mut pending);
-                            self.abort_txn(conn, req_id, txn);
-                        }
-                        Request::Shutdown => {
-                            self.flush_group(&mut pending);
-                            self.respond(conn, req_id, &Response::Draining);
-                            self.begin_drain();
-                        }
-                        Request::Subscribe => {
-                            self.flush_group(&mut pending);
-                            self.subscribe(conn, req_id);
-                        }
-                    }
-                }
-                ToEngine::Conn { id, out } => {
-                    self.conns.insert(*id, out.clone());
-                    if self.tracer.is_on() {
-                        let t = self.tick;
-                        self.tracer.emit(t, EventKind::ConnAccept { conn: *id });
-                    }
-                }
-                ToEngine::Gone { id } => {
-                    self.flush_group(&mut pending);
-                    self.conn_gone(*id);
-                }
-                ToEngine::Drain => {
-                    self.flush_group(&mut pending);
-                    self.begin_drain();
-                }
-                ToEngine::PanicShard(s) => {
-                    self.flush_group(&mut pending);
-                    if *s < self.shards {
-                        self.db.panic_shard(*s);
-                    }
-                }
-            }
-        }
-        self.flush_group(&mut pending);
-        self.flush_outboxes();
-    }
-
-    /// End of a pass: every connection answered during it gets its
-    /// responses in one coalesced `write`. The engine never waits on a
-    /// client — what a full socket would not take is left to a drainer
-    /// thread that lives until the outbox is empty.
-    fn flush_outboxes(&mut self) {
-        for out in self.unflushed.drain(..) {
-            if out.flush_once() {
-                let owned = Arc::clone(&out);
-                let spawned = self.threads.spawn("ccopt-net-drain".to_string(), move || {
-                    owned.drain_owned();
-                });
-                if spawned.is_err() {
-                    out.die(&mut out.lock());
-                }
-            }
-        }
-    }
-
-    /// Append one `Batch` — `ops` of transaction `token`, then its commit
-    /// if `commit`, asked by `(conn, req_id)` — to the pass's pending
-    /// group.
-    fn enqueue(
-        &mut self,
-        pending: &mut Pending,
-        (conn, req_id): (u64, u64),
-        token: u64,
-        ops: &[BatchOp],
-        commit: bool,
-    ) {
-        // Malformed variable ids are refused before anything reaches a
-        // shard, for the whole request (its contract: one response,
-        // never per-op errors).
-        if let Some(op) = ops.iter().find(|op| op.var().0 >= self.num_vars) {
-            let msg = format!("variable {} outside 0..{}", op.var().0, self.num_vars);
-            self.respond(
-                conn,
-                req_id,
-                &Response::Err {
-                    code: ErrCode::Malformed,
-                    msg,
-                },
-            );
-            return;
-        }
-        if let Some(&ix) = pending.index.get(&(conn, token)) {
-            if pending.entries[ix].commit_req.is_some() {
-                // Pipelined past a commit: what this request means
-                // depends on that commit's outcome, so the group
-                // flushes and the request starts a fresh entry.
-                self.flush_group(pending);
-            }
-        }
-        let ix = match pending.index.get(&(conn, token)) {
-            Some(&ix) => ix,
-            None => {
-                pending.entries.push(PendEntry {
-                    conn,
-                    token,
-                    runs: Vec::new(),
-                    ops: Vec::new(),
-                    commit_req: None,
-                });
-                let ix = pending.entries.len() - 1;
-                pending.index.insert((conn, token), ix);
-                ix
-            }
-        };
-        let e = &mut pending.entries[ix];
-        e.ops.extend_from_slice(ops);
-        e.runs.push((req_id, ops.len()));
-        if commit {
-            e.commit_req = Some(req_id);
-        }
-    }
-
-    /// Submit the pass's pending group through
-    /// [`ShardedDb::submit_group`] and answer every request it carried.
-    fn flush_group(&mut self, pending: &mut Pending) {
-        if pending.entries.is_empty() {
-            return;
-        }
-        let entries = std::mem::take(&mut pending.entries);
-        pending.index.clear();
-        let mut reqs: Vec<GroupReq> = Vec::with_capacity(entries.len());
-        let mut live: Vec<(PendEntry, GlobalTxn)> = Vec::with_capacity(entries.len());
-        for e in entries {
-            let Some(h) = self.owned(e.conn, e.token) else {
-                for &(req_id, _) in &e.runs {
-                    self.unknown(e.conn, req_id, e.token);
-                }
-                continue;
-            };
-            reqs.push(GroupReq {
-                h,
-                ops: e.ops.clone(),
-                commit: e.commit_req.is_some(),
-            });
-            live.push((e, h));
-        }
-        let resps = self.db.submit_group(reqs);
-        debug_assert_eq!(resps.len(), live.len());
-        for ((e, h), resp) in live.into_iter().zip(resps) {
-            self.settle(&e, h, resp);
-        }
-    }
-
-    /// Answer every request of one settled [`PendEntry`].
-    fn settle(&mut self, e: &PendEntry, h: GlobalTxn, resp: GroupResp) {
-        let (conn, token) = (e.conn, e.token);
-        let results = match resp.results {
-            Ok(results) => results,
-            Err(err) => {
-                // The whole entry failed before any op ran (stale
-                // handle, shard down, prepared): every request it
-                // carried gets the mapped error.
-                for &(req_id, _) in &e.runs {
-                    self.session_error(conn, req_id, token, err);
-                }
-                return;
-            }
-        };
-        // What a request the run stopped in (or before) answers. Once per
-        // entry: a trailing `Wait` feeds the distributed-deadlock valve,
-        // which may turn the whole answer into `Restarted`.
-        let trailing = match results.last() {
-            Some(Op::Wait) if self.waited(token, h) => BatchOutcome::Restarted,
-            Some(Op::Wait) => BatchOutcome::Wait,
-            Some(Op::Restarted) => {
-                self.waits.remove(&token);
-                BatchOutcome::Restarted
-            }
-            Some(Op::Done(_)) if results.len() == e.ops.len() => {
-                self.waits.remove(&token);
-                BatchOutcome::Wait
-            }
-            _ => BatchOutcome::Wait,
-        };
-        let mut pos = 0usize;
-        for &(req_id, n) in &e.runs {
-            // Past a stop, `pos` can run beyond the results.
-            let mine = &results[pos.min(results.len())..];
-            let avail = mine.len().min(n);
-            let mut outs: Vec<BatchOutcome> = mine[..avail]
-                .iter()
-                .map(|r| match r {
-                    Op::Done(v) => BatchOutcome::Done { value: *v },
-                    Op::Wait => trailing.clone(),
-                    Op::Restarted => BatchOutcome::Restarted,
-                })
-                .collect();
-            pos += n;
-            // Every op of this request that the run reached ran `Done`;
-            // with `done`, it reached them all.
-            let ran = outs
-                .last()
-                .is_none_or(|o| matches!(o, BatchOutcome::Done { .. }));
-            let done = ran && avail == n;
-            if ran && !done {
-                // The run stopped before reaching (or finishing) this
-                // request: its next op answers the trailing outcome —
-                // "resume here".
-                outs.push(trailing.clone());
-            }
-            // A request's commit is attempted if and only if its own ops
-            // all completed `Done`. `None` from the group then means an
-            // earlier request of the entry stopped the run — which only a
-            // zero-op request can follow — so the commit runs on its own,
-            // with sequential semantics: it commits whatever the
-            // transaction's current attempt holds.
-            let commit = if done && e.commit_req == Some(req_id) {
-                let c = resp.commit.unwrap_or_else(|| {
-                    let c = self.db.commit(h);
-                    if let Ok(Op::Done(())) = c {
-                        let _ = self.db.retire(h);
-                    }
-                    c
-                });
-                match c {
-                    Ok(c) => Some(self.commit_outcome(token, h, c)),
-                    Err(err) => {
-                        self.session_error(conn, req_id, token, err);
-                        continue;
-                    }
-                }
-            } else {
-                None
-            };
-            self.respond(
-                conn,
-                req_id,
-                &Response::Batch {
-                    results: outs,
-                    commit,
-                },
-            );
-        }
-    }
-
-    /// Book one commit outcome of `token` — a landed commit drops the
-    /// token and counts, a `Wait` feeds the valve (which may turn it into
-    /// a restart), a restart clears the wait streak — and say what the
-    /// client is told.
-    fn commit_outcome(&mut self, token: u64, h: GlobalTxn, c: Op<()>) -> BatchCommit {
-        match c {
-            Op::Done(()) => {
-                self.txns.remove(&token);
-                self.waits.remove(&token);
-                self.commits += 1;
-                BatchCommit::Committed
-            }
-            Op::Wait if self.waited(token, h) => BatchCommit::Restarted,
-            Op::Wait => BatchCommit::Wait,
-            Op::Restarted => {
-                self.waits.remove(&token);
-                BatchCommit::Restarted
-            }
-        }
-    }
-
-    /// A connection closed: abort its transactions and end its trace
-    /// subscriptions.
-    fn conn_gone(&mut self, id: u64) {
-        // A dead connection's transactions are aborted: nobody can ever
-        // speak for their tokens again.
-        let orphans: Vec<u64> = self
-            .txns
-            .iter()
-            .filter(|(_, (_, c))| *c == id)
-            .map(|(&tok, _)| tok)
-            .collect();
-        for tok in orphans {
-            if let Some((h, _)) = self.txns.remove(&tok) {
-                self.waits.remove(&tok);
-                let _ = self.db.abort(h);
-            }
-        }
-        // Its trace subscriptions end with it: detach from the hub (emit
-        // stops immediately) and stop the pumps.
-        if let Some(entries) = self.subs.remove(&id) {
-            for e in entries {
-                if let Some(hub) = self.db.trace_hub() {
-                    hub.unsubscribe(e.hub_id);
-                }
-                e.stop.store(true, Ordering::SeqCst);
-                if self.tracer.is_on() {
-                    let t = self.tick;
-                    self.tracer.emit(t, EventKind::SubscribeEnd { conn: id });
-                }
-            }
-        }
-        self.conns.remove(&id);
-        if self.tracer.is_on() {
-            let t = self.tick;
-            self.tracer.emit(t, EventKind::ConnClose { conn: id });
-        }
-    }
-
-    /// The engine handle behind `token`, when `conn` owns it. Tokens are
-    /// sequential, so a connection can name another's live transaction;
-    /// only the connection that began it may speak for it.
-    fn owned(&self, conn: u64, token: u64) -> Option<GlobalTxn> {
-        match self.txns.get(&token) {
-            Some(&(h, owner)) if owner == conn => Some(h),
-            _ => None,
-        }
-    }
-
-    fn begin_txn(&mut self, conn: u64, req_id: u64) {
-        if self.draining {
-            self.respond(conn, req_id, &Response::Draining);
-        } else if self.txns.len() >= self.max_txns {
-            self.sheds.txns.fetch_add(1, Ordering::Relaxed);
-            if self.tracer.is_on() {
-                let t = self.tick;
-                self.tracer.emit(t, EventKind::RequestShed { conn });
-            }
-            self.respond(conn, req_id, &Response::Shed);
-        } else {
-            let h = self.db.begin();
-            self.next_token += 1;
-            let token = self.next_token;
-            self.txns.insert(token, (h, conn));
-            self.respond(conn, req_id, &Response::Began { txn: token });
-        }
-    }
-
-    fn abort_txn(&mut self, conn: u64, req_id: u64, token: u64) {
-        let Some(h) = self.owned(conn, token) else {
-            self.unknown(conn, req_id, token);
-            return;
-        };
-        match self.db.abort(h) {
-            Ok(()) => {
-                self.txns.remove(&token);
-                self.waits.remove(&token);
-                self.respond(conn, req_id, &Response::Aborted);
-            }
-            Err(e) => self.session_error(conn, req_id, token, e),
-        }
-    }
-
-    // ------------------------------------------------------- ops plane
-
-    /// Build a fresh [`ServerStats`] snapshot. Read-only over the
-    /// [`ShardedDb`]: aggregating counters, draining per-shard
-    /// contention tallies, and cloning the sample ring — no transaction
-    /// state is touched, which is what keeps `Stats` requests invisible
-    /// to the data plane. The merged commit-latency histogram the
-    /// percentiles were read from rides along, so the sampler does not
-    /// ask every shard for it a second time.
-    fn snapshot(&mut self) -> (ServerStats, Histogram) {
-        let metrics = self.db.metrics();
-        let gauges = self.db.gauges(8);
-        let hist = gauges.commit_latency_ticks;
-        let (subscribers, sub_dropped) = match self.db.trace_hub() {
-            Some(hub) => (hub.subscriber_count() as u32, hub.subscribers_dropped()),
-            None => (0, 0),
-        };
-        let stats = ServerStats {
-            uptime_ms: self.started.elapsed().as_millis() as u64,
-            cc: self.cc_name.clone(),
-            num_vars: self.num_vars,
-            conns: self.conns.len() as u32,
-            live_txns: self.txns.len() as u32,
-            queue_depth: self.queue_depth.load(Ordering::Relaxed) as u32,
-            draining: self.draining,
-            shards: self
-                .db
-                .shard_statuses()
-                .iter()
-                .map(|s| ShardHealth {
-                    alive: s.alive,
-                    down: s.down,
-                    restarts: s.restarts,
-                })
-                .collect(),
-            metrics,
-            commit_p50_ticks: hist.quantile(0.5),
-            commit_p99_ticks: hist.quantile(0.99),
-            top_contended: gauges
-                .top_contended
-                .iter()
-                .map(|v| ContendedVar {
-                    var: v.var.0,
-                    waits: v.waits as u64,
-                    aborts: v.aborts as u64,
-                })
-                .collect(),
-            sheds_pipeline: self.sheds.pipeline.load(Ordering::Relaxed),
-            sheds_queue: self.sheds.queue.load(Ordering::Relaxed),
-            sheds_txns: self.sheds.txns.load(Ordering::Relaxed),
-            subscribers,
-            sub_dropped,
-            series: self.series.iter().copied().collect(),
-        };
-        (stats, hist)
-    }
-
-    fn health(&mut self) -> HealthReport {
-        let statuses = self.db.shard_statuses();
-        let down = statuses.iter().filter(|s| s.down || !s.alive).count() as u32;
-        HealthReport {
-            degraded: down > 0,
-            draining: self.draining,
-            shards: statuses.len() as u32,
-            shards_down: down,
-        }
-    }
-
-    /// Refresh the `/healthz` flags. Runs every engine pass (a handful
-    /// of atomic stores), and the accept thread runs a pass every 5 ms,
-    /// so a shard crash flips the health endpoint within ~5 ms
-    /// regardless of the sampler period.
-    fn publish_health(&mut self) {
-        let report = self.health();
-        self.ops.degraded.store(report.degraded, Ordering::Relaxed);
-        self.ops.draining.store(report.draining, Ordering::Relaxed);
-        self.ops.shards.store(report.shards, Ordering::Relaxed);
-        self.ops
-            .shards_down
-            .store(report.shards_down, Ordering::Relaxed);
-    }
-
-    /// The sampler: at every interval boundary, snapshot, derive the
-    /// window's [`SamplePoint`] from [`Metrics::diff`] and
-    /// [`Histogram::diff`], push it into the bounded ring, and publish
-    /// the snapshot for the HTTP listener.
-    fn maybe_sample(&mut self) {
-        if self.sample_interval.is_zero() {
-            return;
-        }
-        let now = Instant::now();
-        if now < self.next_sample {
-            return;
-        }
-        // One point per elapsed boundary would backfill idle periods
-        // with zeros; one point per wakeup with a late timestamp keeps
-        // the series honest instead.
-        while self.next_sample <= now {
-            self.next_sample += self.sample_interval;
-        }
-        let (snap, hist) = self.snapshot();
-        let dm = snap.metrics.diff(&self.prev_metrics);
-        let wire_sheds = snap.sheds_total();
-        let point = SamplePoint {
-            at_ms: snap.uptime_ms,
-            interval_ms: self.sample_interval.as_millis() as u64,
-            commits: dm.commits as u64,
-            aborts: dm.aborts as u64,
-            sheds: wire_sheds.saturating_sub(self.prev_wire_sheds),
-            queue_depth: snap.queue_depth,
-            live_txns: snap.live_txns,
-            p99_ticks: hist.diff(&self.prev_hist).quantile(0.99),
-        };
-        self.prev_metrics = snap.metrics;
-        self.prev_hist = hist;
-        self.prev_wire_sheds = wire_sheds;
-        if self.series.len() >= SAMPLE_RING {
-            self.series.pop_front();
-        }
-        self.series.push_back(point);
-        if self.stats_line {
-            println!(
-                "stats at_ms={} commits={} aborts={} sheds={} queue_depth={} \
-                 live_txns={} p99_ticks={}",
-                point.at_ms,
-                point.commits,
-                point.aborts,
-                point.sheds,
-                point.queue_depth,
-                point.live_txns,
-                point.p99_ticks
-            );
-        }
-        let mut snap = snap;
-        snap.series = self.series.iter().copied().collect();
-        *self.ops.published.lock().unwrap() = Some(snap);
-    }
-
-    /// Handle [`Request::Subscribe`]: attach a bounded ring to the trace
-    /// hub (creating a sink-less hub if the server runs untraced) and
-    /// spawn a pump thread ([`subscription_pump`]) that forwards buffered
-    /// events to the connection, blocking in [`Outbox::send`] — never the
-    /// engine — while the subscriber is slow.
-    fn subscribe(&mut self, conn: u64, req_id: u64) {
-        if self.draining {
-            self.respond(conn, req_id, &Response::Draining);
-            return;
-        }
-        let Some(out) = self.conns.get(&conn).cloned() else {
-            return;
-        };
-        if self.db.trace_hub().is_none() {
-            // A default config has no sink and a zero-capacity flight
-            // recorder: the hub exists only to fan events out to
-            // subscribers. PR 7's differential suite proved traced and
-            // untraced runs behaviorally identical, so flipping tracing
-            // on here does not perturb the data plane.
-            if self.db.set_trace(&TraceConfig::default()).is_err() {
-                self.respond(
-                    conn,
-                    req_id,
-                    &Response::Err {
-                        code: ErrCode::BadState,
-                        msg: "tracing could not be enabled".to_string(),
-                    },
-                );
-                return;
-            }
-            if let Some(hub) = self.db.trace_hub() {
-                self.tracer = hub.tracer(self.shards as u32 + 1);
-            }
-        }
-        let Some(hub) = self.db.trace_hub() else {
-            return;
-        };
-        let sub = hub.subscribe(self.subscriber_ring);
-        let hub_id = sub.id();
-        let stop = Arc::new(AtomicBool::new(false));
-        self.subs.entry(conn).or_default().push(SubEntry {
-            hub_id,
-            stop: Arc::clone(&stop),
-        });
-        {
-            let t = self.tick;
-            self.tracer.emit(t, EventKind::SubscribeStart { conn });
-        }
-        self.respond(conn, req_id, &Response::Subscribed);
-        let global_stop = Arc::clone(&self.stop);
-        let _ = self
-            .threads
-            .spawn(format!("ccopt-net-sub{hub_id}"), move || {
-                subscription_pump(sub, out, req_id, stop, global_stop)
-            });
-    }
-
-    fn begin_drain(&mut self) {
-        if !self.draining {
-            self.draining = true;
-            self.deadline = Some(Instant::now() + self.grace);
-            if self.tracer.is_on() {
-                let t = self.tick;
-                self.tracer.emit(t, EventKind::DrainStart);
-            }
-        }
-    }
-
-    /// Record one `Wait` answer for `token` and fire the
-    /// distributed-deadlock valve when the bound is reached: two wire
-    /// clients in a cross-shard lock cycle would otherwise exchange
-    /// `Wait` retries forever, because no shard-local deadlock detector
-    /// can see the cycle. Firing force-restarts the transaction
-    /// ([`ShardedDb::restart`]) and returns `true`: the client is told
-    /// `Restarted`, which it already handles by replaying its program on
-    /// the same token.
-    fn waited(&mut self, token: u64, h: GlobalTxn) -> bool {
-        if self.wait_valve == 0 {
-            return false;
-        }
-        let n = self.waits.entry(token).or_insert(0);
-        *n += 1;
-        if *n < self.wait_valve {
-            return false;
-        }
-        self.waits.remove(&token);
-        // Not restartable (already terminal): answer `Wait` and let the
-        // client's next request surface the real state.
-        self.db.restart(h).is_ok()
-    }
-
-    fn session_error(&mut self, conn: u64, req_id: u64, token: u64, e: SessionError) {
-        let resp = match e {
-            SessionError::Stale => {
-                self.txns.remove(&token);
-                self.waits.remove(&token);
-                Response::Err {
-                    code: ErrCode::UnknownTxn,
-                    msg: "the transaction is gone".to_string(),
-                }
-            }
-            SessionError::ShardDown => {
-                // The transaction is dead; free the handle and the token.
-                if let Some((h, _)) = self.txns.remove(&token) {
-                    self.waits.remove(&token);
-                    let _ = self.db.abort(h);
-                }
-                Response::Err {
-                    code: ErrCode::ShardDown,
-                    msg: "owning shard crashed; begin a new transaction".to_string(),
-                }
-            }
-            SessionError::AlreadyCommitted
-            | SessionError::StillRunning
-            | SessionError::Prepared => Response::Err {
-                code: ErrCode::BadState,
-                msg: e.to_string(),
-            },
-        };
-        self.respond(conn, req_id, &resp);
-    }
-
-    fn unknown(&mut self, conn: u64, req_id: u64, token: u64) {
-        self.respond(
-            conn,
-            req_id,
-            &Response::Err {
-                code: ErrCode::UnknownTxn,
-                msg: format!("no transaction {token}"),
-            },
-        );
-    }
-
-    fn respond(&mut self, conn: u64, req_id: u64, resp: &Response) {
-        // A closed connection is handled by the reader's `Gone`; its
-        // outbox drops the response.
-        if let Some(out) = self.conns.get(&conn) {
-            if out.push(req_id, resp, true) {
-                self.unflushed.push(Arc::clone(out));
-            }
-        }
-    }
 }
 
 // ------------------------------------------------------------ ops plane
@@ -1929,7 +1108,7 @@ fn subscription_pump(
 /// Prometheus text exposition of the last published snapshot,
 /// `GET /healthz` answers `200 ok` / `503 degraded` / `503 draining`
 /// from flags the engine refreshes every pass.
-fn ops_http_thread(listener: TcpListener, ops: Arc<OpsShared>, stop: Arc<AtomicBool>) {
+fn ops_http_thread(listener: TcpListener, ops: Arc<Shared>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => serve_http(stream, &ops),
@@ -1941,7 +1120,7 @@ fn ops_http_thread(listener: TcpListener, ops: Arc<OpsShared>, stop: Arc<AtomicB
     }
 }
 
-fn serve_http(mut stream: TcpStream, ops: &OpsShared) {
+fn serve_http(mut stream: TcpStream, ops: &Shared) {
     // The accepted stream may inherit the listener's nonblocking mode on
     // some platforms; the request read must block (bounded by timeout).
     let _ = stream.set_nonblocking(false);
@@ -2002,9 +1181,8 @@ fn serve_http(mut stream: TcpStream, ops: &OpsShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::decode_response;
-    use ccopt_model::ids::VarId;
-    use ccopt_model::value::Value;
+    use crate::frame::{decode_response, Request};
+    use std::time::Instant;
 
     /// An outbox over one end of a loopback connection, and the peer.
     fn outbox_and_peer() -> (Arc<Outbox>, TcpStream) {
@@ -2106,27 +1284,27 @@ mod tests {
             &cfg,
             CcKind::from_name(&cfg.cc).expect("a known mechanism"),
             Arc::default(),
-            Arc::default(),
-            Arc::default(),
-            Arc::default(),
-            Threads::default(),
         )
         .expect("a volatile engine opens");
+        let (out, peer) = outbox_and_peer();
+        assert!(out.admit(1), "the ping's pipeline credit");
         let core = Core {
             run: Mutex::new(Some(Running {
                 eng,
                 rx,
                 done_tx,
-                conns: Arc::default(),
+                conns: Arc::new(Mutex::new(HashMap::from([(1, out)]))),
+                unflushed: Vec::new(),
+                threads: Threads::default(),
+                stop: Arc::default(),
                 batch: Vec::new(),
             })),
             tx,
             pending: AtomicUsize::new(0),
             kill: AtomicBool::new(false),
+            shared: Arc::default(),
         };
-        let (out, peer) = outbox_and_peer();
-        assert!(out.admit(1), "the ping's pipeline credit");
-        assert!(core.send(ToEngine::Conn { id: 1, out }));
+        assert!(core.send(ToEngine::Conn { id: 1 }));
         core.combine();
         assert_eq!(core.pending.load(Ordering::SeqCst), 0);
 
@@ -2155,134 +1333,6 @@ mod tests {
         let payload = read_frame(&mut &peer).unwrap().expect("the pong is there");
         let (req_id, resp) = decode_response(&payload).unwrap();
         assert_eq!((req_id, resp), (7, Response::Pong));
-    }
-
-    /// A volatile one-shard strict-2PL engine with one connection, and
-    /// that connection's peer.
-    fn engine_and_peer() -> (Engine, TcpStream) {
-        let cfg = ServerConfig {
-            shards: 1,
-            ..ServerConfig::default()
-        };
-        let kind = CcKind::from_name(&cfg.cc).expect("a known mechanism");
-        let mut eng = Engine::open(
-            &cfg,
-            kind,
-            Arc::default(),
-            Arc::default(),
-            Arc::default(),
-            Arc::default(),
-            Threads::default(),
-        )
-        .expect("a volatile engine opens");
-        let (out, peer) = outbox_and_peer();
-        eng.process(&[ToEngine::Conn { id: 1, out }]);
-        (eng, peer)
-    }
-
-    /// Run one engine pass over `reqs`, as the reader would queue them,
-    /// and read back its answers.
-    fn ask(eng: &mut Engine, peer: &TcpStream, reqs: Vec<Request>) -> Vec<Response> {
-        let n = reqs.len();
-        let msgs: Vec<ToEngine> = (0..)
-            .zip(reqs)
-            .map(|(req_id, req)| {
-                eng.conns[&1].admit(usize::MAX);
-                eng.queue_depth.fetch_add(1, Ordering::Relaxed);
-                ToEngine::Req {
-                    conn: 1,
-                    req_id,
-                    req,
-                }
-            })
-            .collect();
-        eng.process(&msgs);
-        (0..n as u64)
-            .map(|want| {
-                let payload = read_frame(&mut &*peer).unwrap().expect("an answer");
-                let (req_id, resp) = decode_response(&payload).unwrap();
-                assert_eq!(req_id, want, "answers keep request order");
-                resp
-            })
-            .collect()
-    }
-
-    fn begin(eng: &mut Engine, peer: &TcpStream) -> u64 {
-        match &ask(eng, peer, vec![Request::Begin])[..] {
-            [Response::Began { txn }] => *txn,
-            other => panic!("begin answered {other:?}"),
-        }
-    }
-
-    fn batch(txn: u64, ops: Vec<BatchOp>, commit: bool) -> Request {
-        Request::Batch { txn, ops, commit }
-    }
-
-    #[test]
-    fn a_zero_op_commit_behind_a_stopped_run_commits_on_its_own() {
-        let (mut eng, peer) = engine_and_peer();
-        let (t1, t2) = (begin(&mut eng, &peer), begin(&mut eng, &peer));
-        let write = |x| vec![BatchOp::Write(VarId(0), Value::Int(x))];
-        let held = ask(&mut eng, &peer, vec![batch(t1, write(1), false)]);
-        let done = vec![BatchOutcome::Done {
-            value: Value::Int(0),
-        }];
-        assert_eq!(
-            held,
-            [Response::Batch {
-                results: done,
-                commit: None
-            }]
-        );
-        // One pass: T2's write waits on T1's lock, which stops the
-        // entry's run, so the group never attempts the commit behind it.
-        // A zero-op request's own ops all ran, so its commit runs alone,
-        // as a sequential commit would: T2 holds nothing, and commits.
-        let answers = ask(
-            &mut eng,
-            &peer,
-            vec![batch(t2, write(2), false), batch(t2, vec![], true)],
-        );
-        assert_eq!(
-            answers,
-            [
-                Response::Batch {
-                    results: vec![BatchOutcome::Wait],
-                    commit: None,
-                },
-                Response::Batch {
-                    results: vec![],
-                    commit: Some(BatchCommit::Committed),
-                },
-            ]
-        );
-        assert_eq!(eng.commits, 1);
-    }
-
-    #[test]
-    fn a_run_stopped_early_answers_every_later_request() {
-        let (mut eng, peer) = engine_and_peer();
-        let (t1, t2) = (begin(&mut eng, &peer), begin(&mut eng, &peer));
-        let write = |var| BatchOp::Write(VarId(var), Value::Int(1));
-        ask(&mut eng, &peer, vec![batch(t1, vec![write(0)], false)]);
-        // T2's first batch waits at its first op; the two requests behind
-        // it in the same pass were never reached: each answers "resume
-        // here", and neither's commit is attempted.
-        let answers = ask(
-            &mut eng,
-            &peer,
-            vec![
-                batch(t2, vec![write(0), write(1)], false),
-                batch(t2, vec![write(2)], false),
-                batch(t2, vec![write(3)], true),
-            ],
-        );
-        let wait = Response::Batch {
-            results: vec![BatchOutcome::Wait],
-            commit: None,
-        };
-        assert_eq!(answers, [wait.clone(), wait.clone(), wait]);
-        assert_eq!(eng.commits, 0);
     }
 
     #[test]

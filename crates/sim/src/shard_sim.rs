@@ -4,7 +4,8 @@
 //! This module is the sharded *driver* of the one open-world event machine
 //! in [`crate::open_sim`] — `K` terminals, jittered wait polling,
 //! attempt-scaled restart backoff, deterministic in the seed — over a
-//! hash-partitioned, worker-thread-per-shard database instead of a single
+//! hash-partitioned database (each shard a plain session database behind a
+//! thread-free fault domain) instead of a single
 //! [`SessionDb`](ccopt_engine::SessionDb). Each arrival draws either a
 //! **single-shard** program (all operations inside one home shard — the
 //! fast path a good partitioning maximizes) or, with probability
@@ -54,7 +55,7 @@ use crate::open_sim::{
 use ccopt_engine::cc::CcKind;
 use ccopt_engine::durability::{Fault, StorageFaults};
 use ccopt_engine::session::{Op, SessionError};
-use ccopt_engine::shard::{BatchOp, GlobalTxn, GroupReq, ShardedDb};
+use ccopt_engine::shard::{BatchOp, GlobalTxn, GroupReq, ShardedDb, WAIT_VALVE};
 use ccopt_engine::{DurabilityMode, Metrics, TraceConfig};
 use ccopt_model::ids::VarId;
 use ccopt_model::state::GlobalState;
@@ -77,11 +78,6 @@ pub struct ShardSimConfig {
     /// commit then runs the two-phase protocol). Ignored on `shards = 1`.
     pub cross_ratio: f64,
 }
-
-/// Consecutive `Wait` answers before the driver force-restarts the
-/// transaction (the distributed-deadlock valve). Only active on
-/// `shards > 1`.
-const WAIT_RESTART_AFTER: u32 = 24;
 
 impl ShardSimConfig {
     /// A sharded configuration over `base` with `shards` shards and the
@@ -365,7 +361,7 @@ impl Driver for ShardedDriver<'_> {
 
     fn wait_bound(&self) -> Option<u32> {
         // Off on one shard, where shard-local detectors are complete.
-        (self.scfg.shards > 1).then_some(WAIT_RESTART_AFTER)
+        (self.scfg.shards > 1).then_some(WAIT_VALVE)
     }
 
     fn committed_globals(&mut self) -> GlobalState {
