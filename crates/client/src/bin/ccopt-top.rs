@@ -95,8 +95,8 @@ fn render(out: &mut String, s: &ServerStats) {
     );
     let _ = writeln!(
         out,
-        "conns={} live_txns={} queue_depth={} subscribers={} sub_dropped={}",
-        s.conns, s.live_txns, s.queue_depth, s.subscribers, s.sub_dropped
+        "conns={} live_txns={} queue_depth={}",
+        s.conns, s.live_txns, s.queue_depth
     );
 
     match s.series.last() {

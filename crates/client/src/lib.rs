@@ -24,9 +24,8 @@
 //!   connection past the server's admission caps.
 //!
 //! A third, read-only **ops surface** ([`Client::stats`],
-//! [`Client::health`], [`Client::subscribe`] / [`Client::recv_event`])
-//! speaks the introspection opcodes; the `ccopt-top` binary is built on
-//! it.
+//! [`Client::health`]) speaks the introspection opcodes; the `ccopt-top`
+//! binary is built on it.
 //!
 //! Admission-control refusals surface as typed errors:
 //! [`ClientError::Shed`] (back off and retry) and
@@ -136,16 +135,11 @@ pub type BatchReply = (Vec<Op<Value>>, Option<Op<()>>);
 
 /// A connection to a `ccopt-server`.
 ///
-/// Receives are buffered: one kernel read can deliver many frames,
-/// which is what makes draining a high-volume `Subscribe` stream cheap
-/// enough to not perturb the machine it is observing.
+/// Receives are buffered: one kernel read can deliver many pipelined
+/// responses.
 pub struct Client {
     stream: BufReader<TcpStream>,
     next_req: u64,
-    /// Events already received but not yet handed out: the server
-    /// delivers subscription events in batch frames; `recv_event`
-    /// hands them back one at a time.
-    pending_events: std::collections::VecDeque<(u64, String)>,
 }
 
 impl Client {
@@ -156,7 +150,6 @@ impl Client {
         Ok(Client {
             stream: BufReader::with_capacity(64 * 1024, stream),
             next_req: 0,
-            pending_events: std::collections::VecDeque::new(),
         })
     }
 
@@ -316,38 +309,6 @@ impl Client {
         match self.roundtrip(&Request::Health)? {
             Response::Health { report } => Ok(report),
             other => Err(unexpected("Health", &other)),
-        }
-    }
-
-    /// Subscribe this connection to the server's live trace stream.
-    /// After the acknowledgement, [`recv_event`](Client::recv_event)
-    /// yields JSONL trace lines; responses to other in-flight requests
-    /// on this connection are interleaved, so a dedicated connection is
-    /// the simple way to consume a subscription.
-    pub fn subscribe(&mut self) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Subscribe)? {
-            Response::Subscribed => Ok(()),
-            Response::Draining => Err(ClientError::Draining),
-            other => Err(unexpected("Subscribe", &other)),
-        }
-    }
-
-    /// Receive the next trace event from an active subscription as
-    /// `(events dropped so far, JSONL line)`. The dropped count is the
-    /// subscription's running total: a slow consumer sees it grow
-    /// instead of ever slowing the server down.
-    pub fn recv_event(&mut self) -> Result<(u64, String), ClientError> {
-        loop {
-            if let Some(e) = self.pending_events.pop_front() {
-                return Ok(e);
-            }
-            match self.recv()? {
-                (_, Response::Events { dropped, lines }) => {
-                    self.pending_events
-                        .extend(lines.into_iter().map(|l| (dropped, l)));
-                }
-                (_, other) => return Err(unexpected("subscription stream", &other)),
-            }
         }
     }
 

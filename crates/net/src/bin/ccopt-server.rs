@@ -11,7 +11,9 @@
 //! Prints `listening on <addr>` (machine-parseable — the smoke tests
 //! scrape the ephemeral port from it), serves until a wire `Shutdown`
 //! request drains it, then prints the drain stats and exits 0. Flag
-//! errors exit 2; startup errors (bad log, bind failure) exit 1.
+//! errors — an unparseable flag, and a configuration `Server::start`
+//! refuses (unknown mechanism, `--shards 0`) — exit 2; other startup
+//! errors (bad log, bind failure) exit 1.
 //!
 //! `--metrics-addr` starts the ops HTTP listener (`metrics on <addr>` is
 //! printed for port scraping); `--stats-interval-ms N` sets the sampler
@@ -19,7 +21,7 @@
 //! stdout line (off by default).
 
 use ccopt_durability::DurabilityMode;
-use ccopt_net::{Server, ServerConfig};
+use ccopt_net::{Server, ServerConfig, ServerError};
 use ccopt_trace::TraceConfig;
 use std::io::Write;
 use std::time::Duration;
@@ -85,7 +87,11 @@ fn main() {
                 eprintln!("  caused by: {s}");
                 src = s.source();
             }
-            std::process::exit(1);
+            std::process::exit(if matches!(e, ServerError::Config(_)) {
+                2
+            } else {
+                1
+            });
         }
     };
     println!("listening on {}", server.local_addr());

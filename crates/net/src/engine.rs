@@ -18,9 +18,9 @@ use ccopt_engine::{
     BatchOp, CcKind, GlobalTxn, GroupReq, GroupResp, Metrics, Op, SessionError, ShardedDb,
 };
 use ccopt_model::state::GlobalState;
-use ccopt_trace::{EventKind, Histogram, TraceConfig, TraceSubscription, Tracer};
+use ccopt_trace::{EventKind, Histogram, Tracer};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,11 +51,6 @@ pub(crate) enum ToEngine {
 pub(crate) trait Sink {
     /// Answer request `req_id` of connection `conn`.
     fn reply(&mut self, conn: u64, req_id: u64, resp: &Response);
-
-    /// Connection `conn` subscribed to the trace stream with request
-    /// `req_id` (already answered `Subscribed`): forward `sub`'s events
-    /// to it, tagged `req_id`, until `stop` is set.
-    fn subscribed(&mut self, conn: u64, req_id: u64, sub: TraceSubscription, stop: Arc<AtomicBool>);
 }
 
 /// A live transaction.
@@ -66,13 +61,6 @@ struct Live {
     /// Consecutive `Wait` answers: the distributed-deadlock valve's
     /// input, reset by an all-`Done` batch or any `Restarted`.
     waits: u32,
-}
-
-/// One live trace subscription owned by a connection: the hub-side id
-/// (to unsubscribe) and the stop flag its pump polls.
-struct SubEntry {
-    hub_id: u64,
-    stop: Arc<AtomicBool>,
 }
 
 pub(crate) struct Engine {
@@ -93,9 +81,6 @@ pub(crate) struct Engine {
     grace: Duration,
     // ---- ops plane ----
     started: Instant,
-    /// Live trace subscriptions by owning connection.
-    subs: HashMap<u64, Vec<SubEntry>>,
-    subscriber_ring: usize,
     sample_interval: Duration,
     next_sample: Instant,
     prev_metrics: Metrics,
@@ -149,8 +134,6 @@ impl Engine {
             deadline: None,
             grace: cfg.drain_grace,
             started: now,
-            subs: HashMap::new(),
-            subscriber_ring: cfg.subscriber_ring.max(1),
             sample_interval: cfg.sample_interval,
             next_sample: now + cfg.sample_interval,
             prev_metrics: Metrics::default(),
@@ -211,7 +194,7 @@ impl Engine {
         // Requests that only read engine-adjacent state (`Ping`,
         // `Begin`, `Stats`, `Health`) interleave without flushing;
         // anything that mutates transaction or server lifecycle state
-        // (aborts, drains, faults, subscriptions, dead connections) is a
+        // (aborts, drains, faults, dead connections) is a
         // barrier: the pending group flushes first, preserving arrival
         // order where it is observable.
         let mut pending = Pending::default();
@@ -247,10 +230,6 @@ impl Engine {
                             self.flush_group(&mut pending, sink);
                             sink.reply(conn, req_id, &Response::Draining);
                             self.begin_drain();
-                        }
-                        Request::Subscribe => {
-                            self.flush_group(&mut pending, sink);
-                            self.subscribe(conn, req_id, sink);
                         }
                     }
                 }
@@ -476,34 +455,22 @@ impl Engine {
         }
     }
 
-    /// A connection closed: abort its transactions and end its trace
-    /// subscriptions.
+    /// A connection closed: abort its transactions.
     fn conn_gone(&mut self, id: u64) {
         // A dead connection's transactions are aborted: nobody can ever
         // speak for their tokens again.
-        let orphans: Vec<u64> = self
+        let mut orphans: Vec<u64> = self
             .txns
             .iter()
             .filter(|(_, live)| live.conn == id)
             .map(|(&tok, _)| tok)
             .collect();
+        // In token order, so the trace is a function of the requests,
+        // not of the map's hash seed.
+        orphans.sort_unstable();
         for tok in orphans {
             if let Some(live) = self.txns.remove(&tok) {
                 let _ = self.db.abort(live.h);
-            }
-        }
-        // Its trace subscriptions end with it: detach from the hub (emit
-        // stops immediately) and stop the pumps.
-        if let Some(entries) = self.subs.remove(&id) {
-            for e in entries {
-                if let Some(hub) = self.db.trace_hub() {
-                    hub.unsubscribe(e.hub_id);
-                }
-                e.stop.store(true, Ordering::SeqCst);
-                if self.tracer.is_on() {
-                    let t = self.tick;
-                    self.tracer.emit(t, EventKind::SubscribeEnd { conn: id });
-                }
             }
         }
         self.conns.remove(&id);
@@ -569,10 +536,6 @@ impl Engine {
         let metrics = self.db.metrics();
         let gauges = self.db.gauges(8);
         let hist = gauges.commit_latency_ticks;
-        let (subscribers, sub_dropped) = match self.db.trace_hub() {
-            Some(hub) => (hub.subscriber_count() as u32, hub.subscribers_dropped()),
-            None => (0, 0),
-        };
         let stats = ServerStats {
             uptime_ms: self.started.elapsed().as_millis() as u64,
             cc: self.db.cc_name().to_string(),
@@ -606,8 +569,6 @@ impl Engine {
             sheds_pipeline: self.shared.sheds.pipeline.load(Ordering::Relaxed),
             sheds_queue: self.shared.sheds.queue.load(Ordering::Relaxed),
             sheds_txns: self.shared.sheds.txns.load(Ordering::Relaxed),
-            subscribers,
-            sub_dropped,
             series: self.series.iter().copied().collect(),
         };
         (stats, hist)
@@ -698,52 +659,6 @@ impl Engine {
         *self.shared.published.lock().expect("no publish panics") = Some(snap);
     }
 
-    /// Handle [`Request::Subscribe`]: attach a bounded ring to the trace
-    /// hub (creating a sink-less hub if the server runs untraced) and
-    /// hand it to the sink, whose forwarding never blocks the engine.
-    fn subscribe<S: Sink>(&mut self, conn: u64, req_id: u64, sink: &mut S) {
-        if self.draining {
-            sink.reply(conn, req_id, &Response::Draining);
-            return;
-        }
-        if !self.conns.contains(&conn) {
-            return;
-        }
-        if self.db.trace_hub().is_none() {
-            // A default config has no sink and a zero-capacity flight
-            // recorder: the hub exists only to fan events out to
-            // subscribers. Traced and untraced runs are behaviorally
-            // identical (the trace plane's differential suite pins it),
-            // so flipping tracing on here does not perturb the data
-            // plane.
-            if self.db.set_trace(&TraceConfig::default()).is_err() {
-                let resp = Response::Err {
-                    code: ErrCode::BadState,
-                    msg: "tracing could not be enabled".to_string(),
-                };
-                sink.reply(conn, req_id, &resp);
-                return;
-            }
-            self.tracer = server_tracer(&self.db);
-        }
-        let Some(hub) = self.db.trace_hub() else {
-            return;
-        };
-        let sub = hub.subscribe(self.subscriber_ring);
-        let hub_id = sub.id();
-        let stop = Arc::new(AtomicBool::new(false));
-        self.subs.entry(conn).or_default().push(SubEntry {
-            hub_id,
-            stop: Arc::clone(&stop),
-        });
-        {
-            let t = self.tick;
-            self.tracer.emit(t, EventKind::SubscribeStart { conn });
-        }
-        sink.reply(conn, req_id, &Response::Subscribed);
-        sink.subscribed(conn, req_id, sub, stop);
-    }
-
     fn begin_drain(&mut self) {
         if !self.draining {
             self.draining = true;
@@ -761,15 +676,9 @@ impl Engine {
         self.draining && (self.txns.is_empty() || self.deadline.is_none_or(|d| Instant::now() >= d))
     }
 
-    /// The end of serving: stop the subscription pumps and, unless
-    /// `killed`, abort the stragglers, sync the logs and close the books.
-    /// Returns what the server reports.
+    /// The end of serving: unless `killed`, abort the stragglers, sync
+    /// the logs and close the books. Returns what the server reports.
     pub(crate) fn close(&mut self, killed: bool) -> DrainStats {
-        for entries in self.subs.values() {
-            for e in entries {
-                e.stop.store(true, Ordering::SeqCst);
-            }
-        }
         let mut stats = DrainStats {
             commits: self.commits,
             aborted_on_drain: 0,
@@ -778,8 +687,11 @@ impl Engine {
             sheds_txns: self.shared.sheds.txns.load(Ordering::Relaxed),
         };
         if !killed {
-            stats.aborted_on_drain = self.txns.len();
-            for (_, live) in self.txns.drain() {
+            // In token order, as `conn_gone` aborts.
+            let mut stragglers: Vec<(u64, Live)> = self.txns.drain().collect();
+            stragglers.sort_unstable_by_key(|&(tok, _)| tok);
+            stats.aborted_on_drain = stragglers.len();
+            for (_, live) in stragglers {
                 let _ = self.db.abort(live.h);
             }
             let _ = self.db.sync();
@@ -868,17 +780,16 @@ mod tests {
     use crate::Server;
     use ccopt_model::ids::VarId;
     use ccopt_model::value::Value;
+    use ccopt_trace::{TraceConfig, TraceEvent};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::net::TcpStream;
 
-    /// A sink that keeps every answer and drops every subscription.
+    /// A sink that keeps every answer.
     impl Sink for Vec<(u64, u64, Response)> {
         fn reply(&mut self, conn: u64, req_id: u64, resp: &Response) {
             self.push((conn, req_id, resp.clone()));
         }
-
-        fn subscribed(&mut self, _: u64, _: u64, _: TraceSubscription, _: Arc<AtomicBool>) {}
     }
 
     /// One connection to an engine, with no socket: request ids count up
@@ -1131,6 +1042,63 @@ mod tests {
         let blocked = batch(t5, vec![write(0, 3)], false);
         repeat(&mut peer, WAIT_VALVE - 1, &blocked, &wait);
         assert_eq!(peer.send(blocked), restarted);
+    }
+
+    /// One request from connection `conn`, in a pass of its own.
+    fn ask_as(eng: &mut Engine, conn: u64, req: Request) -> Response {
+        eng.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
+        let mut sink = Vec::new();
+        eng.process(
+            &[ToEngine::Req {
+                conn,
+                req_id: 0,
+                req,
+            }],
+            &mut sink,
+        );
+        sink.pop().expect("one answer").2
+    }
+
+    /// Two connections open ten transactions each, one variable apiece
+    /// across both shards; connection 1 goes away, then the engine
+    /// closes with connection 2's transactions still open. Returns the
+    /// whole trace.
+    fn orphans_and_stragglers() -> Vec<TraceEvent> {
+        let mut peer = Peer::open(&ServerConfig {
+            num_vars: 20,
+            shards: 2,
+            trace: Some(TraceConfig::ring(1 << 12)),
+            ..ServerConfig::default()
+        });
+        let eng = &mut peer.eng;
+        eng.process(&[ToEngine::Conn { id: 2 }], &mut Vec::new());
+        for (conn, vars) in [(1, 0..10), (2, 10..20)] {
+            for var in vars {
+                let Response::Began { txn } = ask_as(eng, conn, Request::Begin) else {
+                    panic!("begin refused");
+                };
+                let ran = ask_as(eng, conn, batch(txn, vec![write(var, 1)], false));
+                assert!(matches!(ran, Response::Batch { ref results, .. }
+                    if matches!(results[..], [BatchOutcome::Done { .. }])));
+            }
+        }
+        eng.process(&[ToEngine::Gone { id: 1 }], &mut Vec::new());
+        assert_eq!(eng.txns.len(), 10, "connection 1's orphans are aborted");
+        assert_eq!(eng.close(false).aborted_on_drain, 10);
+        let trace = eng.db.trace_hub().expect("traced").merged_events();
+        let aborts = trace
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Abort { .. }))
+            .count();
+        assert_eq!(aborts, 20, "every open transaction was aborted");
+        trace
+    }
+
+    #[test]
+    fn orphans_and_stragglers_are_aborted_in_token_order() {
+        // Each engine's maps hash with a seed of their own: an abort
+        // order taken from a map differs between the two runs.
+        assert_eq!(orphans_and_stragglers(), orphans_and_stragglers());
     }
 
     /// Drive `peer` through a seeded script on a two-shard hot set and

@@ -88,9 +88,10 @@ impl From<WireError> for FrameError {
 pub enum ServerError {
     /// Binding the listener or configuring a socket failed.
     Io(io::Error),
-    /// The configured concurrency-control name is not one of
-    /// [`MECHANISM_NAMES`](ccopt_engine::MECHANISM_NAMES).
-    UnknownMechanism(String),
+    /// The configuration cannot be served: the concurrency-control name
+    /// is not one of [`MECHANISM_NAMES`](ccopt_engine::MECHANISM_NAMES),
+    /// or there are no shards.
+    Config(String),
     /// Opening the durable engine (write-ahead logs, recovery) failed.
     Wal(WalError),
     /// The server's engine is gone without a drain report: a pass over
@@ -102,9 +103,7 @@ impl fmt::Display for ServerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServerError::Io(_) => write!(f, "server socket I/O failed"),
-            ServerError::UnknownMechanism(name) => {
-                write!(f, "unknown concurrency-control mechanism {name:?}")
-            }
+            ServerError::Config(what) => write!(f, "invalid configuration: {what}"),
             ServerError::Wal(_) => write!(f, "opening the durable engine failed"),
             ServerError::Stopped => write!(f, "the server is already stopped"),
         }
@@ -116,7 +115,7 @@ impl std::error::Error for ServerError {
         match self {
             ServerError::Io(e) => Some(e),
             ServerError::Wal(e) => Some(e),
-            ServerError::UnknownMechanism(_) | ServerError::Stopped => None,
+            ServerError::Config(_) | ServerError::Stopped => None,
         }
     }
 }
@@ -144,9 +143,7 @@ mod tests {
         assert!(e.source().is_some());
         let e = ServerError::from(io::Error::new(io::ErrorKind::AddrInUse, "busy"));
         assert!(e.source().is_some());
-        assert!(ServerError::UnknownMechanism("2pl".into())
-            .source()
-            .is_none());
+        assert!(ServerError::Config("no shards".into()).source().is_none());
         let _ = format!("{e} {e:?}");
     }
 }

@@ -42,18 +42,19 @@ pub const MAX_FRAME: u32 = 64 * 1024;
 pub const MAX_BATCH_OPS: usize = 1024;
 
 // Request opcodes. 3-6 (the retired per-op `Read`/`Write`/`Update` and
-// plain `Commit`) stay unassigned, so a stale client's frame is malformed.
+// plain `Commit`) and 11 (the retired live trace `Subscribe`) stay
+// unassigned, so a stale client's frame is malformed.
 const OP_PING: u8 = 1;
 const OP_BEGIN: u8 = 2;
 const OP_ABORT: u8 = 7;
 const OP_SHUTDOWN: u8 = 8;
 const OP_STATS: u8 = 9;
 const OP_HEALTH: u8 = 10;
-const OP_SUBSCRIBE: u8 = 11;
 const OP_BATCH: u8 = 12;
 
 // Response opcodes. 3-6 (the retired per-op answers `Done`/`Wait`/
-// `Restarted`/`Committed`) stay unassigned.
+// `Restarted`/`Committed`) and 13-14 (the retired `Subscribed`/`Events`)
+// stay unassigned.
 const RESP_PONG: u8 = 1;
 const RESP_BEGAN: u8 = 2;
 const RESP_ABORTED: u8 = 7;
@@ -62,8 +63,6 @@ const RESP_DRAINING: u8 = 9;
 const RESP_ERR: u8 = 10;
 const RESP_STATS: u8 = 11;
 const RESP_HEALTH: u8 = 12;
-const RESP_SUBSCRIBED: u8 = 13;
-const RESP_EVENT: u8 = 14;
 const RESP_BATCH: u8 = 15;
 
 // Per-op tags inside a Batch request.
@@ -106,12 +105,6 @@ pub enum Request {
     /// Ask for the compact liveness report; answered
     /// [`Response::Health`].
     Health,
-    /// Attach a live trace subscription to this connection; answered
-    /// [`Response::Subscribed`], then a stream of [`Response::Events`]
-    /// frames (echoing this request's id) until the connection closes.
-    /// The per-subscriber buffer is bounded: a slow reader loses events
-    /// (counted in-stream), never slows the engine.
-    Subscribe,
     /// Operations of **one transaction** in one frame, the only request
     /// that does transaction work: one RTT for a whole run, the way
     /// [`ccopt_engine::ShardedDb::submit_group`] is one message per
@@ -255,21 +248,6 @@ pub enum Response {
         /// The report.
         report: HealthReport,
     },
-    /// The subscription is live; [`Response::Events`] frames follow.
-    Subscribed,
-    /// A batch of streamed trace events on a live subscription. The
-    /// server packs whatever the subscriber's ring had ready into one
-    /// frame — on a busy server that amortizes the framing, syscall and
-    /// wake-up cost per event, which is what keeps observation from
-    /// perturbing the workload being observed.
-    Events {
-        /// Events dropped on this subscription so far (cumulative): a
-        /// jump between consecutive frames is the in-stream drop report.
-        dropped: u64,
-        /// Each event as one schema-valid JSONL line
-        /// ([`ccopt_trace::validate_jsonl_line`]), in stream order.
-        lines: Vec<String>,
-    },
     /// The outcomes of a [`Request::Batch`] — the **partial-batch
     /// contract**: `results` comes back in submission order and stops
     /// at the first non-`Done` outcome (operations after it were not
@@ -362,18 +340,12 @@ pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
         Request::Shutdown => OP_SHUTDOWN,
         Request::Stats => OP_STATS,
         Request::Health => OP_HEALTH,
-        Request::Subscribe => OP_SUBSCRIBE,
         Request::Batch { .. } => OP_BATCH,
     };
     b.push(op);
     b.extend_from_slice(&req_id.to_le_bytes());
     match *req {
-        Request::Ping
-        | Request::Begin
-        | Request::Shutdown
-        | Request::Stats
-        | Request::Health
-        | Request::Subscribe => {}
+        Request::Ping | Request::Begin | Request::Shutdown | Request::Stats | Request::Health => {}
         Request::Batch {
             txn,
             ref ops,
@@ -425,7 +397,6 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), WireError> {
         OP_SHUTDOWN => Request::Shutdown,
         OP_STATS => Request::Stats,
         OP_HEALTH => Request::Health,
-        OP_SUBSCRIBE => Request::Subscribe,
         OP_BATCH => {
             let txn = c.take_u64().ok_or(WireError::Malformed)?;
             let commit = match c.take_u8().ok_or(WireError::Malformed)? {
@@ -489,8 +460,6 @@ fn encode_response_into(b: &mut Vec<u8>, req_id: u64, resp: &Response) {
         Response::Err { .. } => RESP_ERR,
         Response::Stats { .. } => RESP_STATS,
         Response::Health { .. } => RESP_HEALTH,
-        Response::Subscribed => RESP_SUBSCRIBED,
-        Response::Events { .. } => RESP_EVENT,
         Response::Batch { .. } => RESP_BATCH,
     };
     b.push(op);
@@ -506,17 +475,6 @@ fn encode_response_into(b: &mut Vec<u8>, req_id: u64, resp: &Response) {
         }
         Response::Stats { stats } => stats::put_stats(b, stats),
         Response::Health { report } => stats::put_health(b, report),
-        Response::Events { dropped, lines } => {
-            b.extend_from_slice(&dropped.to_le_bytes());
-            let count = lines.len().min(u16::MAX as usize);
-            b.extend_from_slice(&(count as u16).to_le_bytes());
-            for line in &lines[..count] {
-                let bytes = line.as_bytes();
-                let n = bytes.len().min(u16::MAX as usize);
-                b.extend_from_slice(&(n as u16).to_le_bytes());
-                b.extend_from_slice(&bytes[..n]);
-            }
-        }
         Response::Batch { results, commit } => {
             debug_assert!(results.len() <= MAX_BATCH_OPS);
             let count = results.len().min(MAX_BATCH_OPS);
@@ -571,22 +529,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
         RESP_HEALTH => Response::Health {
             report: stats::take_health(&mut c).ok_or(WireError::Malformed)?,
         },
-        RESP_SUBSCRIBED => Response::Subscribed,
-        RESP_EVENT => {
-            let dropped = c.take_u64().ok_or(WireError::Malformed)?;
-            let count = c.take_u16().ok_or(WireError::Malformed)? as usize;
-            let mut lines = Vec::new();
-            for _ in 0..count {
-                let n = c.take_u16().ok_or(WireError::Malformed)? as usize;
-                let bytes = c.take_bytes(n).ok_or(WireError::Malformed)?;
-                lines.push(
-                    std::str::from_utf8(bytes)
-                        .map_err(|_| WireError::Malformed)?
-                        .to_string(),
-                );
-            }
-            Response::Events { dropped, lines }
-        }
         RESP_BATCH => {
             let count = c.take_u16().ok_or(WireError::Malformed)? as usize;
             if count > MAX_BATCH_OPS {
@@ -633,7 +575,6 @@ mod tests {
             Request::Shutdown,
             Request::Stats,
             Request::Health,
-            Request::Subscribe,
             Request::Batch {
                 txn: 7,
                 ops: vec![
@@ -697,7 +638,6 @@ mod tests {
                     shards_down: 1,
                 },
             },
-            Response::Subscribed,
             Response::Batch {
                 results: vec![
                     BatchOutcome::Done {
@@ -723,14 +663,6 @@ mod tests {
             Response::Batch {
                 results: vec![],
                 commit: Some(BatchCommit::Restarted),
-            },
-            Response::Events {
-                dropped: 3,
-                lines: vec![
-                    "{\"gseq\":1,\"shard\":0,\"seq\":1,\"tick\":0,\"event\":\"drain_start\"}"
-                        .into(),
-                    "{\"gseq\":2,\"shard\":0,\"seq\":2,\"tick\":1,\"event\":\"drain_done\"}".into(),
-                ],
             },
         ]
     }
@@ -789,11 +721,13 @@ mod tests {
     }
 
     #[test]
-    fn retired_per_op_opcodes_are_malformed() {
+    fn retired_opcodes_are_malformed() {
         // Opcodes 3-6 once carried `Read`/`Write`/`Update`/`Commit` and
-        // their answers `Done`/`Wait`/`Restarted`/`Committed`; they stay
-        // unassigned. Each is tried bare and with the operand bytes a
-        // stale peer would have sent (a token, a variable, a value).
+        // their answers `Done`/`Wait`/`Restarted`/`Committed`; request 11
+        // was the live trace `Subscribe`, answered by responses 13
+        // (`Subscribed`) and 14 (`Events`). All stay unassigned. Each is
+        // tried bare and with the operand bytes a stale peer would have
+        // sent (a token, a variable, a value, a dropped count).
         let mut value = Vec::new();
         encoding::put_value(&mut value, Value::Int(5));
         let bodies: [&[u8]; 4] = [
@@ -802,16 +736,23 @@ mod tests {
             &[7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0],
             &value,
         ];
-        for op in 3u8..=6 {
-            for body in bodies {
-                let mut p = vec![op];
-                p.extend_from_slice(&1u64.to_le_bytes());
-                p.extend_from_slice(body);
+        let payload = |op: u8, body: &[u8]| {
+            let mut p = vec![op];
+            p.extend_from_slice(&1u64.to_le_bytes());
+            p.extend_from_slice(body);
+            p
+        };
+        for body in bodies {
+            for op in [3u8, 4, 5, 6, 11] {
+                let p = payload(op, body);
                 assert_eq!(
                     decode_request(&p),
                     Err(WireError::Malformed),
                     "request {op}"
                 );
+            }
+            for op in [3u8, 4, 5, 6, 13, 14] {
+                let p = payload(op, body);
                 assert_eq!(
                     decode_response(&p),
                     Err(WireError::Malformed),

@@ -22,9 +22,9 @@
 //! `start` leaves no thread and no bound port behind. (The database's
 //! shards own no thread; a durable database's logs each start at most one
 //! `ccopt-wal-sync` thread, at their first overlapped fsync, joined when
-//! the engine drops.) The per-connection threads — readers, drainers, subscription
-//! pumps — are registered as they spawn (finished ones are reaped at the
-//! next spawn), and [`Server::shutdown`], [`Server::kill`] and drop join
+//! the engine drops.) The per-connection threads — readers and drainers
+//! — are registered as they spawn (finished ones are reaped at the next
+//! spawn), and [`Server::shutdown`], [`Server::kill`] and drop join
 //! every one: when they return, no `ccopt-net-*` thread of the server is
 //! left. All transaction work arrives as [`Request::Batch`] frames (a
 //! single operation is a batch of one, a plain commit a batch of none),
@@ -45,10 +45,9 @@
 //! full socket would not take stays in the outbox for an on-demand
 //! **drainer** thread that blocks in the engine's stead until the buffer
 //! is empty, then exits. While a drainer owns the socket the engine only
-//! appends. The reader's own answers (`Shed`, `Malformed`) and the
-//! subscription pumps go through the same outbox and block in the same
-//! drain routine themselves, so frames never interleave and there is one
-//! write routine.
+//! appends. The reader's own answers (`Shed`, `Malformed`) go through
+//! the same outbox and block in the same drain routine themselves, so
+//! frames never interleave and there is one write routine.
 //!
 //! # Admission control
 //!
@@ -93,13 +92,9 @@
 //! * [`ServerConfig::metrics_addr`] starts a dependency-free HTTP
 //!   listener serving the Prometheus text exposition at `/metrics` and
 //!   liveness at `/healthz` (503 `degraded` while any shard is down);
-//! * [`Request::Subscribe`] streams schema-valid JSONL trace events to
-//!   the connection through a bounded per-subscriber ring
-//!   ([`ServerConfig::subscriber_ring`]) that **drops and counts**
-//!   instead of ever back-pressuring the engine: a pump thread forwards
-//!   one bounded round of events at a time and blocks until the kernel
-//!   has taken it, so a subscriber that never reads costs the engine one
-//!   failed length check per event.
+//! * [`ServerConfig::trace`] with a sink (`--trace PATH`) is the served
+//!   event record: every trace event of the schedule, in JSONL, with no
+//!   drop-and-count between the engine and the file.
 //!
 //! [`ShardedDb`]: ccopt_engine::ShardedDb
 //! [`ShardedDb::submit_group`]: ccopt_engine::ShardedDb::submit_group
@@ -107,7 +102,6 @@
 //! [`Request::Shutdown`]: crate::Request::Shutdown
 //! [`Request::Stats`]: crate::Request::Stats
 //! [`Request::Health`]: crate::Request::Health
-//! [`Request::Subscribe`]: crate::Request::Subscribe
 //! [`HealthReport`]: crate::HealthReport
 //! [`Metrics::diff`]: ccopt_engine::Metrics::diff
 //! [`SamplePoint`]: crate::SamplePoint
@@ -118,7 +112,7 @@ use crate::frame::{decode_request, frame_response_into, read_frame, ErrCode, Res
 use crate::stats::{render_prometheus, ServerStats};
 use ccopt_durability::DurabilityMode;
 use ccopt_engine::CcKind;
-use ccopt_trace::{TraceConfig, TraceSubscription};
+use ccopt_trace::TraceConfig;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -128,13 +122,6 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Ceiling on trace events delivered per second per subscriber. The
-/// subscription is a sampled observability stream, not a replication
-/// log: pacing the pump bounds the CPU the ops plane can take from the
-/// data plane on a saturated box, and the overflow shows up honestly in
-/// the in-stream dropped count.
-const SUBSCRIBER_RATE: usize = 10_000;
 
 /// Server configuration. `Default` is a volatile single-machine setup
 /// bound to an ephemeral localhost port.
@@ -178,10 +165,6 @@ pub struct ServerConfig {
     /// time-series ring. `Duration::ZERO` disables the sampler (the true
     /// ops-off baseline).
     pub sample_interval: Duration,
-    /// Capacity of each trace subscriber's ring. When a subscriber's
-    /// connection cannot keep up, events beyond this bound are dropped
-    /// and counted — never queued against the engine.
-    pub subscriber_ring: usize,
     /// Print a machine-parseable `stats ...` line on stdout at every
     /// sampler tick (the `--stats-interval` flag; off by default).
     pub stats_line: bool,
@@ -203,7 +186,6 @@ impl Default for ServerConfig {
             drain_grace: Duration::from_secs(2),
             metrics_addr: None,
             sample_interval: Duration::from_secs(1),
-            subscriber_ring: 4096,
             stats_line: false,
         }
     }
@@ -271,7 +253,7 @@ const WRITE_TICK: Duration = Duration::from_millis(1);
 /// accepted, plus the write half of the socket.
 ///
 /// Every response — the engine's, the reader's `Shed` / `Malformed`
-/// answers, a subscription pump's `Events` — is encoded and framed
+/// answers — is encoded and framed
 /// straight into `buf` under the lock, so frames never interleave, and
 /// exactly one thread writes the socket at a time: whoever holds the
 /// lock inside [`flush_once`](Outbox::flush_once), or the one **drainer**
@@ -290,9 +272,9 @@ struct OutState {
     buf: Vec<u8>,
     sent: usize,
     /// One entry per frame with unaccepted bytes, oldest first: how many
-    /// of its bytes are left, and whether it answers a request (and so
-    /// returns pipeline credit once the kernel has all of it).
-    frames: VecDeque<(usize, bool)>,
+    /// of its bytes are left. Every frame answers a request, and returns
+    /// its pipeline credit once the kernel has all of it.
+    frames: VecDeque<usize>,
     /// Requests read off this connection whose responses the kernel has
     /// not accepted yet: admission layer 1 compares it to `pipeline`.
     inflight: usize,
@@ -304,17 +286,15 @@ struct OutState {
 
 impl OutState {
     /// The kernel accepted the next `n` bytes: return the pipeline
-    /// credit of every reply frame that is now wholly out.
+    /// credit of every frame that is now wholly out.
     fn accepted(&mut self, mut n: usize) {
-        while let Some((left, reply)) = self.frames.front_mut() {
+        while let Some(left) = self.frames.front_mut() {
             if n < *left {
                 *left -= n;
                 return;
             }
             n -= *left;
-            if *reply {
-                self.inflight -= 1;
-            }
+            self.inflight -= 1;
             self.frames.pop_front();
         }
     }
@@ -343,18 +323,17 @@ impl Outbox {
         st.inflight <= pipeline
     }
 
-    /// Frame one response into the buffer. `reply` frames answer a
-    /// counted request; subscription events do not. Returns `true` when
-    /// these are the first pending bytes of an unowned outbox — the
-    /// caller then owes it a flush.
-    fn push(&self, req_id: u64, resp: &Response, reply: bool) -> bool {
+    /// Frame the response to one counted request into the buffer.
+    /// Returns `true` when these are the first pending bytes of an
+    /// unowned outbox — the caller then owes it a flush.
+    fn push(&self, req_id: u64, resp: &Response) -> bool {
         let mut st = self.lock();
         if st.dead {
             return false;
         }
         let first = st.buf.is_empty() && !st.busy;
         let len = frame_response_into(&mut st.buf, req_id, resp);
-        st.frames.push_back((len, reply));
+        st.frames.push_back(len);
         first
     }
 
@@ -390,10 +369,10 @@ impl Outbox {
     }
 
     /// Push one response and block until the kernel has everything in
-    /// the outbox — the reader's and the pumps' send. `false` when the
-    /// connection is gone.
-    fn send(&self, req_id: u64, resp: &Response, reply: bool) -> bool {
-        self.push(req_id, resp, reply);
+    /// the outbox — the reader's send. `false` when the connection is
+    /// gone.
+    fn send(&self, req_id: u64, resp: &Response) -> bool {
+        self.push(req_id, resp);
         let mut st = self.lock();
         while st.busy {
             st = self.idle.wait(st).expect("outbox mutex poisoned");
@@ -458,8 +437,8 @@ fn stalled(e: &std::io::Error) -> bool {
     matches!(e.kind(), WouldBlock | TimedOut | Interrupted)
 }
 
-/// The server's per-connection threads — readers, drainers, subscription
-/// pumps — which come and go while it runs, registered so that
+/// The server's per-connection threads — readers and drainers — which
+/// come and go while it runs, registered so that
 /// [`Server::join`] can wait for every one of them.
 #[derive(Clone, Default)]
 struct Threads(Arc<Mutex<Vec<JoinHandle<()>>>>);
@@ -529,10 +508,8 @@ struct Running {
     /// Outboxes this pass put their first pending bytes into: each is
     /// owed one flush when the pass ends.
     unflushed: Vec<Arc<Outbox>>,
-    /// Where drainers and subscription pumps are registered.
+    /// Where drainers are registered.
     threads: Threads,
-    /// The server's stop flag, which subscription pumps poll.
-    stop: Arc<AtomicBool>,
     /// The messages of the pass in progress.
     batch: Vec<ToEngine>,
 }
@@ -542,39 +519,16 @@ struct Running {
 struct Outboxes<'a> {
     conns: &'a HashMap<u64, Arc<Outbox>>,
     unflushed: &'a mut Vec<Arc<Outbox>>,
-    threads: &'a Threads,
-    stop: &'a Arc<AtomicBool>,
 }
 
 impl Sink for Outboxes<'_> {
     fn reply(&mut self, conn: u64, req_id: u64, resp: &Response) {
         // A closed connection's outbox drops the response.
         if let Some(out) = self.conns.get(&conn) {
-            if out.push(req_id, resp, true) {
+            if out.push(req_id, resp) {
                 self.unflushed.push(Arc::clone(out));
             }
         }
-    }
-
-    /// Spawn the subscription's pump ([`subscription_pump`]), which blocks
-    /// in [`Outbox::send`] — never the engine — while the subscriber is
-    /// slow.
-    fn subscribed(
-        &mut self,
-        conn: u64,
-        req_id: u64,
-        sub: TraceSubscription,
-        stop: Arc<AtomicBool>,
-    ) {
-        let Some(out) = self.conns.get(&conn).cloned() else {
-            return;
-        };
-        let global_stop = Arc::clone(self.stop);
-        let _ = self
-            .threads
-            .spawn(format!("ccopt-net-sub{}", sub.id()), move || {
-                subscription_pump(sub, out, req_id, stop, global_stop)
-            });
     }
 }
 
@@ -666,8 +620,6 @@ impl Running {
             let mut sink = Outboxes {
                 conns: &conns,
                 unflushed: &mut self.unflushed,
-                threads: &self.threads,
-                stop: &self.stop,
             };
             self.eng.process(&self.batch, &mut sink);
         }
@@ -696,19 +648,17 @@ impl Running {
         }
     }
 
-    /// The end of serving: stop the pumps, abort the stragglers and sync
-    /// the logs (unless `killed`), close every connection and report.
+    /// The end of serving: abort the stragglers and sync the logs
+    /// (unless `killed`), close every connection and report.
     fn finish(self, killed: bool) {
         let Running {
             mut eng,
             done_tx,
             conns,
-            stop,
             ..
         } = self;
         let stats = eng.close(killed);
         // Wake every connection so its threads exit.
-        stop.store(true, Ordering::SeqCst);
         for (_, out) in conns.lock().unwrap().drain() {
             let _ = out.stream.shutdown(Shutdown::Both);
         }
@@ -737,15 +687,22 @@ pub struct Server {
 
 impl Server {
     /// Bind, open (or recover) the engine, and start serving. Fails
-    /// synchronously on an unknown mechanism, a bind error, a log that
-    /// does not recover, or a trace sink that does not open — and every
+    /// synchronously on an unknown mechanism or a zero shard count, a
+    /// bind error, a log that does not recover, or a trace sink that
+    /// does not open — and every
     /// fallible step runs on the calling thread before the first thread
     /// is spawned, so an `Err` leaves nothing behind: no thread, no bound
     /// port.
     pub fn start(cfg: ServerConfig) -> Result<Server, ServerError> {
         let Some(kind) = CcKind::from_name(&cfg.cc) else {
-            return Err(ServerError::UnknownMechanism(cfg.cc));
+            let msg = format!("unknown concurrency-control mechanism {:?}", cfg.cc);
+            return Err(ServerError::Config(msg));
         };
+        if cfg.shards == 0 {
+            return Err(ServerError::Config(
+                "the shard count must be at least 1".to_string(),
+            ));
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -793,7 +750,6 @@ impl Server {
                 conns: Arc::clone(&conns),
                 unflushed: Vec::new(),
                 threads: threads.clone(),
-                stop: Arc::clone(&stop),
                 batch: Vec::with_capacity(256),
             })),
             tx,
@@ -892,7 +848,7 @@ impl Server {
             let _ = h.join();
         }
         // Every socket is shut down and nothing spawns any more: the
-        // readers, drainers and pumps are on their way out (and the one
+        // readers and drainers are on their way out (and the one
         // that finished the engine has dropped it).
         self.threads.join_all();
     }
@@ -998,7 +954,7 @@ fn reader_thread(stream: TcpStream, id: u64, core: &Core, out: Arc<Outbox>, pipe
                         code: ErrCode::Malformed,
                         msg: "request payload does not decode".to_string(),
                     };
-                    if out.send(req_id, &resp, true) {
+                    if out.send(req_id, &resp) {
                         continue;
                     }
                 }
@@ -1007,7 +963,7 @@ fn reader_thread(stream: TcpStream, id: u64, core: &Core, out: Arc<Outbox>, pipe
         };
         if !out.admit(pipeline) {
             sheds.pipeline.fetch_add(1, Ordering::Relaxed);
-            if !out.send(req_id, &Response::Shed, true) {
+            if !out.send(req_id, &Response::Shed) {
                 break;
             }
             continue;
@@ -1026,7 +982,7 @@ fn reader_thread(stream: TcpStream, id: u64, core: &Core, out: Arc<Outbox>, pipe
             Err(TrySendError::Full(_)) => {
                 queue_depth.fetch_sub(1, Ordering::Relaxed);
                 sheds.queue.fetch_add(1, Ordering::Relaxed);
-                if !out.send(req_id, &Response::Shed, true) {
+                if !out.send(req_id, &Response::Shed) {
                     break;
                 }
             }
@@ -1039,70 +995,6 @@ fn reader_thread(stream: TcpStream, id: u64, core: &Core, out: Arc<Outbox>, pipe
 }
 
 // ------------------------------------------------------------ ops plane
-
-/// Forward a subscription's buffered trace lines to its connection.
-///
-/// The pump is the isolation layer between the engine and a slow
-/// subscriber: it takes lines out of the bounded [`TraceSubscription`]
-/// ring one round at a time and blocks in [`Outbox::send`] until the
-/// kernel has accepted them. A subscriber that never reads therefore
-/// stalls only this thread, with one round of frames undelivered; the
-/// engine keeps emitting into the ring, which drops-and-counts on
-/// overflow, and the running dropped total rides along in every
-/// [`Response::Events`] frame.
-///
-/// Each round drains one bounded batch and packs it into as few
-/// [`Response::Events`] frames as fit under a per-frame byte cap: one
-/// write and one client read then carry hundreds of events instead of
-/// one — the difference between an ops plane that perturbs a
-/// single-core box and one that does not.
-///
-/// [`SUBSCRIBER_RATE`] caps delivery: at most a hundredth of it per
-/// 10 ms round, the rest left to the ring's drop-and-count.
-fn subscription_pump(
-    sub: TraceSubscription,
-    out: Arc<Outbox>,
-    req_id: u64,
-    stop: Arc<AtomicBool>,
-    global_stop: Arc<AtomicBool>,
-) {
-    // A payload cap keeping every frame well under `MAX_FRAME` even with
-    // maximum-length lines.
-    const BATCH_BYTES: usize = 32 * 1024;
-    const ROUND: Duration = Duration::from_millis(10);
-    let per_round = SUBSCRIBER_RATE / 100;
-    loop {
-        if stop.load(Ordering::SeqCst) || global_stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let (lines, dropped) = sub.drain_up_to(per_round);
-        if lines.is_empty() {
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        }
-        let mut batch: Vec<String> = Vec::new();
-        let mut bytes = 0usize;
-        for line in lines {
-            if !batch.is_empty() && bytes + line.len() > BATCH_BYTES {
-                let lines = std::mem::take(&mut batch);
-                if !out.send(req_id, &Response::Events { dropped, lines }, false) {
-                    return; // connection gone
-                }
-                bytes = 0;
-            }
-            bytes += line.len();
-            batch.push(line);
-        }
-        let last = Response::Events {
-            dropped,
-            lines: batch,
-        };
-        if !out.send(req_id, &last, false) {
-            return; // connection gone
-        }
-        std::thread::sleep(ROUND);
-    }
-}
 
 /// The dependency-free ops HTTP listener: `GET /metrics` serves the
 /// Prometheus text exposition of the last published snapshot,
@@ -1199,22 +1091,13 @@ mod tests {
         assert!(out.admit(2));
         assert!(out.admit(2));
         assert!(!out.admit(2), "a third request in flight is over the cap");
-        assert!(
-            out.push(1, &Response::Pong, true),
-            "first bytes owe a flush"
-        );
-        assert!(!out.push(2, &Response::Pong, true));
-        // A subscription event rides along and returns no credit.
-        let event = Response::Events {
-            dropped: 0,
-            lines: vec!["{}".to_string()],
-        };
-        assert!(!out.push(0, &event, false));
+        assert!(out.push(1, &Response::Pong), "first bytes owe a flush");
+        assert!(!out.push(2, &Response::Pong));
         assert_eq!(out.lock().inflight, 3, "framed is not delivered");
         assert!(!out.flush_once(), "an idle socket takes it all at once");
         assert_eq!(out.lock().inflight, 1);
         assert!(out.lock().frames.is_empty());
-        for want in [1, 2, 0] {
+        for want in [1, 2] {
             let payload = read_frame(&mut &peer).unwrap().expect("a frame");
             assert_eq!(decode_response(&payload).unwrap().0, want);
         }
@@ -1234,7 +1117,7 @@ mod tests {
             for _ in 0..16 {
                 out.admit(usize::MAX);
                 pushed += 1;
-                out.push(pushed, &big, true);
+                out.push(pushed, &big);
             }
             let t = Instant::now();
             let left = out.flush_once();
@@ -1248,7 +1131,7 @@ mod tests {
         assert!(out.lock().busy);
         out.admit(usize::MAX);
         pushed += 1;
-        assert!(!out.push(pushed, &Response::Pong, true), "no flush owed");
+        assert!(!out.push(pushed, &Response::Pong), "no flush owed");
         let t = Instant::now();
         assert!(!out.flush_once());
         assert!(t.elapsed() < WRITE_TICK, "an owned socket is not touched");
@@ -1296,7 +1179,6 @@ mod tests {
                 conns: Arc::new(Mutex::new(HashMap::from([(1, out)]))),
                 unflushed: Vec::new(),
                 threads: Threads::default(),
-                stop: Arc::default(),
                 batch: Vec::new(),
             })),
             tx,
@@ -1347,7 +1229,7 @@ mod tests {
             for _ in 0..16 {
                 req_id += 1;
                 out.admit(usize::MAX);
-                out.push(req_id, &big, true);
+                out.push(req_id, &big);
             }
         }
         let drainer = {
@@ -1356,7 +1238,7 @@ mod tests {
         };
         drop(peer); // closes with unread data: the kernel resets
         assert!(!drainer.join().unwrap(), "the drainer reports the death");
-        assert!(!out.send(req_id + 1, &Response::Pong, true));
+        assert!(!out.send(req_id + 1, &Response::Pong));
         let st = out.lock();
         assert!(st.dead && !st.busy && st.buf.is_empty());
     }

@@ -20,7 +20,7 @@ use ccopt_engine::Metrics;
 use ccopt_trace::ConflictRule;
 
 /// Version byte leading every encoded [`ServerStats`].
-const STATS_VERSION: u8 = 3;
+const STATS_VERSION: u8 = 4;
 
 /// Most sample points ever encoded into one Stats response, keeping the
 /// frame comfortably under [`MAX_FRAME`](crate::MAX_FRAME) (a point is
@@ -110,10 +110,6 @@ pub struct ServerStats {
     pub sheds_queue: u64,
     /// `Begin`s shed at the open-transaction budget (engine layer).
     pub sheds_txns: u64,
-    /// Live trace subscribers (gauge).
-    pub subscribers: u32,
-    /// Events dropped across all live subscriptions so far.
-    pub sub_dropped: u64,
     /// The sampler's time-series, oldest first (bounded; the encoder
     /// keeps the newest [`MAX_SERIES_POINTS`]).
     pub series: Vec<SamplePoint>,
@@ -253,8 +249,6 @@ pub fn put_stats(b: &mut Vec<u8>, s: &ServerStats) {
     put_u64(b, s.sheds_pipeline);
     put_u64(b, s.sheds_queue);
     put_u64(b, s.sheds_txns);
-    put_u32(b, s.subscribers);
-    put_u64(b, s.sub_dropped);
     let skip = s.series.len().saturating_sub(MAX_SERIES_POINTS);
     let series = &s.series[skip..];
     put_u16(b, series.len() as u16);
@@ -309,8 +303,6 @@ pub fn take_stats(c: &mut Cursor<'_>) -> Option<ServerStats> {
     let sheds_pipeline = c.take_u64()?;
     let sheds_queue = c.take_u64()?;
     let sheds_txns = c.take_u64()?;
-    let subscribers = c.take_u32()?;
-    let sub_dropped = c.take_u64()?;
     let npoints = c.take_u16()? as usize;
     let mut series = Vec::with_capacity(npoints);
     for _ in 0..npoints {
@@ -341,8 +333,6 @@ pub fn take_stats(c: &mut Cursor<'_>) -> Option<ServerStats> {
         sheds_pipeline,
         sheds_queue,
         sheds_txns,
-        subscribers,
-        sub_dropped,
         series,
     })
 }
@@ -462,11 +452,6 @@ pub fn render_prometheus(s: &ServerStats) -> String {
             "Data operations those shard messages carried.",
             m.batched_ops as u64,
         ),
-        (
-            "ccopt_subscriber_dropped_total",
-            "Trace events dropped across all live subscriptions.",
-            s.sub_dropped,
-        ),
     ] {
         metric(&mut out, name, "counter", help, &format!("{name} {v}\n"));
     }
@@ -512,11 +497,6 @@ pub fn render_prometheus(s: &ServerStats) -> String {
             "ccopt_queue_depth",
             "Requests waiting in the engine queue.",
             s.queue_depth as u64,
-        ),
-        (
-            "ccopt_subscribers",
-            "Live trace subscribers.",
-            s.subscribers as u64,
         ),
         (
             "ccopt_draining",
@@ -679,8 +659,6 @@ mod tests {
             sheds_pipeline: 10,
             sheds_queue: 20,
             sheds_txns: 30,
-            subscribers: 1,
-            sub_dropped: 17,
             series: vec![SamplePoint {
                 at_ms: 1000,
                 interval_ms: 1000,

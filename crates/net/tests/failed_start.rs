@@ -1,5 +1,6 @@
 //! A `Server::start` that fails leaves nothing behind: every fallible
-//! step — the last being the engine open and the trace sink — runs on
+//! step — the first being the configuration check, the last the engine
+//! open and the trace sink — runs on
 //! the caller's thread before the first server thread is spawned, so an
 //! `Err` means no `ccopt-net-*` thread and no bound port.
 //!
@@ -48,13 +49,20 @@ fn failed_start_releases_every_port_and_thread() {
         trace: Some(TraceConfig::to_sink(blocker.join("trace.jsonl"))),
         ..base()
     };
-    for (what, cfg) in [
-        ("log directory", log_dir_is_a_file),
-        ("trace sink", trace_sink_under_a_file),
+    let no_shards = ServerConfig {
+        shards: 0,
+        ..base()
+    };
+    // The configuration check fails first, before anything is bound.
+    for (what, cfg, refused_config) in [
+        ("log directory", log_dir_is_a_file, false),
+        ("trace sink", trace_sink_under_a_file, false),
+        ("zero shards", no_shards, true),
     ] {
         let (addr, metrics_addr) = (cfg.addr.clone(), cfg.metrics_addr.clone().unwrap());
         match Server::start(cfg) {
-            Err(ServerError::Wal(_) | ServerError::Io(_)) => {}
+            Err(ServerError::Config(_)) if refused_config => {}
+            Err(ServerError::Wal(_) | ServerError::Io(_)) if !refused_config => {}
             Err(other) => panic!("{what}: unexpected error {other:?}"),
             Ok(_) => panic!("{what}: start must fail"),
         }

@@ -59,7 +59,6 @@ fn sample_requests(rng: &mut SmallRng) -> Vec<Request> {
         Request::Shutdown,
         Request::Stats,
         Request::Health,
-        Request::Subscribe,
         Request::Batch {
             txn: rng.gen(),
             ops: vec![],
@@ -358,7 +357,7 @@ fn live_server_survives_batch_abuse_and_interleaved_partials() {
 }
 
 /// The ops opcodes under the same abuse: truncated and bit-flipped
-/// `Stats` / `Health` / `Subscribe` frames are answered or the
+/// `Stats` / `Health` frames are answered or the
 /// connection closed — never a panic, never a wedged server — and the
 /// ops plane still answers a well-formed snapshot afterwards.
 #[test]
@@ -372,7 +371,7 @@ fn ops_opcodes_survive_truncation_and_flips_against_a_live_server() {
     let addr = server.local_addr();
     let mut rng = SmallRng::seed_from_u64(0x0B5C_F7A6);
 
-    let ops_reqs = [Request::Stats, Request::Health, Request::Subscribe];
+    let ops_reqs = [Request::Stats, Request::Health];
     for round in 0..12 {
         let req = &ops_reqs[round % ops_reqs.len()];
         let mut s = TcpStream::connect(addr).expect("connect");
@@ -401,9 +400,11 @@ fn ops_opcodes_survive_truncation_and_flips_against_a_live_server() {
     server.shutdown().expect("drain");
 }
 
-/// A stale client's per-op frame — opcode 3, the retired `Read`, with
-/// the operands it used to carry — is answered `Err{Malformed}` under
-/// its request id, and the same connection then serves a `Batch`.
+/// A stale client's frames — opcodes 3-6, the retired per-op `Read`,
+/// `Write`, `Update` and `Commit`, with a token and a variable for
+/// operands, and 11, the retired live trace `Subscribe`, bare — are each
+/// answered `Err{Malformed}` under their request id, and the same
+/// connection then serves a `Batch`.
 #[test]
 fn retired_opcode_is_answered_malformed_and_the_connection_serves_on() {
     let server = Server::start(ServerConfig {
@@ -421,22 +422,26 @@ fn retired_opcode_is_answered_malformed_and_the_connection_serves_on() {
         let p = read_frame(&mut s).expect("frame").expect("answered");
         decode_response(&p).expect("decodes")
     };
-    let mut stale = vec![3u8];
-    stale.extend_from_slice(&41u64.to_le_bytes()); // req_id
-    stale.extend_from_slice(&1u64.to_le_bytes()); // txn
-    stale.extend_from_slice(&0u32.to_le_bytes()); // var
-    let (id, resp) = roundtrip(&stale);
-    assert_eq!(id, 41);
-    assert!(
-        matches!(
-            resp,
-            Response::Err {
-                code: ErrCode::Malformed,
-                ..
-            }
-        ),
-        "{resp:?}"
-    );
+    for (req_id, op) in (31u64..).zip([3u8, 4, 5, 6, 11]) {
+        let mut stale = vec![op];
+        stale.extend_from_slice(&req_id.to_le_bytes());
+        if op != 11 {
+            stale.extend_from_slice(&1u64.to_le_bytes()); // txn
+            stale.extend_from_slice(&0u32.to_le_bytes()); // var
+        }
+        let (id, resp) = roundtrip(&stale);
+        assert_eq!(id, req_id, "opcode {op}");
+        assert!(
+            matches!(
+                resp,
+                Response::Err {
+                    code: ErrCode::Malformed,
+                    ..
+                }
+            ),
+            "opcode {op}: {resp:?}"
+        );
+    }
     let txn = match roundtrip(&encode_request(42, &Request::Begin)) {
         (42, Response::Began { txn }) => txn,
         other => panic!("begin answered {other:?}"),

@@ -1,8 +1,8 @@
 //! Process-level smoke for the ops plane: a real `ccopt-server` binary
-//! started with `--metrics-addr` and `--stats-interval-ms`, scraped over
-//! real HTTP, reconciled against client-observed totals, and a live
-//! `Subscribe` stream captured to disk (the CI job uploads the capture
-//! as an artifact).
+//! started with `--metrics-addr`, `--stats-interval-ms` and `--trace
+//! PATH`, scraped over real HTTP and reconciled against client-observed
+//! totals and against the served event record it wrote (the CI job
+//! uploads the record as an artifact).
 //!
 //! What must hold:
 //! * `/metrics` serves a parseable Prometheus exposition and `/healthz`
@@ -11,7 +11,9 @@
 //!   `Stats` snapshot both equal the commits the client itself counted;
 //! * the `--stats-interval-ms` stdout line appears and is
 //!   machine-parseable;
-//! * the captured `Subscribe` stream is non-empty, schema-valid JSONL.
+//! * every line of the trace sink is schema-valid JSONL, the record ends
+//!   its drain with `drain_done`, and its `commit` events equal the
+//!   commits counted everywhere else.
 
 use ccopt_client::Client;
 use ccopt_engine::Op;
@@ -19,7 +21,7 @@ use ccopt_net::{parse_prometheus, sample};
 use ccopt_trace::validate_jsonl_line;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -33,7 +35,8 @@ struct ServerProc {
     metrics: String,
 }
 
-fn spawn_server() -> ServerProc {
+/// Start the binary with its trace sink at `trace`.
+fn spawn_server(trace: &Path) -> ServerProc {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ccopt-server"))
         .args([
             "--addr",
@@ -49,6 +52,8 @@ fn spawn_server() -> ServerProc {
             "--stats-interval-ms",
             "50",
         ])
+        .arg("--trace")
+        .arg(trace)
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
@@ -111,13 +116,10 @@ fn eventually<T>(what: &str, mut probe: impl FnMut() -> Result<T, String>) -> T 
 
 #[test]
 fn served_binary_exposes_a_reconciling_ops_plane() {
-    let mut server = spawn_server();
-
-    // A live subscription on its own connection, from before the
-    // workload, so the capture sees real transaction lifecycles.
-    let mut sub = Client::connect(&server.addr).expect("connect subscriber");
-    sub.set_timeout(Some(Duration::from_secs(5))).unwrap();
-    sub.subscribe().expect("subscribe");
+    let trace = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("metrics-smoke")
+        .join("trace.jsonl");
+    let mut server = spawn_server(&trace);
 
     // The workload: TXNS committed transactions the client counts.
     let mut client = Client::connect(&server.addr).expect("connect");
@@ -146,24 +148,6 @@ fn served_binary_exposes_a_reconciling_ops_plane() {
         }
     }
     assert_eq!(committed, TXNS as u64, "serial workload commits everything");
-
-    // Capture the subscription stream to the artifact the CI job
-    // uploads; every line must be schema-valid JSONL.
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("metrics-smoke");
-    std::fs::create_dir_all(&dir).expect("create artifact dir");
-    let capture_path = dir.join("subscribe.jsonl");
-    let mut capture = std::fs::File::create(&capture_path).expect("create capture");
-    let mut captured = 0usize;
-    sub.set_timeout(Some(Duration::from_millis(200))).unwrap();
-    while let Ok((_, line)) = sub.recv_event() {
-        validate_jsonl_line(&line).unwrap_or_else(|e| panic!("invalid event {line:?}: {e}"));
-        writeln!(capture, "{line}").expect("write capture");
-        captured += 1;
-        if captured >= 2000 {
-            break;
-        }
-    }
-    assert!(captured > 0, "the subscription captured trace events");
 
     // Health and exposition over real HTTP.
     let (code, body) = http_get(&server.metrics, "/healthz");
@@ -196,7 +180,6 @@ fn served_binary_exposes_a_reconciling_ops_plane() {
         stats.metrics.aborts_by_rule.iter().sum::<usize>(),
         stats.metrics.aborts
     );
-    assert!(stats.subscribers >= 1, "the subscription is visible");
 
     // Drain over the wire; the binary's stdout must contain at least one
     // machine-parseable sampler line before the drain summary.
@@ -223,5 +206,24 @@ fn served_binary_exposes_a_reconciling_ops_plane() {
     assert!(
         rest.lines().any(|l| l.starts_with("drained: ")),
         "drain summary printed: {rest:?}"
+    );
+
+    // The served event record: schema-valid, closed by the drain, and
+    // one `commit` per committed transaction (each touches one variable,
+    // so one shard).
+    let record = std::fs::read_to_string(&trace).expect("the trace sink was written");
+    let names: Vec<&str> = record
+        .lines()
+        .map(|line| {
+            validate_jsonl_line(line).unwrap_or_else(|e| panic!("invalid event {line:?}: {e}"))
+        })
+        .collect();
+    assert!(names.contains(&"drain_done"), "the record closes the drain");
+    let commits = names.iter().filter(|&&n| n == "commit").count() as u64;
+    assert_eq!(commits, committed, "sink commits == client commits");
+    assert_eq!(
+        Some(commits as f64),
+        sample(&samples, "ccopt_commits_total"),
+        "sink commits == ccopt_commits_total"
     );
 }

@@ -333,3 +333,24 @@ fn kill_mid_batch_preserves_per_transaction_atomicity() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A configuration `Server::start` refuses is a flag error: exit 2 with
+/// the reason on stderr, never a panic (101) or a bound port.
+#[test]
+fn refused_configurations_exit_2_without_a_panic() {
+    for args in [["--shards", "0"], ["--cc", "no-such-cc"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ccopt-server"))
+            .args(["--addr", "127.0.0.1:0"])
+            .args(args)
+            .output()
+            .expect("run ccopt-server");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("invalid configuration"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing was served");
+    }
+}

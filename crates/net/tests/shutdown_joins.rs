@@ -1,8 +1,7 @@
 //! `Server::shutdown` returns only once every server thread has exited —
-//! the per-connection ones too: each reader, each drainer the engine
-//! started for a full socket, each subscription pump. And while it
-//! serves, those and the accept thread are all the threads it has: the
-//! engine has none of its own.
+//! the per-connection ones too: each reader, and each drainer the engine
+//! started for a full socket. And while it serves, those and the accept
+//! thread are all the threads it has: the engine has none of its own.
 //!
 //! Alone in its file on purpose: the thread check reads this process's
 //! own task list, which tests sharing the binary would populate.
@@ -48,20 +47,18 @@ fn shutdown_returns_after_every_connection_thread_has_exited() {
     .expect("server starts");
     let addr = server.local_addr();
 
-    // A live subscriber (a reader and a pump) and a plain client (a
-    // reader).
-    let mut sub = Client::connect(addr).expect("connect subscriber");
-    sub.subscribe().expect("subscribe");
-    let mut plain = Client::connect(addr).expect("connect plain client");
-    plain.ping().expect("ping");
+    // Two plain clients (a reader each).
+    let mut one = Client::connect(addr).expect("connect a client");
+    one.ping().expect("ping");
+    let mut two = Client::connect(addr).expect("connect another client");
+    two.ping().expect("ping");
     // No engine thread: the engine runs on whichever of these holds it.
     // (`comm` is cut at 15 bytes.)
     let threads = server_threads();
-    assert!(
-        matches!(threads.as_slice(), [accept, r1, r2, pump]
-            if accept == "ccopt-net-accep" && r1 == "ccopt-net-r1" && r2 == "ccopt-net-r2"
-                && pump.starts_with("ccopt-net-sub")),
-        "the accept thread, two readers and a pump, nothing else: {threads:?}"
+    assert_eq!(
+        threads,
+        ["ccopt-net-accep", "ccopt-net-r1", "ccopt-net-r2"],
+        "the accept thread and two readers, nothing else"
     );
 
     // A pipelining connection that never reads: more batch answers than
@@ -84,10 +81,8 @@ fn shutdown_returns_after_every_connection_thread_has_exited() {
     }
     let give_up = Instant::now() + Duration::from_secs(30);
     let mut threads = server_threads();
-    while !(threads.iter().any(|t| t == "ccopt-net-drain")
-        && threads.iter().any(|t| t.starts_with("ccopt-net-sub")))
-    {
-        assert!(Instant::now() < give_up, "no drainer or pump: {threads:?}");
+    while !threads.iter().any(|t| t == "ccopt-net-drain") {
+        assert!(Instant::now() < give_up, "no drainer: {threads:?}");
         std::thread::sleep(Duration::from_millis(5));
         threads = server_threads();
     }
@@ -98,5 +93,5 @@ fn shutdown_returns_after_every_connection_thread_has_exited() {
         Vec::<String>::new(),
         "shutdown returned with server threads still running"
     );
-    drop((sub, plain, stalled));
+    drop((one, two, stalled));
 }

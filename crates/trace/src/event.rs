@@ -249,16 +249,6 @@ pub enum EventKind {
     DrainStart,
     /// Graceful drain finished: in-flight work settled, logs synced.
     DrainDone,
-    /// A connection attached a live trace subscription (ops plane).
-    SubscribeStart {
-        /// The subscribing connection.
-        conn: u64,
-    },
-    /// A live trace subscription detached (connection closed or drain).
-    SubscribeEnd {
-        /// The unsubscribing connection.
-        conn: u64,
-    },
 }
 
 impl EventKind {
@@ -282,8 +272,6 @@ impl EventKind {
             EventKind::RequestShed { .. } => "request_shed",
             EventKind::DrainStart => "drain_start",
             EventKind::DrainDone => "drain_done",
-            EventKind::SubscribeStart { .. } => "subscribe_start",
-            EventKind::SubscribeEnd { .. } => "subscribe_end",
         }
     }
 }
@@ -361,9 +349,7 @@ impl TraceEvent {
             }
             EventKind::ConnAccept { conn }
             | EventKind::ConnClose { conn }
-            | EventKind::RequestShed { conn }
-            | EventKind::SubscribeStart { conn }
-            | EventKind::SubscribeEnd { conn } => {
+            | EventKind::RequestShed { conn } => {
                 s.push_str(&format!(",\"conn\":{conn}"));
             }
             EventKind::DrainStart | EventKind::DrainDone => {}
@@ -442,8 +428,6 @@ pub fn validate_jsonl_line(line: &str) -> Result<&'static str, String> {
         "request_shed",
         "drain_start",
         "drain_done",
-        "subscribe_start",
-        "subscribe_end",
     ];
     let event: &'static str = known
         .iter()
@@ -490,7 +474,7 @@ pub fn validate_jsonl_line(line: &str) -> Result<&'static str, String> {
         "shard_down" | "shard_up" => {
             num("down_shard")?;
         }
-        "conn_accept" | "conn_close" | "request_shed" | "subscribe_start" | "subscribe_end" => {
+        "conn_accept" | "conn_close" | "request_shed" => {
             num("conn")?;
         }
         "drain_start" | "drain_done" => {}
@@ -565,8 +549,6 @@ mod tests {
             EventKind::RequestShed { conn: 11 },
             EventKind::DrainStart,
             EventKind::DrainDone,
-            EventKind::SubscribeStart { conn: 11 },
-            EventKind::SubscribeEnd { conn: 11 },
         ];
         for kind in kinds {
             let line = ev(kind).to_jsonl();

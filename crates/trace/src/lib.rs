@@ -36,4 +36,4 @@ pub mod tracer;
 pub use event::{validate_jsonl_line, ConflictRule, EventKind, TraceEvent, Verdict};
 pub use hist::Histogram;
 pub use recorder::FlightRecorder;
-pub use tracer::{TraceConfig, TraceHub, TraceSubscription, Tracer};
+pub use tracer::{TraceConfig, TraceHub, Tracer};

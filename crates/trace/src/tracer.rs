@@ -13,10 +13,9 @@
 
 use crate::event::{EventKind, TraceEvent};
 use crate::recorder::FlightRecorder;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Lock a trace mutex, recovering from poison: a shard worker that
@@ -70,97 +69,6 @@ impl TraceConfig {
 
 type Sink = Arc<Mutex<Box<dyn Write + Send>>>;
 
-/// A bounded buffer of rendered JSONL lines feeding one live subscriber.
-/// The emitting thread pushes under a short lock; a pump thread drains.
-/// When the buffer is full the **incoming** event is dropped and counted
-/// — emission never blocks, so a stalled consumer costs the engine one
-/// failed length check, nothing more.
-#[derive(Debug)]
-pub struct SubscriberRing {
-    cap: usize,
-    buf: VecDeque<String>,
-    dropped: u64,
-}
-
-impl SubscriberRing {
-    fn new(cap: usize) -> SubscriberRing {
-        SubscriberRing {
-            cap: cap.max(1),
-            buf: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, line: String) {
-        if self.buf.len() >= self.cap {
-            self.dropped += 1;
-        } else {
-            self.buf.push_back(line);
-        }
-    }
-
-    /// Whether the next [`push`](SubscriberRing::push) would drop.
-    /// Emitters check this *before* rendering the line, so a full ring
-    /// costs them a length check instead of a JSON serialization.
-    fn is_full(&self) -> bool {
-        self.buf.len() >= self.cap
-    }
-
-    /// Count one event dropped without offering a line (the emitter
-    /// skipped rendering because the ring was already full).
-    fn note_drop(&mut self) {
-        self.dropped += 1;
-    }
-}
-
-/// The registry of live subscribers, shared between the hub and every
-/// tracer it mints. The `count` atomic keeps the no-subscriber emit path
-/// at one relaxed load — no lock, no rendering.
-#[derive(Default)]
-struct Subscribers {
-    count: AtomicUsize,
-    next_id: AtomicU64,
-    list: Mutex<Vec<(u64, Arc<Mutex<SubscriberRing>>)>>,
-}
-
-/// One live trace subscription minted by [`TraceHub::subscribe`]. Drain
-/// it from a pump thread; drop semantics are per-subscriber (a slow
-/// subscriber loses *its own* events, never anyone else's).
-pub struct TraceSubscription {
-    id: u64,
-    ring: Arc<Mutex<SubscriberRing>>,
-}
-
-impl TraceSubscription {
-    /// The hub-assigned subscription id (pass to
-    /// [`TraceHub::unsubscribe`]).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Take every buffered JSONL line, plus the cumulative count of
-    /// events dropped on this subscription so far (monotonic).
-    pub fn drain(&self) -> (Vec<String>, u64) {
-        let mut ring = lock_unpoisoned(&self.ring);
-        (ring.buf.drain(..).collect(), ring.dropped)
-    }
-
-    /// Take at most `n` buffered lines (oldest first), leaving the rest
-    /// in the ring — for flow-controlled pumps that only forward what
-    /// their consumer has credit for. Also returns the cumulative
-    /// dropped count.
-    pub fn drain_up_to(&self, n: usize) -> (Vec<String>, u64) {
-        let mut ring = lock_unpoisoned(&self.ring);
-        let take = ring.buf.len().min(n);
-        (ring.buf.drain(..take).collect(), ring.dropped)
-    }
-
-    /// Cumulative events dropped on this subscription (monotonic).
-    pub fn dropped(&self) -> u64 {
-        lock_unpoisoned(&self.ring).dropped
-    }
-}
-
 /// The shared half of a tracing run: global stamp, sink, rings.
 pub struct TraceHub {
     gseq: Arc<AtomicU64>,
@@ -168,7 +76,6 @@ pub struct TraceHub {
     ring_capacity: usize,
     dump_dir: Option<PathBuf>,
     rings: Mutex<Vec<(u32, Arc<Mutex<FlightRecorder>>)>>,
-    subs: Arc<Subscribers>,
 }
 
 impl TraceHub {
@@ -192,42 +99,7 @@ impl TraceHub {
             ring_capacity: cfg.ring_capacity,
             dump_dir: cfg.dump_dir.clone(),
             rings: Mutex::new(Vec::new()),
-            subs: Arc::new(Subscribers::default()),
         })
-    }
-
-    /// Attach a live subscriber with a bounded buffer of `capacity`
-    /// rendered events. Every tracer minted by this hub (before or
-    /// after) fans its events into the subscription until
-    /// [`unsubscribe`](TraceHub::unsubscribe).
-    pub fn subscribe(&self, capacity: usize) -> TraceSubscription {
-        let ring = Arc::new(Mutex::new(SubscriberRing::new(capacity)));
-        let id = self.subs.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        lock_unpoisoned(&self.subs.list).push((id, ring.clone()));
-        self.subs.count.fetch_add(1, Ordering::Release);
-        TraceSubscription { id, ring }
-    }
-
-    /// Detach a subscriber; its buffered events are discarded.
-    pub fn unsubscribe(&self, id: u64) {
-        let mut list = lock_unpoisoned(&self.subs.list);
-        if let Some(pos) = list.iter().position(|(s, _)| *s == id) {
-            list.remove(pos);
-            self.subs.count.fetch_sub(1, Ordering::Release);
-        }
-    }
-
-    /// Live subscriber count.
-    pub fn subscriber_count(&self) -> usize {
-        self.subs.count.load(Ordering::Acquire)
-    }
-
-    /// Total events dropped across all live subscriptions.
-    pub fn subscribers_dropped(&self) -> u64 {
-        lock_unpoisoned(&self.subs.list)
-            .iter()
-            .map(|(_, r)| lock_unpoisoned(r).dropped)
-            .sum()
     }
 
     /// Mint the tracer for `shard`, registering its flight-recorder ring
@@ -246,7 +118,6 @@ impl TraceHub {
             gseq: self.gseq.clone(),
             ring,
             sink: self.sink.clone(),
-            subs: self.subs.clone(),
         })))
     }
 
@@ -313,7 +184,6 @@ struct TracerInner {
     gseq: Arc<AtomicU64>,
     ring: Option<Arc<Mutex<FlightRecorder>>>,
     sink: Option<Sink>,
-    subs: Arc<Subscribers>,
 }
 
 /// The per-shard emission handle. Default is off: emission is a `None`
@@ -353,36 +223,6 @@ impl Tracer {
         if let Some(sink) = &inner.sink {
             let mut w = lock_unpoisoned(sink);
             let _ = writeln!(w, "{}", ev.to_jsonl());
-        }
-        // Live subscribers: one relaxed load when nobody is listening.
-        // Pushes are bounded drop-and-count, so a stalled subscriber
-        // never back-pressures the emitting thread.
-        if inner.subs.count.load(Ordering::Acquire) > 0 {
-            let list = lock_unpoisoned(&inner.subs.list);
-            // The common case is exactly one subscriber: move the line
-            // into its ring instead of cloning per ring — and render it
-            // only if some ring will actually take it, so an emitter
-            // behind a saturated subscriber pays a length check, not a
-            // JSON serialization.
-            if let [(_, ring)] = &list[..] {
-                let mut r = lock_unpoisoned(ring);
-                if r.is_full() {
-                    r.note_drop();
-                } else {
-                    r.push(ev.to_jsonl());
-                }
-            } else {
-                let mut line: Option<String> = None;
-                for (_, ring) in list.iter() {
-                    let mut r = lock_unpoisoned(ring);
-                    if r.is_full() {
-                        r.note_drop();
-                    } else {
-                        let l = line.get_or_insert_with(|| ev.to_jsonl());
-                        r.push(l.clone());
-                    }
-                }
-            }
         }
     }
 }
@@ -429,48 +269,6 @@ mod tests {
             .map(|e| e.seq)
             .collect();
         assert_eq!(shard0, vec![1, 2]);
-    }
-
-    #[test]
-    fn subscribers_receive_lines_and_overflow_drops_and_counts() {
-        let hub = TraceHub::new(&TraceConfig::ring(16)).unwrap();
-        let mut t = hub.tracer(0);
-        // Nothing subscribed yet: events vanish (and cost one load).
-        t.emit(1, EventKind::TxnBegin { txn: 1 });
-        let sub = hub.subscribe(3);
-        assert_eq!(hub.subscriber_count(), 1);
-        for i in 0..5 {
-            t.emit(2 + i, EventKind::Commit { txn: i });
-        }
-        let (lines, dropped) = sub.drain();
-        assert_eq!(lines.len(), 3, "bounded at capacity");
-        assert_eq!(dropped, 2, "overflow dropped and counted");
-        for line in &lines {
-            validate_jsonl_line(line).unwrap();
-        }
-        // Drain frees capacity; dropped stays cumulative.
-        t.emit(10, EventKind::Retire { txn: 9 });
-        let (lines, dropped) = sub.drain();
-        assert_eq!(lines.len(), 1);
-        assert_eq!(dropped, 2);
-        assert_eq!(hub.subscribers_dropped(), 2);
-        hub.unsubscribe(sub.id());
-        assert_eq!(hub.subscriber_count(), 0);
-        t.emit(11, EventKind::Retire { txn: 10 }); // nobody listening
-        assert_eq!(sub.drain().0.len(), 0);
-    }
-
-    #[test]
-    fn subscription_sees_tracers_minted_before_and_after() {
-        let hub = TraceHub::new(&TraceConfig::default()).unwrap();
-        let mut before = hub.tracer(0);
-        let sub = hub.subscribe(8);
-        let mut after = hub.tracer(1);
-        before.emit(1, EventKind::TxnBegin { txn: 1 });
-        after.emit(1, EventKind::TxnBegin { txn: 2 });
-        let (lines, dropped) = sub.drain();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(dropped, 0);
     }
 
     #[test]

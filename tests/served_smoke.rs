@@ -29,7 +29,7 @@ const SYNC_TXNS: u32 = 20;
 const IN_FLIGHT: usize = 64;
 
 /// Live threads the server runs per connection (`ccopt-net-r<id>`
-/// readers, pumps, drainers): every thread it names except its two
+/// readers, drainers): every thread it names except its two
 /// singletons. (A durable database's `ccopt-wal-sync` log syncers, named
 /// by the durability crate, lie outside the prefix.) `None` off Linux.
 fn connection_threads() -> Option<usize> {
