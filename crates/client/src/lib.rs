@@ -11,8 +11,8 @@
 //!
 //! Two surfaces share one socket:
 //!
-//! * the **sync surface** (`begin`/`read`/`write`/`update`/`commit`/
-//!   `batch`/`abort`) sends one request and blocks for its response — the
+//! * the **sync surface** (`read`/`write`/`update`/`commit`/`batch`/
+//!   `abort`) sends one request and blocks for its response — the
 //!   differential tests use it to pin wire semantics to the in-process
 //!   engine. Transaction work has one wire shape, [`Request::Batch`]:
 //!   `read`/`write`/`update` send a batch of one op and `commit` a batch
@@ -27,9 +27,18 @@
 //! [`Client::health`]) speaks the introspection opcodes; the `ccopt-top`
 //! binary is built on it.
 //!
-//! Admission-control refusals surface as typed errors:
-//! [`ClientError::Shed`] (back off and retry) and
-//! [`ClientError::Draining`] (the server is going away).
+//! A transaction begins at its first request; there is no begin frame.
+//! [`Client::begin`] sends nothing: it numbers the connection's next
+//! transaction (1, 2, 3, …), and the server begins it when the first
+//! request naming that number arrives. Tokens are per connection, so a
+//! handle means nothing on another connection. A token whose first
+//! request comes after a later token's is refused as unknown: make each
+//! handle's first request in `begin` order.
+//!
+//! Admission-control refusals surface as typed errors, on a
+//! transaction's first request: [`ClientError::Shed`] (back off and
+//! retry the same request) and [`ClientError::Draining`] (the server is
+//! going away).
 
 use ccopt_engine::{BatchOp, Op};
 use ccopt_model::ids::VarId;
@@ -69,7 +78,7 @@ pub enum ClientError {
         msg: String,
     },
     /// The server answered something the protocol does not allow here
-    /// (e.g. a `Began` to a `Commit`), or an unknown request id.
+    /// (e.g. a `Pong` to a `Batch`), or an unknown request id.
     Protocol(String),
 }
 
@@ -113,9 +122,9 @@ impl From<FrameError> for ClientError {
     }
 }
 
-/// An open transaction on the server, named by its server-issued token.
-/// Epoch-style staleness is enforced server-side: a finished token
-/// answers `UnknownTxn`.
+/// A transaction of one connection, named by the token [`Client::begin`]
+/// numbered it with. Epoch-style staleness is enforced server-side: a
+/// finished token answers `UnknownTxn`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TxnHandle {
     token: u64,
@@ -140,6 +149,7 @@ pub type BatchReply = (Vec<Op<Value>>, Option<Op<()>>);
 pub struct Client {
     stream: BufReader<TcpStream>,
     next_req: u64,
+    next_txn: u64,
 }
 
 impl Client {
@@ -150,6 +160,7 @@ impl Client {
         Ok(Client {
             stream: BufReader::with_capacity(64 * 1024, stream),
             next_req: 0,
+            next_txn: 0,
         })
     }
 
@@ -169,16 +180,16 @@ impl Client {
         }
     }
 
-    /// Open a transaction. Admission refusals surface as
-    /// [`ClientError::Shed`] / [`ClientError::Draining`] so callers can
-    /// back off.
+    /// Number the connection's next transaction; sends nothing (the
+    /// pipelined surface puts [`TxnHandle::token`] into its own
+    /// requests). The server begins the transaction at its first
+    /// request, where admission refusals surface as
+    /// [`ClientError::Shed`] / [`ClientError::Draining`].
     pub fn begin(&mut self) -> Result<TxnHandle, ClientError> {
-        match self.roundtrip(&Request::Begin)? {
-            Response::Began { txn } => Ok(TxnHandle { token: txn }),
-            Response::Shed => Err(ClientError::Shed),
-            Response::Draining => Err(ClientError::Draining),
-            other => Err(unexpected("Begin", &other)),
-        }
+        self.next_txn += 1;
+        Ok(TxnHandle {
+            token: self.next_txn,
+        })
     }
 
     /// Observe variable `var`. [`Op`] semantics mirror the session API.
@@ -268,6 +279,7 @@ impl Client {
                 }),
             )),
             Response::Shed => Err(ClientError::Shed),
+            Response::Draining => Err(ClientError::Draining),
             Response::Err { code, msg } => Err(ClientError::Server { code, msg }),
             other => Err(unexpected("Batch", &other)),
         }
@@ -278,6 +290,7 @@ impl Client {
         match self.roundtrip(&Request::Abort { txn: h.token })? {
             Response::Aborted => Ok(()),
             Response::Shed => Err(ClientError::Shed),
+            Response::Draining => Err(ClientError::Draining),
             Response::Err { code, msg } => Err(ClientError::Server { code, msg }),
             other => Err(unexpected("Abort", &other)),
         }

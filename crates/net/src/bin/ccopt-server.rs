@@ -10,10 +10,13 @@
 //!
 //! Prints `listening on <addr>` (machine-parseable — the smoke tests
 //! scrape the ephemeral port from it), serves until a wire `Shutdown`
-//! request drains it, then prints the drain stats and exits 0. Flag
-//! errors — an unparseable flag, and a configuration `Server::start`
-//! refuses (unknown mechanism, `--shards 0`) — exit 2; other startup
-//! errors (bad log, bind failure) exit 1.
+//! request drains it, then prints the drain stats and exits 0 — or 1,
+//! with the reasons on stderr, when the drain's final log sync or the
+//! trace sink's final flush failed, or the sink failed to write any
+//! event (`--trace /dev/full`). Flag errors — an unparseable flag, and a
+//! configuration `Server::start` refuses (unknown mechanism,
+//! `--shards 0`) — exit 2; other startup errors (bad log, bind failure)
+//! exit 1.
 //!
 //! `--metrics-addr` starts the ops HTTP listener (`metrics on <addr>` is
 //! printed for port scraping); `--stats-interval-ms N` sets the sampler
@@ -119,6 +122,26 @@ fn main() {
                 stats.sheds_queue,
                 stats.sheds_txns
             );
+            let mut failed = false;
+            for (what, err) in [
+                ("final log sync", &stats.sync_error),
+                ("trace flush", &stats.trace_flush_error),
+            ] {
+                if let Some(err) = err {
+                    eprintln!("ccopt-server: {what} failed: {err}");
+                    failed = true;
+                }
+            }
+            if stats.trace_write_errors > 0 {
+                eprintln!(
+                    "ccopt-server: {} trace events were not written",
+                    stats.trace_write_errors
+                );
+                failed = true;
+            }
+            if failed {
+                std::process::exit(1);
+            }
         }
         Err(e) => {
             eprintln!("ccopt-server: {e}");

@@ -19,7 +19,7 @@ use ccopt_engine::{
 };
 use ccopt_model::state::GlobalState;
 use ccopt_trace::{EventKind, Histogram, Tracer};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,11 +53,14 @@ pub(crate) trait Sink {
     fn reply(&mut self, conn: u64, req_id: u64, resp: &Response);
 }
 
+/// A transaction's name: its connection and the token that connection
+/// numbered it with. Tokens are per connection, so a connection cannot
+/// name another's transaction.
+type TxnKey = (u64, u64);
+
 /// A live transaction.
 struct Live {
     h: GlobalTxn,
-    /// The connection that began it: the only one that may speak for it.
-    conn: u64,
     /// Consecutive `Wait` answers: the distributed-deadlock valve's
     /// input, reset by an all-`Done` batch or any `Restarted`.
     waits: u32,
@@ -66,11 +69,10 @@ struct Live {
 pub(crate) struct Engine {
     db: ShardedDb,
     tracer: Tracer,
-    /// Live connections.
-    conns: HashSet<u64>,
-    /// token -> the live transaction.
-    txns: HashMap<u64, Live>,
-    next_token: u64,
+    /// Live connection -> the highest token it has begun (its
+    /// high-water mark; a token at or below it never begins again).
+    conns: HashMap<u64, u64>,
+    txns: HashMap<TxnKey, Live>,
     max_txns: usize,
     shared: Arc<Shared>,
     commits: u64,
@@ -123,9 +125,8 @@ impl Engine {
         let mut eng = Engine {
             db,
             tracer,
-            conns: HashSet::new(),
+            conns: HashMap::new(),
             txns: HashMap::new(),
-            next_token: 0,
             max_txns: cfg.max_txns.max(1),
             shared,
             commits: 0,
@@ -165,9 +166,10 @@ fn server_tracer(db: &ShardedDb) -> Tracer {
 /// `Batch` requests, concatenated in arrival order, with each request's
 /// run kept as `(req_id, n)` so it gets its own answer back.
 struct PendEntry {
-    conn: u64,
-    token: u64,
+    key: TxnKey,
     runs: Vec<(u64, usize)>,
+    /// Moved into the entry's [`GroupReq`] at flush; `runs` keep the
+    /// counts.
     ops: Vec<BatchOp>,
     /// The request id of the commit-bearing request, if any. An entry
     /// with a commit is sealed — a later request on the same token
@@ -180,7 +182,7 @@ struct PendEntry {
 #[derive(Default)]
 struct Pending {
     entries: Vec<PendEntry>,
-    index: HashMap<(u64, u64), usize>,
+    index: HashMap<TxnKey, usize>,
 }
 
 impl Engine {
@@ -192,7 +194,7 @@ impl Engine {
         // transactions share shard messages instead of paying a round
         // trip each.
         // Requests that only read engine-adjacent state (`Ping`,
-        // `Begin`, `Stats`, `Health`) interleave without flushing;
+        // `Stats`, `Health`) interleave without flushing;
         // anything that mutates transaction or server lifecycle state
         // (aborts, drains, faults, dead connections) is a
         // barrier: the pending group flushes first, preserving arrival
@@ -213,7 +215,6 @@ impl Engine {
                             commit,
                         } => self.enqueue(&mut pending, (conn, req_id), txn, ops, commit, sink),
                         Request::Ping => sink.reply(conn, req_id, &Response::Pong),
-                        Request::Begin => self.begin_txn(conn, req_id, sink),
                         Request::Stats => {
                             let stats = Box::new(self.snapshot().0);
                             sink.reply(conn, req_id, &Response::Stats { stats });
@@ -234,7 +235,7 @@ impl Engine {
                     }
                 }
                 ToEngine::Conn { id } => {
-                    self.conns.insert(*id);
+                    self.conns.insert(*id, 0);
                     if self.tracer.is_on() {
                         let t = self.tick;
                         self.tracer.emit(t, EventKind::ConnAccept { conn: *id });
@@ -284,7 +285,12 @@ impl Engine {
             sink.reply(conn, req_id, &resp);
             return;
         }
-        if let Some(&ix) = pending.index.get(&(conn, token)) {
+        let key = (conn, token);
+        if let Err(resp) = self.live(key) {
+            sink.reply(conn, req_id, &resp);
+            return;
+        }
+        if let Some(&ix) = pending.index.get(&key) {
             if pending.entries[ix].commit_req.is_some() {
                 // Pipelined past a commit: what this request means
                 // depends on that commit's outcome, so the group
@@ -292,18 +298,17 @@ impl Engine {
                 self.flush_group(pending, sink);
             }
         }
-        let ix = match pending.index.get(&(conn, token)) {
+        let ix = match pending.index.get(&key) {
             Some(&ix) => ix,
             None => {
                 pending.entries.push(PendEntry {
-                    conn,
-                    token,
+                    key,
                     runs: Vec::new(),
                     ops: Vec::new(),
                     commit_req: None,
                 });
                 let ix = pending.entries.len() - 1;
-                pending.index.insert((conn, token), ix);
+                pending.index.insert(key, ix);
                 ix
             }
         };
@@ -325,16 +330,18 @@ impl Engine {
         pending.index.clear();
         let mut reqs: Vec<GroupReq> = Vec::with_capacity(entries.len());
         let mut live: Vec<(PendEntry, GlobalTxn)> = Vec::with_capacity(entries.len());
-        for e in entries {
-            let Some(h) = self.owned(e.conn, e.token) else {
+        for mut e in entries {
+            // Live when enqueued, but a commit flushed ahead of it in the
+            // pass may have ended it.
+            let Some(h) = self.txns.get(&e.key).map(|live| live.h) else {
                 for &(req_id, _) in &e.runs {
-                    sink.reply(e.conn, req_id, &unknown(e.token));
+                    sink.reply(e.key.0, req_id, &unknown(e.key.1));
                 }
                 continue;
             };
             reqs.push(GroupReq {
                 h,
-                ops: e.ops.clone(),
+                ops: std::mem::take(&mut e.ops),
                 commit: e.commit_req.is_some(),
             });
             live.push((e, h));
@@ -348,7 +355,7 @@ impl Engine {
 
     /// Answer every request of one settled [`PendEntry`].
     fn settle<S: Sink>(&mut self, e: &PendEntry, h: GlobalTxn, resp: GroupResp, sink: &mut S) {
-        let (conn, token) = (e.conn, e.token);
+        let (key, conn) = (e.key, e.key.0);
         let results = match resp.results {
             Ok(results) => results,
             Err(err) => {
@@ -356,7 +363,7 @@ impl Engine {
                 // handle, shard down, prepared): every request it
                 // carried gets the mapped error.
                 for &(req_id, _) in &e.runs {
-                    sink.reply(conn, req_id, &self.session_error(token, err));
+                    sink.reply(conn, req_id, &self.session_error(key, err));
                 }
                 return;
             }
@@ -365,14 +372,14 @@ impl Engine {
         // entry: a trailing `Wait` feeds the distributed-deadlock valve,
         // which may turn the whole answer into `Restarted`.
         let trailing = match results.last() {
-            Some(Op::Wait) if self.waited(token) => BatchOutcome::Restarted,
+            Some(Op::Wait) if self.waited(key) => BatchOutcome::Restarted,
             Some(Op::Wait) => BatchOutcome::Wait,
             Some(Op::Restarted) => {
-                self.reset_waits(token);
+                self.reset_waits(key);
                 BatchOutcome::Restarted
             }
-            Some(Op::Done(_)) if results.len() == e.ops.len() => {
-                self.reset_waits(token);
+            Some(Op::Done(_)) if results.len() == e.runs.iter().map(|&(_, n)| n).sum() => {
+                self.reset_waits(key);
                 BatchOutcome::Wait
             }
             _ => BatchOutcome::Wait,
@@ -418,9 +425,9 @@ impl Engine {
                     c
                 });
                 match c {
-                    Ok(c) => Some(self.commit_outcome(token, c)),
+                    Ok(c) => Some(self.commit_outcome(key, c)),
                     Err(err) => {
-                        sink.reply(conn, req_id, &self.session_error(token, err));
+                        sink.reply(conn, req_id, &self.session_error(key, err));
                         continue;
                     }
                 }
@@ -435,21 +442,21 @@ impl Engine {
         }
     }
 
-    /// Book one commit outcome of `token` — a landed commit drops the
-    /// token and counts, a `Wait` feeds the valve (which may turn it into
-    /// a restart), a restart clears the wait streak — and say what the
-    /// client is told.
-    fn commit_outcome(&mut self, token: u64, c: Op<()>) -> BatchCommit {
+    /// Book one commit outcome of `key` — a landed commit drops the
+    /// transaction and counts, a `Wait` feeds the valve (which may turn
+    /// it into a restart), a restart clears the wait streak — and say
+    /// what the client is told.
+    fn commit_outcome(&mut self, key: TxnKey, c: Op<()>) -> BatchCommit {
         match c {
             Op::Done(()) => {
-                self.txns.remove(&token);
+                self.txns.remove(&key);
                 self.commits += 1;
                 BatchCommit::Committed
             }
-            Op::Wait if self.waited(token) => BatchCommit::Restarted,
+            Op::Wait if self.waited(key) => BatchCommit::Restarted,
             Op::Wait => BatchCommit::Wait,
             Op::Restarted => {
-                self.reset_waits(token);
+                self.reset_waits(key);
                 BatchCommit::Restarted
             }
         }
@@ -459,17 +466,12 @@ impl Engine {
     fn conn_gone(&mut self, id: u64) {
         // A dead connection's transactions are aborted: nobody can ever
         // speak for their tokens again.
-        let mut orphans: Vec<u64> = self
-            .txns
-            .iter()
-            .filter(|(_, live)| live.conn == id)
-            .map(|(&tok, _)| tok)
-            .collect();
+        let mut orphans: Vec<TxnKey> = self.txns.keys().filter(|k| k.0 == id).copied().collect();
         // In token order, so the trace is a function of the requests,
         // not of the map's hash seed.
         orphans.sort_unstable();
-        for tok in orphans {
-            if let Some(live) = self.txns.remove(&tok) {
+        for key in orphans {
+            if let Some(live) = self.txns.remove(&key) {
                 let _ = self.db.abort(live.h);
             }
         }
@@ -480,47 +482,51 @@ impl Engine {
         }
     }
 
-    /// The engine handle behind `token`, when `conn` owns it. Tokens are
-    /// sequential, so a connection can name another's live transaction;
-    /// only the connection that began it may speak for it.
-    fn owned(&self, conn: u64, token: u64) -> Option<GlobalTxn> {
-        match self.txns.get(&token) {
-            Some(live) if live.conn == conn => Some(live.h),
-            _ => None,
+    /// The transaction `key` names: a live one, or one begun here when
+    /// the token is above its connection's high-water mark. A fresh
+    /// token is admitted here — refused while draining, shed at
+    /// `max_txns` — and a refusal leaves the mark where it was, so the
+    /// same request can be retried. `Err` is the answer otherwise.
+    fn live(&mut self, key: TxnKey) -> Result<GlobalTxn, Response> {
+        let (conn, token) = key;
+        let Some(mark) = self.conns.get_mut(&conn) else {
+            return Err(unknown(token));
+        };
+        if token <= *mark {
+            return self
+                .txns
+                .get(&key)
+                .map(|l| l.h)
+                .ok_or_else(|| unknown(token));
         }
-    }
-
-    fn begin_txn<S: Sink>(&mut self, conn: u64, req_id: u64, sink: &mut S) {
         if self.draining {
-            sink.reply(conn, req_id, &Response::Draining);
-        } else if self.txns.len() >= self.max_txns {
+            return Err(Response::Draining);
+        }
+        if self.txns.len() >= self.max_txns {
             self.shared.sheds.txns.fetch_add(1, Ordering::Relaxed);
             if self.tracer.is_on() {
                 let t = self.tick;
                 self.tracer.emit(t, EventKind::RequestShed { conn });
             }
-            sink.reply(conn, req_id, &Response::Shed);
-        } else {
-            let h = self.db.begin();
-            self.next_token += 1;
-            let token = self.next_token;
-            self.txns.insert(token, Live { h, conn, waits: 0 });
-            sink.reply(conn, req_id, &Response::Began { txn: token });
+            return Err(Response::Shed);
         }
+        *mark = token;
+        let h = self.db.begin();
+        self.txns.insert(key, Live { h, waits: 0 });
+        Ok(h)
     }
 
     fn abort_txn<S: Sink>(&mut self, conn: u64, req_id: u64, token: u64, sink: &mut S) {
-        let Some(h) = self.owned(conn, token) else {
-            sink.reply(conn, req_id, &unknown(token));
-            return;
-        };
-        match self.db.abort(h) {
-            Ok(()) => {
-                self.txns.remove(&token);
-                sink.reply(conn, req_id, &Response::Aborted);
+        let key = (conn, token);
+        let resp = match self.live(key).map(|h| self.db.abort(h)) {
+            Ok(Ok(())) => {
+                self.txns.remove(&key);
+                Response::Aborted
             }
-            Err(e) => sink.reply(conn, req_id, &self.session_error(token, e)),
-        }
+            Ok(Err(e)) => self.session_error(key, e),
+            Err(resp) => resp,
+        };
+        sink.reply(conn, req_id, &resp);
     }
 
     // ------------------------------------------------------- ops plane
@@ -569,6 +575,7 @@ impl Engine {
             sheds_pipeline: self.shared.sheds.pipeline.load(Ordering::Relaxed),
             sheds_queue: self.shared.sheds.queue.load(Ordering::Relaxed),
             sheds_txns: self.shared.sheds.txns.load(Ordering::Relaxed),
+            trace_write_errors: self.db.trace_hub().map_or(0, |hub| hub.failed_writes()),
             series: self.series.iter().copied().collect(),
         };
         (stats, hist)
@@ -685,28 +692,30 @@ impl Engine {
             sheds_pipeline: self.shared.sheds.pipeline.load(Ordering::Relaxed),
             sheds_queue: self.shared.sheds.queue.load(Ordering::Relaxed),
             sheds_txns: self.shared.sheds.txns.load(Ordering::Relaxed),
+            ..DrainStats::default()
         };
         if !killed {
             // In token order, as `conn_gone` aborts.
-            let mut stragglers: Vec<(u64, Live)> = self.txns.drain().collect();
-            stragglers.sort_unstable_by_key(|&(tok, _)| tok);
+            let mut stragglers: Vec<(TxnKey, Live)> = self.txns.drain().collect();
+            stragglers.sort_unstable_by_key(|&(key, _)| key);
             stats.aborted_on_drain = stragglers.len();
             for (_, live) in stragglers {
                 let _ = self.db.abort(live.h);
             }
-            let _ = self.db.sync();
+            stats.sync_error = self.db.sync().err().map(|e| e.to_string());
             if self.draining && self.tracer.is_on() {
                 let t = self.tick;
                 self.tracer.emit(t, EventKind::DrainDone);
             }
             if let Some(hub) = self.db.trace_hub() {
-                hub.flush();
+                stats.trace_flush_error = hub.flush().err().map(|e| e.to_string());
+                stats.trace_write_errors = hub.failed_writes();
             }
         }
         stats
     }
 
-    /// Record one `Wait` answer for `token` and fire the
+    /// Record one `Wait` answer for `key` and fire the
     /// distributed-deadlock valve at [`WAIT_VALVE`] in a row: two wire
     /// clients in a cross-shard lock cycle would otherwise exchange
     /// `Wait` retries forever, because no shard-local deadlock detector
@@ -714,8 +723,8 @@ impl Engine {
     /// ([`ShardedDb::restart`]) and returns `true`: the client is told
     /// `Restarted`, which it already handles by replaying its program on
     /// the same token.
-    fn waited(&mut self, token: u64) -> bool {
-        let Some(live) = self.txns.get_mut(&token) else {
+    fn waited(&mut self, key: TxnKey) -> bool {
+        let Some(live) = self.txns.get_mut(&key) else {
             return false;
         };
         live.waits += 1;
@@ -728,18 +737,18 @@ impl Engine {
         self.db.restart(live.h).is_ok()
     }
 
-    /// An outcome other than `Wait` ends `token`'s wait streak.
-    fn reset_waits(&mut self, token: u64) {
-        if let Some(live) = self.txns.get_mut(&token) {
+    /// An outcome other than `Wait` ends `key`'s wait streak.
+    fn reset_waits(&mut self, key: TxnKey) {
+        if let Some(live) = self.txns.get_mut(&key) {
             live.waits = 0;
         }
     }
 
-    /// Book `e`, met by `token`, and say what the client is told.
-    fn session_error(&mut self, token: u64, e: SessionError) -> Response {
+    /// Book `e`, met by `key`, and say what the client is told.
+    fn session_error(&mut self, key: TxnKey, e: SessionError) -> Response {
         match e {
             SessionError::Stale => {
-                self.txns.remove(&token);
+                self.txns.remove(&key);
                 Response::Err {
                     code: ErrCode::UnknownTxn,
                     msg: "the transaction is gone".to_string(),
@@ -747,7 +756,7 @@ impl Engine {
             }
             SessionError::ShardDown => {
                 // The transaction is dead; free the handle and the token.
-                if let Some(live) = self.txns.remove(&token) {
+                if let Some(live) = self.txns.remove(&key) {
                     let _ = self.db.abort(live.h);
                 }
                 Response::Err {
@@ -765,7 +774,8 @@ impl Engine {
     }
 }
 
-/// The answer to a request naming a token its connection does not own.
+/// The answer to a request naming a token that is not live on its
+/// connection.
 fn unknown(token: u64) -> Response {
     Response::Err {
         code: ErrCode::UnknownTxn,
@@ -792,11 +802,12 @@ mod tests {
         }
     }
 
-    /// One connection to an engine, with no socket: request ids count up
-    /// across passes, as a client's do.
+    /// One connection to an engine, with no socket: request ids and
+    /// transaction tokens count up across passes, as a client's do.
     struct Peer {
         eng: Engine,
         next_id: u64,
+        next_txn: u64,
     }
 
     impl Peer {
@@ -805,7 +816,11 @@ mod tests {
             let kind = CcKind::from_name(&cfg.cc).expect("a known mechanism");
             let mut eng = Engine::open(cfg, kind, Arc::default()).expect("a volatile engine opens");
             eng.process(&[ToEngine::Conn { id: 1 }], &mut Vec::new());
-            Peer { eng, next_id: 0 }
+            Peer {
+                eng,
+                next_id: 0,
+                next_txn: 0,
+            }
         }
 
         /// A one-shard engine running `cc`.
@@ -845,11 +860,11 @@ mod tests {
             self.ask(vec![req]).pop().expect("one answer")
         }
 
+        /// Number the next transaction, as `Client::begin` does: it
+        /// begins at its first request.
         fn begin(&mut self) -> u64 {
-            match self.send(Request::Begin) {
-                Response::Began { txn } => txn,
-                other => panic!("begin answered {other:?}"),
-            }
+            self.next_txn += 1;
+            self.next_txn
         }
     }
 
@@ -944,7 +959,8 @@ mod tests {
             shards: 2,
             ..ServerConfig::default()
         });
-        let (t1, t2, t3) = (peer.begin(), peer.begin(), peer.begin());
+        // Numbered in the order of their first requests.
+        let (t1, t3, t2) = (peer.begin(), peer.begin(), peer.begin());
         let (x, y) = (VarId(0), VarId(1));
         assert_ne!(
             peer.eng.db.partition().shard_of(x),
@@ -1044,6 +1060,142 @@ mod tests {
         assert_eq!(peer.send(blocked), restarted);
     }
 
+    fn unknown_txn(resp: &Response) -> bool {
+        matches!(
+            resp,
+            Response::Err {
+                code: ErrCode::UnknownTxn,
+                ..
+            }
+        )
+    }
+
+    fn done(x: i64) -> BatchOutcome {
+        BatchOutcome::Done {
+            value: Value::Int(x),
+        }
+    }
+
+    #[test]
+    fn a_conflict_free_commit_is_one_request_and_one_response() {
+        let mut peer = Peer::one_shard("strict-2PL");
+        let t = peer.begin();
+        // `ask` checks one answer per request, in order.
+        let answers = peer.ask(vec![batch(t, vec![write(0, 7), write(1, 8)], true)]);
+        let committed = Response::Batch {
+            results: vec![done(0), done(0)],
+            commit: Some(BatchCommit::Committed),
+        };
+        assert_eq!(answers, [committed]);
+        assert_eq!(peer.eng.commits, 1);
+        assert!(peer.eng.txns.is_empty());
+    }
+
+    #[test]
+    fn a_fresh_token_begins_and_a_finished_or_skipped_one_is_unknown() {
+        let mut peer = Peer::one_shard("strict-2PL");
+        let (t1, t2, t3) = (peer.begin(), peer.begin(), peer.begin());
+        let held = Response::Batch {
+            results: vec![done(0)],
+            commit: None,
+        };
+        assert_eq!(peer.send(batch(t1, vec![write(0, 1)], false)), held);
+        assert_eq!(peer.eng.txns.len(), 1, "the first request began T1");
+        assert_eq!(peer.eng.conns[&1], t1);
+        let landed = Response::Batch {
+            results: vec![],
+            commit: Some(BatchCommit::Committed),
+        };
+        assert_eq!(peer.send(batch(t1, vec![], true)), landed);
+        // Finished: the token stays stale.
+        assert!(unknown_txn(&peer.send(batch(t1, vec![write(0, 2)], false))));
+        assert!(unknown_txn(&peer.send(Request::Abort { txn: t1 })));
+        // T3's first request jumps the mark past T2, which never begins.
+        assert_eq!(peer.send(batch(t3, vec![write(1, 1)], false)), held);
+        assert!(unknown_txn(&peer.send(batch(t2, vec![write(2, 1)], true))));
+        assert_eq!(peer.eng.txns.len(), 1);
+        assert_eq!(peer.eng.conns[&1], t3);
+    }
+
+    #[test]
+    fn a_fresh_token_while_draining_answers_draining_and_begins_nothing() {
+        let mut peer = Peer::one_shard("strict-2PL");
+        let (t1, t2) = (peer.begin(), peer.begin());
+        peer.send(batch(t1, vec![write(0, 1)], false));
+        peer.eng.process(&[ToEngine::Drain], &mut Vec::new());
+        assert_eq!(
+            peer.send(batch(t2, vec![write(1, 1)], true)),
+            Response::Draining
+        );
+        assert_eq!(peer.send(Request::Abort { txn: t2 }), Response::Draining);
+        assert_eq!(peer.eng.txns.len(), 1, "only T1 is live");
+        assert_eq!(peer.eng.conns[&1], t1, "a refusal leaves the mark");
+        // The transaction begun before the drain still finishes.
+        let landed = peer.send(batch(t1, vec![], true));
+        assert!(matches!(
+            landed,
+            Response::Batch {
+                commit: Some(BatchCommit::Committed),
+                ..
+            }
+        ));
+        assert!(peer.eng.drained());
+    }
+
+    #[test]
+    fn over_max_txns_the_first_request_is_shed_and_the_same_request_succeeds_later() {
+        let mut peer = Peer::open(&ServerConfig {
+            shards: 1,
+            max_txns: 1,
+            ..ServerConfig::default()
+        });
+        let (t1, t2) = (peer.begin(), peer.begin());
+        peer.send(batch(t1, vec![write(0, 1)], false));
+        let first = batch(t2, vec![write(1, 1)], true);
+        assert_eq!(peer.send(first.clone()), Response::Shed);
+        assert_eq!(peer.eng.shared.sheds.txns.load(Ordering::Relaxed), 1);
+        assert_eq!(peer.eng.txns.len(), 1);
+        assert_eq!(peer.eng.conns[&1], t1, "a shed leaves the mark");
+        assert_eq!(peer.send(Request::Abort { txn: t1 }), Response::Aborted);
+        let landed = Response::Batch {
+            results: vec![done(0)],
+            commit: Some(BatchCommit::Committed),
+        };
+        assert_eq!(peer.send(first), landed);
+        assert_eq!(peer.eng.shared.sheds.txns.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_malformed_first_request_begins_nothing() {
+        let mut peer = Peer::one_shard("strict-2PL");
+        let t = peer.begin();
+        let outside = peer.eng.db.partition().num_vars() as u32;
+        let bad = peer.send(batch(t, vec![write(0, 1), write(outside, 1)], true));
+        assert!(matches!(
+            bad,
+            Response::Err {
+                code: ErrCode::Malformed,
+                ..
+            }
+        ));
+        assert!(peer.eng.txns.is_empty());
+        assert_eq!(peer.eng.conns[&1], 0);
+        let held = Response::Batch {
+            results: vec![done(0)],
+            commit: None,
+        };
+        assert_eq!(peer.send(batch(t, vec![write(0, 1)], false)), held);
+    }
+
+    #[test]
+    fn an_abort_on_a_fresh_token_answers_aborted_and_uses_the_token_up() {
+        let mut peer = Peer::one_shard("strict-2PL");
+        let t = peer.begin();
+        assert_eq!(peer.send(Request::Abort { txn: t }), Response::Aborted);
+        assert!(peer.eng.txns.is_empty());
+        assert!(unknown_txn(&peer.send(batch(t, vec![write(0, 1)], true))));
+    }
+
     /// One request from connection `conn`, in a pass of its own.
     fn ask_as(eng: &mut Engine, conn: u64, req: Request) -> Response {
         eng.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
@@ -1073,10 +1225,7 @@ mod tests {
         let eng = &mut peer.eng;
         eng.process(&[ToEngine::Conn { id: 2 }], &mut Vec::new());
         for (conn, vars) in [(1, 0..10), (2, 10..20)] {
-            for var in vars {
-                let Response::Began { txn } = ask_as(eng, conn, Request::Begin) else {
-                    panic!("begin refused");
-                };
+            for (txn, var) in (1..).zip(vars) {
                 let ran = ask_as(eng, conn, batch(txn, vec![write(var, 1)], false));
                 assert!(matches!(ran, Response::Batch { ref results, .. }
                     if matches!(results[..], [BatchOutcome::Done { .. }])));
@@ -1103,10 +1252,10 @@ mod tests {
 
     /// Drive `peer` through a seeded script on a two-shard hot set and
     /// return every `(request, answer)` in order: a cross-shard lock
-    /// cycle only the valve breaks, then seeded begins, one-op and
-    /// multi-op batches (read, write, affine; some with a commit, some
-    /// zero-op), aborts, pings and requests naming an unknown token, and
-    /// last an abort of whatever is still live.
+    /// cycle only the valve breaks, then seeded first requests, one-op
+    /// and multi-op batches (read, write, affine; some with a commit,
+    /// some zero-op), aborts, pings and requests naming a finished or
+    /// never-begun token, and last an abort of whatever is still live.
     fn seeded_script(peer: &mut Peer, seed: u64) -> Vec<(Request, Response)> {
         let mut log = Vec::new();
         let mut send = |peer: &mut Peer, req: Request| {
@@ -1117,14 +1266,7 @@ mod tests {
         let part = peer.eng.db.partition().clone();
         let x = part.shard_vars(0)[0].0;
         let y = part.shard_vars(1)[0].0;
-        let began = |resp| match resp {
-            Response::Began { txn } => txn,
-            other => panic!("begin answered {other:?}"),
-        };
-        let (a, b) = (
-            began(send(peer, Request::Begin)),
-            began(send(peer, Request::Begin)),
-        );
+        let (a, b) = (peer.begin(), peer.begin());
         send(peer, batch(a, vec![write(x, 1)], false));
         send(peer, batch(b, vec![write(y, 1)], false));
         // A holds x and waits for y, B holds y and waits for x: neither
@@ -1148,19 +1290,23 @@ mod tests {
         let mut live: Vec<u64> = Vec::new();
         for _ in 0..400 {
             let roll = rng.gen_range(0..100u32);
-            let txn = match live.len() {
-                0 => 1_000,
-                n => live[rng.gen_range(0..n)],
+            // A fresh token's first request, a batch, begins it.
+            let fresh = live.is_empty() || (roll < 12 && live.len() < 4);
+            let txn = if fresh {
+                live.push(peer.begin());
+                peer.next_txn
+            } else {
+                live[rng.gen_range(0..live.len())]
             };
-            let req = if live.is_empty() || (roll < 12 && live.len() < 4) {
-                Request::Begin
-            } else if roll < 16 {
+            let req = if !fresh && roll < 16 {
                 Request::Abort { txn }
-            } else if roll < 20 {
+            } else if !fresh && roll < 20 {
                 Request::Ping
-            } else if roll < 24 {
-                let unknown = 1_000 + rng.gen_range(0..2u64);
-                batch(unknown, vec![BatchOp::Read(VarId(0))], rng.gen_bool(0.5))
+            } else if !fresh && roll < 24 {
+                // Token 0 is never begun; a finished one stays finished.
+                let stale = rng.gen_range(0..=peer.next_txn);
+                let stale = if live.contains(&stale) { 0 } else { stale };
+                batch(stale, vec![BatchOp::Read(VarId(0))], rng.gen_bool(0.5))
             } else {
                 let ops = (0..rng.gen_range(0..=3usize))
                     .map(|_| {
@@ -1179,7 +1325,6 @@ mod tests {
                 batch(txn, ops, rng.gen_bool(0.25))
             };
             match send(peer, req) {
-                Response::Began { txn } => live.push(txn),
                 Response::Aborted
                 | Response::Batch {
                     commit: Some(BatchCommit::Committed),

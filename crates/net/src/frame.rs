@@ -41,22 +41,21 @@ pub const MAX_FRAME: u32 = 64 * 1024;
 /// with the largest per-op encoding.
 pub const MAX_BATCH_OPS: usize = 1024;
 
-// Request opcodes. 3-6 (the retired per-op `Read`/`Write`/`Update` and
-// plain `Commit`) and 11 (the retired live trace `Subscribe`) stay
-// unassigned, so a stale client's frame is malformed.
+// Request opcodes. 2 (the retired `Begin`), 3-6 (the retired per-op
+// `Read`/`Write`/`Update` and plain `Commit`) and 11 (the retired live
+// trace `Subscribe`) stay unassigned, so a stale client's frame is
+// malformed.
 const OP_PING: u8 = 1;
-const OP_BEGIN: u8 = 2;
 const OP_ABORT: u8 = 7;
 const OP_SHUTDOWN: u8 = 8;
 const OP_STATS: u8 = 9;
 const OP_HEALTH: u8 = 10;
 const OP_BATCH: u8 = 12;
 
-// Response opcodes. 3-6 (the retired per-op answers `Done`/`Wait`/
-// `Restarted`/`Committed`) and 13-14 (the retired `Subscribed`/`Events`)
-// stay unassigned.
+// Response opcodes. 2 (the retired `Began`), 3-6 (the retired per-op
+// answers `Done`/`Wait`/`Restarted`/`Committed`) and 13-14 (the retired
+// `Subscribed`/`Events`) stay unassigned.
 const RESP_PONG: u8 = 1;
-const RESP_BEGAN: u8 = 2;
 const RESP_ABORTED: u8 = 7;
 const RESP_SHED: u8 = 8;
 const RESP_DRAINING: u8 = 9;
@@ -75,8 +74,11 @@ const BOUT_DONE: u8 = 0;
 const BOUT_WAIT: u8 = 1;
 const BOUT_RESTARTED: u8 = 2;
 
-/// A client request. Transactions are named by the server-issued token
-/// from [`Response::Began`]. All transaction work travels as
+/// A client request. Transactions are named by client-numbered tokens,
+/// one namespace per connection: the first request naming a token above
+/// every token the connection has named before begins that transaction
+/// (under admission control), and a token at or below that mark that is
+/// not live answers [`ErrCode::UnknownTxn`]. All transaction work travels as
 /// [`Request::Batch`]: a run of `n ≥ 0` operations, optionally followed
 /// by the commit (a single operation is a batch of one, a plain commit a
 /// batch of none). Operations mirror the session API's op surface, with
@@ -87,11 +89,8 @@ const BOUT_RESTARTED: u8 = 2;
 pub enum Request {
     /// Liveness probe; answered [`Response::Pong`].
     Ping,
-    /// Open a transaction; answered [`Response::Began`] (or
-    /// [`Response::Shed`] / [`Response::Draining`] under admission
-    /// control).
-    Begin,
-    /// Abort the transaction (the token dies).
+    /// Abort the transaction (the token dies; on a fresh token, the
+    /// transaction begins and ends here).
     Abort {
         /// The transaction token.
         txn: u64,
@@ -128,8 +127,8 @@ pub enum Request {
 /// [`Response::Err`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrCode {
-    /// The transaction token is unknown (never issued, already finished,
-    /// or its connection died). Begin a new transaction.
+    /// The transaction token is not live: already finished, or skipped
+    /// by a later token's first request. Begin a new transaction.
     UnknownTxn,
     /// The request decoded as a frame but not as a meaningful operation
     /// (unknown variable id, bad opcode reported at decode time, ...).
@@ -216,16 +215,11 @@ pub enum BatchCommit {
 pub enum Response {
     /// The server is alive.
     Pong,
-    /// A transaction opened.
-    Began {
-        /// Its token, the `txn` of every subsequent request.
-        txn: u64,
-    },
     /// The abort took effect.
     Aborted,
     /// Admission control refused the request: a bounded queue was full.
     /// Back off and retry; the transaction state is unchanged (a shed
-    /// `Begin` opened nothing, a shed operation never reached the
+    /// first request began nothing, a shed operation never reached the
     /// engine).
     Shed,
     /// The server is draining: no new transactions. Also the
@@ -335,7 +329,6 @@ pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
     let mut b = Vec::with_capacity(32);
     let op = match req {
         Request::Ping => OP_PING,
-        Request::Begin => OP_BEGIN,
         Request::Abort { .. } => OP_ABORT,
         Request::Shutdown => OP_SHUTDOWN,
         Request::Stats => OP_STATS,
@@ -345,7 +338,7 @@ pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
     b.push(op);
     b.extend_from_slice(&req_id.to_le_bytes());
     match *req {
-        Request::Ping | Request::Begin | Request::Shutdown | Request::Stats | Request::Health => {}
+        Request::Ping | Request::Shutdown | Request::Stats | Request::Health => {}
         Request::Batch {
             txn,
             ref ops,
@@ -390,7 +383,6 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), WireError> {
     let req_id = c.take_u64().ok_or(WireError::Malformed)?;
     let req = match op {
         OP_PING => Request::Ping,
-        OP_BEGIN => Request::Begin,
         OP_ABORT => Request::Abort {
             txn: c.take_u64().ok_or(WireError::Malformed)?,
         },
@@ -453,7 +445,6 @@ pub(crate) fn frame_response_into(out: &mut Vec<u8>, req_id: u64, resp: &Respons
 fn encode_response_into(b: &mut Vec<u8>, req_id: u64, resp: &Response) {
     let op = match resp {
         Response::Pong => RESP_PONG,
-        Response::Began { .. } => RESP_BEGAN,
         Response::Aborted => RESP_ABORTED,
         Response::Shed => RESP_SHED,
         Response::Draining => RESP_DRAINING,
@@ -465,7 +456,6 @@ fn encode_response_into(b: &mut Vec<u8>, req_id: u64, resp: &Response) {
     b.push(op);
     b.extend_from_slice(&req_id.to_le_bytes());
     match resp {
-        Response::Began { txn } => b.extend_from_slice(&txn.to_le_bytes()),
         Response::Err { code, msg } => {
             b.push(code.to_byte());
             let bytes = msg.as_bytes();
@@ -507,9 +497,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
     let req_id = c.take_u64().ok_or(WireError::Malformed)?;
     let resp = match op {
         RESP_PONG => Response::Pong,
-        RESP_BEGAN => Response::Began {
-            txn: c.take_u64().ok_or(WireError::Malformed)?,
-        },
         RESP_ABORTED => Response::Aborted,
         RESP_SHED => Response::Shed,
         RESP_DRAINING => Response::Draining,
@@ -570,7 +557,6 @@ mod tests {
     fn all_requests() -> Vec<Request> {
         vec![
             Request::Ping,
-            Request::Begin,
             Request::Abort { txn: 7 },
             Request::Shutdown,
             Request::Stats,
@@ -604,7 +590,6 @@ mod tests {
     fn all_responses() -> Vec<Response> {
         vec![
             Response::Pong,
-            Response::Began { txn: 42 },
             Response::Aborted,
             Response::Shed,
             Response::Draining,
@@ -685,7 +670,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut p = encode_request(1, &Request::Begin);
+        let mut p = encode_request(1, &Request::Ping);
         p.push(0);
         assert_eq!(decode_request(&p), Err(WireError::Malformed));
     }
@@ -722,8 +707,9 @@ mod tests {
 
     #[test]
     fn retired_opcodes_are_malformed() {
-        // Opcodes 3-6 once carried `Read`/`Write`/`Update`/`Commit` and
-        // their answers `Done`/`Wait`/`Restarted`/`Committed`; request 11
+        // Opcode 2 once carried `Begin` and its answer `Began`, opcodes
+        // 3-6 `Read`/`Write`/`Update`/`Commit` and their answers
+        // `Done`/`Wait`/`Restarted`/`Committed`; request 11
         // was the live trace `Subscribe`, answered by responses 13
         // (`Subscribed`) and 14 (`Events`). All stay unassigned. Each is
         // tried bare and with the operand bytes a stale peer would have
@@ -743,7 +729,7 @@ mod tests {
             p
         };
         for body in bodies {
-            for op in [3u8, 4, 5, 6, 11] {
+            for op in [2u8, 3, 4, 5, 6, 11] {
                 let p = payload(op, body);
                 assert_eq!(
                     decode_request(&p),
@@ -751,7 +737,7 @@ mod tests {
                     "request {op}"
                 );
             }
-            for op in [3u8, 4, 5, 6, 13, 14] {
+            for op in [2u8, 3, 4, 5, 6, 13, 14] {
                 let p = payload(op, body);
                 assert_eq!(
                     decode_response(&p),

@@ -64,8 +64,8 @@
 //!    read from.
 //! 2. **engine queue** — one bounded channel in front of the engine;
 //!    readers `try_send` and shed on overflow.
-//! 3. **transaction cap** — `Begin` is shed when `max_txns`
-//!    transactions are live.
+//! 3. **transaction cap** — a transaction's first request is shed when
+//!    `max_txns` transactions are live.
 //!
 //! # Drain
 //!
@@ -73,7 +73,9 @@
 //! drain: new transactions are refused with [`Response::Draining`],
 //! in-flight transactions get a grace period to finish, stragglers are
 //! aborted, the logs are synced, and `DrainStart`/`DrainDone` trace
-//! events bracket the whole episode. [`Server::kill`] is the opposite:
+//! events bracket the whole episode. A failed final sync, a failed final
+//! flush of the trace sink and any event the sink failed to write are
+//! reported in [`DrainStats`]. [`Server::kill`] is the opposite:
 //! drop everything without a final sync — the crash the durability tests
 //! recover from.
 //!
@@ -141,8 +143,8 @@ pub struct ServerConfig {
     pub dir: Option<PathBuf>,
     /// Durability mode of the shard logs (ignored when `dir` is `None`).
     pub mode: DurabilityMode,
-    /// Admission cap: maximum simultaneously live transactions; `Begin`
-    /// beyond it is shed.
+    /// Admission cap: maximum simultaneously live transactions; a
+    /// transaction's first request beyond it is shed.
     pub max_txns: usize,
     /// Admission cap: maximum in-flight (unanswered) requests per
     /// connection; excess requests are shed by the reader thread.
@@ -192,7 +194,7 @@ impl Default for ServerConfig {
 }
 
 /// What a finished server reports.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct DrainStats {
     /// Transactions committed over the server's lifetime.
     pub commits: u64,
@@ -203,8 +205,14 @@ pub struct DrainStats {
     pub sheds_pipeline: u64,
     /// Requests shed by the bounded engine queue.
     pub sheds_queue: u64,
-    /// `Begin`s shed by the live-transaction budget.
+    /// Transactions' first requests shed by the live-transaction budget.
     pub sheds_txns: u64,
+    /// Trace events the `--trace` sink failed to write.
+    pub trace_write_errors: u64,
+    /// Why the final flush of the `--trace` sink failed, if it did.
+    pub trace_flush_error: Option<String>,
+    /// Why the drain's final log sync failed, if it did.
+    pub sync_error: Option<String>,
 }
 
 impl DrainStats {

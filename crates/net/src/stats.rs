@@ -20,7 +20,7 @@ use ccopt_engine::Metrics;
 use ccopt_trace::ConflictRule;
 
 /// Version byte leading every encoded [`ServerStats`].
-const STATS_VERSION: u8 = 4;
+const STATS_VERSION: u8 = 5;
 
 /// Most sample points ever encoded into one Stats response, keeping the
 /// frame comfortably under [`MAX_FRAME`](crate::MAX_FRAME) (a point is
@@ -108,8 +108,12 @@ pub struct ServerStats {
     pub sheds_pipeline: u64,
     /// Requests shed because the bounded engine queue was full.
     pub sheds_queue: u64,
-    /// `Begin`s shed at the open-transaction budget (engine layer).
+    /// Transactions' first requests shed at the open-transaction budget
+    /// (engine layer).
     pub sheds_txns: u64,
+    /// Trace events the `--trace` sink failed to write (each is missing
+    /// from the event record).
+    pub trace_write_errors: u64,
     /// The sampler's time-series, oldest first (bounded; the encoder
     /// keeps the newest [`MAX_SERIES_POINTS`]).
     pub series: Vec<SamplePoint>,
@@ -249,6 +253,7 @@ pub fn put_stats(b: &mut Vec<u8>, s: &ServerStats) {
     put_u64(b, s.sheds_pipeline);
     put_u64(b, s.sheds_queue);
     put_u64(b, s.sheds_txns);
+    put_u64(b, s.trace_write_errors);
     let skip = s.series.len().saturating_sub(MAX_SERIES_POINTS);
     let series = &s.series[skip..];
     put_u16(b, series.len() as u16);
@@ -303,6 +308,7 @@ pub fn take_stats(c: &mut Cursor<'_>) -> Option<ServerStats> {
     let sheds_pipeline = c.take_u64()?;
     let sheds_queue = c.take_u64()?;
     let sheds_txns = c.take_u64()?;
+    let trace_write_errors = c.take_u64()?;
     let npoints = c.take_u16()? as usize;
     let mut series = Vec::with_capacity(npoints);
     for _ in 0..npoints {
@@ -333,6 +339,7 @@ pub fn take_stats(c: &mut Cursor<'_>) -> Option<ServerStats> {
         sheds_pipeline,
         sheds_queue,
         sheds_txns,
+        trace_write_errors,
         series,
     })
 }
@@ -451,6 +458,11 @@ pub fn render_prometheus(s: &ServerStats) -> String {
             "ccopt_batched_ops_total",
             "Data operations those shard messages carried.",
             m.batched_ops as u64,
+        ),
+        (
+            "ccopt_trace_write_errors_total",
+            "Trace events the --trace sink failed to write.",
+            s.trace_write_errors,
         ),
     ] {
         metric(&mut out, name, "counter", help, &format!("{name} {v}\n"));
@@ -659,6 +671,7 @@ mod tests {
             sheds_pipeline: 10,
             sheds_queue: 20,
             sheds_txns: 30,
+            trace_write_errors: 4,
             series: vec![SamplePoint {
                 at_ms: 1000,
                 interval_ms: 1000,
@@ -748,6 +761,10 @@ mod tests {
         assert_eq!(sample(&samples, "ccopt_commits_total"), Some(31.0));
         assert_eq!(sample(&samples, "ccopt_shard_msgs_total"), Some(12.0));
         assert_eq!(sample(&samples, "ccopt_batched_ops_total"), Some(96.0));
+        assert_eq!(
+            sample(&samples, "ccopt_trace_write_errors_total"),
+            Some(4.0)
+        );
         assert_eq!(
             sample(&samples, "ccopt_aborts_by_rule_total{rule=\"deadlock\"}"),
             Some(3.0)

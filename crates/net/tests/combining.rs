@@ -3,10 +3,11 @@
 //! request order, with every commit counted once.
 //!
 //! * 16 connections × 200 rounds, started together; each round pipelines
-//!   `begin` (for the next round), `ping`, `stats` and a `batch` with its
-//!   commit piggybacked before reading the four answers. Afterwards a
-//!   read-all conserves the committed `+1`s, the engine's commit count
-//!   equals the clients' and the request queue is empty.
+//!   `ping`, `stats` and the first and only request of a fresh
+//!   transaction, a `batch` with its commit piggybacked, before reading
+//!   the three answers. Afterwards a read-all conserves the committed
+//!   `+1`s, the engine's commit count equals the clients' and the
+//!   request queue is empty.
 //! * 1 000 connections each begin a transaction and drop mid-transaction:
 //!   each exiting reader queues its own `Gone` and runs it when the
 //!   engine is free. With no connection left, the sampler — run by the
@@ -41,7 +42,6 @@ fn connect(addr: SocketAddr) -> Client {
 /// One connection's rounds; returns the transactions it committed.
 fn race(addr: SocketAddr, c: u32, start: &Barrier) -> u64 {
     let mut client = connect(addr);
-    let mut txn = client.begin().expect("begin").token();
     let ops = [
         BatchOp::Affine {
             var: VarId(c),
@@ -56,13 +56,13 @@ fn race(addr: SocketAddr, c: u32, start: &Barrier) -> u64 {
     ];
     start.wait();
     for round in 0..ROUNDS {
-        // The batch goes last: a pass answers `Begin`, `Ping` and `Stats`
-        // as it meets them but a batch when its group is submitted, so a
-        // ping pipelined behind a batch may overtake it (the protocol
-        // matches answers by id). In this order, any split of the four
-        // across passes answers them in request order.
+        let txn = client.begin().expect("begin").token();
+        // The batch goes last: a pass answers `Ping` and `Stats` as it
+        // meets them but a batch when its group is submitted, so a ping
+        // pipelined behind a batch may overtake it (the protocol matches
+        // answers by id). In this order, any split of the three across
+        // passes answers them in request order.
         let sent = [
-            client.send(&Request::Begin).expect("send begin"),
             client.send(&Request::Ping).expect("send ping"),
             client.send(&Request::Stats).expect("send stats"),
             client
@@ -81,9 +81,6 @@ fn race(addr: SocketAddr, c: u32, start: &Barrier) -> u64 {
             );
             resp
         });
-        let Some(Response::Began { txn: next }) = answers.next() else {
-            panic!("connection {c} round {round}: begin not answered with Began");
-        };
         assert!(matches!(answers.next(), Some(Response::Pong)));
         assert!(matches!(answers.next(), Some(Response::Stats { .. })));
         match answers.next() {
@@ -98,10 +95,10 @@ fn race(addr: SocketAddr, c: u32, start: &Barrier) -> u64 {
             }
             other => panic!("connection {c} round {round}: batch answered {other:?}"),
         }
-        txn = next;
     }
-    // The last `begin` is the only transaction left; the answer to the
-    // abort is the next frame, so nothing was answered twice.
+    // An abort begins and ends a fresh transaction; its answer is the
+    // next frame, so nothing was answered twice.
+    let txn = client.begin().expect("begin").token();
     let want = client.send(&Request::Abort { txn }).expect("send abort");
     let (id, resp) = client.recv().expect("abort answered");
     assert_eq!((id, resp), (want, Response::Aborted));
@@ -172,15 +169,22 @@ fn racing_connections_are_each_answered_once_in_order() {
 
     // Connections that vanish mid-transaction, a hundred at a time (the
     // listen backlog holds them until the accept thread's next turn).
+    // Each begins its transaction with a zero-op batch.
     for _ in 0..DROPPED / 100 {
         let mut wave: Vec<Client> = (0..100).map(|_| connect(addr)).collect();
         for c in &mut wave {
-            c.send(&Request::Begin).expect("send begin");
+            let txn = c.begin().expect("begin").token();
+            let begin = Request::Batch {
+                txn,
+                ops: vec![],
+                commit: false,
+            };
+            c.send(&begin).expect("send begin");
         }
         for c in &mut wave {
             assert!(matches!(
                 c.recv().expect("began"),
-                (_, Response::Began { .. })
+                (_, Response::Batch { results, commit: None }) if results.is_empty()
             ));
         }
     }

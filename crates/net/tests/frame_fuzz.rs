@@ -51,11 +51,19 @@ fn sample_batch(rng: &mut SmallRng) -> Request {
     }
 }
 
+/// What begins a transaction: the first request naming its token.
+fn first_request() -> Request {
+    Request::Batch {
+        txn: 1,
+        ops: vec![],
+        commit: false,
+    }
+}
+
 fn sample_requests(rng: &mut SmallRng) -> Vec<Request> {
     let mut reqs = vec![
         sample_batch(rng),
         Request::Ping,
-        Request::Begin,
         Request::Shutdown,
         Request::Stats,
         Request::Health,
@@ -228,14 +236,14 @@ fn live_server_survives_garbage_connections() {
             2 => {
                 // A valid frame cut short.
                 let mut wire = Vec::new();
-                frame_into(&mut wire, &encode_request(1, &Request::Begin));
+                frame_into(&mut wire, &encode_request(1, &first_request()));
                 let cut = rng.gen_range(1..wire.len());
                 let _ = s.write_all(&wire[..cut]);
             }
             _ => {
                 // Valid traffic with one flipped bit.
                 let mut wire = Vec::new();
-                frame_into(&mut wire, &encode_request(1, &Request::Begin));
+                frame_into(&mut wire, &encode_request(1, &first_request()));
                 frame_into(&mut wire, &encode_request(2, &Request::Ping));
                 let at = rng.gen_range(0..wire.len());
                 wire[at] ^= 1 << rng.gen_range(0..8u32);
@@ -402,9 +410,11 @@ fn ops_opcodes_survive_truncation_and_flips_against_a_live_server() {
 
 /// A stale client's frames — opcodes 3-6, the retired per-op `Read`,
 /// `Write`, `Update` and `Commit`, with a token and a variable for
-/// operands, and 11, the retired live trace `Subscribe`, bare — are each
-/// answered `Err{Malformed}` under their request id, and the same
-/// connection then serves a `Batch`.
+/// operands, and 2 and 11, the retired `Begin` and live trace
+/// `Subscribe`, bare — are each answered `Err{Malformed}` under their
+/// request id, and the same connection then serves a `Batch`, which
+/// begins its transaction. A stale server's `Began` (response 2) does not
+/// decode.
 #[test]
 fn retired_opcode_is_answered_malformed_and_the_connection_serves_on() {
     let server = Server::start(ServerConfig {
@@ -422,10 +432,10 @@ fn retired_opcode_is_answered_malformed_and_the_connection_serves_on() {
         let p = read_frame(&mut s).expect("frame").expect("answered");
         decode_response(&p).expect("decodes")
     };
-    for (req_id, op) in (31u64..).zip([3u8, 4, 5, 6, 11]) {
+    for (req_id, op) in (31u64..).zip([2u8, 3, 4, 5, 6, 11]) {
         let mut stale = vec![op];
         stale.extend_from_slice(&req_id.to_le_bytes());
-        if op != 11 {
+        if op != 2 && op != 11 {
             stale.extend_from_slice(&1u64.to_le_bytes()); // txn
             stale.extend_from_slice(&0u32.to_le_bytes()); // var
         }
@@ -442,12 +452,12 @@ fn retired_opcode_is_answered_malformed_and_the_connection_serves_on() {
             "opcode {op}: {resp:?}"
         );
     }
-    let txn = match roundtrip(&encode_request(42, &Request::Begin)) {
-        (42, Response::Began { txn }) => txn,
-        other => panic!("begin answered {other:?}"),
-    };
+    let mut began = vec![2u8];
+    began.extend_from_slice(&41u64.to_le_bytes()); // req_id
+    began.extend_from_slice(&1u64.to_le_bytes()); // txn
+    assert_eq!(decode_response(&began), Err(WireError::Malformed));
     let batch = Request::Batch {
-        txn,
+        txn: 1,
         ops: vec![BatchOp::Write(VarId(0), Value::Int(7))],
         commit: true,
     };

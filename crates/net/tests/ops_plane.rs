@@ -240,16 +240,18 @@ fn stats_snapshot_ledgers_balance() {
 
     let mut txn_sheds = 0u64;
     for i in 0..20i64 {
-        let h = a.begin().expect("budget free");
-        // The budget is exhausted: b's begin must shed at the txn layer.
-        match b.begin() {
-            Err(ClientError::Shed) => txn_sheds += 1,
-            other => panic!("expected a txn-budget shed, got {other:?}"),
-        }
+        let h = a.begin().expect("begin");
         assert!(matches!(
             a.write(h, (i % 8) as u32, Value::Int(i)).expect("write"),
             Op::Done(_)
         ));
+        // The budget is exhausted: b's first request must shed at the txn
+        // layer.
+        let hb = b.begin().expect("begin");
+        match b.read(hb, 0) {
+            Err(ClientError::Shed) => txn_sheds += 1,
+            other => panic!("expected a txn-budget shed, got {other:?}"),
+        }
         assert!(matches!(a.commit(h).expect("commit"), Op::Done(())));
     }
     // Explicit aborts exercise the abort ledger too.

@@ -69,21 +69,10 @@ fn connect(addr: &str) -> Client {
     c
 }
 
-/// Begin, retrying on admission shed with a small backoff.
-fn begin_retrying(c: &mut Client) -> TxnHandle {
-    loop {
-        match c.begin() {
-            Ok(h) => return h,
-            Err(ClientError::Shed) => std::thread::sleep(Duration::from_millis(2)),
-            Err(e) => panic!("begin: {e}"),
-        }
-    }
-}
-
 /// Commit one increment of `var_a` and `var_b` (a cross-shard txn),
 /// replaying on `Restarted` until the commit is acknowledged.
 fn transfer(c: &mut Client, var_a: u32, var_b: u32) {
-    let h = begin_retrying(c);
+    let h = c.begin().expect("begin");
     'attempt: loop {
         for var in [var_a, var_b] {
             loop {
@@ -104,7 +93,7 @@ fn transfer(c: &mut Client, var_a: u32, var_b: u32) {
 
 /// Read the full committed image through a read-only transaction.
 fn snapshot(c: &mut Client) -> Vec<i64> {
-    let h = begin_retrying(c);
+    let h = c.begin().expect("begin");
     let mut out = Vec::new();
     'attempt: loop {
         out.clear();
@@ -174,11 +163,13 @@ fn binary_survives_kill_and_drains_clean() {
     expect[7] += 1;
 
     c.shutdown_server().expect("wire shutdown accepted");
-    // New transactions are refused while draining (the server may finish
-    // closing first, which surfaces as an I/O error — both are clean).
-    match c.begin() {
+    // New transactions are refused at their first request while
+    // draining (the server may finish closing first, which surfaces as an
+    // I/O error — both are clean).
+    let h = c.begin().expect("begin");
+    match c.read(h, 0) {
         Err(ClientError::Draining) | Err(ClientError::Io(_)) => {}
-        other => panic!("begin during drain: {other:?}"),
+        other => panic!("a first request during drain: {other:?}"),
     }
     let status = server.child.wait().expect("reap");
     assert!(status.success(), "drained server exits 0, got {status:?}");
@@ -193,7 +184,7 @@ fn binary_survives_kill_and_drains_clean() {
     let mut server = spawn_server(&dir);
     let mut c = connect(&server.addr);
     assert_eq!(snapshot(&mut c), expect, "drained image reopens exactly");
-    let h = begin_retrying(&mut c);
+    let h = c.begin().expect("begin");
     assert!(c.write(h, 3, Value::Int(0)).is_ok());
     c.shutdown_server().expect("second drain");
     assert!(server.child.wait().expect("reap").success());
@@ -268,14 +259,7 @@ fn kill_mid_batch_preserves_per_transaction_atomicity() {
                 let mut c = connect(&addr);
                 let mut acked = 0i64;
                 for seq in 1.. {
-                    let h = match c.begin() {
-                        Ok(h) => h,
-                        Err(ClientError::Shed) => {
-                            std::thread::sleep(Duration::from_millis(2));
-                            continue;
-                        }
-                        Err(_) => break,
-                    };
+                    let h = c.begin().expect("begin");
                     if !batch_canary(&mut c, h, t, 4 + t, seq) {
                         break;
                     }
@@ -326,7 +310,7 @@ fn kill_mid_batch_preserves_per_transaction_atomicity() {
     }
 
     // The recovered server still takes batches, and drains clean.
-    let h = begin_retrying(&mut c);
+    let h = c.begin().expect("begin");
     assert!(batch_canary(&mut c, h, 0, 7, 1_000), "post-recovery batch");
     c.shutdown_server().expect("drain");
     assert!(server.child.wait().expect("reap").success());
@@ -353,4 +337,48 @@ fn refused_configurations_exit_2_without_a_panic() {
         );
         assert!(out.stdout.is_empty(), "{args:?}: nothing was served");
     }
+}
+
+/// A drain that loses its event record is not a clean exit: with
+/// `--trace /dev/full` the sink cannot write a byte, so the binary names
+/// the failure on stderr and exits non-zero instead of reporting a clean
+/// drain.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_drain_whose_trace_cannot_be_written_exits_non_zero() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ccopt-server"))
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--shards",
+            "1",
+            "--trace",
+            "/dev/full",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ccopt-server");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read banner");
+    let addr = line
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner: {line:?}"))
+        .trim()
+        .to_string();
+    let mut c = connect(&addr);
+    let h = c.begin().expect("begin");
+    let (_, commit) = c
+        .batch(h, &[BatchOp::Read(ccopt_model::VarId(0))], true)
+        .expect("batch");
+    assert_eq!(commit, Some(Op::Done(())));
+    c.shutdown_server().expect("wire shutdown accepted");
+    let status = child.wait().expect("reap");
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().expect("piped stderr"), &mut stderr)
+        .expect("read stderr");
+    assert!(!status.success(), "a lost trace exits non-zero: {stderr}");
+    assert!(stderr.contains("trace"), "the failure is named: {stderr:?}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

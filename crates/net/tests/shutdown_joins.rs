@@ -66,11 +66,19 @@ fn shutdown_returns_after_every_connection_thread_has_exited() {
     // shed and its reader goes back to reading), leave the engine's
     // flush with bytes over, and a drainer takes the socket over.
     let stalled = TcpStream::connect(addr).expect("connect stalled client");
-    write_frame(&mut &stalled, &encode_request(1, &Request::Begin)).expect("send begin");
+    // Its first request, a zero-op batch, begins the transaction.
+    let txn = 1;
+    let begin = Request::Batch {
+        txn,
+        ops: vec![],
+        commit: false,
+    };
+    write_frame(&mut &stalled, &encode_request(1, &begin)).expect("send begin");
     let began = read_frame(&mut &stalled).expect("read").expect("began");
-    let Ok((1, Response::Began { txn })) = decode_response(&began) else {
+    let Ok((1, Response::Batch { results, .. })) = decode_response(&began) else {
         panic!("unexpected answer to begin");
     };
+    assert!(results.is_empty());
     let batch = Request::Batch {
         txn,
         ops: vec![BatchOp::Read(VarId(0)); MAX_BATCH_OPS],

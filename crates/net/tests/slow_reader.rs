@@ -78,14 +78,22 @@ fn a_client_that_never_reads_stalls_only_itself() {
     // and not a single read.
     let stalled = TcpStream::connect(addr).expect("connect stalled client");
     stalled.set_nodelay(true).unwrap();
-    write_frame(&mut &stalled, &encode_request(1, &Request::Begin)).expect("send begin");
+    // Its first request, a zero-op batch, begins the transaction.
+    let txn = 1;
+    let begin = Request::Batch {
+        txn,
+        ops: vec![],
+        commit: false,
+    };
+    write_frame(&mut &stalled, &encode_request(1, &begin)).expect("send begin");
     let began = read_frame(&mut &stalled)
         .expect("read began")
         .expect("server answers begin");
-    let txn = match decode_response(&began).expect("began decodes") {
-        (1, Response::Began { txn }) => txn,
-        other => panic!("unexpected answer to begin: {other:?}"),
+    let nothing = Response::Batch {
+        results: vec![],
+        commit: None,
     };
+    assert_eq!(decode_response(&began), Ok((1, nothing)));
     let sent = Arc::new(AtomicU64::new(0));
     let writer = {
         let stream = stalled.try_clone().expect("clone stalled socket");

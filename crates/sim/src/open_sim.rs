@@ -470,7 +470,7 @@ fn simulate_open_impl(
     }
     let result = run_stream(db, cfg, dur.is_some_and(|d| d.record_journal));
     if let Some(hub) = &hub {
-        hub.flush();
+        hub.flush().expect("flush the trace sink");
     }
     result
 }

@@ -429,7 +429,7 @@ impl Driver for ShardedDriver<'_> {
 
     fn close(mut self) -> Closing {
         if let Some(hub) = self.db.trace_hub() {
-            hub.flush();
+            hub.flush().expect("flush the trace sink");
         }
         // `globals` supervises a shard found dead; the gauges read after
         // it, so they see what it restarted.

@@ -67,7 +67,13 @@ impl TraceConfig {
     }
 }
 
-type Sink = Arc<Mutex<Box<dyn Write + Send>>>;
+/// The JSONL sink and the count of events it failed to write.
+struct SinkFile {
+    w: Box<dyn Write + Send>,
+    failed_writes: u64,
+}
+
+type Sink = Arc<Mutex<SinkFile>>;
 
 /// The shared half of a tracing run: global stamp, sink, rings.
 pub struct TraceHub {
@@ -87,9 +93,10 @@ impl TraceHub {
                     std::fs::create_dir_all(parent)?;
                 }
                 let file = std::fs::File::create(path)?;
-                Some(Arc::new(Mutex::new(Box::new(std::io::BufWriter::new(
-                    file,
-                )))))
+                Some(Arc::new(Mutex::new(SinkFile {
+                    w: Box::new(std::io::BufWriter::new(file)),
+                    failed_writes: 0,
+                })))
             }
             None => None,
         };
@@ -171,10 +178,19 @@ impl TraceHub {
     }
 
     /// Flush the JSONL sink (call before reading the file).
-    pub fn flush(&self) {
-        if let Some(sink) = &self.sink {
-            let _ = lock_unpoisoned(sink).flush();
+    pub fn flush(&self) -> std::io::Result<()> {
+        match &self.sink {
+            Some(sink) => lock_unpoisoned(sink).w.flush(),
+            None => Ok(()),
         }
+    }
+
+    /// Events the JSONL sink failed to write so far (0 without a sink):
+    /// each is missing from the file.
+    pub fn failed_writes(&self) -> u64 {
+        self.sink
+            .as_ref()
+            .map_or(0, |sink| lock_unpoisoned(sink).failed_writes)
     }
 }
 
@@ -221,8 +237,10 @@ impl Tracer {
             lock_unpoisoned(ring).push(ev);
         }
         if let Some(sink) = &inner.sink {
-            let mut w = lock_unpoisoned(sink);
-            let _ = writeln!(w, "{}", ev.to_jsonl());
+            let mut sink = lock_unpoisoned(sink);
+            if writeln!(sink.w, "{}", ev.to_jsonl()).is_err() {
+                sink.failed_writes += 1;
+            }
         }
     }
 }
@@ -288,7 +306,8 @@ mod tests {
                 opponent: Some(8),
             },
         );
-        hub.flush();
+        hub.flush().unwrap();
+        assert_eq!(hub.failed_writes(), 0);
         let body = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = body.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -296,5 +315,19 @@ mod tests {
             validate_jsonl_line(line).unwrap();
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A full device refuses the buffered writes once the buffer fills,
+    /// and the final flush: both are reported, neither is dropped.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_sink_counts_its_failed_writes_and_fails_its_flush() {
+        let hub = TraceHub::new(&TraceConfig::to_sink("/dev/full")).unwrap();
+        let mut t = hub.tracer(0);
+        for tick in 0..1000 {
+            t.emit(tick, EventKind::TxnBegin { txn: tick });
+        }
+        assert!(hub.failed_writes() > 0);
+        assert!(hub.flush().is_err());
     }
 }

@@ -3,10 +3,11 @@
 //! shards, and admission control visibly shedding under pressure.
 //!
 //! The server is deliberately configured with a tiny open-transaction
-//! budget (`max_txns`), so with more clients than budget some `begin`s
-//! are refused with a shed response. A shed is not an error: the client
-//! backs off and retries, and every transfer still lands exactly once —
-//! the final snapshot must conserve the total balance.
+//! budget (`max_txns`), so with more clients than budget some
+//! transactions' first requests are refused with a shed response. A shed
+//! is not an error: the client backs off and sends the same request
+//! again, and every transfer still lands exactly once — the final
+//! snapshot must conserve the total balance.
 //!
 //! ```text
 //! cargo run --example served_sessions
@@ -23,27 +24,25 @@ const TRANSFERS: usize = 20;
 
 /// Move `amount` from `from` to `to`: two affine updates that commit or
 /// replay atomically under the server's concurrency control. Returns how
-/// many times admission control shed our begin before letting us in.
+/// many times admission control shed our first request before letting
+/// us in.
 fn transfer(c: &mut Client, from: u32, to: u32, amount: i64) -> usize {
     let mut sheds = 0;
-    let h = loop {
-        match c.begin() {
-            Ok(h) => break h,
-            Err(ClientError::Shed) => {
-                // The admission story: back off, then try again.
-                sheds += 1;
-                std::thread::sleep(Duration::from_millis(1 << sheds.min(5)));
-            }
-            Err(e) => panic!("begin: {e}"),
-        }
-    };
+    let h = c.begin().expect("begin");
     'attempt: loop {
         for (var, delta) in [(from, -amount), (to, amount)] {
             loop {
-                match c.update(h, var, 1, delta).expect("update") {
-                    Op::Done(_) => break,
-                    Op::Wait => std::thread::yield_now(),
-                    Op::Restarted => continue 'attempt,
+                match c.update(h, var, 1, delta) {
+                    Ok(Op::Done(_)) => break,
+                    Ok(Op::Wait) => std::thread::yield_now(),
+                    Ok(Op::Restarted) => continue 'attempt,
+                    Err(ClientError::Shed) => {
+                        // The admission story: back off, then send the
+                        // same request again.
+                        sheds += 1;
+                        std::thread::sleep(Duration::from_millis(1 << sheds.min(5)));
+                    }
+                    Err(e) => panic!("update: {e}"),
                 }
             }
         }
@@ -90,19 +89,13 @@ fn main() {
             .sum()
     });
     println!(
-        "{} clients x {} transfers done; begins shed and retried: {sheds}",
+        "{} clients x {} transfers done; first requests shed and retried: {sheds}",
         CLIENTS, TRANSFERS
     );
 
     // Conservation: transfers move value around, never create it.
     let mut c = Client::connect(addr).expect("connect");
-    let h = loop {
-        match c.begin() {
-            Ok(h) => break h,
-            Err(ClientError::Shed) => std::thread::sleep(Duration::from_millis(2)),
-            Err(e) => panic!("begin: {e}"),
-        }
-    };
+    let h = c.begin().expect("begin");
     let mut total = 0i64;
     println!("\nfinal balances:");
     for var in 0..ACCOUNTS {

@@ -1,8 +1,8 @@
 //! Tier-1 smoke of the served round trip: an in-process [`Server`] over
 //! two shards and two real TCP clients, one per client surface.
 //!
-//! * **sync surface** — `begin` + one `batch` with the commit
-//!   piggybacked: two round trips per transaction;
+//! * **sync surface** — `begin` (which sends nothing) + one `batch`
+//!   with the commit piggybacked: one round trip per transaction;
 //! * **pipelined surface** — 64 requests in flight on one connection
 //!   (the default `pipeline` cap, exactly): all answered, in request
 //!   order;
@@ -72,7 +72,7 @@ fn served_round_trip_on_both_client_surfaces() {
         assert_eq!(now, idle + 2, "one server thread per connection");
     }
 
-    // Sync surface: begin, then the whole transaction in one frame.
+    // Sync surface: the whole transaction in one frame, which begins it.
     for i in 0..SYNC_TXNS {
         let h = sync.begin().expect("begin");
         let (from, to) = (VarId(i % VARS), VarId((i + 5) % VARS));
