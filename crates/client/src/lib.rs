@@ -38,7 +38,10 @@
 //! Admission-control refusals surface as typed errors, on a
 //! transaction's first request: [`ClientError::Shed`] (back off and
 //! retry the same request) and [`ClientError::Draining`] (the server is
-//! going away).
+//! going away). A pipelining client that has sent a later token's first
+//! request behind a shed one retries with a new [`Client::begin`]
+//! instead: the later token's admission skipped the shed one, which now
+//! answers as unknown.
 
 use ccopt_engine::{BatchOp, Op};
 use ccopt_model::ids::VarId;

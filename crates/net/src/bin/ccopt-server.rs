@@ -122,24 +122,10 @@ fn main() {
                 stats.sheds_queue,
                 stats.sheds_txns
             );
-            let mut failed = false;
-            for (what, err) in [
-                ("final log sync", &stats.sync_error),
-                ("trace flush", &stats.trace_flush_error),
-            ] {
-                if let Some(err) = err {
-                    eprintln!("ccopt-server: {what} failed: {err}");
-                    failed = true;
-                }
+            for e in &stats.errors {
+                eprintln!("ccopt-server: {e}");
             }
-            if stats.trace_write_errors > 0 {
-                eprintln!(
-                    "ccopt-server: {} trace events were not written",
-                    stats.trace_write_errors
-                );
-                failed = true;
-            }
-            if failed {
+            if !stats.errors.is_empty() {
                 std::process::exit(1);
             }
         }

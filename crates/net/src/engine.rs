@@ -702,14 +702,21 @@ impl Engine {
             for (_, live) in stragglers {
                 let _ = self.db.abort(live.h);
             }
-            stats.sync_error = self.db.sync().err().map(|e| e.to_string());
+            if let Err(e) = self.db.sync() {
+                stats.errors.push(format!("final log sync failed: {e}"));
+            }
             if self.draining && self.tracer.is_on() {
                 let t = self.tick;
                 self.tracer.emit(t, EventKind::DrainDone);
             }
             if let Some(hub) = self.db.trace_hub() {
-                stats.trace_flush_error = hub.flush().err().map(|e| e.to_string());
-                stats.trace_write_errors = hub.failed_writes();
+                if let Err(e) = hub.flush() {
+                    stats.errors.push(format!("trace flush failed: {e}"));
+                }
+                let failed = hub.failed_writes();
+                if failed > 0 {
+                    stats.errors.push(format!("{failed} trace writes failed"));
+                }
             }
         }
         stats
@@ -1163,6 +1170,31 @@ mod tests {
         };
         assert_eq!(peer.send(first), landed);
         assert_eq!(peer.eng.shared.sheds.txns.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_shed_first_request_skipped_by_a_later_token_is_unknown_and_renumbers() {
+        let mut peer = Peer::open(&ServerConfig {
+            shards: 1,
+            max_txns: 1,
+            ..ServerConfig::default()
+        });
+        let (t1, t2, t3) = (peer.begin(), peer.begin(), peer.begin());
+        peer.send(batch(t1, vec![write(0, 1)], false));
+        let shed = batch(t2, vec![write(1, 1)], true);
+        assert_eq!(peer.send(shed), Response::Shed);
+        peer.send(batch(t1, vec![], true));
+        // A pipelining client's next token got in before the resend.
+        let landed = Response::Batch {
+            results: vec![done(0)],
+            commit: Some(BatchCommit::Committed),
+        };
+        assert_eq!(peer.send(batch(t3, vec![write(2, 1)], true)), landed);
+        assert!(unknown_txn(&peer.send(batch(t2, vec![write(1, 1)], true))));
+        // Re-numbered with a new begin, the same program runs.
+        let t4 = peer.begin();
+        assert_eq!(peer.send(batch(t4, vec![write(1, 1)], true)), landed);
+        assert_eq!(peer.eng.commits, 3);
     }
 
     #[test]

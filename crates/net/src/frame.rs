@@ -220,7 +220,10 @@ pub enum Response {
     /// Admission control refused the request: a bounded queue was full.
     /// Back off and retry; the transaction state is unchanged (a shed
     /// first request began nothing, a shed operation never reached the
-    /// engine).
+    /// engine). One exception: a shed first request whose connection
+    /// has since had a later token's first request admitted is
+    /// skipped, and resending it answers `UnknownTxn`; a pipelining
+    /// client re-numbers such a transaction with a new `begin`.
     Shed,
     /// The server is draining: no new transactions. Also the
     /// acknowledgement of [`Request::Shutdown`].

@@ -207,12 +207,10 @@ pub struct DrainStats {
     pub sheds_queue: u64,
     /// Transactions' first requests shed by the live-transaction budget.
     pub sheds_txns: u64,
-    /// Trace events the `--trace` sink failed to write.
-    pub trace_write_errors: u64,
-    /// Why the final flush of the `--trace` sink failed, if it did.
-    pub trace_flush_error: Option<String>,
-    /// Why the drain's final log sync failed, if it did.
-    pub sync_error: Option<String>,
+    /// What went wrong while closing the books, one line each: a failed
+    /// final log sync, a failed flush of the `--trace` sink, failed
+    /// writes to it. Empty on a clean drain.
+    pub errors: Vec<String>,
 }
 
 impl DrainStats {

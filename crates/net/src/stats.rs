@@ -111,8 +111,9 @@ pub struct ServerStats {
     /// Transactions' first requests shed at the open-transaction budget
     /// (engine layer).
     pub sheds_txns: u64,
-    /// Trace events the `--trace` sink failed to write (each is missing
-    /// from the event record).
+    /// Writes to the `--trace` sink that failed (each lost an event).
+    /// Events still buffered when the device fails are lost at the final
+    /// flush, whose error the drain reports, and are not counted here.
     pub trace_write_errors: u64,
     /// The sampler's time-series, oldest first (bounded; the encoder
     /// keeps the newest [`MAX_SERIES_POINTS`]).
@@ -461,7 +462,7 @@ pub fn render_prometheus(s: &ServerStats) -> String {
         ),
         (
             "ccopt_trace_write_errors_total",
-            "Trace events the --trace sink failed to write.",
+            "Writes to the --trace sink that failed.",
             s.trace_write_errors,
         ),
     ] {

@@ -67,7 +67,7 @@ impl TraceConfig {
     }
 }
 
-/// The JSONL sink and the count of events it failed to write.
+/// The JSONL sink and the count of writes to it that failed.
 struct SinkFile {
     w: Box<dyn Write + Send>,
     failed_writes: u64,
@@ -185,8 +185,10 @@ impl TraceHub {
         }
     }
 
-    /// Events the JSONL sink failed to write so far (0 without a sink):
-    /// each is missing from the file.
+    /// Writes to the JSONL sink that failed so far (0 without a sink):
+    /// each lost an event. Events still in the buffer when the device
+    /// fails are lost at the next [`flush`](Self::flush), whose error
+    /// reports them; they are not counted here.
     pub fn failed_writes(&self) -> u64 {
         self.sink
             .as_ref()
