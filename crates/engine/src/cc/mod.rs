@@ -8,7 +8,9 @@
 //! scheduler. Measured there, serial and OCC have exactly the fixpoint
 //! sets of the paper's strawman and of backward validation; SGT and T/O
 //! have those of the order-model SGT and T/O intersected with strictness;
-//! strict 2PL's is a subset of the lock-respecting 2PL's.
+//! strict 2PL's (shared read locks, exclusive write locks) is a subset of
+//! CSR ∩ strict, and of the lock-respecting 2PL's where every step
+//! writes.
 //!
 //! [`ConcurrencyControl`] is the hook contract every mechanism implements;
 //! [`Cc`] is the closed set of the seven, one enum variant each, and what

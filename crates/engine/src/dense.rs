@@ -160,6 +160,98 @@ impl EpochBitSet {
     }
 }
 
+/// A bit matrix over `u64` words, growing on demand: row `r` is
+/// `words[r * stride..][..stride]`, column `c` is bit `c % 64` of the
+/// row's word `c / 64`. Strict 2PL's reader sets: one row per variable,
+/// one column per transaction. A `prepare`d matrix is one zeroed
+/// allocation, so setting and clearing bits never allocates.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct BitMatrix {
+    words: Vec<u64>,
+    /// Words per row.
+    stride: usize,
+}
+
+impl BitMatrix {
+    /// Pre-size for rows `< rows` and columns `< cols` (never shrinks).
+    /// A wider column range re-lays every row at the new stride.
+    pub(crate) fn reserve(&mut self, rows: usize, cols: usize) {
+        let stride = self.stride.max(cols.div_ceil(64));
+        let rows = rows.max(self.rows());
+        if stride != self.stride {
+            let mut words = vec![0; rows * stride];
+            if self.stride > 0 {
+                for (r, row) in self.words.chunks_exact(self.stride).enumerate() {
+                    words[r * stride..][..self.stride].copy_from_slice(row);
+                }
+            }
+            self.words = words;
+            self.stride = stride;
+        } else if self.words.len() < rows * stride {
+            self.words.resize(rows * stride, 0);
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.words.len().checked_div(self.stride).unwrap_or(0)
+    }
+
+    /// Set bit `(row, col)`; returns true when the bit was newly set.
+    #[inline]
+    pub(crate) fn insert(&mut self, row: usize, col: usize) -> bool {
+        if col / 64 >= self.stride || (row + 1) * self.stride > self.words.len() {
+            self.grow_for(row, col);
+        }
+        let w = &mut self.words[row * self.stride + col / 64];
+        let m = 1u64 << (col % 64);
+        let was = *w & m != 0;
+        *w |= m;
+        !was
+    }
+
+    /// Clear bit `(row, col)`.
+    #[inline]
+    pub(crate) fn remove(&mut self, row: usize, col: usize) {
+        if col / 64 < self.stride {
+            if let Some(w) = self.words.get_mut(row * self.stride + col / 64) {
+                *w &= !(1u64 << (col % 64));
+            }
+        }
+    }
+
+    /// Is bit `(row, col)` set?
+    #[inline]
+    pub(crate) fn contains(&self, row: usize, col: usize) -> bool {
+        col / 64 < self.stride
+            && self
+                .words
+                .get(row * self.stride + col / 64)
+                .is_some_and(|w| w & (1u64 << (col % 64)) != 0)
+    }
+
+    /// The lowest set column of `row` other than `col`.
+    #[inline]
+    pub(crate) fn first_other(&self, row: usize, col: usize) -> Option<usize> {
+        let words = self.words.get(row * self.stride..(row + 1) * self.stride)?;
+        words.iter().enumerate().find_map(|(i, &w)| {
+            let w = if i == col / 64 {
+                w & !(1u64 << (col % 64))
+            } else {
+                w
+            };
+            (w != 0).then(|| i * 64 + w.trailing_zeros() as usize)
+        })
+    }
+
+    /// Make `(row, col)` addressable. Out of line, as
+    /// [`SlotMap::grow_for`]: after `prepare` the hot path never grows.
+    #[cold]
+    #[inline(never)]
+    fn grow_for(&mut self, row: usize, col: usize) {
+        self.reserve(row + 1, col + 1);
+    }
+}
+
 mod reserved {
     /// A slot value with one bit pattern set aside to mean "empty", so a
     /// [`SlotMap`](super::SlotMap) slot needs no `Option` tag. Sealed: the
@@ -346,6 +438,43 @@ mod tests {
         assert!(!s.contains(0));
         s.insert(1);
         assert!(s.contains(1) && !s.contains(0));
+    }
+
+    #[test]
+    fn bit_matrix_round_trip_and_restride() {
+        let mut m = BitMatrix::default();
+        assert_eq!(m.first_other(0, 0), None);
+        assert!(!m.contains(3, 5));
+        m.remove(3, 5); // absent rows and columns are empty
+        assert!(m.insert(3, 5));
+        assert!(!m.insert(3, 5));
+        assert!(m.insert(3, 9));
+        assert!(m.insert(0, 1));
+        assert_eq!(m.first_other(3, 5), Some(9));
+        assert_eq!(m.first_other(3, 9), Some(5));
+        assert_eq!(m.first_other(3, 0), Some(5));
+        assert_eq!(m.first_other(2, 0), None);
+        // A column past the stride re-lays every row.
+        assert!(m.insert(1, 130));
+        assert!(m.contains(3, 5) && m.contains(3, 9) && m.contains(0, 1));
+        assert!(m.contains(1, 130) && !m.contains(1, 2) && !m.contains(3, 130));
+        assert_eq!(m.first_other(1, 0), Some(130));
+        assert_eq!(m.first_other(1, 130), None);
+        m.remove(3, 5);
+        assert_eq!(m.first_other(3, 9), None);
+        assert_eq!(m.first_other(3, 0), Some(9));
+        // Reserving keeps every bit and only grows.
+        let before = m.clone();
+        m.reserve(1, 1);
+        assert_eq!(
+            (m.words.len(), m.stride),
+            (before.words.len(), before.stride)
+        );
+        m.reserve(100, 256);
+        assert_eq!(m.stride, 4);
+        assert!(m.contains(3, 9) && m.contains(1, 130) && m.contains(0, 1));
+        assert!(m.insert(99, 255));
+        assert_eq!(m.words.len(), 400, "a reserved matrix does not grow");
     }
 
     #[test]

@@ -285,23 +285,23 @@ const PINS: [Pin; 7] = [
     },
     Pin {
         kind: CcKind::Strict2pl,
-        waits: 31036,
-        aborts: &[(Deadlock, 898)],
-        steps_executed: 2452,
+        waits: 26734,
+        aborts: &[(Deadlock, 682), (Client, 4)],
+        steps_executed: 2074,
         top: [
-            (6, 4081, 53),
-            (7, 3416, 62),
-            (11, 3309, 92),
-            (2, 2562, 53),
-            (4, 2393, 67),
-            (3, 1846, 52),
-            (0, 1774, 39),
-            (15, 1698, 85),
+            (6, 4361, 42),
+            (3, 3594, 65),
+            (11, 2772, 92),
+            (5, 2242, 37),
+            (4, 1984, 29),
+            (1, 1656, 64),
+            (12, 1475, 26),
+            (13, 1434, 58),
         ],
         committed: [
-            104, 102, 105, 112, 121, 105, 113, 113, 118, 109, 114, 128, 113, 114, 118, 122,
+            105, 104, 103, 124, 120, 106, 112, 116, 115, 111, 112, 118, 112, 113, 120, 115,
         ],
-        events: (31036, 898, 9316718877310588298),
+        events: (26734, 686, 9117916748384649527),
     },
     Pin {
         kind: CcKind::Timestamp,
