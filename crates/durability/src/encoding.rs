@@ -16,6 +16,11 @@
 //! The hot commit path encodes through a [`RecordEncoder`], whose scratch
 //! buffer is reused across commits — one record costs zero allocations
 //! once the buffer has grown to the write-set's working size.
+//!
+//! The served system's wire protocol (`ccopt-net`) frames its messages
+//! the same way: [`frame_with`] is the one place a frame header is
+//! written, and [`frame_len`] and [`frame_intact`] the one place it is
+//! read and checked.
 
 use crate::StoreImage;
 use ccopt_model::ids::VarId;
@@ -150,11 +155,18 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 // ------------------------------------------------------------ primitives
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
+/// Append a little-endian u16.
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
+/// Append a little-endian u32.
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a little-endian u64.
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -252,6 +264,33 @@ impl<'a> Cursor<'a> {
             _ => None,
         }
     }
+}
+
+// --------------------------------------------------------------- framing
+
+/// Append one frame to `out`: the header, then the payload `fill` writes
+/// in place behind it (no intermediate payload buffer). Returns the
+/// frame's length in bytes, header included.
+pub fn frame_with(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let head = out.len();
+    out.extend_from_slice(&[0; 8]);
+    fill(out);
+    let payload = &out[head + 8..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[head..head + 4].copy_from_slice(&len.to_le_bytes());
+    out[head + 4..head + 8].copy_from_slice(&crc.to_le_bytes());
+    out.len() - head
+}
+
+/// The payload length a frame header announces (bound it before
+/// allocating that much).
+pub fn frame_len(head: &[u8; 8]) -> u32 {
+    u32::from_le_bytes(head[..4].try_into().unwrap())
+}
+
+/// Does `payload` match the checksum its frame header `head` carries?
+pub fn frame_intact(head: &[u8; 8], payload: &[u8]) -> bool {
+    u32::from_le_bytes(head[4..].try_into().unwrap()) == crc32(payload)
 }
 
 // ---------------------------------------------------------------- header
@@ -398,9 +437,7 @@ impl RecordEncoder {
         if let Some(at) = self.count_at.take() {
             self.scratch[at..at + 4].copy_from_slice(&self.count.to_le_bytes());
         }
-        put_u32(out, self.scratch.len() as u32);
-        put_u32(out, crc32(&self.scratch));
-        out.extend_from_slice(&self.scratch);
+        frame_with(out, |out| out.extend_from_slice(&self.scratch));
     }
 
     /// Current scratch capacity (observability for the allocation tests).
@@ -412,16 +449,10 @@ impl RecordEncoder {
 /// Split one framed record off the front of `bytes`: `Some((payload,
 /// frame_len))` when the frame is complete and its checksum matches.
 pub fn split_frame(bytes: &[u8]) -> Option<(&[u8], usize)> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    let payload = bytes.get(8..8 + len)?;
-    if crc32(payload) != crc {
-        return None;
-    }
-    Some((payload, 8 + len))
+    let head = bytes.first_chunk()?;
+    let end = 8 + frame_len(head) as usize;
+    let payload = bytes.get(8..end)?;
+    frame_intact(head, payload).then_some((payload, end))
 }
 
 /// Offsets (relative to the start of `records`, i.e. just past the file

@@ -1,13 +1,15 @@
-//! The served engine, with no socket and no thread: decoded messages in,
-//! answers out through a [`Sink`].
+//! The served engine, with no socket, no thread and no clock: the time
+//! and decoded messages in, answers out through a [`Sink`].
 //!
-//! [`Engine::process`] maps one pass of queued messages — requests,
-//! connection opens and closes, drains, injected faults — to the answers
-//! they get, in arrival order. Everything the pass carries for
-//! transactions is submitted as one [`ShardedDb::submit_group`] call per
-//! barrier. The server ([`crate::server`]) runs it under its combining
-//! lock and answers through the connections' outboxes; the tests below
-//! run it with a `Vec` for a sink.
+//! [`Engine::pass`] maps one pass — the caller's `now` and the queued
+//! messages: requests, connection opens and closes, drains, injected
+//! faults — to the answers they get, in arrival order, then refreshes
+//! the `/healthz` flags, runs the sampler and says whether serving is
+//! over. Everything the pass carries for transactions is submitted as
+//! one [`ShardedDb::submit_group`] call per barrier. The server
+//! ([`crate::server`]) runs it under its combining lock and answers
+//! through the connections' outboxes; the tests below run it with a
+//! `Vec` for a sink and a clock of their own.
 
 use crate::error::ServerError;
 use crate::frame::{BatchCommit, BatchOutcome, ErrCode, Request, Response};
@@ -51,6 +53,10 @@ pub(crate) enum ToEngine {
 pub(crate) trait Sink {
     /// Answer request `req_id` of connection `conn`.
     fn reply(&mut self, conn: u64, req_id: u64, resp: &Response);
+
+    /// Every answer of the pass is in: send them. Runs before the pass's
+    /// sampler, so no answer waits behind a snapshot.
+    fn flush(&mut self) {}
 }
 
 /// A transaction's name: its connection and the token that connection
@@ -78,7 +84,9 @@ pub(crate) struct Engine {
     commits: u64,
     /// Engine "tick" for trace timestamps: one per processed message.
     tick: u64,
-    draining: bool,
+    /// The time of the pass in progress, as its caller gave it.
+    now: Instant,
+    /// Set when a drain begins: when its grace ends. `Some` is draining.
     deadline: Option<Instant>,
     grace: Duration,
     // ---- ops plane ----
@@ -102,12 +110,13 @@ const _: () = {
 
 impl Engine {
     /// Open (or recover) the database, attach the trace plane and build
-    /// the engine around it, with a baseline snapshot already published
-    /// so `/metrics` answers from the first scrape.
+    /// the engine around it, started at `now`, with a baseline snapshot
+    /// already published so `/metrics` answers from the first scrape.
     pub(crate) fn open(
         cfg: &ServerConfig,
         kind: CcKind,
         shared: Arc<Shared>,
+        now: Instant,
     ) -> Result<Engine, ServerError> {
         let init = GlobalState::from_ints(&vec![0; cfg.num_vars]);
         let mut db = match &cfg.dir {
@@ -121,7 +130,6 @@ impl Engine {
             }
             None => Tracer::off(),
         };
-        let now = Instant::now();
         let mut eng = Engine {
             db,
             tracer,
@@ -131,7 +139,7 @@ impl Engine {
             shared,
             commits: 0,
             tick: 0,
-            draining: false,
+            now,
             deadline: None,
             grace: cfg.drain_grace,
             started: now,
@@ -186,8 +194,23 @@ struct Pending {
 }
 
 impl Engine {
-    /// Run one pass over `msgs`, answering through `sink`.
-    pub(crate) fn process<S: Sink>(&mut self, msgs: &[ToEngine], sink: &mut S) {
+    /// One pass at time `now`: answer `msgs` through `sink` and flush it,
+    /// refresh the `/healthz` flags and run the sampler. `true` when
+    /// serving is over: draining, and no transaction is left or the grace
+    /// has expired. `now` is the engine's only clock: it times the drain
+    /// deadline, the sampler and the uptime a snapshot reports.
+    pub(crate) fn pass<S: Sink>(&mut self, now: Instant, msgs: &[ToEngine], sink: &mut S) -> bool {
+        self.now = now;
+        self.process(msgs, sink);
+        sink.flush();
+        self.publish_health();
+        self.sample();
+        self.deadline
+            .is_some_and(|d| self.txns.is_empty() || now >= d)
+    }
+
+    /// Answer `msgs` through `sink`.
+    fn process<S: Sink>(&mut self, msgs: &[ToEngine], sink: &mut S) {
         // Group submit: accumulate every transaction's batches across
         // the whole drained pass — across connections — and hand them to
         // the engine as ONE `submit_group` call per flush, so independent
@@ -499,7 +522,7 @@ impl Engine {
                 .map(|l| l.h)
                 .ok_or_else(|| unknown(token));
         }
-        if self.draining {
+        if self.deadline.is_some() {
             return Err(Response::Draining);
         }
         if self.txns.len() >= self.max_txns {
@@ -543,13 +566,13 @@ impl Engine {
         let gauges = self.db.gauges(8);
         let hist = gauges.commit_latency_ticks;
         let stats = ServerStats {
-            uptime_ms: self.started.elapsed().as_millis() as u64,
+            uptime_ms: self.now.duration_since(self.started).as_millis() as u64,
             cc: self.db.cc_name().to_string(),
             num_vars: self.db.partition().num_vars() as u32,
             conns: self.conns.len() as u32,
             live_txns: self.txns.len() as u32,
             queue_depth: self.shared.queue_depth.load(Ordering::Relaxed) as u32,
-            draining: self.draining,
+            draining: self.deadline.is_some(),
             shards: self
                 .db
                 .shard_statuses()
@@ -586,7 +609,7 @@ impl Engine {
         let down = statuses.iter().filter(|s| s.down || !s.alive).count() as u32;
         HealthReport {
             degraded: down > 0,
-            draining: self.draining,
+            draining: self.deadline.is_some(),
             shards: statuses.len() as u32,
             shards_down: down,
         }
@@ -596,7 +619,7 @@ impl Engine {
     /// of atomic stores), and the accept thread runs a pass every 5 ms,
     /// so a shard crash flips the health endpoint within ~5 ms
     /// regardless of the sampler period.
-    pub(crate) fn publish_health(&mut self) {
+    fn publish_health(&mut self) {
         let report = self.health();
         self.shared
             .degraded
@@ -610,22 +633,18 @@ impl Engine {
             .store(report.shards_down, Ordering::Relaxed);
     }
 
-    /// The sampler: at every interval boundary, snapshot, derive the
-    /// window's [`SamplePoint`] from [`Metrics::diff`] and
-    /// [`Histogram::diff`], push it into the bounded ring, and publish
-    /// the snapshot for the HTTP listener.
-    pub(crate) fn maybe_sample(&mut self) {
-        if self.sample_interval.is_zero() {
-            return;
-        }
-        let now = Instant::now();
-        if now < self.next_sample {
+    /// The sampler: at the first pass at or past an interval boundary,
+    /// snapshot, derive the window's [`SamplePoint`] from
+    /// [`Metrics::diff`] and [`Histogram::diff`], push it into the bounded
+    /// ring, and publish the snapshot for the HTTP listener.
+    fn sample(&mut self) {
+        if self.sample_interval.is_zero() || self.now < self.next_sample {
             return;
         }
         // One point per elapsed boundary would backfill idle periods
         // with zeros; one point per wakeup with a late timestamp keeps
         // the series honest instead.
-        while self.next_sample <= now {
+        while self.next_sample <= self.now {
             self.next_sample += self.sample_interval;
         }
         let (snap, hist) = self.snapshot();
@@ -667,20 +686,13 @@ impl Engine {
     }
 
     fn begin_drain(&mut self) {
-        if !self.draining {
-            self.draining = true;
-            self.deadline = Some(Instant::now() + self.grace);
+        if self.deadline.is_none() {
+            self.deadline = Some(self.now + self.grace);
             if self.tracer.is_on() {
                 let t = self.tick;
                 self.tracer.emit(t, EventKind::DrainStart);
             }
         }
-    }
-
-    /// Serving is over: draining, and no transaction is left or the
-    /// grace has expired.
-    pub(crate) fn drained(&self) -> bool {
-        self.draining && (self.txns.is_empty() || self.deadline.is_none_or(|d| Instant::now() >= d))
     }
 
     /// The end of serving: unless `killed`, abort the stragglers, sync
@@ -705,7 +717,7 @@ impl Engine {
             if let Err(e) = self.db.sync() {
                 stats.errors.push(format!("final log sync failed: {e}"));
             }
-            if self.draining && self.tracer.is_on() {
+            if self.deadline.is_some() && self.tracer.is_on() {
                 let t = self.tick;
                 self.tracer.emit(t, EventKind::DrainDone);
             }
@@ -809,25 +821,40 @@ mod tests {
         }
     }
 
-    /// One connection to an engine, with no socket: request ids and
-    /// transaction tokens count up across passes, as a client's do.
+    /// One connection to an engine, with no socket and a seeded clock:
+    /// request ids and transaction tokens count up across passes, as a
+    /// client's do, and every pass runs up to 2 ms after the last.
     struct Peer {
         eng: Engine,
         next_id: u64,
         next_txn: u64,
+        now: Instant,
+        clock: SmallRng,
     }
 
     impl Peer {
         /// A volatile engine configured as `cfg`, with connection 1 open.
         fn open(cfg: &ServerConfig) -> Peer {
             let kind = CcKind::from_name(&cfg.cc).expect("a known mechanism");
-            let mut eng = Engine::open(cfg, kind, Arc::default()).expect("a volatile engine opens");
-            eng.process(&[ToEngine::Conn { id: 1 }], &mut Vec::new());
-            Peer {
+            let now = Instant::now();
+            let eng =
+                Engine::open(cfg, kind, Arc::default(), now).expect("a volatile engine opens");
+            let mut peer = Peer {
                 eng,
                 next_id: 0,
                 next_txn: 0,
-            }
+                now,
+                clock: SmallRng::seed_from_u64(49),
+            };
+            peer.pass(&[ToEngine::Conn { id: 1 }], &mut Vec::new());
+            peer
+        }
+
+        /// One engine pass over `msgs`, a seeded step after the last one.
+        /// `true` when serving is over.
+        fn pass(&mut self, msgs: &[ToEngine], sink: &mut Vec<(u64, u64, Response)>) -> bool {
+            self.now += Duration::from_micros(self.clock.gen_range(0..2_000));
+            self.eng.pass(self.now, msgs, sink)
         }
 
         /// A one-shard engine running `cc`.
@@ -856,7 +883,7 @@ mod tests {
                 })
                 .collect();
             let mut sink = Vec::new();
-            self.eng.process(&msgs, &mut sink);
+            self.pass(&msgs, &mut sink);
             let ids: Vec<(u64, u64)> = sink.iter().map(|&(conn, id, _)| (conn, id)).collect();
             let want: Vec<(u64, u64)> = (first..self.next_id).map(|id| (1, id)).collect();
             assert_eq!(ids, want, "one answer per request, in request order");
@@ -1129,7 +1156,7 @@ mod tests {
         let mut peer = Peer::one_shard("strict-2PL");
         let (t1, t2) = (peer.begin(), peer.begin());
         peer.send(batch(t1, vec![write(0, 1)], false));
-        peer.eng.process(&[ToEngine::Drain], &mut Vec::new());
+        peer.pass(&[ToEngine::Drain], &mut Vec::new());
         assert_eq!(
             peer.send(batch(t2, vec![write(1, 1)], true)),
             Response::Draining
@@ -1146,7 +1173,7 @@ mod tests {
                 ..
             }
         ));
-        assert!(peer.eng.drained());
+        assert!(peer.pass(&[], &mut Vec::new()), "no transaction is left");
     }
 
     #[test]
@@ -1229,10 +1256,10 @@ mod tests {
     }
 
     /// One request from connection `conn`, in a pass of its own.
-    fn ask_as(eng: &mut Engine, conn: u64, req: Request) -> Response {
-        eng.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
+    fn ask_as(peer: &mut Peer, conn: u64, req: Request) -> Response {
+        peer.eng.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
         let mut sink = Vec::new();
-        eng.process(
+        peer.pass(
             &[ToEngine::Req {
                 conn,
                 req_id: 0,
@@ -1254,16 +1281,16 @@ mod tests {
             trace: Some(TraceConfig::ring(1 << 12)),
             ..ServerConfig::default()
         });
-        let eng = &mut peer.eng;
-        eng.process(&[ToEngine::Conn { id: 2 }], &mut Vec::new());
+        peer.pass(&[ToEngine::Conn { id: 2 }], &mut Vec::new());
         for (conn, vars) in [(1, 0..10), (2, 10..20)] {
             for (txn, var) in (1..).zip(vars) {
-                let ran = ask_as(eng, conn, batch(txn, vec![write(var, 1)], false));
+                let ran = ask_as(&mut peer, conn, batch(txn, vec![write(var, 1)], false));
                 assert!(matches!(ran, Response::Batch { ref results, .. }
                     if matches!(results[..], [BatchOutcome::Done { .. }])));
             }
         }
-        eng.process(&[ToEngine::Gone { id: 1 }], &mut Vec::new());
+        peer.pass(&[ToEngine::Gone { id: 1 }], &mut Vec::new());
+        let eng = &mut peer.eng;
         assert_eq!(eng.txns.len(), 10, "connection 1's orphans are aborted");
         assert_eq!(eng.close(false).aborted_on_drain, 10);
         let trace = eng.db.trace_hub().expect("traced").merged_events();
@@ -1286,8 +1313,9 @@ mod tests {
     /// return every `(request, answer)` in order: a cross-shard lock
     /// cycle only the valve breaks, then seeded first requests, one-op
     /// and multi-op batches (read, write, affine; some with a commit,
-    /// some zero-op), aborts, pings and requests naming a finished or
-    /// never-begun token, and last an abort of whatever is still live.
+    /// some zero-op), aborts, pings, `Stats` and `Health` requests and
+    /// requests naming a finished or never-begun token, and last an
+    /// abort of whatever is still live.
     fn seeded_script(peer: &mut Peer, seed: u64) -> Vec<(Request, Response)> {
         let mut log = Vec::new();
         let mut send = |peer: &mut Peer, req: Request| {
@@ -1332,8 +1360,12 @@ mod tests {
             };
             let req = if !fresh && roll < 16 {
                 Request::Abort { txn }
-            } else if !fresh && roll < 20 {
+            } else if !fresh && roll < 18 {
                 Request::Ping
+            } else if !fresh && roll < 19 {
+                Request::Stats
+            } else if !fresh && roll < 20 {
+                Request::Health
             } else if !fresh && roll < 24 {
                 // Token 0 is never begun; a finished one stays finished.
                 let stale = rng.gen_range(0..=peer.next_txn);
@@ -1369,6 +1401,42 @@ mod tests {
             send(peer, Request::Abort { txn });
         }
         log
+    }
+
+    #[test]
+    fn a_seeded_script_on_a_seeded_clock_gets_the_same_bytes_from_two_fresh_engines() {
+        // A 3 ms sampler on passes up to 2 ms apart: `Stats` answers carry
+        // uptimes and sample points, so they are a function of the clock.
+        let cfg = ServerConfig {
+            cc: "strict-2PL".to_string(),
+            num_vars: 4,
+            shards: 2,
+            sample_interval: Duration::from_millis(3),
+            ..ServerConfig::default()
+        };
+        let run = || {
+            let mut peer = Peer::open(&cfg);
+            let log = seeded_script(&mut peer, 49);
+            (0..)
+                .zip(&log)
+                .map(|(req_id, (_, resp))| encode_response(req_id, resp))
+                .collect::<Vec<_>>()
+        };
+        let (first, second) = (run(), run());
+        assert_eq!(first.len(), second.len());
+        for (req_id, (a, b)) in first.iter().zip(&second).enumerate() {
+            assert_eq!(a, b, "answer {req_id}: {:?}", decode_response(a));
+        }
+        let answers = || {
+            first
+                .iter()
+                .map(|bytes| decode_response(bytes).expect("decodes").1)
+        };
+        assert!(answers().any(|resp| matches!(resp, Response::Health { .. })));
+        assert!(answers().any(|resp| matches!(
+            resp,
+            Response::Stats { ref stats } if stats.uptime_ms > 0 && !stats.series.is_empty()
+        )));
     }
 
     #[test]
@@ -1415,6 +1483,15 @@ mod tests {
         for (req_id, (req, resp)) in (0..).zip(&log) {
             write_frame(&mut conn, &encode_request(req_id, req)).expect("send");
             let served = read_frame(&mut conn).expect("read").expect("an answer");
+            // A real server's `Stats` reports the host's uptime and queue
+            // depth, not the script's clock: only its kind is compared.
+            // Two engines on one clock agree on its bytes too (the test
+            // above).
+            if *req == Request::Stats {
+                let stats = decode_response(&served).expect("decodes").1;
+                assert!(matches!(stats, Response::Stats { .. }), "{stats:?}");
+                continue;
+            }
             assert_eq!(
                 served,
                 encode_response(req_id, resp),
@@ -1426,5 +1503,68 @@ mod tests {
         let stats = server.shutdown().expect("drain");
         assert_eq!(stats.commits, peer.eng.commits);
         assert_eq!(stats.aborted_on_drain, 0);
+    }
+
+    #[test]
+    fn a_drain_with_a_straggler_ends_at_the_first_pass_at_its_deadline() {
+        let grace = Duration::from_millis(100);
+        let mut peer = Peer::open(&ServerConfig {
+            shards: 1,
+            drain_grace: grace,
+            ..ServerConfig::default()
+        });
+        let t = peer.begin();
+        peer.send(batch(t, vec![write(0, 1)], false));
+        let mut pass = |at, msgs: &[ToEngine]| peer.eng.pass(at, msgs, &mut Vec::new());
+        let start = peer.now + Duration::from_millis(1);
+        assert!(!pass(start, &[ToEngine::Drain]), "the straggler is live");
+        for early in [Duration::from_millis(50), grace - Duration::from_nanos(1)] {
+            assert!(!pass(start + early, &[]), "{early:?} into the grace");
+        }
+        assert!(pass(start + grace, &[]), "the deadline ends the drain");
+        assert_eq!(peer.eng.close(false).aborted_on_drain, 1);
+    }
+
+    #[test]
+    fn the_sampler_takes_one_point_per_late_pass_and_keeps_the_newest() {
+        let cfg = ServerConfig {
+            shards: 1,
+            sample_interval: Duration::from_millis(10),
+            ..ServerConfig::default()
+        };
+        let t0 = Instant::now();
+        let kind = CcKind::from_name(&cfg.cc).expect("a known mechanism");
+        let mut eng =
+            Engine::open(&cfg, kind, Arc::default(), t0).expect("a volatile engine opens");
+        // The ring's `at_ms` after one empty pass `ms` after the start.
+        let mut at = |ms: u64| {
+            eng.pass(t0 + Duration::from_millis(ms), &[], &mut Vec::new());
+            eng.series.iter().map(|p| p.at_ms).collect::<Vec<_>>()
+        };
+        assert_eq!(at(9), [] as [u64; 0]);
+        assert_eq!(at(10), [10]);
+        assert_eq!(at(19), [10]);
+        // Idle for five intervals: one point, no backfill, and the next
+        // boundary is the first one after it.
+        assert_eq!(at(60), [10, 60]);
+        assert_eq!(at(69), [10, 60]);
+        assert_eq!(at(75), [10, 60, 75]);
+        let ring = SAMPLE_RING as u64;
+        for k in 1..ring {
+            at(75 + 10 * k);
+        }
+        let last = at(75 + 10 * ring);
+        assert_eq!(last.len(), SAMPLE_RING, "the ring is full");
+        assert_eq!(last[0], 85, "the oldest three points went first");
+        assert_eq!(last[SAMPLE_RING - 1], 75 + 10 * ring);
+        let published = eng
+            .shared
+            .published
+            .lock()
+            .unwrap()
+            .clone()
+            .expect("published");
+        assert_eq!(published.uptime_ms, 75 + 10 * ring);
+        assert_eq!(published.series.len(), SAMPLE_RING);
     }
 }

@@ -23,7 +23,7 @@
 
 use crate::error::{FrameError, WireError};
 use crate::stats::{self, HealthReport, ServerStats};
-use ccopt_durability::encoding::{self, Cursor};
+use ccopt_durability::encoding::{self, frame_with, Cursor};
 use ccopt_engine::BatchOp;
 use ccopt_model::ids::VarId;
 use ccopt_model::value::Value;
@@ -266,22 +266,6 @@ pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     frame_with(out, |out| out.extend_from_slice(payload));
 }
 
-/// Append one frame whose payload `fill` writes in place behind the
-/// header — no intermediate payload buffer. Returns the frame's length
-/// in bytes, header included.
-fn frame_with(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> usize {
-    let head = out.len();
-    out.extend_from_slice(&[0u8; 8]);
-    fill(out);
-    let payload = &out[head + 8..];
-    debug_assert!(payload.len() <= MAX_FRAME as usize);
-    let len = (payload.len() as u32).to_le_bytes();
-    let crc = encoding::crc32(payload).to_le_bytes();
-    out[head..head + 4].copy_from_slice(&len);
-    out[head + 4..head + 8].copy_from_slice(&crc);
-    out.len() - head
-}
-
 /// Write one frame to a stream (no flush; callers batch and flush).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let mut buf = Vec::with_capacity(8 + payload.len());
@@ -311,14 +295,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(head[0..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(head[4..8].try_into().unwrap());
+    let len = encoding::frame_len(&head);
     if len > MAX_FRAME {
         return Err(FrameError::Wire(WireError::Oversized { len }));
     }
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
-    if encoding::crc32(&payload) != crc {
+    if !encoding::frame_intact(&head, &payload) {
         return Err(FrameError::Wire(WireError::Checksum));
     }
     Ok(Some(payload))
@@ -442,7 +425,9 @@ pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
 /// Append one whole response frame to `out`, encoded in place (the
 /// server's outbox path). Returns the frame's length in bytes.
 pub(crate) fn frame_response_into(out: &mut Vec<u8>, req_id: u64, resp: &Response) -> usize {
-    frame_with(out, |out| encode_response_into(out, req_id, resp))
+    let len = frame_with(out, |out| encode_response_into(out, req_id, resp));
+    debug_assert!(len <= 8 + MAX_FRAME as usize);
+    len
 }
 
 fn encode_response_into(b: &mut Vec<u8>, req_id: u64, resp: &Response) {

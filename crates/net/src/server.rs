@@ -12,9 +12,12 @@
 //! takes the lock if it is free, drains the queue, runs one pass over
 //! what it holds, lets go, and checks the queue again; a thread that
 //! finds the lock taken goes straight back to `read`, and the holder runs
-//! its message. The accept thread's 5 ms poll is the engine's clock: each
-//! turn runs a pass too, which reads the kill flag, ends a drain whose
-//! grace expired, feeds the sampler and refreshes the `/healthz` flags.
+//! its message. The holder reads the clock once per pass and hands that
+//! `now` to the engine, which reads no clock of its own. The accept
+//! thread's 5 ms poll runs a pass per turn too, so with no request
+//! arriving the kill flag is still read, a drain whose grace expired
+//! still ends, the sampler still samples and the `/healthz` flags are
+//! still refreshed.
 //! [`Server::start`] builds the engine — parse the mechanism, open or
 //! recover the logs, attach the trace plane, publish the first stats
 //! snapshot — on its caller's thread, so every start-up error is a plain
@@ -123,7 +126,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Or
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server configuration. `Default` is a volatile single-machine setup
 /// bound to an ephemeral localhost port.
@@ -512,7 +515,7 @@ struct Running {
     /// closes.
     conns: Arc<Mutex<HashMap<u64, Arc<Outbox>>>>,
     /// Outboxes this pass put their first pending bytes into: each is
-    /// owed one flush when the pass ends.
+    /// owed one flush when the pass's answers are in.
     unflushed: Vec<Arc<Outbox>>,
     /// Where drainers are registered.
     threads: Threads,
@@ -525,6 +528,7 @@ struct Running {
 struct Outboxes<'a> {
     conns: &'a HashMap<u64, Arc<Outbox>>,
     unflushed: &'a mut Vec<Arc<Outbox>>,
+    threads: &'a Threads,
 }
 
 impl Sink for Outboxes<'_> {
@@ -533,6 +537,24 @@ impl Sink for Outboxes<'_> {
         if let Some(out) = self.conns.get(&conn) {
             if out.push(req_id, resp) {
                 self.unflushed.push(Arc::clone(out));
+            }
+        }
+    }
+
+    /// Every connection answered during the pass gets its responses in
+    /// one coalesced `write`. The engine never waits on a client — what a
+    /// full socket would not take is left to a drainer thread that lives
+    /// until the outbox is empty.
+    fn flush(&mut self) {
+        for out in self.unflushed.drain(..) {
+            if out.flush_once() {
+                let owned = Arc::clone(&out);
+                let spawned = self.threads.spawn("ccopt-net-drain".to_string(), move || {
+                    owned.drain_owned();
+                });
+                if spawned.is_err() {
+                    out.die(&mut out.lock());
+                }
             }
         }
     }
@@ -605,10 +627,10 @@ impl Core {
 }
 
 impl Running {
-    /// One turn of the engine: drain up to 256 queued messages, process
-    /// them as one pass, publish health, sample. `true` when serving is
-    /// over: killed, or draining with no transaction left or the grace
-    /// expired.
+    /// One turn of the engine: drain up to 256 queued messages and run
+    /// them as one engine pass, at the time read here. `true` when
+    /// serving is over: killed, or draining with no transaction left or
+    /// the grace expired.
     fn pass(&mut self, pending: &AtomicUsize, kill: &AtomicBool) -> bool {
         if kill.load(Ordering::SeqCst) {
             return true;
@@ -620,38 +642,16 @@ impl Running {
             }
         }
         pending.fetch_sub(self.batch.len(), Ordering::SeqCst);
-        {
-            // Held for the pass: an accept or a reader's exit waits for it.
-            let conns = self.conns.lock().expect("no registry update panics");
-            let mut sink = Outboxes {
-                conns: &conns,
-                unflushed: &mut self.unflushed,
-            };
-            self.eng.process(&self.batch, &mut sink);
-        }
-        self.flush_outboxes();
+        // Held for the pass: an accept or a reader's exit waits for it.
+        let conns = self.conns.lock().expect("no registry update panics");
+        let mut sink = Outboxes {
+            conns: &conns,
+            unflushed: &mut self.unflushed,
+            threads: &self.threads,
+        };
+        let over = self.eng.pass(Instant::now(), &self.batch, &mut sink);
         self.batch.clear();
-        self.eng.publish_health();
-        self.eng.maybe_sample();
-        self.eng.drained()
-    }
-
-    /// End of a pass: every connection answered during it gets its
-    /// responses in one coalesced `write`. The engine never waits on a
-    /// client — what a full socket would not take is left to a drainer
-    /// thread that lives until the outbox is empty.
-    fn flush_outboxes(&mut self) {
-        for out in self.unflushed.drain(..) {
-            if out.flush_once() {
-                let owned = Arc::clone(&out);
-                let spawned = self.threads.spawn("ccopt-net-drain".to_string(), move || {
-                    owned.drain_owned();
-                });
-                if spawned.is_err() {
-                    out.die(&mut out.lock());
-                }
-            }
-        }
+        over
     }
 
     /// The end of serving: abort the stragglers and sync the logs
@@ -738,7 +738,7 @@ impl Server {
         // Engine startup (recovery included) happens here, on the
         // caller's thread: a log that does not open fails `start`, not
         // the first request. This is the last fallible step.
-        let eng = Engine::open(&cfg, kind, Arc::clone(&shared))?;
+        let eng = Engine::open(&cfg, kind, Arc::clone(&shared), Instant::now())?;
 
         let ops_http = ops_listener.map(|l| {
             let (shared, stop) = (Arc::clone(&shared), Arc::clone(&stop));
@@ -886,9 +886,9 @@ fn accept_thread(
 ) {
     let mut next_id = 0u64;
     while !stop.load(Ordering::SeqCst) {
-        // The engine's clock: a pass per turn reads the kill flag, ends
-        // an expired drain, samples and refreshes `/healthz` even when
-        // no request arrives. A held engine is doing all that already.
+        // A pass per turn reads the kill flag, ends an expired drain,
+        // samples and refreshes `/healthz` even when no request arrives.
+        // A held engine is doing all that already.
         core.combine();
         match listener.accept() {
             Ok((stream, _)) => {
@@ -1080,7 +1080,6 @@ fn serve_http(mut stream: TcpStream, ops: &Shared) {
 mod tests {
     use super::*;
     use crate::frame::{decode_response, Request};
-    use std::time::Instant;
 
     /// An outbox over one end of a loopback connection, and the peer.
     fn outbox_and_peer() -> (Arc<Outbox>, TcpStream) {
@@ -1173,6 +1172,7 @@ mod tests {
             &cfg,
             CcKind::from_name(&cfg.cc).expect("a known mechanism"),
             Arc::default(),
+            Instant::now(),
         )
         .expect("a volatile engine opens");
         let (out, peer) = outbox_and_peer();

@@ -15,7 +15,7 @@
 //! at `/metrics` (no dependencies, names under the `ccopt_` prefix);
 //! [`parse_prometheus`] is the matching validator the smoke tests use.
 
-use ccopt_durability::encoding::Cursor;
+use ccopt_durability::encoding::{put_u16, put_u32, put_u64, Cursor};
 use ccopt_engine::Metrics;
 use ccopt_trace::ConflictRule;
 
@@ -148,18 +148,6 @@ pub struct HealthReport {
 }
 
 // --------------------------------------------------------------- codec
-
-fn put_u16(b: &mut Vec<u8>, v: u16) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
 
 fn put_bool(b: &mut Vec<u8>, v: bool) {
     b.push(v as u8);
