@@ -182,3 +182,28 @@ fn render(out: &mut String, s: &ServerStats) {
 fn parse<T: std::str::FromStr>(s: &str) -> T {
     s.parse().unwrap_or_else(|_| usage())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_abort_rules_are_listed_by_name_most_first() {
+        let mut s = ServerStats::default();
+        s.metrics.aborts_by_rule[ConflictRule::Deadlock.index()] = 2;
+        s.metrics.aborts_by_rule[ConflictRule::WaitDepth.index()] = 5;
+        let mut out = String::new();
+        render(&mut out, &s);
+        let rules = out.split_once("abort rules:\n").expect("a rule table").1;
+        let rows: Vec<&str> = rules.lines().map(str::trim).collect();
+        assert_eq!(rows.len(), 2, "{out}");
+        assert!(
+            rows[0].starts_with("wait_depth") && rows[0].ends_with(" 5"),
+            "{out}"
+        );
+        assert!(
+            rows[1].starts_with("deadlock") && rows[1].ends_with(" 2"),
+            "{out}"
+        );
+    }
+}

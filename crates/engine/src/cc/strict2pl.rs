@@ -1,5 +1,5 @@
 //! Strict two-phase locking with shared and exclusive locks and
-//! deadlock-victim abort.
+//! restart of a requester that would wait behind a waiting holder.
 //!
 //! Every variable's lock is free, held exclusively (X) by one
 //! transaction, or shared (S) by a number of readers, whose set is one
@@ -11,13 +11,38 @@
 //!
 //! A writer blocked by several readers waits on exactly one of them, the
 //! lowest-numbered reader other than itself, so the waits-for graph stays
-//! functional and deadlock detection stays one chain walk. When that
-//! reader finishes, its waiters' edges go and the writer's next ask names
-//! the next reader. Detection stays complete: a blocker stops blocking
-//! only by finishing, so in a deadlocked set every member waits only on
-//! members of that set, the edges among them close a cycle, and the
-//! request that would insert the closing edge is answered `Deadlock`. Two
-//! readers of one variable that both upgrade are such a set.
+//! functional. When that reader finishes, its waiters' edges go and the
+//! writer's next ask names the next reader.
+//!
+//! **Wait depth.** A blocked request waits only on a holder that is
+//! running. When it would insert a *new* waits-for edge t → h and h
+//! itself waits on someone, the answer is `Abort` and t restarts,
+//! attributed [`Deadlock`](ConflictRule::Deadlock) when the edge would
+//! close a cycle and [`WaitDepth`](ConflictRule::WaitDepth) otherwise. A
+//! standing edge still answers `Wait`: t re-asks while it already waits
+//! on h, even if h has since begun to wait. This is wait-depth limiting
+//! (Franaszek, Robinson & Thomasian, TODS 1992): a lock queue behind a
+//! blocked transaction is a convoy that moves only when the whole chain
+//! below it does.
+//!
+//! The rule changes only answers that were `Wait`, and a history in
+//! which any step gets a `Wait` is not a fixpoint (it is not passed
+//! without delay), so the fixpoint set P is unchanged: the paper's
+//! yardstick does not see how a delay is resolved.
+//!
+//! Deadlock detection stays complete, and the chain walk runs only on
+//! the refusal path. A request whose edge would close a cycle names a
+//! holder that reaches the requester, so that holder waits, and the rule
+//! refuses the request before the edge goes in. No cycle ever forms. Two
+//! readers of one variable that both upgrade are such a pair: the second
+//! is the `Deadlock` victim.
+//!
+//! The trade pays here because every `Wait` in this system is asked
+//! again: a waiter polls until its blocker finishes, so a wait behind a
+//! chain costs one decision per poll for the chain's whole length, and a
+//! restart costs a few. Once waits are parked and woken by their
+//! blocker's finish (a waiter then costs nothing while it waits), the
+//! rule must be measured again.
 
 use super::waits_for::WaitsFor;
 use super::{CcConflict, CcDecision, ConcurrencyControl, ConflictRule, StepKind, TxnId, VarId};
@@ -35,14 +60,16 @@ enum Lock {
 
 /// Strict 2PL: a shared lock per variable read, an exclusive one per
 /// variable written, each acquired at first access and held to commit; a
-/// lock request that would close a waits-for cycle aborts the requester.
+/// lock request that would newly wait on a waiting holder (and so any
+/// that would close a waits-for cycle) aborts the requester.
 #[derive(Default, Debug)]
 pub struct Strict2plCc {
     /// Lock table: variable -> lock.
     locks: Vec<Lock>,
     /// The shared holders: row = variable, column = transaction.
     readers: BitMatrix,
-    /// Current waits: waiter -> the one holder it waits on.
+    /// Current waits: waiter -> the one holder it waits on, which waited
+    /// on nobody when the edge went in.
     waits: WaitsFor,
     /// Locks held per transaction, of either mode (insertion order; no
     /// duplicates, because a lock is appended only on first acquisition
@@ -105,7 +132,7 @@ impl ConcurrencyControl for Strict2plCc {
                 self.waits.unblock(t);
                 CcDecision::Proceed
             }
-            Some(h) => self.waits.wait(
+            Some(h) => self.waits.wait_on_running(
                 t,
                 h,
                 CcConflict::new(ConflictRule::LockWait, var, h),
@@ -194,7 +221,7 @@ mod tests {
         );
         assert_eq!(cc.on_step(t(0), v(1), StepKind::Update), CcDecision::Wait);
         // T1 -> waits for T0's v0 while T0 waits for T1's v1: deadlock.
-        assert_eq!(cc.on_step(t(1), v(0), StepKind::Update), CcDecision::Abort);
+        assert_eq!(ask(&mut cc, 1, 0, StepKind::Update), deadlock(0, 0));
         cc.on_abort(t(1));
         // After the victim aborts, T0 can take v1.
         assert_eq!(
@@ -206,8 +233,9 @@ mod tests {
     #[test]
     fn strict_2pl_detects_long_wait_chains() {
         // A waits-for chain far past any small hop bound: t_i holds v_i and
-        // waits for v_{i+1}; the last transaction closing the loop back to
-        // v_0 must be picked as the deadlock victim.
+        // waits for v_{i+1}, each edge asked while its holder still runs;
+        // the last transaction closing the loop back to v_0 must be picked
+        // as the deadlock victim.
         const N: u32 = 100;
         let mut cc = Strict2plCc::default();
         cc.prepare(N as usize + 1, N as usize + 1);
@@ -226,8 +254,9 @@ mod tests {
                 i + 1
             );
         }
-        // t_N -> v_0 closes a 101-transaction cycle.
-        assert_eq!(cc.on_step(t(N), v(0), StepKind::Update), CcDecision::Abort);
+        // t_N -> v_0 closes a 101-transaction cycle: the walk from the
+        // waiting holder t_0 runs the whole chain and names a deadlock.
+        assert_eq!(ask(&mut cc, N, 0, StepKind::Update), deadlock(0, 0));
         cc.on_abort(t(N));
         // With the victim gone, t_{N-1} can take v_N.
         assert_eq!(
@@ -245,19 +274,68 @@ mod tests {
         for i in 0..4 {
             cc.begin(t(i), 0);
         }
-        assert_eq!(
-            cc.on_step(t(0), v(0), StepKind::Update),
-            CcDecision::Proceed
-        );
-        assert_eq!(
-            cc.on_step(t(1), v(1), StepKind::Update),
-            CcDecision::Proceed
-        );
-        assert_eq!(cc.on_step(t(0), v(1), StepKind::Update), CcDecision::Wait);
-        // t2 joins the queue on v0; the chain t2 -> t0 -> t1 has no cycle.
-        assert_eq!(cc.on_step(t(2), v(0), StepKind::Update), CcDecision::Wait);
-        // t3 on v1: chain t3 -> t1 is cycle-free too.
-        assert_eq!(cc.on_step(t(3), v(1), StepKind::Update), CcDecision::Wait);
+        assert_eq!(ask(&mut cc, 0, 0, StepKind::Update), GO);
+        assert_eq!(ask(&mut cc, 1, 1, StepKind::Update), GO);
+        // t2 queues on v0 while t0 runs; then t0 waits on t1: the chain
+        // t2 -> t0 -> t1 has no cycle.
+        assert_eq!(ask(&mut cc, 2, 0, StepKind::Update), lock_wait(0, 0));
+        assert_eq!(ask(&mut cc, 0, 1, StepKind::Update), lock_wait(1, 1));
+        // t3 on v0 would queue behind the waiting t0: the walk runs the
+        // chain t0 -> t1 to its end and refuses by depth, not as a
+        // deadlock.
+        assert_eq!(ask(&mut cc, 3, 0, StepKind::Update), refused(0, 0));
+        // t3 on v1: t1 runs, so t3 -> t1 goes in.
+        assert_eq!(ask(&mut cc, 3, 1, StepKind::Update), lock_wait(1, 1));
+    }
+
+    #[test]
+    fn a_fresh_wait_on_a_waiting_holder_restarts_the_requester() {
+        let mut cc = Strict2plCc::default();
+        for i in 0..4 {
+            cc.begin(t(i), 0);
+        }
+        assert_eq!(ask(&mut cc, 0, 0, StepKind::Update), GO);
+        assert_eq!(ask(&mut cc, 1, 1, StepKind::Update), GO);
+        assert_eq!(ask(&mut cc, 2, 2, StepKind::Update), GO);
+        assert_eq!(ask(&mut cc, 0, 1, StepKind::Update), lock_wait(1, 1));
+        // t0 waits on t1, so t2's request for t0's v0 is refused ...
+        assert_eq!(ask(&mut cc, 2, 0, StepKind::Update), refused(0, 0));
+        // ... as is a read: an X holder blocks readers alike.
+        assert_eq!(ask(&mut cc, 2, 0, StepKind::Read), refused(0, 0));
+        // The refusal left no edge t2 -> t0: t2 counts as running, so t3
+        // may queue on t2's v2.
+        assert_eq!(ask(&mut cc, 3, 2, StepKind::Update), lock_wait(2, 2));
+        // Once t0's holder finishes, t0 runs again and takes new waiters.
+        cc.after_commit(t(1));
+        assert_eq!(ask(&mut cc, 0, 1, StepKind::Update), GO);
+        cc.on_abort(t(3));
+        assert_eq!(ask(&mut cc, 3, 0, StepKind::Update), lock_wait(0, 0));
+    }
+
+    #[test]
+    fn a_standing_wait_still_waits_once_its_holder_waits() {
+        let mut cc = Strict2plCc::default();
+        for i in 0..5 {
+            cc.begin(t(i), 0);
+        }
+        assert_eq!(ask(&mut cc, 0, 0, StepKind::Update), GO);
+        assert_eq!(ask(&mut cc, 2, 2, StepKind::Read), GO);
+        assert_eq!(ask(&mut cc, 4, 4, StepKind::Update), GO);
+        // t1 queues on the X holder t0 and t3 on the S holder t2, both
+        // while their holders run.
+        assert_eq!(ask(&mut cc, 1, 0, StepKind::Update), lock_wait(0, 0));
+        assert_eq!(ask(&mut cc, 3, 2, StepKind::Write), lock_wait(2, 2));
+        // Then the holders start to wait: t0 -> t2 -> t4.
+        assert_eq!(ask(&mut cc, 0, 2, StepKind::Update), lock_wait(2, 2));
+        assert_eq!(ask(&mut cc, 2, 4, StepKind::Update), lock_wait(4, 4));
+        // Asked again, each standing edge still waits.
+        for _ in 0..10 {
+            assert_eq!(ask(&mut cc, 1, 0, StepKind::Update), lock_wait(0, 0));
+            assert_eq!(ask(&mut cc, 3, 2, StepKind::Write), lock_wait(2, 2));
+        }
+        // A fresh edge into the chain is refused, here as the deadlock
+        // t4 -> t0 -> t2 -> t4 it would close.
+        assert_eq!(ask(&mut cc, 4, 0, StepKind::Read), deadlock(0, 0));
     }
 
     /// `(decision, attribution)` of one step; the attribution only for a
@@ -278,6 +356,16 @@ mod tests {
     fn lock_wait(x: u32, holder: u32) -> (CcDecision, Option<CcConflict>) {
         let c = CcConflict::new(ConflictRule::LockWait, v(x), t(holder));
         (CcDecision::Wait, Some(c))
+    }
+
+    fn refused(x: u32, holder: u32) -> (CcDecision, Option<CcConflict>) {
+        let c = CcConflict::new(ConflictRule::WaitDepth, v(x), t(holder));
+        (CcDecision::Abort, Some(c))
+    }
+
+    fn deadlock(x: u32, holder: u32) -> (CcDecision, Option<CcConflict>) {
+        let c = CcConflict::new(ConflictRule::Deadlock, v(x), t(holder));
+        (CcDecision::Abort, Some(c))
     }
 
     const GO: (CcDecision, Option<CcConflict>) = (CcDecision::Proceed, None);

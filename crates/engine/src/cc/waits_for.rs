@@ -4,9 +4,12 @@ use super::{CcConflict, CcDecision, ConflictRule, TxnId};
 use crate::dense::SlotMap;
 
 /// The waits-for graph of a blocking mechanism: `edges[w]` is the one
-/// transaction `w` waits on. An edge goes in only after a walk proved it
-/// closes no cycle, so the graph stays acyclic and every walk ends at a
-/// transaction that waits on nobody.
+/// transaction `w` waits on. An edge goes in only when it closes no
+/// cycle, so the graph stays acyclic and every walk ends at a transaction
+/// that waits on nobody: SGT and T/O insert through [`wait`](Self::wait),
+/// after a walk proved it; strict 2PL through
+/// [`wait_on_running`](Self::wait_on_running), only onto a holder that
+/// waits on nobody, which no walk from it can leave.
 #[derive(Default, Debug)]
 pub(super) struct WaitsFor {
     edges: SlotMap<TxnId>,
@@ -42,6 +45,41 @@ impl WaitsFor {
                 rule: ConflictRule::Deadlock,
                 ..why
             });
+            return CcDecision::Abort;
+        } else {
+            self.edges.insert(waiter.index(), holder);
+        }
+        *conflict = Some(why);
+        CcDecision::Wait
+    }
+
+    /// Like [`wait`](Self::wait), but a fresh edge goes in only when
+    /// `holder` waits on nobody. When `holder` itself waits, the waiter's
+    /// edge is dropped and the answer is [`Abort`](CcDecision::Abort),
+    /// attributed [`Deadlock`](ConflictRule::Deadlock) when the edge would
+    /// close a cycle and [`WaitDepth`](ConflictRule::WaitDepth)
+    /// otherwise. A standing edge answers `Wait` whatever its holder
+    /// does now. The chain walk runs only to attribute a refusal.
+    pub(super) fn wait_on_running(
+        &mut self,
+        waiter: TxnId,
+        holder: TxnId,
+        why: CcConflict,
+        conflict: &mut Option<CcConflict>,
+    ) -> CcDecision {
+        if self.edges.get_copied(waiter.index()) == Some(holder) {
+            debug_assert!(
+                !self.reaches(holder, waiter),
+                "a standing waits-for edge closes a cycle"
+            );
+        } else if self.edges.get(holder.index()).is_some() {
+            self.edges.remove(waiter.index());
+            let rule = if self.reaches(holder, waiter) {
+                ConflictRule::Deadlock
+            } else {
+                ConflictRule::WaitDepth
+            };
+            *conflict = Some(CcConflict { rule, ..why });
             return CcDecision::Abort;
         } else {
             self.edges.insert(waiter.index(), holder);
@@ -125,10 +163,21 @@ mod tests {
             let c = CcConflict::new(ConflictRule::Deadlock, v(x), t(holder));
             (CcDecision::Abort, Some(c))
         };
-        for _ in 0..100 {
-            assert_eq!(step(&mut cc, 1, 0), wait(0, 0), "{name}");
+        if rule == ConflictRule::LockWait {
+            // Strict 2PL restarts a fresh wait on a waiting holder, so t2
+            // queues on t1 before t1 starts to wait on t0. Asked again,
+            // t2's standing edge still waits although t1 now waits too.
+            assert_eq!(step(&mut cc, 2, 1), wait(1, 1), "{name}");
+            for _ in 0..100 {
+                assert_eq!(step(&mut cc, 1, 0), wait(0, 0), "{name}");
+                assert_eq!(step(&mut cc, 2, 1), wait(1, 1), "{name}");
+            }
+        } else {
+            for _ in 0..100 {
+                assert_eq!(step(&mut cc, 1, 0), wait(0, 0), "{name}");
+            }
+            assert_eq!(step(&mut cc, 2, 1), wait(1, 1), "{name}");
         }
-        assert_eq!(step(&mut cc, 2, 1), wait(1, 1), "{name}");
         // t1's standing edge points at t0, not at v2's holder t2, which
         // waits on t1: the walk runs and finds the cycle.
         assert_eq!(step(&mut cc, 1, 2), deadlock(2, 2), "{name}");
@@ -164,9 +213,9 @@ mod tests {
         let _ = w.wait(t(0), t(1), why, &mut None);
     }
 
-    /// Replays a seeded stream of `wait` / `unblock` / `finish` on `n`
-    /// slots against a plain `Vec<Option<u32>>` waits-for graph. After
-    /// every call the answer, the recorded conflict and every edge must
+    /// Replays a seeded stream of `wait` / `wait_on_running` / `unblock` /
+    /// `finish` on `n` slots against a plain `Vec<Option<u32>>` waits-for
+    /// graph. After every call the answer, the recorded conflict and every edge must
     /// match, and the graph must stay acyclic.
     fn waits_for_matches_the_model(n: u32, seed: u64, calls: usize) {
         let mut state = seed;
@@ -191,7 +240,7 @@ mod tests {
         let mut w = WaitsFor::default();
         w.reserve(n as usize);
         let mut model: Vec<Option<u32>> = vec![None; n as usize];
-        let (mut waits, mut aborts) = (0, 0);
+        let (mut waits, mut aborts, mut depth_refusals) = (0, 0, 0);
         for call in 0..calls {
             let a = next(n);
             match next(8) {
@@ -201,9 +250,23 @@ mod tests {
                     let h = (a + 1 + next(n - 1)) % n;
                     let why = CcConflict::new(ConflictRule::LockWait, v(next(16)), t(h));
                     let mut got = None;
-                    let answer = w.wait(t(a), t(h), why, &mut got);
+                    // Half the waits go through strict 2PL's depth rule.
+                    let on_running = next(2) == 0;
+                    let answer = if on_running {
+                        w.wait_on_running(t(a), t(h), why, &mut got)
+                    } else {
+                        w.wait(t(a), t(h), why, &mut got)
+                    };
                     let (want, rule) = if model[a as usize] == Some(h) {
                         (CcDecision::Wait, ConflictRule::LockWait)
+                    } else if on_running && model[h as usize].is_some() {
+                        model[a as usize] = None;
+                        let rule = if model_reaches(&model, h, a) {
+                            ConflictRule::Deadlock
+                        } else {
+                            ConflictRule::WaitDepth
+                        };
+                        (CcDecision::Abort, rule)
                     } else if model_reaches(&model, h, a) {
                         model[a as usize] = None;
                         (CcDecision::Abort, ConflictRule::Deadlock)
@@ -213,8 +276,9 @@ mod tests {
                     };
                     assert_eq!(answer, want, "call {call}: wait({a}, {h})");
                     assert_eq!(got, Some(CcConflict { rule, ..why }), "call {call}");
-                    match answer {
-                        CcDecision::Abort => aborts += 1,
+                    match (answer, rule) {
+                        (CcDecision::Abort, ConflictRule::WaitDepth) => depth_refusals += 1,
+                        (CcDecision::Abort, _) => aborts += 1,
                         _ => waits += 1,
                     }
                 }
@@ -248,10 +312,10 @@ mod tests {
                 }
             }
         }
-        // The stream exercised both answers.
+        // The stream exercised every answer.
         assert!(
-            waits > calls / 4 && aborts > 0,
-            "{waits} waits, {aborts} aborts"
+            waits > calls / 4 && aborts > 0 && depth_refusals > 0,
+            "{waits} waits, {aborts} deadlocks, {depth_refusals} depth refusals"
         );
     }
 

@@ -14,8 +14,9 @@
 //!   chains with watermark-driven garbage collection;
 //! * [`cc`] — the [`ConcurrencyControl`] trait, [`Cc`] (the seven
 //!   mechanisms as one enum, what the engine holds) and the
-//!   implementations: global-token serial execution, strict 2PL with
-//!   deadlock-cycle victim abort, SGT (abort on serialization-graph cycle),
+//!   implementations: global-token serial execution, strict 2PL (a
+//!   request that would newly wait on a waiting holder restarts, so no
+//!   deadlock cycle forms), SGT (abort on serialization-graph cycle),
 //!   timestamp ordering (abort on late conflict), OCC with backward
 //!   validation, MVTO (multi-version timestamp ordering: snapshot reads,
 //!   late writes abort, accesses wait on older pending writers), and

@@ -55,6 +55,16 @@ impl ShardedDb {
             .collect()
     }
 
+    /// How many shards are not serving — down, or crashed and not yet
+    /// supervised: the count of [`shard_statuses`](Self::shard_statuses)
+    /// rows with `down || !alive`, read from the same flags without
+    /// collecting them, so a per-pass health refresh allocates nothing.
+    pub fn shards_down(&self) -> usize {
+        (0..self.workers.len())
+            .filter(|&s| self.down[s] || !self.workers[s].is_alive())
+            .count()
+    }
+
     /// Supervise every shard a [`gather`] found dead.
     pub(super) fn supervise_dead<R>(&mut self, replies: &Replies<R>) {
         for (s, reply) in replies {

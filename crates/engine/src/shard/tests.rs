@@ -612,11 +612,13 @@ fn crash_then_touch(db: &mut ShardedDb, h: GlobalTxn, var: VarId) {
     use ccopt_trace::EventKind;
     let sb = db.partition().shard_of(var) as u32;
     db.panic_shard(sb as usize);
+    assert_eq!(db.shards_down(), 1, "crashed and not yet supervised");
     let r = db.step(h, Affine { var, a: 1, c: 1 });
     assert_eq!(r, Err(SessionError::ShardDown));
     assert_eq!(restarts(db), 1, "supervised once");
     let statuses = db.shard_statuses();
     assert!(statuses.iter().all(|st| st.alive && !st.down));
+    assert_eq!(db.shards_down(), 0);
     assert_eq!(statuses[sb as usize].restarts, 1);
     let coordinator = db.partition().shards() as u32;
     let events = db.trace_hub().unwrap().merged_events();
@@ -708,6 +710,7 @@ fn unrecoverable_storage_marks_the_shard_down_and_the_rest_serve() {
     std::fs::create_dir(&p).unwrap();
     assert_eq!(db.check_shards(), 1);
     assert!(db.shard_statuses()[sb].down);
+    assert_eq!(db.shards_down(), 1);
     assert_eq!(restarts(&db), 1, "marking a shard down counts as handled");
     // Operations routed there fail cleanly; the other shard serves.
     let h = db.begin();

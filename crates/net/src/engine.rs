@@ -605,12 +605,11 @@ impl Engine {
     }
 
     fn health(&mut self) -> HealthReport {
-        let statuses = self.db.shard_statuses();
-        let down = statuses.iter().filter(|s| s.down || !s.alive).count() as u32;
+        let down = self.db.shards_down() as u32;
         HealthReport {
             degraded: down > 0,
             draining: self.deadline.is_some(),
-            shards: statuses.len() as u32,
+            shards: self.db.partition().shards() as u32,
             shards_down: down,
         }
     }

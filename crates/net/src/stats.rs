@@ -3,7 +3,7 @@
 //! text exposition.
 //!
 //! A [`ServerStats`] is what [`Request::Stats`](crate::Request::Stats)
-//! returns: the engine's [`Metrics`] (including the 15-rule abort
+//! returns: the engine's [`Metrics`] (including the 16-rule abort
 //! attribution), commit-latency quantiles, per-shard health, the
 //! admission-control shed ledger broken down by layer, live gauges, and
 //! the sampler's bounded time-series of [`SamplePoint`]s. The codec
@@ -20,7 +20,7 @@ use ccopt_engine::Metrics;
 use ccopt_trace::ConflictRule;
 
 /// Version byte leading every encoded [`ServerStats`].
-const STATS_VERSION: u8 = 5;
+const STATS_VERSION: u8 = 6;
 
 /// Most sample points ever encoded into one Stats response, keeping the
 /// frame comfortably under [`MAX_FRAME`](crate::MAX_FRAME) (a point is
@@ -96,7 +96,7 @@ pub struct ServerStats {
     pub draining: bool,
     /// Per-shard health, indexed by shard id.
     pub shards: Vec<ShardHealth>,
-    /// The engine's counters, 15-rule abort attribution included.
+    /// The engine's counters, 16-rule abort attribution included.
     pub metrics: Metrics,
     /// Commit-latency median (engine ticks, cumulative histogram).
     pub commit_p50_ticks: u64,
@@ -620,13 +620,14 @@ mod tests {
         let mut metrics = Metrics {
             steps_executed: 100,
             waits: 4,
-            aborts: 7,
+            aborts: 11,
             commits: 31,
             shard_msgs: 12,
             batched_ops: 96,
             ..Metrics::default()
         };
         metrics.aborts_by_rule[ConflictRule::Deadlock.index()] = 3;
+        metrics.aborts_by_rule[ConflictRule::WaitDepth.index()] = 4;
         metrics.aborts_by_rule[ConflictRule::ShardFailover.index()] = 2;
         metrics.aborts_by_rule[ConflictRule::Client.index()] = 2;
         ServerStats {
@@ -683,6 +684,7 @@ mod tests {
         let back = take_stats(&mut c).unwrap();
         assert!(c.at_end());
         assert_eq!(back, s);
+        assert_eq!(back.metrics.aborts_for(ConflictRule::WaitDepth), 4);
         assert_eq!(back.sheds_total(), 60);
         assert!(!back.degraded());
     }
@@ -757,6 +759,10 @@ mod tests {
         assert_eq!(
             sample(&samples, "ccopt_aborts_by_rule_total{rule=\"deadlock\"}"),
             Some(3.0)
+        );
+        assert_eq!(
+            sample(&samples, "ccopt_aborts_by_rule_total{rule=\"wait_depth\"}"),
+            Some(4.0)
         );
         assert_eq!(
             sample(&samples, "ccopt_sheds_total{layer=\"queue\"}"),

@@ -47,6 +47,9 @@ pub enum ConflictRule {
     SiFirstUpdater,
     /// SI: commit-time validation lost first-committer-wins.
     SiFirstCommitter,
+    /// 2PL: the lock holder itself waits, so a fresh wait would queue
+    /// behind a blocked transaction; the requester restarts instead.
+    WaitDepth,
     /// The transaction was failed by shard-crash supervision (its shard
     /// died mid-flight and the slot could not be resumed).
     ShardFailover,
@@ -61,7 +64,7 @@ pub enum ConflictRule {
 
 impl ConflictRule {
     /// Number of rules (the length of per-reason counter arrays).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 16;
 
     /// All rules, in `index` order.
     pub const ALL: [ConflictRule; ConflictRule::COUNT] = [
@@ -77,6 +80,7 @@ impl ConflictRule {
         ConflictRule::MvPendingWait,
         ConflictRule::SiFirstUpdater,
         ConflictRule::SiFirstCommitter,
+        ConflictRule::WaitDepth,
         ConflictRule::ShardFailover,
         ConflictRule::Client,
         ConflictRule::Unattributed,
@@ -105,6 +109,7 @@ impl ConflictRule {
             ConflictRule::MvPendingWait => "mv_pending_wait",
             ConflictRule::SiFirstUpdater => "si_first_updater",
             ConflictRule::SiFirstCommitter => "si_first_committer",
+            ConflictRule::WaitDepth => "wait_depth",
             ConflictRule::ShardFailover => "shard_failover",
             ConflictRule::Client => "client",
             ConflictRule::Unattributed => "unattributed",
@@ -570,6 +575,19 @@ mod tests {
             "{\"gseq\":1,\"shard\":0,\"seq\":1,\"tick\":0,\"event\":\"abort\",\"txn\":1}"
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_wait_depth_abort_names_its_rule_on_the_wire() {
+        let line = ev(EventKind::Abort {
+            txn: 4,
+            rule: ConflictRule::WaitDepth,
+            var: Some(2),
+            opponent: Some(9),
+        })
+        .to_jsonl();
+        assert!(line.contains(",\"rule\":\"wait_depth\""), "{line}");
+        assert_eq!(validate_jsonl_line(&line), Ok("abort"));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use ccopt::model::syntax::StepKind;
 use ccopt::model::value::Value;
 use ConflictRule::{
     Deadlock, MvWriteTooLate, OccValidation, ReadTooLate, SgtCycle, SiFirstCommitter,
-    SiFirstUpdater, WriteTooLate,
+    SiFirstUpdater, WaitDepth, WriteTooLate,
 };
 
 const SESSIONS: usize = 32;
@@ -288,23 +288,23 @@ const PINS: [Pin; 7] = [
     },
     Pin {
         kind: CcKind::Strict2pl,
-        waits: 26760,
-        aborts: &[(Deadlock, 684)],
-        steps_executed: 2077,
+        waits: 7294,
+        aborts: &[(Deadlock, 211), (WaitDepth, 771)],
+        steps_executed: 1820,
         top: [
-            (6, 4370, 42),
-            (3, 3594, 65),
-            (11, 2773, 92),
-            (5, 2259, 38),
-            (4, 1984, 29),
-            (1, 1664, 64),
-            (12, 1478, 25),
-            (13, 1434, 58),
+            (6, 1421, 59),
+            (5, 737, 81),
+            (2, 675, 86),
+            (11, 555, 133),
+            (1, 553, 79),
+            (3, 484, 86),
+            (7, 403, 77),
+            (14, 402, 67),
         ],
         committed: [
-            104, 104, 103, 124, 120, 105, 112, 116, 115, 111, 112, 118, 112, 113, 120, 115,
+            102, 113, 102, 112, 117, 105, 107, 115, 108, 111, 112, 116, 114, 114, 124, 123,
         ],
-        events: (26760, 684, 10439532637242747899),
+        events: (7294, 982, 16104932832629947206),
     },
     Pin {
         kind: CcKind::Timestamp,
