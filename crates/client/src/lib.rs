@@ -9,6 +9,13 @@
 //! program on the same handle), and [`Client::commit`] returns
 //! `Op<()>`.
 //!
+//! An [`Op::Wait`] may arrive up to one park limit (2 ms, plus at most
+//! one 5 ms idle pass of the server) after its request: a request that
+//! would wait on another connection's transaction is held by the server
+//! and answered in the pass where that transaction ends — usually
+//! `Done`, so the call returns once the blocker is gone, with no retry
+//! — and only a wait that outlives the limit is answered `Wait`.
+//!
 //! Two surfaces share one socket:
 //!
 //! * the **sync surface** (`read`/`write`/`update`/`commit`/`batch`/

@@ -768,10 +768,8 @@ impl SessionDb {
         sl.waits = 0;
         sl.gsn = gsn;
         sl.begin_tick = self.tick;
-        if self.tracer.is_on() {
-            let tick = self.tick;
-            self.tracer.emit(tick, EventKind::TxnBegin { txn: gsn });
-        }
+        self.tracer
+            .emit(self.tick, EventKind::TxnBegin { txn: gsn });
         if let Some(wal) = &mut self.wal {
             // Buffered, never synced: begins carry no durability
             // obligation under redo-only logging.
@@ -877,22 +875,13 @@ impl SessionDb {
         }
         self.metrics.steps_executed += 1;
         self.tick += 1;
-        if self.tracer.is_on() {
-            let gsn = self.slots[ti].gsn;
-            let tick = self.tick;
-            let ev = if kind.writes() {
-                EventKind::StepWrite {
-                    txn: gsn,
-                    var: var.0,
-                }
-            } else {
-                EventKind::StepRead {
-                    txn: gsn,
-                    var: var.0,
-                }
-            };
-            self.tracer.emit(tick, ev);
-        }
+        let txn = self.slots[ti].gsn;
+        let ev = if kind.writes() {
+            EventKind::StepWrite { txn, var: var.0 }
+        } else {
+            EventKind::StepRead { txn, var: var.0 }
+        };
+        self.tracer.emit(self.tick, ev);
         Ok(Op::Done(read))
     }
 
@@ -1476,12 +1465,15 @@ impl SessionDb {
     /// undo — their buffered writes are simply dropped), tell the
     /// concurrency control, and count the abort and its tick.
     fn rollback(&mut self, ti: usize) {
-        let undo = std::mem::take(&mut self.slots[ti].undo);
+        // Cleared, not taken: the restarted attempt's writes reuse the
+        // buffer.
+        let undo = &mut self.slots[ti].undo;
         if let Store::Single(storage) = &mut self.store {
-            storage.undo(&undo);
+            storage.undo(undo);
         } else {
             debug_assert!(undo.is_empty(), "multi-version runs never log undo");
         }
+        undo.clear();
         self.slots[ti].wbuf.clear();
         self.cc.on_abort(TxnId(ti as u32));
         self.metrics.aborts += 1;
@@ -1513,11 +1505,8 @@ impl SessionDb {
     }
 
     fn retire_slot(&mut self, ti: usize) {
-        if self.tracer.is_on() {
-            let gsn = self.slots[ti].gsn;
-            let tick = self.tick;
-            self.tracer.emit(tick, EventKind::Retire { txn: gsn });
-        }
+        let txn = self.slots[ti].gsn;
+        self.tracer.emit(self.tick, EventKind::Retire { txn });
         let sl = &mut self.slots[ti];
         sl.epoch += 1;
         sl.status = Status::Free;

@@ -239,7 +239,11 @@ impl ShardedDb {
     /// commit is computed at submission (pessimistically low), so
     /// multi-version reclamation *timing* may differ; no concurrency
     /// decision reads the floor, so outcomes and final state do not.
-    pub fn submit_group(&mut self, reqs: Vec<GroupReq>) -> Vec<GroupResp> {
+    ///
+    /// The requests are only read: pass them owned, or lend them when
+    /// their operations are needed afterwards.
+    pub fn submit_group(&mut self, reqs: impl AsRef<[GroupReq]>) -> Vec<GroupResp> {
+        let reqs = reqs.as_ref();
         let mut resps: Vec<GroupResp> = (0..reqs.len())
             .map(|_| GroupResp {
                 results: Ok(Vec::new()),

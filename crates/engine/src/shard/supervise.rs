@@ -222,18 +222,15 @@ impl ShardedDb {
     /// aborts the handle.
     fn fail_slot(&mut self, ti: usize, crashed: usize) {
         self.failover_fails += 1;
-        if self.coord_tracer.is_on() {
-            let (gts, tick) = (self.slots[ti].gts, self.next_gts);
-            self.coord_tracer.emit(
-                tick,
-                EventKind::Abort {
-                    txn: gts,
-                    rule: ConflictRule::ShardFailover,
-                    var: None,
-                    opponent: None,
-                },
-            );
-        }
+        self.coord_tracer.emit(
+            self.next_gts,
+            EventKind::Abort {
+                txn: self.slots[ti].gts,
+                rule: ConflictRule::ShardFailover,
+                var: None,
+                opponent: None,
+            },
+        );
         if self.durable.is_some() && self.slots[ti].touched.len() > 1 {
             let gts = self.slots[ti].gts;
             self.decided.entry(gts).or_insert(false);

@@ -13,13 +13,14 @@
 
 use crate::error::ServerError;
 use crate::frame::{BatchCommit, BatchOutcome, ErrCode, Request, Response};
-use crate::server::{DrainStats, ServerConfig, Shared};
+use crate::server::{DrainStats, ServerConfig, Shared, PARK_LIMIT};
 use crate::stats::{ContendedVar, HealthReport, SamplePoint, ServerStats, ShardHealth};
 use ccopt_engine::shard::WAIT_VALVE;
 use ccopt_engine::{
     BatchOp, CcKind, GlobalTxn, GroupReq, GroupResp, Metrics, Op, SessionError, ShardedDb,
 };
 use ccopt_model::state::GlobalState;
+use ccopt_model::value::Value;
 use ccopt_trace::{EventKind, Histogram, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -64,24 +65,60 @@ pub(crate) trait Sink {
 /// name another's transaction.
 type TxnKey = (u64, u64);
 
+/// A live connection.
+struct Conn {
+    /// The highest token it has begun (its high-water mark; a token at or
+    /// below it never begins again).
+    mark: u64,
+    /// Its live transactions.
+    live: u32,
+}
+
 /// A live transaction.
 struct Live {
     h: GlobalTxn,
     /// Consecutive `Wait` answers: the distributed-deadlock valve's
     /// input, reset by an all-`Done` batch or any `Restarted`.
     waits: u32,
+    /// The shards of every variable its requests have named.
+    footprint: Footprint,
+}
+
+/// The shards a transaction's requests have named variables on.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Footprint {
+    Empty,
+    One(usize),
+    Many,
+}
+
+impl Footprint {
+    fn join(self, other: Footprint) -> Footprint {
+        match (self, other) {
+            (Footprint::Empty, f) | (f, Footprint::Empty) => f,
+            (Footprint::One(a), Footprint::One(b)) if a == b => self,
+            _ => Footprint::Many,
+        }
+    }
 }
 
 pub(crate) struct Engine {
     db: ShardedDb,
     tracer: Tracer,
-    /// Live connection -> the highest token it has begun (its
-    /// high-water mark; a token at or below it never begins again).
-    conns: HashMap<u64, u64>,
+    conns: HashMap<u64, Conn>,
     txns: HashMap<TxnKey, Live>,
     max_txns: usize,
     shared: Arc<Shared>,
     commits: u64,
+    /// Requests held back on a plain `Wait`, in the order they parked
+    /// ([`Engine::redrive`]).
+    parked: Vec<Parked>,
+    /// A step since the last re-drive ended a transaction, or an attempt
+    /// of one: the parked requests are due another.
+    ended: bool,
+    /// Requests parked, and parked requests answered `Wait` after all.
+    parks: u64,
+    park_expiries: u64,
     /// Engine "tick" for trace timestamps: one per processed message.
     tick: u64,
     /// The time of the pass in progress, as its caller gave it.
@@ -138,6 +175,10 @@ impl Engine {
             max_txns: cfg.max_txns.max(1),
             shared,
             commits: 0,
+            parked: Vec::new(),
+            ended: false,
+            parks: 0,
+            park_expiries: 0,
             tick: 0,
             now,
             deadline: None,
@@ -176,14 +217,28 @@ fn server_tracer(db: &ShardedDb) -> Tracer {
 struct PendEntry {
     key: TxnKey,
     runs: Vec<(u64, usize)>,
-    /// Moved into the entry's [`GroupReq`] at flush; `runs` keep the
-    /// counts.
+    /// Lent to the entry's [`GroupReq`] for the submission; `runs` keep
+    /// the counts.
     ops: Vec<BatchOp>,
     /// The request id of the commit-bearing request, if any. An entry
     /// with a commit is sealed — a later request on the same token
     /// flushes the whole group first (its execution depends on this
     /// outcome).
     commit_req: Option<u64>,
+    /// A parked request's results so far, all `Done`, answered in front
+    /// of the rest; `ops` then holds only the ops it has not run.
+    done: Vec<BatchOutcome>,
+}
+
+/// A request held back on a plain `Wait` ([`Engine::parks_on`]): an
+/// entry of one request, and when it was last attempted. Every step that
+/// ends a transaction re-drives it ([`Engine::redrive`]); it is answered
+/// `Wait` after all, as it would have been unparked, when [`PARK_LIMIT`]
+/// passes without an attempt, when its connection sends another message,
+/// or when a drain's grace ends.
+struct Parked {
+    at: Instant,
+    entry: PendEntry,
 }
 
 /// The per-pass accumulator of [`PendEntry`]s, in first-arrival order.
@@ -202,11 +257,14 @@ impl Engine {
     pub(crate) fn pass<S: Sink>(&mut self, now: Instant, msgs: &[ToEngine], sink: &mut S) -> bool {
         self.now = now;
         self.process(msgs, sink);
+        let over = self
+            .deadline
+            .is_some_and(|d| self.txns.is_empty() || now >= d);
+        self.expire(over, sink);
         sink.flush();
         self.publish_health();
         self.sample();
-        self.deadline
-            .is_some_and(|d| self.txns.is_empty() || now >= d)
+        over
     }
 
     /// Answer `msgs` through `sink`.
@@ -231,6 +289,8 @@ impl Engine {
                     // The reader counted this request into the
                     // queue-depth gauge before sending it.
                     self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    // Answers leave a connection in request order.
+                    self.unpark(conn, sink);
                     match *req {
                         Request::Batch {
                             txn,
@@ -249,6 +309,7 @@ impl Engine {
                         Request::Abort { txn } => {
                             self.flush_group(&mut pending, sink);
                             self.abort_txn(conn, req_id, txn, sink);
+                            self.redrive(sink);
                         }
                         Request::Shutdown => {
                             self.flush_group(&mut pending, sink);
@@ -258,15 +319,14 @@ impl Engine {
                     }
                 }
                 ToEngine::Conn { id } => {
-                    self.conns.insert(*id, 0);
-                    if self.tracer.is_on() {
-                        let t = self.tick;
-                        self.tracer.emit(t, EventKind::ConnAccept { conn: *id });
-                    }
+                    self.conns.insert(*id, Conn { mark: 0, live: 0 });
+                    self.tracer
+                        .emit(self.tick, EventKind::ConnAccept { conn: *id });
                 }
                 ToEngine::Gone { id } => {
                     self.flush_group(&mut pending, sink);
                     self.conn_gone(*id);
+                    self.redrive(sink);
                 }
                 ToEngine::Drain => {
                     self.flush_group(&mut pending, sink);
@@ -275,7 +335,11 @@ impl Engine {
                 ToEngine::PanicShard(s) => {
                     self.flush_group(&mut pending, sink);
                     if *s < self.db.partition().shards() {
+                        // The failover rolls back every transaction with
+                        // state on the shard.
                         self.db.panic_shard(*s);
+                        self.ended = true;
+                        self.redrive(sink);
                     }
                 }
             }
@@ -308,10 +372,17 @@ impl Engine {
             sink.reply(conn, req_id, &resp);
             return;
         }
+        let part = self.db.partition();
+        let footprint = ops.iter().fold(Footprint::Empty, |f, op| {
+            f.join(Footprint::One(part.shard_of(op.var())))
+        });
         let key = (conn, token);
-        if let Err(resp) = self.live(key) {
-            sink.reply(conn, req_id, &resp);
-            return;
+        match self.live(key) {
+            Ok(live) => live.footprint = live.footprint.join(footprint),
+            Err(resp) => {
+                sink.reply(conn, req_id, &resp);
+                return;
+            }
         }
         if let Some(&ix) = pending.index.get(&key) {
             if pending.entries[ix].commit_req.is_some() {
@@ -329,6 +400,7 @@ impl Engine {
                     runs: Vec::new(),
                     ops: Vec::new(),
                     commit_req: None,
+                    done: Vec::new(),
                 });
                 let ix = pending.entries.len() - 1;
                 pending.index.insert(key, ix);
@@ -344,15 +416,25 @@ impl Engine {
     }
 
     /// Submit the pass's pending group through
-    /// [`ShardedDb::submit_group`] and answer every request it carried.
+    /// [`ShardedDb::submit_group`], answer every request it carried or
+    /// park it, and re-drive the parked requests if a transaction ended.
     fn flush_group<S: Sink>(&mut self, pending: &mut Pending, sink: &mut S) {
         if pending.entries.is_empty() {
             return;
         }
         let entries = std::mem::take(&mut pending.entries);
         pending.index.clear();
+        let parks = self.submit(entries, sink);
+        self.parks += parks.len() as u64;
+        self.park(parks);
+        self.redrive(sink);
+    }
+
+    /// Submit `entries` as one group and answer each; return the ones
+    /// whose one request parks.
+    fn submit<S: Sink>(&mut self, entries: Vec<PendEntry>, sink: &mut S) -> Vec<PendEntry> {
         let mut reqs: Vec<GroupReq> = Vec::with_capacity(entries.len());
-        let mut live: Vec<(PendEntry, GlobalTxn)> = Vec::with_capacity(entries.len());
+        let mut live: Vec<PendEntry> = Vec::with_capacity(entries.len());
         for mut e in entries {
             // Live when enqueued, but a commit flushed ahead of it in the
             // pass may have ended it.
@@ -367,17 +449,123 @@ impl Engine {
                 ops: std::mem::take(&mut e.ops),
                 commit: e.commit_req.is_some(),
             });
-            live.push((e, h));
+            live.push(e);
         }
-        let resps = self.db.submit_group(reqs);
+        let resps = self.db.submit_group(&reqs);
         debug_assert_eq!(resps.len(), live.len());
-        for ((e, h), resp) in live.into_iter().zip(resps) {
-            self.settle(&e, h, resp, sink);
+        let mut parks = Vec::new();
+        for ((mut e, req), resp) in live.into_iter().zip(reqs).zip(resps) {
+            e.ops = req.ops;
+            parks.extend(self.settle(e, req.h, resp, sink));
+        }
+        parks
+    }
+
+    /// Park `entries`, attempted now.
+    fn park(&mut self, entries: Vec<PendEntry>) {
+        let at = self.now;
+        self.parked
+            .extend(entries.into_iter().map(|entry| Parked { at, entry }));
+    }
+
+    /// Re-submit every parked request as one group, again while the
+    /// re-drive itself ends a transaction. Every wait in this engine ends
+    /// only when some transaction ends — a lock holder, a dirty or
+    /// pending writer, a commit-order predecessor, the serial token — so
+    /// a re-drive at each end misses none. A request that completes or
+    /// restarts is answered; one that waits again parks again, with no
+    /// answer and nothing added to the valve's count.
+    fn redrive<S: Sink>(&mut self, sink: &mut S) {
+        while std::mem::take(&mut self.ended) && !self.parked.is_empty() {
+            let entries = self.parked.drain(..).map(|p| p.entry).collect();
+            let parks = self.submit(entries, sink);
+            self.park(parks);
         }
     }
 
-    /// Answer every request of one settled [`PendEntry`].
-    fn settle<S: Sink>(&mut self, e: &PendEntry, h: GlobalTxn, resp: GroupResp, sink: &mut S) {
+    /// Answer `conn`'s parked request, if it has one, before anything
+    /// else of the connection's.
+    fn unpark<S: Sink>(&mut self, conn: u64, sink: &mut S) {
+        if let Some(i) = self.parked.iter().position(|p| p.entry.key.0 == conn) {
+            let p = self.parked.remove(i);
+            self.answer_wait(p.entry, sink);
+        }
+    }
+
+    /// Answer every parked request last attempted more than
+    /// [`PARK_LIMIT`] ago, or every one when serving is `over`.
+    fn expire<S: Sink>(&mut self, over: bool, sink: &mut S) {
+        let mut i = 0;
+        while i < self.parked.len() {
+            if over || self.now.duration_since(self.parked[i].at) > PARK_LIMIT {
+                let p = self.parked.remove(i);
+                self.answer_wait(p.entry, sink);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Answer a parked request as its last attempt would have been
+    /// answered unparked: its `Done` results, then `Wait` where it
+    /// stopped — at its next op, or at its commit — counted by the
+    /// valve.
+    fn answer_wait<S: Sink>(&mut self, mut e: PendEntry, sink: &mut S) {
+        self.park_expiries += 1;
+        let (key, req_id) = (e.key, e.runs[0].0);
+        let mut results = std::mem::take(&mut e.done);
+        let commit = if e.ops.is_empty() {
+            debug_assert!(
+                e.commit_req.is_some(),
+                "a zero-op request waits only to commit"
+            );
+            Some(self.commit_outcome(key, Op::Wait))
+        } else {
+            results.push(if self.waited(key) {
+                BatchOutcome::Restarted
+            } else {
+                BatchOutcome::Wait
+            });
+            None
+        };
+        sink.reply(key.0, req_id, &Response::Batch { results, commit });
+    }
+
+    /// Whether `e`, settled as `results` and `commit`, parks: its answer
+    /// would be a plain `Wait` — one the valve would not turn into
+    /// `Restarted` — it is its entry's only request, its transaction is
+    /// its connection's only live one, and that transaction has named
+    /// variables of one shard only. So it waits on another connection's
+    /// transaction, and any wait cycle no shard sees runs through a
+    /// cross-shard transaction, which is never parked and so still feeds
+    /// the valve.
+    fn parks_on(
+        &self,
+        e: &PendEntry,
+        results: &[Op<Value>],
+        commit: &Option<Result<Op<()>, SessionError>>,
+    ) -> bool {
+        let waits =
+            matches!(results.last(), Some(Op::Wait)) || matches!(commit, Some(Ok(Op::Wait)));
+        waits
+            && e.runs.len() == 1
+            && self.conns.get(&e.key.0).is_some_and(|c| c.live == 1)
+            && self
+                .txns
+                .get(&e.key)
+                .is_some_and(|l| l.footprint != Footprint::Many && l.waits + 1 < WAIT_VALVE)
+    }
+
+    /// Answer every request of one settled [`PendEntry`]; or, when its
+    /// one request parks, keep its `Done` results and return it holding
+    /// the ops it has not run.
+    fn settle<S: Sink>(
+        &mut self,
+        mut e: PendEntry,
+        h: GlobalTxn,
+        resp: GroupResp,
+        sink: &mut S,
+    ) -> Option<PendEntry> {
         let (key, conn) = (e.key, e.key.0);
         let results = match resp.results {
             Ok(results) => results,
@@ -388,9 +576,19 @@ impl Engine {
                 for &(req_id, _) in &e.runs {
                     sink.reply(conn, req_id, &self.session_error(key, err));
                 }
-                return;
+                return None;
             }
         };
+        if self.parks_on(&e, &results, &resp.commit) {
+            let ran = results.len() - usize::from(results.last() == Some(&Op::Wait));
+            e.done.extend(results[..ran].iter().map(|r| match r {
+                Op::Done(v) => BatchOutcome::Done { value: *v },
+                _ => unreachable!("a run stops at its first op not done"),
+            }));
+            e.ops.drain(..ran);
+            e.runs[0].1 = e.ops.len();
+            return Some(e);
+        }
         // What a request the run stopped in (or before) answers. Once per
         // entry: a trailing `Wait` feeds the distributed-deadlock valve,
         // which may turn the whole answer into `Restarted`.
@@ -399,6 +597,7 @@ impl Engine {
             Some(Op::Wait) => BatchOutcome::Wait,
             Some(Op::Restarted) => {
                 self.reset_waits(key);
+                self.ended = true;
                 BatchOutcome::Restarted
             }
             Some(Op::Done(_)) if results.len() == e.runs.iter().map(|&(_, n)| n).sum() => {
@@ -412,14 +611,13 @@ impl Engine {
             // Past a stop, `pos` can run beyond the results.
             let mine = &results[pos.min(results.len())..];
             let avail = mine.len().min(n);
-            let mut outs: Vec<BatchOutcome> = mine[..avail]
-                .iter()
-                .map(|r| match r {
-                    Op::Done(v) => BatchOutcome::Done { value: *v },
-                    Op::Wait => trailing.clone(),
-                    Op::Restarted => BatchOutcome::Restarted,
-                })
-                .collect();
+            // A re-driven request's earlier results go first.
+            let mut outs = std::mem::take(&mut e.done);
+            outs.extend(mine[..avail].iter().map(|r| match r {
+                Op::Done(v) => BatchOutcome::Done { value: *v },
+                Op::Wait => trailing.clone(),
+                Op::Restarted => BatchOutcome::Restarted,
+            }));
             pos += n;
             // Every op of this request that the run reached ran `Done`;
             // with `done`, it reached them all.
@@ -463,6 +661,7 @@ impl Engine {
             };
             sink.reply(conn, req_id, &resp);
         }
+        None
     }
 
     /// Book one commit outcome of `key` — a landed commit drops the
@@ -472,7 +671,7 @@ impl Engine {
     fn commit_outcome(&mut self, key: TxnKey, c: Op<()>) -> BatchCommit {
         match c {
             Op::Done(()) => {
-                self.txns.remove(&key);
+                self.end(key);
                 self.commits += 1;
                 BatchCommit::Committed
             }
@@ -480,13 +679,27 @@ impl Engine {
             Op::Wait => BatchCommit::Wait,
             Op::Restarted => {
                 self.reset_waits(key);
+                self.ended = true;
                 BatchCommit::Restarted
             }
         }
     }
 
-    /// A connection closed: abort its transactions.
+    /// Take `key`'s transaction off the books — committed, aborted or
+    /// dead — and mark the parked requests due a re-drive.
+    fn end(&mut self, key: TxnKey) -> Option<Live> {
+        let live = self.txns.remove(&key)?;
+        if let Some(c) = self.conns.get_mut(&key.0) {
+            c.live -= 1;
+        }
+        self.ended = true;
+        Some(live)
+    }
+
+    /// A connection closed: drop its parked request and abort its
+    /// transactions.
     fn conn_gone(&mut self, id: u64) {
+        self.parked.retain(|p| p.entry.key.0 != id);
         // A dead connection's transactions are aborted: nobody can ever
         // speak for their tokens again.
         let mut orphans: Vec<TxnKey> = self.txns.keys().filter(|k| k.0 == id).copied().collect();
@@ -494,15 +707,13 @@ impl Engine {
         // not of the map's hash seed.
         orphans.sort_unstable();
         for key in orphans {
-            if let Some(live) = self.txns.remove(&key) {
+            if let Some(live) = self.end(key) {
                 let _ = self.db.abort(live.h);
             }
         }
         self.conns.remove(&id);
-        if self.tracer.is_on() {
-            let t = self.tick;
-            self.tracer.emit(t, EventKind::ConnClose { conn: id });
-        }
+        self.tracer
+            .emit(self.tick, EventKind::ConnClose { conn: id });
     }
 
     /// The transaction `key` names: a live one, or one begun here when
@@ -510,40 +721,37 @@ impl Engine {
     /// token is admitted here — refused while draining, shed at
     /// `max_txns` — and a refusal leaves the mark where it was, so the
     /// same request can be retried. `Err` is the answer otherwise.
-    fn live(&mut self, key: TxnKey) -> Result<GlobalTxn, Response> {
+    fn live(&mut self, key: TxnKey) -> Result<&mut Live, Response> {
         let (conn, token) = key;
-        let Some(mark) = self.conns.get_mut(&conn) else {
+        let Some(c) = self.conns.get_mut(&conn) else {
             return Err(unknown(token));
         };
-        if token <= *mark {
-            return self
-                .txns
-                .get(&key)
-                .map(|l| l.h)
-                .ok_or_else(|| unknown(token));
+        if token <= c.mark {
+            return self.txns.get_mut(&key).ok_or_else(|| unknown(token));
         }
         if self.deadline.is_some() {
             return Err(Response::Draining);
         }
         if self.txns.len() >= self.max_txns {
             self.shared.sheds.txns.fetch_add(1, Ordering::Relaxed);
-            if self.tracer.is_on() {
-                let t = self.tick;
-                self.tracer.emit(t, EventKind::RequestShed { conn });
-            }
+            self.tracer.emit(self.tick, EventKind::RequestShed { conn });
             return Err(Response::Shed);
         }
-        *mark = token;
+        c.mark = token;
+        c.live += 1;
         let h = self.db.begin();
-        self.txns.insert(key, Live { h, waits: 0 });
-        Ok(h)
+        Ok(self.txns.entry(key).or_insert(Live {
+            h,
+            waits: 0,
+            footprint: Footprint::Empty,
+        }))
     }
 
     fn abort_txn<S: Sink>(&mut self, conn: u64, req_id: u64, token: u64, sink: &mut S) {
         let key = (conn, token);
-        let resp = match self.live(key).map(|h| self.db.abort(h)) {
+        let resp = match self.live(key).map(|l| l.h).map(|h| self.db.abort(h)) {
             Ok(Ok(())) => {
-                self.txns.remove(&key);
+                self.end(key);
                 Response::Aborted
             }
             Ok(Err(e)) => self.session_error(key, e),
@@ -599,6 +807,8 @@ impl Engine {
             sheds_queue: self.shared.sheds.queue.load(Ordering::Relaxed),
             sheds_txns: self.shared.sheds.txns.load(Ordering::Relaxed),
             trace_write_errors: self.db.trace_hub().map_or(0, |hub| hub.failed_writes()),
+            parks: self.parks,
+            park_expiries: self.park_expiries,
             series: self.series.iter().copied().collect(),
         };
         (stats, hist)
@@ -687,10 +897,7 @@ impl Engine {
     fn begin_drain(&mut self) {
         if self.deadline.is_none() {
             self.deadline = Some(self.now + self.grace);
-            if self.tracer.is_on() {
-                let t = self.tick;
-                self.tracer.emit(t, EventKind::DrainStart);
-            }
+            self.tracer.emit(self.tick, EventKind::DrainStart);
         }
     }
 
@@ -716,9 +923,8 @@ impl Engine {
             if let Err(e) = self.db.sync() {
                 stats.errors.push(format!("final log sync failed: {e}"));
             }
-            if self.deadline.is_some() && self.tracer.is_on() {
-                let t = self.tick;
-                self.tracer.emit(t, EventKind::DrainDone);
+            if self.deadline.is_some() {
+                self.tracer.emit(self.tick, EventKind::DrainDone);
             }
             if let Some(hub) = self.db.trace_hub() {
                 if let Err(e) = hub.flush() {
@@ -752,7 +958,9 @@ impl Engine {
         live.waits = 0;
         // Not restartable (already terminal): answer `Wait` and let the
         // client's next request surface the real state.
-        self.db.restart(live.h).is_ok()
+        let restarted = self.db.restart(live.h).is_ok();
+        self.ended |= restarted;
+        restarted
     }
 
     /// An outcome other than `Wait` ends `key`'s wait streak.
@@ -766,7 +974,7 @@ impl Engine {
     fn session_error(&mut self, key: TxnKey, e: SessionError) -> Response {
         match e {
             SessionError::Stale => {
-                self.txns.remove(&key);
+                self.end(key);
                 Response::Err {
                     code: ErrCode::UnknownTxn,
                     msg: "the transaction is gone".to_string(),
@@ -774,7 +982,7 @@ impl Engine {
             }
             SessionError::ShardDown => {
                 // The transaction is dead; free the handle and the token.
-                if let Some(live) = self.txns.remove(&key) {
+                if let Some(live) = self.end(key) {
                     let _ = self.db.abort(live.h);
                 }
                 Response::Err {
@@ -807,7 +1015,6 @@ mod tests {
     use crate::frame::{decode_response, encode_request, encode_response, read_frame, write_frame};
     use crate::Server;
     use ccopt_model::ids::VarId;
-    use ccopt_model::value::Value;
     use ccopt_trace::{TraceConfig, TraceEvent};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1134,7 +1341,7 @@ mod tests {
         };
         assert_eq!(peer.send(batch(t1, vec![write(0, 1)], false)), held);
         assert_eq!(peer.eng.txns.len(), 1, "the first request began T1");
-        assert_eq!(peer.eng.conns[&1], t1);
+        assert_eq!(peer.eng.conns[&1].mark, t1);
         let landed = Response::Batch {
             results: vec![],
             commit: Some(BatchCommit::Committed),
@@ -1147,7 +1354,7 @@ mod tests {
         assert_eq!(peer.send(batch(t3, vec![write(1, 1)], false)), held);
         assert!(unknown_txn(&peer.send(batch(t2, vec![write(2, 1)], true))));
         assert_eq!(peer.eng.txns.len(), 1);
-        assert_eq!(peer.eng.conns[&1], t3);
+        assert_eq!(peer.eng.conns[&1].mark, t3);
     }
 
     #[test]
@@ -1162,7 +1369,7 @@ mod tests {
         );
         assert_eq!(peer.send(Request::Abort { txn: t2 }), Response::Draining);
         assert_eq!(peer.eng.txns.len(), 1, "only T1 is live");
-        assert_eq!(peer.eng.conns[&1], t1, "a refusal leaves the mark");
+        assert_eq!(peer.eng.conns[&1].mark, t1, "a refusal leaves the mark");
         // The transaction begun before the drain still finishes.
         let landed = peer.send(batch(t1, vec![], true));
         assert!(matches!(
@@ -1188,7 +1395,7 @@ mod tests {
         assert_eq!(peer.send(first.clone()), Response::Shed);
         assert_eq!(peer.eng.shared.sheds.txns.load(Ordering::Relaxed), 1);
         assert_eq!(peer.eng.txns.len(), 1);
-        assert_eq!(peer.eng.conns[&1], t1, "a shed leaves the mark");
+        assert_eq!(peer.eng.conns[&1].mark, t1, "a shed leaves the mark");
         assert_eq!(peer.send(Request::Abort { txn: t1 }), Response::Aborted);
         let landed = Response::Batch {
             results: vec![done(0)],
@@ -1237,7 +1444,7 @@ mod tests {
             }
         ));
         assert!(peer.eng.txns.is_empty());
-        assert_eq!(peer.eng.conns[&1], 0);
+        assert_eq!(peer.eng.conns[&1].mark, 0);
         let held = Response::Batch {
             results: vec![done(0)],
             commit: None,
@@ -1565,5 +1772,385 @@ mod tests {
             .expect("published");
         assert_eq!(published.uptime_ms, 75 + 10 * ring);
         assert_eq!(published.series.len(), SAMPLE_RING);
+    }
+
+    /// An engine with connections 1 and 2 open, on a clock that steps
+    /// 10 µs a pass unless told otherwise. Request ids count up across
+    /// both connections; `sent` and `got` log every request and answer,
+    /// so [`Two::replies_once_in_order`] can check the reply guarantees.
+    struct Two {
+        peer: Peer,
+        sent: Vec<(u64, u64)>,
+        got: Vec<(u64, u64, Response)>,
+    }
+
+    /// One pass's answers: `(conn, req_id, answer)`.
+    type Answers = Vec<(u64, u64, Response)>;
+
+    impl Two {
+        fn open(cc: &str, shards: usize) -> Two {
+            let mut peer = Peer::open(&ServerConfig {
+                cc: cc.to_string(),
+                num_vars: 8,
+                shards,
+                ..ServerConfig::default()
+            });
+            peer.pass(&[ToEngine::Conn { id: 2 }], &mut Vec::new());
+            Two {
+                peer,
+                sent: Vec::new(),
+                got: Vec::new(),
+            }
+        }
+
+        /// One pass over `msgs`, `step` after the last; its answers.
+        fn pass_after(&mut self, step: Duration, msgs: &[ToEngine]) -> Answers {
+            self.peer.now += step;
+            let mut sink = Vec::new();
+            self.peer.eng.pass(self.peer.now, msgs, &mut sink);
+            self.got.extend(sink.iter().cloned());
+            sink
+        }
+
+        /// `req` from `conn` in a pass of its own: its id, and every
+        /// answer the pass gave.
+        fn on(&mut self, conn: u64, req: Request) -> (u64, Answers) {
+            let req_id = self.peer.next_id;
+            self.peer.next_id += 1;
+            self.sent.push((conn, req_id));
+            self.peer
+                .eng
+                .shared
+                .queue_depth
+                .fetch_add(1, Ordering::Relaxed);
+            let msg = ToEngine::Req { conn, req_id, req };
+            (req_id, self.pass_after(Duration::from_micros(10), &[msg]))
+        }
+
+        /// `req` from `conn`, answered in its own pass with nothing
+        /// else: its answer.
+        fn ask(&mut self, conn: u64, req: Request) -> Response {
+            let (id, mut answers) = self.on(conn, req);
+            assert_eq!(answers.len(), 1, "{answers:?}");
+            let (c, got, resp) = answers.pop().expect("one answer");
+            assert_eq!((c, got), (conn, id));
+            resp
+        }
+
+        /// Every request got exactly one answer, in request order on its
+        /// connection, and none of them was `Wait` unless `waits`.
+        fn replies_once_in_order(&self, waits: bool) {
+            for conn in [1, 2] {
+                let sent: Vec<u64> = self
+                    .sent
+                    .iter()
+                    .filter(|&&(c, _)| c == conn)
+                    .map(|&(_, id)| id)
+                    .collect();
+                let got: Vec<u64> = self
+                    .got
+                    .iter()
+                    .filter(|&&(c, _, _)| c == conn)
+                    .map(|&(_, id, _)| id)
+                    .collect();
+                assert_eq!(got, sent, "connection {conn}");
+            }
+            let waited = self.got.iter().any(|(_, _, resp)| {
+                matches!(resp, Response::Batch { results, commit }
+                    if results.contains(&BatchOutcome::Wait)
+                        || *commit == Some(BatchCommit::Wait))
+            });
+            assert_eq!(waited, waits, "{:?}", self.got);
+        }
+    }
+
+    fn read(var: u32) -> BatchOp {
+        BatchOp::Read(VarId(var))
+    }
+
+    fn ran(results: Vec<BatchOutcome>) -> Response {
+        Response::Batch {
+            results,
+            commit: None,
+        }
+    }
+
+    fn committed() -> Response {
+        Response::Batch {
+            results: vec![],
+            commit: Some(BatchCommit::Committed),
+        }
+    }
+
+    /// Connection 1's T1 holds x0 (written 1), and connection 2's T2
+    /// asks to read it: the request parks, with no answer. Returns its
+    /// id.
+    fn hold_and_park(two: &mut Two) -> u64 {
+        assert_eq!(
+            two.ask(1, batch(1, vec![write(0, 1)], false)),
+            ran(vec![done(0)])
+        );
+        let (parked, answers) = two.on(2, batch(1, vec![read(0)], false));
+        assert_eq!(
+            answers,
+            [],
+            "a parked request is not answered in its own pass"
+        );
+        assert_eq!((two.peer.eng.parks, two.peer.eng.parked.len()), (1, 1));
+        parked
+    }
+
+    #[test]
+    fn a_parked_update_is_answered_done_in_the_pass_where_its_holder_commits() {
+        let mut two = Two::open("strict-2PL", 1);
+        let parked = hold_and_park(&mut two);
+        // Another connection's traffic is no end: the request stays put.
+        assert_eq!(two.ask(1, Request::Ping), Response::Pong);
+        let (commit, answers) = two.on(1, batch(1, vec![], true));
+        assert_eq!(
+            answers,
+            [(1, commit, committed()), (2, parked, ran(vec![done(1)]))]
+        );
+        assert_eq!(two.ask(2, batch(1, vec![], true)), committed());
+        two.replies_once_in_order(false);
+        assert_eq!(two.peer.eng.park_expiries, 0);
+        assert!(two.peer.eng.parked.is_empty());
+    }
+
+    #[test]
+    fn a_parked_request_is_re_driven_when_its_holder_aborts_restarts_or_loses_its_connection() {
+        // Aborted by its client.
+        let mut two = Two::open("strict-2PL", 1);
+        let parked = hold_and_park(&mut two);
+        let (abort, answers) = two.on(1, Request::Abort { txn: 1 });
+        assert_eq!(
+            answers,
+            [
+                (1, abort, Response::Aborted),
+                (2, parked, ran(vec![done(0)]))
+            ]
+        );
+        two.replies_once_in_order(false);
+
+        // Restarted by its mechanism: T2 holds x1 and waits for T1's x0;
+        // T1's fresh wait on a waiting holder restarts T1.
+        let mut two = Two::open("strict-2PL", 1);
+        assert_eq!(
+            two.ask(2, batch(1, vec![write(1, 2)], false)),
+            ran(vec![done(0)])
+        );
+        assert_eq!(
+            two.ask(1, batch(1, vec![write(0, 1)], false)),
+            ran(vec![done(0)])
+        );
+        let (parked, answers) = two.on(2, batch(1, vec![read(0)], false));
+        assert_eq!(answers, []);
+        let (step, answers) = two.on(1, batch(1, vec![read(1)], false));
+        assert_eq!(
+            answers,
+            [
+                (1, step, stopped(BatchOutcome::Restarted)),
+                (2, parked, ran(vec![done(0)])),
+            ]
+        );
+        two.replies_once_in_order(false);
+
+        // Its connection closed: the holder's abort re-drives.
+        let mut two = Two::open("strict-2PL", 1);
+        let parked = hold_and_park(&mut two);
+        let answers = two.pass_after(Duration::from_micros(10), &[ToEngine::Gone { id: 1 }]);
+        assert_eq!(answers, [(2, parked, ran(vec![done(0)]))]);
+        two.sent.retain(|&(c, _)| c == 2);
+        two.got.retain(|&(c, _, _)| c == 2);
+        two.replies_once_in_order(false);
+    }
+
+    #[test]
+    fn a_park_that_outlives_the_limit_gets_todays_wait_and_one_valve_wait() {
+        let mut two = Two::open("strict-2PL", 1);
+        assert_eq!(
+            two.ask(1, batch(1, vec![write(0, 1)], false)),
+            ran(vec![done(0)])
+        );
+        // The request's first op runs, its second waits: the `Done`
+        // result is kept for the answer.
+        let (parked, answers) = two.on(2, batch(1, vec![write(5, 2), write(0, 2)], false));
+        assert_eq!(answers, []);
+        assert_eq!(
+            two.pass_after(PARK_LIMIT, &[]),
+            [],
+            "not more than the limit"
+        );
+        let answers = two.pass_after(Duration::from_nanos(1), &[]);
+        let today = ran(vec![done(0), BatchOutcome::Wait]);
+        assert_eq!(answers, [(2, parked, today)]);
+        assert_eq!(two.peer.eng.txns[&(2, 1)].waits, 1, "one valve wait");
+        assert_eq!((two.peer.eng.parks, two.peer.eng.park_expiries), (1, 1));
+        // Resent from the waiting op, it parks again, and its holder's
+        // commit answers it.
+        let (again, answers) = two.on(2, batch(1, vec![write(0, 2)], false));
+        assert_eq!(answers, []);
+        let (commit, answers) = two.on(1, batch(1, vec![], true));
+        assert_eq!(
+            answers,
+            [(1, commit, committed()), (2, again, ran(vec![done(1)]))]
+        );
+        two.replies_once_in_order(true);
+    }
+
+    #[test]
+    fn a_second_message_on_the_waiters_connection_gets_the_parked_request_answered_first() {
+        let mut two = Two::open("strict-2PL", 1);
+        let parked = hold_and_park(&mut two);
+        let (ping, answers) = two.on(2, Request::Ping);
+        assert_eq!(
+            answers,
+            [
+                (2, parked, stopped(BatchOutcome::Wait)),
+                (2, ping, Response::Pong)
+            ]
+        );
+        assert_eq!(two.peer.eng.txns[&(2, 1)].waits, 1);
+        assert_eq!(two.peer.eng.park_expiries, 1);
+        two.replies_once_in_order(true);
+    }
+
+    #[test]
+    fn a_drain_deadline_answers_the_parked_request_before_the_stragglers_are_aborted() {
+        let mut two = Two::open("strict-2PL", 1);
+        let parked = hold_and_park(&mut two);
+        assert_eq!(two.pass_after(Duration::ZERO, &[ToEngine::Drain]), []);
+        let grace = ServerConfig::default().drain_grace;
+        let answers = two.pass_after(grace, &[]);
+        assert_eq!(answers, [(2, parked, stopped(BatchOutcome::Wait))]);
+        assert!(two.peer.eng.parked.is_empty());
+        assert_eq!(two.peer.eng.close(false).aborted_on_drain, 2);
+        two.replies_once_in_order(true);
+    }
+
+    #[test]
+    fn cross_shard_and_second_transaction_waits_are_answered_in_their_own_pass() {
+        let mut two = Two::open("strict-2PL", 2);
+        let part = two.peer.eng.db.partition().clone();
+        let (x, y) = (part.shard_vars(0)[0].0, part.shard_vars(1)[0].0);
+        assert_eq!(
+            two.ask(1, batch(1, vec![write(x, 1)], false)),
+            ran(vec![done(0)])
+        );
+        // T2 named a variable of the other shard first.
+        assert_eq!(
+            two.ask(2, batch(1, vec![read(y)], false)),
+            ran(vec![done(0)])
+        );
+        let wait = stopped(BatchOutcome::Wait);
+        assert_eq!(two.ask(2, batch(1, vec![read(x)], false)), wait);
+        // Connection 2's second live transaction, on x's shard only.
+        assert_eq!(two.ask(2, batch(2, vec![read(x)], false)), wait);
+        assert_eq!(two.peer.eng.parks, 0);
+        two.replies_once_in_order(true);
+    }
+
+    #[test]
+    fn every_waiting_mechanism_re_drives_a_parked_request_when_its_blocker_ends() {
+        // The token (serial), a lock (strict 2PL), a dirty writer (SGT,
+        // T/O) and a pending writer (MVTO): T2's read of x0 waits on T1,
+        // which wrote it first.
+        for cc in ["serial", "strict-2PL", "T/O", "SGT", "MVTO"] {
+            let mut two = Two::open(cc, 1);
+            let parked = hold_and_park(&mut two);
+            let (commit, answers) = two.on(1, batch(1, vec![], true));
+            assert_eq!(
+                answers,
+                [(1, commit, committed()), (2, parked, ran(vec![done(1)]))],
+                "{cc}"
+            );
+            two.replies_once_in_order(false);
+        }
+    }
+
+    /// Two connections, one transaction each at a time, on a seeded
+    /// clock and a two-shard hot set: seeded batches (some cross-shard,
+    /// some with a commit), aborts and pings, and passes with no message
+    /// that let a park expire. Returns every answer, encoded, in the
+    /// order the engine gave them, and how many requests parked.
+    fn two_connection_script(seed: u64) -> (Vec<(u64, Vec<u8>)>, u64) {
+        let mut two = Two::open("strict-2PL", 2);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // Per connection: its live token and its last token.
+        let mut live: [Option<u64>; 2] = [None, None];
+        let mut tokens = [0u64; 2];
+        let mut txn_of: HashMap<u64, (usize, u64)> = HashMap::new();
+        for _ in 0..600 {
+            let answers = if rng.gen_bool(0.1) {
+                let step = Duration::from_micros(rng.gen_range(0..3_000));
+                two.pass_after(step, &[])
+            } else {
+                let c = rng.gen_range(0..2usize);
+                let txn = *live[c].get_or_insert_with(|| {
+                    tokens[c] += 1;
+                    tokens[c]
+                });
+                let roll = rng.gen_range(0..100u32);
+                let req = if roll < 5 {
+                    Request::Abort { txn }
+                } else if roll < 10 {
+                    Request::Ping
+                } else {
+                    let ops = (0..rng.gen_range(0..=2usize))
+                        .map(|_| {
+                            let var = rng.gen_range(0..4u32);
+                            if rng.gen_bool(0.5) {
+                                read(var)
+                            } else {
+                                write(var, rng.gen_range(0..100i64))
+                            }
+                        })
+                        .collect();
+                    batch(txn, ops, rng.gen_bool(0.3))
+                };
+                let step = Duration::from_micros(rng.gen_range(0..1_500));
+                let req_id = two.peer.next_id;
+                two.peer.next_id += 1;
+                two.sent.push((c as u64 + 1, req_id));
+                txn_of.insert(req_id, (c, txn));
+                two.peer
+                    .eng
+                    .shared
+                    .queue_depth
+                    .fetch_add(1, Ordering::Relaxed);
+                let conn = c as u64 + 1;
+                two.pass_after(step, &[ToEngine::Req { conn, req_id, req }])
+            };
+            for (_, req_id, resp) in &answers {
+                let (c, txn) = txn_of[req_id];
+                let ended = matches!(
+                    resp,
+                    Response::Aborted
+                        | Response::Batch {
+                            commit: Some(BatchCommit::Committed),
+                            ..
+                        }
+                );
+                if ended && live[c] == Some(txn) {
+                    live[c] = None;
+                }
+            }
+        }
+        // Whatever is still parked is answered at the limit.
+        two.pass_after(PARK_LIMIT * 2, &[]);
+        two.replies_once_in_order(true);
+        let bytes = two
+            .got
+            .iter()
+            .map(|(conn, req_id, resp)| (*conn, encode_response(*req_id, resp)))
+            .collect();
+        (bytes, two.peer.eng.parks)
+    }
+
+    #[test]
+    fn a_two_connection_script_that_parks_gets_the_same_bytes_from_two_fresh_engines() {
+        let (first, parks) = two_connection_script(54);
+        assert!(parks > 10, "the script parks ({parks})");
+        assert_eq!(first, two_connection_script(54).0);
     }
 }

@@ -258,6 +258,12 @@ pub(crate) struct Shared {
 /// accepted stream: every clone shares the option, and only writes see it.
 const WRITE_TICK: Duration = Duration::from_millis(1);
 
+/// How long a parked request may go without an attempt before it is
+/// answered `Wait` after all (see `engine.rs`, `Parked`): what a lock
+/// holder that has gone silent costs the client waiting on it, plus up
+/// to one accept-thread pass (5 ms).
+pub(crate) const PARK_LIMIT: Duration = Duration::from_millis(2);
+
 /// One connection's response path: framed bytes the kernel has not yet
 /// accepted, plus the write half of the socket.
 ///

@@ -20,7 +20,7 @@ use ccopt_engine::Metrics;
 use ccopt_trace::ConflictRule;
 
 /// Version byte leading every encoded [`ServerStats`].
-const STATS_VERSION: u8 = 6;
+const STATS_VERSION: u8 = 7;
 
 /// Most sample points ever encoded into one Stats response, keeping the
 /// frame comfortably under [`MAX_FRAME`](crate::MAX_FRAME) (a point is
@@ -115,6 +115,12 @@ pub struct ServerStats {
     /// Events still buffered when the device fails are lost at the final
     /// flush, whose error the drain reports, and are not counted here.
     pub trace_write_errors: u64,
+    /// Requests held back on a `Wait` until a transaction ended, instead
+    /// of answered `Wait` at once.
+    pub parks: u64,
+    /// Parked requests answered `Wait` after all: at the park limit, on
+    /// another message from their connection, or at a drain's deadline.
+    pub park_expiries: u64,
     /// The sampler's time-series, oldest first (bounded; the encoder
     /// keeps the newest [`MAX_SERIES_POINTS`]).
     pub series: Vec<SamplePoint>,
@@ -243,6 +249,8 @@ pub fn put_stats(b: &mut Vec<u8>, s: &ServerStats) {
     put_u64(b, s.sheds_queue);
     put_u64(b, s.sheds_txns);
     put_u64(b, s.trace_write_errors);
+    put_u64(b, s.parks);
+    put_u64(b, s.park_expiries);
     let skip = s.series.len().saturating_sub(MAX_SERIES_POINTS);
     let series = &s.series[skip..];
     put_u16(b, series.len() as u16);
@@ -298,6 +306,8 @@ pub fn take_stats(c: &mut Cursor<'_>) -> Option<ServerStats> {
     let sheds_queue = c.take_u64()?;
     let sheds_txns = c.take_u64()?;
     let trace_write_errors = c.take_u64()?;
+    let parks = c.take_u64()?;
+    let park_expiries = c.take_u64()?;
     let npoints = c.take_u16()? as usize;
     let mut series = Vec::with_capacity(npoints);
     for _ in 0..npoints {
@@ -329,6 +339,8 @@ pub fn take_stats(c: &mut Cursor<'_>) -> Option<ServerStats> {
         sheds_queue,
         sheds_txns,
         trace_write_errors,
+        parks,
+        park_expiries,
         series,
     })
 }
@@ -452,6 +464,16 @@ pub fn render_prometheus(s: &ServerStats) -> String {
             "ccopt_trace_write_errors_total",
             "Writes to the --trace sink that failed.",
             s.trace_write_errors,
+        ),
+        (
+            "ccopt_parks_total",
+            "Requests held back on a Wait until a transaction ended.",
+            s.parks,
+        ),
+        (
+            "ccopt_park_expiries_total",
+            "Parked requests answered Wait after all.",
+            s.park_expiries,
         ),
     ] {
         metric(&mut out, name, "counter", help, &format!("{name} {v}\n"));
@@ -662,6 +684,8 @@ mod tests {
             sheds_queue: 20,
             sheds_txns: 30,
             trace_write_errors: 4,
+            parks: 8,
+            park_expiries: 1,
             series: vec![SamplePoint {
                 at_ms: 1000,
                 interval_ms: 1000,
@@ -686,6 +710,7 @@ mod tests {
         assert_eq!(back, s);
         assert_eq!(back.metrics.aborts_for(ConflictRule::WaitDepth), 4);
         assert_eq!(back.sheds_total(), 60);
+        assert_eq!((back.parks, back.park_expiries), (8, 1));
         assert!(!back.degraded());
     }
 
@@ -756,6 +781,8 @@ mod tests {
             sample(&samples, "ccopt_trace_write_errors_total"),
             Some(4.0)
         );
+        assert_eq!(sample(&samples, "ccopt_parks_total"), Some(8.0));
+        assert_eq!(sample(&samples, "ccopt_park_expiries_total"), Some(1.0));
         assert_eq!(
             sample(&samples, "ccopt_aborts_by_rule_total{rule=\"deadlock\"}"),
             Some(3.0)

@@ -221,24 +221,31 @@ impl Tracer {
     }
 
     /// Emit one event at `tick`. On the disabled path this is a single
-    /// branch — no allocation, no stamping, no I/O.
+    /// inlined branch — no call, no allocation, no stamping, no I/O.
     #[inline]
     pub fn emit(&mut self, tick: u64, kind: EventKind) {
-        let Some(inner) = self.0.as_mut() else {
-            return;
-        };
-        inner.seq += 1;
+        if let Some(inner) = self.0.as_mut() {
+            inner.record(tick, kind);
+        }
+    }
+}
+
+impl TracerInner {
+    /// Stamp and record one event: the traced path, out of line.
+    #[cold]
+    fn record(&mut self, tick: u64, kind: EventKind) {
+        self.seq += 1;
         let ev = TraceEvent {
-            gseq: inner.gseq.fetch_add(1, Ordering::Relaxed) + 1,
-            shard: inner.shard,
-            seq: inner.seq,
+            gseq: self.gseq.fetch_add(1, Ordering::Relaxed) + 1,
+            shard: self.shard,
+            seq: self.seq,
             tick,
             kind,
         };
-        if let Some(ring) = &inner.ring {
+        if let Some(ring) = &self.ring {
             lock_unpoisoned(ring).push(ev);
         }
-        if let Some(sink) = &inner.sink {
+        if let Some(sink) = &self.sink {
             let mut sink = lock_unpoisoned(sink);
             if writeln!(sink.w, "{}", ev.to_jsonl()).is_err() {
                 sink.failed_writes += 1;

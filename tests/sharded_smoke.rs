@@ -167,7 +167,7 @@ fn replay(cc: CcKind, grouped: bool) -> (Vec<bool>, GlobalState, Metrics, usize)
         // One answer per live transaction.
         let mut answers: Vec<Answer> = vec![Default::default(); TXNS];
         if grouped {
-            let reqs = live
+            let reqs: Vec<GroupReq> = live
                 .iter()
                 .map(|&t| GroupReq {
                     h: states[t].h,
