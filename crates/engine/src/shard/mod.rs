@@ -664,6 +664,14 @@ impl ShardedDb {
         Ok(self.slots[self.slot_of(h)?].attempts)
     }
 
+    /// Whether the transaction's current attempt has engaged at most one
+    /// shard — the shard of a waiting op included (`false` for a stale
+    /// handle).
+    pub fn one_shard(&self, h: GlobalTxn) -> bool {
+        self.slot_of(h)
+            .is_ok_and(|ti| self.slots[ti].touched.len() <= 1)
+    }
+
     /// What recovering the shard logs found, when this database was
     /// [`open`](Self::open)ed over existing logs.
     pub fn recovery_info(&self) -> Option<ShardedRecoveryInfo> {

@@ -80,26 +80,6 @@ struct Live {
     /// Consecutive `Wait` answers: the distributed-deadlock valve's
     /// input, reset by an all-`Done` batch or any `Restarted`.
     waits: u32,
-    /// The shards of every variable its requests have named.
-    footprint: Footprint,
-}
-
-/// The shards a transaction's requests have named variables on.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Footprint {
-    Empty,
-    One(usize),
-    Many,
-}
-
-impl Footprint {
-    fn join(self, other: Footprint) -> Footprint {
-        match (self, other) {
-            (Footprint::Empty, f) | (f, Footprint::Empty) => f,
-            (Footprint::One(a), Footprint::One(b)) if a == b => self,
-            _ => Footprint::Many,
-        }
-    }
 }
 
 pub(crate) struct Engine {
@@ -307,12 +287,12 @@ impl Engine {
                             sink.reply(conn, req_id, &Response::Health { report });
                         }
                         Request::Abort { txn } => {
-                            self.flush_group(&mut pending, sink);
+                            self.flush_before(conn, &mut pending, sink);
                             self.abort_txn(conn, req_id, txn, sink);
                             self.redrive(sink);
                         }
                         Request::Shutdown => {
-                            self.flush_group(&mut pending, sink);
+                            self.flush_before(conn, &mut pending, sink);
                             sink.reply(conn, req_id, &Response::Draining);
                             self.begin_drain();
                         }
@@ -372,24 +352,17 @@ impl Engine {
             sink.reply(conn, req_id, &resp);
             return;
         }
-        let part = self.db.partition();
-        let footprint = ops.iter().fold(Footprint::Empty, |f, op| {
-            f.join(Footprint::One(part.shard_of(op.var())))
-        });
         let key = (conn, token);
-        match self.live(key) {
-            Ok(live) => live.footprint = live.footprint.join(footprint),
-            Err(resp) => {
-                sink.reply(conn, req_id, &resp);
-                return;
-            }
+        if let Err(resp) = self.live(key) {
+            sink.reply(conn, req_id, &resp);
+            return;
         }
         if let Some(&ix) = pending.index.get(&key) {
             if pending.entries[ix].commit_req.is_some() {
                 // Pipelined past a commit: what this request means
                 // depends on that commit's outcome, so the group
                 // flushes and the request starts a fresh entry.
-                self.flush_group(pending, sink);
+                self.flush_before(conn, pending, sink);
             }
         }
         let ix = match pending.index.get(&key) {
@@ -430,6 +403,14 @@ impl Engine {
         self.redrive(sink);
     }
 
+    /// Flush the pass's pending group while a request of `conn` waits
+    /// for its answer: a request of `conn`'s that the flush parks is
+    /// answered first, so the connection's answers stay in request order.
+    fn flush_before<S: Sink>(&mut self, conn: u64, pending: &mut Pending, sink: &mut S) {
+        self.flush_group(pending, sink);
+        self.unpark(conn, sink);
+    }
+
     /// Submit `entries` as one group and answer each; return the ones
     /// whose one request parks.
     fn submit<S: Sink>(&mut self, entries: Vec<PendEntry>, sink: &mut S) -> Vec<PendEntry> {
@@ -466,6 +447,15 @@ impl Engine {
         let at = self.now;
         self.parked
             .extend(entries.into_iter().map(|entry| Parked { at, entry }));
+        debug_assert!(
+            self.parked
+                .iter()
+                .enumerate()
+                .all(|(i, p)| self.parked[..i]
+                    .iter()
+                    .all(|q| q.entry.key.0 != p.entry.key.0)),
+            "at most one parked request per connection"
+        );
     }
 
     /// Re-submit every parked request as one group, again while the
@@ -510,38 +500,36 @@ impl Engine {
     /// answered unparked: its `Done` results, then `Wait` where it
     /// stopped — at its next op, or at its commit — counted by the
     /// valve.
-    fn answer_wait<S: Sink>(&mut self, mut e: PendEntry, sink: &mut S) {
+    fn answer_wait<S: Sink>(&mut self, e: PendEntry, sink: &mut S) {
         self.park_expiries += 1;
-        let (key, req_id) = (e.key, e.runs[0].0);
-        let mut results = std::mem::take(&mut e.done);
-        let commit = if e.ops.is_empty() {
+        let Some(h) = self.txns.get(&e.key).map(|live| live.h) else {
+            sink.reply(e.key.0, e.runs[0].0, &unknown(e.key.1));
+            return;
+        };
+        let (results, commit) = if e.ops.is_empty() {
             debug_assert!(
                 e.commit_req.is_some(),
                 "a zero-op request waits only to commit"
             );
-            Some(self.commit_outcome(key, Op::Wait))
+            (vec![], Some(Ok(Op::Wait)))
         } else {
-            results.push(if self.waited(key) {
-                BatchOutcome::Restarted
-            } else {
-                BatchOutcome::Wait
-            });
-            None
+            (vec![Op::Wait], None)
         };
-        sink.reply(key.0, req_id, &Response::Batch { results, commit });
+        self.answer(e, h, &results, commit, sink);
     }
 
-    /// Whether `e`, settled as `results` and `commit`, parks: its answer
-    /// would be a plain `Wait` — one the valve would not turn into
-    /// `Restarted` — it is its entry's only request, its transaction is
-    /// its connection's only live one, and that transaction has named
-    /// variables of one shard only. So it waits on another connection's
-    /// transaction, and any wait cycle no shard sees runs through a
-    /// cross-shard transaction, which is never parked and so still feeds
-    /// the valve.
+    /// Whether `e`, run by `h` to `results` and `commit`, parks: its
+    /// answer would be a plain `Wait` — one the valve would not turn
+    /// into `Restarted` — it is its entry's only request, its
+    /// transaction is its connection's only live one, and that
+    /// transaction's current attempt has engaged one shard. So it waits
+    /// on another connection's transaction, and any wait cycle no shard
+    /// sees runs through a cross-shard transaction, which is never
+    /// parked and so still feeds the valve.
     fn parks_on(
         &self,
         e: &PendEntry,
+        h: GlobalTxn,
         results: &[Op<Value>],
         commit: &Option<Result<Op<()>, SessionError>>,
     ) -> bool {
@@ -553,7 +541,8 @@ impl Engine {
             && self
                 .txns
                 .get(&e.key)
-                .is_some_and(|l| l.footprint != Footprint::Many && l.waits + 1 < WAIT_VALVE)
+                .is_some_and(|l| l.waits + 1 < WAIT_VALVE)
+            && self.db.one_shard(h)
     }
 
     /// Answer every request of one settled [`PendEntry`]; or, when its
@@ -566,7 +555,7 @@ impl Engine {
         resp: GroupResp,
         sink: &mut S,
     ) -> Option<PendEntry> {
-        let (key, conn) = (e.key, e.key.0);
+        let key = e.key;
         let results = match resp.results {
             Ok(results) => results,
             Err(err) => {
@@ -574,12 +563,19 @@ impl Engine {
                 // handle, shard down, prepared): every request it
                 // carried gets the mapped error.
                 for &(req_id, _) in &e.runs {
-                    sink.reply(conn, req_id, &self.session_error(key, err));
+                    sink.reply(key.0, req_id, &self.session_error(key, err));
                 }
                 return None;
             }
         };
-        if self.parks_on(&e, &results, &resp.commit) {
+        // Every op of the entry ran `Done`: the wait streak ends,
+        // whatever the commit answers.
+        if matches!(results.last(), Some(Op::Done(_)))
+            && results.len() == e.runs.iter().map(|&(_, n)| n).sum()
+        {
+            self.reset_waits(key);
+        }
+        if self.parks_on(&e, h, &results, &resp.commit) {
             let ran = results.len() - usize::from(results.last() == Some(&Op::Wait));
             e.done.extend(results[..ran].iter().map(|r| match r {
                 Op::Done(v) => BatchOutcome::Done { value: *v },
@@ -589,20 +585,30 @@ impl Engine {
             e.runs[0].1 = e.ops.len();
             return Some(e);
         }
+        self.answer(e, h, &results, resp.commit, sink);
+        None
+    }
+
+    /// Answer every request of `e`, run by `h` to `results` and
+    /// `commit`, a parked request's earlier `Done` results in front.
+    fn answer<S: Sink>(
+        &mut self,
+        mut e: PendEntry,
+        h: GlobalTxn,
+        results: &[Op<Value>],
+        mut commit: Option<Result<Op<()>, SessionError>>,
+        sink: &mut S,
+    ) {
+        let (key, conn) = (e.key, e.key.0);
         // What a request the run stopped in (or before) answers. Once per
         // entry: a trailing `Wait` feeds the distributed-deadlock valve,
         // which may turn the whole answer into `Restarted`.
         let trailing = match results.last() {
             Some(Op::Wait) if self.waited(key) => BatchOutcome::Restarted,
-            Some(Op::Wait) => BatchOutcome::Wait,
             Some(Op::Restarted) => {
                 self.reset_waits(key);
                 self.ended = true;
                 BatchOutcome::Restarted
-            }
-            Some(Op::Done(_)) if results.len() == e.runs.iter().map(|&(_, n)| n).sum() => {
-                self.reset_waits(key);
-                BatchOutcome::Wait
             }
             _ => BatchOutcome::Wait,
         };
@@ -638,7 +644,7 @@ impl Engine {
             // with sequential semantics: it commits whatever the
             // transaction's current attempt holds.
             let commit = if done && e.commit_req == Some(req_id) {
-                let c = resp.commit.unwrap_or_else(|| {
+                let c = commit.take().unwrap_or_else(|| {
                     let c = self.db.commit(h);
                     if let Ok(Op::Done(())) = c {
                         let _ = self.db.retire(h);
@@ -661,7 +667,6 @@ impl Engine {
             };
             sink.reply(conn, req_id, &resp);
         }
-        None
     }
 
     /// Book one commit outcome of `key` — a landed commit drops the
@@ -740,11 +745,7 @@ impl Engine {
         c.mark = token;
         c.live += 1;
         let h = self.db.begin();
-        Ok(self.txns.entry(key).or_insert(Live {
-            h,
-            waits: 0,
-            footprint: Footprint::Empty,
-        }))
+        Ok(self.txns.entry(key).or_insert(Live { h, waits: 0 }))
     }
 
     fn abort_txn<S: Sink>(&mut self, conn: u64, req_id: u64, token: u64, sink: &mut S) {
@@ -1812,19 +1813,33 @@ mod tests {
             sink
         }
 
+        /// `reqs`, each `(conn, req)`, in one pass: their ids, and every
+        /// answer the pass gave.
+        fn pipelined(&mut self, reqs: Vec<(u64, Request)>) -> (Vec<u64>, Answers) {
+            let mut ids = Vec::new();
+            let msgs: Vec<ToEngine> = reqs
+                .into_iter()
+                .map(|(conn, req)| {
+                    let req_id = self.peer.next_id;
+                    self.peer.next_id += 1;
+                    self.sent.push((conn, req_id));
+                    self.peer
+                        .eng
+                        .shared
+                        .queue_depth
+                        .fetch_add(1, Ordering::Relaxed);
+                    ids.push(req_id);
+                    ToEngine::Req { conn, req_id, req }
+                })
+                .collect();
+            (ids, self.pass_after(Duration::from_micros(10), &msgs))
+        }
+
         /// `req` from `conn` in a pass of its own: its id, and every
         /// answer the pass gave.
         fn on(&mut self, conn: u64, req: Request) -> (u64, Answers) {
-            let req_id = self.peer.next_id;
-            self.peer.next_id += 1;
-            self.sent.push((conn, req_id));
-            self.peer
-                .eng
-                .shared
-                .queue_depth
-                .fetch_add(1, Ordering::Relaxed);
-            let msg = ToEngine::Req { conn, req_id, req };
-            (req_id, self.pass_after(Duration::from_micros(10), &[msg]))
+            let (ids, answers) = self.pipelined(vec![(conn, req)]);
+            (ids[0], answers)
         }
 
         /// `req` from `conn`, answered in its own pass with nothing
@@ -2012,6 +2027,94 @@ mod tests {
         );
         assert_eq!(two.peer.eng.txns[&(2, 1)].waits, 1);
         assert_eq!(two.peer.eng.park_expiries, 1);
+        two.replies_once_in_order(true);
+    }
+
+    #[test]
+    fn a_request_parked_by_a_flush_its_connection_caused_is_answered_before_the_next() {
+        // An abort or a shutdown pipelined behind a blocked batch flushes
+        // the group, which parks the batch: the batch is answered `Wait`
+        // first, as before parking.
+        for (barrier, reply) in [
+            (Request::Abort { txn: 1 }, Response::Aborted),
+            (Request::Shutdown, Response::Draining),
+        ] {
+            let mut two = Two::open("strict-2PL", 1);
+            assert_eq!(
+                two.ask(1, batch(1, vec![write(0, 1)], false)),
+                ran(vec![done(0)])
+            );
+            let (ids, answers) =
+                two.pipelined(vec![(2, batch(1, vec![read(0)], false)), (2, barrier)]);
+            assert_eq!(
+                answers,
+                [(2, ids[0], stopped(BatchOutcome::Wait)), (2, ids[1], reply)]
+            );
+            assert!(two.peer.eng.parked.is_empty());
+            two.replies_once_in_order(true);
+        }
+
+        // A batch pipelined past a blocked commit on the same token: the
+        // sealed entry's flush parks the commit's request, which is
+        // answered `Wait` first; the later batch parks in its turn, and
+        // its holder's commit answers it.
+        let mut two = Two::open("strict-2PL", 1);
+        assert_eq!(
+            two.ask(1, batch(1, vec![write(0, 1)], false)),
+            ran(vec![done(0)])
+        );
+        let (ids, answers) = two.pipelined(vec![
+            (2, batch(1, vec![read(0)], true)),
+            (2, batch(1, vec![read(0)], false)),
+        ]);
+        assert_eq!(answers, [(2, ids[0], stopped(BatchOutcome::Wait))]);
+        assert_eq!(two.peer.eng.parked.len(), 1);
+        let (commit, answers) = two.on(1, batch(1, vec![], true));
+        assert_eq!(
+            answers,
+            [(1, commit, committed()), (2, ids[1], ran(vec![done(1)]))]
+        );
+        two.replies_once_in_order(true);
+    }
+
+    #[test]
+    fn a_park_whose_ops_all_ran_ends_the_streak_as_its_unparked_answer_would() {
+        // Two shards put SGT in commit-order mode: T1 read x and T2
+        // wrote it, so T2's commit waits for T1, on x's shard alone.
+        let mut two = Two::open("SGT", 2);
+        let part = two.peer.eng.db.partition().clone();
+        let (x, z) = (part.shard_vars(0)[0].0, part.shard_vars(0)[1].0);
+        assert_eq!(
+            two.ask(1, batch(1, vec![read(x)], false)),
+            ran(vec![done(0)])
+        );
+        assert_eq!(
+            two.ask(2, batch(1, vec![write(x, 1)], false)),
+            ran(vec![done(0)])
+        );
+        let past_limit = PARK_LIMIT + Duration::from_nanos(1);
+        let commit_waits = |results| Response::Batch {
+            results,
+            commit: Some(BatchCommit::Wait),
+        };
+        // A zero-op commit parks and expires: one valve wait.
+        let (first, answers) = two.on(2, batch(1, vec![], true));
+        assert_eq!(answers, []);
+        assert_eq!(
+            two.pass_after(past_limit, &[]),
+            [(2, first, commit_waits(vec![]))]
+        );
+        assert_eq!(two.peer.eng.txns[&(2, 1)].waits, 1);
+        // A read that runs `Done` ends the streak and the commit's wait
+        // starts a new one: after the expiry the streak is 1, not 2.
+        let (second, answers) = two.on(2, batch(1, vec![read(z)], true));
+        assert_eq!(answers, []);
+        assert_eq!(
+            two.pass_after(past_limit, &[]),
+            [(2, second, commit_waits(vec![done(0)]))]
+        );
+        assert_eq!(two.peer.eng.txns[&(2, 1)].waits, 1);
+        assert_eq!((two.peer.eng.parks, two.peer.eng.park_expiries), (2, 2));
         two.replies_once_in_order(true);
     }
 
